@@ -1,6 +1,6 @@
 """Acceptance bench for the streaming campaign dispatcher (PR 2 tentpole).
 
-Protects the dispatcher's three headline properties on a scenario sweep:
+Protects the dispatcher's two headline properties on a scenario sweep:
 
 1. **Correctness under streaming** — a multi-seed × multi-scenario sweep over
    ≥ 3 policies dispatched with bounded in-flight items produces metrics
@@ -8,10 +8,6 @@ Protects the dispatcher's three headline properties on a scenario sweep:
 2. **Probe economy** — the campaign performs strictly fewer
    ``FeasibilityProbe`` constructions than (workloads × policies): one probe
    per workload is shared across that workload's policy items.
-3. **Throughput vs PR 1** — per-(workload, policy) granularity load-balances
-   skewed policy costs better than PR 1's per-workload pool; the comparison
-   (and its ≥ 2× assertion) needs real cores, so it is skipped on boxes with
-   fewer than four CPUs.
 
 Run ``--bench-scale full`` for the 500-instance version of the sweep
 (5 scenarios × 100 spawned seeds); the default small scale sweeps 40.
@@ -19,17 +15,10 @@ Run ``--bench-scale full`` for the 500-instance version of the sweep
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.analysis import CampaignStats, WorkloadSpec, run_scenario_campaign, stream_campaign
-from repro.analysis.campaign import CampaignRecord
-from repro.core import minimize_max_weighted_flow
-from repro.heuristics import make_scheduler
-from repro.simulation import simulate
-from repro.workload import scenario_grid, scenario_sweep
+from repro.workload import scenario_grid
 
 SCENARIOS = (
     "small-cluster",
@@ -40,59 +29,6 @@ SCENARIOS = (
 )
 POLICIES = ("mct", "greedy-weighted-flow", "srpt")
 BASE_SEED = 2005
-
-
-# --------------------------------------------------------------------------- #
-# PR 1 reference: materialise everything, one pool task per workload           #
-# --------------------------------------------------------------------------- #
-def _pr1_run_single_workload(label, instance, policies):
-    """Replica of PR 1's per-workload campaign task."""
-    records = []
-    offline = minimize_max_weighted_flow(instance)
-    optimum = offline.objective
-    metrics = offline.schedule.metrics()
-    records.append(
-        CampaignRecord(
-            workload=label,
-            policy="offline-optimal",
-            max_weighted_flow=metrics.max_weighted_flow,
-            max_stretch=metrics.max_stretch or 0.0,
-            makespan=metrics.makespan,
-            normalised=1.0,
-        )
-    )
-    for policy in policies:
-        simulation = simulate(instance, make_scheduler(policy))
-        metrics = simulation.metrics()
-        records.append(
-            CampaignRecord(
-                workload=label,
-                policy=policy,
-                max_weighted_flow=metrics.max_weighted_flow,
-                max_stretch=metrics.max_stretch or 0.0,
-                makespan=metrics.makespan,
-                normalised=metrics.max_weighted_flow / optimum,
-                preemptions=simulation.num_preemptions,
-            )
-        )
-    return records
-
-
-def _pr1_per_workload_pool(seeds_per_scenario, policies, max_workers):
-    """PR 1's campaign path: eager materialisation + per-workload pool.map."""
-    labels, instances = scenario_sweep(
-        SCENARIOS, base_seed=BASE_SEED, seeds_per_scenario=seeds_per_scenario
-    )
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        batches = list(
-            pool.map(
-                _pr1_run_single_workload,
-                labels,
-                instances,
-                [policies] * len(instances),
-            )
-        )
-    return [record for batch in batches for record in batch]
 
 
 # --------------------------------------------------------------------------- #
@@ -165,43 +101,3 @@ def test_lazy_specs_keep_the_parent_memory_bounded(bench_scale):
         emitted += 1  # records arrive incrementally, not as one batch
         assert stats.records >= emitted
     assert emitted == 20  # 10 workloads x (offline + mct)
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="the PR1-vs-streaming throughput comparison needs >= 4 real cores",
-)
-def test_streaming_dispatcher_beats_pr1_per_workload_pool(bench_scale):
-    # Skewed policy costs are where per-(workload, policy) granularity wins:
-    # online-offline is ~100x the cost of the list schedulers, so PR 1's
-    # per-workload tasks straggle while streamed per-policy items pack tight.
-    policies = POLICIES + ("online-offline",)
-    seeds_per_scenario = 4 if bench_scale == "full" else 2
-    workers = min(8, os.cpu_count() or 1)
-
-    import time
-
-    start = time.perf_counter()
-    pr1_records = _pr1_per_workload_pool(seeds_per_scenario, policies, workers)
-    pr1_seconds = time.perf_counter() - start
-
-    streamed = run_scenario_campaign(
-        SCENARIOS,
-        policies,
-        base_seed=BASE_SEED,
-        seeds_per_scenario=seeds_per_scenario,
-        max_workers=workers,
-        chunk_size=1,
-    )
-    streaming_seconds = streamed.stats.elapsed_seconds
-    speedup = pr1_seconds / streaming_seconds
-
-    assert len(streamed.records) == len(pr1_records)
-    print()
-    print(
-        f"PR1 per-workload pool: {pr1_seconds:.2f}s, streaming dispatcher: "
-        f"{streaming_seconds:.2f}s ({speedup:.2f}x)"
-    )
-    # The acceptance target is >= 2x on a multi-core box at full scale; the
-    # small scale asserts the direction with headroom for timer noise.
-    assert speedup >= (2.0 if bench_scale == "full" else 1.2)

@@ -32,9 +32,7 @@ The campaign rows are also written into a persistent experiment store
 (``BENCH_store.sqlite``, one run per invocation): the record includes the
 store's bulk-insert rate, the resume skip-rate of an immediate warm re-run,
 and — from the second invocation on — a cross-run diff against the previous
-bench run's headline metrics.  The PR1-vs-streaming dispatcher comparison
-needs ≥ 4 real cores; on smaller machines the record carries an explicit
-skip reason instead of silently omitting the measurement.
+bench run's headline metrics.
 
 The workloads are deliberately small (a few seconds end to end); use the
 pytest benches for paper-scale numbers.
@@ -559,51 +557,6 @@ def bench_campaign(seeds_per_scenario: int = 4) -> dict:
     }
 
 
-def bench_pr1_comparison(seeds_per_scenario: int = 2) -> dict:
-    """PR1 per-workload pool vs the streaming dispatcher — or why it was skipped.
-
-    The ≥ 2× acceptance assertion only means something with real parallelism;
-    on boxes with fewer than four cores the record carries the skip reason
-    (and the core count) instead of silently omitting the comparison.
-    """
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < 4:
-        return {
-            "skipped": True,
-            "reason": f"requires >= 4 CPU cores, found {cpu_count}",
-            "cpu_count": cpu_count,
-        }
-
-    from bench_campaign_dispatcher import (  # noqa: E402  (same directory)
-        BASE_SEED,
-        SCENARIOS,
-        _pr1_per_workload_pool,
-    )
-
-    policies = ("mct", "greedy-weighted-flow", "srpt", "online-offline")
-    workers = min(8, cpu_count)
-    start = time.perf_counter()
-    _pr1_per_workload_pool(seeds_per_scenario, policies, workers)
-    pr1_seconds = time.perf_counter() - start
-    streamed = run_scenario_campaign(
-        SCENARIOS,
-        policies,
-        base_seed=BASE_SEED,
-        seeds_per_scenario=seeds_per_scenario,
-        max_workers=workers,
-        chunk_size=1,
-    )
-    streaming_seconds = streamed.stats.elapsed_seconds
-    return {
-        "skipped": False,
-        "cpu_count": cpu_count,
-        "workers": workers,
-        "pr1_seconds": pr1_seconds,
-        "streaming_seconds": streaming_seconds,
-        "speedup": pr1_seconds / max(streaming_seconds, 1e-12),
-    }
-
-
 def bench_store(store_path: str, seeds_per_scenario: int = 2) -> dict:
     """Write the bench campaign rows into the persistent store.
 
@@ -761,7 +714,6 @@ def main(argv=None) -> int:
         "stream": bench_stream(),
         "obs": bench_obs(),
         "journal": bench_journal(),
-        "pr1_comparison": bench_pr1_comparison(),
         "store": bench_store(os.path.abspath(args.store)),
         "lint": bench_lint(),
     }
@@ -931,15 +883,6 @@ def main(argv=None) -> int:
         print(
             f"  vs previous invocation: {diff['write_speed_ratio']:.2f}x write "
             f"rate, on/off ratio delta {diff['ratio_delta']:+.3f}"
-        )
-    pr1 = campaign_record["pr1_comparison"]
-    if pr1["skipped"]:
-        print(f"pr1 comparison: SKIPPED — {pr1['reason']}")
-    else:
-        print(
-            f"pr1 comparison: {pr1['pr1_seconds']:.2f}s vs streaming "
-            f"{pr1['streaming_seconds']:.2f}s ({pr1['speedup']:.2f}x on "
-            f"{pr1['workers']} workers)"
         )
     store_record = campaign_record["store"]
     print(

@@ -14,8 +14,9 @@ The campaign layer is the dispatcher of the unified policy runtime
   grids are materialised inside the workers, so a 10k-scenario sweep never
   holds 10k instances in the parent process.
 * **Streaming chunked dispatch** — work is cut into per-(workload,
-  policy-chunk) items (``chunk_size=1`` gives per-policy parallelism), at
-  most ``max_inflight`` items are submitted to the process pool at any time,
+  policy-chunk) items (``chunk_size=1`` gives per-policy parallelism) that
+  the shared cell executor (:mod:`repro.analysis._cells`) runs: at most
+  ``max_inflight`` items are submitted to the process pool at any time,
   and finished records are aggregated incrementally in deterministic order,
   so memory stays bounded no matter how large the sweep is.
 * **Shared probes, one optimum per workload** — every item of a workload
@@ -42,10 +43,8 @@ resumed records) recorded by ``benchmarks/run_quick_bench.py``.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -55,9 +54,9 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -65,10 +64,9 @@ from typing import (
 from ..core.instance import Instance
 from ..core.maxflow import FeasibilityProbe
 from ..exceptions import WorkloadError
-from ..obs.clock import wall_clock
 from ..obs.journal import RunJournal
-from ..obs.metrics import collecting, get_recorder
-from ..heuristics import OnlinePolicy, PolicyOutcome, make_policy
+from ..obs.metrics import get_recorder
+from ..heuristics import PolicyOutcome, make_policy
 from ..heuristics.registry import (
     OFFLINE_OPTIMAL,
     SchedulingPolicy,
@@ -77,11 +75,12 @@ from ..heuristics.registry import (
 )
 from ..simulation import SimulationKernel
 from ..workload.scenarios import ScenarioSpec, make_scenario, scenario_grid
+from ._cells import Cell, CellResult, RunTotals, execute_cells
 from .stats import geometric_mean, summarize
 from .tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runtime import would cycle)
-    from ..store import ExperimentStore
+    from ..store import ExperimentStore, StoredRecord
 
 __all__ = [
     "CampaignRecord",
@@ -326,36 +325,25 @@ class _CampaignItem:
     """One dispatch unit: a chunk of policies over one workload.
 
     ``pinned_optimum`` carries a workload's already-known off-line optimum
-    (from the parent's first finished item of the workload, or from a
+    (published by the workload's first finished item, or read from a
     resumed store record) into the worker, which then skips the LP search
     entirely.
     """
 
     dispatch_id: int
-    index: int
     workload_index: int
     spec: WorkloadSpec
     policies: Tuple[str, ...]
     emit_offline: bool
-    scheduler_factory: Optional[Callable[[str], object]] = None
     pinned_optimum: Optional[float] = None
-    #: Run the item under a scoped recorder and ship the snapshot back, so
-    #: the parent can fold worker-side metrics deterministically (set when
-    #: the driver's ambient recorder supports ``merge_snapshot``).
-    collect_metrics: bool = False
 
 
 @dataclass
 class _ItemResult:
-    index: int
     records: List[CampaignRecord]
     probe_constructions: int
     offline_solves: int = 0
     optimum: Optional[float] = None
-    #: Scoped-recorder snapshot of the item (``collect_metrics`` only).
-    snapshot: Optional[Dict[str, Dict[str, object]]] = None
-    worker_pid: int = 0
-    elapsed_seconds: float = 0.0
 
 
 #: Per-process LRU of workload contexts: (dispatch id, workload index) ->
@@ -383,34 +371,11 @@ def _thread_kernel() -> SimulationKernel:
     return kernel
 
 
-def _policy_base_name(token: str) -> str:
-    """Base registry name of a (possibly parameterised) policy token."""
-    return token.partition(":")[0] if ":" in token else token
-
-
-def _policy_cell_identity(token: str) -> Tuple[str, Dict]:
-    """The ``(policy name, params)`` identity a cell token digests under.
-
-    Registered policies resolve their variant tokens to the canonical base
-    name plus non-default params (so ``"name:param=default"`` digests like a
-    bare ``"name"``); unregistered names — legacy ``scheduler_factory``
-    campaigns — digest the raw token with empty params, as before.
-    """
-    try:
-        policy_spec(_policy_base_name(token))
-    except KeyError:
-        return token, {}
-    variant = resolve_policy_variant(token)
-    return variant.base, dict(variant.params)
-
-
 def _item_needs_probe(item: _CampaignItem) -> bool:
     """Whether any of the item's policies is off-line (wants a shared probe)."""
-    if item.scheduler_factory is not None:
-        return False  # legacy factories produce on-line schedulers only
     for name in item.policies:
         try:
-            if policy_spec(_policy_base_name(name)).kind == "offline":
+            if policy_spec(name.partition(":")[0]).kind == "offline":
                 return True
         except KeyError:
             return True  # unknown name: build the probe, let make_policy raise
@@ -463,15 +428,6 @@ def _workload_context(
     return instance, offline, optimum, probe, constructed, solved
 
 
-def _resolve_policy(
-    name: str, scheduler_factory: Optional[Callable[[str], object]]
-) -> SchedulingPolicy:
-    """Resolve a policy name: registry by default, legacy factory if given."""
-    if scheduler_factory is None:
-        return make_policy(name)
-    return OnlinePolicy(scheduler_factory(name))
-
-
 def _record_from_outcome(
     label: str, outcome: PolicyOutcome, optimum: float
 ) -> CampaignRecord:
@@ -505,37 +461,18 @@ def _compatible_probe(
 
 
 def _run_campaign_item(item: _CampaignItem) -> _ItemResult:
-    """Measure one item: (workload, policy chunk), with telemetry envelope.
+    """Measure one item: (workload, policy chunk) over a shared context.
 
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; also the in-process execution path.  When the item asks for
-    ``collect_metrics``, the measurement runs under a scoped recorder and
-    the snapshot ships back with the result — the parent folds it in
-    deterministic emission order, so sequential and parallel dispatch
-    build byte-identical merged snapshots.
+    Module-level so the process pool can pickle it; also the in-process
+    execution path.
     """
-    started = wall_clock()
-    if item.collect_metrics:
-        with collecting() as item_recorder:
-            result = _execute_campaign_item(item)
-            item_recorder.observe("campaign.chunk_seconds", wall_clock() - started)
-        result.snapshot = item_recorder.snapshot()
-    else:
-        result = _execute_campaign_item(item)
-    result.elapsed_seconds = wall_clock() - started
-    result.worker_pid = os.getpid()
-    return result
-
-
-def _execute_campaign_item(item: _CampaignItem) -> _ItemResult:
-    """The measurement itself: (workload, policy chunk) over a shared context."""
     instance, offline, optimum, probe, constructed, solved = _workload_context(item)
     records: List[CampaignRecord] = []
     if item.emit_offline:
         records.append(_record_from_outcome(item.spec.label, offline, optimum))
     kernel = _thread_kernel()
     for name in item.policies:
-        if name == OFFLINE_OPTIMAL and item.scheduler_factory is None:
+        if name == OFFLINE_OPTIMAL:
             # An explicitly requested optimum cell reuses the context's
             # outcome; a pinned context (no outcome) solves once — counted —
             # and backfills the cache for the workload's later items.
@@ -554,13 +491,12 @@ def _execute_campaign_item(item: _CampaignItem) -> _ItemResult:
                     )
             records.append(_record_from_outcome(item.spec.label, offline, optimum))
             continue
-        policy = _resolve_policy(name, item.scheduler_factory)
+        policy = make_policy(name)
         outcome = policy.run(
             instance, probe=_compatible_probe(probe, policy), kernel=kernel
         )
         records.append(_record_from_outcome(item.spec.label, outcome, optimum))
     return _ItemResult(
-        index=item.index,
         records=records,
         probe_constructions=constructed,
         offline_solves=solved,
@@ -570,170 +506,102 @@ def _execute_campaign_item(item: _CampaignItem) -> _ItemResult:
 
 _DISPATCH_COUNTER = itertools.count()
 
-#: Items planned per store-lookup round on the in-process path (the parallel
-#: path rounds by its in-flight budget instead).
-_PLAN_BATCH = 64
+
+@dataclass
+class _RecordSlot:
+    """One output record of an item: its policy, digest and (maybe) stored copy."""
+
+    policy: str
+    digest: str = ""
+    stored: Optional[CampaignRecord] = None
 
 
-def _campaign_items(
+@dataclass
+class _ItemOutputs:
+    """Parent-side view of one item's output records, in emission order."""
+
+    spec: WorkloadSpec
+    workload_index: int
+    workload_key: str
+    slots: List[_RecordSlot]
+
+
+def _campaign_cells(
     specs: Iterable[WorkloadSpec],
     policies: Sequence[str],
     *,
     include_offline: bool,
     chunk_size: int,
-    scheduler_factory: Optional[Callable[[str], object]],
+    digester: Optional[Callable[[str, str], str]],
     dispatch_id: int,
-) -> Iterator[_CampaignItem]:
-    """Lazily cut a sweep into per-(workload, policy-chunk) items."""
-    if chunk_size < 1:
-        raise WorkloadError("chunk_size must be at least 1")
+) -> Iterator[Cell]:
+    """Lazily cut a sweep into per-(workload, policy-chunk) cells.
+
+    Every cell of a workload waits on the workload index: the first one
+    runs the LP search and its result publishes the optimum the others are
+    pinned to, so the search runs once per workload at any worker count.
+    """
+    chunks: List[Tuple[str, ...]] = [
+        tuple(policies[start : start + chunk_size])
+        for start in range(0, len(policies), chunk_size)
+    ] or [()]
     index = 0
     for workload_index, spec in enumerate(specs):
-        chunks: List[Tuple[str, ...]] = [
-            tuple(policies[start : start + chunk_size])
-            for start in range(0, len(policies), chunk_size)
-        ] or [()]
+        # content_key() digests a concrete instance's full payload: once
+        # per workload, not once per chunk.
+        key = spec.content_key() if digester is not None else ""
+        offline_digest = digester(key, OFFLINE_OPTIMAL) if digester is not None else ""
         for position, chunk in enumerate(chunks):
-            yield _CampaignItem(
-                dispatch_id=dispatch_id,
-                index=index,
-                workload_index=workload_index,
-                spec=spec,
-                policies=chunk,
-                emit_offline=include_offline and position == 0,
-                scheduler_factory=scheduler_factory,
+            emit_offline = include_offline and position == 0
+            names = ((OFFLINE_OPTIMAL,) if emit_offline else ()) + chunk
+            slots = [
+                _RecordSlot(name, digester(key, name) if digester is not None else "")
+                for name in names
+            ]
+            yield Cell(
+                task=_CampaignItem(dispatch_id, workload_index, spec, chunk, emit_offline),
+                labels={
+                    "cell": f"{spec.label}#{index}",
+                    "workload": spec.label,
+                    "item": index,
+                    "policies": list(names),
+                },
+                size=len(slots),
+                # The off-line digest pins the optimum even for items that
+                # do not emit it.
+                lookups=tuple(slot.digest for slot in slots) + (offline_digest,),
+                waits_on=workload_index,
+                data=_ItemOutputs(spec, workload_index, key, slots),
             )
             index += 1
 
 
-# --------------------------------------------------------------------------- #
-# Parent-side dispatch plans (store lookups, resume, pinned optima)            #
-# --------------------------------------------------------------------------- #
-@dataclass
-class _RecordSlot:
-    """One output cell of an item: its policy, digest and (maybe) stored copy.
-
-    ``from_policies`` separates cells requested through ``item.policies``
-    (which may themselves name ``offline-optimal``) from the synthetic
-    emit-offline cell in front of them.
-    """
-
-    policy: str
-    digest: str = ""
-    stored: Optional[CampaignRecord] = None
-    from_policies: bool = True
-
-
-@dataclass
-class _ItemPlan:
-    """Parent-side view of one item: what to dispatch, what to reuse.
-
-    ``item`` is the (possibly reduced) dispatch unit — ``None`` when every
-    cell was found in the store; ``slots`` preserve the full emission order
-    so stored and computed records interleave deterministically.
-    """
-
-    index: int
-    workload_index: int
-    spec: WorkloadSpec
-    workload_key: str
-    item: Optional[_CampaignItem]
-    slots: List[_RecordSlot]
-
-
-def _plan_items(
-    items: Sequence[_CampaignItem],
-    store: Optional["ExperimentStore"],
-    resume: bool,
-    digester: Optional[Callable[..., str]],
-    key_cache: Optional[Dict[int, str]] = None,
-    collect_metrics: bool = False,
-) -> List[_ItemPlan]:
-    """Consult the store for a batch of items and shrink each to its missing cells.
-
-    All the batch's cell digests (plus each workload's off-line digest, which
-    pins the optimum even for items that do not emit it) go to the store in
-    **one** :meth:`~repro.store.ExperimentStore.lookup` call — one ``IN``
-    query per planning round instead of one per dispatched item, which is
-    what keeps parent-side query counts flat on 10k-cell resumed sweeps.
-
-    ``key_cache`` memoises ``content_key()`` per workload index — for
-    concrete-instance workloads the key digests the full payload, which must
-    not be recomputed once per policy chunk.
-    """
-    prepared: List[Tuple[_CampaignItem, str, List[_RecordSlot], str]] = []
-    wanted: Set[str] = set()
-    for item in items:
-        if store is None:
-            key = ""
-        elif key_cache is not None:
-            key = key_cache.get(item.workload_index)
-            if key is None:
-                # Items arrive in workload-major order, so one live entry
-                # suffices; clearing bounds the cache on unbounded sweeps.
-                key_cache.clear()
-                key = key_cache[item.workload_index] = item.spec.content_key()
-        else:
-            key = item.spec.content_key()
-        slots = [
-            _RecordSlot(
-                policy=name,
-                digest=digester(key, name) if store is not None else "",
-                from_policies=False,
-            )
-            for name in ([OFFLINE_OPTIMAL] if item.emit_offline else [])
-        ] + [
-            _RecordSlot(policy=name, digest=digester(key, name) if store is not None else "")
-            for name in item.policies
-        ]
-        offline_digest = digester(key, OFFLINE_OPTIMAL) if resume and store is not None else ""
-        if resume and store is not None:
-            wanted.update(slot.digest for slot in slots)
-            wanted.add(offline_digest)
-        prepared.append((item, key, slots, offline_digest))
-
-    found = store.lookup(wanted) if wanted else {}
-
-    plans: List[_ItemPlan] = []
-    for item, key, slots, offline_digest in prepared:
-        pinned = item.pinned_optimum
-        if resume and store is not None:
-            for slot in slots:
-                hit = found.get(slot.digest)
-                if hit is not None:
-                    # The digest deliberately ignores labels (same content,
-                    # any label); re-label the cell for the *current* sweep.
-                    slot.stored = replace(
-                        hit.to_campaign_record(), workload=item.spec.label
-                    )
-            offline_hit = found.get(offline_digest)
-            if pinned is None and offline_hit is not None and offline_hit.objective is not None:
-                pinned = offline_hit.objective
-        missing = tuple(
-            slot.policy for slot in slots if slot.stored is None and slot.from_policies
-        )
-        offline_needed = item.emit_offline and slots[0].stored is None
-        if not missing and not offline_needed:
-            reduced: Optional[_CampaignItem] = None
-        else:
-            reduced = replace(
-                item,
-                policies=missing,
-                emit_offline=offline_needed,
-                pinned_optimum=pinned,
-                collect_metrics=collect_metrics,
-            )
-        plans.append(
-            _ItemPlan(
-                index=item.index,
-                workload_index=item.workload_index,
-                spec=item.spec,
-                workload_key=key,
-                item=reduced,
-                slots=slots,
-            )
-        )
-    return plans
+def _plan_cell(cell: Cell, found: Mapping[str, "StoredRecord"]) -> None:
+    """Shrink a cell to the records missing from the store (resume)."""
+    item: _CampaignItem = cell.task
+    slots = cell.data.slots
+    for slot in slots:
+        hit = found.get(slot.digest)
+        if hit is not None:
+            # The digest deliberately ignores labels (same content, any
+            # label); re-label the cell for the *current* sweep.
+            slot.stored = replace(hit.to_campaign_record(), workload=item.spec.label)
+    offline_hit = found.get(cell.lookups[-1])  # the workload's off-line digest
+    pinned = offline_hit.objective if offline_hit is not None else None
+    offline_needed = item.emit_offline and slots[0].stored is None
+    missing = tuple(
+        slot.policy for slot in slots[int(item.emit_offline) :] if slot.stored is None
+    )
+    if not missing and not offline_needed:
+        cell.task = None
+        return
+    cell.task = replace(
+        item, policies=missing, emit_offline=offline_needed, pinned_optimum=pinned
+    )
+    cell.size = len(missing) + int(offline_needed)
+    cell.labels["policies"] = ([OFFLINE_OPTIMAL] if offline_needed else []) + list(missing)
+    if pinned is not None:
+        cell.waits_on = None
 
 
 # --------------------------------------------------------------------------- #
@@ -744,7 +612,6 @@ def stream_campaign(
     policies: Sequence[str],
     *,
     include_offline: bool = True,
-    scheduler_factory: Optional[Callable[[str], object]] = None,
     max_workers: Optional[int] = None,
     chunk_size: int = 1,
     max_inflight: Optional[int] = None,
@@ -762,18 +629,15 @@ def stream_campaign(
         Lazy workload descriptors; consumed incrementally, so generators of
         arbitrarily large sweeps are fine.
     policies:
-        Policy names resolved through the registry (or ``scheduler_factory``).
+        Policy names (variant tokens accepted) resolved through the registry;
+        custom policies register through
+        :func:`~repro.heuristics.register_online_scheduler`.
     include_offline:
         Also emit the off-line optimum record of every workload (the optimum
         is computed either way — every normalisation is relative to it).
-    scheduler_factory:
-        ``None`` (default) resolves policy names through
-        :func:`repro.heuristics.make_policy`.  A legacy factory mapping a
-        name to an :class:`~repro.heuristics.base.OnlineScheduler` is wrapped
-        per call; it must be picklable when a pool is used.
     max_workers:
-        ``None`` runs in-process; any other value fans items out over a
-        :class:`ProcessPoolExecutor` (``0`` means "one per CPU").
+        ``None`` runs in-process; any other value fans items out over the
+        cell executor's process pool (``0`` means "one per CPU").
     chunk_size:
         Policies per dispatched item.  ``1`` (default) gives per-(workload,
         policy) granularity; larger chunks trade parallelism for less
@@ -813,378 +677,116 @@ def stream_campaign(
     own_stats = stats if stats is not None else CampaignStats()
     own_stats.max_workers = max_workers
     own_stats.chunk_size = chunk_size
+    if chunk_size < 1:
+        raise WorkloadError("chunk_size must be at least 1")
     if resume and store is None:
         raise WorkloadError("resume=True needs a store to resume from")
 
-    # Deferred imports: repro.store depends on this module for CampaignRecord,
+    # Deferred import: repro.store depends on this module for CampaignRecord,
     # so the dependency must not be circular at import time.
-    from ..store import ExperimentStore
     from ..store.digest import record_digest
 
-    own_store: Optional[ExperimentStore] = None
-    if store is not None and not isinstance(store, ExperimentStore):
-        store = own_store = ExperimentStore(store)
     digester = None
     if store is not None:
         # Cell identity is (base policy, non-default params): parameterised
         # variants digest distinct cells while bare names keep their
-        # historical digests (legacy factory names stay opaque tokens).
-        identity_memo: Dict[str, Tuple[str, Dict]] = {}
+        # historical digests.
+        identities: Dict[str, Tuple[str, Dict]] = {}
 
         def digester(key: str, token: str) -> str:
-            identity = identity_memo.get(token)
+            identity = identities.get(token)
             if identity is None:
-                if scheduler_factory is not None:
-                    identity = (token, {})
-                else:
-                    identity = _policy_cell_identity(token)
-                identity_memo[token] = identity
+                variant = resolve_policy_variant(token)
+                identity = identities[token] = (variant.base, dict(variant.params))
             return record_digest(key, identity[0], params=identity[1])
 
-    run_id: Optional[int] = None
-    writer = None
-    if store is not None:
-        run_id = store.begin_run(
-            run_label or "campaign",
-            meta={
-                "policies": list(policies),
-                "include_offline": include_offline,
-                "chunk_size": chunk_size,
-                "max_workers": max_workers,
-                "resume": resume,
-            },
-        )
-        own_stats.store_run_id = run_id
-        writer = store.writer(run_id)
-
-    own_journal: Optional[RunJournal] = None
-    if journal is not None:
-        if not isinstance(journal, RunJournal):
-            journal = own_journal = RunJournal(journal)
-        try:
-            spec_total: Optional[int] = len(specs)  # type: ignore[arg-type]
-        except TypeError:
-            spec_total = None  # generator sweep: cell count unknown up front
-        journal_config: Dict[str, object] = {
-            "policies": list(policies),
-            "include_offline": include_offline,
-            "chunk_size": chunk_size,
-            "max_workers": max_workers,
-            "resume": resume,
-        }
-        if spec_total is not None:
-            journal_config["total_cells"] = spec_total * (
-                len(policies) + (1 if include_offline else 0)
-            )
-        if run_id is not None:
-            journal_config["store_run_id"] = run_id
-        journal.begin_run("campaign", run_label or "campaign", journal_config)
-
-    dispatch_id = next(_DISPATCH_COUNTER)
-    items = _campaign_items(
-        specs,
-        policies,
-        include_offline=include_offline,
-        chunk_size=chunk_size,
-        scheduler_factory=scheduler_factory,
-        dispatch_id=dispatch_id,
-    )
-    start = wall_clock()
     recorder = get_recorder()
-    # Cross-process aggregation (ISSUE 10): when the ambient recorder can
-    # fold snapshots, EVERY item — in-process ones included — runs under a
-    # scoped recorder and is folded at deterministic emission order, so the
-    # merged driver snapshot is byte-identical at any worker count.
-    # Protocol recorders without ``merge_snapshot`` keep the pre-fold
-    # behaviour (in-process items record directly; worker-side telemetry
-    # stays per cell).
-    merge = getattr(recorder, "merge_snapshot", None) if recorder.enabled else None
-    seen_workloads = -1
-    workload_keys: Dict[int, str] = {}  # content_key memo, see _plan_item
-    worker_progress: Dict[str, int] = {}  # journal heartbeat item counts
-    last_commits = 0  # journalled batch-commit watermark
 
-    def journal_cell(event: str, plan: _ItemPlan, **fields: object) -> None:
-        if journal is None:
-            return
-        if plan.item is not None:
-            names = (
-                [OFFLINE_OPTIMAL] if plan.item.emit_offline else []
-            ) + list(plan.item.policies)
-        else:
-            names = [slot.policy for slot in plan.slots]
-        journal.record(
-            event,
-            cell=f"{plan.spec.label}#{plan.index}",
-            workload=plan.spec.label,
-            item=plan.index,
-            policies=names,
-            **fields,
-        )
-
-    def journal_completed(plan: _ItemPlan, result: _ItemResult) -> None:
-        journal_cell(
-            "cell-completed",
-            plan,
-            cells=len(result.records),
-            elapsed=result.elapsed_seconds,
-            worker=f"p{result.worker_pid}",
-        )
-
-    def journal_heartbeat(result: _ItemResult) -> None:
-        if journal is None:
-            return
-        worker = f"p{result.worker_pid}"
-        worker_progress[worker] = worker_progress.get(worker, 0) + 1
-        journal.record(
-            "worker-heartbeat", worker=worker, items=worker_progress[worker]
-        )
-
-    def note_workload(workload_index: int) -> None:
-        nonlocal seen_workloads
-        seen_workloads = max(seen_workloads, workload_index)
-        own_stats.workloads = seen_workloads + 1
-        own_stats.elapsed_seconds = wall_clock() - start
-
-    def account_result(result: _ItemResult, workload_index: int) -> None:
-        own_stats.items += 1
-        own_stats.probe_constructions += result.probe_constructions
-        own_stats.offline_solves += result.offline_solves
-        if recorder.enabled:
-            recorder.count("campaign.items")
-            recorder.count("campaign.probe_constructions", float(result.probe_constructions))
-            recorder.count("campaign.offline_solves", float(result.offline_solves))
-        note_workload(workload_index)
-
-    def emit_plan(
-        plan: _ItemPlan,
-        computed: Sequence[CampaignRecord],
-        optimum: Optional[float],
-    ) -> Iterator[CampaignRecord]:
-        """Interleave stored and computed records in slot order, persisting
-        each one as it streams out."""
-        nonlocal last_commits
-        computed_iter = iter(computed)
-        for slot in plan.slots:
+    def emit(cell: Cell, result: Optional[CellResult]):
+        """Interleave stored and computed records in slot order."""
+        outputs: _ItemOutputs = cell.data
+        computed: Iterator[CampaignRecord] = iter(())
+        optimum = None
+        if result is not None:
+            item: _ItemResult = result.value
+            own_stats.items += 1
+            own_stats.probe_constructions += item.probe_constructions
+            own_stats.offline_solves += item.offline_solves
+            if recorder.enabled:
+                recorder.count("campaign.items")
+                recorder.count("campaign.probe_constructions", float(item.probe_constructions))
+                recorder.count("campaign.offline_solves", float(item.offline_solves))
+            computed, optimum = iter(item.records), item.optimum
+        own_stats.workloads = max(own_stats.workloads, outputs.workload_index + 1)
+        for slot in outputs.slots:
             if slot.stored is not None:
                 record = slot.stored
                 own_stats.resumed_records += 1
             else:
-                record = next(computed_iter)
+                record = next(computed)
                 own_stats.computed_records += 1
             own_stats.records += 1
-            if writer is not None:
-                writer.add(
-                    slot.digest,
-                    record,
-                    workload_key=plan.workload_key,
-                    scenario=plan.spec.scenario,
-                    seed=plan.spec.seed,
-                    objective=optimum if slot.policy == OFFLINE_OPTIMAL else None,
-                    computed=slot.stored is None,
-                )
-                if journal is not None and writer.commits > last_commits:
-                    last_commits = writer.commits
-                    journal.record(
-                        "batch-commit",
-                        commits=last_commits,
-                        records=own_stats.records,
-                    )
-            yield record
+            yield record, slot.digest, record, {
+                "workload_key": outputs.workload_key,
+                "scenario": outputs.spec.scenario,
+                "seed": outputs.spec.seed,
+                "objective": optimum if slot.policy == OFFLINE_OPTIMAL else None,
+                "computed": slot.stored is None,
+            }
 
-    completed = False
+    def finish(totals: RunTotals) -> Dict:
+        own_stats.elapsed_seconds = totals.elapsed
+        own_stats.store_run_id = totals.store_run_id
+        own_stats.store_new_records = totals.inserted
+        own_stats.peak_in_flight = totals.peak_in_flight
+        own_stats.peak_pending_records = totals.peak_pending
+        return own_stats.as_dict()
+
+    meta: Dict[str, object] = {
+        "policies": list(policies),
+        "include_offline": include_offline,
+        "chunk_size": chunk_size,
+        "max_workers": max_workers,
+        "resume": resume,
+    }
+    config = dict(meta)
+    total: Optional[int] = None
     try:
-        if max_workers is None:
-            while True:
-                batch = list(itertools.islice(items, _PLAN_BATCH))
-                if not batch:
-                    break
-                for plan in _plan_items(
-                    batch,
-                    store,
-                    resume,
-                    digester,
-                    workload_keys,
-                    collect_metrics=merge is not None,
-                ):
-                    if plan.item is None:
-                        note_workload(plan.workload_index)
-                        journal_cell("cell-skipped", plan, cells=len(plan.slots))
-                        yield from emit_plan(plan, (), None)
-                        continue
-                    journal_cell("cell-dispatched", plan)
-                    if merge is None and recorder.enabled:
-                        chunk_started = wall_clock()
-                        result = _run_campaign_item(plan.item)
-                        recorder.observe(
-                            "campaign.chunk_seconds", wall_clock() - chunk_started
-                        )
-                    else:
-                        result = _run_campaign_item(plan.item)
-                    if merge is not None and result.snapshot is not None:
-                        merge(result.snapshot)
-                    account_result(result, plan.workload_index)
-                    journal_completed(plan, result)
-                    yield from emit_plan(plan, result.records, result.optimum)
-            completed = True
-            return
-
-        workers = max_workers if max_workers > 0 else (os.cpu_count() or 1)
-        try:
-            spec_count: Optional[int] = len(specs)  # type: ignore[arg-type]
-        except TypeError:
-            spec_count = None  # generator sweep: item count unknown up front
-        if spec_count is not None:
-            chunks_per_workload = max(1, -(-len(policies) // chunk_size))
-            # The pool spawns every worker eagerly; don't fork more processes
-            # than there are items to run.
-            workers = max(1, min(workers, spec_count * chunks_per_workload))
-        inflight_cap = max_inflight if max_inflight is not None else 4 * workers
-        if inflight_cap < 1:
-            raise WorkloadError("max_inflight must be at least 1")
-
-        pending: Dict = {}  # future -> plan
-        plans: Dict[int, _ItemPlan] = {}  # admitted, not yet emitted
-        #: completed or fully-resumed, waiting for emission order (snapshots
-        #: are folded at emission, never at completion, so the merge order is
-        #: the deterministic sequential order).
-        ready: Dict[int, _ItemResult] = {}
-        deferred: Dict[int, List[_ItemPlan]] = {}  # workload -> gated plans
-        release_queue: "deque[_ItemPlan]" = deque()
-        known_optimum: Dict[int, float] = {}
-        solving: Set[int] = set()  # workloads with their LP search in flight
-        next_emit = 0
-        exhausted = False
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-
-            def submit(plan: _ItemPlan) -> None:
-                journal_cell("cell-dispatched", plan)
-                pending[pool.submit(_run_campaign_item, plan.item)] = plan
-                own_stats.peak_in_flight = max(own_stats.peak_in_flight, len(pending))
-                if recorder.enabled:
-                    recorder.gauge("campaign.in_flight", float(len(pending)))
-
-            def admit(plan: _ItemPlan) -> None:
-                """Route one plan: mark ready, submit, or gate on the optimum.
-
-                Items of a workload whose optimum is neither stored nor yet
-                shipped back wait for the workload's first (solver) item, so
-                the LP search runs exactly once per workload.
-                """
-                plans[plan.index] = plan
-                if plan.item is None:
-                    note_workload(plan.workload_index)
-                    journal_cell("cell-skipped", plan, cells=len(plan.slots))
-                    ready[plan.index] = _ItemResult(
-                        index=plan.index, records=[], probe_constructions=0
-                    )
-                    return
-                workload = plan.workload_index
-                if plan.item.pinned_optimum is None and not plan.item.emit_offline:
-                    if workload in known_optimum:
-                        plan.item = replace(
-                            plan.item, pinned_optimum=known_optimum[workload]
-                        )
-                    elif workload in solving:
-                        deferred.setdefault(workload, []).append(plan)
-                        return
-                    else:
-                        solving.add(workload)
-                elif plan.item.pinned_optimum is None:
-                    solving.add(workload)  # the emit-offline item is the solver
-                submit(plan)
-
-            def fill() -> None:
-                nonlocal exhausted
-                # Released (previously gated) plans are gated on the pending
-                # count only: the cell blocking in-order emission may itself
-                # sit in the release queue, so counting aggregated-but-
-                # unemitted records here would livelock the stream under an
-                # adverse completion order.
-                while release_queue and len(pending) < inflight_cap:
-                    plan = release_queue.popleft()
-                    plan.item = replace(
-                        plan.item,
-                        pinned_optimum=known_optimum[plan.workload_index],
-                    )
-                    submit(plan)
-                # Admissions are planned in rounds: the whole round's store
-                # lookups collapse into one IN query (see _plan_items).
-                while len(pending) + len(ready) < inflight_cap and not release_queue:
-                    if exhausted:
-                        return
-                    budget = inflight_cap - len(pending) - len(ready)
-                    batch = list(itertools.islice(items, budget))
-                    if len(batch) < budget:
-                        exhausted = True
-                    if not batch:
-                        return
-                    for plan in _plan_items(
-                        batch,
-                        store,
-                        resume,
-                        digester,
-                        workload_keys,
-                        collect_metrics=merge is not None,
-                    ):
-                        admit(plan)
-
-            fill()
-            while pending or ready or release_queue or not exhausted:
-                while next_emit in ready:
-                    result = ready.pop(next_emit)
-                    plan = plans.pop(next_emit)
-                    if merge is not None and result.snapshot is not None:
-                        merge(result.snapshot)
-                    yield from emit_plan(plan, result.records, result.optimum)
-                    next_emit += 1
-                    fill()  # emission freed in-flight budget
-                fill()
-                if not pending:
-                    # Nothing in flight: either more work just became ready /
-                    # releasable (loop again), or the sweep is drained.
-                    if ready or release_queue or not exhausted:
-                        continue
-                    break
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    plan = pending.pop(future)
-                    result = future.result()  # propagate worker exceptions
-                    account_result(result, plan.workload_index)
-                    journal_completed(plan, result)
-                    journal_heartbeat(result)
-                    ready[plan.index] = result
-                    workload = plan.workload_index
-                    solving.discard(workload)
-                    if result.optimum is not None and workload not in known_optimum:
-                        known_optimum[workload] = result.optimum
-                    if workload in deferred and workload in known_optimum:
-                        release_queue.extend(deferred.pop(workload))
-                own_stats.peak_pending_records = max(
-                    own_stats.peak_pending_records,
-                    sum(len(result.records) for result in ready.values()),
-                )
-            # Emission order is dense, so nothing can remain buffered.
-            assert not ready and not deferred, "streaming dispatcher lost an item"
-        completed = True
-    finally:
-        own_stats.elapsed_seconds = wall_clock() - start
-        if writer is not None:
-            writer.close()
-            own_stats.store_new_records = writer.inserted
-            store.finish_run(run_id, completed=completed, stats=own_stats.as_dict())
-        if own_store is not None:
-            own_store.close()
-        if journal is not None:
-            journal.record(
-                "run-finished",
-                status="completed" if completed else "aborted",
-                records=own_stats.records,
-                elapsed=own_stats.elapsed_seconds,
-            )
-            if own_journal is not None:
-                own_journal.close()
+        spec_count = len(specs)  # type: ignore[arg-type]
+    except TypeError:
+        pass  # generator sweep: cell count unknown up front
+    else:
+        total = spec_count * max(1, -(-len(policies) // chunk_size))
+        config["total_cells"] = spec_count * (len(policies) + int(include_offline))
+    label = run_label or "campaign"
+    yield from execute_cells(
+        _campaign_cells(
+            specs,
+            policies,
+            include_offline=include_offline,
+            chunk_size=chunk_size,
+            digester=digester,
+            dispatch_id=next(_DISPATCH_COUNTER),
+        ),
+        _run_campaign_item,
+        plan=_plan_cell,
+        emit=emit,
+        finish=finish,
+        kind="campaign",
+        run_labels=(label, label),
+        meta=meta,
+        config=config,
+        timer="campaign.chunk_seconds",
+        gauge="campaign.in_flight",
+        publish=lambda item: item.optimum,
+        bind=lambda item, optimum: replace(item, pinned_optimum=optimum),
+        store=store,
+        resume=resume,
+        journal=journal,
+        max_workers=max_workers,
+        max_inflight=max_inflight,
+        total=total,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -1196,7 +798,6 @@ def run_policy_campaign(
     *,
     labels: Optional[Sequence[str]] = None,
     include_offline: bool = True,
-    scheduler_factory: Optional[Callable[[str], object]] = None,
     max_workers: Optional[int] = None,
     chunk_size: int = 1,
     max_inflight: Optional[int] = None,
@@ -1212,22 +813,16 @@ def run_policy_campaign(
     instances:
         The workloads to schedule.
     policies:
-        Policy names understood by the registry (or ``scheduler_factory``).
+        Policy names understood by the registry.
     labels:
         Optional workload labels (defaults to ``"workload 0"``, ...).
     include_offline:
         Also record the off-line optimum itself (policy ``"offline-optimal"``),
         which every normalisation is relative to.
-    scheduler_factory:
-        ``None`` (default) resolves names through the policy registry
-        (:func:`repro.heuristics.make_policy`).  A legacy name→scheduler
-        factory is accepted for compatibility; it must be picklable (a
-        module-level function) when ``max_workers`` enables the process pool.
     max_workers:
         ``None`` (default) runs sequentially in-process.  Any other value
-        fans the (workload, policy) items out over a
-        :class:`ProcessPoolExecutor` with that many workers (``0`` means
-        "one per CPU").  Record order is deterministic and identical to the
+        fans the (workload, policy) items out over a process pool with
+        that many workers (``0`` means "one per CPU").  Record order is deterministic and identical to the
         sequential path.
     chunk_size, max_inflight:
         Streaming-dispatch knobs, see :func:`stream_campaign`.
@@ -1248,12 +843,10 @@ def run_policy_campaign(
         for label, instance in zip(labels, instances)
     ]
     stats = CampaignStats()
-    result = CampaignResult(stats=stats)
-    for record in stream_campaign(
+    records = stream_campaign(
         specs,
         policies,
         include_offline=include_offline,
-        scheduler_factory=scheduler_factory,
         max_workers=max_workers,
         chunk_size=chunk_size,
         max_inflight=max_inflight,
@@ -1262,9 +855,8 @@ def run_policy_campaign(
         resume=resume,
         run_label=run_label,
         journal=journal,
-    ):
-        result.records.append(record)
-    return result
+    )
+    return CampaignResult(records=list(records), stats=stats)
 
 
 def run_scenario_campaign(
@@ -1302,8 +894,7 @@ def run_scenario_campaign(
     )
     specs = [WorkloadSpec.from_scenario(spec) for spec in grid]
     stats = CampaignStats()
-    result = CampaignResult(stats=stats)
-    for record in stream_campaign(
+    records = stream_campaign(
         specs,
         policies,
         include_offline=include_offline,
@@ -1315,6 +906,5 @@ def run_scenario_campaign(
         resume=resume,
         run_label=run_label,
         journal=journal,
-    ):
-        result.records.append(record)
-    return result
+    )
+    return CampaignResult(records=list(records), stats=stats)

@@ -20,23 +20,22 @@ column).
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import WorkloadError
 from ..heuristics import make_scheduler
-from ..obs.clock import wall_clock
 from ..obs.journal import RunJournal
-from ..obs.metrics import collecting, get_recorder
+from ..obs.metrics import get_recorder
 from ..obs.trace import Tracer, trace_stream_result
 from ..heuristics.registry import resolve_policy_variant
 from ..simulation import SimulationKernel
 from ..simulation.stream import StreamingSimulator
 from ..workload.streams import StreamSpec, open_stream
+from ._cells import Cell, CellResult, RunTotals, execute_cells
 from .campaign import CampaignRecord
 from .steady_state import SteadyStateReport, analyse_stream
 from .tables import format_table
@@ -252,59 +251,55 @@ def _cell_workload_key(
 
 
 def _run_stream_cell(
-    cell_spec: StreamSpec,
-    variant_label: str,
+    task: Tuple[StreamSpec, str],
+    *,
     max_arrivals: int,
     warmup_fraction: float,
     num_batches: int,
     confidence: float,
     max_active: int,
-    collect_metrics: bool = False,
-) -> Tuple[str, SteadyStateReport, int, Optional[Dict], int, float]:
-    """Measure one (stream, policy) cell: the process-pool work unit.
+    keep_series: bool,
+) -> Tuple[str, SteadyStateReport, int, object]:
+    """Measure one (stream, policy) cell under the sweep's protocol.
 
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it.  A cell's value depends only on the spec (which carries the
-    seed) and the measurement protocol — never on which worker runs it or
-    in what order — so a parallel sweep's cells are digest- and
-    content-identical to the sequential sweep's (wall-clock throughput
-    fields aside).  With ``collect_metrics`` the cell runs under a scoped
-    :class:`~repro.obs.metrics.MetricsRecorder` and returns its snapshot —
-    the snapshot derives from simulation counters only, so it too is
-    identical across the pool and in-process paths.  The two trailing
-    fields (worker pid, elapsed wall-clock seconds) are the telemetry the
-    parent turns into journal heartbeats and ``sweep.cell_seconds``
-    observations — reporting data, never part of the snapshot or digest.
+    Module-level so the process pool can pickle it.  A cell's value depends
+    only on the spec (which carries the seed) and the measurement protocol —
+    never on which worker runs it or in what order — so a parallel sweep's
+    cells are digest- and content-identical to the sequential sweep's
+    (wall-clock throughput fields aside).  ``keep_series`` also returns the
+    simulation result, for in-process tracing.
     """
-    started = wall_clock()
-    scheduler = make_scheduler(variant_label)
+    cell_spec, policy = task
+    scheduler = make_scheduler(policy)
     simulator = StreamingSimulator(SimulationKernel(), max_active=max_active)
-
-    def measure() -> Tuple[object, SteadyStateReport]:
-        sim = simulator.run(open_stream(cell_spec), scheduler, max_arrivals=max_arrivals)
-        report = analyse_stream(
-            sim,
-            warmup_fraction=warmup_fraction,
-            num_batches=num_batches,
-            confidence=confidence,
-        )
-        return sim, report
-
-    if collect_metrics:
-        with collecting() as cell_recorder:
-            sim, report = measure()
-        snapshot: Optional[Dict] = cell_recorder.snapshot()
-    else:
-        sim, report = measure()
-        snapshot = None
-    return (
-        scheduler.name,
-        report,
-        sim.arrivals,
-        snapshot,
-        os.getpid(),
-        wall_clock() - started,
+    sim = simulator.run(open_stream(cell_spec), scheduler, max_arrivals=max_arrivals)
+    report = analyse_stream(
+        sim,
+        warmup_fraction=warmup_fraction,
+        num_batches=num_batches,
+        confidence=confidence,
     )
+    return scheduler.name, report, sim.arrivals, sim if keep_series else None
+
+
+@dataclass
+class _SweepSlot:
+    """Parent-side view of one cell: its load, label, key and stored copy."""
+
+    rho: float
+    label: str
+    key: str
+    stored: Optional[StreamCellRecord] = None
+
+
+def _plan_cell(cell: Cell, found: Mapping[str, object]) -> None:
+    """Serve a cell from the store when it holds a stream payload (resume)."""
+    stored = found.get(cell.lookups[0])
+    record = StreamCellRecord.from_stored(stored) if stored is not None else None
+    if record is not None:
+        # The digest ignores labels; re-label for this sweep.
+        cell.data.stored = replace(record, workload=cell.data.label)
+        cell.task = None
 
 
 def run_stream_sweep(
@@ -348,9 +343,9 @@ def run_stream_sweep(
         Saturation cap forwarded to the simulator.
     max_workers:
         ``None`` (default) computes every cell in-process; an integer fans
-        the not-resumed cells out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor` (``0`` means "one
-        worker per CPU", the campaign dispatcher's convention).  Store
+        the not-resumed cells out over the cell executor's process pool
+        (``0`` means "one worker per CPU", the campaign dispatcher's
+        convention).  Store
         writes stay in the parent, in the sequential sweep's cell order, so
         the persisted cells are digest-identical either way.
     stats:
@@ -395,131 +390,18 @@ def run_stream_sweep(
 
     own_stats = stats if stats is not None else StreamSweepStats()
     own_stats.max_workers = max_workers
-    started = wall_clock()
     recorder = get_recorder()
-    # Cross-process aggregation (ISSUE 10): with a fold-capable ambient
-    # recorder, every computed cell runs under a scoped recorder — on the
-    # in-process path too — and the parent folds the snapshots in the
-    # deterministic cell order, so the merged driver snapshot is
-    # byte-identical at any worker count.
-    merge = getattr(recorder, "merge_snapshot", None) if recorder.enabled else None
-    capture = collect_metrics or merge is not None
 
-    # Deferred imports: repro.store depends on repro.analysis.campaign.
-    from ..store import ExperimentStore
+    # Deferred import: repro.store depends on repro.analysis.campaign.
     from ..store.digest import record_digest
-
-    own_store: Optional[ExperimentStore] = None
-    if store is not None and not isinstance(store, ExperimentStore):
-        store = own_store = ExperimentStore(store)
 
     # Resolve every policy token up front (fail fast, canonical identities).
     variants = [resolve_policy_variant(token) for token in policies]
-
     machines = spec.platform_instance().machines  # one platform build per sweep
-    cells = [
-        (rho, spec.with_utilisation(rho, machines=machines)) for rho in rhos
-    ]
-    digests: Dict[tuple, str] = {}
-    if store is not None:
-        for index, (rho, cell_spec) in enumerate(cells):
-            key = _cell_workload_key(
-                cell_spec,
-                max_arrivals=max_arrivals,
-                warmup_fraction=warmup_fraction,
-                num_batches=num_batches,
-                confidence=confidence,
-                max_active=max_active,
-            )
-            for variant in variants:
-                digests[(index, variant.label)] = record_digest(
-                    key, variant.base, params=variant.params
-                )
 
-    found: Dict[str, object] = {}
-    if resume and store is not None and digests:
-        found = store.lookup(digests.values())
-
-    run_id: Optional[int] = None
-    writer = None
-    if store is not None:
-        run_id = store.begin_run(
-            run_label or "stream-sweep",
-            meta={
-                "stream": spec.payload(),
-                "policies": [variant.label for variant in variants],
-                "rhos": [float(rho) for rho in rhos],
-                "max_arrivals": max_arrivals,
-                "warmup_fraction": warmup_fraction,
-                "num_batches": num_batches,
-                "resume": resume,
-            },
-        )
-        own_stats.store_run_id = run_id
-        writer = store.writer(run_id)
-
-    own_journal: Optional[RunJournal] = None
-    if journal is not None:
-        if not isinstance(journal, RunJournal):
-            journal = own_journal = RunJournal(journal)
-        journal_config: Dict[str, object] = {
-            "policies": [variant.label for variant in variants],
-            "rhos": [float(rho) for rho in rhos],
-            "max_arrivals": max_arrivals,
-            "max_workers": max_workers,
-            "resume": resume,
-            "total_cells": len(rhos) * len(variants),
-        }
-        if run_id is not None:
-            journal_config["store_run_id"] = run_id
-        journal.begin_run("stream-sweep", run_label or spec.label, journal_config)
-    worker_progress: Dict[str, int] = {}  # journal heartbeat item counts
-
-    kernel = SimulationKernel()
-    simulator = StreamingSimulator(kernel, max_active=max_active)
-    result = StreamSweepResult(stats=own_stats)
-
-    # Parallel fan-out: submit every not-resumed cell up front; the main
-    # loop below then consumes futures instead of simulating, while the
-    # resume bookkeeping and the store writes run in the parent in the
-    # sequential sweep's cell order (digest-identical persistence).
-    pool: Optional[ProcessPoolExecutor] = None
-    futures: Dict[Tuple[int, str], object] = {}
-    if max_workers is not None:
-        to_compute: List[Tuple[int, str, StreamSpec]] = []
-        for index, (rho, cell_spec) in enumerate(cells):
-            for variant in variants:
-                stored = found.get(digests.get((index, variant.label), ""))
-                if stored is not None and StreamCellRecord.from_stored(stored) is not None:
-                    continue
-                to_compute.append((index, variant.label, cell_spec))
-                if journal is not None:
-                    journal.record(
-                        "cell-dispatched",
-                        cell=f"{spec.label}@rho={rho:.2f}/{variant.label}",
-                        workload=f"{spec.label}@rho={rho:.2f}",
-                        item=index,
-                        policies=[variant.label],
-                    )
-        if to_compute:
-            workers = max_workers if max_workers > 0 else (os.cpu_count() or 1)
-            pool = ProcessPoolExecutor(max_workers=max(1, min(workers, len(to_compute))))
-            for index, variant_label, cell_spec in to_compute:
-                futures[(index, variant_label)] = pool.submit(
-                    _run_stream_cell,
-                    cell_spec,
-                    variant_label,
-                    max_arrivals,
-                    warmup_fraction,
-                    num_batches,
-                    confidence,
-                    max_active,
-                    capture,
-                )
-
-    completed = False
-    try:
-        for index, (rho, cell_spec) in enumerate(cells):
+    def cells() -> Iterator[Cell]:
+        for index, rho in enumerate(rhos):
+            cell_spec = spec.with_utilisation(rho, machines=machines)
             label = f"{spec.label}@rho={rho:.2f}"
             key = _cell_workload_key(
                 cell_spec,
@@ -529,157 +411,99 @@ def run_stream_sweep(
                 confidence=confidence,
                 max_active=max_active,
             )
-            stream = None
             for variant in variants:
-                digest = digests.get((index, variant.label), "")
-                cell: Optional[StreamCellRecord] = None
-                stored = found.get(digest)
-                resumed = False
-                if stored is not None:
-                    cell = StreamCellRecord.from_stored(stored)
-                    if cell is not None:
-                        # The digest ignores labels; re-label for this sweep.
-                        cell = StreamCellRecord(
-                            workload=label,
-                            policy=cell.policy,
-                            rho=cell.rho,
-                            report=cell.report,
-                            metrics=cell.metrics,
-                        )
-                        own_stats.resumed_cells += 1
-                        resumed = True
-                        if journal is not None:
-                            journal.record(
-                                "cell-skipped",
-                                cell=f"{label}/{variant.label}",
-                                workload=label,
-                                item=index,
-                                policies=[variant.label],
-                                cells=1,
-                            )
-                if cell is None:
-                    cell_name = f"{label}/{variant.label}"
-                    future = futures.pop((index, variant.label), None)
-                    if future is not None:
-                        (
-                            policy_name,
-                            report,
-                            simulated,
-                            snapshot,
-                            worker_pid,
-                            cell_elapsed,
-                        ) = future.result()
-                    else:
-                        if journal is not None:
-                            journal.record(
-                                "cell-dispatched",
-                                cell=cell_name,
-                                workload=label,
-                                item=index,
-                                policies=[variant.label],
-                            )
-                        if stream is None:
-                            stream = open_stream(cell_spec)
-                        scheduler = make_scheduler(variant.label)
-                        cell_started = wall_clock()
-                        if capture:
-                            # Scoped recorder: the cell's own counters land in
-                            # its snapshot, not the ambient sink.
-                            with collecting() as cell_recorder:
-                                sim = simulator.run(
-                                    stream, scheduler, max_arrivals=max_arrivals
-                                )
-                                report = analyse_stream(
-                                    sim,
-                                    warmup_fraction=warmup_fraction,
-                                    num_batches=num_batches,
-                                    confidence=confidence,
-                                )
-                            snapshot = cell_recorder.snapshot()
-                        else:
-                            sim = simulator.run(stream, scheduler, max_arrivals=max_arrivals)
-                            report = analyse_stream(
-                                sim,
-                                warmup_fraction=warmup_fraction,
-                                num_batches=num_batches,
-                                confidence=confidence,
-                            )
-                            snapshot = None
-                        if tracer is not None:
-                            trace_stream_result(
-                                sim, tracer, track=f"{label}/{scheduler.name}"
-                            )
-                        cell_elapsed = wall_clock() - cell_started
-                        policy_name, simulated = scheduler.name, sim.arrivals
-                        worker_pid = os.getpid()
-                    if recorder.enabled:
-                        recorder.observe("sweep.cell_seconds", cell_elapsed)
-                    # Fold at the deterministic cell order — the same order
-                    # on the sequential and parallel paths.
-                    if merge is not None and snapshot is not None:
-                        merge(snapshot)
-                    if journal is not None:
-                        worker = f"p{worker_pid}"
-                        journal.record(
-                            "cell-completed",
-                            cell=cell_name,
-                            workload=label,
-                            item=index,
-                            policies=[variant.label],
-                            cells=1,
-                            elapsed=cell_elapsed,
-                            worker=worker,
-                        )
-                        if future is not None:
-                            worker_progress[worker] = worker_progress.get(worker, 0) + 1
-                            journal.record(
-                                "worker-heartbeat",
-                                worker=worker,
-                                items=worker_progress[worker],
-                            )
-                    cell = StreamCellRecord(
-                        workload=label,
-                        policy=policy_name,
-                        rho=float(rho),
-                        report=report,
-                        metrics=snapshot if collect_metrics else None,
-                    )
-                    own_stats.computed_cells += 1
-                    own_stats.arrivals += simulated
-                own_stats.cells += 1
-                if recorder.enabled:
-                    recorder.count("sweep.cells")
-                    recorder.count(
-                        "sweep.cells_resumed" if resumed else "sweep.cells_computed"
-                    )
-                if cell.report.saturated:
-                    own_stats.saturated_cells += 1
-                if writer is not None:
-                    writer.add(
-                        digest,
-                        cell.to_campaign_record(),
-                        workload_key=key,
-                        computed=not resumed,
-                        extra=cell.extra_payload(),
-                    )
-                result.records.append(cell)
-        completed = True
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        own_stats.elapsed_seconds = wall_clock() - started
-        if writer is not None:
-            writer.close()
-            store.finish_run(run_id, completed=completed, stats=own_stats.as_dict())
-        if own_store is not None:
-            own_store.close()
-        if journal is not None:
-            journal.record(
-                "run-finished",
-                status="completed" if completed else "aborted",
-                records=own_stats.cells,
-                elapsed=own_stats.elapsed_seconds,
+                digest = (
+                    record_digest(key, variant.base, params=variant.params)
+                    if store is not None
+                    else ""
+                )
+                yield Cell(
+                    task=(cell_spec, variant.label),
+                    labels={
+                        "cell": f"{label}/{variant.label}",
+                        "workload": label,
+                        "item": index,
+                        "policies": [variant.label],
+                    },
+                    lookups=(digest,),
+                    data=_SweepSlot(float(rho), label, key),
+                )
+
+    def emit(cell: Cell, result: Optional[CellResult]):
+        slot: _SweepSlot = cell.data
+        if result is None:
+            record = slot.stored
+            own_stats.resumed_cells += 1
+        else:
+            policy_name, report, arrivals, sim = result.value
+            if tracer is not None:
+                trace_stream_result(sim, tracer, track=f"{slot.label}/{policy_name}")
+            record = StreamCellRecord(
+                workload=slot.label,
+                policy=policy_name,
+                rho=slot.rho,
+                report=report,
+                metrics=result.snapshot if collect_metrics else None,
             )
-            if own_journal is not None:
-                own_journal.close()
-    return result
+            own_stats.computed_cells += 1
+            own_stats.arrivals += arrivals
+        own_stats.cells += 1
+        if recorder.enabled:
+            recorder.count("sweep.cells")
+            recorder.count("sweep.cells_resumed" if result is None else "sweep.cells_computed")
+        if record.report.saturated:
+            own_stats.saturated_cells += 1
+        yield record, cell.lookups[0], record.to_campaign_record(), {
+            "workload_key": slot.key,
+            "computed": result is not None,
+            "extra": record.extra_payload(),
+        }
+
+    def finish(totals: RunTotals) -> Dict:
+        own_stats.elapsed_seconds = totals.elapsed
+        own_stats.store_run_id = totals.store_run_id
+        return own_stats.as_dict()
+
+    labels = [variant.label for variant in variants]
+    records = execute_cells(
+        cells(),
+        functools.partial(
+            _run_stream_cell,
+            max_arrivals=max_arrivals,
+            warmup_fraction=warmup_fraction,
+            num_batches=num_batches,
+            confidence=confidence,
+            max_active=max_active,
+            keep_series=tracer is not None,
+        ),
+        plan=_plan_cell,
+        emit=emit,
+        finish=finish,
+        kind="stream-sweep",
+        run_labels=(run_label or "stream-sweep", run_label or spec.label),
+        meta={
+            "stream": spec.payload(),
+            "policies": labels,
+            "rhos": [float(rho) for rho in rhos],
+            "max_arrivals": max_arrivals,
+            "warmup_fraction": warmup_fraction,
+            "num_batches": num_batches,
+            "resume": resume,
+        },
+        config={
+            "policies": labels,
+            "rhos": [float(rho) for rho in rhos],
+            "max_arrivals": max_arrivals,
+            "max_workers": max_workers,
+            "resume": resume,
+            "total_cells": len(rhos) * len(variants),
+        },
+        timer="sweep.cell_seconds",
+        store=store,
+        resume=resume,
+        journal=journal,
+        max_workers=max_workers,
+        total=len(rhos) * len(variants),
+        collect_metrics=collect_metrics,
+    )
+    return StreamSweepResult(records=list(records), stats=own_stats)

@@ -13,23 +13,24 @@ The CLI exposes the library's main workflows without writing any Python:
     On-line replay of the instance with one or all policies.
 ``repro-sched campaign --scenarios ... --policies ... --base-seed N``
     Scenario × seed × policy sweep through the streaming campaign
-    dispatcher (``--max-workers``, ``--chunk-size``); ``--store PATH``
-    persists every record into a content-addressed experiment store and
-    ``--resume`` computes only the cells missing from it.  Policies accept
-    parameterised variant tokens — ``--policies
-    online-offline:period=2,mct`` sweeps a named variant whose parameters
-    flow into the stored cell digests.  ``--metrics`` collects and prints
-    obs counters, ``--trace PATH`` writes a deterministic trace of the
-    records, ``--profile`` prints a wall-clock phase profile.
+    dispatcher (``--chunk-size``).  Policies accept parameterised variant
+    tokens — ``--policies online-offline:period=2,mct`` sweeps a named
+    variant whose parameters flow into the stored cell digests.
 ``repro-sched stream --scenario ... --rho 0.3:0.9:7 --arrivals N``
     Steady-state load sweep over an open-ended arrival stream: utilisation
     ρ (offered load over the platform's fluid capacity) × policy, with
-    batch-means confidence intervals, saturation flags and — via
-    ``--store``/``--resume`` — content-addressed, resumable cells.
-    ``--metrics`` additionally snapshots obs counters per computed cell
-    (persisted with ``--store``, outside the digests); ``--trace PATH``
-    writes a deterministic per-cell trace (JSON lines, or Chrome/Perfetto
-    JSON when PATH ends in ``.json``).
+    batch-means confidence intervals and saturation flags.
+
+    Both share the run flags: ``--max-workers`` fans cells out over a
+    process pool, ``--store PATH`` persists every cell into a
+    content-addressed experiment store and ``--resume`` computes only the
+    cells missing from it; ``--metrics`` collects and prints obs counters
+    (``stream`` also snapshots each computed cell, persisted with
+    ``--store`` outside the digests), ``--trace PATH`` writes a
+    deterministic trace (JSON lines, or Chrome/Perfetto JSON when PATH
+    ends in ``.json``), ``--profile`` prints a wall-clock phase profile,
+    ``--journal PATH`` appends run-lifecycle events, ``--output`` writes
+    JSON.
 ``repro-sched obs report PATH``
     Render an observability artefact: a metrics snapshot, a trace file
     (either export format), a run journal, or a sweep/campaign
@@ -108,6 +109,61 @@ __all__ = ["main", "build_parser"]
 # --------------------------------------------------------------------------- #
 # Parser                                                                       #
 # --------------------------------------------------------------------------- #
+def _run_flags() -> argparse.ArgumentParser:
+    """The run flags ``campaign`` and ``stream`` share (an argparse parent)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--max-workers",
+        type=int,
+        default=None,
+        help="parallel worker processes (0 = one per CPU; default: in-process); "
+        "records and store cells are identical either way",
+    )
+    flags.add_argument(
+        "--store",
+        metavar="PATH",
+        help="persist records into this experiment store (SQLite, created on demand)",
+    )
+    flags.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip cells already present in --store; compute only the missing ones",
+    )
+    flags.add_argument(
+        "--run-label",
+        default=None,
+        help="label of the run registered in --store (default: 'campaign' or "
+        "'stream-sweep')",
+    )
+    flags.add_argument("--output", help="write records and run stats to this JSON file")
+    flags.add_argument(
+        "--metrics",
+        action="store_true",
+        help="collect obs counters around the run and print the metrics table; "
+        "stream also snapshots each computed cell (persisted with --store in "
+        "the records' extra JSON, outside the digests)",
+    )
+    flags.add_argument(
+        "--trace",
+        metavar="PATH",
+        help="write a deterministic trace (JSON lines; Chrome/Perfetto JSON "
+        "when PATH ends in .json): a span per campaign record, or every "
+        "computed stream cell (which forces in-process cells)",
+    )
+    flags.add_argument(
+        "--profile",
+        action="store_true",
+        help="print a coarse wall-clock phase profile of the command",
+    )
+    flags.add_argument(
+        "--journal",
+        metavar="PATH",
+        help="append run-lifecycle events (cells, heartbeats, commits) to "
+        "this JSONL journal; watch it live with 'repro-sched watch PATH'",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -169,8 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seed when the instance argument is a scenario name")
 
     # campaign -------------------------------------------------------------------
+    run_flags = _run_flags()
     campaign = subparsers.add_parser(
         "campaign",
+        parents=[run_flags],
         help="scenario x seed x policy sweep through the streaming dispatcher",
     )
     campaign.add_argument(
@@ -203,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeds per scenario spawned from --base-seed (default 1)",
     )
     campaign.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="parallel worker processes (0 = one per CPU; default: in-process)",
-    )
-    campaign.add_argument(
         "--chunk-size",
         type=int,
         default=1,
@@ -220,48 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the offline-optimal records (the optimum is still computed "
         "for normalisation)",
     )
-    campaign.add_argument("--output", help="write records and throughput stats to this JSON file")
-    campaign.add_argument(
-        "--store",
-        metavar="PATH",
-        help="persist records into this experiment store (SQLite, created on demand)",
-    )
-    campaign.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells already present in --store; compute only the missing ones",
-    )
-    campaign.add_argument(
-        "--run-label",
-        default=None,
-        help="label of the run registered in --store (default: 'campaign')",
-    )
-    campaign.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect obs counters around the campaign and print the metrics table",
-    )
-    campaign.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a deterministic trace of the records (JSON lines; "
-        "Chrome/Perfetto JSON when PATH ends in .json)",
-    )
-    campaign.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a coarse wall-clock phase profile of the command",
-    )
-    campaign.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="append run-lifecycle events (cells, heartbeats, commits) to "
-        "this JSONL journal; watch it live with 'repro-sched watch PATH'",
-    )
 
     # stream ---------------------------------------------------------------------
     stream = subparsers.add_parser(
         "stream",
+        parents=[run_flags],
         help="steady-state load sweep over an open-ended arrival stream",
     )
     stream.add_argument(
@@ -317,54 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="saturation cap on simultaneously live jobs (default 10000)",
     )
-    stream.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="parallel worker processes for the cells (0 = one per CPU; "
-        "default: in-process); store cells are digest-identical either way",
-    )
-    stream.add_argument(
-        "--store",
-        metavar="PATH",
-        help="persist stream cells into this experiment store (SQLite)",
-    )
-    stream.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells already present in --store; compute only the missing ones",
-    )
-    stream.add_argument(
-        "--run-label",
-        default=None,
-        help="label of the run registered in --store (default: 'stream-sweep')",
-    )
-    stream.add_argument("--output", help="write cells and sweep stats to this JSON file")
-    stream.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect obs counters (sweep-wide and per computed cell) and "
-        "print the metrics table; per-cell snapshots persist with --store "
-        "in the records' extra JSON, outside the digests",
-    )
-    stream.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a deterministic trace of every computed cell (JSON "
-        "lines; Chrome/Perfetto JSON when PATH ends in .json); traces "
-        "need the cells' result series, so this forces in-process cells",
-    )
-    stream.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a coarse wall-clock phase profile of the command",
-    )
-    stream.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="append run-lifecycle events (cells, heartbeats) to this JSONL "
-        "journal; watch it live with 'repro-sched watch PATH'",
-    )
 
     # watch ----------------------------------------------------------------------
     watch = subparsers.add_parser(
@@ -390,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stall-factor",
         type=float,
         default=4.0,
-        help="flag a dispatched cell as a straggler after this multiple of "
+        help="flag a running cell as a straggler after this multiple of "
         "the rolling median cell time (default 4.0)",
     )
     watch.add_argument(
@@ -726,19 +693,73 @@ def _split_policy_tokens(text: str) -> list:
     return tokens
 
 
+def _check_run_args(args: argparse.Namespace, policies: Sequence[str]) -> bool:
+    """Fail fast on unknown policies/parameters and a store-less --resume."""
+    for name in policies:
+        try:
+            resolve_policy_variant(name)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return False
+    if args.resume and not args.store:
+        print("error: --resume needs --store PATH to resume from", file=sys.stderr)
+        return False
+    return True
+
+
+def _run_observed(args: argparse.Namespace, phase: str, run, report) -> int:
+    """Run a driver with the shared run flags' observability around it.
+
+    ``run()`` executes the driver; ``report(result)`` prints its summary and
+    returns the ``--output`` payload and a trace builder.  The rest is the
+    epilogue both run commands share: the ``--profile`` phases, the
+    ``--metrics`` recorder and table, the journal note, the ``--trace`` file
+    and the ``--output`` JSON.
+    """
+    from .obs import PhaseProfiler, collecting, render_metrics
+
+    profiler = PhaseProfiler()
+    snapshot = None
+    with profiler.phase(phase):
+        if args.metrics:
+            with collecting() as recorder:
+                result = run()
+            snapshot = recorder.snapshot()
+        else:
+            result = run()
+    payload, trace = report(result)
+    if snapshot is not None:
+        print()
+        print(render_metrics(snapshot))
+        payload["metrics"] = snapshot
+    if args.journal:
+        print(f"journal appended to {args.journal}")
+    if args.trace:
+        with profiler.phase("trace"):
+            tracer = trace()
+            _write_trace(tracer, args.trace)
+        print(f"trace written to {args.trace} ({len(tracer)} events)")
+    if args.output:
+        with open(args.output, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"{phase} written to {args.output}")
+    if args.profile:
+        print()
+        print(profiler.render())
+    return 0
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .obs import trace_campaign_records
+
     scenarios = args.scenarios.split(",") if args.scenarios else None
     if args.policies == "all":
         policies = available_schedulers()
     else:
         policies = _split_policy_tokens(args.policies)
-    for name in policies:
-        # Fail fast on unknown names/parameters, before any dispatch.
-        try:
-            resolve_policy_variant(name)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+    if not _check_run_args(args, policies):
+        return 1
     seeds = None
     if args.seeds:
         try:
@@ -752,85 +773,51 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               "(or list the seeds explicitly with --seeds)", file=sys.stderr)
         return 1
 
-    if args.resume and not args.store:
-        print("error: --resume needs --store PATH to resume from", file=sys.stderr)
-        return 1
-
-    from .obs import PhaseProfiler, collecting, render_metrics, trace_campaign_records
-
-    profiler = PhaseProfiler()
-    snapshot = None
-    with profiler.phase("campaign"):
-
-        def run():
-            return run_scenario_campaign(
-                scenarios,
-                policies,
-                seeds=seeds
-                if seeds is not None
-                else ((None,) if args.base_seed is None else None),
-                base_seed=args.base_seed,
-                seeds_per_scenario=args.num_seeds,
-                include_offline=not args.no_offline,
-                max_workers=args.max_workers,
-                chunk_size=args.chunk_size,
-                store=args.store,
-                resume=args.resume,
-                run_label=args.run_label,
-                journal=args.journal,
-            )
-
-        if args.metrics:
-            with collecting() as recorder:
-                result = run()
-            snapshot = recorder.snapshot()
-        else:
-            result = run()
-
-    print(result.as_table())
-    stats = result.stats
-    if stats is not None:
-        print()
-        print(
-            f"{stats.workloads} workloads, {stats.records} records in "
-            f"{stats.elapsed_seconds:.2f}s "
-            f"({stats.scenarios_per_second:.2f} scenarios/s, "
-            f"{stats.probe_constructions} probe constructions, "
-            f"{stats.offline_solves} offline solves, "
-            f"peak in-flight {stats.peak_in_flight})"
+    def run():
+        return run_scenario_campaign(
+            scenarios,
+            policies,
+            seeds=seeds
+            if seeds is not None
+            else ((None,) if args.base_seed is None else None),
+            base_seed=args.base_seed,
+            seeds_per_scenario=args.num_seeds,
+            include_offline=not args.no_offline,
+            max_workers=args.max_workers,
+            chunk_size=args.chunk_size,
+            store=args.store,
+            resume=args.resume,
+            run_label=args.run_label,
+            journal=args.journal,
         )
-        if args.store:
+
+    def report(result):
+        print(result.as_table())
+        stats = result.stats
+        if stats is not None:
+            print()
             print(
-                f"store {args.store}: run #{stats.store_run_id}, "
-                f"{stats.store_new_records} new cells, "
-                f"{stats.resumed_records} resumed "
-                f"(skip rate {stats.resume_skip_rate:.0%})"
+                f"{stats.workloads} workloads, {stats.records} records in "
+                f"{stats.elapsed_seconds:.2f}s "
+                f"({stats.scenarios_per_second:.2f} scenarios/s, "
+                f"{stats.probe_constructions} probe constructions, "
+                f"{stats.offline_solves} offline solves, "
+                f"peak in-flight {stats.peak_in_flight})"
             )
-    if snapshot is not None:
-        print()
-        print(render_metrics(snapshot))
-    if args.journal:
-        print(f"journal appended to {args.journal}")
-    if args.trace:
-        with profiler.phase("trace"):
-            tracer = trace_campaign_records(result.records)
-            _write_trace(tracer, args.trace)
-        print(f"trace written to {args.trace} ({len(tracer)} events)")
-    if args.output:
+            if args.store:
+                print(
+                    f"store {args.store}: run #{stats.store_run_id}, "
+                    f"{stats.store_new_records} new cells, "
+                    f"{stats.resumed_records} resumed "
+                    f"(skip rate {stats.resume_skip_rate:.0%})"
+                )
         payload = {
             "records": [dataclasses.asdict(record) for record in result.records],
             "stats": stats.as_dict() if stats is not None else None,
         }
-        if snapshot is not None:
-            payload["metrics"] = snapshot
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"campaign written to {args.output}")
-    if args.profile:
-        print()
-        print(profiler.render())
-    return 0
+        return payload, lambda: trace_campaign_records(result.records)
+
+    return _run_observed(args, "campaign", run, report)
 
 
 def _write_trace(tracer, path: str) -> None:
@@ -865,23 +852,16 @@ def _parse_rho_sweep(text: str) -> list:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .analysis import run_stream_sweep
-    from .obs import PhaseProfiler, Tracer, collecting, render_metrics
+    from .obs import Tracer
     from .workload import StreamSpec
 
     policies = _split_policy_tokens(args.policies)
-    for name in policies:
-        try:
-            resolve_policy_variant(name)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+    if not _check_run_args(args, policies):
+        return 1
     try:
         rhos = _parse_rho_sweep(args.rho)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.resume and not args.store:
-        print("error: --resume needs --store PATH to resume from", file=sys.stderr)
         return 1
 
     max_workers = args.max_workers
@@ -903,56 +883,39 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         arrivals=args.arrival_process,
         sizes=args.sizes,
     )
-    profiler = PhaseProfiler()
-    snapshot = None
-    with profiler.phase("sweep"):
 
-        def run():
-            return run_stream_sweep(
-                spec,
-                policies,
-                rhos=rhos,
-                max_arrivals=args.arrivals,
-                warmup_fraction=args.warmup,
-                num_batches=args.batches,
-                max_active=args.max_active,
-                max_workers=max_workers,
-                store=args.store,
-                resume=args.resume,
-                run_label=args.run_label,
-                collect_metrics=args.metrics,
-                tracer=tracer,
-                journal=args.journal,
-            )
-
-        if args.metrics:
-            with collecting() as recorder:
-                result = run()
-            snapshot = recorder.snapshot()
-        else:
-            result = run()
-    print(result.as_table())
-    stats = result.stats
-    if stats is not None:
-        print()
-        print(
-            f"{stats.cells} cells ({stats.computed_cells} computed, "
-            f"{stats.resumed_cells} resumed, skip rate {stats.resume_skip_rate:.0%}), "
-            f"{stats.arrivals} arrivals in {stats.elapsed_seconds:.2f}s "
-            f"({stats.arrivals_per_second:.0f} arrivals/s), "
-            f"{stats.saturated_cells} saturated cell(s)"
+    def run():
+        return run_stream_sweep(
+            spec,
+            policies,
+            rhos=rhos,
+            max_arrivals=args.arrivals,
+            warmup_fraction=args.warmup,
+            num_batches=args.batches,
+            max_active=args.max_active,
+            max_workers=max_workers,
+            store=args.store,
+            resume=args.resume,
+            run_label=args.run_label,
+            collect_metrics=args.metrics,
+            tracer=tracer,
+            journal=args.journal,
         )
-        if args.store:
-            print(f"store {args.store}: run #{stats.store_run_id}")
-    if snapshot is not None:
-        print()
-        print(render_metrics(snapshot))
-    if args.journal:
-        print(f"journal appended to {args.journal}")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
-        print(f"trace written to {args.trace} ({len(tracer)} events)")
-    if args.output:
+
+    def report(result):
+        print(result.as_table())
+        stats = result.stats
+        if stats is not None:
+            print()
+            print(
+                f"{stats.cells} cells ({stats.computed_cells} computed, "
+                f"{stats.resumed_cells} resumed, skip rate {stats.resume_skip_rate:.0%}), "
+                f"{stats.arrivals} arrivals in {stats.elapsed_seconds:.2f}s "
+                f"({stats.arrivals_per_second:.0f} arrivals/s), "
+                f"{stats.saturated_cells} saturated cell(s)"
+            )
+            if args.store:
+                print(f"store {args.store}: run #{stats.store_run_id}")
         cells = []
         for record in result.records:
             cell = {
@@ -964,20 +927,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             if record.metrics is not None:
                 cell["metrics"] = record.metrics
             cells.append(cell)
-        payload = {
-            "cells": cells,
-            "stats": stats.as_dict() if stats is not None else None,
-        }
-        if snapshot is not None:
-            payload["metrics"] = snapshot
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"sweep written to {args.output}")
-    if args.profile:
-        print()
-        print(profiler.render())
-    return 0
+        payload = {"cells": cells, "stats": stats.as_dict() if stats is not None else None}
+        return payload, lambda: tracer
+
+    return _run_observed(args, "sweep", run, report)
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

@@ -18,11 +18,19 @@ module still fires.  That coarseness is deliberate — the reviewer decides
 whether to bump (safe: stale cells recompute, ``store gc`` prunes them) or,
 for a provably metric-neutral edit, to record a one-line justification in
 the baseline.
+
+A finding's context is the :func:`content_fingerprint` of the file as it is
+on disk, so a baseline entry attests exactly the vetted content.  The diff
+that raised the finding disappears once the edit is committed, but the
+attestation does not go stale with it: the entry stays in force for as long
+as the file still has that fingerprint.  The next edit changes the
+fingerprint, so the guard fires again and the old entry is reported stale.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import hashlib
 import subprocess
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -35,6 +43,7 @@ __all__ = [
     "EpochGuardRule",
     "SEMANTIC_MANIFEST",
     "changed_semantic_paths",
+    "content_fingerprint",
 ]
 
 #: Glob patterns (project-root-relative, POSIX) of the modules whose
@@ -109,6 +118,15 @@ def changed_semantic_paths(changed: Iterable[str]) -> List[str]:
     return sorted(set(semantic))
 
 
+def content_fingerprint(root: Path, path: str) -> str:
+    """``sha256:<16 hex>`` of a file's bytes on disk (``deleted`` if absent)."""
+    try:
+        data = (Path(root) / path).read_bytes()
+    except FileNotFoundError:
+        return "deleted"
+    return "sha256:" + hashlib.sha256(data).hexdigest()[:16]
+
+
 def _epoch_bumped(root: Path, diff_range: Optional[str]) -> bool:
     """Whether the diff includes a change to the ``CODE_EPOCH`` assignment."""
     if diff_range:
@@ -154,8 +172,16 @@ class EpochGuardRule(Rule):
                 f"CODE_EPOCH bump in {DIGEST_MODULE}: stored cells keyed by "
                 "the old epoch would silently resume as current — bump the "
                 "epoch (stale cells recompute; 'store gc' prunes them) or "
-                "baseline this file with a metric-neutrality justification",
+                "baseline this file's content fingerprint (the context line) "
+                "with a metric-neutrality justification",
+                context=content_fingerprint(project.root, path),
             )
+
+    def keeps_baseline_entry(self, entry, project) -> bool:
+        """A fingerprint entry stays in force while the file still matches it."""
+        return entry.context.startswith("sha256:") and entry.context == (
+            content_fingerprint(project.root, entry.path)
+        )
 
 
 register_rule(

@@ -3,9 +3,9 @@
 ``repro-sched watch JOURNAL`` polls a journal (possibly still being
 written), folds its events into a :class:`FleetStatus` and renders a
 compact status block: throughput, per-policy progress, an ETA from the
-completed-cell trajectory, and straggler/stall detection — a dispatched
-cell with no completion for more than ``stall_factor`` times the rolling
-median cell time is flagged.
+completed-cell trajectory, and straggler/stall detection — a running cell
+with no completion for more than ``stall_factor`` times the rolling median
+cell time is flagged.
 
 All times here are journal timestamps (``repro.obs.clock.unix_time``)
 and driver-measured ``elapsed`` fields — reporting-channel data that
@@ -35,7 +35,7 @@ __all__ = [
 
 @dataclass
 class StragglerInfo:
-    """A dispatched-but-uncompleted cell that exceeded the stall bound."""
+    """A running-but-uncompleted cell that exceeded the stall bound."""
 
     label: str
     age_seconds: float
@@ -113,8 +113,20 @@ def analyse_journal(
                 if isinstance(candidate, str):
                     run = candidate
     status = FleetStatus(run_id=run or "")
-    pending: Dict[str, float] = {}
+    # A pool queues cells before it runs them: with the run's worker count W
+    # known, only the W oldest pending cells are running, each aged from the
+    # event that let it into that set.  Without W every pending cell runs.
+    workers: Optional[int] = None
+    pending: Dict[str, float] = {}  # dispatched, not completed; dispatch order
+    running: Dict[str, float] = {}  # label -> start of its stall clock
     completion_ts: List[float] = []
+
+    def start_oldest(ts: float) -> None:
+        for label in pending:
+            if workers is not None and len(running) >= workers:
+                break
+            running.setdefault(label, ts)
+
     for event in events:
         if run is not None and event.get("run") != run:
             continue
@@ -131,11 +143,15 @@ def analyse_journal(
                 total = config.get("total_cells")
                 if isinstance(total, int):
                     status.total_cells = total
+                count = config.get("workers")
+                if isinstance(count, int) and count > 0:
+                    workers = count
         elif name == "cell-dispatched":
             status.dispatched += 1
             label = str(event.get("cell", event.get("seq")))
             if ts is not None:
                 pending[label] = ts
+                start_oldest(ts)
             for policy in _policies_of(event):
                 entry = status.per_policy.setdefault(
                     policy, {"dispatched": 0, "completed": 0, "skipped": 0}
@@ -149,8 +165,10 @@ def analyse_journal(
             status.completed += int(cells) if isinstance(cells, int) and cells > 0 else 1
             label = str(event.get("cell", event.get("seq")))
             pending.pop(label, None)
+            running.pop(label, None)
             if ts is not None:
                 completion_ts.append(ts)
+                start_oldest(ts)
             elapsed = event.get("elapsed")
             if isinstance(elapsed, (int, float)):
                 status.cell_seconds.append(float(elapsed))
@@ -204,8 +222,8 @@ def analyse_journal(
         status.median_cell_seconds = _median(status.cell_seconds)
         bound = stall_factor * status.median_cell_seconds
         if status.finished_ts is None:
-            for label, dispatched_ts in sorted(pending.items()):
-                age = end - dispatched_ts
+            for label, started_ts in sorted(running.items()):
+                age = end - started_ts
                 if age > bound:
                     status.stragglers.append(
                         StragglerInfo(
@@ -276,8 +294,8 @@ def render_fleet_status(status: FleetStatus) -> str:
         lines.append(f"  batch commits: {status.commits}")
     for straggler in status.stragglers:
         lines.append(
-            f"  STALL? {straggler.label} dispatched"
-            f" {_format_duration(straggler.age_seconds)} ago"
+            f"  STALL? {straggler.label} running for"
+            f" {_format_duration(straggler.age_seconds)}"
             f" (bound {_format_duration(straggler.bound_seconds)})"
         )
     if status.records is not None:

@@ -14,8 +14,13 @@ import subprocess
 
 import pytest
 
-from repro.lint import Baseline, run_lint
-from repro.lint.epoch import DIGEST_MODULE, SEMANTIC_MANIFEST, changed_semantic_paths
+from repro.lint import Baseline, BaselineEntry, run_lint
+from repro.lint.epoch import (
+    DIGEST_MODULE,
+    SEMANTIC_MANIFEST,
+    changed_semantic_paths,
+    content_fingerprint,
+)
 
 pytestmark = [
     pytest.mark.lint,
@@ -90,6 +95,53 @@ def test_guard_range_mode_audits_committed_history(repo):
     findings = guard_findings(repo, diff_range="HEAD~1..HEAD")
     assert [f.path for f in findings] == [KERNEL]
     assert "HEAD~1..HEAD" in findings[0].message
+
+
+def _attested(root, context):
+    entry = BaselineEntry(
+        rule="epoch-guard", path=KERNEL, context=context, justification="neutral"
+    )
+    return run_lint(root, rules=["epoch-guard"], baseline=Baseline(entries=[entry]))
+
+
+def test_finding_context_is_the_content_fingerprint(repo):
+    (repo / KERNEL).write_text("KERNEL_VERSION = 2\n")
+    (finding,) = guard_findings(repo)
+    assert finding.context == content_fingerprint(repo, KERNEL)
+    assert finding.context.startswith("sha256:")
+    (repo / KERNEL).unlink()
+    assert content_fingerprint(repo, KERNEL) == "deleted"
+
+
+def test_fingerprint_attestation_survives_the_commit(repo):
+    (repo / KERNEL).write_text("# comment only\nKERNEL_VERSION = 1\n")
+    fingerprint = content_fingerprint(repo, KERNEL)
+    # Uncommitted: the finding is suppressed by the attestation.
+    report = _attested(repo, fingerprint)
+    assert report.new_findings == []
+    assert [f.rule for f in report.baselined_findings] == ["epoch-guard"]
+    # Committed: no diff, no finding, and the entry is still in force.
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "metric-neutral edit")
+    report = _attested(repo, fingerprint)
+    assert report.new_findings == [] and report.baselined_findings == []
+
+
+def test_further_edit_refires_and_retires_the_attestation(repo):
+    (repo / KERNEL).write_text("# comment only\nKERNEL_VERSION = 1\n")
+    fingerprint = content_fingerprint(repo, KERNEL)
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "metric-neutral edit")
+    (repo / KERNEL).write_text("# comment only\nKERNEL_VERSION = 2\n")
+    report = _attested(repo, fingerprint)
+    rules = sorted((f.rule, f.severity) for f in report.new_findings)
+    assert rules == [("epoch-guard", "error"), ("lint-baseline", "warning")]
+
+
+def test_unfingerprinted_entry_goes_stale_on_a_clean_tree(repo):
+    report = _attested(repo, "")
+    assert [f.rule for f in report.new_findings] == ["lint-baseline"]
+    assert "stale" in report.new_findings[0].message
 
 
 def test_guard_silent_outside_git(tmp_path):

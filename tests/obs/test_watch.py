@@ -81,6 +81,41 @@ def test_straggler_detection():
     assert analyse_journal(events, now=1060.0).stragglers == []
 
 
+def _queue_events(workers, completions):
+    """A pool run: 8 cells dispatched at t=0, then ``(cell, ts)`` completions."""
+    events = [
+        {"run": "q", "event": "run-started", "ts": 0.0,
+         "config": {"total_cells": 8, "workers": workers}},
+    ]
+    events += [
+        {"run": "q", "event": "cell-dispatched", "ts": 0.0, "cell": f"a{i}"}
+        for i in range(8)
+    ]
+    events += [
+        {"run": "q", "event": "cell-completed", "ts": ts, "cell": cell, "cells": 1, "elapsed": 1.0}
+        for cell, ts in completions
+    ]
+    return events
+
+
+def test_queued_cells_of_a_healthy_pool_are_not_stragglers():
+    """Cells waiting for a worker age from when a worker frees up."""
+    pairs = [("a0", 1.0), ("a1", 1.0), ("a2", 2.0), ("a3", 2.0), ("a4", 3.0), ("a5", 3.0)]
+    status = analyse_journal(_queue_events(2, pairs), now=4.5, stall_factor=4.0)
+    assert status.median_cell_seconds == 1.0
+    # a6/a7 were dispatched 4.5s ago but started running at t=3.
+    assert status.stragglers == []
+
+
+def test_a_stuck_cell_of_a_pool_is_still_flagged():
+    pairs = [("a0", 1.0), ("a1", 1.0), ("a2", 2.0), ("a4", 3.0), ("a5", 3.0), ("a6", 4.0)]
+    status = analyse_journal(_queue_events(2, pairs), now=7.5, stall_factor=4.0)
+    # a3 took a worker at t=1 and never finished; a7 started at t=4.
+    assert [s.label for s in status.stragglers] == ["a3"]
+    assert status.stragglers[0].age_seconds == 6.5
+    assert status.stragglers[0].bound_seconds == 4.0
+
+
 def test_multi_run_journal_defaults_to_last_run():
     events = _events(run="old")
     events.append({"run": "old", "event": "run-finished", "ts": 1010.0, "status": "completed"})
