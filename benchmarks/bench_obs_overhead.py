@@ -10,9 +10,9 @@ Protects the subsystem's headline guarantees:
    number of aggregate ``count``/``gauge`` calls per run (never per
    event), and exactly zero recorder calls of any kind when the sink is
    disabled; only ``observe`` scales, and only with admission batches.
-3. **Deterministic traces** — two identical runs, and the ``view`` vs
-   ``rebuild`` engines on the same replayed workload, serialise to
-   byte-identical JSON-lines traces.
+3. **Deterministic traces** — two identical runs, and the simulator vs
+   the frozen ``run_rebuild`` reference on the same replayed workload,
+   serialise to byte-identical JSON-lines traces.
 4. **Enabled-mode cost is recorded** — the metrics-on/metrics-off
    throughput ratio is printed for the trajectory (and must stay sane).
 
@@ -30,6 +30,7 @@ import pytest
 from repro.heuristics import make_scheduler
 from repro.obs import NullRecorder, Tracer, collecting, trace_stream_result
 from repro.simulation import StreamingSimulator
+from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import (
     StreamSpec,
     open_stream,
@@ -231,12 +232,14 @@ def test_traces_byte_identical_across_runs_and_engines():
 
     instance = random_unrelated_instance(30, 3, seed=5)
     for policy in ("srpt", "mct"):
-        texts = {}
-        for engine in ("rebuild", "view"):
-            result = StreamingSimulator(engine=engine).run(
-                replay_stream(instance), make_scheduler(policy)
-            )
-            texts[engine] = trace_stream_result(result).to_jsonl()
+        texts = {
+            "rebuild": trace_stream_result(
+                run_rebuild(StreamingSimulator(), replay_stream(instance), make_scheduler(policy))
+            ).to_jsonl(),
+            "view": trace_stream_result(
+                StreamingSimulator().run(replay_stream(instance), make_scheduler(policy))
+            ).to_jsonl(),
+        }
         assert texts["view"] == texts["rebuild"], (
             f"{policy} traces diverge across engines"
         )

@@ -270,17 +270,21 @@ def bench_stream(arrivals: int = 3000, speed_floor: float = 2.5) -> dict:
     """
     from repro.analysis import analyse_stream  # noqa: E402  (late: path set in main)
     from repro.simulation import StreamingSimulator  # noqa: E402
+    from repro.simulation._stream_legacy import run_rebuild  # noqa: E402
     from repro.workload import StreamSpec, open_stream  # noqa: E402
 
     spec = StreamSpec(
         label="quick-bench", scenario="small-cluster", seed=2005
     ).with_utilisation(0.7)
-    results = {}
-    for engine in ("rebuild", "view"):
-        simulator = StreamingSimulator(engine=engine)
-        results[engine] = simulator.run(
+    results = {
+        "rebuild": run_rebuild(
+            StreamingSimulator(), open_stream(spec), make_scheduler("srpt"),
+            max_arrivals=arrivals,
+        ),
+        "view": StreamingSimulator().run(
             open_stream(spec), make_scheduler("srpt"), max_arrivals=arrivals
-        )
+        ),
+    }
     result = results["view"]
     # The legacy engine is the byte-identity reference: same events, same
     # decisions, same completion series.

@@ -94,6 +94,7 @@ from .heuristics import (
     policy_spec,
     resolve_policy_variant,
 )
+from .lp.backends import BACKEND_LABELS
 from .simulation import simulate
 from .workload import (
     available_scenarios,
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--backend",
-        choices=("scipy", "simplex", "revised", "tableau", "highspy"),
+        choices=sorted(BACKEND_LABELS),
         default="scipy",
         help="LP backend (see 'info --lp-backends'); default: scipy",
     )
@@ -573,7 +574,7 @@ def _cmd_info(args: Optional[argparse.Namespace] = None) -> int:
 
 
 def _cmd_info_lp_backends() -> int:
-    """Render the LP backend inventory (mirrors the numba/mypy gating rows)."""
+    """Render the LP backend inventory: canonical labels and their aliases."""
     from .lp.backends import backend_inventory
 
     rows = backend_inventory()
@@ -581,12 +582,11 @@ def _cmd_info_lp_backends() -> int:
     alias_w = max(len(", ".join(info.aliases)) for info in rows)
     print("LP backends (request any alias via --backend / backend= policy params):")
     for info in rows:
-        availability = "available" if info.available else "unavailable"
         warm = "warm-start" if info.warm_start else "cold only"
         aliases = ", ".join(info.aliases)
         print(
             f"  {info.label:<{label_w}}  [{aliases:<{alias_w}}]  "
-            f"{availability:<11}  {warm:<10}  {info.description}"
+            f"{warm:<10}  {info.description}"
         )
     return 0
 

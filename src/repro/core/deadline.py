@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..exceptions import InvalidInstanceError
-from ..lp.backends import BACKEND_LABELS
+from ..lp.backends import canonical_backend
 from .affine import Affine
 from .formulations import (
     build_allocation_model,
@@ -29,13 +29,6 @@ from .schedule import Schedule
 from .tolerances import ABS_TOL, lt
 
 __all__ = ["DeadlineFeasibility", "check_deadline_feasibility"]
-
-#: Canonical solution-backend labels per requested backend name, so records
-#: produced without reaching a solver match the label a solve would report.
-#: Sourced from the LP backend registry (ISSUE 9 added revised/tableau/
-#: highspy); kept under its historical name for the probe modules.
-_BACKEND_LABELS = BACKEND_LABELS
-
 
 @dataclass(frozen=True)
 class DeadlineFeasibility:
@@ -95,6 +88,7 @@ def check_deadline_feasibility(
     -------
     DeadlineFeasibility
     """
+    label = canonical_backend(backend)  # raises on unknown names
     if len(deadlines) != instance.num_jobs:
         raise InvalidInstanceError(
             f"expected {instance.num_jobs} deadlines, got {len(deadlines)}"
@@ -112,7 +106,7 @@ def check_deadline_feasibility(
                 num_intervals=0,
                 lp_variables=0,
                 lp_constraints=0,
-                backend=_BACKEND_LABELS.get(backend, backend),
+                backend=label,
             )
 
     epochal_times = list(instance.release_dates) + [float(d) for d in deadlines]

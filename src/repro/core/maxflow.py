@@ -70,7 +70,6 @@ from ..lp import LPSolution, MatrixForm, to_matrix_form
 from ..lp.backends import canonical_backend
 from ..lp.revised_simplex import BasisState, solve_matrix_form_revised
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
-from ..lp.simplex import solve_matrix_form_tableau as _tableau_solve_form
 from .affine import Affine
 from .formulations import (
     AllocationModel,
@@ -149,11 +148,11 @@ class MaxWeightedFlowResult:
 class _RangeModel:
     """Parametric allocation model of one milestone range ``(low, high]``.
 
-    ``basis`` (in-house revised backend) and ``highs_model`` (highspy
-    backend) carry the persistent solver state of the previous solve of this
-    range: every re-probe only moves the objective variable's bounds, which
-    preserves dual feasibility, so the next solve warm-starts from the last
-    basis instead of starting from scratch (ISSUE 9).
+    ``basis`` (in-house revised backend) carries the persistent solver state
+    of the previous solve of this range: every re-probe only moves the
+    objective variable's bounds, which preserves dual feasibility, so the
+    next solve warm-starts from the last basis instead of starting from
+    scratch (ISSUE 9).
     """
 
     index: int
@@ -163,7 +162,6 @@ class _RangeModel:
     form: MatrixForm
     objective_column: int
     basis: Optional[BasisState] = None
-    highs_model: Optional[object] = None
 
 
 class FeasibilityProbe:
@@ -204,7 +202,7 @@ class FeasibilityProbe:
         self.instance = instance
         self.preemptive = preemptive
         self.backend = backend
-        self._backend_kind = _normalise_backend(backend)
+        self._label = canonical_backend(backend)
         self.milestones: List[float] = compute_milestones(instance.jobs)
         #: Range ``k`` spans ``(boundaries[k], boundaries[k + 1]]`` (the last
         #: range is unbounded above).
@@ -386,8 +384,7 @@ class FeasibilityProbe:
             preemptive=self.preemptive,
             name=f"probe-range{k}" + ("-preemptive" if self.preemptive else ""),
         )
-        # Every backend except the frozen dense tableau consumes CSR blocks.
-        form = to_matrix_form(alloc.model, sparse=self._backend_kind != "tableau")
+        form = to_matrix_form(alloc.model, sparse=True)
         self.model_constructions += 1
         range_model = _RangeModel(
             index=k,
@@ -407,32 +404,14 @@ class FeasibilityProbe:
         """Number of parametric range models currently held in the LRU cache."""
         return len(self._ranges)
 
-    def _solve_form(
-        self, form: MatrixForm, range_model: Optional[_RangeModel] = None
-    ) -> LPSolution:
-        if self._backend_kind == "scipy":
+    def _solve_form(self, form: MatrixForm, range_model: _RangeModel) -> LPSolution:
+        if self._label == "scipy-highs":
             return _scipy_solve_form(form)
-        if self._backend_kind == "tableau":
-            return _tableau_solve_form(form)
-        if self._backend_kind == "highspy":  # pragma: no cover - needs highspy
-            from ..lp.highs_backend import HighsWarmModel
-
-            if range_model is None:
-                from ..lp.highs_backend import solve_matrix_form as _highs_solve
-
-                return _highs_solve(form)
-            if range_model.highs_model is None:
-                range_model.highs_model = HighsWarmModel(form)
-            else:
-                range_model.highs_model.update_bounds(form.bounds)
-            return range_model.highs_model.solve()
         # In-house revised simplex: warm-start from (and refresh) the range's
         # persistent basis.  The re-solve sequence is deterministic per
         # probe, so the warm-started vertices are reproducible run to run.
-        result = solve_matrix_form_revised(
-            form, warm_basis=range_model.basis if range_model is not None else None
-        )
-        if range_model is not None and result.basis is not None:
+        result = solve_matrix_form_revised(form, warm_basis=range_model.basis)
+        if result.basis is not None:
             range_model.basis = result.basis
         return result.solution
 
@@ -453,24 +432,11 @@ def _check_probe_matches(
             f"the supplied FeasibilityProbe uses preemptive={probe.preemptive}, "
             f"but the search requested preemptive={preemptive}"
         )
-    if _normalise_backend(probe.backend) != _normalise_backend(backend):
+    if canonical_backend(probe.backend) != canonical_backend(backend):
         raise ValueError(
             f"the supplied FeasibilityProbe uses backend {probe.backend!r}, "
             f"but the search requested {backend!r}"
         )
-
-
-_BACKEND_KINDS = {
-    "scipy-highs": "scipy",
-    "simplex-revised": "revised",
-    "simplex": "tableau",
-    "highspy": "highspy",
-}
-
-
-def _normalise_backend(backend: str) -> str:
-    """Resolve any accepted backend alias to the probe's dispatch kind."""
-    return _BACKEND_KINDS[canonical_backend(backend)]
 
 
 def _range_sample(low: float, high: Optional[float]) -> float:

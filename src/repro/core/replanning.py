@@ -53,12 +53,11 @@ import scipy.sparse as sp
 
 from ..exceptions import InvalidInstanceError
 from ..lp import LPSolution, MatrixForm, to_matrix_form
+from ..lp.backends import canonical_backend
 from ..obs.metrics import Recorder, get_recorder
 from ..lp.revised_simplex import BasisState, ProgramHandle, solve_matrix_form_revised
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
-from ..lp.simplex import solve_matrix_form_tableau as _tableau_solve_form
-from .deadline import _BACKEND_LABELS, DeadlineFeasibility
-from .maxflow import _normalise_backend
+from .deadline import DeadlineFeasibility
 from .formulations import (
     AllocationModel,
     build_allocation_model,
@@ -127,16 +126,12 @@ class _ModelTemplate:
     coef_jobs: np.ndarray
     #: Interval index feeding each inequality row's right-hand side.
     row_intervals: np.ndarray
-    #: Dense refresh targets (tableau backend): (row, col) per coefficient.
-    coef_rows: Optional[np.ndarray] = None
-    coef_cols: Optional[np.ndarray] = None
     #: Persistent solver state for warm re-solves (ISSUE 9): the last usable
-    #: basis of the in-house revised backend, the kept-alive assembled
+    #: basis of the in-house revised backend and the kept-alive assembled
     #: program (rhs-only re-solves within one event skip assembly and
-    #: refactorisation entirely), and the kept-alive highspy model.
+    #: refactorisation entirely).
     basis: Optional[BasisState] = None
     solver_handle: Optional[ProgramHandle] = None
-    highs_model: Optional[object] = None
 
 
 class ReplanProbe:
@@ -197,9 +192,7 @@ class ReplanProbe:
             raise ValueError("max_cached_models must be at least 1")
         self.preemptive = preemptive
         self.backend = backend
-        self._backend_kind = _normalise_backend(backend)  # raises on unknown
-        # Every backend except the frozen dense tableau consumes CSR blocks.
-        self._sparse = self._backend_kind != "tableau"
+        self._label = canonical_backend(backend)  # raises on unknown
         self._max_cached_models = max_cached_models
         self._rank_keyed = rank_keyed
         # Injected metrics sink (None resolves to the process default at
@@ -266,7 +259,7 @@ class ReplanProbe:
                     num_intervals=0,
                     lp_variables=0,
                     lp_constraints=0,
-                    backend=_BACKEND_LABELS[self.backend],
+                    backend=self._label,
                 )
 
         # Event scope: consecutive checks on the same instance object (one
@@ -388,21 +381,8 @@ class ReplanProbe:
         digests stay reproducible.  Every solve refreshes the stored basis
         for the probes after it.
         """
-        kind = self._backend_kind
-        if kind == "scipy":
+        if self._label == "scipy-highs":
             return _scipy_solve_form(form)
-        if kind == "tableau":
-            return _tableau_solve_form(form)
-        if kind == "highspy":  # pragma: no cover - needs the repro[highs] extra
-            from ..lp.highs_backend import HighsWarmModel
-
-            model = template.highs_model
-            if isinstance(model, HighsWarmModel):
-                model.update_rows(form)
-            else:
-                model = HighsWarmModel(form)
-                template.highs_model = model
-            return model.solve()
         if template.solver_handle is None:
             template.solver_handle = ProgramHandle()
         result = solve_matrix_form_revised(
@@ -472,7 +452,7 @@ class ReplanProbe:
             preemptive=self.preemptive,
             name="deadline-system2" + ("-preemptive" if self.preemptive else ""),
         )
-        form = to_matrix_form(alloc.model, sparse=self._sparse)
+        form = to_matrix_form(alloc.model, sparse=True)
         self.model_constructions += 1
 
         # Inequality rows are, in order: capacity[(t, i)] rows (t-major, only
@@ -516,21 +496,13 @@ class ReplanProbe:
             coef_jobs=np.asarray(coef_jobs, dtype=np.intp),
             row_intervals=np.asarray(row_intervals, dtype=np.intp),
         )
-        if not self._sparse and form.num_inequalities:
-            rows, cols = np.nonzero(form.a_ub)
-            template.coef_rows = rows
-            template.coef_cols = cols
 
         # The refresh path must land exactly where the lowering put the
         # original values; verify once per construction, then trust the map.
         refreshed = self._refresh(template, instance, cuts, event_key=None)
         self.coefficient_refreshes -= 1  # verification refresh, not a probe answer
-        if self._sparse and form.num_inequalities:
+        if form.num_inequalities:
             assert np.array_equal(refreshed.a_ub.data, form.a_ub.data), (
-                "ReplanProbe refresh map does not match the lowered form"
-            )
-        elif form.num_inequalities:
-            assert np.array_equal(refreshed.a_ub, form.a_ub), (
                 "ReplanProbe refresh map does not match the lowered form"
             )
         assert np.array_equal(refreshed.b_ub, form.b_ub), (
@@ -571,13 +543,9 @@ class ReplanProbe:
             data = np.asarray(instance.costs)[
                 template.coef_machines, template.coef_jobs
             ].astype(float, copy=False)
-            if self._sparse:
-                a_ub = sp.csr_matrix(
-                    (data, form.a_ub.indices, form.a_ub.indptr), shape=form.a_ub.shape
-                )
-            else:
-                a_ub = form.a_ub.copy()
-                a_ub[template.coef_rows, template.coef_cols] = data
+            a_ub = sp.csr_matrix(
+                (data, form.a_ub.indices, form.a_ub.indptr), shape=form.a_ub.shape
+            )
             self.coefficient_refreshes += 1
             if event_key is not None:
                 if len(self._event_forms) >= 16:  # one event touches few templates

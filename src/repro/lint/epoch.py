@@ -25,6 +25,8 @@ that raised the finding disappears once the edit is committed, but the
 attestation does not go stale with it: the entry stays in force for as long
 as the file still has that fingerprint.  The next edit changes the
 fingerprint, so the guard fires again and the old entry is reported stale.
+A deleted module's fingerprint is ``deleted``: its attestation stays in
+force while the file is absent and goes stale if the file reappears.
 """
 
 from __future__ import annotations
@@ -179,9 +181,7 @@ class EpochGuardRule(Rule):
 
     def keeps_baseline_entry(self, entry, project) -> bool:
         """A fingerprint entry stays in force while the file still matches it."""
-        return entry.context.startswith("sha256:") and entry.context == (
-            content_fingerprint(project.root, entry.path)
-        )
+        return entry.context == content_fingerprint(project.root, entry.path)
 
 
 register_rule(

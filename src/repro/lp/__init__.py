@@ -2,11 +2,15 @@
 
 The paper expresses all of its scheduling results as linear programs; this
 subpackage provides the modelling objects used to state them and two
-interchangeable solving backends:
+interchangeable solving backends (:mod:`repro.lp.backends` maps the accepted
+names onto them):
 
-* :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production backend);
-* :mod:`repro.lp.simplex` — an in-house dense two-phase simplex used for
-  cross-validation and the backend-ablation bench.
+* :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production default);
+* :mod:`repro.lp.simplex` — the in-house sparse revised simplex, with warm
+  re-solves for the replanning probes.
+
+The frozen dense tableau in :mod:`repro.lp._tableau_legacy` is kept only as
+a cross-validation reference for tests and benches.
 
 Public API
 ----------

@@ -372,7 +372,7 @@ def solve_matrix_form(form: MatrixForm, max_iterations: int = 20000) -> LPSoluti
     """
     if form.num_variables == 0:
         # A variable-free program is feasible iff its constant rows hold.
-        return solve_constant_form(form, "simplex")
+        return solve_constant_form(form, "tableau")
 
     form = form.densified()
 
@@ -385,7 +385,7 @@ def solve_matrix_form(form: MatrixForm, max_iterations: int = 20000) -> LPSoluti
         recorder.observe("lp.iterations", float(raw.iterations))
 
     if raw.status is not LPStatus.OPTIMAL:
-        return LPSolution(status=raw.status, backend="simplex",
+        return LPSolution(status=raw.status, backend="tableau",
                           iterations=raw.iterations, message=raw.message)
 
     x_original = _recover_original(raw.x, mappings)
@@ -396,6 +396,6 @@ def solve_matrix_form(form: MatrixForm, max_iterations: int = 20000) -> LPSoluti
         status=LPStatus.OPTIMAL,
         objective_value=objective_value,
         values=values,
-        backend="simplex",
+        backend="tableau",
         iterations=raw.iterations,
     )

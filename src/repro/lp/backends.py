@@ -1,13 +1,13 @@
-"""LP backend registry: canonical names, availability and warm-start support.
+"""LP backend registry: canonical names, aliases and warm-start support.
 
-ISSUE 9 grew the backend roster from two (scipy / in-house tableau) to four;
-this module is the single place that knows what exists, which aliases map to
-which solver and what is importable in the current environment — mirroring
-the availability-detection pattern of :mod:`repro.simulation._compiled`
-(numba) and :mod:`repro.lint.typecheck` (mypy).  ``repro-sched info
---lp-backends`` renders :func:`backend_inventory`; the probe constructors in
-:mod:`repro.core` validate their ``backend`` argument with
-:func:`canonical_backend` / :data:`BACKEND_LABELS`.
+Two backends solve production LPs: scipy's HiGHS wrapper and the in-house
+sparse revised simplex.  This module is the single place that knows which
+requested names map to which solver.  :meth:`repro.lp.LinearProgram.solve`,
+the probes in :mod:`repro.core` and the CLI all resolve names through
+:func:`canonical_backend`; ``repro-sched info --lp-backends`` renders
+:func:`backend_inventory`.  The frozen dense tableau
+(:mod:`repro.lp._tableau_legacy`) is a test reference, not a backend: it is
+reached only through :func:`repro.lp.simplex.solve_matrix_form_tableau`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ BACKEND_LABELS = {
     "highs": "scipy-highs",
     "scipy-highs": "scipy-highs",
     "simplex": "simplex-revised",
-    "pure-python": "simplex-revised",
     "revised": "simplex-revised",
+    "pure-python": "simplex-revised",
     "simplex-revised": "simplex-revised",
-    "tableau": "simplex",
-    "simplex-tableau": "simplex",
-    "highspy": "highspy",
 }
 
 
@@ -59,42 +56,29 @@ class BackendInfo:
 
     label: str
     aliases: Tuple[str, ...]
-    available: bool
     warm_start: bool
     description: str
 
 
-def backend_inventory() -> List[BackendInfo]:
-    """Every known backend with its availability in this environment."""
-    from .highs_backend import HIGHSPY_AVAILABLE
+def _aliases(label: str) -> Tuple[str, ...]:
+    return tuple(
+        name for name, target in BACKEND_LABELS.items() if target == label and name != label
+    )
 
+
+def backend_inventory() -> List[BackendInfo]:
+    """Every backend with its accepted aliases."""
     return [
         BackendInfo(
             label="scipy-highs",
-            aliases=("scipy", "highs"),
-            available=True,
+            aliases=_aliases("scipy-highs"),
             warm_start=False,
             description="HiGHS via scipy.optimize.linprog (production default)",
         ),
         BackendInfo(
             label="simplex-revised",
-            aliases=("simplex", "revised", "pure-python"),
-            available=True,
+            aliases=_aliases("simplex-revised"),
             warm_start=True,
             description="in-house sparse revised simplex (warm dual re-solves)",
-        ),
-        BackendInfo(
-            label="simplex",
-            aliases=("tableau",),
-            available=True,
-            warm_start=False,
-            description="frozen dense tableau simplex (byte-identity reference)",
-        ),
-        BackendInfo(
-            label="highspy",
-            aliases=("highspy",),
-            available=HIGHSPY_AVAILABLE,
-            warm_start=True,
-            description="native HiGHS with kept-alive warm models (repro[highs] extra)",
         ),
     ]

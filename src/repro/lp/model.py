@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
+from .backends import canonical_backend
 from .constraint import Constraint
 from .expression import LinearExpression, Variable, as_expression
 from .solution import LPSolution, LPStatus
@@ -198,31 +199,20 @@ class LinearProgram:
         Parameters
         ----------
         backend:
+            Any name accepted by :func:`repro.lp.backends.canonical_backend`:
             ``"scipy"`` (HiGHS through :func:`scipy.optimize.linprog`, the
-            default), ``"simplex"``/``"revised"`` (the in-house sparse
-            revised simplex), ``"tableau"`` (the frozen dense tableau
-            reference) or ``"highspy"`` (native HiGHS, requires the
-            ``repro[highs]`` extra).
+            default) or ``"simplex"``/``"revised"`` (the in-house sparse
+            revised simplex).
         kwargs:
             Passed through to the backend.
         """
-        if backend in ("scipy", "highs", "scipy-highs"):
+        if canonical_backend(backend) == "scipy-highs":
             from .scipy_backend import solve_with_scipy
 
             return solve_with_scipy(self, **kwargs)
-        if backend in ("simplex", "pure-python", "revised", "simplex-revised"):
-            from .simplex import solve_with_simplex
+        from .simplex import solve_with_simplex
 
-            return solve_with_simplex(self, **kwargs)
-        if backend in ("tableau", "simplex-tableau"):
-            from .simplex import solve_with_tableau
-
-            return solve_with_tableau(self, **kwargs)
-        if backend == "highspy":
-            from .highs_backend import solve_with_highspy
-
-            return solve_with_highspy(self, **kwargs)
-        raise ValueError(f"unknown LP backend {backend!r}")
+        return solve_with_simplex(self, **kwargs)
 
     def solve_or_raise(self, backend: str = "scipy", **kwargs) -> LPSolution:
         """Solve and raise a typed exception unless the result is optimal."""

@@ -1,6 +1,6 @@
 """Sparse revised simplex over :class:`MatrixForm` CSR blocks (ISSUE 9).
 
-The tableau backend (frozen in :mod:`repro.lp._tableau_legacy`) densifies the
+The tableau reference (frozen in :mod:`repro.lp._tableau_legacy`) densifies the
 whole constraint matrix and rewrites every entry on every pivot — O(rows ×
 cols) per iteration and O(rows × cols) memory.  This module is the in-house
 fast path: a **revised** simplex that keeps the constraint matrix in the

@@ -2,7 +2,7 @@
 
 Until ISSUE 9 this module *was* the dense two-phase tableau simplex.  That
 implementation is now frozen verbatim in :mod:`repro.lp._tableau_legacy` as
-the byte-identity reference (the ``"tableau"`` backend), and the public
+the cross-validation reference (no backend name selects it), and the public
 entry points here route the in-house path to the sparse revised simplex of
 :mod:`repro.lp.revised_simplex` — no more ``form.densified()`` on the way to
 a solve.  The switch is semantic (degenerate programs may report a different
@@ -13,8 +13,8 @@ and signatures: every caller of the in-house backend (cross-validation
 tests, :class:`repro.core.maxflow.FeasibilityProbe`,
 :class:`repro.core.replanning.ReplanProbe`) picks up the fast path without
 changes.  The tableau twins are re-exported as ``solve_with_tableau`` /
-``solve_matrix_form_tableau`` for reference solves and the backend-ablation
-benches.
+``solve_matrix_form_tableau``: the only way to reach the reference, used by
+the cross-validation tests and the backend-ablation benches.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ class LPSolution:
     values:
         Mapping from variable index to optimal value (empty unless optimal).
     backend:
-        Name of the backend that produced the solution (``"scipy-highs"`` or
-        ``"simplex"``), recorded for diagnostics and the backend-ablation
-        bench.
+        Canonical label of the backend that produced the solution
+        (``"scipy-highs"`` or ``"simplex-revised"``; the frozen tableau
+        reference stamps ``"tableau"``), recorded for diagnostics and the
+        backend-ablation bench.
     iterations:
         Iteration count reported by the backend, when available.
     message:

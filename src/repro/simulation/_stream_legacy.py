@@ -9,8 +9,8 @@ streaming core that ``benchmarks/_seed_engine.py`` plays for the batch
 kernel: a full-fidelity reference whose outputs the fast path must match
 byte for byte.
 
-Do not optimise this file.  It is selected with
-``StreamingSimulator(engine="rebuild")`` and exercised by:
+Do not optimise this file.  Tests and benches call :func:`run_rebuild`
+directly (it is not reachable from the production API) and exercise it in:
 
 * the per-policy byte-identity tests (view path vs rebuild path, at every
   compaction timing, and through trace replays);

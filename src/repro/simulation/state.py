@@ -95,8 +95,8 @@ class SimulationState:
         hand leave both ``None`` and fall back to the mirrors.
     remaining_list:
         Python-float twin of ``remaining_vector``, bound only by the
-        streaming fast core's pure path (which maintains both in lockstep —
-        the list holds the very doubles the vector stores).  Policies may
+        streaming simulator (which maintains both in lockstep — the list
+        holds the very doubles the vector stores).  Policies may
         read it in scalar ranking loops to skip per-element float64 boxing;
         everywhere else it is ``None``.
     """

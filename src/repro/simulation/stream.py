@@ -11,7 +11,7 @@ O(peak active jobs) state, not O(total arrivals).
 
 The zero-copy fast core
 -----------------------
-The default engine never materialises an :class:`~repro.core.instance.Instance`:
+The simulator never materialises an :class:`~repro.core.instance.Instance`:
 
 * The window lives in a :class:`~repro.simulation.window.StreamWindow` over
   the pooled :meth:`SimulationKernel.bind_buffers` vectors; policies see it
@@ -25,21 +25,19 @@ The default engine never materialises an :class:`~repro.core.instance.Instance`:
   per-event state objects), and the per-decision rate/horizon/progress
   arithmetic touches only the slots the decision allocated instead of
   rescanning the window.
-* The inner advance arithmetic can run under an **optional compiled
-  kernel** (numba; the ``repro[compiled]`` extra in ``setup.cfg``).  The
-  gate mirrors the mypy runner in :mod:`repro.lint.typecheck`: absent numba
-  means an explicit fallback to the pure-numpy path, and
-  ``use_compiled=True`` raises instead of silently downgrading.  The
-  compiled kernels are op-for-op twins of the inline scalar code (see
-  :mod:`repro.simulation._compiled`).
+* The advance arithmetic runs on Python-float twins of the pooled vectors
+  (per-slot rates in a loop-local list, remaining fractions in
+  ``SimulationState.remaining_list``): the same IEEE-754 float64
+  operations the vectors would perform, without per-element boxing.
 
-``StreamingSimulator(engine="rebuild")`` selects the frozen legacy loop in
-:mod:`repro.simulation._stream_legacy` — the rebuild-per-arrival reference
-the fast core is asserted byte-identical against, the same way
-``benchmarks/_seed_engine.py`` anchors the batch kernel.  Identity covers
-the full :meth:`StreamResult.fingerprint`: completion series, counters
-(decisions included — batching removes overhead *around* decision points,
-it never skips one), end time and busy machine-seconds.
+The frozen legacy loop in :mod:`repro.simulation._stream_legacy`
+(``run_rebuild``) is the rebuild-per-arrival reference the fast core is
+asserted byte-identical against, the same way
+``benchmarks/_seed_engine.py`` anchors the batch kernel; tests and benches
+call it directly.  Identity covers the full
+:meth:`StreamResult.fingerprint`: completion series, counters (decisions
+included — batching removes overhead *around* decision points, it never
+skips one), end time and busy machine-seconds.
 
 Saturation
 ----------
@@ -66,7 +64,6 @@ from ..exceptions import SimulationError
 from ..obs.clock import wall_clock
 from ..obs.metrics import Recorder, get_recorder
 from ..workload.streams import ArrivalEvent, WorkloadStream
-from . import _compiled
 from .kernel import SimulationKernel, _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
 from .state import AllocationDecision, SimulationState
 from .window import StreamWindow
@@ -78,9 +75,6 @@ _COMPACT_MIN = 8
 
 #: Queue-trajectory samples are decimated beyond this many points.
 _TRAJECTORY_CAP = 4096
-
-#: Window engines: the zero-copy fast core and the frozen legacy reference.
-_ENGINES = ("view", "rebuild")
 
 
 @dataclass
@@ -226,18 +220,6 @@ class StreamingSimulator:
         compacts when dead slots reach ``max(compact_min, live slots)``, so
         it never exceeds ``2 × peak live + compact_min``).  The default is
         right for production; tests lower it to exercise compaction timing.
-    engine:
-        ``"view"`` (default) runs the zero-copy fast core; ``"rebuild"``
-        runs the frozen legacy rebuild-per-arrival loop
-        (:mod:`repro.simulation._stream_legacy`), the byte-identity
-        reference used by the A/B benches and tests.
-    use_compiled:
-        ``None`` (default) uses the numba-compiled inner kernels when the
-        ``repro[compiled]`` extra is installed and falls back to pure numpy
-        otherwise; ``True`` requires them (raises
-        :class:`~repro.exceptions.SimulationError` when numba is absent —
-        an explicit skip, mirroring the gated mypy runner); ``False`` never
-        uses them.
     """
 
     def __init__(
@@ -247,37 +229,20 @@ class StreamingSimulator:
         max_active: int = 10_000,
         validate_decisions: bool = False,
         compact_min: int = _COMPACT_MIN,
-        engine: str = "view",
-        use_compiled: Optional[bool] = None,
         recorder: Optional[Recorder] = None,
     ) -> None:
         if max_active < 1:
             raise SimulationError("max_active must be at least 1")
         if compact_min < 1:
             raise SimulationError("compact_min must be at least 1")
-        if engine not in _ENGINES:
-            raise SimulationError(
-                f"unknown streaming engine {engine!r}; available: {', '.join(_ENGINES)}"
-            )
-        if use_compiled and not _compiled.COMPILED_AVAILABLE:
-            raise SimulationError(
-                "use_compiled=True but numba is not installed; "
-                "install the repro[compiled] extra or leave use_compiled=None "
-                "to fall back to the pure-numpy path"
-            )
         self.kernel = kernel if kernel is not None else SimulationKernel()
         self.max_active = max_active
         self.validate_decisions = validate_decisions
         self.compact_min = compact_min
-        self.engine = engine
-        self.use_compiled = use_compiled
         # Metrics are injected (or resolved from the process default at run
         # time); instrumented code never constructs a concrete recorder —
         # the obs-recorder-default lint rule enforces this.
         self.recorder = recorder
-        enable_compiled = use_compiled is not False and _compiled.COMPILED_AVAILABLE
-        self._advance = _compiled.advance_pairs if enable_compiled else None
-        self._progress = _compiled.apply_progress if enable_compiled else None
 
     # ------------------------------------------------------------------ #
     def run(
@@ -306,14 +271,6 @@ class StreamingSimulator:
             disable to shed even that O(completions) output buffer.
         """
         recorder = self.recorder if self.recorder is not None else get_recorder()
-        if self.engine == "rebuild":
-            from ._stream_legacy import run_rebuild
-
-            result = run_rebuild(
-                self, stream, scheduler, max_arrivals=max_arrivals, record_jobs=record_jobs
-            )
-            self._record_result(recorder, result)
-            return result
         if max_arrivals is None and stream.length is None:
             raise SimulationError(
                 "an open-ended stream needs max_arrivals (or a finite trace stream)"
@@ -338,9 +295,6 @@ class StreamingSimulator:
 
         array_mode = bool(getattr(scheduler, "array_aware", False))
         decide_fn = scheduler.decide_arrays if array_mode else scheduler.decide
-        advance = self._advance
-        progress_fn = self._progress
-        pure = advance is None
 
         active: List[int] = []  # sorted live window indices
         running: Dict[int, int] = {}  # machine -> exclusively running window slot
@@ -357,39 +311,31 @@ class StreamingSimulator:
         queue_lengths: List[int] = []
         sample_stride = 1
 
+        rows = window.costs_rows  # stable: inner lists mutate in place
+        remaining = window.remaining
+        #: Per-slot rates and remaining fractions as Python floats
+        #: (bit-identical to float64 vector arithmetic).  ``remaining_list``
+        #: is maintained in lockstep with the pooled vector — every write
+        #: lands in both — and is the read side of the hot arithmetic;
+        #: mutated in place so the state binding below stays current.
+        rate_list: List[float] = []
+        remaining_list: List[float] = []
+        mirrors = window.mirrors
+
         # One pooled policy-facing snapshot for the whole run, updated in
         # place (the kernel's scheme); its buffer references are refreshed
-        # whenever the window's capacity grows.
+        # whenever the window's capacity grows.  Rates live only in
+        # ``rate_list``, so ``rate_vector`` stays unbound: a policy reading
+        # it fails loudly instead of silently seeing stale values.
         state = SimulationState(
             instance=view,  # type: ignore[arg-type] — duck-typed zero-copy view
             time=time,
-            jobs=window.mirrors,
+            jobs=mirrors,
             next_arrival=None,
             active=active,
-            remaining_vector=window.remaining,
-            # On the pure path rates live in a loop-local Python-float list
-            # (same bits, no per-access float64 boxing); the pooled vector
-            # is only bound when the compiled kernels maintain it, so a
-            # policy reading a stale vector fails loudly instead of
-            # silently seeing zeros.
-            rate_vector=None if pure else window.rate,
+            remaining_vector=remaining,
+            remaining_list=remaining_list,
         )
-        costs = window.costs_base
-        rows = window.costs_rows  # stable: inner lists mutate in place
-        remaining = window.remaining
-        remaining_item = remaining.item if remaining is not None else None
-        rate = window.rate
-        #: Pure-path per-slot rates and remaining fractions as Python floats
-        #: (bit-identical to the float64 vector arithmetic the compiled
-        #: kernels perform).  ``remaining_list`` is maintained in lockstep
-        #: with the pooled vector — every write lands in both — and is the
-        #: read side of the hot arithmetic; mutated in place so the state
-        #: binding below stays current.
-        rate_list: List[float] = []
-        remaining_list: List[float] = []
-        if pure:
-            state.remaining_list = remaining_list
-        mirrors = window.mirrors
 
         reset_done = False
         pending_compact = False
@@ -451,9 +397,8 @@ class StreamingSimulator:
                     if observe_batches:
                         recorder.observe("stream.batch_size", float(count))
                     active.extend(range(first_slot, first_slot + count))
-                    if pure:
-                        rate_list.extend([0.0] * count)
-                        remaining_list.extend([1.0] * count)
+                    rate_list.extend([0.0] * count)
+                    remaining_list.extend([1.0] * count)
                     due.clear()
                     window_changed = True
                     progressed_this_event = True
@@ -474,15 +419,10 @@ class StreamingSimulator:
                 # Zero-copy: the view already spans the grown window; only
                 # the pooled buffer references may have moved on a capacity
                 # doubling.
-                costs = window.costs_base
                 remaining = window.remaining
-                remaining_item = remaining.item
-                rate = window.rate
                 mirrors = window.mirrors
                 state.jobs = mirrors
                 state.remaining_vector = remaining
-                if not pure:
-                    state.rate_vector = rate
                 if not reset_done:
                     if hasattr(scheduler, "reset"):
                         scheduler.reset(view)
@@ -515,79 +455,45 @@ class StreamingSimulator:
             if decision.wake_up_at is not None:
                 horizon = min(horizon, max(decision.wake_up_at, time + _MIN_STEP))
 
-            exclusive_only = pure and decision.all_exclusive
-            if pure:
-                # Pure path: clear last window's rate entries, apply this
-                # decision's shares, bound the horizon by the earliest
-                # projected completion — touching only allocated slots,
-                # with plain Python-float arithmetic throughout (the same
-                # IEEE-754 float64 operations the vector held).
-                for job_index in touched:
-                    rate_list[job_index] = 0.0
-                del touched[:]
-                if exclusive_only:
-                    # exclusive_allocation guarantees one full (job, 1.0)
-                    # share per machine, so the per-share bookkeeping
-                    # collapses: the share literal is 1.0 and summing one
-                    # 1.0 per machine equals float(len(shares)) exactly —
-                    # the generic loop's arithmetic, bit for bit.
-                    total_share = float(len(shares))
-                    for machine_index, share_list in shares.items():
-                        job_index = share_list[0][0]
-                        rate_list[job_index] += 1.0 / rows[machine_index][job_index]
-                        touched.append(job_index)
-                else:
-                    total_share = 0.0
-                    flat = []
-                    for machine_index, share_list in shares.items():
-                        row = rows[machine_index]
-                        exclusive = (
-                            len(share_list) == 1 and share_list[0][1] >= _EXCLUSIVE_SHARE
-                        )
-                        for job_index, share in share_list:
-                            rate_list[job_index] += share / row[job_index]
-                            total_share += share
-                            touched.append(job_index)
-                            flat.append((machine_index, job_index, share, exclusive))
-                for job_index in touched:
-                    job_rate = rate_list[job_index]
-                    if job_rate > 0.0:
-                        candidate = time + remaining_list[job_index] / job_rate
-                        if candidate < horizon:
-                            horizon = candidate
-                pair_arrays = None
-            else:
-                pair_machines: List[int] = []
-                pair_shares: List[float] = []
-                pair_exclusive: List[bool] = []
-                new_touched: List[int] = []
+            # Clear last window's rate entries, apply this decision's shares,
+            # bound the horizon by the earliest projected completion —
+            # touching only allocated slots, with plain Python-float
+            # arithmetic throughout (the same IEEE-754 float64 operations
+            # the vector held).
+            for job_index in touched:
+                rate_list[job_index] = 0.0
+            del touched[:]
+            exclusive_only = decision.all_exclusive
+            if exclusive_only:
+                # exclusive_allocation guarantees one full (job, 1.0)
+                # share per machine, so the per-share bookkeeping
+                # collapses: the share literal is 1.0 and summing one
+                # 1.0 per machine equals float(len(shares)) exactly —
+                # the generic loop's arithmetic, bit for bit.
+                total_share = float(len(shares))
                 for machine_index, share_list in shares.items():
-                    exclusive = len(share_list) == 1 and share_list[0][1] >= _EXCLUSIVE_SHARE
+                    job_index = share_list[0][0]
+                    rate_list[job_index] += 1.0 / rows[machine_index][job_index]
+                    touched.append(job_index)
+            else:
+                total_share = 0.0
+                flat = []
+                for machine_index, share_list in shares.items():
+                    row = rows[machine_index]
+                    exclusive = (
+                        len(share_list) == 1 and share_list[0][1] >= _EXCLUSIVE_SHARE
+                    )
                     for job_index, share in share_list:
-                        pair_machines.append(machine_index)
-                        new_touched.append(job_index)
-                        pair_shares.append(share)
-                        pair_exclusive.append(exclusive)
-                pair_arrays = (
-                    np.asarray(pair_machines, dtype=np.int64),
-                    np.asarray(new_touched, dtype=np.int64),
-                    np.asarray(pair_shares, dtype=np.float64),
-                    np.asarray(pair_exclusive, dtype=np.uint8),
-                )
-                horizon, total_share = advance(
-                    np.asarray(touched, dtype=np.int64),
-                    pair_arrays[0],
-                    pair_arrays[1],
-                    pair_arrays[2],
-                    costs,
-                    remaining,
-                    rate,
-                    time,
-                    horizon,
-                )
-                horizon = float(horizon)
-                total_share = float(total_share)
-                touched = new_touched
+                        rate_list[job_index] += share / row[job_index]
+                        total_share += share
+                        touched.append(job_index)
+                        flat.append((machine_index, job_index, share, exclusive))
+            for job_index in touched:
+                job_rate = rate_list[job_index]
+                if job_rate > 0.0:
+                    candidate = time + remaining_list[job_index] / job_rate
+                    if candidate < horizon:
+                        horizon = candidate
 
             if horizon == math.inf:
                 raise SimulationError(
@@ -613,7 +519,7 @@ class StreamingSimulator:
                 for machine_index in list(running):
                     job_index = running[machine_index]
                     if (machine_index, job_index) not in assigned_now:
-                        if remaining_item(job_index) > _COMPLETION_DUST:
+                        if remaining_list[job_index] > _COMPLETION_DUST:
                             n_preemptions += 1
                         del running[machine_index]
 
@@ -632,7 +538,7 @@ class StreamingSimulator:
                         remaining_list[job_index] = value
                         if not array_mode:
                             mirrors[job_index].remaining_fraction = value
-                elif pure:
+                else:
                     for machine_index, job_index, share, exclusive in flat:
                         if exclusive:
                             running[machine_index] = job_index
@@ -659,50 +565,22 @@ class StreamingSimulator:
                             remaining_list[job_index] = value
                             if not array_mode:
                                 mirrors[job_index].remaining_fraction = value
-                else:
-                    for machine_index, share_list in shares.items():
-                        if len(share_list) == 1 and share_list[0][1] >= _EXCLUSIVE_SHARE:
-                            running[machine_index] = share_list[0][0]
-                        else:
-                            running.pop(machine_index, None)
-                    progress_fn(
-                        pair_arrays[0],
-                        pair_arrays[1],
-                        pair_arrays[2],
-                        pair_arrays[3],
-                        costs,
-                        remaining,
-                        window_span,
-                    )
-                    if not array_mode:
-                        for job_index in touched:
-                            mirrors[job_index].remaining_fraction = float(
-                                remaining[job_index]
-                            )
                 time = horizon
 
                 # ---- completions: only progressed slots can cross the
                 # dust threshold; process them in ascending window index,
                 # exactly like the legacy full-window scan.
-                if pure:
-                    completed_now = [
-                        job_index
-                        for job_index in touched
-                        if remaining_list[job_index] <= _COMPLETION_DUST
-                    ]
-                else:
-                    completed_now = [
-                        job_index
-                        for job_index in touched
-                        if remaining_item(job_index) <= _COMPLETION_DUST
-                    ]
+                completed_now = [
+                    job_index
+                    for job_index in touched
+                    if remaining_list[job_index] <= _COMPLETION_DUST
+                ]
                 if completed_now:
                     if len(completed_now) > 1:
                         completed_now = sorted(set(completed_now))
                     for job_index in completed_now:
                         remaining[job_index] = 0.0
-                        if pure:
-                            remaining_list[job_index] = 0.0
+                        remaining_list[job_index] = 0.0
                         mirror = mirrors[job_index]
                         mirror.remaining_fraction = 0.0
                         mirror.completion_time = time
@@ -741,14 +619,13 @@ class StreamingSimulator:
                     for machine, idx in running.items()
                     if idx in mapping
                 }
-                # compact() zeroed the rate block wholesale and remapped
-                # every slot index.
+                # compact() remapped every slot index; no rate is live
+                # across the remap.
                 del touched[:]
-                if pure:
-                    rate_list = [0.0] * len(window.jobs)
-                    # Same doubles: compact() fancy-copied the survivors'
-                    # float64 entries, tolist() unboxes them bit-for-bit.
-                    remaining_list[:] = remaining[: len(window.jobs)].tolist()
+                rate_list = [0.0] * len(window.jobs)
+                # Same doubles: compact() fancy-copied the survivors'
+                # float64 entries, tolist() unboxes them bit-for-bit.
+                remaining_list[:] = remaining[: len(window.jobs)].tolist()
                 if len(window.jobs) > 0:
                     scheduler.compact(view, mapping)
                 else:

@@ -8,7 +8,7 @@ checks) per event that dominated streaming throughput.  This module replaces
 that scheme:
 
 * :class:`StreamWindow` owns the window's buffers — the cost block and the
-  pooled ``remaining``/``rate`` vectors from
+  pooled ``remaining`` vector from
   :meth:`~repro.simulation.kernel.SimulationKernel.bind_buffers` plus
   per-slot metadata (job, global id, fastest cost, weight, release) — and
   mutates them in place: arrivals append into preallocated slots, compaction
@@ -201,8 +201,8 @@ class StreamWindow:
     Arrivals append into the next slot (amortised O(m): one cost-column
     write, a handful of scalar stores — no construction, no revalidation);
     compaction drops dead slots by remapping the survivors in place with one
-    fancy-indexed copy per buffer.  The ``remaining``/``rate`` vectors and
-    the :class:`~repro.simulation.state.JobProgress` mirrors come from
+    fancy-indexed copy per buffer.  The ``remaining`` vector and the
+    :class:`~repro.simulation.state.JobProgress` mirrors come from
     :meth:`SimulationKernel.bind_buffers`, so streaming and batch runs share
     one allocation pool.
     """
@@ -218,7 +218,7 @@ class StreamWindow:
         self.costs_base = np.empty((self.num_machines, 0))
         #: Per-machine cost rows as plain Python floats (same bits as the
         #: ndarray block).  Scalar-heavy consumers — the assignment scan of
-        #: the preemptive policies, the pure-numpy advance arithmetic — read
+        #: the preemptive policies, the streaming advance arithmetic — read
         #: these to skip float64-boxing on every element access.  The inner
         #: lists are mutated in place (append / slice-assign) so references
         #: held across admissions and compactions stay valid.
@@ -236,7 +236,6 @@ class StreamWindow:
         self.weights = np.empty(0)  # slot -> job weight
         self.releases = np.empty(0)  # slot -> release date
         self.remaining: Optional[np.ndarray] = None
-        self.rate: Optional[np.ndarray] = None
         self.mirrors: List = []
         self.view = InstanceView(self)
 
@@ -250,7 +249,7 @@ class StreamWindow:
         new_capacity = max(64, 2 * self.capacity, needed)
         width = len(self.jobs)
         saved_remaining = self.remaining[:width].copy() if self.remaining is not None else None
-        remaining, rate, mirrors = self.kernel.bind_buffers(new_capacity)
+        remaining, _, mirrors = self.kernel.bind_buffers(new_capacity)
         grown = np.empty((self.num_machines, new_capacity))
         grown[:, :width] = self.costs_base[:, :width]
         self.costs_base = grown
@@ -262,7 +261,6 @@ class StreamWindow:
         if saved_remaining is not None:
             remaining[:width] = saved_remaining
         self.remaining = remaining
-        self.rate = rate
         self.mirrors = mirrors
         # bind_buffers reset the mirrors; restore the live window's state.
         for slot in range(width):
@@ -272,29 +270,21 @@ class StreamWindow:
             mirror.completion_time = None if self.live[slot] else 0.0
         self.capacity = new_capacity
 
-    def admit(self, event: ArrivalEvent) -> int:
-        """Append one arrival into the next preallocated slot; returns it."""
-        slot = len(self.jobs)
-        self._ensure_capacity(slot + 1)
-        self._fill_slot(slot, event)
-        return slot
-
     def admit_batch(self, events: Sequence[ArrivalEvent]) -> int:
         """Append a batch of arrivals; returns the first slot used.
 
-        The batch shares one capacity check and one remaining/rate block
-        reset — the admission half of batched event processing.
+        The batch shares one capacity check and one remaining-block reset —
+        the admission half of batched event processing.
         """
         first = len(self.jobs)
         count = len(events)
         self._ensure_capacity(first + count)
         self.remaining[first : first + count] = 1.0
-        self.rate[first : first + count] = 0.0
         for offset, event in enumerate(events):
-            self._fill_slot(first + offset, event, vectors_ready=True)
+            self._fill_slot(first + offset, event)
         return first
 
-    def _fill_slot(self, slot: int, event: ArrivalEvent, *, vectors_ready: bool = False) -> None:
+    def _fill_slot(self, slot: int, event: ArrivalEvent) -> None:
         job = event.job
         self.jobs.append(job)
         self.global_ids.append(event.index)
@@ -310,9 +300,6 @@ class StreamWindow:
         self.min_list.append(fastest)
         self.weight_list.append(job.weight)
         self.release_list.append(job.release_date)
-        if not vectors_ready:
-            self.remaining[slot] = 1.0
-            self.rate[slot] = 0.0
         mirror = self.mirrors[slot]
         mirror.arrived = True
         mirror.remaining_fraction = 1.0
@@ -320,7 +307,6 @@ class StreamWindow:
 
     def compact(self) -> Dict[int, int]:
         """Drop dead slots in place; returns the old→new mapping of survivors."""
-        old_width = len(self.jobs)
         survivors = [slot for slot, alive in enumerate(self.live) if alive]
         mapping = {old: new for new, old in enumerate(survivors)}
         width = len(survivors)
@@ -330,7 +316,6 @@ class StreamWindow:
         for values in (self.min_list, self.weight_list, self.release_list):
             values[:] = [values[slot] for slot in survivors]
         self.remaining[:width] = self.remaining[survivors]
-        self.rate[:old_width] = 0.0
         self.min_costs[:width] = self.min_costs[survivors]
         self.weights[:width] = self.weights[survivors]
         self.releases[:width] = self.releases[survivors]

@@ -37,11 +37,9 @@ class TestBasicFeasibility:
         # Bench records key on the backend name; the early exit used to
         # report an empty string.  The label must match what a real solve of
         # the same system would report.
-        for requested, label in (
-            ("scipy", "scipy-highs"),
-            ("simplex", "simplex-revised"),
-            ("tableau", "simplex"),
-        ):
+        from repro.lp.backends import BACKEND_LABELS
+
+        for requested, label in BACKEND_LABELS.items():
             rejected = check_deadline_feasibility(
                 tiny_instance, [10.0, 0.5, 10.0], backend=requested
             )

@@ -166,3 +166,20 @@ def test_manifest_covers_the_digest_dependencies():
     joined = "\n".join(SEMANTIC_MANIFEST)
     for prefix in ("simulation", "heuristics", "lp", "core", "workload"):
         assert f"src/repro/{prefix}/*.py" in joined
+
+
+def test_deletion_attestation_survives_the_commit(repo):
+    (repo / KERNEL).unlink()
+    (finding,) = guard_findings(repo)
+    assert finding.context == "deleted"
+    report = _attested(repo, "deleted")
+    assert report.new_findings == []
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "delete the kernel")
+    report = _attested(repo, "deleted")
+    assert report.new_findings == [] and report.baselined_findings == []
+    # Re-creating the module retires the attestation.
+    (repo / KERNEL).write_text("KERNEL_VERSION = 1\n")
+    _git(repo, "add", KERNEL)
+    rules = sorted((f.rule, f.severity) for f in _attested(repo, "deleted").new_findings)
+    assert rules == [("epoch-guard", "error"), ("lint-baseline", "warning")]

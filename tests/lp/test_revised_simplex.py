@@ -213,38 +213,50 @@ class TestBackendRegistry:
 
         assert canonical_backend("simplex") == "simplex-revised"
         assert canonical_backend("revised") == "simplex-revised"
-        assert canonical_backend("tableau") == "simplex"
         assert canonical_backend("scipy") == "scipy-highs"
         with pytest.raises(ValueError, match="unknown LP backend"):
             canonical_backend("no-such-solver")
 
-    def test_inventory_reports_four_backends(self):
-        from repro.lp.backends import backend_inventory
-        from repro.lp.highs_backend import HIGHSPY_AVAILABLE
+    def test_inventory_reports_both_backends(self):
+        from repro.lp.backends import BACKEND_LABELS, backend_inventory
 
         rows = {info.label: info for info in backend_inventory()}
-        assert set(rows) == {"scipy-highs", "simplex-revised", "simplex", "highspy"}
-        assert rows["simplex-revised"].available
+        assert set(rows) == {"scipy-highs", "simplex-revised"}
         assert rows["simplex-revised"].warm_start
-        assert rows["highspy"].available is HIGHSPY_AVAILABLE
+        listed = {name for info in rows.values() for name in (info.label, *info.aliases)}
+        assert listed == set(BACKEND_LABELS)
 
-    def test_highspy_gating_names_the_extra(self):
-        from repro.exceptions import SolverError
-        from repro.lp.highs_backend import HIGHSPY_AVAILABLE, solve_with_highspy
+    def test_tableau_reference_label_is_not_an_alias(self):
+        # The frozen tableau stamps its own label; feeding it back as a
+        # backend name must fail instead of silently switching solvers.
+        from repro.lp.backends import canonical_backend
+        from repro.lp.simplex import solve_matrix_form_tableau
 
-        if HIGHSPY_AVAILABLE:  # pragma: no cover - extra installed
-            pytest.skip("highspy installed: the gate is open")
-        with pytest.raises(SolverError, match=r"repro\[highs\]"):
-            solve_with_highspy(_sample_lp())
+        solution = solve_matrix_form_tableau(to_matrix_form(_sample_lp(), sparse=False))
+        assert solution.backend == "tableau"
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            canonical_backend(solution.backend)
 
     def test_model_solve_dispatches_every_alias(self):
+        from repro.lp.backends import BACKEND_LABELS
+
         lp = _sample_lp()
         reference = lp.solve(backend="scipy").objective_value
-        for backend, label in (
-            ("revised", "simplex-revised"),
-            ("simplex", "simplex-revised"),
-            ("tableau", "simplex"),
-        ):
+        for backend, label in BACKEND_LABELS.items():
             solution = lp.solve(backend=backend)
             assert solution.backend == label
             assert solution.objective_value == pytest.approx(reference, abs=1e-7)
+
+    @pytest.mark.parametrize("removed", ["tableau", "highspy"])
+    def test_removed_backend_names_are_rejected(self, removed):
+        from repro.core.maxflow import FeasibilityProbe
+        from repro.core.replanning import ReplanProbe
+        from repro.workload import random_unrelated_instance
+
+        message = r"unknown LP backend .*; accepted: "
+        with pytest.raises(ValueError, match=message):
+            _sample_lp().solve(backend=removed)
+        with pytest.raises(ValueError, match=message):
+            FeasibilityProbe(random_unrelated_instance(3, 2, seed=1), backend=removed)
+        with pytest.raises(ValueError, match=message):
+            ReplanProbe(backend=removed)

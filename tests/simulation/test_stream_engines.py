@@ -1,14 +1,12 @@
 """Engine equivalence for the zero-copy streaming core (PR 7).
 
-The streaming simulator has two engines: the frozen legacy
-rebuild-per-arrival loop (``repro.simulation._stream_legacy``, the
-byte-identity reference) and the default zero-copy view path over the
-pooled kernel buffers.  These tests pin the core contract: **the engine
-is a performance knob, never a semantics knob** — every registered
-policy, every compaction timing, every replayed trace and every random
-spec must execute the exact same schedule on both, and the optional
-compiled kernels' pure-Python twins must be byte-for-byte the same
-arithmetic.
+The streaming simulator runs the zero-copy view path over the pooled
+kernel buffers; the frozen legacy rebuild-per-arrival loop
+(``repro.simulation._stream_legacy.run_rebuild``) is the byte-identity
+reference, called directly here.  These tests pin the core contract: **the
+fast core is a performance change, never a semantics change** — every
+registered policy, every compaction timing, every replayed trace and every
+random spec must execute the exact same schedule on both.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SimulationError
 from repro.heuristics import available_schedulers, make_scheduler
-from repro.simulation import StreamingSimulator, _compiled
+from repro.simulation import StreamingSimulator
+from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import (
     StreamSpec,
     open_stream,
@@ -33,13 +31,23 @@ LP_BACKED = {"deadline-driven", "online-offline"}
 FAST_POLICIES = [p for p in available_schedulers() if p not in LP_BACKED]
 
 
+def _drive(engine, simulator, stream, scheduler, **run_kwargs):
+    """Run ``engine`` ("view": the simulator, "rebuild": the reference)."""
+    if engine == "rebuild":
+        return run_rebuild(simulator, stream, scheduler, **run_kwargs)
+    return simulator.run(stream, scheduler, **run_kwargs)
+
+
 def _run(policy, engine, *, seed=11, rho=0.8, arrivals=200, **simulator_kwargs):
     spec = StreamSpec(
         label="engines", scenario="small-cluster", seed=seed
     ).with_utilisation(rho)
-    simulator = StreamingSimulator(engine=engine, **simulator_kwargs)
-    return simulator.run(
-        open_stream(spec), make_scheduler(policy), max_arrivals=arrivals
+    return _drive(
+        engine,
+        StreamingSimulator(**simulator_kwargs),
+        open_stream(spec),
+        make_scheduler(policy),
+        max_arrivals=arrivals,
     )
 
 
@@ -70,16 +78,17 @@ class TestEngineByteIdentity:
     def test_replayed_trace_matches_across_engines(self, policy):
         instance = random_unrelated_instance(25, 3, seed=9)
         runs = {
-            engine: StreamingSimulator(engine=engine).run(
-                replay_stream(instance), make_scheduler(policy)
+            engine: _drive(
+                engine, StreamingSimulator(), replay_stream(instance), make_scheduler(policy)
             )
             for engine in ("view", "rebuild")
         }
         _assert_identical(runs["view"], runs["rebuild"], policy)
 
     def test_unknown_engine_is_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamingSimulator(engine="turbo")
+        # The reference loop is not selectable from the production API.
+        with pytest.raises(TypeError):
+            StreamingSimulator(engine="view")
 
 
 class TestBatchedAdvancement:
@@ -134,8 +143,8 @@ class TestTraceByteIdentity:
         instance = random_unrelated_instance(num_jobs, 3, seed=9)
         texts = {}
         for engine in ("view", "rebuild"):
-            result = StreamingSimulator(engine=engine).run(
-                replay_stream(instance), make_scheduler(policy)
+            result = _drive(
+                engine, StreamingSimulator(), replay_stream(instance), make_scheduler(policy)
             )
             texts[engine] = trace_stream_result(result).to_jsonl()
         assert texts["view"] == texts["rebuild"], policy
@@ -149,31 +158,3 @@ class TestTraceByteIdentity:
         }
         assert chromes["view"] == chromes["rebuild"]
 
-
-class TestCompiledKernels:
-    def test_use_compiled_true_requires_numba(self):
-        if _compiled.COMPILED_AVAILABLE:
-            StreamingSimulator(use_compiled=True)  # constructs fine
-        else:
-            with pytest.raises(SimulationError, match="numba"):
-                StreamingSimulator(use_compiled=True)
-
-    @pytest.mark.parametrize("policy", ["srpt", "round-robin", "greedy-weighted-flow"])
-    def test_python_twins_reproduce_the_pure_path(self, policy):
-        # The un-jitted originals of the compiled kernels are exported so
-        # their twin-ness is asserted even without the repro[compiled]
-        # extra: drive the compiled code path with the Python twins and
-        # compare against both references.
-        spec = StreamSpec(
-            label="engines", scenario="small-cluster", seed=11
-        ).with_utilisation(0.8)
-        twinned = StreamingSimulator(use_compiled=False)
-        twinned._advance = _compiled.python_advance_pairs
-        twinned._progress = _compiled.python_apply_progress
-        compiled_like = twinned.run(
-            open_stream(spec), make_scheduler(policy), max_arrivals=300
-        )
-        pure = _run(policy, "view", arrivals=300)
-        rebuild = _run(policy, "rebuild", arrivals=300)
-        _assert_identical(compiled_like, pure, policy)
-        _assert_identical(compiled_like, rebuild, policy)

@@ -7,7 +7,13 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.workload import load_instance, load_schedule, make_scenario, save_instance
+from repro.workload import (
+    load_instance,
+    load_schedule,
+    make_scenario,
+    random_unrelated_instance,
+    save_instance,
+)
 
 
 @pytest.fixture
@@ -43,15 +49,7 @@ class TestInfoAndScenario:
         assert "scipy-highs" in output
         assert "simplex-revised" in output
         assert "warm-start" in output
-        # The highspy row reports availability instead of hiding the backend.
-        assert "highspy" in output
-        from repro.lp.highs_backend import HIGHSPY_AVAILABLE
-
-        expected = "available" if HIGHSPY_AVAILABLE else "unavailable"
-        highspy_line = next(
-            line for line in output.splitlines() if line.strip().startswith("highspy")
-        )
-        assert expected in highspy_line
+        assert "tableau" not in output
 
     def test_scenario_list(self, capsys):
         assert main(["scenario", "list"]) == 0
@@ -90,6 +88,25 @@ class TestSolve:
         assert main(["solve", str(instance_file), "--objective", "max-stretch",
                      "--preemptive"]) == 0
         assert "optimal max stretch" in capsys.readouterr().out
+
+    def test_every_advertised_backend_name_solves(self, tmp_path, capsys):
+        # Each label and alias that 'info --lp-backends' prints must be an
+        # accepted --backend value that reaches the same optimum.
+        assert main(["info", "--lp-backends"]) == 0
+        names = []
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            label, aliases = line.split("[", 1)
+            names.append(label.strip())
+            names.extend(alias.strip() for alias in aliases.split("]", 1)[0].split(","))
+        assert {"highs", "pure-python", "scipy-highs", "simplex-revised"} <= set(names)
+        path = tmp_path / "tiny.json"
+        save_instance(random_unrelated_instance(4, 2, seed=5), path)
+        optima = set()
+        for name in names:
+            assert main(["solve", str(path), "--backend", name]) == 0, name
+            text = capsys.readouterr().out
+            optima.add(next(line for line in text.splitlines() if "optimal" in line))
+        assert len(optima) == 1, optima
 
     def test_missing_instance_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
