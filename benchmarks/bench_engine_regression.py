@@ -1,13 +1,12 @@
-"""Regression bench: the array-backed kernel vs the frozen seed engine.
+"""Regression bench: ``simulate`` (the event loop's finite mode) vs the seed engine.
 
-Two guarantees of the PR 2 engine rework are protected here:
+Two guarantees are protected here:
 
-1. **Byte-for-byte compatibility** — the array-backed kernel produces exactly
-   the same ``SchedulePiece`` list, event trace, completion times and
-   preemption counts as the seed engine, over every registered policy.
+1. **Byte-for-byte compatibility** — ``simulate`` produces exactly the same
+   ``SchedulePiece`` list, event trace, completion times and preemption
+   counts as the frozen seed engine, over every registered policy.
 2. **No slower on a single simulation** — on a campaign-sized instance the
-   vectorised next-event computation must at least match the seed engine's
-   per-job Python loops (it should win comfortably from ~100 jobs up).
+   event loop must at least match the seed engine's per-job Python loops.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import time
 
 from repro.heuristics import available_schedulers, make_scheduler
-from repro.simulation import SimulationKernel, simulate
+from repro.simulation import simulate, simulate_many
 from repro.workload import make_scenario, random_unrelated_instance
 
 import _seed_engine
@@ -44,7 +43,7 @@ def test_kernel_matches_seed_engine_byte_for_byte():
             assert new.num_scheduler_calls == old.num_scheduler_calls, policy
 
 
-def test_array_engine_is_no_slower_than_seed_on_a_single_simulation(bench_scale):
+def test_event_loop_is_no_slower_than_seed_on_a_single_simulation(bench_scale):
     num_jobs = 300 if bench_scale == "full" else 150
     instance = random_unrelated_instance(num_jobs, 6, seed=3)
     repeats = 5
@@ -52,30 +51,22 @@ def test_array_engine_is_no_slower_than_seed_on_a_single_simulation(bench_scale)
     seed_seconds = _best_of(
         lambda: _seed_engine.simulate(instance, make_scheduler("fifo")), repeats
     )
-    kernel = SimulationKernel()  # warm buffers once, like a campaign worker
-    kernel.run(instance, make_scheduler("fifo"))
-    array_seconds = _best_of(
-        lambda: kernel.run(instance, make_scheduler("fifo")), repeats
-    )
+    loop_seconds = _best_of(lambda: simulate(instance, make_scheduler("fifo")), repeats)
 
     print()
     print(
         f"single simulation, n={num_jobs}: seed {seed_seconds * 1e3:.2f} ms, "
-        f"array-backed {array_seconds * 1e3:.2f} ms "
-        f"({seed_seconds / array_seconds:.2f}x)"
+        f"event loop {loop_seconds * 1e3:.2f} ms "
+        f"({seed_seconds / loop_seconds:.2f}x)"
     )
     # "No slower", with a 10% cushion against timer noise.
-    assert array_seconds <= seed_seconds * 1.10
+    assert loop_seconds <= seed_seconds * 1.10
 
 
-def test_simulate_many_reuses_buffers_across_seeds():
+def test_simulate_many_matches_seed_engine_across_seeds():
     instances = [random_unrelated_instance(60, 5, seed=s) for s in range(8)]
-    kernel = SimulationKernel()
-    from repro.simulation import simulate_many
-
-    results = simulate_many(instances, lambda: make_scheduler("mct"), kernel=kernel)
+    results = simulate_many(instances, lambda: make_scheduler("mct"))
     assert len(results) == 8
-    assert kernel._capacity == 60  # one allocation served every run
     for instance, result in zip(instances, results):
         reference = _seed_engine.simulate(instance, make_scheduler("mct"))
         assert result.schedule.pieces == reference.schedule.pieces

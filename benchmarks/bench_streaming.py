@@ -9,11 +9,10 @@ Protects the subsystem's headline guarantees:
    byte-identical (completion series, counters, fingerprint).
 3. **Resumable sweeps** — a ρ-sweep re-run against its experiment store
    reaches a 100 % skip rate and reconstructs bit-identical reports.
-4. **Fast core** — the zero-copy view engine beats the PR 6 baseline
-   throughput (4795 arrivals/s recorded in ``BENCH_campaign.json``) by
-   ≥ 4× while staying byte-identical to the frozen rebuild-per-arrival
-   reference (``run_rebuild``) —
-   for every registered policy, at both compaction timings, and through
+4. **Fast core** — the zero-copy view engine runs ≥ 4× the throughput of
+   the frozen rebuild-per-arrival reference (``run_rebuild``), measured in
+   the same session, while staying byte-identical to it — for every
+   registered policy, at both compaction timings, and through
    ``replay_stream`` round trips.
 
 Plus the saturation contract: a super-critical stream is flagged and cut
@@ -25,6 +24,7 @@ dropping the tier-1 filter.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -35,10 +35,8 @@ from repro.simulation import StreamingSimulator
 from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import StreamSpec, open_stream, replay_stream
 
-# The streaming row of BENCH_campaign.json as committed by PR 6: the
-# rebuild-per-arrival engine's throughput on this class of machine.  The
-# acceptance floors below are relative to this recorded number.
-PR6_BASELINE_ARRIVALS_PER_SECOND = 4795.39
+#: Alternating (rebuild, view) pairs behind the speedup median.
+SPEEDUP_PAIRS = 3
 
 
 def _run_engine(engine, simulator, stream, scheduler, **run_kwargs):
@@ -86,38 +84,39 @@ def test_100k_arrival_stream_is_o_active_and_byte_identical():
 
 @pytest.mark.bench
 def test_view_engine_clears_speedup_floors_on_100k_stream():
-    """PR 7 acceptance: ≥ 4× over the PR 6 baseline throughput.
+    """Fast-core acceptance: ≥ 4× the rebuild reference's throughput.
 
-    The floor is against the throughput PR 6 recorded in
-    ``BENCH_campaign.json`` (the rebuild-per-arrival engine); the frozen
-    rebuild engine is also re-run here so the byte-identity of the fast
-    path is checked on the exact acceptance workload.
+    The baseline is the frozen rebuild-per-arrival loop (``run_rebuild``)
+    re-run here on the same workload, so host speed cancels out.  Runs
+    alternate rebuild/view over ``SPEEDUP_PAIRS`` pairs; the floor applies
+    to the median per-pair ratio, and every pair also checks the fast
+    path's byte-identity on the exact acceptance workload.
     """
     arrivals = 100_000
     spec = StreamSpec(
         label="accept", scenario="small-cluster", seed=2005
     ).with_utilisation(0.7)
 
-    results = {}
-    for engine in ("rebuild", "view"):
-        results[engine] = _run_engine(
-            engine,
-            StreamingSimulator(),
-            open_stream(spec),
-            make_scheduler("srpt"),
-            max_arrivals=arrivals,
-        )
-    view = results["view"]
-    assert results["rebuild"].fingerprint() == view.fingerprint()
+    ratios = []
+    for _ in range(SPEEDUP_PAIRS):
+        runs = {}
+        for engine in ("rebuild", "view"):
+            runs[engine] = _run_engine(
+                engine,
+                StreamingSimulator(),
+                open_stream(spec),
+                make_scheduler("srpt"),
+                max_arrivals=arrivals,
+            )
+        assert runs["rebuild"].fingerprint() == runs["view"].fingerprint()
+        ratios.append(runs["view"].arrivals_per_second / runs["rebuild"].arrivals_per_second)
 
-    ratio = view.arrivals_per_second / PR6_BASELINE_ARRIVALS_PER_SECOND
+    ratio = statistics.median(ratios)
     print(
-        f"[stream] view: {view.arrivals_per_second:.0f} arrivals/s "
-        f"= {ratio:.2f}x the PR 6 baseline "
-        f"({PR6_BASELINE_ARRIVALS_PER_SECOND:.0f}/s); rebuild reference "
-        f"{results['rebuild'].arrivals_per_second:.0f}/s"
+        f"[stream] view/rebuild throughput over {SPEEDUP_PAIRS} alternating pairs: "
+        f"median {ratio:.2f}x (pairs: {', '.join(f'{r:.2f}x' for r in ratios)})"
     )
-    assert ratio >= 4.0, f"view path only {ratio:.2f}x over the PR 6 baseline"
+    assert ratio >= 4.0, f"view path only {ratio:.2f}x over the rebuild reference"
 
 
 @pytest.mark.bench

@@ -60,7 +60,7 @@ from repro.core import (  # noqa: E402
 from repro.heuristics import OnlineOfflineAdaptationScheduler, make_scheduler  # noqa: E402
 from repro.lp import to_matrix_form  # noqa: E402
 from repro.lp.scipy_backend import solve_matrix_form  # noqa: E402
-from repro.simulation import SimulationKernel, simulate  # noqa: E402
+from repro.simulation import simulate  # noqa: E402
 from repro.workload import random_unrelated_instance  # noqa: E402
 
 from bench_lp_backends import _largest_bench_lp  # noqa: E402  (same directory)
@@ -178,14 +178,12 @@ def bench_milestone_search(num_jobs: int = 30, num_machines: int = 4, seeds=(0, 
 
 
 def bench_engine(num_jobs: int = 150, num_machines: int = 6, repeats: int = 5) -> dict:
-    """Single-simulation timing of the array-backed kernel (warm buffers)."""
+    """Single-simulation timing of ``simulate`` (best of ``repeats``)."""
     instance = random_unrelated_instance(num_jobs, num_machines, seed=3)
-    kernel = SimulationKernel()
-    kernel.run(instance, make_scheduler("fifo"))  # warm the buffers
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        kernel.run(instance, make_scheduler("fifo"))
+        simulate(instance, make_scheduler("fifo"))
         best = min(best, time.perf_counter() - start)
     return {
         "num_jobs": num_jobs,
@@ -507,7 +505,7 @@ def bench_lint() -> dict:
     committed baseline.  The row records the analyzer's throughput trajectory
     next to the perf rows — and carries the **zero-regressions assertion**:
     any non-baselined finding makes the whole bench run exit non-zero, the
-    same way a kernel regression does.
+    same way an engine regression does.
     """
     from repro.lint import run_lint
 
@@ -822,7 +820,7 @@ def main(argv=None) -> int:
     campaign = campaign_record["campaign"]
     print(
         f"engine: {engine['single_simulation_seconds'] * 1e3:.2f}ms per "
-        f"{engine['num_jobs']}-job simulation (warm kernel)"
+        f"{engine['num_jobs']}-job simulation"
     )
     replanning = campaign_record["replanning"]
     print(

@@ -6,8 +6,8 @@ workloads, run the off-line optimum and a set of policies on each, collect
 normalised metrics and render a report.
 
 The campaign layer is the dispatcher of the unified policy runtime
-(:mod:`repro.heuristics.registry` resolves policies by name, the array-backed
-:mod:`repro.simulation` kernel executes the on-line ones):
+(:mod:`repro.heuristics.registry` resolves policies by name, the
+:mod:`repro.simulation` event loop executes the on-line ones):
 
 * **Lazy workloads** — a sweep is enumerated as cheap :class:`WorkloadSpec`
   descriptors (a scenario name and seed, or a concrete instance); scenario
@@ -73,7 +73,6 @@ from ..heuristics.registry import (
     policy_spec,
     resolve_policy_variant,
 )
-from ..simulation import SimulationKernel
 from ..workload.scenarios import ScenarioSpec, make_scenario, scenario_grid
 from ._cells import Cell, CellResult, RunTotals, execute_cells
 from .stats import geometric_mean, summarize
@@ -358,19 +357,6 @@ _CONTEXT_CACHE_SIZE = 4
 #: context redundantly — wasteful but correct.
 _CONTEXT_LOCK = threading.Lock()
 
-#: Per-thread simulation kernels; every on-line run in a given worker thread
-#: reuses one kernel's allocated array state (kernels are not thread-safe, so
-#: concurrent in-process campaigns each get their own).
-_KERNELS = threading.local()
-
-
-def _thread_kernel() -> SimulationKernel:
-    kernel = getattr(_KERNELS, "kernel", None)
-    if kernel is None:
-        kernel = _KERNELS.kernel = SimulationKernel()
-    return kernel
-
-
 def _item_needs_probe(item: _CampaignItem) -> bool:
     """Whether any of the item's policies is off-line (wants a shared probe)."""
     for name in item.policies:
@@ -470,7 +456,6 @@ def _run_campaign_item(item: _CampaignItem) -> _ItemResult:
     records: List[CampaignRecord] = []
     if item.emit_offline:
         records.append(_record_from_outcome(item.spec.label, offline, optimum))
-    kernel = _thread_kernel()
     for name in item.policies:
         if name == OFFLINE_OPTIMAL:
             # An explicitly requested optimum cell reuses the context's
@@ -492,9 +477,7 @@ def _run_campaign_item(item: _CampaignItem) -> _ItemResult:
             records.append(_record_from_outcome(item.spec.label, offline, optimum))
             continue
         policy = make_policy(name)
-        outcome = policy.run(
-            instance, probe=_compatible_probe(probe, policy), kernel=kernel
-        )
+        outcome = policy.run(instance, probe=_compatible_probe(probe, policy))
         records.append(_record_from_outcome(item.spec.label, outcome, optimum))
     return _ItemResult(
         records=records,

@@ -32,7 +32,6 @@ from ..obs.journal import RunJournal
 from ..obs.metrics import get_recorder
 from ..obs.trace import Tracer, trace_stream_result
 from ..heuristics.registry import resolve_policy_variant
-from ..simulation import SimulationKernel
 from ..simulation.stream import StreamingSimulator
 from ..workload.streams import StreamSpec, open_stream
 from ._cells import Cell, CellResult, RunTotals, execute_cells
@@ -271,7 +270,7 @@ def _run_stream_cell(
     """
     cell_spec, policy = task
     scheduler = make_scheduler(policy)
-    simulator = StreamingSimulator(SimulationKernel(), max_active=max_active)
+    simulator = StreamingSimulator(max_active=max_active)
     sim = simulator.run(open_stream(cell_spec), scheduler, max_arrivals=max_arrivals)
     report = analyse_stream(
         sim,

@@ -43,13 +43,14 @@ class OnlineScheduler(abc.ABC):
     array_aware:
         Opt-in capability flag of the parametric replanning runtime.  A
         policy that sets it ``True`` promises to read per-job dynamic state
-        only through the pooled numpy vectors
-        (:attr:`~repro.simulation.state.SimulationState.remaining_vector` /
-        ``rate_vector``, directly or via the state's scalar accessors, which
-        prefer the vectors).  The array-backed kernel then dispatches to
-        :meth:`decide_arrays` and skips the per-event ``JobProgress`` mirror
-        updates entirely; legacy policies (the default) are untouched and the
-        executed output is byte-for-byte identical either way.
+        only through the event loop's remaining-work vector
+        (:attr:`~repro.simulation.state.SimulationState.remaining_vector`,
+        directly or via the state's scalar accessors, which prefer it, or
+        its Python-float twin ``remaining_list``).  The event loop then
+        dispatches to :meth:`decide_arrays` and skips the per-event
+        ``JobProgress`` mirror updates entirely; legacy policies (the
+        default) are untouched and the executed output is byte-for-byte
+        identical either way.
     """
 
     name: str = "scheduler"
@@ -90,7 +91,7 @@ class OnlineScheduler(abc.ABC):
     def decide_arrays(self, state: SimulationState) -> AllocationDecision:
         """Array-aware variant of :meth:`decide`.
 
-        Invoked by the kernel instead of :meth:`decide` when ``array_aware``
+        Invoked by the event loop instead of :meth:`decide` when ``array_aware``
         is set.  ``state.remaining_vector`` is guaranteed to be bound.  The
         default delegates to :meth:`decide`, which suffices for policies
         whose scalar reads already go through the (vector-preferring) state

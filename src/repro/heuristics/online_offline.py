@@ -84,8 +84,8 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
     """
 
     divisible = True
-    #: The policy only reads the pooled simulation state through its vector-
-    #: backed accessors, so the kernel may skip the per-event object mirrors.
+    #: The policy only reads the simulation state through its vector-backed
+    #: accessors, so the event loop may skip the per-event object mirrors.
     array_aware = True
 
     def __init__(

@@ -10,9 +10,10 @@ Section 4.4).
 * **Greedy weighted flow** targets the paper's objective directly: the job
   whose weighted flow would degrade the fastest gets the best machine.
 
-Both are *array-aware*: inside the array-backed kernel their rankings are
-computed on the pooled remaining-fraction vector with vectorised numpy
-expressions (same IEEE-754 operations in the same order as the scalar path,
+Both are *array-aware*: inside the event loop their rankings are computed
+on the remaining-fraction vector with vectorised numpy expressions, or on
+its Python-float twin over the window's metadata lists (same IEEE-754
+operations in the same order as the scalar path,
 followed by a stable argsort — the ordering, and hence the executed
 schedule, is byte-for-byte identical to the scalar path the seed engine
 drives).
@@ -117,7 +118,7 @@ class _PriorityPreemptiveScheduler(OnlineScheduler):
         return self._assign(state, self._ranked_jobs(state))
 
     def decide_arrays(self, state: SimulationState) -> AllocationDecision:
-        """Vectorised ranking over the kernel's pooled remaining vector.
+        """Vectorised ranking over the event loop's remaining vector.
 
         ``np.argsort(kind="stable")`` on identical keys reproduces the scalar
         path's stable ``sorted`` ordering exactly (active indices ascend), so

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from ..core.instance import Instance
 from ..core.maxflow import FeasibilityProbe, minimize_max_weighted_flow
 from ..core.schedule import Schedule
-from ..simulation import SimulationKernel, SimulationResult, simulate
+from ..simulation import SimulationResult, simulate
 from .base import OnlineScheduler
 
 __all__ = [
@@ -114,7 +114,6 @@ class SchedulingPolicy(abc.ABC):
         instance: Instance,
         *,
         probe: Optional[FeasibilityProbe] = None,
-        kernel: Optional[SimulationKernel] = None,
     ) -> PolicyOutcome:
         """Produce a schedule for ``instance`` and measure it.
 
@@ -126,10 +125,6 @@ class SchedulingPolicy(abc.ABC):
             Optional pre-warmed :class:`~repro.core.maxflow.FeasibilityProbe`
             for ``instance``; off-line policies reuse its cached range models
             and memoised probe answers (on-line policies ignore it).
-        kernel:
-            Optional :class:`~repro.simulation.SimulationKernel` whose
-            buffers simulation-based policies reuse (off-line policies
-            ignore it).
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -151,12 +146,8 @@ class OnlinePolicy(SchedulingPolicy):
         instance: Instance,
         *,
         probe: Optional[FeasibilityProbe] = None,
-        kernel: Optional[SimulationKernel] = None,
     ) -> PolicyOutcome:
-        if kernel is not None:
-            result = kernel.run(instance, self.scheduler)
-        else:
-            result = simulate(instance, self.scheduler)
+        result = simulate(instance, self.scheduler)
         metrics = result.metrics()
         return PolicyOutcome(
             policy=self.name,
@@ -190,7 +181,6 @@ class OfflineOptimalPolicy(SchedulingPolicy):
         instance: Instance,
         *,
         probe: Optional[FeasibilityProbe] = None,
-        kernel: Optional[SimulationKernel] = None,
     ) -> PolicyOutcome:
         result = minimize_max_weighted_flow(
             instance, preemptive=self.preemptive, backend=self.backend, probe=probe
@@ -393,7 +383,7 @@ _POLICIES: Dict[str, PolicySpec] = {}
 def _validate_scheduler_class(name: str, factory: Any) -> None:
     """Reject scheduler classes that break the array-aware contract.
 
-    ``array_aware = True`` promises the kernel an array path; a class that
+    ``array_aware = True`` promises the event loop an array path; a class that
     sets the flag without defining :meth:`OnlineScheduler.decide_arrays`
     would silently dispatch to the base's scalar delegation — the exact
     situation the flag claims to replace.  Catching it at registration time

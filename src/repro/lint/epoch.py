@@ -2,7 +2,7 @@
 
 Store cells are content-addressed by ``record_digest(workload, policy,
 params, CODE_EPOCH)``; the epoch is the *only* part of that key that tracks
-the code.  Changing the simulation kernel, a policy, the LP stack, the
+the code.  Changing the simulation event loop, a policy, the LP stack, the
 replanning runtime, the workload generators or the stream machinery changes
 what a cell's value *means* — resuming an old store after such a change
 without an epoch bump silently serves stale results as if they were current.
@@ -53,7 +53,7 @@ __all__ = [
 #: either the event loop, a policy decision, an LP solve, the workload
 #: content behind a (scenario, seed) key, or a persisted metric.
 SEMANTIC_MANIFEST: Tuple[str, ...] = (
-    "src/repro/simulation/*.py",  # kernel, engine, streaming simulator, state
+    "src/repro/simulation/*.py",  # event loop, engine, window, state
     "src/repro/heuristics/*.py",  # every policy + the registry's variant labels
     "src/repro/lp/*.py",  # both LP backends and the lowering
     "src/repro/core/*.py",  # probes, replanning, milestones, formulations

@@ -1,6 +1,6 @@
 """Policy-protocol conformance: cross-file invariants of the policy runtime.
 
-The streaming simulator and the array-backed kernel call optional hooks on
+The simulation event loop calls optional hooks on
 every registered policy (``rebind``/``compact`` when the window grows or
 compacts, ``decide_arrays`` when ``array_aware`` is set) and campaigns sweep
 parameters through each policy's :class:`~repro.heuristics.registry.
@@ -18,7 +18,7 @@ the class's own source line.
   abstract :class:`~repro.heuristics.base.OnlineScheduler` defaults).  The
   base defaults are safe but implicit; the streaming runtime's byte-identity
   guarantees rest on each policy having made the choice deliberately.
-* ``policy-array-aware`` — ``array_aware = True`` promises the kernel an
+* ``policy-array-aware`` — ``array_aware = True`` promises the event loop an
   array path: the class must define ``decide_arrays`` (inheriting the base's
   scalar delegation silently re-enters the path the flag claims to replace).
 * ``policy-param-schema`` — every :class:`PolicyParam` name must be a
@@ -151,7 +151,7 @@ class PolicyArrayAwareRule(_RegistryRule):
                     path,
                     line,
                     f"policy {name!r} ({cls.__name__}) sets array_aware=True "
-                    "but does not define decide_arrays(): the kernel would "
+                    "but does not define decide_arrays(): the event loop would "
                     "dispatch to the base delegation, silently re-entering "
                     "the scalar path the flag claims to replace — define "
                     "decide_arrays (an explicit scalar delegation documents "

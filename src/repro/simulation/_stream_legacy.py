@@ -32,17 +32,16 @@ from ..core.job import Job
 from ..exceptions import SimulationError
 from ..obs.clock import wall_clock
 from ..workload.streams import ArrivalEvent, WorkloadStream
-from .kernel import SimulationKernel, _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
-from .state import AllocationDecision, SimulationState
+from .state import AllocationDecision, JobProgress, SimulationState
+from .stream import _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
 
 __all__ = ["run_rebuild"]
 
 
 class _Window:
-    """The active window: slots, pooled vectors and the policy-facing instance."""
+    """The active window: slots, vectors and the policy-facing instance."""
 
-    def __init__(self, kernel: SimulationKernel, machines: Tuple) -> None:
-        self.kernel = kernel
+    def __init__(self, machines: Tuple) -> None:
         self.machines = machines
         self.num_machines = len(machines)
         self.capacity = 0
@@ -66,7 +65,9 @@ class _Window:
         new_capacity = max(64, 2 * self.capacity, needed)
         width = len(self.jobs)
         saved_remaining = self.remaining[:width].copy() if self.remaining is not None else None
-        remaining, rate, mirrors = self.kernel.bind_buffers(new_capacity)
+        remaining = np.ones(new_capacity)
+        rate = np.zeros(new_capacity)
+        mirrors = [JobProgress(job_index=slot) for slot in range(new_capacity)]
         grown = np.empty((self.num_machines, new_capacity))
         grown[:, :width] = self.costs[:, :width]
         self.costs = grown
@@ -75,7 +76,7 @@ class _Window:
         self.remaining = remaining
         self.rate = rate
         self.mirrors = mirrors
-        # bind_buffers reset the mirrors; restore the live window's state.
+        # The mirrors are fresh; restore the live window's state.
         for slot in range(width):
             mirror = mirrors[slot]
             mirror.arrived = True
@@ -143,7 +144,7 @@ def run_rebuild(
 ):
     """Drive ``scheduler`` over ``stream`` with the legacy rebuild loop.
 
-    ``simulator`` supplies the configuration (kernel, ``max_active``,
+    ``simulator`` supplies the configuration (``max_active``,
     ``validate_decisions``, ``compact_min``) and the loop returns the same
     :class:`~repro.simulation.stream.StreamResult` as the view path —
     byte-identical fingerprints included.
@@ -162,7 +163,7 @@ def run_rebuild(
     )
     started = wall_clock()
 
-    window = _Window(simulator.kernel, stream.machines)
+    window = _Window(stream.machines)
     arrivals: Iterator[ArrivalEvent] = stream.jobs()
     pending: Optional[ArrivalEvent] = next(arrivals, None)
     if pending is None:
@@ -202,7 +203,6 @@ def run_rebuild(
             next_arrival=None,
             active=active,
             remaining_vector=window.remaining[:width],
-            rate_vector=window.rate[:width],
         )
 
     while True:

@@ -1,34 +1,26 @@
-"""Discrete-event simulation engine for on-line scheduling policies.
+"""Finite-instance simulation: replay an instance through the event loop.
 
-The engine replays an off-line instance *on line*: jobs become visible to the
-policy only at their release dates, exactly as in the paper's "preliminary
-simulations" (Section 5) where the on-line adaptation of the off-line
-algorithm is compared against Minimum Completion Time.
+:func:`simulate` replays an off-line instance *on line*: jobs become visible
+to the policy only at their release dates, exactly as in the paper's
+"preliminary simulations" (Section 5) where the on-line adaptation of the
+off-line algorithm is compared against Minimum Completion Time.
 
-Event loop
-----------
-1. The engine advances to the next event (arrival, completion or requested
-   wake-up) and updates every job's remaining fraction according to the
-   shares chosen at the previous event.
-2. The policy is invoked with the current :class:`~repro.simulation.state.SimulationState`
-   and returns an :class:`~repro.simulation.state.AllocationDecision`.
-3. The engine computes when the next event occurs under those shares
-   (the earliest of: next arrival, earliest job completion, requested
-   wake-up) and loops.
+There is one event loop, :class:`~repro.simulation.stream.StreamingSimulator`.
+:func:`simulate` drives it over :func:`~repro.workload.streams.replay_stream`
+in its finite-instance mode:
 
-Since PR 2 the per-event bookkeeping is array-backed: remaining-work and
-progress-rate vectors, arrival/completion flags and the next-event
-computation live in preallocated numpy arrays inside a reusable
-:class:`~repro.simulation.kernel.SimulationKernel` (see that module for the
-byte-for-byte compatibility contract with the seed engine, and for
-:func:`~repro.simulation.kernel.simulate_many`, the batch entry point that
-reuses the allocated state across runs).
+1. The policy is reset with the full instance.  Each batch of arrivals is
+   then admitted into the window (a ``rebind``), and the policy is invoked
+   with the current :class:`~repro.simulation.state.SimulationState`.  It
+   returns an :class:`~repro.simulation.state.AllocationDecision`.
+2. The loop computes when the next event occurs under those shares (the
+   earliest of: next arrival, earliest job completion, requested wake-up),
+   advances every allocated job's remaining fraction to that time and
+   records the completions.
 
-Piece recording
----------------
 Executed work is recorded as regular :class:`~repro.core.schedule.SchedulePiece`
 objects so simulation results validate and measure exactly like off-line
-optima:
+optima (see :class:`~repro.simulation.stream.ScheduleLog`):
 
 * a machine running a *single* job at full share keeps one open piece that
   grows across consecutive windows (the common case for MCT, FIFO, SPT, SRPT
@@ -36,17 +28,24 @@ optima:
 * a machine that time-shares several jobs during a window has the window laid
   out sequentially (the standard realisation of a divisible allocation), which
   keeps machine timelines overlap-free.
+
+The output equals the seed engine's piece for piece
+(``benchmarks/_seed_engine.py``; ``benchmarks/bench_engine_regression.py``
+and the tier-1 smoke twin pin it for every registered policy).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..core.instance import Instance
-from .kernel import SimulationKernel
+from ..obs.metrics import NULL_RECORDER, get_recorder
+from ..workload.streams import replay_stream
 from .result import SimulationResult
+from .stream import ScheduleLog, StreamingSimulator
 
-__all__ = ["simulate"]
+__all__ = ["simulate", "simulate_many"]
 
 
 def simulate(
@@ -78,16 +77,66 @@ def simulate(
     SimulationError
         If the policy returns an invalid allocation or the simulation does
         not terminate within the event budget.
-
-    See Also
-    --------
-    repro.simulation.kernel.simulate_many :
-        Batch variant that reuses the kernel's allocated state across many
-        instances (e.g. a scenario swept over seeds).
     """
-    return SimulationKernel().run(
-        instance,
+    num_jobs = instance.num_jobs
+    if max_events is None:
+        max_events = 50 * num_jobs + 1000
+    log = ScheduleLog(instance, divisible=getattr(scheduler, "divisible", True))
+    if hasattr(scheduler, "reset"):
+        scheduler.reset(instance)
+    # Never saturate, never compact: window slots stay instance indices.
+    simulator = StreamingSimulator(
+        max_active=math.inf, validate_decisions=validate_decisions, compact_min=math.inf
+    )
+    run = simulator._simulate(
+        replay_stream(instance),
         scheduler,
-        validate_decisions=validate_decisions,
+        budget=math.inf,
+        record_jobs=False,
+        recorder=NULL_RECORDER,
+        log=log,
         max_events=max_events,
     )
+
+    # Aggregate instrumentation after the loop: O(1) recorder calls per run.
+    recorder = get_recorder()
+    if recorder.enabled:
+        recorder.count("kernel.runs")
+        recorder.count("kernel.decisions", float(run.decisions))
+        recorder.count("kernel.preemptions", float(run.preemptions))
+        recorder.observe("kernel.jobs", float(num_jobs))
+
+    return SimulationResult(
+        scheduler_name=run.policy,
+        schedule=log.schedule.compact(),
+        events=log.events,
+        num_scheduler_calls=run.decisions,
+        num_preemptions=run.preemptions,
+        completion_times={j: log.completion_times[j] for j in range(num_jobs)},
+    )
+
+
+def simulate_many(
+    instances: Iterable[Instance],
+    scheduler: Union[object, Callable[[], object]],
+    *,
+    validate_decisions: bool = True,
+    max_events: Optional[int] = None,
+) -> List[SimulationResult]:
+    """Simulate one policy over many instances (e.g. one scenario over seeds).
+
+    ``scheduler`` is either a scheduler object (its ``reset`` hook is invoked
+    before every run) or a zero-argument factory returning a fresh scheduler
+    per instance (anything callable without a ``decide`` attribute).
+    ``validate_decisions`` and ``max_events`` are forwarded to every run.
+    """
+    is_factory = callable(scheduler) and not hasattr(scheduler, "decide")
+    return [
+        simulate(
+            instance,
+            scheduler() if is_factory else scheduler,
+            validate_decisions=validate_decisions,
+            max_events=max_events,
+        )
+        for instance in instances
+    ]

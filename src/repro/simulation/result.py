@@ -12,16 +12,17 @@ __all__ = ["SimulationResult", "EventRecord"]
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One event processed by the engine (kept for traces and debugging).
+    """One event recorded by a finite-instance run (kept for traces and debugging).
 
     Attributes
     ----------
     time:
         Event time.
     kind:
-        ``"arrival"``, ``"completion"``, ``"wake-up"`` or ``"start"``.
+        ``"start"`` (once, at the first release date), ``"arrival"`` or
+        ``"completion"``.  Requested wake-ups are not recorded.
     job_index:
-        Job concerned by the event (``-1`` for pure wake-ups).
+        Job concerned by the event (``-1`` for ``"start"``).
     """
 
     time: float

@@ -1,6 +1,6 @@
 """Simulation state shared between the discrete-event engine and the schedulers.
 
-The engine (:mod:`repro.simulation.engine`) advances virtual time between
+The event loop (:mod:`repro.simulation.stream`) advances virtual time between
 *events* (job arrivals, job completions, scheduler wake-ups).  At every event
 it hands the scheduling policy a read-only :class:`SimulationState` and gets
 back an :class:`AllocationDecision`: the machine shares to apply until the
@@ -60,15 +60,17 @@ class JobProgress:
 class SimulationState:
     """Snapshot handed to the scheduling policy at every event.
 
-    The array-backed kernel pools one state object per kernel and updates it
-    in place between events, so policies must read what they need inside
-    ``decide`` and must not retain the object (or its ``jobs``/``active``
-    lists) across calls.
+    The event loop builds one state object per run and updates it in place
+    between events, so policies must read what they need inside ``decide``
+    and must not retain the object (or its ``jobs``/``active`` lists) across
+    calls.
 
     Attributes
     ----------
     instance:
-        The full scheduling instance (costs, weights, release dates).
+        The instance the policy schedules: the event loop's zero-copy
+        :class:`~repro.simulation.window.InstanceView` of the jobs admitted
+        so far (costs, weights, release dates).
     time:
         Current simulation time.
     jobs:
@@ -83,22 +85,21 @@ class SimulationState:
         maintains this incrementally and passes it in so that
         :meth:`active_jobs` does not rescan every job at every event; states
         built by hand may leave it ``None``.
-    remaining_vector, rate_vector:
-        The array-backed kernel's pooled numpy vectors, bound once per run:
-        per-job remaining fractions (authoritative — identical to the
-        ``jobs`` mirrors whenever those are maintained) and the progress
-        rates applied during the *previous* window.  Array-aware policies
-        (``array_aware = True`` on the scheduler) read these directly; for
-        such policies the kernel skips the per-event ``jobs`` mirror updates
-        entirely, so the mirrors must not be read — the scalar accessors
-        below already prefer the vector when it is bound.  States built by
-        hand leave both ``None`` and fall back to the mirrors.
+    remaining_vector:
+        The event loop's numpy vector of per-job remaining fractions
+        (authoritative — identical to the ``jobs`` mirrors whenever those
+        are maintained).  Array-aware policies (``array_aware = True`` on
+        the scheduler) read it directly; for such policies the loop skips
+        the per-event ``jobs`` mirror updates entirely, so the mirrors must
+        not be read — the scalar accessors below already prefer the vector
+        when it is bound.  States built by hand leave it ``None`` and fall
+        back to the mirrors.
     remaining_list:
-        Python-float twin of ``remaining_vector``, bound only by the
-        streaming simulator (which maintains both in lockstep — the list
-        holds the very doubles the vector stores).  Policies may
-        read it in scalar ranking loops to skip per-element float64 boxing;
-        everywhere else it is ``None``.
+        Python-float twin of ``remaining_vector``, maintained by the event
+        loop in lockstep with it (the list holds the very doubles the
+        vector stores).  Policies may read it in scalar ranking loops to
+        skip per-element float64 boxing; states built by hand leave it
+        ``None``.
     """
 
     instance: Instance
@@ -107,7 +108,6 @@ class SimulationState:
     next_arrival: Optional[float]
     active: Optional[List[int]] = None
     remaining_vector: Optional[np.ndarray] = None
-    rate_vector: Optional[np.ndarray] = None
     remaining_list: Optional[List[float]] = None
 
     # ------------------------------------------------------------------ #

@@ -1,55 +1,60 @@
-"""Rolling-horizon simulation of open-ended workload streams.
+"""The event loop: rolling-horizon streams and finite-instance replays.
 
-:class:`StreamingSimulator` is the on-line counterpart of
-:class:`~repro.simulation.kernel.SimulationKernel`: it drives the same
-event-loop semantics (arrivals, completions, wake-ups, exclusive and
-time-shared windows) over a :class:`~repro.workload.streams.WorkloadStream`
-instead of a finite instance.  The crucial difference is memory: the
-simulator maintains only the **active window** — jobs that have arrived and
-are not yet compacted out — so simulating a 100k-arrival stream costs
-O(peak active jobs) state, not O(total arrivals).
+:class:`StreamingSimulator` is the discrete-event loop behind every on-line
+simulation in the package.  It drives an
+:class:`~repro.heuristics.base.OnlineScheduler` over a
+:class:`~repro.workload.streams.WorkloadStream`: arrivals, completions,
+requested wake-ups, exclusive and time-shared windows.  It runs in one of
+two modes, chosen by the entry point:
 
-The zero-copy fast core
------------------------
-The simulator never materialises an :class:`~repro.core.instance.Instance`:
+* **Stream mode** (:meth:`StreamingSimulator.run`).  The simulator holds only
+  the **active window** — jobs that have arrived and are not yet compacted
+  out — so a 100k-arrival stream costs O(peak active jobs) state, not
+  O(total arrivals).  No schedule is materialised (it would be O(total
+  arrivals)); the :class:`StreamResult` carries per-completion metric series
+  (flow, weighted flow, stretch) and the queue/busy-time aggregates the
+  steady-state estimators consume.  A stream whose offered load exceeds what
+  the policy can serve grows its queue without bound, so the run stops and
+  is flagged *saturated* once the live-job count exceeds ``max_active``
+  (:mod:`repro.analysis.steady_state` also detects sub-critical saturation
+  from the queue-length trajectory).  A stall guard stops a policy that
+  makes no progress.
+* **Finite-instance mode** (:func:`repro.simulation.simulate`).  The loop
+  replays a concrete :class:`~repro.core.instance.Instance` through
+  :func:`~repro.workload.streams.replay_stream` and records the executed
+  :class:`~repro.core.schedule.Schedule`, the event trace, completion times
+  and preemptions (see :class:`ScheduleLog`).  The scheduler is reset with
+  the full instance before the loop; the window is never compacted (slots
+  stay instance indices), the run never saturates, every decision is
+  validated by default and an event budget replaces the stall guard.
 
-* The window lives in a :class:`~repro.simulation.window.StreamWindow` over
-  the pooled :meth:`SimulationKernel.bind_buffers` vectors; policies see it
-  through a zero-copy :class:`~repro.simulation.window.InstanceView`.
-  Arrivals append into preallocated slots (no construction, no
-  revalidation) and compaction remaps indices in place — the
-  ``rebind``/``compact`` hooks fire exactly as before.
+The zero-copy core
+------------------
+The loop never materialises a window :class:`~repro.core.instance.Instance`:
+
+* The window lives in a :class:`~repro.simulation.window.StreamWindow`;
+  policies see it through a zero-copy
+  :class:`~repro.simulation.window.InstanceView`.  Arrivals append into
+  preallocated slots (no construction, no revalidation) and compaction
+  remaps indices in place; the ``rebind``/``compact`` hooks tell the policy.
 * Events are processed in batches between decision points: all due arrivals
-  of an epoch are admitted in one block write, one pooled
+  of an epoch are admitted in one block write, one
   :class:`~repro.simulation.state.SimulationState` is updated in place (no
   per-event state objects), and the per-decision rate/horizon/progress
-  arithmetic touches only the slots the decision allocated instead of
-  rescanning the window.
-* The advance arithmetic runs on Python-float twins of the pooled vectors
-  (per-slot rates in a loop-local list, remaining fractions in
-  ``SimulationState.remaining_list``): the same IEEE-754 float64
-  operations the vectors would perform, without per-element boxing.
+  arithmetic touches only the slots the decision allocated.
+* The advance arithmetic runs on Python floats (per-slot rates in a
+  loop-local list, remaining fractions in
+  ``SimulationState.remaining_list``, kept in lockstep with the numpy
+  ``remaining_vector``): the same IEEE-754 float64 operations, without
+  per-element boxing.
 
-The frozen legacy loop in :mod:`repro.simulation._stream_legacy`
-(``run_rebuild``) is the rebuild-per-arrival reference the fast core is
-asserted byte-identical against, the same way
-``benchmarks/_seed_engine.py`` anchors the batch kernel; tests and benches
-call it directly.  Identity covers the full
-:meth:`StreamResult.fingerprint`: completion series, counters (decisions
-included — batching removes overhead *around* decision points, it never
-skips one), end time and busy machine-seconds.
-
-Saturation
-----------
-A stream whose offered load exceeds what the policy can serve grows its
-queue without bound.  Instead of looping forever, the simulator flags the
-run as *saturated* and stops once the live-job count exceeds ``max_active``;
-:mod:`repro.analysis.steady_state` additionally detects sub-critical
-saturation from the recorded queue-length trajectory.
-
-No schedule object is materialised (it would be O(total arrivals)); the
-result carries per-completion metric series (flow, weighted flow, stretch)
-and the queue/busy-time aggregates the steady-state estimators consume.
+Two frozen references pin the loop's output.  Finite-instance runs match
+``benchmarks/_seed_engine.py`` piece for piece; stream runs match the
+rebuild-per-arrival loop in :mod:`repro.simulation._stream_legacy`
+(``run_rebuild``) over the full :meth:`StreamResult.fingerprint`:
+completion series, counters (decisions included — batching removes
+overhead *around* decision points, it never skips one), end time and busy
+machine-seconds.
 """
 
 from __future__ import annotations
@@ -60,15 +65,26 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from ..core.instance import Instance
+from ..core.schedule import Schedule
 from ..exceptions import SimulationError
 from ..obs.clock import wall_clock
 from ..obs.metrics import Recorder, get_recorder
 from ..workload.streams import ArrivalEvent, WorkloadStream
-from .kernel import SimulationKernel, _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
+from .result import EventRecord
 from .state import AllocationDecision, SimulationState
 from .window import StreamWindow
 
 __all__ = ["StreamResult", "StreamingSimulator"]
+
+#: Remaining fractions below this value are treated as "job finished".
+_COMPLETION_DUST = 1e-9
+
+#: Minimum positive time step; guards against infinite loops on degenerate decisions.
+_MIN_STEP = 1e-12
+
+#: A share at least this large counts as exclusive use of the machine.
+_EXCLUSIVE_SHARE = 1.0 - 1e-9
 
 #: Minimum number of dead slots before a compaction is considered.
 _COMPACT_MIN = 8
@@ -98,7 +114,8 @@ class StreamResult:
         ``2 * peak_active + O(1)`` by the compaction rule — the O(active)
         memory guarantee the acceptance tests assert.
     compactions, preemptions, decisions, events:
-        Counters mirroring the batch kernel's bookkeeping.
+        Window compactions, interrupted exclusive runs, policy invocations
+        and loop iterations.
     start_time, end_time:
         First arrival time and the time of the last processed event.
     busy_machine_seconds:
@@ -199,32 +216,105 @@ class StreamResult:
         return digest.hexdigest()
 
 
+class ScheduleLog:
+    """What a finite-instance run records beyond the stream counters.
+
+    The executed :class:`~repro.core.schedule.Schedule`, the event trace and
+    the completion times.  A machine running one job at full share keeps one
+    *open* piece (start time, accumulated fraction) that grows across
+    consecutive windows for as long as the loop's ``running`` entry for that
+    machine lasts.  It is flushed when the entry goes: on preemption, when
+    the machine starts a time-shared window, on completion (machines in
+    index order) and at the end.  Time-shared windows are laid out
+    sequentially and emitted at once.  Pieces therefore land in the schedule
+    in the seed engine's order.
+    """
+
+    __slots__ = ("instance", "schedule", "events", "completion_times", "_open")
+
+    def __init__(self, instance: Instance, divisible: bool) -> None:
+        self.instance = instance
+        self.schedule = Schedule(instance=instance, divisible=divisible)
+        start = instance.jobs[0].release_date if instance.num_jobs else 0.0
+        self.events: List[EventRecord] = [EventRecord(time=start, kind="start")]
+        self.completion_times: Dict[int, float] = {}
+        #: machine -> [start, accumulated fraction] of its open exclusive piece
+        self._open: Dict[int, List[float]] = {}
+
+    def advance(
+        self,
+        shares: Dict[int, List],
+        time: float,
+        span: float,
+        running: Dict[int, int],
+        rows: List[List[float]],
+    ) -> None:
+        """Record one decision window of ``span`` seconds from ``time``.
+
+        Called before the loop applies the window, so ``running`` still
+        holds each machine's previous exclusive job.  The fractions are the
+        loop's own ``share * span / cost`` doubles.
+        """
+        for machine_index, share_list in shares.items():
+            row = rows[machine_index]
+            if len(share_list) == 1 and share_list[0][1] >= _EXCLUSIVE_SHARE:
+                progressed = span / row[share_list[0][0]]
+                piece = self._open.get(machine_index)
+                if piece is None:
+                    self._open[machine_index] = [time, progressed]
+                else:
+                    piece[1] += progressed
+                continue
+            job_index = running.get(machine_index)
+            if job_index is not None:
+                self.flush(machine_index, job_index)
+            cursor = time
+            for job_index, share in share_list:
+                progressed = share * span / row[job_index]
+                if progressed <= 0:
+                    continue
+                duration = share * span
+                self.schedule.add_piece(job_index, machine_index, cursor, cursor + duration, progressed)
+                cursor += duration
+
+    def flush(self, machine_index: int, job_index: int) -> None:
+        """Close the machine's open piece of ``job_index``, if any."""
+        piece = self._open.pop(machine_index, None)
+        if piece is None:
+            return
+        start, fraction = piece
+        if fraction > _COMPLETION_DUST:
+            duration = fraction * self.instance.cost(machine_index, job_index)
+            self.schedule.add_piece(job_index, machine_index, start, start + duration, fraction)
+
+
 class StreamingSimulator:
-    """Rolling-horizon driver of on-line policies over workload streams.
+    """The event loop: drives an on-line policy over a workload stream.
+
+    :meth:`run` is stream mode; :func:`repro.simulation.simulate` drives the
+    same loop in finite-instance mode (see the module docstring).
 
     Parameters
     ----------
-    kernel:
-        Optional :class:`SimulationKernel` whose pooled buffers back the
-        window vectors (a private one is created by default; sharing one
-        with batch runs reuses its allocations).
     max_active:
         Saturation cap: the run stops (flagged ``saturated``) once more than
         this many jobs are live at once.
     validate_decisions:
         Validate every allocation against the window state (off by default:
-        it costs O(window) Python work per event; the batch kernel already
-        validates every policy on the finite tiers).
+        it costs O(window) Python work per event; finite-instance runs
+        through :func:`repro.simulation.simulate` validate every policy).
     compact_min:
         Minimum number of dead slots before a compaction fires (the window
         compacts when dead slots reach ``max(compact_min, live slots)``, so
         it never exceeds ``2 × peak live + compact_min``).  The default is
         right for production; tests lower it to exercise compaction timing.
+    recorder:
+        Metrics sink for the run's ``stream.*`` counters (the process
+        default when ``None``).
     """
 
     def __init__(
         self,
-        kernel: Optional[SimulationKernel] = None,
         *,
         max_active: int = 10_000,
         validate_decisions: bool = False,
@@ -235,7 +325,6 @@ class StreamingSimulator:
             raise SimulationError("max_active must be at least 1")
         if compact_min < 1:
             raise SimulationError("compact_min must be at least 1")
-        self.kernel = kernel if kernel is not None else SimulationKernel()
         self.max_active = max_active
         self.validate_decisions = validate_decisions
         self.compact_min = compact_min
@@ -262,7 +351,7 @@ class StreamingSimulator:
         scheduler:
             An :class:`~repro.heuristics.base.OnlineScheduler` (resolve one
             with :func:`repro.heuristics.make_scheduler`); array-aware
-            policies are dispatched to ``decide_arrays`` as in the kernel.
+            policies are dispatched to ``decide_arrays``.
         max_arrivals:
             Stop admitting after this many arrivals and drain the queue.
             Required for streams without a finite :attr:`WorkloadStream.length`.
@@ -270,11 +359,40 @@ class StreamingSimulator:
             Record the per-completion metric series (flows, stretches);
             disable to shed even that O(completions) output buffer.
         """
-        recorder = self.recorder if self.recorder is not None else get_recorder()
         if max_arrivals is None and stream.length is None:
             raise SimulationError(
                 "an open-ended stream needs max_arrivals (or a finite trace stream)"
             )
+        recorder = self.recorder if self.recorder is not None else get_recorder()
+        result = self._simulate(
+            stream,
+            scheduler,
+            budget=max_arrivals if max_arrivals is not None else math.inf,
+            record_jobs=record_jobs,
+            recorder=recorder,
+        )
+        self._record_result(recorder, result)
+        return result
+
+    def _simulate(
+        self,
+        stream: WorkloadStream,
+        scheduler,
+        *,
+        budget: float,
+        record_jobs: bool,
+        recorder: Recorder,
+        log: Optional[ScheduleLog] = None,
+        max_events: float = math.inf,
+    ) -> StreamResult:
+        """The event loop.  ``log`` selects finite-instance mode.
+
+        In that mode the caller has already reset ``scheduler`` with the full
+        instance (so the first admission is a ``rebind``), ``log`` records
+        the schedule and events, the ``max_events`` budget replaces the stall
+        guard, and the caller configures ``max_active``/``compact_min`` so
+        the window never saturates or compacts.
+        """
         label = stream.spec.label if stream.spec is not None else "trace"
         result = StreamResult(
             policy=getattr(scheduler, "name", scheduler.__class__.__name__),
@@ -283,18 +401,17 @@ class StreamingSimulator:
         )
         started = wall_clock()
 
-        window = StreamWindow(self.kernel, stream.machines)
+        window = StreamWindow(stream.machines)
         view = window.view
         arrivals: Iterator[ArrivalEvent] = stream.jobs()
         pending: Optional[ArrivalEvent] = next(arrivals, None)
         if pending is None:
             result.elapsed_seconds = wall_clock() - started
-            self._record_result(recorder, result)
             return result
-        budget = max_arrivals if max_arrivals is not None else math.inf
 
         array_mode = bool(getattr(scheduler, "array_aware", False))
         decide_fn = scheduler.decide_arrays if array_mode else scheduler.decide
+        rebind = getattr(scheduler, "rebind", None)
 
         active: List[int] = []  # sorted live window indices
         running: Dict[int, int] = {}  # machine -> exclusively running window slot
@@ -315,18 +432,16 @@ class StreamingSimulator:
         remaining = window.remaining
         #: Per-slot rates and remaining fractions as Python floats
         #: (bit-identical to float64 vector arithmetic).  ``remaining_list``
-        #: is maintained in lockstep with the pooled vector — every write
+        #: is maintained in lockstep with the numpy vector — every write
         #: lands in both — and is the read side of the hot arithmetic;
         #: mutated in place so the state binding below stays current.
         rate_list: List[float] = []
         remaining_list: List[float] = []
         mirrors = window.mirrors
 
-        # One pooled policy-facing snapshot for the whole run, updated in
-        # place (the kernel's scheme); its buffer references are refreshed
-        # whenever the window's capacity grows.  Rates live only in
-        # ``rate_list``, so ``rate_vector`` stays unbound: a policy reading
-        # it fails loudly instead of silently seeing stale values.
+        # One policy-facing snapshot for the whole run, updated in place;
+        # its vector reference is refreshed whenever the window's capacity
+        # grows.
         state = SimulationState(
             instance=view,  # type: ignore[arg-type] — duck-typed zero-copy view
             time=time,
@@ -337,7 +452,8 @@ class StreamingSimulator:
             remaining_list=remaining_list,
         )
 
-        reset_done = False
+        finite = log is not None
+        reset_done = finite
         pending_compact = False
         stall_events = 0
         #: Window slots whose rate entries the previous decision set — the
@@ -368,6 +484,11 @@ class StreamingSimulator:
 
         while True:
             n_events += 1
+            if finite and n_events > max_events:
+                raise SimulationError(
+                    f"simulation exceeded the event budget ({max_events}); "
+                    f"policy {result.policy!r} may be cycling"
+                )
             progressed_this_event = False
             time_before = time
 
@@ -396,6 +517,11 @@ class StreamingSimulator:
                     count = len(due)
                     if observe_batches:
                         recorder.observe("stream.batch_size", float(count))
+                    if finite:
+                        log.events.extend(
+                            EventRecord(time=time, kind="arrival", job_index=slot)
+                            for slot in range(first_slot, first_slot + count)
+                        )
                     active.extend(range(first_slot, first_slot + count))
                     rate_list.extend([0.0] * count)
                     remaining_list.extend([1.0] * count)
@@ -417,11 +543,8 @@ class StreamingSimulator:
 
             if window_changed:
                 # Zero-copy: the view already spans the grown window; only
-                # the pooled buffer references may have moved on a capacity
-                # doubling.
+                # the remaining vector may have moved on a capacity doubling.
                 remaining = window.remaining
-                mirrors = window.mirrors
-                state.jobs = mirrors
                 state.remaining_vector = remaining
                 if not reset_done:
                     if hasattr(scheduler, "reset"):
@@ -430,8 +553,8 @@ class StreamingSimulator:
                 elif pending_compact:
                     scheduler.compact(view, {})
                     pending_compact = False
-                else:
-                    scheduler.rebind(view)
+                elif rebind is not None:
+                    rebind(view)
 
             next_arrival = pending.job.release_date if pending is not None else None
 
@@ -442,7 +565,7 @@ class StreamingSimulator:
                 time = next_arrival
                 continue
 
-            # ---- one decision window (kernel semantics) ------------------
+            # ---- one decision window -------------------------------------
             state.time = time
             state.next_arrival = next_arrival
             decision: AllocationDecision = decide_fn(state)
@@ -503,7 +626,7 @@ class StreamingSimulator:
             window_span = max(horizon - time, 0.0)
 
             # Preemptions: an exclusive (machine, job) run no longer allocated
-            # although the job is unfinished — the kernel's open-piece rule.
+            # although the job is unfinished.
             if running:
                 if exclusive_only:
                     assigned_now = {
@@ -522,9 +645,13 @@ class StreamingSimulator:
                         if remaining_list[job_index] > _COMPLETION_DUST:
                             n_preemptions += 1
                         del running[machine_index]
+                        if finite:
+                            log.flush(machine_index, job_index)
 
             if window_span > 0:
                 busy += window_span * total_share
+                if finite:
+                    log.advance(shares, time, window_span, running, rows)
                 if exclusive_only:
                     for machine_index, share_list in shares.items():
                         job_index = share_list[0][0]
@@ -569,7 +696,7 @@ class StreamingSimulator:
 
                 # ---- completions: only progressed slots can cross the
                 # dust threshold; process them in ascending window index,
-                # exactly like the legacy full-window scan.
+                # exactly like a full-window scan.
                 completed_now = [
                     job_index
                     for job_index in touched
@@ -586,10 +713,16 @@ class StreamingSimulator:
                         mirror.completion_time = time
                         window.live[job_index] = False
                         active.remove(job_index)
-                        for machine_index in [
-                            m for m, j in running.items() if j == job_index
-                        ]:
+                        freed = [m for m, j in running.items() if j == job_index]
+                        for machine_index in freed:
                             del running[machine_index]
+                        if finite:
+                            for machine_index in sorted(freed):
+                                log.flush(machine_index, job_index)
+                            log.completion_times[job_index] = time
+                            log.events.append(
+                                EventRecord(time=time, kind="completion", job_index=job_index)
+                            )
                         n_completions += 1
                         progressed_this_event = True
                         if record_jobs:
@@ -604,7 +737,7 @@ class StreamingSimulator:
                 # Degenerate zero-width window: every active job still has
                 # remaining work above the completion dust (completions are
                 # drained eagerly each event and admissions start at 1.0),
-                # so snap to the next real event (kernel semantics).
+                # so snap to the next real event.
                 time = next_arrival if next_arrival is not None else time + _MIN_STEP
             if time > end_time:
                 end_time = time
@@ -635,17 +768,20 @@ class StreamingSimulator:
                     pending_compact = True
                 n_compactions += 1
 
-            # ---- cycling guard -------------------------------------------
+            # ---- cycling guard (finite runs have the event budget) -------
             if progressed_this_event or time > time_before:
                 stall_events = 0
             else:
                 stall_events += 1
-                if stall_events > 50 * (len(window.jobs) + 10):
+                if not finite and stall_events > 50 * (len(window.jobs) + 10):
                     raise SimulationError(
                         f"policy {result.policy!r} made no progress for "
                         f"{stall_events} events; it may be cycling"
                     )
 
+        if finite:
+            for machine_index, job_index in running.items():
+                log.flush(machine_index, job_index)
         result.arrivals = n_arrivals
         result.completions = n_completions
         result.saturated = saturated
@@ -666,7 +802,6 @@ class StreamingSimulator:
             result.release_dates = np.asarray(releases)
         result.queue_times = np.asarray(queue_times)
         result.queue_lengths = np.asarray(queue_lengths, dtype=np.int64)
-        self._record_result(recorder, result)
         return result
 
     @staticmethod

@@ -1,38 +1,34 @@
-"""Zero-copy streaming window: preallocated slots and the policy-facing view.
+"""Zero-copy event-loop window: preallocated slots and the policy-facing view.
 
-The rolling-horizon :class:`~repro.simulation.stream.StreamingSimulator`
-originally materialised a fresh, fully-validated
-:class:`~repro.core.instance.Instance` on every arrival and compaction —
-an O(m·w) rebuild (tuple construction, NaN/positivity scans, release-order
-checks) per event that dominated streaming throughput.  This module replaces
-that scheme:
+The :class:`~repro.simulation.stream.StreamingSimulator` event loop never
+hands a policy a freshly built :class:`~repro.core.instance.Instance`
+(construction and validation are O(m·w) per event).  Instead:
 
-* :class:`StreamWindow` owns the window's buffers — the cost block and the
-  pooled ``remaining`` vector from
-  :meth:`~repro.simulation.kernel.SimulationKernel.bind_buffers` plus
-  per-slot metadata (job, global id, fastest cost, weight, release) — and
-  mutates them in place: arrivals append into preallocated slots, compaction
-  remaps surviving slots with vectorised fancy indexing.
+* :class:`StreamWindow` owns the window's buffers — the cost block, the
+  ``remaining`` vector, the :class:`~repro.simulation.state.JobProgress`
+  mirrors and per-slot metadata (job, global id, fastest cost, weight,
+  release) — and mutates them in place: arrivals append into preallocated
+  slots, compaction remaps surviving slots with vectorised fancy indexing.
 * :class:`InstanceView` is a **zero-copy stand-in** for ``Instance`` over
-  those buffers.  It satisfies the read surface the policies and the kernel
+  those buffers.  It satisfies the read surface the policies and the loop
   consume (``jobs``, ``machines``, ``costs``, ``cost``, ``min_cost``,
   ``num_jobs`` …) without ever constructing or re-validating anything: the
   ``costs`` property is a numpy view of the live slot block, ``jobs`` is the
   window's own slot list.  One view object persists for the whole run; the
-  ``rebind``/``compact`` policy hooks signal the mutations exactly as they
-  signalled fresh instances before.
+  ``rebind``/``compact`` policy hooks signal the mutations.
 
-Validation is *not* repeated per event — that is the point.  Stream arrivals
-are validated where they are made (``Job.__post_init__``, the stream
-generators), arrival order guarantees the release-date sort invariant, and
-the byte-identity tests drive every registered policy through both this view
-and the legacy rebuild path to prove the outputs equal.
+Validation is *not* repeated per event — that is the point.  Arrivals are
+validated where they are made (``Job.__post_init__``, the stream generators,
+``Instance`` for finite replays), arrival order guarantees the release-date
+sort invariant, and the byte-identity tests drive every registered policy
+through both this view and the legacy rebuild path to prove the outputs
+equal.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +36,7 @@ from ..core.instance import Instance
 from ..core.job import Job
 from ..core.machine import Machine
 from ..workload.streams import ArrivalEvent
+from .state import JobProgress
 
 __all__ = ["InstanceView", "StreamWindow"]
 
@@ -196,19 +193,17 @@ class InstanceView:
 
 
 class StreamWindow:
-    """The active window's storage: preallocated slots over pooled buffers.
+    """The active window's storage: preallocated slots.
 
     Arrivals append into the next slot (amortised O(m): one cost-column
     write, a handful of scalar stores — no construction, no revalidation);
     compaction drops dead slots by remapping the survivors in place with one
-    fancy-indexed copy per buffer.  The ``remaining`` vector and the
-    :class:`~repro.simulation.state.JobProgress` mirrors come from
-    :meth:`SimulationKernel.bind_buffers`, so streaming and batch runs share
-    one allocation pool.
+    fancy-indexed copy per buffer.  Capacity doubles on demand: the arrays
+    are regrown and the mirror list is extended in place, so the mirrors of
+    admitted slots (and references to the list) survive a growth.
     """
 
-    def __init__(self, kernel, machines: Sequence[Machine]) -> None:
-        self.kernel = kernel
+    def __init__(self, machines: Sequence[Machine]) -> None:
         self.machines: Tuple[Machine, ...] = tuple(machines)
         self.num_machines = len(self.machines)
         self.capacity = 0
@@ -235,8 +230,8 @@ class StreamWindow:
         self.min_costs = np.empty(0)  # slot -> fastest processing time
         self.weights = np.empty(0)  # slot -> job weight
         self.releases = np.empty(0)  # slot -> release date
-        self.remaining: Optional[np.ndarray] = None
-        self.mirrors: List = []
+        self.remaining = np.empty(0)  # slot -> remaining fraction
+        self.mirrors: List[JobProgress] = []  # slot -> policy-facing mirror
         self.view = InstanceView(self)
 
     # ------------------------------------------------------------------ #
@@ -248,26 +243,17 @@ class StreamWindow:
             return
         new_capacity = max(64, 2 * self.capacity, needed)
         width = len(self.jobs)
-        saved_remaining = self.remaining[:width].copy() if self.remaining is not None else None
-        remaining, _, mirrors = self.kernel.bind_buffers(new_capacity)
         grown = np.empty((self.num_machines, new_capacity))
         grown[:, :width] = self.costs_base[:, :width]
         self.costs_base = grown
-        for name in ("min_costs", "weights", "releases"):
+        for name in ("min_costs", "weights", "releases", "remaining"):
             old = getattr(self, name)
             fresh = np.empty(new_capacity)
             fresh[:width] = old[:width]
             setattr(self, name, fresh)
-        if saved_remaining is not None:
-            remaining[:width] = saved_remaining
-        self.remaining = remaining
-        self.mirrors = mirrors
-        # bind_buffers reset the mirrors; restore the live window's state.
-        for slot in range(width):
-            mirror = mirrors[slot]
-            mirror.arrived = True
-            mirror.remaining_fraction = float(remaining[slot])
-            mirror.completion_time = None if self.live[slot] else 0.0
+        self.mirrors.extend(
+            JobProgress(job_index=slot) for slot in range(len(self.mirrors), new_capacity)
+        )
         self.capacity = new_capacity
 
     def admit_batch(self, events: Sequence[ArrivalEvent]) -> int:

@@ -22,8 +22,8 @@ top of it is driven by one of three arrival processes:
   traffic): a quiet state and a burst state whose rate is ``burst_factor``
   times higher, switched so that the *mean* rate stays ``rate``;
 * ``"trace"`` — replay of the scenario's own finite instance as a stream
-  (the bridge used to validate the streaming simulator against the batch
-  kernel, and to re-run archived workloads).
+  (the bridge :func:`repro.simulation.simulate` replays finite instances
+  through, also used to re-run archived workloads).
 
 Job sizes come from a ``"uniform"`` or heavy-tailed bounded-``"pareto"``
 distribution; weights follow the scenario convention (``1/W_j`` stretch
@@ -509,10 +509,9 @@ def open_stream(spec: StreamSpec) -> WorkloadStream:
 def replay_stream(instance: Instance, *, spec: Optional[StreamSpec] = None) -> WorkloadStream:
     """Replay a concrete instance as a stream (arrival = release order).
 
-    The bridge between the batch and streaming worlds: the streamed arrivals
-    are exactly the instance's jobs with their exact cost columns, so a
-    policy driven through the rolling-horizon simulator can be validated
-    against the batch kernel on the same workload.
+    The bridge between finite instances and the event loop: the streamed
+    arrivals are exactly the instance's jobs with their exact cost columns.
+    :func:`repro.simulation.simulate` runs every finite instance through it.
     """
 
     def generator(machines: Sequence[Machine]) -> Iterator[ArrivalEvent]:

@@ -27,21 +27,38 @@ if _BENCH_DIR not in sys.path:
 pytestmark = pytest.mark.bench_smoke
 
 
+#: Policy variants pinned beyond the registry defaults: the period-floored
+#: re-planner, the revised-simplex fast path and the LP-located EDF targets.
+_PINNED_VARIANTS = (
+    "online-offline:period=0.5",
+    "online-offline:backend=revised",
+    "deadline-driven:lp_targets=true",
+)
+
+#: Policies that solve LPs while they simulate (kept off the larger instance).
+_LP_POLICIES = ("online-offline",)
+
+
 def test_engine_regression_smoke():
-    """bench_engine_regression: kernel output equals the frozen seed engine."""
+    """bench_engine_regression: simulate output equals the frozen seed engine."""
     from _seed_engine import simulate as seed_simulate
 
-    from repro.heuristics import make_scheduler
-    from repro.simulation import SimulationKernel
-    from repro.workload import random_unrelated_instance
+    from repro.heuristics import available_schedulers, make_scheduler
+    from repro.simulation import simulate
+    from repro.workload import make_scenario, random_unrelated_instance
 
-    instance = random_unrelated_instance(8, 3, seed=1)
-    kernel = SimulationKernel()
-    for policy in ("fifo", "srpt", "round-robin"):
+    unrelated = random_unrelated_instance(8, 3, seed=1, cost_range=(2.0, 12.0))
+    cluster = make_scenario("small-cluster", 3)
+    runs = [(unrelated, policy) for policy in available_schedulers() + list(_PINNED_VARIANTS)]
+    runs += [(cluster, policy) for policy in available_schedulers() if policy not in _LP_POLICIES]
+    for instance, policy in runs:
         seed_result = seed_simulate(instance, make_scheduler(policy))
-        kernel_result = kernel.run(instance, make_scheduler(policy))
-        assert kernel_result.schedule.pieces == seed_result.schedule.pieces, policy
-        assert kernel_result.completion_times == seed_result.completion_times, policy
+        result = simulate(instance, make_scheduler(policy))
+        assert result.schedule.pieces == seed_result.schedule.pieces, policy
+        assert result.events == seed_result.events, policy
+        assert result.completion_times == seed_result.completion_times, policy
+        assert result.num_preemptions == seed_result.num_preemptions, policy
+        assert result.num_scheduler_calls == seed_result.num_scheduler_calls, policy
 
 
 def test_replanning_probe_smoke():

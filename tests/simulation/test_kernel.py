@@ -1,45 +1,10 @@
-"""Unit tests for the array-backed simulation kernel and simulate_many."""
+"""Unit tests for finite-instance runs: simulate_many and the policy-facing state."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.heuristics import make_scheduler
-from repro.simulation import SimulationKernel, simulate, simulate_many
+from repro.simulation import simulate, simulate_many
 from repro.workload import make_scenario, random_unrelated_instance
-
-
-class TestKernelEquivalence:
-    def test_kernel_run_matches_simulate(self):
-        instance = random_unrelated_instance(12, 3, seed=2)
-        kernel = SimulationKernel()
-        direct = simulate(instance, make_scheduler("mct"))
-        kernelised = kernel.run(instance, make_scheduler("mct"))
-        assert kernelised.schedule.pieces == direct.schedule.pieces
-        assert kernelised.events == direct.events
-        assert kernelised.completion_times == direct.completion_times
-        assert kernelised.num_preemptions == direct.num_preemptions
-
-    def test_reused_kernel_is_stateless_between_runs(self):
-        kernel = SimulationKernel()
-        big = random_unrelated_instance(15, 4, seed=0)
-        small = random_unrelated_instance(6, 2, seed=1)
-        first_small = kernel.run(small, make_scheduler("fifo"))
-        kernel.run(big, make_scheduler("srpt"))  # dirty the buffers
-        second_small = kernel.run(small, make_scheduler("fifo"))
-        assert second_small.schedule.pieces == first_small.schedule.pieces
-        assert second_small.completion_times == first_small.completion_times
-
-    def test_buffers_are_reused_across_runs(self):
-        kernel = SimulationKernel()
-        instances = [random_unrelated_instance(10, 3, seed=s) for s in range(3)]
-        kernel.run(instances[0], make_scheduler("fifo"))
-        remaining_buffer = kernel._remaining
-        job_pool = kernel._job_pool
-        for instance in instances[1:]:
-            kernel.run(instance, make_scheduler("fifo"))
-        assert kernel._remaining is remaining_buffer
-        assert kernel._job_pool is job_pool
 
 
 class TestSimulateMany:
@@ -66,12 +31,6 @@ class TestSimulateMany:
         assert len(results) == 3
         for result in results:
             result.schedule.validate()
-
-    def test_explicit_kernel_is_used(self):
-        kernel = SimulationKernel()
-        instances = [random_unrelated_instance(9, 3, seed=s) for s in range(2)]
-        simulate_many(instances, lambda: make_scheduler("fifo"), kernel=kernel)
-        assert kernel._capacity == 9
 
     def test_empty_iterable(self):
         assert simulate_many([], lambda: make_scheduler("fifo")) == []
@@ -104,9 +63,9 @@ class TestStateViewIntegrity:
 
 
 class TestPooledState:
-    def test_state_object_is_pooled_across_events_and_runs(self):
-        # The kernel hands the policy the same SimulationState object at
-        # every event (updated in place) and reuses it across runs.
+    def test_state_object_is_reused_across_events(self):
+        # The event loop hands the policy the same SimulationState object
+        # at every event of a run (updated in place).
         from repro.heuristics.base import OnlineScheduler, exclusive_allocation
 
         seen = []
@@ -119,13 +78,9 @@ class TestPooledState:
                 active = state.active_jobs()
                 return exclusive_allocation({0: active[0]})
 
-        kernel = SimulationKernel()
-        kernel.run(random_unrelated_instance(6, 2, seed=1), IdentityRecorder())
+        simulate(random_unrelated_instance(6, 2, seed=1), IdentityRecorder())
+        assert len(seen) > 1
         assert len(set(seen)) == 1  # one object, every event
-        first_run_id = seen[0]
-        seen.clear()
-        kernel.run(random_unrelated_instance(8, 3, seed=2), IdentityRecorder())
-        assert set(seen) == {first_run_id}  # and across runs of one kernel
 
     def test_pooled_state_tracks_time_and_arrivals(self):
         from repro.heuristics.base import OnlineScheduler, exclusive_allocation
@@ -141,14 +96,14 @@ class TestPooledState:
                 return exclusive_allocation({0: active[0]})
 
         instance = random_unrelated_instance(6, 2, seed=3)
-        SimulationKernel().run(instance, Recorder())
+        simulate(instance, Recorder())
         times = [time for time, _ in observations]
         assert times == sorted(times)  # in-place updates advance monotonically
         assert observations[-1][1] is None  # all arrivals eventually consumed
 
 
 class TestArrayAwareDispatch:
-    """PR 4: capability-flag dispatch to decide_arrays over the pooled vectors."""
+    """Capability-flag dispatch to decide_arrays over the remaining vector."""
 
     def test_vectors_are_bound_and_authoritative(self):
         from repro.heuristics.base import OnlineScheduler, exclusive_allocation
@@ -167,16 +122,15 @@ class TestArrayAwareDispatch:
                 observed.append(
                     (
                         state.remaining_vector is not None,
-                        state.rate_vector is not None,
                         float(state.remaining_vector[active[0]]),
                     )
                 )
                 return exclusive_allocation({0: active[0]})
 
         instance = random_unrelated_instance(5, 2, seed=4)
-        result = SimulationKernel().run(instance, VectorReader())
-        assert observed and all(has_rem and has_rate for has_rem, has_rate, _ in observed)
-        remaining_seen = [value for _, _, value in observed]
+        result = simulate(instance, VectorReader())
+        assert observed and all(has_rem for has_rem, _ in observed)
+        remaining_seen = [value for _, value in observed]
         assert max(remaining_seen) <= 1.0 and min(remaining_seen) >= 0.0
         result.schedule.validate()
 
@@ -185,12 +139,12 @@ class TestArrayAwareDispatch:
 
         for name in ("srpt", "greedy-weighted-flow", "online-offline", "deadline-driven"):
             instance = random_unrelated_instance(12, 3, seed=9)
-            array_result = SimulationKernel().run(instance, make_scheduler(name))
+            array_result = simulate(instance, make_scheduler(name))
 
             scalar = make_scheduler(name)
             assert scalar.array_aware  # all four opted in
             scalar.array_aware = False  # force the legacy mirror path
-            scalar_result = SimulationKernel().run(instance, scalar)
+            scalar_result = simulate(instance, scalar)
 
             assert array_result.schedule.pieces == scalar_result.schedule.pieces, name
             assert array_result.events == scalar_result.events, name

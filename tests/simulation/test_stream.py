@@ -5,11 +5,11 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.heuristics import make_scheduler
-from repro.simulation import SimulationKernel, StreamingSimulator
+from repro.simulation import StreamingSimulator, simulate
 from repro.workload import StreamSpec, make_scenario, open_stream, replay_stream
 
 #: Policies with exact streaming semantics (rebind/compact hooks); every one
-#: must reproduce the batch kernel on trace replays and be compaction-timing
+#: must reproduce ``simulate`` on trace replays and be compaction-timing
 #: invariant.
 ALL_POLICIES = (
     "fifo",
@@ -24,42 +24,38 @@ ALL_POLICIES = (
 FAST_POLICIES = ("srpt", "greedy-weighted-flow", "mct", "round-robin")
 
 
-def _completion_vector(result, num_jobs):
-    completions = np.full(num_jobs, np.nan)
-    completions[result.completed_jobs] = result.release_dates + result.flows
-    return completions
+def _assert_replay_matches_simulate(instance, policy):
+    """A stream replay of ``instance`` executes exactly like ``simulate``.
+
+    Flows are compared as ``C_j - r_j`` from ``simulate`` against the
+    stream's own flow series, bit for bit (rebuilding completion times as
+    ``r_j + flow`` would round).
+    """
+    batch = simulate(instance, make_scheduler(policy))
+    stream = StreamingSimulator().run(replay_stream(instance), make_scheduler(policy))
+    flows = np.array(
+        [
+            batch.completion_times[j] - instance.jobs[j].release_date
+            for j in range(instance.num_jobs)
+        ]
+    )
+    assert stream.completions == instance.num_jobs, policy
+    assert np.array_equal(stream.flows, flows[stream.completed_jobs]), policy
+    assert stream.decisions == batch.num_scheduler_calls, policy
+    assert stream.preemptions == batch.num_preemptions, policy
 
 
 class TestTraceEquivalence:
-    """Replaying a finite instance as a stream reproduces the batch kernel."""
+    """Replaying a finite instance as a stream reproduces ``simulate``."""
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_trace_replay_matches_the_kernel_byte_for_byte(self, policy):
-        instance = make_scenario("small-cluster", seed=3)
-        kernel_result = SimulationKernel().run(instance, make_scheduler(policy))
-        stream_result = StreamingSimulator().run(
-            replay_stream(instance), make_scheduler(policy)
-        )
-        expected = np.array(
-            [kernel_result.completion_times[j] for j in range(instance.num_jobs)]
-        )
-        assert np.array_equal(_completion_vector(stream_result, instance.num_jobs), expected)
-        assert stream_result.preemptions == kernel_result.num_preemptions
-        assert stream_result.completions == instance.num_jobs
+        _assert_replay_matches_simulate(make_scenario("small-cluster", seed=3), policy)
 
     def test_trace_replay_matches_on_an_unrelated_instance(self):
         instance = make_scenario("unrelated-stress", seed=11)
         for policy in FAST_POLICIES:
-            kernel_result = SimulationKernel().run(instance, make_scheduler(policy))
-            stream_result = StreamingSimulator().run(
-                replay_stream(instance), make_scheduler(policy)
-            )
-            expected = np.array(
-                [kernel_result.completion_times[j] for j in range(instance.num_jobs)]
-            )
-            assert np.array_equal(
-                _completion_vector(stream_result, instance.num_jobs), expected
-            ), policy
+            _assert_replay_matches_simulate(instance, policy)
 
 
 class TestDeterminism:
@@ -74,19 +70,6 @@ class TestDeterminism:
         assert first.fingerprint() == second.fingerprint()
         assert np.array_equal(first.stretches, second.stretches)
         assert np.array_equal(first.completed_jobs, second.completed_jobs)
-
-    def test_shared_kernel_buffers_do_not_change_results(self):
-        spec = StreamSpec(label="d", scenario="hotspot", seed=2).with_utilisation(0.5)
-        kernel = SimulationKernel()
-        # Warm the kernel with a batch run, then stream through it.
-        kernel.run(make_scenario("hotspot", seed=1), make_scheduler("srpt"))
-        shared = StreamingSimulator(kernel).run(
-            open_stream(spec), make_scheduler("srpt"), max_arrivals=400
-        )
-        private = StreamingSimulator().run(
-            open_stream(spec), make_scheduler("srpt"), max_arrivals=400
-        )
-        assert shared.fingerprint() == private.fingerprint()
 
 
 class TestCompaction:
