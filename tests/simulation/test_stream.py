@@ -178,3 +178,34 @@ class TestResultAccounting:
         instance = make_scenario("bursty-batch", seed=2)
         result = StreamingSimulator().run(replay_stream(instance), make_scheduler("srpt"))
         assert result.completions == instance.num_jobs
+
+
+class TestConstruction:
+    def test_simulator_parameters_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            StreamingSimulator(100)  # type: ignore[misc]
+        assert StreamingSimulator(max_active=100).max_active == 100
+
+    def test_scheduler_without_rebind_runs_a_stream(self):
+        # rebind (like reset) is an optional hook, looked up on the scheduler;
+        # a stateless policy only needs decide and a compact hook.
+        from repro.heuristics.base import exclusive_allocation
+
+        class Minimal:
+            name = "minimal"
+            divisible = True
+
+            def decide(self, state):
+                active = state.active_jobs()
+                machines = state.instance.num_machines
+                return exclusive_allocation(
+                    {machine: job for machine, job in enumerate(active[:machines])}
+                )
+
+            def compact(self, view, mapping):
+                pass
+
+        instance = make_scenario("small-cluster", seed=2)
+        result = StreamingSimulator().run(replay_stream(instance), Minimal())
+        assert result.policy == "minimal"
+        assert result.completions == instance.num_jobs
