@@ -5,9 +5,11 @@ on the actual System (3) programs and records the performance gap between the
 production backend and the from-scratch simplex (which exists for
 self-containedness and cross-validation, not speed).
 
-The second bench measures the matrix *lowering* itself: the CSR path must be
-at least twice as fast as the dense path on the largest System (3) program
-the bench builds, and both lowerings must solve to identical objectives.
+The second bench measures the matrix *lowering* itself: building the CSR
+form of the largest System (3) program the bench builds must be at least
+twice as fast as building it and densifying it (``MatrixForm.densified``,
+what the frozen tableau reference consumes), and both forms must solve to
+identical objectives.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.core.formulations import build_allocation_model
 from repro.core.intervals import build_affine_intervals
 from repro.core.milestones import compute_milestones, deadline_function
 from repro.core.tolerances import ABS_TOL
-from repro.lp import to_matrix_form
 from repro.lp.scipy_backend import solve_matrix_form
 from repro.workload import random_unrelated_instance
 
@@ -71,8 +72,8 @@ def test_lp_backend_equivalence(benchmark, bench_scale):
         assert abs(scipy_value - simplex_value) <= 1e-5 * (1.0 + abs(scipy_value))
 
 
-def _largest_bench_lp(num_jobs: int, num_machines: int):
-    """Build the parametric System (3) LP of a mid-search milestone range."""
+def _largest_bench_inputs(num_jobs: int, num_machines: int) -> dict:
+    """Arguments of the parametric System (3) LP of a mid-search milestone range."""
     instance = random_unrelated_instance(num_jobs, num_machines, seed=0)
     deadlines = [deadline_function(job) for job in instance.jobs]
     epochal = deadlines + [Affine.const(job.release_date) for job in instance.jobs]
@@ -80,15 +81,18 @@ def _largest_bench_lp(num_jobs: int, num_machines: int):
     mid = len(milestones) // 2
     low, high = milestones[mid], milestones[mid + 1]
     sample = 0.5 * (low + high)
-    intervals = build_affine_intervals(epochal, sample)
-    alloc = build_allocation_model(
-        instance,
-        intervals,
+    return dict(
+        instance=instance,
+        intervals=build_affine_intervals(epochal, sample),
         deadlines=deadlines,
         objective_bounds=(low, high),
         sample_objective=sample,
     )
-    return alloc.model
+
+
+def _largest_bench_lp(num_jobs: int, num_machines: int):
+    """The CSR form of the parametric System (3) LP of a mid-search milestone range."""
+    return build_allocation_model(**_largest_bench_inputs(num_jobs, num_machines)).form
 
 
 def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
@@ -106,11 +110,10 @@ def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
     from repro.lp.simplex import solve_matrix_form_tableau
     from repro.lp.standard_form import MatrixForm
 
-    model = _largest_bench_lp(60, 6)
-    assert (model.num_constraints, model.num_variables) == (774, 13225)
-    sparse_form = to_matrix_form(model, sparse=True)
-    dense_form = to_matrix_form(model, sparse=False)
-    reference = solve_matrix_form(to_matrix_form(model, sparse=True))
+    sparse_form = _largest_bench_lp(60, 6)
+    assert (sparse_form.num_constraints, sparse_form.num_variables) == (774, 13225)
+    dense_form = sparse_form.densified()
+    reference = solve_matrix_form(sparse_form)
 
     monkeypatch.setattr(
         MatrixForm,
@@ -154,11 +157,13 @@ def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
     )
 
 
-def _best_lowering_time(model, sparse: bool, repeats: int) -> float:
+def _best_lowering_time(inputs: dict, sparse: bool, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        to_matrix_form(model, sparse=sparse)
+        form = build_allocation_model(**inputs).form
+        if not sparse:
+            form.densified()
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -166,18 +171,18 @@ def _best_lowering_time(model, sparse: bool, repeats: int) -> float:
 def test_sparse_vs_dense_lowering(bench_scale):
     # Sizes chosen with headroom over the 2x gate: the dense cost grows with
     # rows x cols while the sparse cost grows with nnz, so the ratio widens
-    # with size (~2.4x at 100 jobs, ~2.9x at 120 on the reference machine).
+    # with size.
     num_jobs, num_machines = (140, 8) if bench_scale == "full" else (120, 8)
-    model = _largest_bench_lp(num_jobs, num_machines)
-    model.bounds_array()  # warm the shared bounds cache for a fair comparison
+    inputs = _largest_bench_inputs(num_jobs, num_machines)
     repeats = 10 if bench_scale == "full" else 5
 
-    dense_seconds = _best_lowering_time(model, sparse=False, repeats=repeats)
-    sparse_seconds = _best_lowering_time(model, sparse=True, repeats=repeats)
+    dense_seconds = _best_lowering_time(inputs, sparse=False, repeats=repeats)
+    sparse_seconds = _best_lowering_time(inputs, sparse=True, repeats=repeats)
     speedup = dense_seconds / max(sparse_seconds, 1e-12)
 
-    dense_solution = solve_matrix_form(to_matrix_form(model, sparse=False))
-    sparse_solution = solve_matrix_form(to_matrix_form(model, sparse=True))
+    form = build_allocation_model(**inputs).form
+    dense_solution = solve_matrix_form(form.densified())
+    sparse_solution = solve_matrix_form(form)
 
     print()
     print(
@@ -188,7 +193,7 @@ def test_sparse_vs_dense_lowering(bench_scale):
                 ("sparse (CSR)", sparse_seconds, sparse_solution.objective_value),
             ],
             title=f"Dense vs sparse lowering of the largest bench LP "
-            f"({model.num_variables} variables, {model.num_constraints} constraints, "
+            f"({form.num_variables} variables, {form.num_constraints} constraints, "
             f"{speedup:.1f}x)",
             float_format=".6g",
         )

@@ -57,38 +57,44 @@ from repro.core import (  # noqa: E402
     minimize_max_weighted_flow,
     minimize_max_weighted_flow_bisection,
 )
+from repro.core.formulations import build_allocation_model  # noqa: E402
 from repro.heuristics import OnlineOfflineAdaptationScheduler, make_scheduler  # noqa: E402
-from repro.lp import to_matrix_form  # noqa: E402
 from repro.lp.scipy_backend import solve_matrix_form  # noqa: E402
 from repro.simulation import simulate  # noqa: E402
 from repro.workload import random_unrelated_instance  # noqa: E402
 
-from bench_lp_backends import _largest_bench_lp  # noqa: E402  (same directory)
+from bench_lp_backends import _largest_bench_inputs  # noqa: E402  (same directory)
 
 
 def bench_lowering(num_jobs: int = 60, num_machines: int = 6, repeats: int = 5) -> dict:
-    """Dense vs sparse lowering of a mid-search System (3) LP."""
-    model = _largest_bench_lp(num_jobs, num_machines)
-    model.bounds_array()
+    """Dense vs sparse lowering of a mid-search System (3) LP.
+
+    The sparse time builds the CSR form; the dense time builds it and
+    densifies it (``MatrixForm.densified``).
+    """
+    inputs = _largest_bench_inputs(num_jobs, num_machines)
 
     timings = {}
     for label, sparse in (("dense", False), ("sparse", True)):
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            to_matrix_form(model, sparse=sparse)
+            form = build_allocation_model(**inputs).form
+            if not sparse:
+                form.densified()
             best = min(best, time.perf_counter() - start)
         timings[label] = best
 
+    form = build_allocation_model(**inputs).form
     solve_start = time.perf_counter()
-    solution = solve_matrix_form(to_matrix_form(model, sparse=True))
+    solution = solve_matrix_form(form)
     solve_seconds = time.perf_counter() - solve_start
 
     return {
         "num_jobs": num_jobs,
         "num_machines": num_machines,
-        "lp_variables": model.num_variables,
-        "lp_constraints": model.num_constraints,
+        "lp_variables": form.num_variables,
+        "lp_constraints": form.num_constraints,
         "dense_lowering_seconds": timings["dense"],
         "sparse_lowering_seconds": timings["sparse"],
         "sparse_speedup": timings["dense"] / max(timings["sparse"], 1e-12),

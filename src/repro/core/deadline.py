@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..exceptions import InvalidInstanceError
-from ..lp.backends import canonical_backend
+from ..lp.backends import canonical_backend, solve_form
 from .affine import Affine
 from .formulations import (
     build_allocation_model,
@@ -120,17 +120,16 @@ def check_deadline_feasibility(
         objective_bounds=None,
         sample_objective=0.0,
         preemptive=preemptive,
-        name="deadline-system2" + ("-preemptive" if preemptive else ""),
     )
-    solution = alloc.model.solve(backend=backend)
+    solution = solve_form(alloc.form, backend)
 
     if not solution.is_optimal:
         return DeadlineFeasibility(
             feasible=False,
             schedule=None,
             num_intervals=len(intervals),
-            lp_variables=alloc.model.num_variables,
-            lp_constraints=alloc.model.num_constraints,
+            lp_variables=alloc.form.num_variables,
+            lp_constraints=alloc.form.num_constraints,
             backend=solution.backend,
         )
 
@@ -145,7 +144,7 @@ def check_deadline_feasibility(
         feasible=True,
         schedule=schedule,
         num_intervals=len(intervals),
-        lp_variables=alloc.model.num_variables,
-        lp_constraints=alloc.model.num_constraints,
+        lp_variables=alloc.form.num_variables,
+        lp_constraints=alloc.form.num_constraints,
         backend=solution.backend,
     )

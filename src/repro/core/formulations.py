@@ -1,12 +1,24 @@
 """Shared machinery for building the paper's linear programs.
 
-Systems (2), (3) and (5) of the paper share the same skeleton: allocation
-variables ``alpha[i, j, t]`` (the fraction of job ``j`` processed by machine
-``i`` during interval ``I_t``), release-date and deadline restrictions that
-simply *remove* variables, per-interval resource constraints and per-job
-completion constraints.  This module builds that skeleton once so that the
-individual solvers (:mod:`repro.core.deadline`, :mod:`repro.core.maxflow`,
-:mod:`repro.core.preemptive`) only state what is specific to them.
+Systems (2), (3) and (5) of the paper and Linear Program (1) share the same
+skeleton: allocation variables ``alpha[i, j, t]`` (the fraction of job ``j``
+processed by machine ``i`` during interval ``I_t``), release-date and
+deadline restrictions that simply *remove* variables, per-interval resource
+constraints and per-job completion constraints.  This module builds that
+skeleton once so that the individual solvers (:mod:`repro.core.deadline`,
+:mod:`repro.core.makespan`, :mod:`repro.core.maxflow`,
+:mod:`repro.core.replanning`) only state what is specific to them.
+
+The skeleton is lowered straight to the CSR
+:class:`~repro.lp.standard_form.MatrixForm` both LP backends consume: one
+boolean mask of the allowed ``alpha[i, j, t]`` (:func:`allowed_mask`) fixes
+the column order and the row layout (:func:`inequality_layout`), and numpy
+scatters the coefficients — no :class:`~repro.lp.model.LinearProgram` and no
+per-variable Python objects.  The result is bit-identical to stating the
+same program through the :mod:`repro.lp` expression DSL and lowering it with
+:func:`~repro.lp.standard_form.to_matrix_form` (``sparse=True``); the test
+suite keeps that symbolic statement as the frozen reference and checks the
+equality across the scenario grid.
 
 The same module also converts LP solutions back into concrete
 :class:`~repro.core.schedule.Schedule` objects:
@@ -20,13 +32,13 @@ The same module also converts LP solutions back into concrete
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..lp import LinearProgram, LinearExpression, LPSolution, Variable, linear_sum
+from ..lp import LPSolution, MatrixForm
 from .affine import Affine
 from .instance import Instance
 from .intervals import TimeInterval
@@ -36,8 +48,11 @@ from .tolerances import ABS_TOL
 
 __all__ = [
     "AllocationModel",
+    "InequalityLayout",
+    "allowed_mask",
     "build_allocation_model",
     "divisible_schedule_from_solution",
+    "inequality_layout",
     "preemptive_schedule_from_solution",
 ]
 
@@ -47,68 +62,119 @@ _FRACTION_DUST = 1e-10
 
 @dataclass
 class AllocationModel:
-    """A linear program over allocation variables ``alpha[i, j, t]``.
+    """A lowered linear program over allocation variables ``alpha[i, j, t]``.
 
     Attributes
     ----------
-    model:
-        The underlying :class:`~repro.lp.model.LinearProgram`.
+    form:
+        The CSR :class:`~repro.lp.standard_form.MatrixForm` handed to the
+        backends.  Columns are ``F`` first (when there is an objective
+        variable), then the allowed ``alpha[i, j, t]`` in ``(t, j, i)``
+        order; see :func:`build_allocation_model` for the row order.
     instance:
         The scheduling instance.
     intervals:
         The time intervals indexing the allocation variables.
+    allowed:
+        The ``(intervals, jobs, machines)`` boolean mask of the allowed
+        variables (:func:`allowed_mask`).
     variables:
-        Mapping ``(machine_index, job_index, interval_index) -> Variable``;
+        Mapping ``(machine_index, job_index, interval_index) -> column``;
         only *allowed* combinations are present.
-    objective_variable:
-        The ``F`` variable of System (3)/(5), or ``None`` for fixed-deadline
-        systems.
+    objective_column:
+        Column of the ``F`` variable of System (3)/(5) (``Delta_n`` in
+        Linear Program (1)), or ``None`` for fixed-deadline systems.
     sample_objective:
         The objective value used to order the (possibly affine) epochal times.
     """
 
-    model: LinearProgram
+    form: MatrixForm
     instance: Instance
     intervals: List[TimeInterval]
-    variables: Dict[Tuple[int, int, int], Variable] = field(default_factory=dict)
-    objective_variable: Optional[Variable] = None
+    allowed: np.ndarray
+    variables: Dict[Tuple[int, int, int], int]
+    objective_column: Optional[int] = None
     sample_objective: float = 0.0
 
     def allocation(self, solution: LPSolution) -> Dict[Tuple[int, int, int], float]:
         """Extract the non-negligible allocation fractions from a solution."""
         values: Dict[Tuple[int, int, int], float] = {}
-        for key, var in self.variables.items():
-            value = solution.value(var)
+        for key, column in self.variables.items():
+            value = solution.values.get(column, 0.0)
             if value > _FRACTION_DUST:
                 values[key] = value
         return values
 
 
-def _is_allowed(
-    instance: Instance,
-    machine_index: int,
-    job_index: int,
-    interval: TimeInterval,
-    deadline: Optional[Affine],
-    sample_objective: float,
-    tol: float,
-) -> bool:
-    """Decide structurally whether ``alpha[i, j, t]`` may be non-zero.
+class InequalityLayout(NamedTuple):
+    """Where every ``alpha`` coefficient of the inequality block comes from.
 
+    Rows are the capacity rows by ``(t, i)``, then (preemptive model only)
+    the job-window rows by ``(t, j)``; a row exists only when it holds at
+    least one allowed variable.  Entries are listed in CSR order (row by
+    row, ascending column within a row) and exclude the ``F`` column.
+    """
+
+    #: Interval of every row (its right-hand side is that interval's length).
+    row_intervals: np.ndarray
+    #: Number of ``alpha`` entries in every row.
+    row_sizes: np.ndarray
+    #: ``(machine, job, interval)`` of every entry; the coefficient is
+    #: ``c[machine, job]``.
+    machines: np.ndarray
+    jobs: np.ndarray
+    intervals: np.ndarray
+
+
+def allowed_mask(
+    instance: Instance,
+    intervals: Sequence[TimeInterval],
+    deadlines: Optional[Sequence[Affine]] = None,
+    sample_objective: float = 0.0,
+    tol: float = ABS_TOL,
+) -> np.ndarray:
+    """Decide structurally which ``alpha[i, j, t]`` may be non-zero.
+
+    Returns the ``(len(intervals), num_jobs, num_machines)`` boolean mask.
     Encodes constraints (2a)/(2b) (equivalently (3b)/(3c), (5d)/(5e)) of the
     paper: the job must be released no later than the interval starts and, if
-    it has a deadline, the interval must end no later than the deadline.
-    Machines that cannot process the job at all (infinite ``c_{i,j}``) are
-    excluded as well.
+    it has a deadline, the interval must end no later than the deadline, both
+    up to ``tol`` and evaluated at ``sample_objective``.  Machines that cannot
+    process the job at all (infinite ``c_{i,j}``) are excluded as well.
     """
-    if not math.isfinite(instance.costs[machine_index, job_index]):
-        return False
-    job = instance.jobs[job_index]
-    if job.release_date > interval.lower_at(sample_objective) + tol:
-        return False
-    if deadline is not None and deadline(sample_objective) < interval.upper_at(sample_objective) - tol:
-        return False
-    return True
+    lower = np.array([interval.lower_at(sample_objective) for interval in intervals], dtype=float)
+    upper = np.array([interval.upper_at(sample_objective) for interval in intervals], dtype=float)
+    release = np.array(instance.release_dates, dtype=float)
+    mask = ~(release[None, :] > lower[:, None] + tol)
+    if deadlines is not None:
+        due = np.array([deadline(sample_objective) for deadline in deadlines], dtype=float)
+        mask &= ~(due[None, :] < upper[:, None] - tol)
+    return mask[:, :, None] & np.isfinite(instance.costs).T[None, :, :]
+
+
+def inequality_layout(allowed: np.ndarray, preemptive: bool) -> InequalityLayout:
+    """The row and entry layout of the inequality block for ``allowed``."""
+    # Capacity rows (t, i): entries over ascending j.
+    by_machine = allowed.transpose(0, 2, 1)
+    row_mask = by_machine.any(axis=2)
+    row_intervals = [np.nonzero(row_mask)[0]]
+    row_sizes = [by_machine.sum(axis=2)[row_mask]]
+    t, i, j = np.nonzero(by_machine)
+    entries = [(i, j, t)]
+    if preemptive:
+        # Job-window rows (t, j): entries over ascending i.
+        row_mask = allowed.any(axis=2)
+        row_intervals.append(np.nonzero(row_mask)[0])
+        row_sizes.append(allowed.sum(axis=2)[row_mask])
+        t, j, i = np.nonzero(allowed)
+        entries.append((i, j, t))
+    return InequalityLayout(
+        row_intervals=np.concatenate(row_intervals),
+        row_sizes=np.concatenate(row_sizes),
+        machines=np.concatenate([entry[0] for entry in entries]),
+        jobs=np.concatenate([entry[1] for entry in entries]),
+        intervals=np.concatenate([entry[2] for entry in entries]),
+    )
 
 
 def build_allocation_model(
@@ -118,10 +184,23 @@ def build_allocation_model(
     objective_bounds: Optional[Tuple[float, Optional[float]]] = None,
     sample_objective: float = 0.0,
     preemptive: bool = False,
-    name: str = "",
     tol: float = ABS_TOL,
 ) -> AllocationModel:
-    """Build the LP skeleton shared by Systems (2), (3) and (5).
+    """Build the LP skeleton shared by Linear Program (1) and Systems (2), (3), (5).
+
+    The program minimises ``F`` (or the constant 0) subject to, in row order:
+
+    * the resource constraints (1b)/(2c)/(3d)/(5c), one ``<=`` row per
+      ``(t, i)`` holding an allowed variable:
+      ``sum_j c_{i,j} alpha[i, j, t] - slope_t F <= constant_t`` for the
+      interval length ``constant_t + slope_t F`` (the ``F`` entry is stored
+      even when ``slope_t`` is 0);
+    * in the preemptive model, the per-job constraints (5b), one ``<=`` row
+      per ``(t, j)`` holding an allowed variable, same right-hand side;
+    * the completion constraints (1d)/(2d)/(3e)/(5a), one ``==`` row per job:
+      ``sum_{i,t} alpha[i, j, t] == 1``, or the infeasible row ``0 == -1``
+      when the job has no allowed variable at all (so the solver reports
+      infeasibility instead of silently dropping the job).
 
     Parameters
     ----------
@@ -137,8 +216,8 @@ def build_allocation_model(
         created, the interval lengths become affine expressions of ``F`` and
         the model minimises ``F`` (this is System (3)/(5)).  ``upper`` may be
         ``None`` for an unbounded search range.  When omitted, interval
-        lengths are evaluated at ``sample_objective`` and the model has a
-        constant zero objective (pure feasibility, System (2)).
+        lengths must be constant and the model has a constant zero objective
+        (pure feasibility, System (2)).
     sample_objective:
         Objective value used to fix the epochal-time order (must lie strictly
         inside the milestone range when ``objective_bounds`` is given).
@@ -147,107 +226,92 @@ def build_allocation_model(
         forbid a job from receiving more work in an interval than the
         interval's length — the extra requirement of the preemptive
         (non-divisible) model.
-    name:
-        Model name for diagnostics.
     tol:
         Numerical tolerance for the structural allowed/forbidden decisions.
     """
-    model = LinearProgram(name=name or "allocation", sense="min")
-    alloc = AllocationModel(
-        model=model,
-        instance=instance,
-        intervals=list(intervals),
-        sample_objective=sample_objective,
-    )
+    intervals = list(intervals)
+    allowed = allowed_mask(instance, intervals, deadlines, sample_objective, tol)
+    has_objective = objective_bounds is not None
+    offset = 1 if has_objective else 0
+    num_columns = offset + int(allowed.sum())
+    columns = np.full(allowed.shape, -1, dtype=np.intp)
+    columns[allowed] = np.arange(offset, num_columns)
 
-    # Objective variable F (System (3)/(5)) -------------------------------
-    objective_var: Optional[Variable] = None
-    if objective_bounds is not None:
+    # Objective and bounds --------------------------------------------------
+    c = np.zeros(num_columns)
+    bounds = np.tile([0.0, 1.0], (num_columns, 1))
+    if has_objective:
         lower, upper = objective_bounds
-        objective_var = model.add_variable(
-            "F", lower=lower, upper=float("inf") if upper is None else upper
-        )
-        model.set_objective(objective_var)
-        alloc.objective_variable = objective_var
+        lower = float(lower)
+        upper = float("inf") if upper is None else float(upper)
+        if lower > upper:
+            raise ValueError(f"variable 'F' has empty domain [{lower}, {upper}]")
+        c[0] = 1.0
+        bounds[0] = (lower, upper)
+
+    # Resource (1b)/(2c)/(3d)/(5c) and job-window (5b) rows ---------------------
+    layout = inequality_layout(allowed, preemptive)
+    lengths = [interval.length() for interval in intervals]
+    rows = layout.row_intervals
+    constant = np.array([length.constant for length in lengths], dtype=float)[rows]
+    slope = np.array([length.slope for length in lengths], dtype=float)[rows]
+    row_nnz = layout.row_sizes + offset
+    indptr = np.zeros(row_nnz.size + 1, dtype=np.intp)
+    np.cumsum(row_nnz, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    is_alpha = np.ones(indptr[-1], dtype=bool)
+    # The float operations below are the ones the expression DSL performs
+    # when it states ``usage <= constant + slope * F`` and moves everything to
+    # the left-hand side, so even signed zeros match the symbolic lowering.
+    if has_objective:
+        heads = indptr[:-1]
+        is_alpha[heads] = False
+        indices[heads] = 0
+        data[heads] = 0.0 - slope
+        b_ub = -(0.0 - (0.0 * slope + constant))
     else:
-        model.set_objective(0.0)
-
-    # Allocation variables --------------------------------------------------
-    for t, interval in enumerate(alloc.intervals):
-        for j in range(instance.num_jobs):
-            deadline = deadlines[j] if deadlines is not None else None
-            for i in range(instance.num_machines):
-                if _is_allowed(instance, i, j, interval, deadline, sample_objective, tol):
-                    var = model.add_variable(f"alpha[{i},{j},{t}]", lower=0.0, upper=1.0)
-                    alloc.variables[(i, j, t)] = var
-
-    # Resource constraints (1b)/(2c)/(3d)/(5c) ------------------------------
-    for t, interval in enumerate(alloc.intervals):
-        length = interval.length()
-        for i in range(instance.num_machines):
-            terms = [
-                alloc.variables[(i, j, t)] * float(instance.costs[i, j])
-                for j in range(instance.num_jobs)
-                if (i, j, t) in alloc.variables
-            ]
-            if not terms:
-                continue
-            usage = linear_sum(terms)
-            model.add_constraint(
-                _usage_constraint(usage, length, objective_var),
-                name=f"capacity[m{i},t{t}]",
-            )
-
-    # Preemptive per-job constraints (5b) ------------------------------------
-    if preemptive:
-        for t, interval in enumerate(alloc.intervals):
-            length = interval.length()
-            for j in range(instance.num_jobs):
-                terms = [
-                    alloc.variables[(i, j, t)] * float(instance.costs[i, j])
-                    for i in range(instance.num_machines)
-                    if (i, j, t) in alloc.variables
-                ]
-                if not terms:
-                    continue
-                usage = linear_sum(terms)
-                model.add_constraint(
-                    _usage_constraint(usage, length, objective_var),
-                    name=f"job_window[j{j},t{t}]",
-                )
-
-    # Completion constraints (1d)/(2d)/(3e)/(5a) ------------------------------
-    for j in range(instance.num_jobs):
-        terms = [
-            alloc.variables[(i, j, t)]
-            for t in range(len(alloc.intervals))
-            for i in range(instance.num_machines)
-            if (i, j, t) in alloc.variables
-        ]
-        if not terms:
-            # The job cannot be scheduled anywhere within its window: encode
-            # an explicitly infeasible constraint so the solver reports
-            # infeasibility instead of silently dropping the job.
-            model.add_constraint(
-                LinearExpression({}, 1.0) == 0.0, name=f"completion[j{j}]-impossible"
-            )
-            continue
-        model.add_constraint(linear_sum(terms) == 1.0, name=f"completion[j{j}]")
-
-    return alloc
-
-
-def _usage_constraint(usage, length: Affine, objective_var: Optional[Variable]):
-    """Build ``usage <= length`` where ``length`` may depend on the objective variable."""
-    if objective_var is not None:
-        rhs = length.constant + length.slope * objective_var
-    else:
-        rhs = length.constant
-        if length.slope != 0.0:
+        if np.any(slope != 0.0):
             raise ValueError(
                 "interval length depends on the objective but no objective variable was created"
             )
-    return usage <= rhs
+        b_ub = -(0.0 - constant)
+    indices[is_alpha] = columns[layout.intervals, layout.jobs, layout.machines]
+    data[is_alpha] = instance.costs[layout.machines, layout.jobs]
+    a_ub = sp.csr_matrix((data, indices, indptr), shape=(rows.size, num_columns))
+
+    # Completion rows (1d)/(2d)/(3e)/(5a) ------------------------------------
+    by_job = allowed.transpose(1, 0, 2)
+    eq_sizes = by_job.sum(axis=(1, 2))
+    eq_indptr = np.zeros(instance.num_jobs + 1, dtype=np.intp)
+    np.cumsum(eq_sizes, out=eq_indptr[1:])
+    a_eq = sp.csr_matrix(
+        (np.ones(eq_indptr[-1]), columns.transpose(1, 0, 2)[by_job], eq_indptr),
+        shape=(instance.num_jobs, num_columns),
+    )
+    b_eq = np.where(eq_sizes > 0, 1.0, -1.0)
+
+    form = MatrixForm(
+        c=c,
+        objective_constant=0.0,
+        objective_sign=1.0,
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+    )
+    t, j, i = np.nonzero(allowed)
+    variables = dict(zip(zip(i.tolist(), j.tolist(), t.tolist()), range(offset, num_columns)))
+    return AllocationModel(
+        form=form,
+        instance=instance,
+        intervals=intervals,
+        allowed=allowed,
+        variables=variables,
+        objective_column=0 if has_objective else None,
+        sample_objective=sample_objective,
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidInstanceError
+from ..lp.backends import solve_form
+from ..lp.solution import require_optimal
 from .affine import Affine
 from .formulations import (
     build_allocation_model,
@@ -122,10 +124,9 @@ def minimize_makespan(
         objective_bounds=(0.0, None),  # the "objective variable" plays the role of Delta_n
         sample_objective=1.0,
         preemptive=preemptive,
-        name="makespan-LP1",
     )
-    solution = alloc.model.solve_or_raise(backend=backend)
-    delta = float(solution.value(alloc.objective_variable))
+    solution = require_optimal(solve_form(alloc.form, backend), "makespan-LP1")
+    delta = float(solution.values.get(alloc.objective_column, 0.0))
 
     if preemptive:
         schedule = preemptive_schedule_from_solution(alloc, solution, objective_value=delta)
@@ -137,7 +138,7 @@ def minimize_makespan(
         schedule=schedule,
         delta=delta,
         num_intervals=len(intervals),
-        lp_variables=alloc.model.num_variables,
-        lp_constraints=alloc.model.num_constraints,
+        lp_variables=alloc.form.num_variables,
+        lp_constraints=alloc.form.num_constraints,
         backend=solution.backend,
     )

@@ -27,8 +27,10 @@ every probed objective value, the probe exploits the milestone structure:
 * the combinatorial structure of the LP (interval order, allowed allocation
   variables) is constant over a milestone range, so the probe builds **one
   parametric model per range it touches** — with ``F`` as a bounded decision
-  variable — lowers it to a sparse matrix form once, and answers every probe
-  in that range by re-solving with updated ``F`` bounds only;
+  variable, lowered straight to a sparse matrix form by
+  :func:`~repro.core.formulations.build_allocation_model` (no symbolic
+  model) — and answers every probe in that range by re-solving with updated
+  ``F`` bounds only;
 * a probe at ``F`` is answered by minimising ``F`` over the range restricted
   to ``[range_low, F]``.  A *feasible* solve therefore yields the least
   feasible objective of the whole range, not just a yes/no answer.  When that
@@ -66,7 +68,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError, InvalidInstanceError, SolverError
-from ..lp import LPSolution, MatrixForm, to_matrix_form
+from ..lp import LPSolution, MatrixForm
 from ..lp.backends import canonical_backend
 from ..lp.revised_simplex import BasisState, solve_matrix_form_revised
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
@@ -159,8 +161,6 @@ class _RangeModel:
     low: float
     high: Optional[float]
     alloc: AllocationModel
-    form: MatrixForm
-    objective_column: int
     basis: Optional[BasisState] = None
 
 
@@ -181,9 +181,9 @@ class FeasibilityProbe:
     lp_solves:
         Number of probes that required an actual LP solve.
     model_constructions:
-        Number of parametric range models built (each lowered to matrix form
-        exactly once, unless evicted from the size-capped LRU range cache and
-        needed again — see ``max_cached_ranges``).
+        Number of parametric range models built (each exactly once, unless
+        evicted from the size-capped LRU range cache and needed again — see
+        ``max_cached_ranges``).
     """
 
     def __init__(
@@ -280,12 +280,12 @@ class FeasibilityProbe:
             range_model = self._build_range(k)
         else:
             self._ranges.move_to_end(k)
-        bounds = range_model.form.bounds.copy()
-        bounds[range_model.objective_column] = (
+        bounds = range_model.alloc.form.bounds.copy()
+        bounds[range_model.alloc.objective_column] = (
             low,
             high if high is not None else np.inf,
         )
-        solution = self._solve_form(range_model.form.with_bounds(bounds), range_model)
+        solution = self._solve_form(range_model.alloc.form.with_bounds(bounds), range_model)
         self.lp_solves += 1
         if not solution.is_optimal:
             if solution.is_infeasible:
@@ -296,7 +296,7 @@ class FeasibilityProbe:
                 f"range solve on ({low}, {high}] failed: "
                 f"{solution.message or solution.status}"
             )
-        threshold = solution.values.get(range_model.objective_column, low)
+        threshold = solution.values.get(range_model.alloc.objective_column, low)
         self._feasible_min = min(self._feasible_min, threshold)
         if threshold > low + ABS_TOL:
             self._strict_below = max(self._strict_below, threshold)
@@ -328,13 +328,13 @@ class FeasibilityProbe:
     # -- LP machinery -------------------------------------------------------
     def _probe_lp(self, objective: float) -> bool:
         range_model = self._range_for(objective)
-        bounds = range_model.form.bounds.copy()
-        bounds[range_model.objective_column] = (range_model.low, objective)
-        solution = self._solve_form(range_model.form.with_bounds(bounds), range_model)
+        bounds = range_model.alloc.form.bounds.copy()
+        bounds[range_model.alloc.objective_column] = (range_model.low, objective)
+        solution = self._solve_form(range_model.alloc.form.with_bounds(bounds), range_model)
         self.lp_solves += 1
 
         if solution.is_optimal:
-            threshold = solution.values.get(range_model.objective_column, objective)
+            threshold = solution.values.get(range_model.alloc.objective_column, objective)
             self._feasible_min = min(self._feasible_min, threshold)
             if threshold > range_model.low + ABS_TOL:
                 # The minimum lies strictly inside the range: by monotonicity
@@ -382,18 +382,9 @@ class FeasibilityProbe:
             objective_bounds=(low, high),
             sample_objective=sample,
             preemptive=self.preemptive,
-            name=f"probe-range{k}" + ("-preemptive" if self.preemptive else ""),
         )
-        form = to_matrix_form(alloc.model, sparse=True)
         self.model_constructions += 1
-        range_model = _RangeModel(
-            index=k,
-            low=low,
-            high=high,
-            alloc=alloc,
-            form=form,
-            objective_column=alloc.objective_variable.index,
-        )
+        range_model = _RangeModel(index=k, low=low, high=high, alloc=alloc)
         self._ranges[k] = range_model
         while len(self._ranges) > self._max_cached_ranges:
             self._ranges.popitem(last=False)
@@ -538,8 +529,8 @@ def minimize_max_weighted_flow(
         milestones=milestones,
         search_range=(search_low, search_high),
         feasibility_checks=feasibility_checks,
-        lp_variables=alloc.model.num_variables,
-        lp_constraints=alloc.model.num_constraints,
+        lp_variables=alloc.form.num_variables,
+        lp_constraints=alloc.form.num_constraints,
         preemptive=preemptive,
         backend=solution.backend,
         model_constructions=probe.model_constructions - constructions_before,

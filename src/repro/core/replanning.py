@@ -18,16 +18,18 @@ allowed/forbidden pattern, while the remaining-work bounds only change
 lengths on the inequality right-hand side).  The probe therefore
 
 * computes the structure signature of every feasibility question it is asked
-  (interval count plus the allowed-variable bitmap — a cheap scan, no LP
-  objects);
+  (interval count plus the allowed-variable bitmap of
+  :func:`~repro.core.formulations.allowed_mask` — the same mask the builder
+  uses, vectorised, no LP objects);
 * keeps one **lowered matrix template** per distinct signature in an LRU
   cache; a cache hit answers the probe by writing the current coefficients
   and interval lengths into copies of the template's arrays and re-solving —
-  no symbolic model, no lowering;
-* on a miss, builds the model through the exact same
-  :func:`~repro.core.formulations.build_allocation_model` →
-  ``to_matrix_form`` pipeline the from-scratch path uses, and records the
-  value positions for later refreshes.
+  no rebuild;
+* on a miss, builds the matrix form with the exact same
+  :func:`~repro.core.formulations.build_allocation_model` call the
+  from-scratch path makes, and takes the value positions for later
+  refreshes from the builder's own row layout
+  (:func:`~repro.core.formulations.inequality_layout`).
 
 Because a refreshed template reproduces the from-scratch LP **bit for bit**
 (same variable order, same constraint order, same coefficient values, same
@@ -43,25 +45,27 @@ economy asserted by ``benchmarks/bench_replanning.py``.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import InvalidInstanceError
-from ..lp import LPSolution, MatrixForm, to_matrix_form
+from ..lp import LPSolution, MatrixForm
 from ..lp.backends import canonical_backend
 from ..obs.metrics import Recorder, get_recorder
 from ..lp.revised_simplex import BasisState, ProgramHandle, solve_matrix_form_revised
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
+from .affine import Affine
 from .deadline import DeadlineFeasibility
 from .formulations import (
     AllocationModel,
+    allowed_mask,
     build_allocation_model,
     divisible_schedule_from_solution,
+    inequality_layout,
     preemptive_schedule_from_solution,
 )
 from .instance import Instance
@@ -117,10 +121,9 @@ def remaining_subinstance(
 
 @dataclass
 class _ModelTemplate:
-    """One cached System (2) skeleton: symbolic model plus refresh positions."""
+    """One cached System (2) skeleton: lowered model plus refresh positions."""
 
     alloc: AllocationModel
-    form: MatrixForm
     #: Machine/job source of every inequality coefficient, in CSR data order.
     coef_machines: np.ndarray
     coef_jobs: np.ndarray
@@ -169,7 +172,7 @@ class ReplanProbe:
         Questions that reached a solver (all of them except the trivially
         infeasible deadline-before-release rejections).
     model_constructions:
-        Symbolic-model builds (structure-cache misses).
+        Allocation-model builds (structure-cache misses).
     cache_hits:
         Questions answered by refreshing a cached template.
     rank_canonicalisations:
@@ -292,13 +295,14 @@ class ReplanProbe:
         epochal_times = list(instance.release_dates) + deadlines
         intervals = build_constant_intervals(epochal_times)
         cuts = _cut_values(intervals)
+        deadline_functions = [Affine.const(d) for d in deadlines]
 
-        allowed = self._allowed_pattern(instance, deadlines, cuts)
+        allowed = allowed_mask(instance, intervals, deadline_functions)
         key = (instance.num_machines, instance.num_jobs, len(intervals), allowed.tobytes())
 
         template = self._templates.get(key)
         if template is None:
-            template = self._build_template(instance, deadlines, key, intervals, cuts)
+            template = self._build_template(instance, deadline_functions, key, intervals, cuts)
         else:
             self._templates.move_to_end(key)
             self.cache_hits += 1
@@ -334,8 +338,8 @@ class ReplanProbe:
                 feasible=False,
                 schedule=None,
                 num_intervals=len(intervals),
-                lp_variables=alloc.model.num_variables,
-                lp_constraints=alloc.model.num_constraints,
+                lp_variables=alloc.form.num_variables,
+                lp_constraints=alloc.form.num_constraints,
                 backend=solution.backend,
             )
 
@@ -343,15 +347,8 @@ class ReplanProbe:
         if build_schedule:
             # The cached skeleton carries the intervals and costs of the probe
             # that built it; rebind the current ones for reconstruction (the
-            # variable mapping — indices and iteration order — is shared).
-            bound = AllocationModel(
-                model=alloc.model,
-                instance=instance,
-                intervals=intervals,
-                variables=alloc.variables,
-                objective_variable=None,
-                sample_objective=0.0,
-            )
+            # variable mapping — columns and iteration order — is shared).
+            bound = replace(alloc, instance=instance, intervals=intervals)
             if self.preemptive:
                 schedule = preemptive_schedule_from_solution(bound, solution)
             else:
@@ -361,8 +358,8 @@ class ReplanProbe:
             feasible=True,
             schedule=schedule,
             num_intervals=len(intervals),
-            lp_variables=alloc.model.num_variables,
-            lp_constraints=alloc.model.num_constraints,
+            lp_variables=alloc.form.num_variables,
+            lp_constraints=alloc.form.num_constraints,
             backend=solution.backend,
         )
 
@@ -412,89 +409,34 @@ class ReplanProbe:
             return None
         return order
 
-    def _allowed_pattern(
-        self, instance: Instance, deadlines: Sequence[float], cuts: Sequence[float]
-    ) -> np.ndarray:
-        """The allowed-variable bitmap, with the exact from-scratch comparisons."""
-        num_intervals = max(len(cuts) - 1, 0)
-        pattern = np.zeros((num_intervals, instance.num_jobs, instance.num_machines), dtype=bool)
-        costs = instance.costs
-        for t in range(num_intervals):
-            lower = cuts[t]
-            upper = cuts[t + 1]
-            for j, job in enumerate(instance.jobs):
-                if job.release_date > lower + ABS_TOL:
-                    continue
-                if deadlines[j] < upper - ABS_TOL:
-                    continue
-                for i in range(instance.num_machines):
-                    if math.isfinite(costs[i, j]):
-                        pattern[t, j, i] = True
-        return pattern
-
     def _build_template(
         self,
         instance: Instance,
-        deadlines: Sequence[float],
+        deadlines: Sequence[Affine],
         key: Tuple,
         intervals: Sequence[TimeInterval],
         cuts: Sequence[float],
     ) -> _ModelTemplate:
-        """Structure miss: run the from-scratch pipeline and record positions."""
-        from .affine import Affine  # deferred: tiny import, keeps header lean
-
+        """Structure miss: run the from-scratch builder and record positions."""
         alloc = build_allocation_model(
             instance,
             intervals,
-            deadlines=[Affine.const(d) for d in deadlines],
+            deadlines=deadlines,
             objective_bounds=None,
             sample_objective=0.0,
             preemptive=self.preemptive,
-            name="deadline-system2" + ("-preemptive" if self.preemptive else ""),
         )
-        form = to_matrix_form(alloc.model, sparse=True)
+        form = alloc.form
         self.model_constructions += 1
 
-        # Inequality rows are, in order: capacity[(t, i)] rows (t-major, only
-        # machines with allowed variables), then — preemptive model only —
-        # job_window[(t, j)] rows.  Within a row the CSR columns are sorted by
-        # variable index, which is creation order (t, j, i)-lexicographic, so
-        # a capacity row's columns run over ascending j and a job-window row's
-        # over ascending i.  Record the (machine, job, interval) source of
-        # every coefficient and right-hand side in that exact order.
-        coef_machines: List[int] = []
-        coef_jobs: List[int] = []
-        row_intervals: List[int] = []
-        for t in range(len(intervals)):
-            for i in range(instance.num_machines):
-                row_jobs = [
-                    j for j in range(instance.num_jobs) if (i, j, t) in alloc.variables
-                ]
-                if not row_jobs:
-                    continue
-                row_intervals.append(t)
-                for j in row_jobs:
-                    coef_machines.append(i)
-                    coef_jobs.append(j)
-        if self.preemptive:
-            for t in range(len(intervals)):
-                for j in range(instance.num_jobs):
-                    row_machines = [
-                        i for i in range(instance.num_machines) if (i, j, t) in alloc.variables
-                    ]
-                    if not row_machines:
-                        continue
-                    row_intervals.append(t)
-                    for i in row_machines:
-                        coef_machines.append(i)
-                        coef_jobs.append(j)
-
+        # The (machine, job) source of every inequality coefficient and the
+        # interval of every right-hand side, in the builder's CSR order.
+        layout = inequality_layout(alloc.allowed, self.preemptive)
         template = _ModelTemplate(
             alloc=alloc,
-            form=form,
-            coef_machines=np.asarray(coef_machines, dtype=np.intp),
-            coef_jobs=np.asarray(coef_jobs, dtype=np.intp),
-            row_intervals=np.asarray(row_intervals, dtype=np.intp),
+            coef_machines=layout.machines,
+            coef_jobs=layout.jobs,
+            row_intervals=layout.row_intervals,
         )
 
         # The refresh path must land exactly where the lowering put the
@@ -531,7 +473,7 @@ class ReplanProbe:
         constraint-matrix rewrite is skipped and the cached matrix is reused
         (both backends treat it as read-only).
         """
-        form = template.form
+        form = template.alloc.form
         if not form.num_inequalities:
             return form
         lengths = np.array(

@@ -1,9 +1,11 @@
-"""Self-contained linear-programming modelling layer (substrate S1).
+"""Self-contained linear-programming layer (substrate S1).
 
 The paper expresses all of its scheduling results as linear programs; this
-subpackage provides the modelling objects used to state them and two
+subpackage provides the matrix form both solvers consume
+(:class:`MatrixForm`), a small expression DSL to state programs in, and two
 interchangeable solving backends (:mod:`repro.lp.backends` maps the accepted
-names onto them):
+names onto them and :func:`repro.lp.backends.solve_form` dispatches a form
+to one):
 
 * :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production default);
 * :mod:`repro.lp.simplex` — the in-house sparse revised simplex, with warm
@@ -12,8 +14,17 @@ names onto them):
 The frozen dense tableau in :mod:`repro.lp._tableau_legacy` is kept only as
 a cross-validation reference for tests and benches.
 
+The expression DSL (:class:`LinearProgram` and its building blocks, lowered by
+:func:`to_matrix_form`) is the public modelling API and the test suite's
+reference statement of the paper's programs.  It is not the production path:
+the scheduling modules of :mod:`repro.core` build their allocation LPs
+straight in matrix form (:mod:`repro.core.formulations`), bit-identical to the
+DSL statement lowered with ``sparse=True``.
+
 Public API
 ----------
+:class:`MatrixForm`
+    The lowered program (CSR or dense blocks, right-hand sides, bounds).
 :class:`LinearProgram`
     The model object (variables, constraints, objective, ``solve``).
 :class:`Variable`, :class:`LinearExpression`, :func:`linear_sum`

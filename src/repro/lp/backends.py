@@ -1,9 +1,14 @@
-"""LP backend registry: canonical names, aliases and warm-start support.
+"""LP backend registry: canonical names, aliases, dispatch and warm-start support.
 
 Two backends solve production LPs: scipy's HiGHS wrapper and the in-house
 sparse revised simplex.  This module is the single place that knows which
-requested names map to which solver.  :meth:`repro.lp.LinearProgram.solve`,
-the probes in :mod:`repro.core` and the CLI all resolve names through
+requested names map to which solver.  :func:`solve_form` is the one
+dispatch from a name to a solver for a lowered
+:class:`~repro.lp.standard_form.MatrixForm`:
+:meth:`repro.lp.LinearProgram.solve` lowers its model and calls it, and so do
+the one-shot solves of :mod:`repro.core.deadline` and
+:mod:`repro.core.makespan`.  The probes in :mod:`repro.core` (which keep
+warm-start state per backend) and the CLI resolve names through
 :func:`canonical_backend`; ``repro-sched info --lp-backends`` renders
 :func:`backend_inventory`.  The frozen dense tableau
 (:mod:`repro.lp._tableau_legacy`) is a test reference, not a backend: it is
@@ -13,13 +18,19 @@ reached only through :func:`repro.lp.simplex.solve_matrix_form_tableau`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
+
+from .solution import LPSolution
+
+if TYPE_CHECKING:  # standard_form imports model, which imports this module
+    from .standard_form import MatrixForm
 
 __all__ = [
     "BACKEND_LABELS",
     "BackendInfo",
     "backend_inventory",
     "canonical_backend",
+    "solve_form",
 ]
 
 #: Requested-name → canonical solution-backend label.  The label is what a
@@ -48,6 +59,22 @@ def canonical_backend(name: str) -> str:
             f"unknown LP backend {name!r}; accepted: "
             + ", ".join(sorted(BACKEND_LABELS))
         ) from None
+
+
+def solve_form(form: MatrixForm, backend: str = "scipy", **options) -> LPSolution:
+    """Solve a lowered :class:`~repro.lp.standard_form.MatrixForm` with ``backend``.
+
+    ``backend`` is any name accepted by :func:`canonical_backend`: HiGHS
+    through :func:`repro.lp.scipy_backend.solve_matrix_form` (``options``
+    such as ``method`` are forwarded to ``linprog``), or a cold solve with
+    the in-house revised simplex (:func:`repro.lp.simplex.solve_matrix_form`,
+    ``options`` such as ``max_iterations``).
+    """
+    if canonical_backend(backend) == "scipy-highs":
+        from .scipy_backend import solve_matrix_form
+    else:
+        from .simplex import solve_matrix_form
+    return solve_matrix_form(form, **options)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The paper formulates all of its scheduling problems as linear programs
 (Linear Program (1), Systems (2), (3) and (5)).  This module provides the
-small symbolic layer used to state those programs in code: decision
+small symbolic layer used to state such programs in code: decision
 variables, affine (linear + constant) expressions over them, and the operator
-overloading that lets the scheduling modules write constraints the same way
-the paper writes them, e.g.::
+overloading that lets constraints be written the same way the paper writes
+them, e.g.::
 
     model.add_constraint(sum(alpha[i, j, t] * c[i, j] for j in jobs) <= length_t)
 
@@ -14,6 +14,11 @@ but stays tiny: expressions are dictionaries mapping variable indices to
 coefficients plus a float constant.  Everything is immutable from the outside;
 in-place accumulation is available through :meth:`LinearExpression.add_term`
 on privately owned instances for performance when building large models.
+
+The scheduling modules of :mod:`repro.core` no longer go through this layer:
+they build their allocation LPs straight in matrix form
+(:mod:`repro.core.formulations`).  The test suite states the same programs
+with it as the reference those forms must equal.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """The :class:`LinearProgram` modelling object.
 
-This is the single entry point used by the scheduling modules to state the
-paper's linear programs.  A model owns its variables and constraints, knows
+This is the modelling object of the expression DSL, the public way to state
+a linear program in code.  A model owns its variables and constraints, knows
 its optimisation sense, and delegates the actual solving to a pluggable
-backend (:mod:`repro.lp.scipy_backend` by default, or the pure-Python
-:mod:`repro.lp.simplex` backend for cross-validation).
+backend: :meth:`LinearProgram.solve` lowers the model with
+:func:`~repro.lp.standard_form.to_matrix_form` and hands the form to
+:func:`repro.lp.backends.solve_form` (HiGHS by default, or the in-house
+revised simplex).  The scheduling modules of :mod:`repro.core` do not go
+through this class: they lower their allocation LPs straight to matrix form
+(:mod:`repro.core.formulations`).
 
 Example
 -------
@@ -26,11 +30,10 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
-from .backends import canonical_backend
+from .backends import solve_form
 from .constraint import Constraint
 from .expression import LinearExpression, Variable, as_expression
-from .solution import LPSolution, LPStatus
+from .solution import LPSolution, require_optimal
 
 __all__ = ["LinearProgram"]
 
@@ -206,26 +209,13 @@ class LinearProgram:
         kwargs:
             Passed through to the backend.
         """
-        if canonical_backend(backend) == "scipy-highs":
-            from .scipy_backend import solve_with_scipy
+        from .standard_form import to_matrix_form  # standard_form imports this module
 
-            return solve_with_scipy(self, **kwargs)
-        from .simplex import solve_with_simplex
-
-        return solve_with_simplex(self, **kwargs)
+        return solve_form(to_matrix_form(self, sparse=True), backend, **kwargs)
 
     def solve_or_raise(self, backend: str = "scipy", **kwargs) -> LPSolution:
         """Solve and raise a typed exception unless the result is optimal."""
-        solution = self.solve(backend=backend, **kwargs)
-        if solution.status is LPStatus.OPTIMAL:
-            return solution
-        if solution.status is LPStatus.INFEASIBLE:
-            raise InfeasibleProblemError(f"LP {self.name or '<unnamed>'} is infeasible")
-        if solution.status is LPStatus.UNBOUNDED:
-            raise UnboundedProblemError(f"LP {self.name or '<unnamed>'} is unbounded")
-        raise SolverError(
-            f"LP {self.name or '<unnamed>'} failed: {solution.message or 'unknown backend error'}"
-        )
+        return require_optimal(self.solve(backend=backend, **kwargs), self.name)
 
     # ------------------------------------------------------------------ #
     # Debugging                                                           #

@@ -142,8 +142,20 @@ class ProgramHandle:
         )
 
     def stash(self, program: "_Program", form: MatrixForm) -> None:
-        """Keep ``program`` for the next re-solve, if its basis is clean."""
-        if program.basis.size and bool((program.basis < program.n_total).all()):
+        """Keep ``program`` for the next re-solve, if it is free of artificials.
+
+        A program that went through the two-phase cold start keeps its
+        artificial columns (``art_rows`` and the extended ``vstatus``) even
+        once they have all left the basis; :meth:`_Program._dual` would price
+        them on the next rhs-only re-solve and could pivot one back in.  Such
+        a program is not kept: the next solve warm-starts a fresh program
+        from its basis snapshot instead.
+        """
+        if (
+            program.basis.size
+            and not program.art_rows.size
+            and bool((program.basis < program.n_total).all())
+        ):
             self.program = program
             self.blocks = (form.a_ub, form.a_eq, form.c, form.bounds)
         else:

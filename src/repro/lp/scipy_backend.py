@@ -1,20 +1,15 @@
 """SciPy/HiGHS backend for the LP modelling layer.
 
-This is the production backend.  :func:`scipy.optimize.linprog` with
-``method="highs"`` solves the matrix form produced by
-:mod:`repro.lp.standard_form`.  HiGHS accepts sparse ``A_ub``/``A_eq`` blocks
-directly, so models are lowered to CSR by default; non-HiGHS methods fall back
-to the dense lowering.
-
-Two entry points are exposed:
-
-* :func:`solve_with_scipy` — lower a :class:`~repro.lp.model.LinearProgram`
-  and solve it (what :meth:`LinearProgram.solve` dispatches to);
-* :func:`solve_matrix_form` — solve an already-lowered
-  :class:`~repro.lp.standard_form.MatrixForm`.  This is the re-solve path used
-  by the feasibility probes of :mod:`repro.core.maxflow`, which build the
-  matrix structure once and only swap RHS values / variable bounds between
-  solves.
+This is the production backend.  :func:`solve_matrix_form` hands a lowered
+:class:`~repro.lp.standard_form.MatrixForm` to
+:func:`scipy.optimize.linprog`; ``method="highs"`` consumes the CSR
+``A_ub``/``A_eq`` blocks directly, non-HiGHS methods fall back to a dense
+copy.  It is reached through :func:`repro.lp.backends.solve_form` (which
+:meth:`repro.lp.LinearProgram.solve` and the one-shot solves of
+:mod:`repro.core` use) and directly by the feasibility probes of
+:mod:`repro.core.maxflow` and :mod:`repro.core.replanning`, which build the
+matrix structure once and only swap right-hand sides / variable bounds
+between solves.
 """
 
 from __future__ import annotations
@@ -25,11 +20,10 @@ from typing import Dict
 from scipy.optimize import linprog
 
 from ..obs.metrics import get_recorder
-from .model import LinearProgram
 from .solution import LPSolution, LPStatus
-from .standard_form import MatrixForm, solve_constant_form, to_matrix_form
+from .standard_form import MatrixForm, solve_constant_form
 
-__all__ = ["solve_with_scipy", "solve_matrix_form"]
+__all__ = ["solve_matrix_form"]
 
 #: Set once the dense fallback for non-HiGHS methods has been reported, so a
 #: probe loop re-solving thousands of forms warns exactly once per process.
@@ -119,23 +113,3 @@ def solve_matrix_form(form: MatrixForm, method: str = "highs", **options) -> LPS
         message=str(getattr(result, "message", "")),
     )
 
-
-def solve_with_scipy(model: LinearProgram, method: str = "highs", **options) -> LPSolution:
-    """Solve ``model`` with :func:`scipy.optimize.linprog`.
-
-    Parameters
-    ----------
-    model:
-        The linear program to solve.
-    method:
-        SciPy method name; ``"highs"`` (dual simplex / interior point chosen
-        automatically by HiGHS) is the default and the only method exercised
-        by the test-suite.  HiGHS methods get the sparse lowering, others the
-        dense one.
-    options:
-        Extra keyword options forwarded to ``linprog(options=...)``.
-    """
-    form = to_matrix_form(model, sparse=method.startswith("highs"))
-    # Zero-variable models are legal and handled by solve_matrix_form via
-    # solve_constant_form.
-    return solve_matrix_form(form, method=method, **options)

@@ -8,11 +8,10 @@ entry points here route the in-house path to the sparse revised simplex of
 a solve.  The switch is semantic (degenerate programs may report a different
 optimal vertex) and shipped with the ``CODE_EPOCH`` 2005.5 → 2005.6 bump.
 
-``solve_with_simplex`` / ``solve_matrix_form`` keep their historical names
-and signatures: every caller of the in-house backend (cross-validation
-tests, :class:`repro.core.maxflow.FeasibilityProbe`,
-:class:`repro.core.replanning.ReplanProbe`) picks up the fast path without
-changes.  The tableau twins are re-exported as ``solve_with_tableau`` /
+``solve_matrix_form`` keeps its historical name and signature; it is what
+:func:`repro.lp.backends.solve_form` (and through it
+:meth:`repro.lp.LinearProgram.solve`) calls for the in-house backend.  The
+tableau twins are re-exported as ``solve_with_tableau`` /
 ``solve_matrix_form_tableau``: the only way to reach the reference, used by
 the cross-validation tests and the backend-ablation benches.
 """
@@ -22,33 +21,16 @@ from __future__ import annotations
 from ._tableau_legacy import SimplexResult
 from ._tableau_legacy import solve_matrix_form as solve_matrix_form_tableau
 from ._tableau_legacy import solve_with_simplex as solve_with_tableau
-from .model import LinearProgram
 from .revised_simplex import solve_matrix_form as _solve_matrix_form_revised
 from .solution import LPSolution
-from .standard_form import MatrixForm, to_matrix_form
+from .standard_form import MatrixForm
 
 __all__ = [
-    "solve_with_simplex",
     "solve_matrix_form",
     "solve_with_tableau",
     "solve_matrix_form_tableau",
     "SimplexResult",
 ]
-
-
-def solve_with_simplex(model: LinearProgram, max_iterations: int = 20000) -> LPSolution:
-    """Solve ``model`` with the in-house revised simplex.
-
-    Parameters
-    ----------
-    model:
-        The linear program to solve.
-    max_iterations:
-        Safety cap on simplex pivots (per phase).
-    """
-    return solve_matrix_form(
-        to_matrix_form(model, sparse=True), max_iterations=max_iterations
-    )
 
 
 def solve_matrix_form(form: MatrixForm, max_iterations: int = 20000) -> LPSolution:

@@ -6,9 +6,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
 from .expression import LinearExpression, Variable
 
-__all__ = ["LPStatus", "LPSolution"]
+__all__ = ["LPStatus", "LPSolution", "require_optimal"]
 
 
 class LPStatus(enum.Enum):
@@ -92,3 +93,18 @@ class LPSolution:
     def restricted(self, predicate) -> Mapping[int, float]:
         """Return the sub-mapping of values whose index satisfies ``predicate``."""
         return {idx: val for idx, val in self.values.items() if predicate(idx)}
+
+
+def require_optimal(solution: LPSolution, name: str = "") -> LPSolution:
+    """Return ``solution`` when optimal; raise a typed exception otherwise.
+
+    ``name`` labels the program in the error message.
+    """
+    label = name or "<unnamed>"
+    if solution.status is LPStatus.OPTIMAL:
+        return solution
+    if solution.status is LPStatus.INFEASIBLE:
+        raise InfeasibleProblemError(f"LP {label} is infeasible")
+    if solution.status is LPStatus.UNBOUNDED:
+        raise UnboundedProblemError(f"LP {label} is unbounded")
+    raise SolverError(f"LP {label} failed: {solution.message or 'unknown backend error'}")

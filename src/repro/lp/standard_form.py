@@ -1,11 +1,20 @@
-"""Lowering of a :class:`~repro.lp.model.LinearProgram` to matrix form.
+"""The matrix form both LP backends consume, and the DSL's lowering to it.
 
-Both backends consume the same intermediate representation: a minimisation
-problem over the model's original variables with
+Both backends consume the same intermediate representation, a
+:class:`MatrixForm`: a minimisation problem with
 
 * an inequality block ``A_ub @ x <= b_ub`` (all ``<=`` and negated ``>=`` rows),
 * an equality block ``A_eq @ x == b_eq``,
 * per-variable bounds.
+
+Forms reach the backends two ways.  The scheduling modules of
+:mod:`repro.core` build theirs directly
+(:func:`repro.core.formulations.build_allocation_model` emits CSR blocks
+without stating a model).  :func:`to_matrix_form` lowers a
+:class:`~repro.lp.model.LinearProgram` stated through the expression DSL —
+the public modelling API, and the test suite's reference statement of the
+allocation LPs, whose ``sparse=True`` lowering the direct builder reproduces
+bit for bit.
 
 The constraint blocks come in two flavours selected by the ``sparse`` flag of
 :func:`to_matrix_form`:
@@ -98,6 +107,11 @@ class MatrixForm:
     def num_equalities(self) -> int:
         """Number of rows in the equality block."""
         return self.a_eq.shape[0]
+
+    @property
+    def num_constraints(self) -> int:
+        """Number of rows in both blocks."""
+        return self.num_inequalities + self.num_equalities
 
     @property
     def is_sparse(self) -> bool:

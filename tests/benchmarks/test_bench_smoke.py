@@ -165,7 +165,6 @@ def test_revised_simplex_smoke(monkeypatch):
     """
     from bench_lp_backends import _largest_bench_lp
 
-    from repro.lp import to_matrix_form
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
     from repro.lp.simplex import solve_matrix_form_tableau
@@ -173,17 +172,16 @@ def test_revised_simplex_smoke(monkeypatch):
 
     # (6, 3) lands on an infeasible milestone range, (12, 4) on a feasible
     # one: both verdicts must agree with scipy before any timing means much.
-    infeasible_form = to_matrix_form(_largest_bench_lp(6, 3), sparse=True)
+    infeasible_form = _largest_bench_lp(6, 3)
     assert (
         solve_matrix_form_revised(infeasible_form).solution.status
         is scipy_solve(infeasible_form).status
     )
 
-    model = _largest_bench_lp(12, 4)
-    sparse_form = to_matrix_form(model, sparse=True)
+    sparse_form = _largest_bench_lp(12, 4)
     assert sparse_form.is_sparse
-    tableau = solve_matrix_form_tableau(to_matrix_form(model, sparse=False))
-    reference = scipy_solve(to_matrix_form(model, sparse=True))
+    tableau = solve_matrix_form_tableau(sparse_form.densified())
+    reference = scipy_solve(sparse_form)
 
     monkeypatch.setattr(
         MatrixForm,

@@ -12,6 +12,8 @@ from repro.core.formulations import (
 )
 from repro.core.intervals import build_constant_intervals
 from repro.core.milestones import deadline_function
+from repro.lp.backends import solve_form
+from repro.lp.solution import require_optimal
 
 
 @pytest.fixture
@@ -52,8 +54,7 @@ class TestVariableCreation:
         intervals = build_constant_intervals([0.0, 1.0])  # deadline 1 < processing 5
         deadlines = [Affine.const(1.0)]
         alloc = build_allocation_model(instance, intervals, deadlines=deadlines)
-        solution = alloc.model.solve()
-        assert not solution.is_optimal or not alloc.model.check_solution(solution.values) == []
+        assert not solve_form(alloc.form).is_optimal
 
 
 class TestObjectiveVariable:
@@ -67,11 +68,10 @@ class TestObjectiveVariable:
             instance, intervals, deadlines=deadlines,
             objective_bounds=(1.0, 50.0), sample_objective=5.0,
         )
-        assert alloc.objective_variable is not None
-        assert alloc.objective_variable.lower == 1.0
-        assert alloc.objective_variable.upper == 50.0
-        solution = alloc.model.solve_or_raise()
-        assert 1.0 - 1e-9 <= solution.value(alloc.objective_variable) <= 50.0 + 1e-9
+        assert alloc.objective_column is not None
+        assert tuple(alloc.form.bounds[alloc.objective_column]) == (1.0, 50.0)
+        solution = require_optimal(solve_form(alloc.form))
+        assert 1.0 - 1e-9 <= solution.values[alloc.objective_column] <= 50.0 + 1e-9
 
     def test_affine_length_without_objective_variable_rejected(self, instance):
         # Interval lengths that depend on F require an objective variable.
@@ -86,7 +86,7 @@ class TestScheduleReconstruction:
     def test_divisible_and_preemptive_reconstruction(self, instance):
         intervals = build_constant_intervals([0.0, 2.0, 30.0])
         alloc = build_allocation_model(instance, intervals, preemptive=True)
-        solution = alloc.model.solve_or_raise()
+        solution = require_optimal(solve_form(alloc.form))
 
         divisible = divisible_schedule_from_solution(alloc, solution)
         divisible.validate()
@@ -97,7 +97,7 @@ class TestScheduleReconstruction:
     def test_allocation_extraction_drops_dust(self, instance):
         intervals = build_constant_intervals([0.0, 2.0, 30.0])
         alloc = build_allocation_model(instance, intervals)
-        solution = alloc.model.solve_or_raise()
+        solution = require_optimal(solve_form(alloc.form))
         fractions = alloc.allocation(solution)
         assert all(value > 1e-10 for value in fractions.values())
         # Every key refers to an existing variable.

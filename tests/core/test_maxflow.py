@@ -170,7 +170,7 @@ class TestFeasibilityProbe:
         threshold, alloc, solution = pinned
         assert threshold == pytest.approx(result.objective, abs=1e-9)
         assert solution.is_optimal
-        assert alloc.model.num_variables == result.lp_variables
+        assert alloc.form.num_variables == result.lp_variables
 
     def test_probe_rejects_empty_instance(self):
         with pytest.raises(Exception):

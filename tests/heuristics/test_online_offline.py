@@ -66,3 +66,18 @@ class TestAgainstMCT:
         online = simulate(tiny_instance, OnlineOfflineAdaptationScheduler())
         offline = minimize_max_weighted_flow(tiny_instance).objective
         assert online.max_weighted_flow >= offline - 1e-6
+
+
+class TestRevisedBackend:
+    def test_replicated_portal_seed_2_completes(self):
+        # This run re-solves programs that went through the revised simplex's
+        # two-phase cold start; keeping such a program alive let the next
+        # rhs-only dual re-solve pivot an artificial column into the basis
+        # (IndexError in the dual simplex).
+        from repro.heuristics import make_scheduler
+        from repro.workload import make_scenario
+
+        instance = make_scenario("replicated-portal", seed=2)
+        result = simulate(instance, make_scheduler("online-offline:backend=revised"))
+        result.schedule.validate()
+        assert len(result.completion_times) == instance.num_jobs

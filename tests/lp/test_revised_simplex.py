@@ -16,6 +16,7 @@ import pytest
 from repro.lp import LinearProgram, LPStatus
 from repro.lp.revised_simplex import (
     BasisState,
+    ProgramHandle,
     solve_matrix_form,
     solve_matrix_form_revised,
 )
@@ -189,6 +190,35 @@ class TestWarmStart:
         assert result.solution.is_optimal
         assert not result.warm_used
 
+    def test_two_phase_program_is_not_kept_for_rhs_only_resolves(self):
+        # The >= rows start infeasible at the slack basis, so the cold solve
+        # runs phase 1 with artificial columns.  A kept-alive program would
+        # price those columns on the next rhs-only re-solve.
+        form = self._form_with_bound(10.0)
+        handle = ProgramHandle()
+        cold = solve_matrix_form_revised(form, handle=handle)
+        assert cold.solution.is_optimal and cold.basis is not None
+        assert handle.program is None and not handle.matches(form)
+
+        warm = solve_matrix_form_revised(form, warm_basis=cold.basis, handle=handle)
+        assert warm.warm_used
+        assert warm.solution.objective_value == pytest.approx(
+            cold.solution.objective_value, abs=1e-9
+        )
+        assert handle.matches(form)  # the warm-started program has no artificials
+
+    def test_crash_started_program_is_kept(self):
+        lp = LinearProgram(sense="min")
+        x = lp.add_variable("x", upper=1.0)
+        y = lp.add_variable("y", upper=1.0)
+        lp.add_constraint(x + y == 1.0)
+        lp.add_constraint(2 * x + y <= 1.5)
+        form = to_matrix_form(lp, sparse=True)  # zero objective: no phase 1
+        handle = ProgramHandle()
+        result = solve_matrix_form_revised(form, handle=handle)
+        assert result.solution.is_optimal
+        assert handle.matches(form)
+
     def test_metrics_injected_via_recorder(self):
         recorder = MetricsRecorder()
         form = self._form_with_bound(10.0)
@@ -244,6 +274,16 @@ class TestBackendRegistry:
         reference = lp.solve(backend="scipy").objective_value
         for backend, label in BACKEND_LABELS.items():
             solution = lp.solve(backend=backend)
+            assert solution.backend == label
+            assert solution.objective_value == pytest.approx(reference, abs=1e-7)
+
+    def test_solve_form_dispatches_every_alias(self):
+        from repro.lp.backends import BACKEND_LABELS, solve_form
+
+        form = to_matrix_form(_sample_lp(), sparse=True)
+        reference = solve_form(form).objective_value
+        for backend, label in BACKEND_LABELS.items():
+            solution = solve_form(form, backend)
             assert solution.backend == label
             assert solution.objective_value == pytest.approx(reference, abs=1e-7)
 
