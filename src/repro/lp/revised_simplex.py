@@ -1,11 +1,21 @@
-"""Sparse revised simplex over :class:`MatrixForm` CSR blocks (ISSUE 9).
+"""Revised simplex over the CSR blocks of a :class:`MatrixForm`.
 
 The tableau reference (frozen in :mod:`repro.lp._tableau_legacy`) densifies the
 whole constraint matrix and rewrites every entry on every pivot — O(rows ×
 cols) per iteration and O(rows × cols) memory.  This module is the in-house
-fast path: a **revised** simplex that keeps the constraint matrix in the
-sparse blocks the lowering produced and maintains only a dense ``m × m``
-basis inverse.
+fast path: a **revised** simplex that keeps the constraint matrix sparse and
+maintains only a dense ``m × m`` basis inverse.
+
+The sparse matrix lives in raw numpy arrays, not in ``scipy.sparse``
+objects: the probe programs have tens to hundreds of rows and are re-solved
+thousands of times per simulation, where scipy's per-call dispatch cost more
+than the arithmetic.  Each program assembles its two CSR blocks once into
+CSC ``indptr``/``indices``/``data`` plus a per-entry column id.  ``A @ v``
+and ``A.T @ y`` are single ``np.bincount`` calls.  They add the same products
+in the same order as scipy's ``csc_matvec``/``csr_matvec``, so each result
+equals scipy's ``A @ v``/``A.T @ y`` bit for bit.  A refactorisation
+scatters the basis columns into the dense ``m × m`` array straight from
+those arrays.
 
 Differences from the legacy tableau (this is a *semantic* change — the
 optimal vertex reported for degenerate programs may differ — shipped with the
@@ -189,13 +199,37 @@ def _csr_block(block: object, num_cols: int) -> sp.csr_matrix:
     return mat
 
 
+def _place_nonbasic(
+    lo: np.ndarray, hi: np.ndarray, vstatus: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Snap nonbasic statuses onto finite bounds; return them with the values.
+
+    An at-lower column without a finite lower bound moves to its upper bound,
+    or becomes free; likewise at-upper.  Nonbasic columns sit at their bound
+    (free ones at zero); basic entries of the returned values are zero.
+    """
+    status = vstatus.copy()
+    lo_finite = np.isfinite(lo)
+    hi_finite = np.isfinite(hi)
+    lost_lower = (status == _AT_LOWER) & ~lo_finite
+    lost_upper = (status == _AT_UPPER) & ~hi_finite
+    status[lost_lower] = np.where(hi_finite[lost_lower], _AT_UPPER, _FREE)
+    status[lost_upper] = np.where(lo_finite[lost_upper], _AT_LOWER, _FREE)
+    x = np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, hi, 0.0))
+    return status, x
+
+
 class _Program:
     """The bounded standard form ``min c.x  s.t.  A x = b, lo <= x <= hi``.
 
-    ``A`` is the combined ``[[A_ub, I], [A_eq, 0]]`` system in CSC (column
-    access drives every FTRAN/pricing step); slacks are ordinary bounded
-    columns ``[0, inf)``.  Artificial columns are virtual — identity columns
-    addressed past ``n_total`` — so cold and warm solves share one matrix.
+    ``A`` is the combined ``[[A_ub, I], [A_eq, 0]]`` system, held as four
+    numpy arrays: CSC ``indptr``/``indices``/``data`` (column access drives
+    every FTRAN step) plus ``cols``, the column id of every entry.  The two
+    products the solve needs are single ``np.bincount`` calls over those
+    arrays (:meth:`_matvec`, :meth:`_rmatvec`); no ``scipy.sparse`` object
+    is built.  Slacks are ordinary bounded columns ``[0, inf)``.  Artificial
+    columns are virtual — identity columns addressed past ``n_total`` — so
+    cold and warm solves share one matrix.
     """
 
     def __init__(self, form: MatrixForm, max_iterations: int) -> None:
@@ -204,33 +238,26 @@ class _Program:
         a_eq = _csr_block(form.a_eq, n)
         m_ub = a_ub.shape[0]
         m_eq = a_eq.shape[0]
-        # Assemble [[A_ub, I], [A_eq, 0]] directly in CSC: stack the
-        # structural columns, then append one single-entry identity column
-        # per slack — far cheaper than hstack/eye/vstack block algebra on
-        # the per-re-solve path.
-        if m_ub and m_eq:
-            structural = sp.vstack([a_ub, a_eq], format="csc")
-        elif m_ub:
-            structural = a_ub.tocsc()
-        elif m_eq:
-            structural = a_eq.tocsc()
-        else:
-            structural = sp.csc_matrix((0, n))
-        nnz = structural.indptr[-1] if structural.indptr.size else 0
-        indptr = np.concatenate(
-            [structural.indptr, nnz + np.arange(1, m_ub + 1, dtype=structural.indptr.dtype)]
+        # Assemble [[A_ub, I], [A_eq, 0]] in CSC: a stable sort of the
+        # row-major structural entries by column keeps each column's entries
+        # in row order (what scipy's CSR -> CSC conversion produces), then one
+        # single-entry identity column per slack is appended.
+        rows = np.repeat(
+            np.arange(m_ub + m_eq),
+            np.concatenate([np.diff(a_ub.indptr), np.diff(a_eq.indptr)]),
         )
-        indices = np.concatenate(
-            [structural.indices, np.arange(m_ub, dtype=structural.indices.dtype)]
+        cols = np.concatenate([a_ub.indices, a_eq.indices]).astype(np.intp)
+        order = np.argsort(cols, kind="stable")
+        slacks = np.arange(m_ub)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols, minlength=n)), cols.size + slacks + 1]
         )
-        data = np.concatenate([structural.data, np.ones(m_ub)])
-        self.A = sp.csc_matrix(
-            (data, indices, indptr), shape=(m_ub + m_eq, n + m_ub)
-        )
-        #: Cached row-major transpose for pricing (``A.T @ y`` every
-        #: iteration); scipy would otherwise rebuild the transpose object on
-        #: each call, which dominated the warm re-solve profile.
-        self.AT = self.A.T.tocsr()
+        self.indices = np.concatenate([rows[order], slacks])
+        data = np.concatenate([a_ub.data, a_eq.data])
+        self.data = np.concatenate([data[order], np.ones(m_ub)])
+        self.cols = np.concatenate([cols[order], n + slacks])
+        #: The equality rows, for the crash basis's row-wise scan.
+        self.a_eq = a_eq
         self.n = n
         self.m_ub = m_ub
         self.m = m_ub + m_eq
@@ -260,13 +287,29 @@ class _Program:
         self.updates_since = 0
 
     # ------------------------------------------------------------------ #
+    # Products.  Each output entry is summed from 0.0 over the same      #
+    # products in the same entry order as scipy's csc/csr matvec, so     #
+    # the results are bit-identical to ``A @ v`` and ``A.T @ y``.        #
+    # ------------------------------------------------------------------ #
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
+        """``A v`` over the structural and slack columns."""
+        return np.bincount(
+            self.indices, weights=self.data * v[self.cols], minlength=self.m
+        )
+
+    def _rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``A^T y`` over the structural and slack columns."""
+        return np.bincount(
+            self.cols, weights=self.data * y[self.indices], minlength=self.n_total
+        )
+
+    # ------------------------------------------------------------------ #
     # Column access (structural/slack from CSC, artificials virtual)     #
     # ------------------------------------------------------------------ #
     def _column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         if j < self.n_total:
-            a = self.A
-            start, end = a.indptr[j], a.indptr[j + 1]
-            return a.indices[start:end], a.data[start:end]
+            start, end = self.indptr[j], self.indptr[j + 1]
+            return self.indices[start:end], self.data[start:end]
         k = j - self.n_total
         return (
             np.asarray([self.art_rows[k]], dtype=np.intp),
@@ -282,9 +325,9 @@ class _Program:
     def _row_prices(self, vector: np.ndarray) -> np.ndarray:
         """``A^T vector`` extended over the artificial columns."""
         if not self.art_rows.size:
-            return self.AT @ vector
+            return self._rmatvec(vector)
         out = np.empty(self.n_total + self.art_rows.size)
-        out[: self.n_total] = self.AT @ vector
+        out[: self.n_total] = self._rmatvec(vector)
         out[self.n_total:] = self.art_signs * vector[self.art_rows]
         return out
 
@@ -297,8 +340,17 @@ class _Program:
     def _refactor(self) -> None:
         cols = np.zeros((self.m, self.m))
         structural = self.basis < self.n_total
-        if structural.any():
-            cols[:, structural] = self.A[:, self.basis[structural]].toarray()
+        # Scatter the structural/slack basis columns straight from the CSC
+        # arrays: column j's entries sit at indptr[j] + 0..count-1.  Adding
+        # (not assigning) sums duplicate entries as a dense conversion would.
+        slots = np.nonzero(structural)[0]
+        starts = self.indptr[self.basis[slots]]
+        counts = self.indptr[self.basis[slots] + 1] - starts
+        entries = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        entries += np.arange(entries.size)
+        np.add.at(
+            cols, (self.indices[entries], np.repeat(slots, counts)), self.data[entries]
+        )
         for k in np.nonzero(~structural)[0]:
             a = self.basis[k] - self.n_total
             cols[self.art_rows[a], k] = self.art_signs[a]
@@ -307,7 +359,7 @@ class _Program:
         except np.linalg.LinAlgError as exc:
             raise _Numerics("singular basis") from exc
         self.updates_since = 0
-        residual = self.b - self.A @ self._nonbasic_values()
+        residual = self.b - self._matvec(self._nonbasic_values())
         x_b = self.b_inv @ residual
         self.x[self.basis] = x_b
 
@@ -335,7 +387,7 @@ class _Program:
         if self.updates_since >= _REFACTOR_EVERY:
             self._refactor()
         else:
-            self.x[self.basis] = self.b_inv @ (self.b - self.A @ self._nonbasic_values())
+            self.x[self.basis] = self.b_inv @ (self.b - self._matvec(self._nonbasic_values()))
 
     # ------------------------------------------------------------------ #
     # Primal simplex (cold phases)                                       #
@@ -442,24 +494,14 @@ class _Program:
     # ------------------------------------------------------------------ #
     def _cold_start(self) -> Optional[LPStatus]:
         n_total, m = self.n_total, self.m
-        self.vstatus = np.empty(n_total, dtype=np.int8)
-        self.x = np.zeros(n_total)
-        for j in range(n_total):
-            lo, hi = self.lo[j], self.hi[j]
-            if np.isfinite(lo):
-                self.vstatus[j] = _AT_LOWER
-                self.x[j] = lo
-            elif np.isfinite(hi):
-                self.vstatus[j] = _AT_UPPER
-                self.x[j] = hi
-            else:
-                self.vstatus[j] = _FREE
-                self.x[j] = 0.0
+        self.vstatus, self.x = _place_nonbasic(
+            self.lo, self.hi, np.full(n_total, _AT_LOWER, dtype=np.int8)
+        )
 
         # Residual once every column sits at its initial bound: inequality
         # rows whose residual is a legal slack value take the slack into the
         # basis; everything else gets an artificial.
-        residual = self.b - self.A @ self._structural_values()
+        residual = self.b - self._matvec(self._nonbasic_values())
         basis: List[int] = []
         art_rows: List[int] = []
         art_signs: List[float] = []
@@ -510,17 +552,12 @@ class _Program:
             self.hi_ext = self.hi
         return None
 
-    def _structural_values(self) -> np.ndarray:
-        v = self.x[: self.n_total].copy()
-        v[self.vstatus[: self.n_total] == _BASIC] = 0.0
-        return v
-
     def _drive_out_artificials(self) -> None:
         for r in range(self.m):
             if self.basis[r] < self.n_total:
                 continue
             rho = self.b_inv[r, :]
-            alpha = self.A.T @ rho
+            alpha = self._rmatvec(rho)
             nonbasic = self.vstatus[: self.n_total] != _BASIC
             candidates = np.nonzero(nonbasic & (np.abs(alpha) > _FEAS_TOL))[0]
             if candidates.size == 0:
@@ -550,26 +587,18 @@ class _Program:
         basis exists — the caller falls back to the classic two-phase path.
         """
         n_total, m = self.n_total, self.m
-        vstatus = np.empty(n_total, dtype=np.int8)
-        x = np.zeros(n_total)
-        for j in range(n_total):
-            lo, hi = self.lo[j], self.hi[j]
-            if np.isfinite(lo):
-                vstatus[j] = _AT_LOWER
-                x[j] = lo
-            elif np.isfinite(hi):
-                vstatus[j] = _AT_UPPER
-                x[j] = hi
-            else:
-                vstatus[j] = _FREE
+        vstatus, x = _place_nonbasic(
+            self.lo, self.hi, np.full(n_total, _AT_LOWER, dtype=np.int8)
+        )
         basis = np.empty(m, dtype=np.intp)
         used = np.zeros(n_total, dtype=bool)
         for i in range(self.m_ub):
             basis[i] = self.n + i
             used[self.n + i] = True
         if m > self.m_ub:
-            eq_rows = self.A.tocsr()[self.m_ub:]
-            eq_rows.sort_indices()  # smallest-column-first determinism
+            eq_rows = self.a_eq  # scanned smallest column first: determinism
+            if not eq_rows.has_sorted_indices:
+                eq_rows = eq_rows.sorted_indices()
             for r in range(self.m_ub, m):
                 start, end = eq_rows.indptr[r - self.m_ub], eq_rows.indptr[r - self.m_ub + 1]
                 chosen = -1
@@ -607,21 +636,9 @@ class _Program:
         if basis.size and (basis.min() < 0 or basis.max() >= self.n_total):
             return False
         self.basis = basis.copy()
-        self.vstatus = vstatus.copy()
+        self.vstatus, self.x = _place_nonbasic(self.lo, self.hi, vstatus)
         self.lo_ext = self.lo
         self.hi_ext = self.hi
-        self.x = np.zeros(self.n_total)
-        nonbasic = self.vstatus != _BASIC
-        for j in np.nonzero(nonbasic)[0]:
-            lo, hi = self.lo[j], self.hi[j]
-            if self.vstatus[j] == _AT_LOWER and not np.isfinite(lo):
-                self.vstatus[j] = _AT_UPPER if np.isfinite(hi) else _FREE
-            elif self.vstatus[j] == _AT_UPPER and not np.isfinite(hi):
-                self.vstatus[j] = _AT_LOWER if np.isfinite(lo) else _FREE
-            if self.vstatus[j] == _AT_LOWER:
-                self.x[j] = lo
-            elif self.vstatus[j] == _AT_UPPER:
-                self.x[j] = hi
         try:
             self._refactor()
         except _Numerics:
@@ -705,7 +722,6 @@ class _Program:
             self._update_inverse(r, w)
             self.basis[r] = enter
             self.vstatus[enter] = _BASIC
-            self.x[self.basis[r]] = self.x[enter]
 
             iters += 1
             since_refactor += 1

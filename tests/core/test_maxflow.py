@@ -309,6 +309,20 @@ class TestPreemptiveMaxFlow:
         preemptive = minimize_max_weighted_flow_preemptive(instance).objective
         assert preemptive == pytest.approx(divisible, abs=1e-5)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known revised-simplex defect: a System (5) range LP cold-solves to an "
+        "'optimal' vertex that breaks its bounds and rows (ValueError: allocation "
+        "exceeds the interval length); see ROADMAP item 4",
+    )
+    def test_revised_backend_matches_scipy_on_replicated_portal(self):
+        from repro.workload import make_scenario
+
+        instance = make_scenario("replicated-portal", 1)
+        reference = minimize_max_weighted_flow(instance, preemptive=True).objective
+        revised = minimize_max_weighted_flow(instance, preemptive=True, backend="revised")
+        assert revised.objective == pytest.approx(reference, rel=1e-6)
+
 
 class TestEdgeCases:
     def test_all_jobs_identical(self):

@@ -5,23 +5,35 @@ hypothesis suite (``tests/lp/test_lp_properties.py``); what this module pins
 down is the solver's own contract: the ``simplex-revised`` backend label,
 basis snapshots and warm re-solves, the no-densify guarantee, status
 detection on the degenerate corners (infeasible / unbounded / variable-free /
-constraint-free), and the injected ``lp.*`` metrics.
+constraint-free), the injected ``lp.*`` metrics, and the raw CSC arrays the
+solver runs on: assembled and multiplied bit for bit as scipy.sparse would,
+without a scipy.sparse object on the solve path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._compressed import _cs_matrix
 
+from repro.core import maxflow, minimize_max_weighted_flow, replanning
+from repro.core.replanning import ReplanProbe
+from repro.heuristics import OnlineOfflineAdaptationScheduler
 from repro.lp import LinearProgram, LPStatus
 from repro.lp.revised_simplex import (
     BasisState,
     ProgramHandle,
+    _COEFF_DROP,
+    _csr_block,
+    _Program,
     solve_matrix_form,
     solve_matrix_form_revised,
 )
 from repro.lp.standard_form import MatrixForm, to_matrix_form
 from repro.obs.metrics import MetricsRecorder
+from repro.simulation import simulate
+from repro.workload import available_scenarios, make_scenario, random_unrelated_instance
 
 
 def _sample_lp() -> LinearProgram:
@@ -300,3 +312,126 @@ class TestBackendRegistry:
             FeasibilityProbe(random_unrelated_instance(3, 2, seed=1), backend=removed)
         with pytest.raises(ValueError, match=message):
             ReplanProbe(backend=removed)
+
+
+def _captured_probe_forms(scenario: str, preemptive: bool) -> list:
+    """Every form ``ReplanProbe`` and ``FeasibilityProbe`` hand to a solver."""
+    forms = []
+
+    def recording(solve):
+        def solve_and_record(form):
+            forms.append(form)
+            return solve(form)
+
+        return solve_and_record
+
+    instance = make_scenario(scenario, seed=0)
+    deadlines = [
+        job.release_date + (2.0 + j % 3) * instance.min_cost(j)
+        for j, job in enumerate(instance.jobs)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (maxflow, replanning):
+            patch.setattr(module, "_scipy_solve_form", recording(module._scipy_solve_form))
+        ReplanProbe(preemptive=preemptive).check(instance, deadlines)
+        minimize_max_weighted_flow(instance, preemptive=preemptive)
+    return forms
+
+
+def _scipy_system(form: MatrixForm) -> sp.csc_matrix:
+    """``[[A_ub, I], [A_eq, 0]]`` assembled with scipy.sparse block algebra."""
+    n = form.num_variables
+    a_ub = _csr_block(form.a_ub, n)
+    a_eq = _csr_block(form.a_eq, n)
+    m_ub, m = a_ub.shape[0], a_ub.shape[0] + a_eq.shape[0]
+    slacks = sp.csc_matrix(
+        (np.ones(m_ub), (np.arange(m_ub), np.arange(m_ub))), shape=(m, m_ub)
+    )
+    return sp.hstack([sp.vstack([a_ub, a_eq], format="csc"), slacks], format="csc")
+
+
+def assert_raw_arrays_match_scipy(form: MatrixForm, seed: int = 0) -> None:
+    program = _Program(form, 1)
+    reference = _scipy_system(form)
+    assert reference.shape == (program.m, program.n_total)
+    for part in ("indptr", "indices"):
+        ours = getattr(program, part)
+        theirs = np.asarray(getattr(reference, part), dtype=ours.dtype)
+        assert ours.tobytes() == theirs.tobytes(), part
+    assert program.data.tobytes() == reference.data.tobytes()
+    columns = np.repeat(np.arange(program.n_total), np.diff(reference.indptr))
+    assert program.cols.tobytes() == columns.astype(program.cols.dtype).tobytes()
+
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        v = rng.standard_normal(program.n_total)
+        y = rng.standard_normal(program.m)
+        assert program._matvec(v).tobytes() == (reference @ v).tobytes()
+        assert program._rmatvec(y).tobytes() == (reference.T @ y).tobytes()
+
+
+def _form(a_ub: sp.csr_matrix, a_eq: sp.csr_matrix) -> MatrixForm:
+    n = max(a_ub.shape[1], a_eq.shape[1])
+    return MatrixForm(
+        c=np.zeros(n),
+        objective_constant=0.0,
+        objective_sign=1.0,
+        a_ub=a_ub,
+        b_ub=np.ones(a_ub.shape[0]),
+        a_eq=a_eq,
+        b_eq=np.ones(a_eq.shape[0]),
+        bounds=np.tile([0.0, np.inf], (n, 1)),
+    )
+
+
+class TestRawArrays:
+    """The CSC arrays and products equal scipy's, byte for byte."""
+
+    @pytest.mark.parametrize("preemptive", [False, True], ids=["divisible", "preemptive"])
+    @pytest.mark.parametrize("scenario", available_scenarios())
+    def test_probe_forms(self, scenario, preemptive):
+        forms = _captured_probe_forms(scenario, preemptive)
+        assert forms
+        for index, form in enumerate(forms):
+            assert_raw_arrays_match_scipy(form, seed=index)
+
+    def test_sub_drop_entries(self):
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((6, 9))
+        dense[rng.random(dense.shape) < 0.4] = 0.0
+        dense[1, 2] = _COEFF_DROP / 10
+        dense[4, 7] = -_COEFF_DROP / 100
+        form = _form(sp.csr_matrix(dense[:4]), sp.csr_matrix(dense[4:]))
+        assert_raw_arrays_match_scipy(form)
+        program = _Program(form, 1)
+        assert np.abs(program.data).min() >= _COEFF_DROP
+
+    @pytest.mark.parametrize("empty", ["a_ub", "a_eq"])
+    def test_one_empty_block(self, empty):
+        rng = np.random.default_rng(5)
+        full = sp.random(5, 8, density=0.4, format="csr", random_state=rng)
+        none = sp.csr_matrix((0, 8))
+        blocks = (none, full) if empty == "a_ub" else (full, none)
+        assert_raw_arrays_match_scipy(_form(*blocks))
+
+
+def test_solve_path_builds_no_scipy_sparse_objects(monkeypatch):
+    """With scipy's stacking, products and indexing poisoned, the solves still run."""
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("the revised simplex went through scipy.sparse")
+
+    monkeypatch.setattr(sp, "vstack", poisoned)
+    monkeypatch.setattr(_cs_matrix, "_matmul_vector", poisoned)
+    monkeypatch.setattr(_cs_matrix, "__getitem__", poisoned)
+
+    instance = random_unrelated_instance(8, 3, seed=4, cost_range=(2, 12))
+    result = simulate(instance, OnlineOfflineAdaptationScheduler(backend="revised"))
+    result.schedule.validate()
+    assert len(result.completion_times) == instance.num_jobs
+
+    recorder = MetricsRecorder()
+    form = to_matrix_form(_sample_lp(), sparse=True)  # >= rows: phase 1 runs
+    cold = solve_matrix_form_revised(form, recorder=recorder)
+    assert cold.solution.is_optimal
+    assert "lp.time.revised.phase1" in recorder.snapshot()["histograms"]
