@@ -203,28 +203,23 @@ class Instance:
         """Fastest single-machine processing time of job ``job_index``."""
         return float(np.min(self.costs[:, job_index]))
 
-    def job_vectors(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(min_costs, weights, release_dates)`` float vectors in job order.
+    @property
+    def job_lists(self) -> Tuple[List[float], List[float], List[float]]:
+        """``(fastest costs, weights, release dates)`` as Python floats in job order.
 
-        Cached after the first call (instances are frozen, so the vectors
-        never go stale).  Array-aware policies bind these at ``reset`` /
-        ``rebind`` instead of re-deriving them scalar by scalar; the
-        streaming :class:`~repro.simulation.window.InstanceView` provides
-        the same accessor in O(1) over its incrementally maintained window
-        metadata, with byte-identical values.
+        Cached after the first access (instances are frozen, so the lists
+        never go stale).  The ranking policies read these at each decision;
+        the streaming :class:`~repro.simulation.window.InstanceView` provides
+        the same accessor over its window metadata, with the same doubles.
         """
-        cache = getattr(self, "_job_vectors_cache", None)
+        cache = getattr(self, "_job_lists_cache", None)
         if cache is None:
-            n = self.num_jobs
-            min_costs = np.fromiter(
-                (self.min_cost(j) for j in range(n)), dtype=float, count=n
+            cache = (
+                [self.min_cost(j) for j in range(self.num_jobs)],
+                [job.weight for job in self.jobs],
+                [job.release_date for job in self.jobs],
             )
-            weights = np.fromiter((job.weight for job in self.jobs), dtype=float, count=n)
-            releases = np.fromiter(
-                (job.release_date for job in self.jobs), dtype=float, count=n
-            )
-            cache = (min_costs, weights, releases)
-            object.__setattr__(self, "_job_vectors_cache", cache)
+            object.__setattr__(self, "_job_lists_cache", cache)
         return cache
 
     def aggregate_rate(self, job_index: int) -> float:

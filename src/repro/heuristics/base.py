@@ -25,7 +25,12 @@ from typing import Dict, Iterable, List, Optional
 from ..core.instance import Instance
 from ..simulation.state import AllocationDecision, SimulationState
 
-__all__ = ["OnlineScheduler", "exclusive_allocation", "cheapest_eligible_machine"]
+__all__ = [
+    "OnlineScheduler",
+    "exclusive_allocation",
+    "fastest_free_assignment",
+    "cheapest_eligible_machine",
+]
 
 
 class OnlineScheduler(abc.ABC):
@@ -40,22 +45,15 @@ class OnlineScheduler(abc.ABC):
         Whether the policy may split a job across machines simultaneously.
         Stored on the resulting :class:`~repro.core.schedule.Schedule` so that
         validation applies the right rules.
-    array_aware:
-        Opt-in capability flag of the parametric replanning runtime.  A
-        policy that sets it ``True`` promises to read per-job dynamic state
-        only through the event loop's remaining-work vector
-        (:attr:`~repro.simulation.state.SimulationState.remaining_vector`,
-        directly or via the state's scalar accessors, which prefer it, or
-        its Python-float twin ``remaining_list``).  The event loop then
-        dispatches to :meth:`decide_arrays` and skips the per-event
-        ``JobProgress`` mirror updates entirely; legacy policies (the
-        default) are untouched and the executed output is byte-for-byte
-        identical either way.
+
+    Every policy has one decision path, :meth:`decide`.  It reads per-job
+    dynamic state through ``active_jobs()``, ``remaining_fraction()`` (and
+    the accessors derived from it) or ``remaining_list``; the event loop
+    passes ``jobs=None`` (see :class:`~repro.simulation.state.SimulationState`).
     """
 
     name: str = "scheduler"
     divisible: bool = False
-    array_aware: bool = False
 
     def reset(self, instance: Instance) -> None:
         """Called once before a simulation starts; clear any internal state."""
@@ -88,17 +86,6 @@ class OnlineScheduler(abc.ABC):
     def decide(self, state: SimulationState) -> AllocationDecision:
         """Return the allocation to apply from ``state.time`` until the next event."""
 
-    def decide_arrays(self, state: SimulationState) -> AllocationDecision:
-        """Array-aware variant of :meth:`decide`.
-
-        Invoked by the event loop instead of :meth:`decide` when ``array_aware``
-        is set.  ``state.remaining_vector`` is guaranteed to be bound.  The
-        default delegates to :meth:`decide`, which suffices for policies
-        whose scalar reads already go through the (vector-preferring) state
-        accessors; policies wanting vectorised ranking override this.
-        """
-        return self.decide(state)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}(name={self.name!r})"
 
@@ -115,6 +102,39 @@ def exclusive_allocation(assignments: Dict[int, int]) -> AllocationDecision:
         shares={machine: [(job, 1.0)] for machine, job in assignments.items()},
         all_exclusive=True,
     )
+
+
+def fastest_free_assignment(instance: Instance, ranked: Iterable[int]) -> AllocationDecision:
+    """Give each job, in ``ranked`` order, its fastest still-free machine.
+
+    An ascending machine scan with a strict ``<``: each job takes the
+    lowest-index free machine achieving its minimum cost, and a job no free
+    machine can run is skipped.  The costs are read per machine row: Python
+    floats on the streaming view (``costs_rows``), row views of the cost
+    array on a plain :class:`~repro.core.instance.Instance`.  The shares are
+    built in assignment order, exactly as :func:`exclusive_allocation` would
+    build them.
+    """
+    rows = getattr(instance, "costs_rows", None)
+    if rows is None:
+        rows = list(instance.costs)
+    free_machines = list(range(instance.num_machines))
+    shares: Dict[int, List] = {}
+    for job_index in ranked:
+        if not free_machines:
+            break
+        best_machine = -1
+        best_cost = math.inf
+        for machine_index in free_machines:
+            cost = rows[machine_index][job_index]
+            if cost < best_cost:
+                best_cost = cost
+                best_machine = machine_index
+        if best_machine < 0:
+            continue
+        shares[best_machine] = [(job_index, 1.0)]
+        free_machines.remove(best_machine)
+    return AllocationDecision(shares=shares, all_exclusive=True)
 
 
 def cheapest_eligible_machine(

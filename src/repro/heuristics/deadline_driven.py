@@ -27,13 +27,12 @@ pre-refactor behaviour.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from ..core.instance import Instance
 from ..core.replanning import ReplanProbe, remaining_subinstance
 from ..simulation.state import AllocationDecision, SimulationState
-from .base import OnlineScheduler, exclusive_allocation
+from .base import OnlineScheduler, fastest_free_assignment
 
 __all__ = ["DeadlineDrivenScheduler"]
 
@@ -63,7 +62,6 @@ class DeadlineDrivenScheduler(OnlineScheduler):
 
     name = "deadline-driven"
     divisible = False
-    array_aware = True
 
     def __init__(
         self,
@@ -100,12 +98,6 @@ class DeadlineDrivenScheduler(OnlineScheduler):
         # growth (resetting it on every arrival would forget the adaptation);
         # deadlines are recomputed from the instance at each decide().
         return None
-
-    def decide_arrays(self, state: SimulationState) -> AllocationDecision:
-        # The scalar path already reads per-job dynamic state only through
-        # the state's vector-preferring accessors (fastest_remaining_work),
-        # so the array contract is the scalar decision, verbatim.
-        return self.decide(state)
 
     def compact(self, instance: Instance, mapping: Dict[int, int]) -> None:
         # The running target is index-free and the probe is keyed purely by
@@ -193,23 +185,7 @@ class DeadlineDrivenScheduler(OnlineScheduler):
         self._raise_target_if_needed(state, active)
 
         ranked = sorted(active, key=lambda j: self._deadline(state, j))
-        free_machines = set(range(instance.num_machines))
-        assignments: Dict[int, int] = {}
-        for job_index in ranked:
-            best_machine = None
-            best_cost = math.inf
-            for machine_index in free_machines:
-                cost = instance.cost(machine_index, job_index)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_machine = machine_index
-            if best_machine is None or math.isinf(best_cost):
-                continue
-            assignments[best_machine] = job_index
-            free_machines.discard(best_machine)
-            if not free_machines:
-                break
-        return exclusive_allocation(assignments)
+        return fastest_free_assignment(instance, ranked)
 
     @property
     def current_target(self) -> float:

@@ -11,7 +11,7 @@ dividing jobs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from ..core.instance import Instance
 from ..simulation.state import AllocationDecision, SimulationState
@@ -51,17 +51,23 @@ class MCTScheduler(OnlineScheduler):
         self._assigned = {mapping[job] for job in self._assigned if job in mapping}
 
     # ------------------------------------------------------------------ #
-    def _machine_backlog(self, state: SimulationState, machine_index: int) -> float:
-        """Remaining work (seconds) queued on a machine, including the running job."""
+    def _machine_backlog(
+        self, state: SimulationState, machine_index: int, active: Set[int]
+    ) -> float:
+        """Remaining work (seconds) queued on a machine, including the running job.
+
+        A queued job is finished exactly when it has left the active set.
+        """
         backlog = 0.0
         for job_index in self._queues[machine_index]:
-            progress = state.jobs[job_index]
-            if progress.finished:
+            if job_index not in active:
                 continue
-            backlog += progress.remaining_fraction * state.instance.cost(machine_index, job_index)
+            backlog += state.remaining_fraction(job_index) * state.instance.cost(
+                machine_index, job_index
+            )
         return backlog
 
-    def _assign_new_jobs(self, state: SimulationState) -> None:
+    def _assign_new_jobs(self, state: SimulationState, active: Set[int]) -> None:
         """Assign every newly arrived job to its minimum-completion-time machine."""
         instance = state.instance
         for job_index in state.active_jobs():
@@ -73,7 +79,8 @@ class MCTScheduler(OnlineScheduler):
                 cost = instance.cost(machine_index, job_index)
                 if math.isinf(cost):
                     continue
-                completion = state.time + self._machine_backlog(state, machine_index) + cost
+                backlog = self._machine_backlog(state, machine_index, active)
+                completion = state.time + backlog + cost
                 if completion < best_completion:
                     best_completion = completion
                     best_machine = machine_index
@@ -87,11 +94,12 @@ class MCTScheduler(OnlineScheduler):
 
     # ------------------------------------------------------------------ #
     def decide(self, state: SimulationState) -> AllocationDecision:
-        self._assign_new_jobs(state)
+        active = set(state.active_jobs())
+        self._assign_new_jobs(state, active)
         assignments: Dict[int, int] = {}
         for machine_index, queue in self._queues.items():
             # Drop finished jobs from the head of the queue, then run the head.
-            while queue and state.jobs[queue[0]].finished:
+            while queue and queue[0] not in active:
                 queue.pop(0)
             if queue:
                 assignments[machine_index] = queue[0]

@@ -84,9 +84,6 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
     """
 
     divisible = True
-    #: The policy only reads the simulation state through its vector-backed
-    #: accessors, so the event loop may skip the per-event object mirrors.
-    array_aware = True
 
     def __init__(
         self,
@@ -148,12 +145,6 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         # floor deliberately stays as computed at reset(): re-deriving it
         # from the grown window would change replanning times mid-stream.
         return None
-
-    def decide_arrays(self, state: SimulationState) -> AllocationDecision:
-        # The scalar path reads per-job dynamic state only through the
-        # state's vector-preferring accessors, so the array contract is the
-        # scalar decision, verbatim.
-        return self.decide(state)
 
     def compact(self, instance: Instance, mapping: Dict[int, int]) -> None:
         # The current plan references window job indices; remap it so a

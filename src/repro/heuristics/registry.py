@@ -25,7 +25,6 @@ time, so ``available_policies()`` always includes them.
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -380,37 +379,12 @@ class PolicySpec:
 _POLICIES: Dict[str, PolicySpec] = {}
 
 
-def _validate_scheduler_class(name: str, factory: Any) -> None:
-    """Reject scheduler classes that break the array-aware contract.
-
-    ``array_aware = True`` promises the event loop an array path; a class that
-    sets the flag without defining :meth:`OnlineScheduler.decide_arrays`
-    would silently dispatch to the base's scalar delegation — the exact
-    situation the flag claims to replace.  Catching it at registration time
-    (the runtime twin of the ``policy-array-aware`` lint rule) surfaces the
-    broken contract before any simulation runs; non-class factories are not
-    introspectable and are checked statically by ``repro.lint`` instead.
-    """
-    if not (inspect.isclass(factory) and issubclass(factory, OnlineScheduler)):
-        return
-    if not getattr(factory, "array_aware", False):
-        return
-    if factory.decide_arrays is OnlineScheduler.decide_arrays:
-        raise ValueError(
-            f"policy {name!r} ({factory.__name__}) sets array_aware=True but "
-            "does not define decide_arrays(); define it (an explicit scalar "
-            "delegation is fine) or drop the flag"
-        )
-
-
 def register_policy(spec: PolicySpec, *, replace: bool = False) -> PolicySpec:
     """Add a policy to the registry (``replace=True`` to override a name)."""
     if spec.kind not in ("online", "offline"):
         raise ValueError(f"policy kind must be 'online' or 'offline', got {spec.kind!r}")
     if not replace and spec.name in _POLICIES:
         raise ValueError(f"policy {spec.name!r} is already registered (pass replace=True)")
-    if spec.scheduler_factory is not None:
-        _validate_scheduler_class(spec.name, spec.scheduler_factory)
     _POLICIES[spec.name] = spec
     return spec
 

@@ -14,8 +14,8 @@ statically, over every module, on every run:
   semantics-bearing modules and a git-diff-aware check that edits to them
   bump ``CODE_EPOCH``;
 * **policy-protocol conformance** (:mod:`repro.lint.protocol`) — every
-  registered policy defines its streaming hooks, honours its ``array_aware``
-  promise, and declares a parameter schema its constructor accepts;
+  registered policy defines its streaming hooks and declares a parameter
+  schema its constructor accepts;
 * **observability defaults** (:mod:`repro.lint.observability`) — runtime
   modules never construct or install concrete metrics recorders, so the
   disabled-mode zero-overhead contract of :mod:`repro.obs` cannot silently

@@ -1,10 +1,9 @@
 """Policy-protocol conformance: cross-file invariants of the policy runtime.
 
-The simulation event loop calls optional hooks on
-every registered policy (``rebind``/``compact`` when the window grows or
-compacts, ``decide_arrays`` when ``array_aware`` is set) and campaigns sweep
-parameters through each policy's :class:`~repro.heuristics.registry.
-PolicyParam` schema.  All of these contracts span files — a policy lives in
+The simulation event loop calls optional hooks on every registered policy
+(``rebind``/``compact`` when the window grows or compacts) and campaigns
+sweep parameters through each policy's
+:class:`~repro.heuristics.registry.PolicyParam` schema.  All of these contracts span files — a policy lives in
 one module, its registration in another, the caller in a third — so a
 violation used to surface only when a simulation happened to exercise the
 hook, if at all.
@@ -18,9 +17,6 @@ the class's own source line.
   abstract :class:`~repro.heuristics.base.OnlineScheduler` defaults).  The
   base defaults are safe but implicit; the streaming runtime's byte-identity
   guarantees rest on each policy having made the choice deliberately.
-* ``policy-array-aware`` — ``array_aware = True`` promises the event loop an
-  array path: the class must define ``decide_arrays`` (inheriting the base's
-  scalar delegation silently re-enters the path the flag claims to replace).
 * ``policy-param-schema`` — every :class:`PolicyParam` name must be a
   keyword the policy's constructor accepts, else variant resolution builds
   kwargs the factory rejects at sweep time.
@@ -36,7 +32,6 @@ from .findings import Finding
 from .registry import Rule, RuleSpec, register_rule
 
 __all__ = [
-    "PolicyArrayAwareRule",
     "PolicyExplicitHooksRule",
     "PolicyParamSchemaRule",
 ]
@@ -136,30 +131,6 @@ class PolicyExplicitHooksRule(_RegistryRule):
                     )
 
 
-class PolicyArrayAwareRule(_RegistryRule):
-    """``array_aware = True`` implies a ``decide_arrays`` definition."""
-
-    def check_project(self, project) -> Iterable[Finding]:
-        for name, spec, cls, base in self._policy_classes():
-            if not (isinstance(cls, type) and issubclass(cls, base)):
-                continue
-            if not getattr(cls, "array_aware", False):
-                continue
-            if not _defines(cls, "decide_arrays", above=base):
-                path, line = _anchor(cls, project)
-                yield self.finding(
-                    path,
-                    line,
-                    f"policy {name!r} ({cls.__name__}) sets array_aware=True "
-                    "but does not define decide_arrays(): the event loop would "
-                    "dispatch to the base delegation, silently re-entering "
-                    "the scalar path the flag claims to replace — define "
-                    "decide_arrays (an explicit scalar delegation documents "
-                    "that the accessors are already vector-backed)",
-                    context=f"class {cls.__name__}",
-                )
-
-
 class PolicyParamSchemaRule(_RegistryRule):
     """Every ``PolicyParam`` name is a constructor keyword of its policy."""
 
@@ -209,15 +180,6 @@ register_rule(
         factory=PolicyExplicitHooksRule,
         severity="error",
         description="registered schedulers define rebind() and compact() explicitly",
-    )
-)
-register_rule(
-    RuleSpec(
-        name="policy-array-aware",
-        scope="project",
-        factory=PolicyArrayAwareRule,
-        severity="error",
-        description="array_aware=True policies define decide_arrays()",
     )
 )
 register_rule(

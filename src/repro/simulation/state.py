@@ -62,8 +62,13 @@ class SimulationState:
 
     The event loop builds one state object per run and updates it in place
     between events, so policies must read what they need inside ``decide``
-    and must not retain the object (or its ``jobs``/``active`` lists) across
-    calls.
+    and must not retain the object (or its ``active``/``remaining_list``
+    lists) across calls.
+
+    Policies read per-job dynamic state only through :meth:`active_jobs` and
+    the scalar accessors (:meth:`remaining_fraction` and the quantities
+    derived from it), or through ``remaining_list`` when it is bound.  The
+    accessors read whichever copy of the remaining work the state carries.
 
     Attributes
     ----------
@@ -74,7 +79,10 @@ class SimulationState:
     time:
         Current simulation time.
     jobs:
-        Per-job dynamic state, indexed like ``instance.jobs``.
+        Per-job :class:`JobProgress` objects, indexed like ``instance.jobs``,
+        for states built by hand and by the frozen reference engines.  The
+        event loop passes ``None``: its one copy of the remaining work is
+        ``remaining_list``.
     next_arrival:
         Release date of the next not-yet-arrived job (``None`` when all jobs
         have arrived).  On-line policies are allowed to *peek* at this value
@@ -86,25 +94,18 @@ class SimulationState:
         :meth:`active_jobs` does not rescan every job at every event; states
         built by hand may leave it ``None``.
     remaining_vector:
-        The event loop's numpy vector of per-job remaining fractions
-        (authoritative — identical to the ``jobs`` mirrors whenever those
-        are maintained).  Array-aware policies (``array_aware = True`` on
-        the scheduler) read it directly; for such policies the loop skips
-        the per-event ``jobs`` mirror updates entirely, so the mirrors must
-        not be read — the scalar accessors below already prefer the vector
-        when it is bound.  States built by hand leave it ``None`` and fall
-        back to the mirrors.
+        Optional numpy vector of per-job remaining fractions.  The event
+        loop leaves it ``None``; the frozen rebuild reference
+        (:mod:`repro.simulation._stream_legacy`) binds it.
     remaining_list:
-        Python-float twin of ``remaining_vector``, maintained by the event
-        loop in lockstep with it (the list holds the very doubles the
-        vector stores).  Policies may read it in scalar ranking loops to
-        skip per-element float64 boxing; states built by hand leave it
-        ``None``.
+        The event loop's per-slot remaining fractions as Python floats: the
+        window's own list, updated in place at every advance, completion
+        and compaction.  States built by hand leave it ``None``.
     """
 
     instance: Instance
     time: float
-    jobs: List[JobProgress]
+    jobs: Optional[List[JobProgress]]
     next_arrival: Optional[float]
     active: Optional[List[int]] = None
     remaining_vector: Optional[np.ndarray] = None
@@ -122,7 +123,13 @@ class SimulationState:
         ]
 
     def remaining_fraction(self, job_index: int) -> float:
-        """Remaining fraction of job ``job_index``."""
+        """Remaining fraction of job ``job_index``.
+
+        Reads ``remaining_list``, else ``remaining_vector``, else the
+        ``jobs`` objects: the first copy the state carries.
+        """
+        if self.remaining_list is not None:
+            return self.remaining_list[job_index]
         if self.remaining_vector is not None:
             return float(self.remaining_vector[job_index])
         return self.jobs[job_index].remaining_fraction

@@ -38,15 +38,19 @@ The loop never materialises a window :class:`~repro.core.instance.Instance`:
   preallocated slots (no construction, no revalidation) and compaction
   remaps indices in place; the ``rebind``/``compact`` hooks tell the policy.
 * Events are processed in batches between decision points: all due arrivals
-  of an epoch are admitted in one block write, one
+  of an epoch are admitted as one batch, one
   :class:`~repro.simulation.state.SimulationState` is updated in place (no
   per-event state objects), and the per-decision rate/horizon/progress
   arithmetic touches only the slots the decision allocated.
-* The advance arithmetic runs on Python floats (per-slot rates in a
-  loop-local list, remaining fractions in
-  ``SimulationState.remaining_list``, kept in lockstep with the numpy
-  ``remaining_vector``): the same IEEE-754 float64 operations, without
-  per-element boxing.
+* Each per-slot scalar has one copy, a Python-float list: the window owns
+  the remaining fractions (``SimulationState.remaining_list``) and the
+  slot metadata, the loop keeps the per-slot rates.  The advance
+  arithmetic runs on them directly — the same IEEE-754 float64 operations
+  a vector would do, without per-element boxing.  Every policy has one
+  decision path, :meth:`~repro.heuristics.base.OnlineScheduler.decide`,
+  and reads the remaining work through that list or the state's
+  accessors; there are no per-job ``JobProgress`` objects (``jobs`` is
+  ``None``).
 
 Two frozen references pin the loop's output.  Finite-instance runs match
 ``benchmarks/_seed_engine.py`` piece for piece; stream runs match the
@@ -350,8 +354,7 @@ class StreamingSimulator:
             The workload stream (open-ended streams need ``max_arrivals``).
         scheduler:
             An :class:`~repro.heuristics.base.OnlineScheduler` (resolve one
-            with :func:`repro.heuristics.make_scheduler`); array-aware
-            policies are dispatched to ``decide_arrays``.
+            with :func:`repro.heuristics.make_scheduler`).
         max_arrivals:
             Stop admitting after this many arrivals and drain the queue.
             Required for streams without a finite :attr:`WorkloadStream.length`.
@@ -409,8 +412,7 @@ class StreamingSimulator:
             result.elapsed_seconds = wall_clock() - started
             return result
 
-        array_mode = bool(getattr(scheduler, "array_aware", False))
-        decide_fn = scheduler.decide_arrays if array_mode else scheduler.decide
+        decide = scheduler.decide
         rebind = getattr(scheduler, "rebind", None)
 
         active: List[int] = []  # sorted live window indices
@@ -428,28 +430,21 @@ class StreamingSimulator:
         queue_lengths: List[int] = []
         sample_stride = 1
 
-        rows = window.costs_rows  # stable: inner lists mutate in place
+        # Stable references: the window mutates these lists in place.
+        rows = window.costs_rows
         remaining = window.remaining
-        #: Per-slot rates and remaining fractions as Python floats
-        #: (bit-identical to float64 vector arithmetic).  ``remaining_list``
-        #: is maintained in lockstep with the numpy vector — every write
-        #: lands in both — and is the read side of the hot arithmetic;
-        #: mutated in place so the state binding below stays current.
+        #: Per-slot rates as Python floats (bit-identical to float64 vector
+        #: arithmetic), loop-local.
         rate_list: List[float] = []
-        remaining_list: List[float] = []
-        mirrors = window.mirrors
 
-        # One policy-facing snapshot for the whole run, updated in place;
-        # its vector reference is refreshed whenever the window's capacity
-        # grows.
+        # One policy-facing snapshot for the whole run, updated in place.
         state = SimulationState(
             instance=view,  # type: ignore[arg-type] — duck-typed zero-copy view
             time=time,
-            jobs=mirrors,
+            jobs=None,
             next_arrival=None,
             active=active,
-            remaining_vector=remaining,
-            remaining_list=remaining_list,
+            remaining_list=remaining,
         )
 
         finite = log is not None
@@ -524,7 +519,6 @@ class StreamingSimulator:
                         )
                     active.extend(range(first_slot, first_slot + count))
                     rate_list.extend([0.0] * count)
-                    remaining_list.extend([1.0] * count)
                     due.clear()
                     window_changed = True
                     progressed_this_event = True
@@ -542,10 +536,7 @@ class StreamingSimulator:
                 break
 
             if window_changed:
-                # Zero-copy: the view already spans the grown window; only
-                # the remaining vector may have moved on a capacity doubling.
-                remaining = window.remaining
-                state.remaining_vector = remaining
+                # Zero-copy: the view already spans the grown window.
                 if not reset_done:
                     if hasattr(scheduler, "reset"):
                         scheduler.reset(view)
@@ -568,7 +559,7 @@ class StreamingSimulator:
             # ---- one decision window -------------------------------------
             state.time = time
             state.next_arrival = next_arrival
-            decision: AllocationDecision = decide_fn(state)
+            decision: AllocationDecision = decide(state)
             n_decisions += 1
             if validate:
                 decision.validate(state)
@@ -614,7 +605,7 @@ class StreamingSimulator:
             for job_index in touched:
                 job_rate = rate_list[job_index]
                 if job_rate > 0.0:
-                    candidate = time + remaining_list[job_index] / job_rate
+                    candidate = time + remaining[job_index] / job_rate
                     if candidate < horizon:
                         horizon = candidate
 
@@ -642,7 +633,7 @@ class StreamingSimulator:
                 for machine_index in list(running):
                     job_index = running[machine_index]
                     if (machine_index, job_index) not in assigned_now:
-                        if remaining_list[job_index] > _COMPLETION_DUST:
+                        if remaining[job_index] > _COMPLETION_DUST:
                             n_preemptions += 1
                         del running[machine_index]
                         if finite:
@@ -656,28 +647,22 @@ class StreamingSimulator:
                     for machine_index, share_list in shares.items():
                         job_index = share_list[0][0]
                         running[machine_index] = job_index
-                        value = remaining_list[job_index] - window_span / rows[
+                        value = remaining[job_index] - window_span / rows[
                             machine_index
                         ][job_index]
                         if value < 0.0:
                             value = 0.0
                         remaining[job_index] = value
-                        remaining_list[job_index] = value
-                        if not array_mode:
-                            mirrors[job_index].remaining_fraction = value
                 else:
                     for machine_index, job_index, share, exclusive in flat:
                         if exclusive:
                             running[machine_index] = job_index
-                            value = remaining_list[job_index] - window_span / rows[
+                            value = remaining[job_index] - window_span / rows[
                                 machine_index
                             ][job_index]
                             if value < 0.0:
                                 value = 0.0
                             remaining[job_index] = value
-                            remaining_list[job_index] = value
-                            if not array_mode:
-                                mirrors[job_index].remaining_fraction = value
                         else:
                             running.pop(machine_index, None)
                             progressed = (
@@ -685,13 +670,10 @@ class StreamingSimulator:
                             )
                             if progressed <= 0:
                                 continue
-                            value = remaining_list[job_index] - progressed
+                            value = remaining[job_index] - progressed
                             if value < 0.0:
                                 value = 0.0
                             remaining[job_index] = value
-                            remaining_list[job_index] = value
-                            if not array_mode:
-                                mirrors[job_index].remaining_fraction = value
                 time = horizon
 
                 # ---- completions: only progressed slots can cross the
@@ -700,17 +682,13 @@ class StreamingSimulator:
                 completed_now = [
                     job_index
                     for job_index in touched
-                    if remaining_list[job_index] <= _COMPLETION_DUST
+                    if remaining[job_index] <= _COMPLETION_DUST
                 ]
                 if completed_now:
                     if len(completed_now) > 1:
                         completed_now = sorted(set(completed_now))
                     for job_index in completed_now:
                         remaining[job_index] = 0.0
-                        remaining_list[job_index] = 0.0
-                        mirror = mirrors[job_index]
-                        mirror.remaining_fraction = 0.0
-                        mirror.completion_time = time
                         window.live[job_index] = False
                         active.remove(job_index)
                         freed = [m for m, j in running.items() if j == job_index]
@@ -730,7 +708,7 @@ class StreamingSimulator:
                             flow = time - job.release_date
                             flows.append(flow)
                             weighted.append(job.weight * flow)
-                            stretches.append(flow / window.min_costs[job_index])
+                            stretches.append(flow / window.min_list[job_index])
                             finished_ids.append(window.global_ids[job_index])
                             releases.append(job.release_date)
             else:
@@ -756,9 +734,6 @@ class StreamingSimulator:
                 # across the remap.
                 del touched[:]
                 rate_list = [0.0] * len(window.jobs)
-                # Same doubles: compact() fancy-copied the survivors'
-                # float64 entries, tolist() unboxes them bit-for-bit.
-                remaining_list[:] = remaining[: len(window.jobs)].tolist()
                 if len(window.jobs) > 0:
                     scheduler.compact(view, mapping)
                 else:

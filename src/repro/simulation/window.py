@@ -4,11 +4,13 @@ The :class:`~repro.simulation.stream.StreamingSimulator` event loop never
 hands a policy a freshly built :class:`~repro.core.instance.Instance`
 (construction and validation are O(m·w) per event).  Instead:
 
-* :class:`StreamWindow` owns the window's buffers — the cost block, the
-  ``remaining`` vector, the :class:`~repro.simulation.state.JobProgress`
-  mirrors and per-slot metadata (job, global id, fastest cost, weight,
-  release) — and mutates them in place: arrivals append into preallocated
-  slots, compaction remaps surviving slots with vectorised fancy indexing.
+* :class:`StreamWindow` owns the window's buffers — the cost block (a numpy
+  array and its Python-float rows), the per-slot ``remaining`` fractions and
+  per-slot metadata (job, global id, fastest cost, weight, release) — and
+  mutates them in place: arrivals append into preallocated cost columns and
+  the per-slot lists, compaction remaps the surviving slots.  Each per-slot
+  scalar (fastest cost, weight, release, remaining fraction) has exactly
+  one copy, a Python-float list.
 * :class:`InstanceView` is a **zero-copy stand-in** for ``Instance`` over
   those buffers.  It satisfies the read surface the policies and the loop
   consume (``jobs``, ``machines``, ``costs``, ``cost``, ``min_cost``,
@@ -36,7 +38,6 @@ from ..core.instance import Instance
 from ..core.job import Job
 from ..core.machine import Machine
 from ..workload.streams import ArrivalEvent
-from .state import JobProgress
 
 __all__ = ["InstanceView", "StreamWindow"]
 
@@ -79,10 +80,11 @@ class InstanceView:
 
     @property
     def job_lists(self) -> Tuple[List[float], List[float], List[float]]:
-        """``(min_costs, weights, release_dates)`` as plain Python floats.
+        """``(fastest costs, weights, release dates)`` as plain Python floats.
 
-        The scalar twin of :meth:`job_vectors` — same doubles, list-backed,
-        mutated in place by the window (so cached references stay current).
+        The window's own lists, mutated in place (so references stay
+        current); the same doubles :attr:`Instance.job_lists` gives for the
+        materialised window.
         """
         window = self._window
         return (window.min_list, window.weight_list, window.release_list)
@@ -108,7 +110,7 @@ class InstanceView:
         return float(self._window.costs_base[machine_index, job_index])
 
     def min_cost(self, job_index: int) -> float:
-        return float(self._window.min_costs[job_index])
+        return self._window.min_list[job_index]
 
     def job_index(self, name: str) -> int:
         for index, job in enumerate(self._window.jobs):
@@ -131,22 +133,6 @@ class InstanceView:
         return [j for j in range(self.num_jobs) if math.isfinite(row[j])]
 
     # -- derived quantities ---------------------------------------------- #
-    def job_vectors(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(min_costs, weights, release_dates)`` float vectors in slot order.
-
-        Zero-copy slices of the window's incrementally maintained metadata —
-        the O(1) counterpart of :meth:`Instance.job_vectors`, and the reason
-        array-aware policies can treat ``rebind`` as constant-time under the
-        streaming simulator.
-        """
-        window = self._window
-        width = len(window.jobs)
-        return (
-            window.min_costs[:width],
-            window.weights[:width],
-            window.releases[:width],
-        )
-
     def aggregate_rate(self, job_index: int) -> float:
         column = self.costs[:, job_index]
         finite = np.isfinite(column)
@@ -196,11 +182,12 @@ class StreamWindow:
     """The active window's storage: preallocated slots.
 
     Arrivals append into the next slot (amortised O(m): one cost-column
-    write, a handful of scalar stores — no construction, no revalidation);
-    compaction drops dead slots by remapping the survivors in place with one
-    fancy-indexed copy per buffer.  Capacity doubles on demand: the arrays
-    are regrown and the mirror list is extended in place, so the mirrors of
-    admitted slots (and references to the list) survive a growth.
+    write, a handful of list appends — no construction, no revalidation);
+    compaction drops dead slots by remapping the survivors in place, one
+    fancy-indexed copy for the cost block and one list rebuild per per-slot
+    list.  The cost block's capacity doubles on demand; the lists are only
+    ever mutated in place, so references to them survive growth and
+    compaction.
     """
 
     def __init__(self, machines: Sequence[Machine]) -> None:
@@ -218,20 +205,15 @@ class StreamWindow:
         #: lists are mutated in place (append / slice-assign) so references
         #: held across admissions and compactions stay valid.
         self.costs_rows: List[List[float]] = [[] for _ in range(self.num_machines)]
-        #: Python-float twins of the slot metadata vectors below, maintained
+        #: Per-slot metadata and remaining work as Python floats, maintained
         #: the same way as ``costs_rows`` (appended on admit, remapped on
-        #: compact, mutated in place).  The preemptive policies rank the
-        #: small active set over these with plain ``sorted`` — cheaper than
-        #: numpy fancy-indexing at window scale, and bit-identical since the
-        #: values are the same IEEE-754 doubles.
+        #: compact, mutated in place).  ``remaining`` is the event loop's
+        #: one copy of each job's remaining fraction
+        #: (``SimulationState.remaining_list``).
         self.min_list: List[float] = []  # slot -> fastest processing time
         self.weight_list: List[float] = []  # slot -> job weight
         self.release_list: List[float] = []  # slot -> release date
-        self.min_costs = np.empty(0)  # slot -> fastest processing time
-        self.weights = np.empty(0)  # slot -> job weight
-        self.releases = np.empty(0)  # slot -> release date
-        self.remaining = np.empty(0)  # slot -> remaining fraction
-        self.mirrors: List[JobProgress] = []  # slot -> policy-facing mirror
+        self.remaining: List[float] = []  # slot -> remaining fraction
         self.view = InstanceView(self)
 
     # ------------------------------------------------------------------ #
@@ -246,26 +228,16 @@ class StreamWindow:
         grown = np.empty((self.num_machines, new_capacity))
         grown[:, :width] = self.costs_base[:, :width]
         self.costs_base = grown
-        for name in ("min_costs", "weights", "releases", "remaining"):
-            old = getattr(self, name)
-            fresh = np.empty(new_capacity)
-            fresh[:width] = old[:width]
-            setattr(self, name, fresh)
-        self.mirrors.extend(
-            JobProgress(job_index=slot) for slot in range(len(self.mirrors), new_capacity)
-        )
         self.capacity = new_capacity
 
     def admit_batch(self, events: Sequence[ArrivalEvent]) -> int:
         """Append a batch of arrivals; returns the first slot used.
 
-        The batch shares one capacity check and one remaining-block reset —
-        the admission half of batched event processing.
+        The batch shares one capacity check — the admission half of batched
+        event processing.
         """
         first = len(self.jobs)
-        count = len(events)
-        self._ensure_capacity(first + count)
-        self.remaining[first : first + count] = 1.0
+        self._ensure_capacity(first + len(events))
         for offset, event in enumerate(events):
             self._fill_slot(first + offset, event)
         return first
@@ -279,17 +251,10 @@ class StreamWindow:
         column = event.costs.tolist()
         for machine_index, row in enumerate(self.costs_rows):
             row.append(column[machine_index])
-        fastest = event.min_cost
-        self.min_costs[slot] = fastest
-        self.weights[slot] = job.weight
-        self.releases[slot] = job.release_date
-        self.min_list.append(fastest)
+        self.min_list.append(event.min_cost)
         self.weight_list.append(job.weight)
         self.release_list.append(job.release_date)
-        mirror = self.mirrors[slot]
-        mirror.arrived = True
-        mirror.remaining_fraction = 1.0
-        mirror.completion_time = None
+        self.remaining.append(1.0)
 
     def compact(self) -> Dict[int, int]:
         """Drop dead slots in place; returns the old→new mapping of survivors."""
@@ -299,18 +264,9 @@ class StreamWindow:
         self.costs_base[:, :width] = self.costs_base[:, survivors]
         for row in self.costs_rows:
             row[:] = [row[slot] for slot in survivors]
-        for values in (self.min_list, self.weight_list, self.release_list):
+        for values in (self.min_list, self.weight_list, self.release_list, self.remaining):
             values[:] = [values[slot] for slot in survivors]
-        self.remaining[:width] = self.remaining[survivors]
-        self.min_costs[:width] = self.min_costs[survivors]
-        self.weights[:width] = self.weights[survivors]
-        self.releases[:width] = self.releases[survivors]
         self.jobs = [self.jobs[slot] for slot in survivors]
         self.global_ids = [self.global_ids[slot] for slot in survivors]
         self.live = [True] * width
-        for new in range(width):
-            mirror = self.mirrors[new]
-            mirror.arrived = True
-            mirror.remaining_fraction = float(self.remaining[new])
-            mirror.completion_time = None
         return mapping

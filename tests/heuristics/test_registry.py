@@ -227,48 +227,3 @@ class TestPolicyVariants:
         with pytest.raises(ValueError, match="got None"):
             resolve_policy_variant("online-offline", {"relative_precision": None})
 
-
-class TestArrayAwareRegistrationGuard:
-    """``array_aware=True`` without ``decide_arrays`` is rejected up front.
-
-    Before the guard, such a class registered fine and the kernel's array
-    path silently fell back to the base scalar delegation — the exact hazard
-    the ``policy-array-aware`` lint rule flags statically.  Registration is
-    the runtime enforcement point.
-    """
-
-    def test_rejected_at_registration_time(self):
-        class _BrokenArrayAware(OnlineScheduler):
-            name = "broken-array-test"
-            array_aware = True
-
-            def decide(self, state):
-                return AllocationDecision()
-
-        with pytest.raises(ValueError, match="decide_arrays"):
-            register_online_scheduler("broken-array-test", _BrokenArrayAware)
-        assert "broken-array-test" not in available_policies()
-
-    def test_defining_decide_arrays_satisfies_the_guard(self):
-        class _FixedArrayAware(OnlineScheduler):
-            name = "fixed-array-test"
-            array_aware = True
-
-            def decide(self, state):
-                return AllocationDecision()
-
-            def decide_arrays(self, state):
-                return self.decide(state)
-
-        register_online_scheduler("fixed-array-test", _FixedArrayAware)
-        try:
-            assert "fixed-array-test" in available_schedulers()
-        finally:
-            unregister_policy("fixed-array-test")
-
-    def test_scalar_policies_are_unaffected(self):
-        register_online_scheduler("eager-test", _EagerScheduler)
-        try:
-            assert "eager-test" in available_schedulers()
-        finally:
-            unregister_policy("eager-test")

@@ -19,11 +19,7 @@ from repro.heuristics import (
     unregister_policy,
 )
 from repro.lint import Baseline, ProjectContext, run_lint
-from repro.lint.protocol import (
-    PolicyArrayAwareRule,
-    PolicyExplicitHooksRule,
-    PolicyParamSchemaRule,
-)
+from repro.lint.protocol import PolicyExplicitHooksRule, PolicyParamSchemaRule
 from repro.lint.registry import rule_spec
 from repro.simulation import AllocationDecision
 
@@ -47,17 +43,6 @@ class _ExplicitHooks(_ImplicitHooks):
 
     def compact(self, instance, mapping):
         pass
-
-
-class _ArrayLiar(_ExplicitHooks):
-    """Broken on purpose: promises an array path it never defines."""
-
-    array_aware = True
-
-
-class _ArrayHonest(_ArrayLiar):
-    def decide_arrays(self, state):
-        return self.decide(state)
 
 
 class _Parametrised(_ExplicitHooks):
@@ -102,31 +87,6 @@ class TestExplicitHooksRule:
             PolicyExplicitHooksRule,
             "policy-explicit-hooks",
             [("explicit", _spec(_ExplicitHooks))],
-        )
-        assert findings == []
-
-
-class TestArrayAwareRule:
-    def test_flags_array_aware_without_decide_arrays(self):
-        findings = _run_rule(
-            PolicyArrayAwareRule, "policy-array-aware", [("liar", _spec(_ArrayLiar))]
-        )
-        assert len(findings) == 1
-        assert "decide_arrays" in findings[0].message
-
-    def test_defined_array_path_conforms(self):
-        findings = _run_rule(
-            PolicyArrayAwareRule,
-            "policy-array-aware",
-            [("honest", _spec(_ArrayHonest))],
-        )
-        assert findings == []
-
-    def test_flag_off_policies_are_ignored(self):
-        findings = _run_rule(
-            PolicyArrayAwareRule,
-            "policy-array-aware",
-            [("scalar", _spec(_ExplicitHooks))],
         )
         assert findings == []
 

@@ -441,7 +441,6 @@ class TestEngineAndBaselineHygiene:
             "epoch-guard",
             "obs-recorder-default",
             "policy-explicit-hooks",
-            "policy-array-aware",
             "policy-param-schema",
         ):
             assert expected in names

@@ -8,9 +8,7 @@ Two properties protect the PR 4 tentpole:
    feasibility rebuild (``parametric=false``), across the scenario grid.
    The probe path may only save work, never change behaviour.
 2. **Probe economy** — the shared :class:`~repro.core.replanning.ReplanProbe`
-   answers strictly more feasibility checks than it builds models, and the
-   kernel's array-aware dispatch leaves the executed output of every
-   array-aware policy unchanged.
+   answers strictly more feasibility checks than it builds models.
 """
 
 from __future__ import annotations

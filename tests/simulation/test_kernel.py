@@ -41,7 +41,7 @@ class TestSimulateMany:
 class TestStateViewIntegrity:
     def test_active_cache_matches_recomputation(self):
         # A policy that cross-checks the engine-maintained active list
-        # against a scan of the JobProgress mirrors at every event.
+        # against the admitted jobs with remaining work, at every event.
         from repro.heuristics.base import OnlineScheduler, exclusive_allocation
 
         class CheckingScheduler(OnlineScheduler):
@@ -49,7 +49,9 @@ class TestStateViewIntegrity:
 
             def decide(self, state):
                 scanned = [
-                    p.job_index for p in state.jobs if p.arrived and not p.finished
+                    j
+                    for j in range(state.instance.num_jobs)
+                    if state.remaining_fraction(j) > 0
                 ]
                 assert state.active_jobs() == scanned
                 assignments = {}
@@ -104,55 +106,53 @@ class TestPooledState:
         assert observations[-1][1] is None  # all arrivals eventually consumed
 
 
-class TestArrayAwareDispatch:
-    """Capability-flag dispatch to decide_arrays over the remaining vector."""
+class TestRemainingWorkAccess:
+    """The event loop's one copy of the remaining work, and the accessors."""
 
     def test_vectors_are_bound_and_authoritative(self):
-        from repro.heuristics.base import OnlineScheduler, exclusive_allocation
+        # Every registered policy sees the window's remaining list bound and
+        # no per-job objects; a wrapper records what each decision saw.
+        from repro.heuristics import available_schedulers
 
         observed = []
 
-        class VectorReader(OnlineScheduler):
-            name = "vector-reader"
-            array_aware = True
+        class Watching:
+            def __init__(self, inner):
+                self.inner = inner
+                self.name = inner.name
+                self.divisible = inner.divisible
 
-            def decide(self, state):  # pragma: no cover - array path used
-                raise AssertionError("array-aware policies dispatch to decide_arrays")
+            def reset(self, instance):
+                self.inner.reset(instance)
 
-            def decide_arrays(self, state):
-                active = state.active_jobs()
+            def rebind(self, instance):
+                self.inner.rebind(instance)
+
+            def compact(self, instance, mapping):
+                self.inner.compact(instance, mapping)
+
+            def decide(self, state):
                 observed.append(
                     (
-                        state.remaining_vector is not None,
-                        float(state.remaining_vector[active[0]]),
+                        self.name,
+                        state.jobs is None,
+                        state.remaining_list is not None,
+                        [state.remaining_fraction(j) for j in state.active_jobs()],
                     )
                 )
-                return exclusive_allocation({0: active[0]})
+                return self.inner.decide(state)
 
-        instance = random_unrelated_instance(5, 2, seed=4)
-        result = simulate(instance, VectorReader())
-        assert observed and all(has_rem for has_rem, _ in observed)
-        remaining_seen = [value for _, value in observed]
-        assert max(remaining_seen) <= 1.0 and min(remaining_seen) >= 0.0
-        result.schedule.validate()
-
-    def test_array_aware_policies_match_their_scalar_path(self):
-        from repro.heuristics import make_scheduler
-
-        for name in ("srpt", "greedy-weighted-flow", "online-offline", "deadline-driven"):
-            instance = random_unrelated_instance(12, 3, seed=9)
-            array_result = simulate(instance, make_scheduler(name))
-
-            scalar = make_scheduler(name)
-            assert scalar.array_aware  # all four opted in
-            scalar.array_aware = False  # force the legacy mirror path
-            scalar_result = simulate(instance, scalar)
-
-            assert array_result.schedule.pieces == scalar_result.schedule.pieces, name
-            assert array_result.events == scalar_result.events, name
-            assert array_result.completion_times == scalar_result.completion_times, name
+        instance = random_unrelated_instance(6, 2, seed=4)
+        policies = available_schedulers()
+        for name in policies:
+            simulate(instance, Watching(make_scheduler(name))).schedule.validate()
+        assert {name for name, *_ in observed} >= {make_scheduler(n).name for n in policies}
+        assert all(no_jobs and bound for _, no_jobs, bound, _ in observed)
+        seen = [value for *_, values in observed for value in values]
+        assert seen and max(seen) <= 1.0 and min(seen) > 0.0
 
     def test_scalar_accessors_prefer_the_bound_vector(self):
+        # remaining_fraction reads the list, else the vector, else the jobs.
         import numpy as np
 
         from repro.simulation.state import JobProgress, SimulationState
@@ -162,10 +162,12 @@ class TestArrayAwareDispatch:
         state = SimulationState(
             instance=instance, time=0.0, jobs=jobs, next_arrival=None
         )
-        assert state.remaining_fraction(1) == 0.5  # mirror fallback
+        assert state.remaining_fraction(1) == 0.5  # jobs fallback
         state.remaining_vector = np.array([0.25, 0.75, 1.0])
-        assert state.remaining_fraction(1) == 0.75  # vector wins when bound
-        assert state.fastest_remaining_work(1) == 0.75 * instance.min_cost(1)
+        assert state.remaining_fraction(1) == 0.75  # vector over jobs
+        state.remaining_list = [0.125, 0.375, 1.0]
+        assert state.remaining_fraction(1) == 0.375  # list over vector
+        assert state.fastest_remaining_work(1) == 0.375 * instance.min_cost(1)
 
 
 class TestFiniteInstanceMode:
