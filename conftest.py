@@ -6,8 +6,9 @@ ROADMAP.md) deselects ``tier2``::
     PYTHONPATH=src python -m pytest -x -q -m "not tier2"
 
 ``tier2`` marks the slow store/bench round-trip tests (bulk-insert
-throughput, resume skip-rate sweeps); run them explicitly with
-``-m tier2`` or by omitting the deselection.
+throughput, resume skip-rate sweeps) and the golden corpus's LP
+``online-offline`` slice; run them explicitly with ``-m tier2`` or by
+omitting the deselection.
 
 ``bench`` is an alias marker for the heavyweight acceptance benches: any
 test marked ``bench`` is automatically also marked ``tier2`` (so bench

@@ -10,9 +10,9 @@ statically, over every module, on every run:
 * **determinism rules** (:mod:`repro.lint.determinism`) — no wall-clock
   reads, no unseeded/global-state RNG, no bare-set iteration feeding ordered
   output, no exact float equality in hot-path branches;
-* **digest-epoch guard** (:mod:`repro.lint.epoch`) — a declared manifest of
-  semantics-bearing modules and a git-diff-aware check that edits to them
-  bump ``CODE_EPOCH``;
+* **digest-epoch guard** (:mod:`repro.lint.epoch`) — the golden behaviour
+  corpus (``tests/golden/corpus.json``) must be stamped with the current
+  ``CODE_EPOCH``, and a diff that changes a corpus entry must bump it;
 * **policy-protocol conformance** (:mod:`repro.lint.protocol`) — every
   registered policy defines its streaming hooks and declares a parameter
   schema its constructor accepts;
@@ -50,7 +50,7 @@ from . import determinism as _determinism  # noqa: F401  (registration side effe
 from . import epoch as _epoch  # noqa: F401
 from . import observability as _observability  # noqa: F401
 from . import protocol as _protocol  # noqa: F401
-from .epoch import DIGEST_MODULE, SEMANTIC_MANIFEST, changed_semantic_paths
+from .epoch import DIGEST_MODULE, GOLDEN_CORPUS, SEMANTIC_MANIFEST
 
 __all__ = [
     "Baseline",
@@ -58,6 +58,7 @@ __all__ = [
     "DIGEST_MODULE",
     "ERROR",
     "Finding",
+    "GOLDEN_CORPUS",
     "LintReport",
     "ModuleSource",
     "NOTE",
@@ -69,7 +70,6 @@ __all__ = [
     "TypecheckResult",
     "WARNING",
     "available_rules",
-    "changed_semantic_paths",
     "find_project_root",
     "load_baseline",
     "load_project",

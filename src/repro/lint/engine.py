@@ -145,12 +145,10 @@ def run_lint(
 
     selected = list(rules) if rules is not None else available_rules()
     raw_findings: List[Finding] = list(project.parse_failures)
-    instances = {}
     for name in selected:
         spec = rule_spec(name)
         rule = spec.factory()
         rule.spec = spec
-        instances[name] = rule
         if diff_range is not None and hasattr(rule, "diff_range"):
             rule.diff_range = diff_range
         if spec.scope == "module":
@@ -162,10 +160,6 @@ def run_lint(
 
     raw_findings.sort(key=lambda f: (f.path, f.line, f.rule))
     new, suppressed = baseline.apply(raw_findings)
-    for entry in baseline.entries:
-        rule = instances.get(entry.rule)
-        if not entry.used and rule is not None:
-            entry.used = rule.keeps_baseline_entry(entry, project)
     new.extend(baseline.hygiene_findings())
 
     report = LintReport(

@@ -55,17 +55,6 @@ class Rule(abc.ABC):
         """Check the whole project (project-scope rules)."""
         return ()
 
-    def keeps_baseline_entry(self, entry, project) -> bool:
-        """Whether a baseline entry no finding matched is still in force.
-
-        The engine asks this before flagging an unused entry of this rule as
-        stale.  Findings of most rules are a function of the source, so an
-        unmatched entry is dead; a rule whose findings depend on other state
-        (the epoch guard's git diff) overrides this to keep entries that
-        still describe the current source.
-        """
-        return False
-
     def finding(self, path: str, line: int, message: str, context: str = "") -> Finding:
         """Build a finding under this rule's registered name and severity."""
         return Finding(
