@@ -15,6 +15,10 @@ Protects the subsystem's headline guarantees:
    serialise to byte-identical JSON-lines traces.
 4. **Enabled-mode cost is recorded** — the metrics-on/metrics-off
    throughput ratio is printed for the trajectory (and must stay sane).
+5. **The run journal is cheap and inert** — a campaign with a journal
+   attached keeps at least 97 % of the disabled campaign's throughput,
+   its records are identical, and the journal it wrote parses completely
+   and accounts for every record.
 
 Marked ``bench`` (hence tier-2): run with ``-m bench``/``-m tier2`` or by
 dropping the tier-1 filter.
@@ -22,13 +26,22 @@ dropping the tier-1 filter.
 
 from __future__ import annotations
 
+import os
 import statistics
+import tempfile
 import time
 
 import pytest
 
+from repro.analysis import run_scenario_campaign
 from repro.heuristics import make_scheduler
-from repro.obs import NullRecorder, Tracer, collecting, trace_stream_result
+from repro.obs import (
+    NullRecorder,
+    analyse_journal,
+    collecting,
+    read_journal,
+    trace_stream_result,
+)
 from repro.simulation import StreamingSimulator
 from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import (
@@ -41,6 +54,9 @@ from repro.workload import (
 #: Disabled-mode overhead bound of ISSUE 8: NullRecorder throughput within
 #: 3 % of the uninstrumented baseline.
 OVERHEAD_BOUND = 0.03
+
+#: Journal-enabled campaign throughput as a fraction of the disabled one.
+JOURNAL_RATIO_FLOOR = 0.97
 
 
 class _UninstrumentedSimulator(StreamingSimulator):
@@ -260,3 +276,76 @@ def test_wall_clock_annotations_are_outside_the_contract():
     text = annotated.to_jsonl()
     assert text.startswith(plain)
     assert '"wall"' in text and '"wall"' not in plain
+
+
+def journal_overhead(
+    seeds_per_scenario: int = 3,
+    repeats: int = 5,
+    ratio_floor: float = JOURNAL_RATIO_FLOOR,
+) -> dict:
+    """Journal-on vs journal-off campaign throughput, records and readback.
+
+    The same campaign runs with and without a journal attached,
+    interleaved best-of-``repeats`` per arm; the journal-enabled run must
+    keep at least ``ratio_floor`` of the disabled run's throughput and
+    produce identical records (the journal is a reporting channel, never
+    an input).  The last journal written is read back: every line parses
+    and the folded status accounts for every record.  The tier-1 smoke
+    twin passes a slack floor, because timer noise dominates toy runs.
+    """
+    scenarios = ("unrelated-stress",)
+    policies = ("mct", "srpt")
+
+    def campaign(**kwargs):
+        start = time.perf_counter()
+        result = run_scenario_campaign(
+            scenarios,
+            policies,
+            base_seed=2005,
+            seeds_per_scenario=seeds_per_scenario,
+            **kwargs,
+        )
+        return time.perf_counter() - start, result.records
+
+    with tempfile.TemporaryDirectory() as tmp:
+        # One untimed warmup so cold caches (imports, LP factorisations)
+        # don't land on whichever timed arm happens to run first.
+        run_scenario_campaign(scenarios, policies, base_seed=2005, seeds_per_scenario=1)
+
+        # A single ~150 ms arm can lose > 5 % to unrelated machine load, so
+        # a below-floor ratio is re-measured (bounded retries) before it is
+        # treated as a real regression; a persistent slowdown still fails.
+        for attempt in range(3):
+            off_best = on_best = float("inf")
+            for rep in range(repeats):
+                elapsed, off_records = campaign()
+                off_best = min(off_best, elapsed)
+                path = os.path.join(tmp, f"campaign-{attempt}-{rep}.jsonl")
+                elapsed, on_records = campaign(journal=path)
+                on_best = min(on_best, elapsed)
+                assert on_records == off_records
+            ratio = off_best / on_best
+            if ratio >= ratio_floor:
+                break
+        assert ratio >= ratio_floor, (
+            f"journal-enabled campaign at {ratio:.3f}x of disabled throughput "
+            f"(floor {ratio_floor}x)"
+        )
+
+        view = read_journal(path)
+        assert view.truncated == 0
+        status = analyse_journal(view.events)
+        assert status.status == "completed"
+        assert status.done == len(on_records)
+    return {"ratio": ratio, "records": len(on_records), "journal_events": len(view)}
+
+
+@pytest.mark.bench
+def test_journal_keeps_campaign_throughput():
+    """Journal-enabled campaign throughput >= 97 % of the disabled one."""
+    row = journal_overhead()
+    print(
+        f"[obs] journal-on/off campaign throughput ratio {row['ratio']:.3f} "
+        f"(floor {JOURNAL_RATIO_FLOOR}); {row['records']} records, "
+        f"{row['journal_events']} journal events"
+    )

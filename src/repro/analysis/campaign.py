@@ -37,7 +37,7 @@ pre-dispatcher APIs (sequential and parallel runs produce identical records
 in identical order); :func:`stream_campaign` exposes the incremental record
 stream, and :class:`CampaignStats` reports the throughput trajectory
 (scenarios/sec, peak in-flight items, probe constructions, off-line solves,
-resumed records) recorded by ``benchmarks/run_quick_bench.py``.
+resumed records) that the CLI's ``--output`` JSON carries.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class CampaignStats:
         return self.resumed_records / self.records if self.records > 0 else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """JSON-friendly view (used by the quick-bench trajectory files)."""
+        """JSON-friendly view (the ``stats`` of the CLI's ``--output`` JSON)."""
         return {
             "workloads": self.workloads,
             "items": self.items,

@@ -36,15 +36,10 @@ The CLI exposes the library's main workflows without writing any Python:
     (either export format), a run journal, or a sweep/campaign
     ``--output`` JSON — auto-detected by shape.  Sweep reports surface
     the MSER-5 saturation evidence (truncation point, occupancy
-    trajectory) per cell; journal reports show the lifecycle timeline,
-    per-phase wall-clock totals and heartbeat gaps.
-``repro-sched obs export PATH --format prometheus|openmetrics``
-    Text exposition of a metrics snapshot for scrapers.
-``repro-sched watch JOURNAL``
-    Tail a ``--journal`` file (campaign/stream) while the run is live:
-    throughput, per-policy progress, ETA from the completed-cell
-    trajectory, straggler/stall detection against the rolling median
-    cell time.
+    trajectory) per cell; journal reports show, per run, the lifecycle
+    timeline, per-phase wall-clock totals, heartbeat gaps and a status
+    block (progress, throughput, median cell time, per-policy counts),
+    all from the journal's own timestamps.
 ``repro-sched store ls|show|diff|gc PATH ...``
     Query an experiment store: list runs, dump one run's records and
     headline metrics, diff two runs policy by policy (``--cells`` joins
@@ -160,7 +155,7 @@ def _run_flags() -> argparse.ArgumentParser:
         "--journal",
         metavar="PATH",
         help="append run-lifecycle events (cells, heartbeats, commits) to "
-        "this JSONL journal; watch it live with 'repro-sched watch PATH'",
+        "this JSONL journal; read it with 'repro-sched obs report PATH'",
     )
     return flags
 
@@ -334,39 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="saturation cap on simultaneously live jobs (default 10000)",
     )
 
-    # watch ----------------------------------------------------------------------
-    watch = subparsers.add_parser(
-        "watch",
-        help="tail a run journal and render live fleet status "
-        "(throughput, per-policy progress, ETA, stragglers)",
-    )
-    watch.add_argument("journal", help="run journal written by --journal")
-    watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between polls (default 2.0)",
-    )
-    watch.add_argument(
-        "--updates",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N status updates (default: until the run finishes)",
-    )
-    watch.add_argument(
-        "--stall-factor",
-        type=float,
-        default=4.0,
-        help="flag a running cell as a straggler after this multiple of "
-        "the rolling median cell time (default 4.0)",
-    )
-    watch.add_argument(
-        "--once",
-        action="store_true",
-        help="render the current status once and exit (no polling)",
-    )
-
     # store ----------------------------------------------------------------------
     store = subparsers.add_parser(
         "store", help="query a campaign experiment store (runs, records, diffs)"
@@ -504,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_sub.add_parser(
         "report",
-        help="pretty-print a metrics snapshot, a trace file, or a "
-        "stream/campaign --output JSON (auto-detected by shape)",
+        help="pretty-print a metrics snapshot, a trace file, a run "
+        "journal, or a stream/campaign --output JSON (auto-detected by shape)",
     )
     obs_report.add_argument("path", help="artefact file to render")
     obs_report.add_argument(
@@ -513,24 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="for sweep reports: also plot each cell's occupancy "
         "trajectory (the MSER-5 scan evidence) as an ASCII series",
-    )
-    obs_export = obs_sub.add_parser(
-        "export",
-        help="render a metrics snapshot (or a sweep/campaign --output "
-        "JSON carrying one) as Prometheus/OpenMetrics exposition text",
-    )
-    obs_export.add_argument("path", help="metrics snapshot (JSON) to export")
-    obs_export.add_argument(
-        "--format",
-        choices=("prometheus", "openmetrics"),
-        default="prometheus",
-        dest="export_format",
-        help="exposition format (default: prometheus)",
-    )
-    obs_export.add_argument(
-        "--output",
-        default=None,
-        help="write the exposition text to this file (default: stdout)",
     )
 
     # divisibility ---------------------------------------------------------------
@@ -1269,11 +1213,12 @@ def _render_campaign_report(data) -> int:
 
 
 def _render_journal_report(events, *, source: str) -> int:
-    """Render a run journal: lifecycle timeline, phase totals, heartbeat gaps.
+    """Render a run journal: timeline, phases, heartbeat gaps, status block.
 
     Phases live on the journal clock: *planning* spans run start to the
     first dispatch, *compute* the first dispatch to the last completion,
-    *finalise* the last completion to the run-finished event.
+    *finalise* the last completion to the run-finished event.  Nothing
+    here reads the host clock, so a journal always renders the same.
     """
     from .obs import analyse_journal, render_fleet_status
 
@@ -1341,36 +1286,8 @@ def _render_journal_report(events, *, source: str) -> int:
     return 0
 
 
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from .obs import render_prometheus
-
-    value, events = _load_obs_artefact(args.path)
-    snapshot = None
-    if isinstance(value, dict):
-        if {"counters", "gauges", "histograms"} <= value.keys():
-            snapshot = value
-        elif isinstance(value.get("metrics"), dict):
-            snapshot = value["metrics"]  # sweep/campaign --output carrier
-    if snapshot is None:
-        raise ReproError(
-            f"{args.path}: no metrics snapshot to export (expected a snapshot "
-            "JSON or a sweep/campaign --output JSON with a 'metrics' key)"
-        )
-    text = render_prometheus(snapshot, fmt=args.export_format)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"exposition written to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from .obs import render_metrics
-
-    if args.obs_command == "export":
-        return _cmd_obs_export(args)
 
     value, events = _load_obs_artefact(args.path)
     if events is not None:
@@ -1393,20 +1310,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         "snapshot, a trace in either export format, a run journal, or a "
         "stream/campaign --output JSON)"
     )
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    from .obs import watch_journal
-
-    status = watch_journal(
-        args.journal,
-        interval=args.interval,
-        max_updates=1 if args.once else args.updates,
-        stall_factor=args.stall_factor,
-    )
-    if status.started_ts is None:
-        print(f"note: {args.journal} has no run-started event yet", file=sys.stderr)
-    return 0
 
 
 def _cmd_divisibility(args: argparse.Namespace) -> int:
@@ -1457,8 +1360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_lint(args)
         if args.command == "obs":
             return _cmd_obs(args)
-        if args.command == "watch":
-            return _cmd_watch(args)
         if args.command == "divisibility":
             return _cmd_divisibility(args)
     except (ReproError, FileNotFoundError, json.JSONDecodeError, KeyError) as error:

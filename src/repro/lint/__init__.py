@@ -26,9 +26,7 @@ Rules live in a registry mirroring ``heuristics.registry``
 mandatory justifications, in the committed ``.reprolint.json`` baseline
 (:mod:`repro.lint.baseline`).  Run it as ``repro-sched lint`` or
 ``python -m repro.lint``; the tier-1 suite runs the full analyzer as a
-standing gate (``tests/lint/test_selfcheck.py``), and
-``benchmarks/run_quick_bench.py`` records finding counts and analyzer
-wall-clock next to the perf rows.
+standing gate (``tests/lint/test_selfcheck.py``).
 """
 
 from .baseline import Baseline, BaselineEntry, load_baseline

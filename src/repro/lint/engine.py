@@ -1,9 +1,9 @@
 """The analyzer engine: load sources once, run every rule, apply the baseline.
 
-:func:`run_lint` is the one entry point the CLI, the tier-1 self-test and
-``run_quick_bench.py`` all share: it parses the package, instantiates the
-registered rules, collects findings, subtracts the baseline, and returns a
-:class:`LintReport` with the verdict and the reporters.
+:func:`run_lint` is the one entry point the CLI and the tier-1 self-test
+share: it parses the package, instantiates the registered rules, collects
+findings, subtracts the baseline, and returns a :class:`LintReport` with
+the verdict and the reporters.
 """
 
 from __future__ import annotations

@@ -12,12 +12,10 @@ Pillars, all zero-overhead when disabled:
 * :mod:`repro.obs.clock` / :mod:`repro.obs.profile` — the only sanctioned
   wall-clock accessors in ``src/repro`` (enforced by the ``wall-clock``
   lint rule) and the phase profiler built on them.
-* :mod:`repro.obs.journal` / :mod:`repro.obs.aggregate` /
-  :mod:`repro.obs.watch` / :mod:`repro.obs.export` — the flight
+* :mod:`repro.obs.journal` / :mod:`repro.obs.aggregate` — the flight
   recorder (PR 10): a crash-tolerant JSONL run journal the drivers
-  write lifecycle events to, deterministic cross-process snapshot
-  merging, the live ``repro-sched watch`` monitor and Prometheus /
-  OpenMetrics exposition.
+  write lifecycle events to, the fold behind ``repro-sched obs report
+  JOURNAL``, and deterministic cross-process snapshot merging.
 
 Metrics, traces and journals are reporting artefacts: they live
 *outside* record digests and fingerprints, so adding a counter or a
@@ -33,13 +31,14 @@ from .aggregate import (
     snapshot_bytes,
 )
 from .clock import unix_time, utc_now, utc_timestamp, wall_clock
-from .export import render_prometheus
 from .journal import (
+    FleetStatus,
     JournalView,
     RunJournal,
+    analyse_journal,
     new_run_id,
     read_journal,
-    tail_journal,
+    render_fleet_status,
 )
 from .metrics import (
     NULL_RECORDER,
@@ -54,13 +53,6 @@ from .metrics import (
 )
 from .profile import PhaseProfiler, PhaseStat
 from .trace import TraceEvent, Tracer, trace_campaign_records, trace_stream_result
-from .watch import (
-    FleetStatus,
-    StragglerInfo,
-    analyse_journal,
-    render_fleet_status,
-    watch_journal,
-)
 
 __all__ = [
     "wall_clock",
@@ -85,13 +77,9 @@ __all__ = [
     "JournalView",
     "new_run_id",
     "read_journal",
-    "tail_journal",
     "FleetStatus",
-    "StragglerInfo",
     "analyse_journal",
     "render_fleet_status",
-    "watch_journal",
-    "render_prometheus",
     "Tracer",
     "TraceEvent",
     "trace_stream_result",

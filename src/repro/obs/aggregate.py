@@ -7,8 +7,8 @@ folds those snapshots **in deterministic emission order** (the same
 order the sequential driver processes cells), so the merged driver
 snapshot is structurally identical to the one a sequential run builds.
 
-Merge semantics (the contract ``repro-sched obs export`` and ROADMAP's
-"flight recorder" section document):
+Merge semantics (the contract ROADMAP's "flight recorder" section
+documents):
 
 * **counters** sum,
 * **gauges** keep the last value in merge order plus the running peak,

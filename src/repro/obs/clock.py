@@ -38,9 +38,9 @@ def unix_time() -> float:
     """Epoch seconds, for run-journal timestamps (reporting channel only).
 
     Unlike :func:`wall_clock` the value is comparable across processes —
-    that is what journal consumers (``repro-sched watch``, heartbeat-gap
-    reports) need — but it is still strictly outside every digest,
-    fingerprint and simulated-time series.
+    that is what journal reports (phase totals, heartbeat gaps) need — but
+    it is still strictly outside every digest, fingerprint and
+    simulated-time series.
     """
     return _time.time()
 

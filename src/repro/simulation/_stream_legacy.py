@@ -14,9 +14,8 @@ directly (it is not reachable from the production API) and exercise it in:
 
 * the per-policy byte-identity tests (view path vs rebuild path, at every
   compaction timing, and through trace replays);
-* the quick-bench streaming row and ``benchmarks/bench_streaming.py``,
-  which measure the view path's speedup *against this loop* and assert the
-  ratio.
+* ``benchmarks/bench_streaming.py``, which measures the view path's
+  speedup *against this loop* and asserts the ratio.
 """
 
 from __future__ import annotations

@@ -33,10 +33,10 @@ class _DigestableInstance(Protocol):
 #: Epoch of the engine/policy semantics baked into every record digest.
 #: Bump whenever a change alters the metrics a cell produces (engine event
 #: ordering, policy behaviour, normalisation); stored cells from older epochs
-#: then stop matching and are transparently recomputed.  The manifest of
-#: modules whose edits require a bump is declared in
-#: :data:`repro.lint.epoch.SEMANTIC_MANIFEST` and enforced, git-diff-aware,
-#: by the ``epoch-guard`` lint rule (see ROADMAP.md, "Project invariants").
+#: then stop matching and are transparently recomputed.  The behaviour a
+#: cell rests on is pinned by the golden corpus in ``tests/golden/``, stamped
+#: with this value: a change that alters a corpus entry needs a bump and a
+#: regenerated corpus, which the ``epoch-guard`` lint rule enforces.
 CODE_EPOCH = "2005.6"  # revised-simplex LP path changes degenerate-vertex choices
 
 

@@ -4,9 +4,10 @@ The corpus is the behaviour contract behind ``CODE_EPOCH``: sha256
 fingerprints (and exact ``repr`` values) of everything a stored cell's value
 rests on, stamped with the epoch that produced them.  It records
 
-* ``simulate/<policy>/<scenario>/<seed>``: :func:`simulation_fingerprint` of
+* ``simulate/<policy>/<workload>/<seed>``: :func:`simulation_fingerprint` of
   every registered on-line policy plus three LP variants over the five
-  scenarios × seeds 0–2;
+  scenarios × seeds 0–2 and three unrelated 8-job × 3-machine instances
+  (``unrelated-8x3``);
 * ``stream/<policy>/<compact_min>``: :meth:`StreamResult.fingerprint` of the
   LP-free policies on one load point at three compaction thresholds;
 * ``replanning/<label>``: revised-backend online-offline runs, pivots
@@ -52,7 +53,12 @@ from repro.heuristics import available_schedulers, make_scheduler  # noqa: E402
 from repro.lint.epoch import semantic_modules  # noqa: E402
 from repro.simulation import StreamingSimulator, simulate  # noqa: E402
 from repro.store.digest import CODE_EPOCH  # noqa: E402
-from repro.workload import StreamSpec, make_scenario, open_stream  # noqa: E402
+from repro.workload import (  # noqa: E402
+    StreamSpec,
+    make_scenario,
+    open_stream,
+    random_unrelated_instance,
+)
 
 CORPUS = Path(__file__).with_name("corpus.json")
 
@@ -118,14 +124,24 @@ def _record_fingerprint(payload) -> str:
 # --------------------------------------------------------------------------- #
 # Producers: each returns its entries in a fixed order                        #
 # --------------------------------------------------------------------------- #
+def _workloads():
+    """``(<workload>/<seed>, instance)`` for every simulate entry."""
+    for scenario in SCENARIOS:
+        for seed in SEEDS:
+            yield f"{scenario}/{seed}", make_scenario(scenario, seed)
+    for seed in SEEDS:
+        yield f"unrelated-8x3/{seed}", random_unrelated_instance(
+            8, 3, seed=seed, cost_range=(2.0, 12.0)
+        )
+
+
 def _simulate_entries(policies: Sequence[str]) -> Entries:
     return {
-        f"simulate/{policy}/{scenario}/{seed}": simulation_fingerprint(
-            simulate(make_scenario(scenario, seed), make_scheduler(policy))
+        f"simulate/{policy}/{workload}": simulation_fingerprint(
+            simulate(instance, make_scheduler(policy))
         )
         for policy in policies
-        for scenario in SCENARIOS
-        for seed in SEEDS
+        for workload, instance in _workloads()
     }
 
 
@@ -150,7 +166,6 @@ def streams() -> Entries:
 
 def replanning() -> Entries:
     from repro.obs.metrics import collecting
-    from repro.workload import random_unrelated_instance
 
     instances = {
         f"unrelated-{seed}": random_unrelated_instance(10, 3, seed=seed, cost_range=(2, 12))

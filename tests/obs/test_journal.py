@@ -1,4 +1,5 @@
-"""Run journal: append-only JSONL with crash tolerance and multi-run files."""
+"""Run journal: append-only JSONL with crash tolerance and multi-run files,
+and the fold behind ``repro-sched obs report JOURNAL``."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import pytest
 from repro.obs.journal import (
     JOURNAL_VERSION,
     RunJournal,
+    analyse_journal,
     new_run_id,
     read_journal,
-    tail_journal,
+    render_fleet_status,
 )
 
 
@@ -114,28 +116,96 @@ def test_new_run_ids_are_unique():
     assert all(run_id.startswith("demo-") for run_id in ids)
 
 
-def test_tail_journal_defers_partial_final_line(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"event": "run-started", "run": "r1"}\n')
-        handle.write('{"event": "cell-comp')  # writer still mid-append
+def _events(run="r1", base_ts=1000.0):
+    """A small synthetic campaign journal: 4 cells, one still pending.
 
-    events, offset = tail_journal(path)
-    assert [event["event"] for event in events] == ["run-started"]
+    ``config.workers`` is the pool size older readers used to age queued
+    cells; the writer still records it and the fold ignores it.
+    """
+    return [
+        {
+            "run": run,
+            "event": "run-started",
+            "ts": base_ts,
+            "kind": "campaign",
+            "label": "demo",
+            "config": {"total_cells": 4, "workers": 2},
+        },
+        {"run": run, "event": "cell-dispatched", "ts": base_ts + 1, "cell": "a#0", "policies": ["srpt"]},
+        {"run": run, "event": "cell-dispatched", "ts": base_ts + 1, "cell": "a#1", "policies": ["srpt"]},
+        {"run": run, "event": "cell-dispatched", "ts": base_ts + 2, "cell": "a#2", "policies": ["mct"]},
+        {"run": run, "event": "cell-skipped", "ts": base_ts + 2, "cell": "a#3", "cells": 1, "policies": ["mct"]},
+        {"run": run, "event": "cell-completed", "ts": base_ts + 3, "cell": "a#0", "cells": 1, "elapsed": 2.0, "policies": ["srpt"], "worker": "p7"},
+        {"run": run, "event": "worker-heartbeat", "ts": base_ts + 3, "worker": "p7", "items": 1},
+        {"run": run, "event": "cell-completed", "ts": base_ts + 5, "cell": "a#1", "cells": 1, "elapsed": 4.0, "policies": ["srpt"], "worker": "p7"},
+        {"run": run, "event": "worker-heartbeat", "ts": base_ts + 5, "worker": "p7", "items": 2},
+        {"run": run, "event": "batch-commit", "ts": base_ts + 5, "commits": 1, "records": 2},
+    ]
 
-    # The writer finishes the line: the next poll picks it up exactly once.
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('leted", "run": "r1"}\n')
-    fresh, offset2 = tail_journal(path, offset)
-    assert [event["event"] for event in fresh] == ["cell-completed"]
-    assert offset2 > offset
-    # Nothing new: same offset back, no events re-delivered.
-    again, offset3 = tail_journal(path, offset2)
-    assert again == []
-    assert offset3 == offset2
+
+def test_analyse_journal_counts_and_policies():
+    status = analyse_journal(_events())
+    assert status.run_id == "r1"
+    assert status.kind == "campaign"
+    assert status.status == "running"
+    assert status.total_cells == 4
+    assert (status.dispatched, status.completed, status.skipped) == (3, 2, 1)
+    assert status.done == 3
+    assert status.progress == 0.75
+    assert status.per_policy["srpt"] == {"dispatched": 2, "completed": 2, "skipped": 0}
+    assert status.per_policy["mct"] == {"dispatched": 1, "completed": 0, "skipped": 1}
+    assert status.workers["p7"]["items"] == 2.0
+    assert status.commits == 1
+    # 2 completions over the 5s from run start to the last completion.
+    assert status.throughput_cells_per_sec == 2 / 5
+    # The median needs three completed-cell durations.
+    assert status.median_cell_seconds is None
 
 
-def test_tail_journal_missing_file(tmp_path):
-    events, offset = tail_journal(tmp_path / "absent.jsonl", 0)
-    assert events == []
-    assert offset == 0
+def test_completed_cells_use_the_cells_field():
+    """A dispatch unit covering several output cells counts them all."""
+    events = [
+        {"run": "r", "event": "run-started", "ts": 0.0, "config": {"total_cells": 3}},
+        {"run": "r", "event": "cell-completed", "ts": 1.0, "cell": "a", "cells": 3},
+        {"run": "r", "event": "run-finished", "ts": 2.0, "status": "completed"},
+    ]
+    status = analyse_journal(events)
+    assert status.completed == 3
+    assert status.progress == 1.0
+    assert status.finished_ts == 2.0
+
+
+def test_median_cell_time():
+    events = _events()
+    events.append(
+        {"run": "r1", "event": "cell-completed", "ts": 1006.0, "cell": "a#1b", "cells": 1, "elapsed": 3.0}
+    )
+    status = analyse_journal(events)
+    assert status.median_cell_seconds == 3.0
+    assert "median cell time: 3000.0ms" in render_fleet_status(status)
+
+
+def test_multi_run_journal_defaults_to_last_run():
+    events = _events(run="old")
+    events.append({"run": "old", "event": "run-finished", "ts": 1010.0, "status": "completed"})
+    events += [
+        {"run": "new", "event": "run-started", "ts": 2000.0, "kind": "campaign", "label": "demo", "config": {"total_cells": 4}},
+        {"run": "new", "event": "cell-skipped", "ts": 2001.0, "cell": "a#0", "cells": 4},
+    ]
+    status = analyse_journal(events)
+    assert status.run_id == "new"
+    assert status.skipped == 4
+    assert status.completed == 0
+    old = analyse_journal(events, run="old")
+    assert old.run_id == "old"
+    assert old.completed == 2
+
+
+def test_render_fleet_status_lines():
+    text = render_fleet_status(analyse_journal(_events()))
+    assert "run r1 [campaign] — running" in text
+    assert "progress: 3/4 cells (75.0%)" in text
+    assert "2 completed, 1 resumed" in text
+    assert "srpt" in text and "mct" in text
+    assert "workers: p7:2" in text
+    assert "batch commits: 1" in text
