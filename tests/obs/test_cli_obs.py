@@ -257,3 +257,41 @@ class TestFlightRecorderCli:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "progress: 3/4 cells (75.0%)" in outputs[0]
+
+    def test_obs_report_renders_every_run_of_a_resumed_journal(
+        self, tmp_path, capsys
+    ):
+        """One section per run: phases, heartbeat gaps and its own status."""
+        events = [
+            {"run": "cold", "event": "run-started", "ts": 10.0, "kind": "campaign",
+             "config": {"total_cells": 2}},
+            {"run": "cold", "event": "cell-dispatched", "ts": 11.0, "cell": "a"},
+            {"run": "cold", "event": "cell-dispatched", "ts": 11.0, "cell": "b"},
+            {"run": "cold", "event": "worker-heartbeat", "ts": 12.0, "worker": "p1", "items": 1},
+            {"run": "cold", "event": "cell-completed", "ts": 12.0, "cell": "a", "cells": 1},
+            {"run": "cold", "event": "worker-heartbeat", "ts": 14.5, "worker": "p1", "items": 2},
+            {"run": "cold", "event": "cell-completed", "ts": 14.5, "cell": "b", "cells": 1},
+            {"run": "cold", "event": "run-finished", "ts": 15.0, "status": "completed",
+             "records": 2},
+            {"run": "warm", "event": "run-started", "ts": 20.0, "kind": "campaign",
+             "config": {"total_cells": 2}},
+            {"run": "warm", "event": "cell-skipped", "ts": 20.5, "cell": "a", "cells": 2},
+            {"run": "warm", "event": "run-finished", "ts": 21.0, "status": "completed",
+             "records": 2},
+        ]
+        path = tmp_path / "resumed.jsonl"
+        path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+
+        assert main(["obs", "report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"journal {path}: 11 event(s), 2 run(s)")
+        cold, warm = out.split("\nrun warm: ")
+        assert "over 5.00s" in cold
+        assert "planning" in cold and "compute" in cold and "finalise" in cold
+        assert "Heartbeat gaps" in cold and "2.500" in cold
+        assert "run cold [campaign] — completed" in cold
+        assert "progress: 2/2 cells (100.0%) — 2 completed, 0 resumed" in cold
+        # The resume pass dispatched nothing: no phase or heartbeat tables.
+        assert "planning" not in warm and "Heartbeat gaps" not in warm
+        assert "run warm [campaign] — completed" in warm
+        assert "progress: 2/2 cells (100.0%) — 0 completed, 2 resumed" in warm

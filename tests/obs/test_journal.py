@@ -209,3 +209,163 @@ def test_render_fleet_status_lines():
     assert "srpt" in text and "mct" in text
     assert "workers: p7:2" in text
     assert "batch commits: 1" in text
+
+
+def test_reopening_a_clean_journal_adds_no_blank_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    with RunJournal(path) as journal:
+        journal.begin_run("campaign", "demo")
+    before = path.read_bytes()
+    with RunJournal(path) as journal:
+        journal.begin_run("campaign", "demo")
+
+    after = path.read_bytes()
+    assert after.startswith(before)
+    assert b"\n\n" not in after
+    assert read_journal(path).truncated == 0
+
+
+def test_writer_creates_missing_parent_directories(tmp_path):
+    path = tmp_path / "nested" / "deeper" / "run.jsonl"
+    with RunJournal(path) as journal:
+        journal.begin_run("campaign", "demo")
+    assert len(read_journal(path)) == 1
+
+
+def test_begin_run_without_config_omits_the_field(tmp_path):
+    path = tmp_path / "run.jsonl"
+    with RunJournal(path) as journal:
+        journal.begin_run("stream-sweep", "sweep")
+    (started,) = read_journal(path).events
+    assert started["kind"] == "stream-sweep"
+    assert started["label"] == "sweep"
+    assert "config" not in started
+
+
+def test_read_journal_skips_blank_lines_and_counts_non_objects(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text(
+        '{"run": "r", "event": "run-started"}\n'
+        "\n"
+        "   \n"
+        "[1, 2]\n"
+        '"text"\n'
+        '{"run": "r", "event": "run-finished"}\n'
+    )
+    view = read_journal(path)
+    assert view.truncated == 2
+    assert [event["event"] for event in view] == ["run-started", "run-finished"]
+
+
+def test_runs_ignore_events_without_a_string_run_id():
+    from repro.obs.journal import JournalView
+
+    view = JournalView(
+        [{"run": "b"}, {"event": "x"}, {"run": 7}, {"run": "a"}, {"run": "b"}],
+        truncated=0,
+    )
+    assert view.runs() == ["b", "a"]
+
+
+def test_empty_journal_folds_to_an_unknown_run():
+    status = analyse_journal([])
+    assert status.run_id == ""
+    assert status.status == "unknown"
+    assert status.progress is None
+    assert status.throughput_cells_per_sec is None
+    assert render_fleet_status(status).splitlines() == [
+        "run ? — unknown",
+        "  progress: 0 completed, 0 resumed",
+    ]
+
+
+def test_selecting_an_absent_run_folds_nothing():
+    status = analyse_journal(_events(run="r1"), run="gone")
+    assert status.run_id == "gone"
+    assert status.status == "unknown"
+    assert (status.dispatched, status.completed, status.skipped) == (0, 0, 0)
+    assert status.per_policy == {}
+
+
+def test_run_finished_sets_status_and_records():
+    events = _events()
+    events.append(
+        {"run": "r1", "event": "run-finished", "ts": 1009.0, "status": "failed", "records": 2}
+    )
+    status = analyse_journal(events)
+    assert status.status == "failed"
+    assert status.finished_ts == 1009.0
+    assert status.records == 2
+    text = render_fleet_status(status)
+    assert "run r1 [campaign] — failed" in text
+    assert text.endswith("  records: 2")
+
+    events[-1] = {"run": "r1", "event": "run-finished", "ts": 1009.0}
+    status = analyse_journal(events)
+    assert status.status == "finished"
+    assert status.records is None
+    assert "records:" not in render_fleet_status(status)
+
+
+def test_malformed_fields_fall_back_to_defaults():
+    events = [
+        {"run": "r", "event": "run-started", "ts": "late", "config": {"total_cells": "4"}},
+        {"run": "r", "event": "cell-dispatched", "policies": "srpt"},
+        {"run": "r", "event": "cell-completed", "ts": None, "cells": 0, "elapsed": "1s"},
+        {"run": "r", "event": "cell-skipped", "cells": "3"},
+        {"run": "r", "event": "worker-heartbeat"},
+        {"run": "r", "event": "worker-heartbeat", "worker": "p1", "items": "many"},
+        {"run": "r", "event": "run-finished", "records": 2.0},
+    ]
+    status = analyse_journal(events)
+    assert status.started_ts is None
+    assert status.total_cells is None
+    assert status.dispatched == 1
+    assert status.per_policy == {}
+    # Non-positive or non-integer ``cells`` counts as one cell.
+    assert (status.completed, status.skipped) == (1, 1)
+    assert status.cell_seconds == []
+    assert status.throughput_cells_per_sec is None
+    assert status.workers == {"?": {"items": 0.0}, "p1": {"items": 0.0}}
+    assert status.records is None
+    assert "workers: ?:0 p1:0" in render_fleet_status(status)
+
+
+def test_throughput_needs_a_positive_span():
+    events = [
+        {"run": "r", "event": "run-started", "ts": 5.0},
+        {"run": "r", "event": "cell-completed", "ts": 5.0, "cells": 1},
+    ]
+    status = analyse_journal(events)
+    assert status.completed == 1
+    assert status.throughput_cells_per_sec is None
+    assert "throughput" not in render_fleet_status(status)
+
+
+def test_progress_is_capped_at_one():
+    events = [
+        {"run": "r", "event": "run-started", "ts": 0.0, "config": {"total_cells": 2}},
+        {"run": "r", "event": "cell-completed", "ts": 1.0, "cells": 2},
+        {"run": "r", "event": "cell-skipped", "ts": 1.0, "cells": 1},
+    ]
+    status = analyse_journal(events)
+    assert status.done == 3
+    assert status.progress == 1.0
+    assert "progress: 3/2 cells (100.0%)" in render_fleet_status(status)
+
+
+def test_render_aligns_policy_names_and_omits_empty_sections():
+    events = [
+        {"run": "r", "event": "run-started", "ts": 0.0, "kind": "campaign"},
+        {"run": "r", "event": "cell-completed", "ts": 2.0, "cells": 1, "policies": ["online-offline"]},
+        {"run": "r", "event": "cell-skipped", "ts": 2.0, "cells": 1, "policies": ["mct"]},
+    ]
+    lines = render_fleet_status(analyse_journal(events)).splitlines()
+    assert lines == [
+        "run r [campaign] — running",
+        "  progress: 1 completed, 1 resumed",
+        "  throughput: 0.50 cells/s",
+        "  per-policy:",
+        "    mct             completed=0 dispatched=0 resumed=1",
+        "    online-offline  completed=1 dispatched=0 resumed=0",
+    ]
