@@ -18,7 +18,11 @@ rests on, stamped with the epoch that produced them.  It records
   ``stream_campaign`` and a tiny ``run_stream_sweep`` persist, less the
   sweep report's wall-clock throughput;
 * ``lp/<program>/<backend>``: verdict, objective and ``x`` (hex) of two
-  fixed programs on both LP backends.
+  fixed programs on both LP backends;
+* ``lp/warm-sequence/<program>/<step>``: one fixed series of warm re-solves
+  of three degenerate System (2) feasibility programs through one
+  ``ProgramHandle`` on the revised backend: each step's verdict, warm use
+  and pivot count, plus a sha256 over ``x`` (hex) on witness steps.
 
 Usage (from the repository root)::
 
@@ -241,10 +245,92 @@ LP_PROGRAMS = {
 }
 
 
+#: Degenerate System (2) feasibility programs, the LPs the replanning probes
+#: warm-start: (instance seed, active jobs, preemptive, base rhs scale).  The
+#: base scale puts each program near its feasibility threshold.
+WARM_PROGRAMS = {
+    "divisible-8": (0, 8, False, 0.97),
+    "preemptive-6": (1, 6, True, 3.08),
+    "divisible-10": (2, 10, False, 0.5),
+}
+#: The re-solve series, one token per solve: the rhs factor (times the base
+#: scale), then ``v`` for a verdict-only solve or ``w`` for a witness solve.
+#: A ``*`` suffix first refreshes every coefficient (x 1.1, a new matrix
+#: object with the same structure, as a new replanning event does); a ``!``
+#: suffix refreshes with the first coefficient at 1e-10, below the solver's
+#: drop threshold.  Every other step is an rhs-only re-solve; the long
+#: infeasible runs carry the basis inverse past the solver's periodic
+#: refactorisation between solves.
+WARM_STEPS = (
+    "1.6w 0.7v 1.2v 0.9v 1.05v 0.97v 1.01v 0.99v 1.01w 3.0v 0.5v 0.6v 0.3v 0.4v 0.8v "
+    "0.2v 0.45v 1.3w 0.8v 1.1v 0.95v 1.02w 2.2v* 0.6v 1.4v 0.85v 1.15w 0.98v 1.5v! "
+    "0.75v 1.25w 1.25v* 0.9v 1.1v 1.0w 0.7v 0.2v 0.9v 0.3v 0.95v 0.25v 0.85v 0.1v "
+    "0.9v 0.2v 0.95v 0.15v 0.9v 0.05v 0.97v 0.1v 0.9v 0.5v 2.0v 1.2w"
+).split()
+
+
+def _warm_program(seed: int, jobs: int, preemptive: bool):
+    """The System (2) program of ``jobs`` equal-release remaining jobs."""
+    from repro.core.affine import Affine
+    from repro.core.formulations import build_allocation_model
+    from repro.core.intervals import build_constant_intervals
+    from repro.core.replanning import remaining_subinstance
+
+    instance = random_unrelated_instance(jobs + 2, 3, seed=seed, cost_range=(2.0, 12.0))
+    remaining = [1.0 - 0.11 * k for k in range(jobs)]
+    sub, _ = remaining_subinstance(instance, 1.0, list(range(jobs)), remaining)
+    deadlines = [1.0 + 3.0 * (k + 1) for k in range(jobs)]
+    return build_allocation_model(
+        sub,
+        build_constant_intervals(sub.release_dates + deadlines),
+        deadlines=[Affine.const(d) for d in deadlines],
+        objective_bounds=None,
+        sample_objective=0.0,
+        preemptive=preemptive,
+    ).form
+
+
+def warm_sequences() -> Entries:
+    import scipy.sparse as sp
+
+    from repro.lp.revised_simplex import ProgramHandle, solve_matrix_form_revised
+
+    entries = {}
+    for name, (seed, jobs, preemptive, base) in WARM_PROGRAMS.items():
+        form = _warm_program(seed, jobs, preemptive)
+        a_ub, handle, basis = form.a_ub, ProgramHandle(), None
+        for step, token in enumerate(WARM_STEPS):
+            refresh = token[-1] if token[-1] in "*!" else ""
+            token = token.rstrip("*!")
+            if refresh:
+                data = form.a_ub.data * 1.1
+                if refresh == "!":
+                    data[0] = 1e-10
+                a_ub = sp.csr_matrix((data, form.a_ub.indices, form.a_ub.indptr), shape=a_ub.shape)
+            witness = token[-1] == "w"
+            result = solve_matrix_form_revised(
+                dataclasses.replace(form, a_ub=a_ub, b_ub=form.b_ub * (base * float(token[:-1]))),
+                warm_basis=basis,
+                handle=handle,
+            )
+            if result.basis is not None:
+                basis = result.basis
+            solution = result.solution
+            value = (
+                f"{token[-1]}{refresh};{solution.status.value};warm={int(result.warm_used)};"
+                f"iterations={solution.iterations}"
+            )
+            if witness and solution.is_optimal:
+                x = ",".join(float(solution.values[k]).hex() for k in sorted(solution.values))
+                value += f";x={hashlib.sha256(x.encode()).hexdigest()}"
+            entries[f"lp/warm-sequence/{name}/{step:02d}"] = value
+    return entries
+
+
 def lp_programs() -> Entries:
     from repro.lp import LinearProgram
 
-    entries = {}
+    entries = warm_sequences()
     for name, (costs, rows, rhs) in LP_PROGRAMS.items():
         lp = LinearProgram(sense="min")
         variables = lp.add_variables(len(costs), prefix="x", upper=10.0)
