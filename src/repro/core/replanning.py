@@ -41,16 +41,32 @@ Replanning events with the same number of active jobs and the same relative
 deadline order share a signature, so a simulation builds O(distinct active
 job-set structures) models instead of O(events × bisection steps) — the
 economy asserted by ``benchmarks/bench_replanning.py``.
+
+Most checks are verdict-only bisection steps, so a cache hit touches no
+model object at all:
+
+* the signature is computed from floats — the interval cuts are
+  :func:`~repro.core.intervals.distinct_sorted` of the epochal times (what
+  :func:`~repro.core.intervals.build_constant_intervals` cuts at) and the
+  mask is ``allowed_mask``'s test evaluated on them with numpy; interval
+  objects are built only on a template miss (which asserts the float mask
+  equals ``allowed_mask``) or for a witness;
+* each replanning event keeps its rank-permuted ``Instance`` (and its
+  finite-cost mask) per deadline order, so a bisection validates each
+  relabelling once;
+* verdict-only checks ask the revised backend for the verdict alone
+  (``verdict_only=True``), which skips value extraction and leaves the
+  solver state bit-identical.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exceptions import InvalidInstanceError
 from ..lp import LPSolution, MatrixForm
@@ -69,7 +85,7 @@ from .formulations import (
     preemptive_schedule_from_solution,
 )
 from .instance import Instance
-from .intervals import TimeInterval, build_constant_intervals
+from .intervals import build_constant_intervals, distinct_sorted
 from .job import Job
 from .tolerances import ABS_TOL, lt
 
@@ -210,6 +226,10 @@ class ReplanProbe:
         # strong reference to the instance keeps identity checks sound.
         self._event_instance: Optional[Instance] = None
         self._event_forms: Dict[Tuple, object] = {}
+        # Per-event views of the instance, keyed by the job permutation
+        # (``None`` for the identity): the (rank-permuted) instance and its
+        # transposed finite-cost mask.  Cleared with the event scope.
+        self._event_views: Dict[Optional[Tuple[int, ...]], Tuple[Instance, np.ndarray]] = {}
         self.probes = 0
         self.lp_solves = 0
         self.model_constructions = 0
@@ -270,8 +290,9 @@ class ReplanProbe:
         if instance is not self._event_instance:
             self._event_instance = instance
             self._event_forms.clear()
+            self._event_views.clear()
 
-        order: Optional[List[int]] = None
+        order: Optional[Tuple[int, ...]] = None
         if self._rank_keyed and not build_schedule and instance.num_jobs > 1:
             order = self._rank_order(instance, deadlines)
         if order is not None:
@@ -285,32 +306,34 @@ class ReplanProbe:
             # same feasibility answer.  Gated to ``build_schedule=False``
             # callers (the witness schedule would come back permuted).
             self.rank_canonicalisations += 1
-            instance = Instance(
-                jobs=tuple(instance.jobs[k] for k in order),
-                machines=instance.machines,
-                costs=instance.costs[:, order],
-            )
             deadlines = [deadlines[k] for k in order]
+        instance, finite = self._event_view(instance, order)
 
-        epochal_times = list(instance.release_dates) + deadlines
-        intervals = build_constant_intervals(epochal_times)
-        cuts = _cut_values(intervals)
-        deadline_functions = [Affine.const(d) for d in deadlines]
-
-        allowed = allowed_mask(instance, intervals, deadline_functions)
-        key = (instance.num_machines, instance.num_jobs, len(intervals), allowed.tobytes())
+        # The interval cuts are the merged epochal times, exactly as
+        # ``build_constant_intervals`` computes them; the allowed mask is
+        # ``allowed_mask``'s test evaluated on those floats.  Interval
+        # objects are only built for a template miss or a witness.
+        releases = instance.release_dates
+        epochal_times = releases + deadlines
+        cuts = np.array(distinct_sorted(epochal_times), dtype=float)
+        lower = cuts[:-1, None]
+        upper = cuts[1:, None]
+        allowed = ~(np.array(releases, dtype=float)[None, :] > lower + ABS_TOL)
+        allowed &= ~(np.array(deadlines, dtype=float)[None, :] < upper - ABS_TOL)
+        allowed = allowed[:, :, None] & finite[None, :, :]
+        num_intervals = cuts.size - 1
+        key = (instance.num_machines, instance.num_jobs, num_intervals, allowed.tobytes())
 
         template = self._templates.get(key)
         if template is None:
-            template = self._build_template(instance, deadline_functions, key, intervals, cuts)
+            template = self._build_template(instance, deadlines, key, allowed, cuts)
         else:
             self._templates.move_to_end(key)
             self.cache_hits += 1
-        event_key = (key, tuple(order) if order is not None else None)
-        form = self._refresh(template, instance, cuts, event_key=event_key)
+        form = self._refresh(template, instance, cuts, event_key=(key, order))
 
         self.lp_solves += 1
-        solution = self._solve_template(template, form)
+        solution = self._solve_template(template, form, verdict_only=not build_schedule)
         if recorder.enabled:
             # One delta emission per probe (the per-counter increments are
             # spread over the template/refresh helpers above).
@@ -337,7 +360,7 @@ class ReplanProbe:
             return DeadlineFeasibility(
                 feasible=False,
                 schedule=None,
-                num_intervals=len(intervals),
+                num_intervals=num_intervals,
                 lp_variables=alloc.form.num_variables,
                 lp_constraints=alloc.form.num_constraints,
                 backend=solution.backend,
@@ -348,6 +371,7 @@ class ReplanProbe:
             # The cached skeleton carries the intervals and costs of the probe
             # that built it; rebind the current ones for reconstruction (the
             # variable mapping — columns and iteration order — is shared).
+            intervals = build_constant_intervals(epochal_times)
             bound = replace(alloc, instance=instance, intervals=intervals)
             if self.preemptive:
                 schedule = preemptive_schedule_from_solution(bound, solution)
@@ -357,14 +381,16 @@ class ReplanProbe:
         return DeadlineFeasibility(
             feasible=True,
             schedule=schedule,
-            num_intervals=len(intervals),
+            num_intervals=num_intervals,
             lp_variables=alloc.form.num_variables,
             lp_constraints=alloc.form.num_constraints,
             backend=solution.backend,
         )
 
     # ------------------------------------------------------------------ #
-    def _solve_template(self, template: _ModelTemplate, form: MatrixForm) -> LPSolution:
+    def _solve_template(
+        self, template: _ModelTemplate, form: MatrixForm, *, verdict_only: bool
+    ) -> LPSolution:
         """Solve one refreshed probe LP with the configured backend.
 
         The in-house revised backend warm-starts every probe from the
@@ -376,22 +402,50 @@ class ReplanProbe:
         rather than of each LP in isolation — a CODE_EPOCH-gated semantic
         (2005.6); within a run the sequence is deterministic, so results and
         digests stay reproducible.  Every solve refreshes the stored basis
-        for the probes after it.
+        for the probes after it.  Verdict-only probes (no witness) skip the
+        solver's value extraction; the solver state they leave is the same.
         """
         if self._label == "scipy-highs":
             return _scipy_solve_form(form)
         if template.solver_handle is None:
             template.solver_handle = ProgramHandle()
         result = solve_matrix_form_revised(
-            form, warm_basis=template.basis, handle=template.solver_handle
+            form,
+            warm_basis=template.basis,
+            handle=template.solver_handle,
+            verdict_only=verdict_only,
         )
         if result.basis is not None:
             template.basis = result.basis
         return result.solution
 
     # ------------------------------------------------------------------ #
+    def _event_view(
+        self, instance: Instance, order: Optional[Tuple[int, ...]]
+    ) -> Tuple[Instance, np.ndarray]:
+        """The event instance relabelled by ``order``, and its finite-cost mask.
+
+        Built once per permutation and event: a bisection asks the same
+        sub-instance in a handful of deadline orders, and each order's
+        validated ``Instance`` is the same object every time.
+        """
+        view = self._event_views.get(order)
+        if view is None:
+            if order is not None:
+                instance = Instance(
+                    jobs=tuple(instance.jobs[k] for k in order),
+                    machines=instance.machines,
+                    costs=instance.costs[:, list(order)],
+                )
+            if len(self._event_views) >= 16:  # one event asks few orders
+                self._event_views.clear()
+            view = self._event_views[order] = (instance, np.isfinite(instance.costs).T)
+        return view
+
     @staticmethod
-    def _rank_order(instance: Instance, deadlines: Sequence[float]) -> Optional[List[int]]:
+    def _rank_order(
+        instance: Instance, deadlines: Sequence[float]
+    ) -> Optional[Tuple[int, ...]]:
         """Deadline-rank permutation when the instance is rank-canonicalisable.
 
         Returns the stable deadline-ascending job order for equal-release
@@ -404,24 +458,31 @@ class ReplanProbe:
         first = releases[0]
         if any(release != first for release in releases):
             return None
-        order = sorted(range(instance.num_jobs), key=lambda j: (deadlines[j], j))
-        if order == list(range(instance.num_jobs)):
+        order = tuple(sorted(range(instance.num_jobs), key=lambda j: (deadlines[j], j)))
+        if order == tuple(range(instance.num_jobs)):
             return None
         return order
 
     def _build_template(
         self,
         instance: Instance,
-        deadlines: Sequence[Affine],
+        deadlines: Sequence[float],
         key: Tuple,
-        intervals: Sequence[TimeInterval],
-        cuts: Sequence[float],
+        allowed: np.ndarray,
+        cuts: np.ndarray,
     ) -> _ModelTemplate:
         """Structure miss: run the from-scratch builder and record positions."""
+        intervals = build_constant_intervals(list(instance.release_dates) + list(deadlines))
+        deadline_functions = [Affine.const(d) for d in deadlines]
+        # The probe's float-only cuts and mask must be the builder's; verify
+        # once per construction, like the refresh map below.
+        assert np.array_equal(allowed, allowed_mask(instance, intervals, deadline_functions)), (
+            "ReplanProbe allowed mask does not match formulations.allowed_mask"
+        )
         alloc = build_allocation_model(
             instance,
             intervals,
-            deadlines=deadlines,
+            deadlines=deadline_functions,
             objective_bounds=None,
             sample_objective=0.0,
             preemptive=self.preemptive,
@@ -460,7 +521,7 @@ class ReplanProbe:
         self,
         template: _ModelTemplate,
         instance: Instance,
-        cuts: Sequence[float],
+        cuts: np.ndarray,
         *,
         event_key: Optional[Tuple] = None,
     ) -> MatrixForm:
@@ -476,18 +537,16 @@ class ReplanProbe:
         form = template.alloc.form
         if not form.num_inequalities:
             return form
-        lengths = np.array(
-            [cuts[t + 1] - cuts[t] for t in range(len(cuts) - 1)], dtype=float
-        )
-        b_ub = lengths[template.row_intervals]
+        b_ub = (cuts[1:] - cuts[:-1])[template.row_intervals]
         a_ub = self._event_forms.get(event_key) if event_key is not None else None
         if a_ub is None:
-            data = np.asarray(instance.costs)[
+            # A shallow copy of the template's matrix with the refreshed
+            # values: it shares the (read-only) index arrays, and skips the
+            # format validation the template's own construction already ran.
+            a_ub = copy.copy(form.a_ub)
+            a_ub.data = np.asarray(instance.costs)[
                 template.coef_machines, template.coef_jobs
             ].astype(float, copy=False)
-            a_ub = sp.csr_matrix(
-                (data, form.a_ub.indices, form.a_ub.indptr), shape=form.a_ub.shape
-            )
             self.coefficient_refreshes += 1
             if event_key is not None:
                 if len(self._event_forms) >= 16:  # one event touches few templates
@@ -505,11 +564,3 @@ class ReplanProbe:
             b_eq=form.b_eq,
             bounds=form.bounds,
         )
-
-
-def _cut_values(intervals: Sequence[TimeInterval]) -> List[float]:
-    """Interval boundary values (lower bounds plus the final upper bound)."""
-    cuts = [interval.lower_at(0.0) for interval in intervals]
-    if intervals:
-        cuts.append(intervals[-1].upper_at(0.0))
-    return cuts

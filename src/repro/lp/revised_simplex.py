@@ -44,6 +44,27 @@ optimal vertex reported for degenerate programs may differ — shipped with the
   infeasibility, stalling) falls back to the cold path; the answer never
   depends on whether the fast path was available.
 
+The replanning probes re-solve each skeleton thousands of times, mostly to
+read a verdict, so the re-solve path pays only for what the caller reads:
+
+* **Verdict-only solves** (``verdict_only=True``) return the status and pivot
+  count without building the value map, and *defer* the refactorisation a
+  full answer runs before reading ``x`` to the program's next rebind.  The
+  deferred refactorisation rebuilds the same inverse from the same basis,
+  so the state the next re-solve starts from — and every later pivot,
+  verdict and witness — is bit-identical to a full solve's.  (The one
+  theoretical difference: a basis the refactorisation found singular would
+  already have returned its verdict.)
+* **One layout per skeleton.**  A :class:`ProgramHandle` keeps the CSC
+  layout of the last assembled program; the next program of the same
+  skeleton — same index arrays, same equality block, refreshed values —
+  scatters its values into a copy instead of re-sorting, and falls back to
+  full assembly when a value falls below :data:`_COEFF_DROP`.
+* **A lean dual pivot.**  On ``c == 0`` programs the entering test is one
+  product with a ±1/0 sign vector kept in step with the statuses, and the
+  basic bounds and values are updated in place rather than gathered per
+  pivot.  No reduction changes order, so pivots are unchanged.
+
 Like the tableau, constraint coefficients below :data:`_COEFF_DROP` are
 dropped before the solve (the PR 5 near-zero-pivot regression class), so the
 two in-house backends and HiGHS agree on which coefficients exist at all.
@@ -139,6 +160,9 @@ class ProgramHandle:
 
     program: Optional["_Program"] = None
     blocks: Optional[Tuple[object, object, object, object]] = None
+    #: The CSC layout of the last assembled program, reused by the next
+    #: program of the same skeleton (see :class:`_Layout`).
+    layout: Optional["_Layout"] = None
 
     def matches(self, form: MatrixForm) -> bool:
         blocks = self.blocks
@@ -219,6 +243,47 @@ def _place_nonbasic(
     return status, x
 
 
+class _Layout:
+    """The CSC layout of one ``[[A_ub, I], [A_eq, 0]]`` structure.
+
+    A replanning template re-solves one skeleton under many coefficient
+    refreshes: the inequality block keeps its CSR index arrays and only its
+    values change, and the equality block is the same object throughout.
+    The layout keeps what assembly derives from the structure alone — the
+    CSC ``indptr``/``indices``/``cols`` and the CSC slot of every inequality
+    entry — so the next program of that skeleton only scatters its
+    inequality values into a copy of ``data``.  Each slot receives the value
+    full assembly would put there, so the program is bit-identical.
+    """
+
+    def __init__(
+        self, a_ub: sp.csr_matrix, a_eq: object, order: np.ndarray, program: "_Program"
+    ) -> None:
+        self.ub_indices = a_ub.indices
+        self.ub_indptr = a_ub.indptr
+        self.ub_shape = a_ub.shape
+        self.a_eq = a_eq
+        slots = np.empty_like(order)
+        slots[order] = np.arange(order.size)
+        self.ub_slots = slots[: a_ub.nnz]
+        self.indptr = program.indptr
+        self.indices = program.indices
+        self.cols = program.cols
+        self.data = program.data
+
+    def fits(self, a_ub: object, a_eq: object) -> bool:
+        """Whether ``a_ub``/``a_eq`` have this structure and drop no entry."""
+        return (
+            a_eq is self.a_eq
+            and sp.issparse(a_ub)
+            and a_ub.format == "csr"  # type: ignore[union-attr]
+            and a_ub.shape == self.ub_shape  # type: ignore[union-attr]
+            and np.array_equal(a_ub.indptr, self.ub_indptr)  # type: ignore[union-attr]
+            and np.array_equal(a_ub.indices, self.ub_indices)  # type: ignore[union-attr]
+            and bool((np.abs(a_ub.data) >= _COEFF_DROP).all())  # type: ignore[union-attr]
+        )
+
+
 class _Program:
     """The bounded standard form ``min c.x  s.t.  A x = b, lo <= x <= hi``.
 
@@ -232,30 +297,26 @@ class _Program:
     cold and warm solves share one matrix.
     """
 
-    def __init__(self, form: MatrixForm, max_iterations: int) -> None:
+    def __init__(
+        self, form: MatrixForm, max_iterations: int, layout: Optional[_Layout] = None
+    ) -> None:
         n = form.num_variables
-        a_ub = _csr_block(form.a_ub, n)
-        a_eq = _csr_block(form.a_eq, n)
+        if layout is not None and layout.fits(form.a_ub, form.a_eq):
+            a_ub, a_eq = form.a_ub, form.a_eq
+            self.indptr = layout.indptr
+            self.indices = layout.indices
+            self.cols = layout.cols
+            self.data = layout.data.copy()
+            self.data[layout.ub_slots] = a_ub.data  # type: ignore[union-attr]
+        else:
+            a_ub = _csr_block(form.a_ub, n)
+            a_eq = _csr_block(form.a_eq, n)
+            layout = self._assemble(a_ub, a_eq, n, form)
+        #: The layout a later program of this skeleton can reuse (``None``
+        #: when an entry was dropped or a block was not CSR).
+        self.layout = layout
         m_ub = a_ub.shape[0]
         m_eq = a_eq.shape[0]
-        # Assemble [[A_ub, I], [A_eq, 0]] in CSC: a stable sort of the
-        # row-major structural entries by column keeps each column's entries
-        # in row order (what scipy's CSR -> CSC conversion produces), then one
-        # single-entry identity column per slack is appended.
-        rows = np.repeat(
-            np.arange(m_ub + m_eq),
-            np.concatenate([np.diff(a_ub.indptr), np.diff(a_eq.indptr)]),
-        )
-        cols = np.concatenate([a_ub.indices, a_eq.indices]).astype(np.intp)
-        order = np.argsort(cols, kind="stable")
-        slacks = np.arange(m_ub)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(cols, minlength=n)), cols.size + slacks + 1]
-        )
-        self.indices = np.concatenate([rows[order], slacks])
-        data = np.concatenate([a_ub.data, a_eq.data])
-        self.data = np.concatenate([data[order], np.ones(m_ub)])
-        self.cols = np.concatenate([cols[order], n + slacks])
         #: The equality rows, for the crash basis's row-wise scan.
         self.a_eq = a_eq
         self.n = n
@@ -285,6 +346,38 @@ class _Program:
         #: persists across re-solves of a kept-alive program, so drift cannot
         #: accumulate unboundedly over a long refresh sequence.
         self.updates_since = 0
+        #: A verdict-only solve left the pivoted inverse in place; the next
+        #: rebind refactorises first (see :meth:`_rebind`).
+        self.refactor_due = False
+
+    def _assemble(
+        self, a_ub: sp.csr_matrix, a_eq: sp.csr_matrix, n: int, form: MatrixForm
+    ) -> Optional[_Layout]:
+        """Assemble ``[[A_ub, I], [A_eq, 0]]`` in CSC; return its reusable layout.
+
+        A stable sort of the row-major structural entries by column keeps
+        each column's entries in row order (what scipy's CSR -> CSC
+        conversion produces), then one single-entry identity column per
+        slack is appended.
+        """
+        m_ub = a_ub.shape[0]
+        rows = np.repeat(
+            np.arange(m_ub + a_eq.shape[0]),
+            np.concatenate([np.diff(a_ub.indptr), np.diff(a_eq.indptr)]),
+        )
+        cols = np.concatenate([a_ub.indices, a_eq.indices]).astype(np.intp)
+        order = np.argsort(cols, kind="stable")
+        slacks = np.arange(m_ub)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols, minlength=n)), cols.size + slacks + 1]
+        )
+        self.indices = np.concatenate([rows[order], slacks])
+        data = np.concatenate([a_ub.data, a_eq.data])
+        self.data = np.concatenate([data[order], np.ones(m_ub)])
+        self.cols = np.concatenate([cols[order], n + slacks])
+        if a_ub is not form.a_ub or a_eq is not form.a_eq:
+            return None  # a dense block, or entries dropped below _COEFF_DROP
+        return _Layout(a_ub, a_eq, order, self)
 
     # ------------------------------------------------------------------ #
     # Products.  Each output entry is summed from 0.0 over the same      #
@@ -359,6 +452,7 @@ class _Program:
         except np.linalg.LinAlgError as exc:
             raise _Numerics("singular basis") from exc
         self.updates_since = 0
+        self.refactor_due = False
         residual = self.b - self._matvec(self._nonbasic_values())
         x_b = self.b_inv @ residual
         self.x[self.basis] = x_b
@@ -369,7 +463,7 @@ class _Program:
         self.b_inv[r, :] /= pivot
         scale = w.copy()
         scale[r] = 0.0
-        self.b_inv -= np.outer(scale, self.b_inv[r, :])
+        self.b_inv -= scale[:, None] * self.b_inv[r, :][None, :]
         self.updates_since += 1
 
     def _rebind(self, form: MatrixForm) -> None:
@@ -378,13 +472,16 @@ class _Program:
         Only valid when every matrix block, cost and bound of ``form`` is the
         very object this program was assembled from (see
         :class:`ProgramHandle`) — then the basis inverse stays exact and only
-        the basic values need recomputing.
+        the basic values need recomputing.  A refactorisation a verdict-only
+        solve deferred runs here, before anything reads the inverse: it
+        rebuilds the inverse from the same basis, and its basic values are
+        the same expression the plain rebind evaluates.
         """
         self.b = np.concatenate(
             [np.asarray(form.b_ub, dtype=float), np.asarray(form.b_eq, dtype=float)]
         )
         self.iterations = 0
-        if self.updates_since >= _REFACTOR_EVERY:
+        if self.refactor_due or self.updates_since >= _REFACTOR_EVERY:
             self._refactor()
         else:
             self.x[self.basis] = self.b_inv @ (self.b - self._matvec(self._nonbasic_values()))
@@ -656,56 +753,72 @@ class _Program:
         iters = 0
         since_refactor = 0
         cap = min(self.max_iterations, 3 * m + 200)
+        basis = self.basis
+        row_prices = self._row_prices if self.art_rows.size else self._rmatvec
+        # Bounds and values of the basic columns, kept in step with the
+        # basis instead of gathered again on every pivot.  ``x_b`` is the
+        # authoritative copy of the basic values inside the loop; ``self.x``
+        # gets them back on exit and before a refactorisation reads it.
+        x_b = self.x[basis]
+        lo_b = self.lo[basis]
+        hi_b = self.hi[basis]
         # The System (2) feasibility programs have an all-zero objective:
         # every reduced cost is exactly zero, so the dual ratio test
         # degenerates to "first eligible column" — skip the pricing solve.
         zero_costs = not self.c.any()
+        if zero_costs:
+            # -1 at lower, +1 at upper, 0 basic or free: a column at lower
+            # is eligible when its pivot-row entry is below -_EPS, one at
+            # upper when it is above _EPS, so ``sign * a2 > _EPS`` is the
+            # whole eligibility test and ``sign * a2`` its |pivot|.
+            status = self.vstatus
+            sign = np.zeros(status.size)
+            sign[status == _AT_LOWER] = -1.0
+            sign[status == _AT_UPPER] = 1.0
+            free = np.flatnonzero(status == _FREE)
         while iters < cap:
-            x_b = self.x[self.basis]
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
             below = lo_b - x_b
             above = x_b - hi_b
             violation = np.maximum(below, above)
-            r = int(np.argmax(violation))
+            r = int(violation.argmax())
             if violation[r] <= _FEAS_TOL:
+                self.x[basis] = x_b
                 self.iterations += iters
                 return "optimal"
             is_below = below[r] >= above[r]
 
             rho = self.b_inv[r, :]
-            alpha = self._row_prices(rho)
-            a2 = alpha if is_below else -alpha
-            status = self.vstatus
-            nonbasic_lower = status == _AT_LOWER
-            nonbasic_upper = status == _AT_UPPER
-            nonbasic_free = status == _FREE
+            alpha = row_prices(rho)
             if zero_costs:
-                eligible = (
-                    (nonbasic_lower & (a2 < -_EPS))
-                    | (nonbasic_upper & (a2 > _EPS))
-                    | (nonbasic_free & (np.abs(a2) > _EPS))
-                )
-                if not eligible.any():
-                    self.iterations += iters
-                    return "infeasible"
                 # Any entering column keeps dual feasibility when c == 0, so
                 # the choice is free: take the largest |pivot| (first index on
                 # ties).  First-eligible would be Bland's rule, which stalls
                 # for ~m near-degenerate pivots on these programs.
-                enter = int(np.argmax(np.where(eligible, np.abs(a2), -1.0)))
+                score = sign * alpha
+                if not is_below:
+                    np.negative(score, out=score)
+                if free.size:
+                    score[free] = np.abs(alpha[free])
+                enter = int(score.argmax())
+                if not score[enter] > _EPS:
+                    self.x[basis] = x_b
+                    self.iterations += iters
+                    return "infeasible"
             else:
-                y = self.b_inv.T @ self.c[self.basis]
-                d = self.c - self._row_prices(y)
+                a2 = alpha if is_below else -alpha
+                status = self.vstatus
+                y = self.b_inv.T @ self.c[basis]
+                d = self.c - row_prices(y)
                 ratios = np.full(self.n_total, np.inf)
-                sel = nonbasic_lower & (a2 < -_EPS)
+                sel = (status == _AT_LOWER) & (a2 < -_EPS)
                 ratios[sel] = np.maximum(d[sel], 0.0) / (-a2[sel])
-                sel = nonbasic_upper & (a2 > _EPS)
+                sel = (status == _AT_UPPER) & (a2 > _EPS)
                 ratios[sel] = np.maximum(-d[sel], 0.0) / a2[sel]
-                sel = nonbasic_free & (np.abs(a2) > _EPS)
+                sel = (status == _FREE) & (np.abs(a2) > _EPS)
                 ratios[sel] = np.abs(d[sel]) / np.abs(a2[sel])
-                enter = int(np.argmin(ratios))
+                enter = int(ratios.argmin())
                 if not np.isfinite(ratios[enter]):
+                    self.x[basis] = x_b
                     self.iterations += iters
                     return "infeasible"
 
@@ -714,20 +827,31 @@ class _Program:
             w = self._ftran(enter)
             if abs(w[r]) < _PIVOT_TOL:
                 raise _Numerics("dual pivot below tolerance")
-            leaving = int(self.basis[r])
-            self.x[self.basis] = x_b - t * w
+            leaving = int(basis[r])
+            x_b = x_b - t * w
             self.x[enter] = self.x[enter] + t
             self.x[leaving] = target
             self.vstatus[leaving] = _AT_LOWER if is_below else _AT_UPPER
             self._update_inverse(r, w)
-            self.basis[r] = enter
+            if zero_costs:
+                sign[leaving] = -1.0 if is_below else 1.0
+                sign[enter] = 0.0
+                if self.vstatus[enter] == _FREE:
+                    free = free[free != enter]
+            basis[r] = enter
             self.vstatus[enter] = _BASIC
+            x_b[r] = self.x[enter]
+            lo_b[r] = self.lo[enter]
+            hi_b[r] = self.hi[enter]
 
             iters += 1
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
+                self.x[basis] = x_b
                 self._refactor()
                 since_refactor = 0
+                x_b = self.x[basis]
+        self.x[basis] = x_b
         self.iterations += iters
         return "limit"
 
@@ -772,6 +896,26 @@ def _solve_boxed(form: MatrixForm) -> LPSolution:
     )
 
 
+def _optimum(program: _Program, form: MatrixForm, verdict_only: bool) -> LPSolution:
+    """The optimal solution after the last pivot, or only its verdict.
+
+    A full answer refactorises first when pivots have updated the inverse
+    since the last refactorisation, so ``x`` carries no product-form drift.
+    A verdict-only answer reads nothing, so it builds no value map and
+    defers that refactorisation to the program's next rebind (it is never
+    skipped: the refreshed inverse seeds that re-solve's pivots).
+    """
+    if verdict_only:
+        if program.updates_since:
+            program.refactor_due = True
+        return LPSolution(
+            status=LPStatus.OPTIMAL, backend=_BACKEND, iterations=program.iterations
+        )
+    if program.updates_since:
+        program._refactor()
+    return _extract(program, form)
+
+
 def _extract(program: _Program, form: MatrixForm) -> LPSolution:
     x = program.x[: program.n]
     minimised = float(np.asarray(form.c, dtype=float) @ x)
@@ -785,7 +929,7 @@ def _extract(program: _Program, form: MatrixForm) -> LPSolution:
 
 
 def _cold_solve(
-    program: _Program, form: MatrixForm, recorder: Recorder
+    program: _Program, form: MatrixForm, recorder: Recorder, verdict_only: bool
 ) -> Tuple[LPSolution, Optional[BasisState]]:
     if not program.c.any():
         # Zero-objective (pure feasibility) program: any basis is dual
@@ -813,8 +957,9 @@ def _cold_solve(
             )
         if outcome == "optimal":
             try:
-                program._refactor()
-                return _extract(program, form), program.snapshot()
+                # With no pivot since the crash refactorisation, another
+                # one would rebuild the same inverse and values.
+                return _optimum(program, form, verdict_only), program.snapshot()
             except _Numerics:
                 pass
         # "limit"/numerics: _cold_start rebuilds every piece of state, so the
@@ -871,8 +1016,10 @@ def _cold_solve(
             ),
             None,
         )
-    program._refactor()  # flush accumulated update dirt before reading x
-    return _extract(program, form), program.snapshot()
+    # Flush accumulated update dirt before reading x.  Verdict-only solves
+    # run it too: a singular basis here turns the verdict into an error.
+    program._refactor()
+    return _optimum(program, form, verdict_only), program.snapshot()
 
 
 def solve_matrix_form_revised(
@@ -882,6 +1029,7 @@ def solve_matrix_form_revised(
     warm_basis: Optional[BasisState] = None,
     handle: Optional[ProgramHandle] = None,
     recorder: Optional[Recorder] = None,
+    verdict_only: bool = False,
 ) -> RevisedSolve:
     """Solve a lowered :class:`MatrixForm`, optionally warm-starting.
 
@@ -895,16 +1043,19 @@ def solve_matrix_form_revised(
     when the presented form shares every matrix block with the cached program
     (rhs-only refresh, see :class:`ProgramHandle`) the re-solve skips assembly
     *and* refactorisation; otherwise the handle is refilled from this solve.
+    A handle also keeps the assembled CSC layout, so the next program of the
+    same skeleton (new coefficient values, same structure) skips assembly's
+    sort.
+
+    With ``verdict_only`` an optimal solve reports its status and pivot
+    count only: no objective, no values.  The solver state it leaves behind
+    (basis, statuses, and the basis inverse every later re-solve starts
+    from) is the one a full solve leaves.
     """
     rec = recorder if recorder is not None else get_recorder()
-    if form.num_variables == 0:
-        return RevisedSolve(solve_constant_form(form, _BACKEND), None)
-    if (np.asarray(form.bounds)[:, 0] > np.asarray(form.bounds)[:, 1] + _EPS).any():
-        return RevisedSolve(
-            LPSolution(status=LPStatus.INFEASIBLE, backend=_BACKEND), None
-        )
-
     if handle is not None and handle.matches(form):
+        # The kept-alive program was assembled from these very blocks, costs
+        # and bounds, so they already passed the entry checks below.
         program = handle.program
         assert program is not None  # matches() guarantees it
         started = wall_clock() if rec.enabled else 0.0
@@ -930,16 +1081,24 @@ def solve_matrix_form_revised(
                     program.snapshot(),
                     warm_used=True,
                 )
-            if program.updates_since:
-                program._refactor()
             return RevisedSolve(
-                _extract(program, form), program.snapshot(), warm_used=True
+                _optimum(program, form, verdict_only), program.snapshot(), warm_used=True
             )
         # Poisoned kept-alive state: drop it and rebuild from scratch below.
         handle.program = None
         handle.blocks = None
 
-    program = _Program(form, max_iterations)
+    if form.num_variables == 0:
+        return RevisedSolve(solve_constant_form(form, _BACKEND), None)
+    if (np.asarray(form.bounds)[:, 0] > np.asarray(form.bounds)[:, 1] + _EPS).any():
+        return RevisedSolve(
+            LPSolution(status=LPStatus.INFEASIBLE, backend=_BACKEND), None
+        )
+
+    layout = handle.layout if handle is not None else None
+    program = _Program(form, max_iterations, layout)
+    if handle is not None:
+        handle.layout = program.layout
     if program.m == 0:
         return RevisedSolve(_solve_boxed(form), None)
 
@@ -968,20 +1127,17 @@ def solve_matrix_form_revised(
                             program.snapshot(),
                             warm_used=True,
                         )
-                    if program.updates_since:
-                        program._refactor()
+                    solution = _optimum(program, form, verdict_only)
                     if handle is not None:
                         handle.stash(program, form)
-                    return RevisedSolve(
-                        _extract(program, form), program.snapshot(), warm_used=True
-                    )
+                    return RevisedSolve(solution, program.snapshot(), warm_used=True)
         except _Numerics:
             pass
         # Fall through: rebuild untouched state for the cold solve.
-        program = _Program(form, max_iterations)
+        program = _Program(form, max_iterations, layout)
 
     try:
-        solution, basis = _cold_solve(program, form, rec)
+        solution, basis = _cold_solve(program, form, rec, verdict_only)
     except _Numerics as exc:
         solution, basis = (
             LPSolution(status=LPStatus.ERROR, backend=_BACKEND, message=str(exc)),

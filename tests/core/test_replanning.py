@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import Instance, Job, ReplanProbe, check_deadline_feasibility
@@ -251,3 +252,90 @@ class TestEventScopedRefresh:
         assert probe.event_refresh_reuses == reuses_before
         probe.check(second, deadlines, build_schedule=False)
         assert probe.event_refresh_reuses == reuses_before + 1
+
+    def test_switching_instances_clears_the_permutation_cache(self):
+        probe = ReplanProbe(rank_keyed=True)
+        first, _ = remaining_subinstance(
+            random_unrelated_instance(5, 3, seed=5), 1.0, [0, 1, 2], [1.0, 1.0, 1.0]
+        )
+        second, _ = remaining_subinstance(
+            random_unrelated_instance(5, 3, seed=6), 1.0, [0, 1, 2], [1.0, 1.0, 1.0]
+        )
+        deadlines = [40.0, 10.0, 25.0]  # relabelled to (1, 2, 0)
+        for sub in (first, second, first):
+            got = probe.check(sub, deadlines, build_schedule=False)
+            # Only the current event's views are kept, built from its instance.
+            (view, _), = probe._event_views.values()
+            assert np.array_equal(view.costs, sub.costs[:, [1, 2, 0]])
+            _assert_same_as_fresh(probe, got, sub, deadlines)
+        assert probe.rank_canonicalisations == 3
+
+
+def _assert_same_as_fresh(probe, got, sub, deadlines):
+    """``got`` (from ``probe``) equals a fresh probe's answer and structure key."""
+    fresh = ReplanProbe(preemptive=probe.preemptive, rank_keyed=probe._rank_keyed)
+    want = fresh.check(sub, deadlines, build_schedule=False)
+    assert got.feasible == want.feasible
+    assert got.num_intervals == want.num_intervals
+    assert got.lp_variables == want.lp_variables
+    assert got.lp_constraints == want.lp_constraints
+    (fresh_key,) = fresh._templates
+    assert next(reversed(probe._templates)) == fresh_key  # the key just used
+
+
+class TestPerEventCache:
+    """The per-event permutation cache and float-only cuts answer like a fresh probe."""
+
+    def test_rank_order_flipping_mid_bisection(self):
+        # Staggered original releases and unequal weights: the deadline
+        # order r_j + F / w_j of the remaining jobs flips at F = 15 (J0/J4)
+        # and F = 16 (J1/J3), inside the bisection's range.
+        jobs = [
+            Job(name=f"J{k}", release_date=release, weight=weight)
+            for k, (release, weight) in enumerate(
+                [(0.0, 1.0), (5.0, 4.0), (3.0, 0.5), (1.0, 2.0), (5.0, 1.5)]
+            )
+        ]
+        costs = [[3.0, 5.0, 2.0, 4.0, 6.0], [4.0, 2.0, 5.0, 3.0, 2.5]]
+        instance = Instance.from_costs(jobs, costs)
+        active = [0, 1, 2, 3, 4]
+        sub, ordered = remaining_subinstance(
+            instance, 7.0, active, [0.9, 0.6, 1.0, 0.4, 0.8]
+        )
+        for preemptive in (False, True):
+            probe = ReplanProbe(preemptive=preemptive, rank_keyed=True)
+            orders = set()
+            low, high = 7.0, 60.0
+            for _ in range(12):
+                mid = 0.5 * (low + high)
+                deadlines = [
+                    instance.jobs[j].release_date + mid / instance.jobs[j].weight
+                    for j in ordered
+                ]
+                orders.add(tuple(sorted(range(len(deadlines)), key=deadlines.__getitem__)))
+                got = probe.check(sub, deadlines, build_schedule=False)
+                _assert_same_as_fresh(probe, got, sub, deadlines)
+                if got.feasible:
+                    high = mid
+                else:
+                    low = mid
+            assert len(orders) >= 3  # the order flipped more than once
+            assert len(probe._event_views) == len(orders)  # one view per order
+
+    @pytest.mark.parametrize("rank_keyed", [False, True])
+    def test_deadlines_within_abs_tol_merge_their_cuts(self, rank_keyed):
+        from repro.core.tolerances import ABS_TOL
+
+        sub, _ = remaining_subinstance(
+            random_unrelated_instance(6, 3, seed=8), 1.0, [0, 1, 2, 3], [1.0, 0.6, 0.8, 0.3]
+        )
+        probe = ReplanProbe(rank_keyed=rank_keyed)
+        for base in (12.0, 20.0, 45.0):
+            deadlines = [base + ABS_TOL / 2, base, base + 6.0 - ABS_TOL / 3, base + 6.0]
+            got = probe.check(sub, deadlines, build_schedule=False)
+            assert got.num_intervals == 2  # 1.0 | base | base + 6
+            _assert_same_as_fresh(probe, got, sub, deadlines)
+        witness = probe.check(sub, deadlines, build_schedule=True)
+        reference = check_deadline_feasibility(sub, deadlines, build_schedule=True)
+        assert witness.num_intervals == reference.num_intervals == 2
+        assert witness.feasible == reference.feasible

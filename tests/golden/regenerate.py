@@ -254,7 +254,8 @@ WARM_PROGRAMS = {
     "divisible-10": (2, 10, False, 0.5),
 }
 #: The re-solve series, one token per solve: the rhs factor (times the base
-#: scale), then ``v`` for a verdict-only solve or ``w`` for a witness solve.
+#: scale), then ``v`` for a verdict-only solve (``verdict_only=True``) or
+#: ``w`` for a witness solve.
 #: A ``*`` suffix first refreshes every coefficient (x 1.1, a new matrix
 #: object with the same structure, as a new replanning event does); a ``!``
 #: suffix refreshes with the first coefficient at 1e-10, below the solver's
@@ -312,6 +313,7 @@ def warm_sequences() -> Entries:
                 dataclasses.replace(form, a_ub=a_ub, b_ub=form.b_ub * (base * float(token[:-1]))),
                 warm_basis=basis,
                 handle=handle,
+                verdict_only=not witness,
             )
             if result.basis is not None:
                 basis = result.basis

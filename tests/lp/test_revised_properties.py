@@ -14,18 +14,30 @@ Two contracts from ISSUE 9:
   skeleton, drifting bounds and right-hand sides), re-solving from the
   previous optimal basis must return the same verdict and objective as a
   from-scratch solve at every step.
+
+And two contracts of the kept-alive re-solve path, over random bounded
+zero-objective programs (the shape of every replanning probe LP):
+
+* **rhs-only re-solves** through one ``ProgramHandle`` reach scipy's verdict
+  at every step;
+* **verdict-only solves** change nothing but the answer: a sequence that
+  mixes them reaches the same verdicts, pivot counts, witnesses and final
+  solver state (basis, statuses, values, basis inverse) as the same
+  sequence with full extraction throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lp import LinearProgram, LPStatus
-from repro.lp.revised_simplex import solve_matrix_form_revised
+from repro.lp.revised_simplex import ProgramHandle, solve_matrix_form_revised
+from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
 from repro.lp.simplex import solve_matrix_form_tableau
-from repro.lp.standard_form import to_matrix_form
+from repro.lp.standard_form import MatrixForm, to_matrix_form
 
 #: Coefficients including exact zeros and the sub-drop-tolerance dirt class.
 rough_floats = st.one_of(
@@ -182,3 +194,133 @@ class TestWarmMatchesCold:
             ) <= 1e-6 * (1.0 + abs(cold.solution.objective_value))
             assert lp.check_solution(warm.solution.values, tol=1e-6) == []
             basis = warm.basis
+
+
+@st.composite
+def rhs_only_sequence(draw):
+    """A bounded ``c == 0`` program and a series of right-hand sides for it.
+
+    Some lower bounds are 1, so basic columns leave at non-zero bounds.
+
+    Coefficients are small integers and right-hand sides multiples of 1/4,
+    so an infeasible step misses by far more than any solver tolerance and
+    every backend must agree on each verdict.  Each step also draws whether
+    it is asked verdict-only.
+    """
+    num_vars = draw(st.integers(min_value=2, max_value=6))
+    num_ub = draw(st.integers(min_value=1, max_value=4))
+    num_eq = draw(st.integers(min_value=0, max_value=2))
+    coefficient = st.integers(min_value=-2, max_value=4).map(float)
+    a_ub = draw(st.lists(st.lists(coefficient, min_size=num_vars, max_size=num_vars),
+                         min_size=num_ub, max_size=num_ub))
+    a_eq = draw(st.lists(st.lists(coefficient, min_size=num_vars, max_size=num_vars),
+                         min_size=num_eq, max_size=num_eq))
+    b_eq = draw(st.lists(st.integers(min_value=0, max_value=8).map(lambda k: k / 4),
+                         min_size=num_eq, max_size=num_eq))
+    lower = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0]), min_size=num_vars, max_size=num_vars))
+    upper = draw(st.lists(st.integers(min_value=1, max_value=5).map(float),
+                          min_size=num_vars, max_size=num_vars))
+    rhs = st.lists(st.integers(min_value=-8, max_value=40).map(lambda k: k / 4),
+                   min_size=num_ub, max_size=num_ub)
+    steps = draw(st.lists(st.tuples(rhs, st.booleans()), min_size=2, max_size=8))
+    return (a_ub, a_eq, b_eq, lower, upper), steps
+
+
+def _program(problem):
+    """The drawn program as a ``MatrixForm`` and its steps as arrays."""
+    (a_ub, a_eq, b_eq, lower, upper), steps = problem
+    num_vars = len(lower)
+    form = MatrixForm(
+        c=np.zeros(num_vars),
+        objective_constant=0.0,
+        objective_sign=1.0,
+        a_ub=sp.csr_matrix(np.array(a_ub).reshape(len(a_ub), num_vars)),
+        b_ub=np.zeros(len(a_ub)),
+        a_eq=sp.csr_matrix(np.array(a_eq).reshape(len(a_eq), num_vars)),
+        b_eq=np.array(b_eq, dtype=float),
+        bounds=np.column_stack([lower, upper]),
+    )
+    return form, [(np.array(b_ub, dtype=float), verdict) for b_ub, verdict in steps]
+
+
+def _with_rhs(form: MatrixForm, b_ub: np.ndarray) -> MatrixForm:
+    """``form`` with new inequality right-hand sides, every block shared."""
+    return MatrixForm(
+        c=form.c,
+        objective_constant=form.objective_constant,
+        objective_sign=form.objective_sign,
+        a_ub=form.a_ub,
+        b_ub=b_ub,
+        a_eq=form.a_eq,
+        b_eq=form.b_eq,
+        bounds=form.bounds,
+    )
+
+
+def _resolve_sequence(form, steps, verdict_only):
+    """Re-solve ``steps`` through one handle, the way a probe template does."""
+    handle = ProgramHandle()
+    basis = None
+    results = []
+    for b_ub, verdict in steps:
+        result = solve_matrix_form_revised(
+            _with_rhs(form, b_ub),
+            warm_basis=basis,
+            handle=handle,
+            verdict_only=verdict_only and verdict,
+        )
+        if result.basis is not None:
+            basis = result.basis
+        results.append(result)
+    return results, handle
+
+
+class TestRhsOnlyResolves:
+    @given(rhs_only_sequence())
+    @example(
+        # x1 sits in [1, 1]: when it enters the basis, its lower bound of 1
+        # must replace the leaving column's in the basic bounds.
+        (
+            (
+                [[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0, -1.0], [0.0] * 5, [0.0] * 5],
+                [[0.0, 0.0, 0.0, 1.0, 0.0]],
+                [0.0],
+                [0.0, 1.0, 0.0, 0.0, 0.0],
+                [1.0] * 5,
+            ),
+            [([0.0, 0.0, 0.0, 0.0], False), ([0.0, 3.25, 0.0, 0.0], False)],
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rhs_only_resolves_reach_scipys_verdicts(self, problem):
+        form, steps = _program(problem)
+        results, _ = _resolve_sequence(form, steps, verdict_only=True)
+        for (b_ub, _), result in zip(steps, results):
+            reference = scipy_solve_form(_with_rhs(form, b_ub))
+            assert result.solution.status is reference.status
+
+    @given(rhs_only_sequence())
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_only_solves_leave_the_state_of_full_solves(self, problem):
+        form, steps = _program(problem)
+        # Close both sequences with a witness solve: it reads the inverse a
+        # deferred refactorisation must have rebuilt.
+        steps = steps + [(steps[-1][0], False)]
+        mixed, mixed_handle = _resolve_sequence(form, steps, verdict_only=True)
+        full, full_handle = _resolve_sequence(form, steps, verdict_only=False)
+        for (_, verdict), got, want in zip(steps, mixed, full):
+            assert got.solution.status is want.solution.status
+            assert got.solution.iterations == want.solution.iterations
+            assert got.warm_used == want.warm_used
+            if verdict:
+                assert got.solution.values == {}
+            else:
+                assert got.solution.values == want.solution.values
+        assert (mixed_handle.program is None) == (full_handle.program is None)
+        if full_handle.program is not None:
+            got, want = mixed_handle.program, full_handle.program
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.vstatus, want.vstatus)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.b_inv, want.b_inv)
+            assert not got.refactor_due

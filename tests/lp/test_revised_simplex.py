@@ -249,6 +249,143 @@ class TestWarmStart:
         assert "lp.time.revised.dual" in histograms
 
 
+def _feasibility_form(seed: int = 0, jobs: int = 8) -> MatrixForm:
+    """A System (2) program: zero objective, equal releases, staircase deadlines."""
+    from repro.core.affine import Affine
+    from repro.core.formulations import build_allocation_model
+    from repro.core.intervals import build_constant_intervals
+    from repro.core.replanning import remaining_subinstance
+
+    instance = random_unrelated_instance(jobs + 2, 3, seed=seed, cost_range=(2.0, 12.0))
+    sub, _ = remaining_subinstance(
+        instance, 1.0, list(range(jobs)), [1.0 - 0.11 * k for k in range(jobs)]
+    )
+    deadlines = [1.0 + 3.0 * (k + 1) for k in range(jobs)]
+    return build_allocation_model(
+        sub,
+        build_constant_intervals(sub.release_dates + deadlines),
+        deadlines=[Affine.const(d) for d in deadlines],
+    ).form
+
+
+class TestVerdictOnly:
+    """``verdict_only`` answers without values and defers the refactorisation."""
+
+    @staticmethod
+    def _rhs(form: MatrixForm, scale: float) -> MatrixForm:
+        return MatrixForm(
+            c=form.c,
+            objective_constant=form.objective_constant,
+            objective_sign=form.objective_sign,
+            a_ub=form.a_ub,
+            b_ub=form.b_ub * scale,
+            a_eq=form.a_eq,
+            b_eq=form.b_eq,
+            bounds=form.bounds,
+        )
+
+    def _run(self, verdict_first: bool):
+        # 0.97 is near this program's feasibility threshold; 1.3 is feasible
+        # only after a few dual pivots, so the pivoted inverse is dirty.
+        form = _feasibility_form()
+        handle = ProgramHandle()
+        first = solve_matrix_form_revised(self._rhs(form, 1.6), handle=handle)
+        second = solve_matrix_form_revised(
+            self._rhs(form, 1.3 * 0.97),
+            warm_basis=first.basis,
+            handle=handle,
+            verdict_only=verdict_first,
+        )
+        program = handle.program
+        deferred = program.refactor_due
+        third = solve_matrix_form_revised(
+            self._rhs(form, 0.97), warm_basis=second.basis, handle=handle
+        )
+        assert handle.program is program  # both re-solves rebound one program
+        return second, deferred, third, program
+
+    def test_deferred_refactor_leaves_the_state_of_a_full_solve(self):
+        verdict, deferred, after_verdict, program = self._run(verdict_first=True)
+        full, not_deferred, after_full, reference = self._run(verdict_first=False)
+
+        assert verdict.solution.is_optimal and full.solution.is_optimal
+        assert verdict.solution.iterations == full.solution.iterations > 0
+        assert verdict.solution.values == {} and verdict.solution.objective_value is None
+        assert full.solution.values
+        assert deferred and not not_deferred
+        assert not program.refactor_due  # the rebind ran it
+
+        assert after_verdict.solution.status is after_full.solution.status
+        assert after_verdict.solution.iterations == after_full.solution.iterations
+        assert np.array_equal(program.b_inv, reference.b_inv)
+        assert np.array_equal(program.x, reference.x)
+        assert np.array_equal(program.basis, reference.basis)
+        assert np.array_equal(program.vstatus, reference.vstatus)
+        assert after_verdict.solution.values == after_full.solution.values
+
+    def test_infeasible_and_cold_verdicts(self):
+        form = _feasibility_form()
+        cold = solve_matrix_form_revised(self._rhs(form, 1.6), verdict_only=True)
+        assert cold.solution.is_optimal and cold.solution.values == {}
+        assert cold.solution.iterations == solve_matrix_form_revised(
+            self._rhs(form, 1.6)
+        ).solution.iterations
+        tight = solve_matrix_form_revised(
+            self._rhs(form, 0.2), warm_basis=cold.basis, verdict_only=True
+        )
+        assert tight.solution.status is LPStatus.INFEASIBLE
+
+
+class TestLayoutReuse:
+    """A handle's CSC layout serves the next program of the same skeleton."""
+
+    @staticmethod
+    def _refreshed(form: MatrixForm, data: np.ndarray) -> MatrixForm:
+        a_ub = sp.csr_matrix((data, form.a_ub.indices, form.a_ub.indptr), shape=form.a_ub.shape)
+        return MatrixForm(
+            c=form.c,
+            objective_constant=form.objective_constant,
+            objective_sign=form.objective_sign,
+            a_ub=a_ub,
+            b_ub=form.b_ub,
+            a_eq=form.a_eq,
+            b_eq=form.b_eq,
+            bounds=form.bounds,
+        )
+
+    def test_reused_layout_assembles_the_same_arrays(self):
+        form = _feasibility_form(seed=1, jobs=6)
+        first = _Program(form, 1)
+        assert first.layout is not None
+        refreshed = self._refreshed(form, form.a_ub.data * 1.7)
+        reused = _Program(refreshed, 1, first.layout)
+        assert reused.layout is first.layout
+        fresh = _Program(refreshed, 1)
+        for name in ("indptr", "indices", "data", "cols"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+            assert getattr(reused, name).dtype == getattr(fresh, name).dtype, name
+
+    def test_sub_drop_refresh_falls_back_to_full_assembly(self):
+        form = _feasibility_form(seed=1, jobs=6)
+        layout = _Program(form, 1).layout
+        data = form.a_ub.data * 1.7
+        data[3] = _COEFF_DROP / 10
+        refreshed = self._refreshed(form, data)
+        assert not layout.fits(refreshed.a_ub, refreshed.a_eq)
+        program = _Program(refreshed, 1, layout)
+        assert program.layout is None  # an entry was dropped
+        assert program.data.size == _Program(form, 1).data.size - 1
+        assert_raw_arrays_match_scipy(refreshed)
+
+    def test_other_structures_do_not_fit(self):
+        form = _feasibility_form(seed=1, jobs=6)
+        layout = _Program(form, 1).layout
+        other = _feasibility_form(seed=1, jobs=5)
+        assert not layout.fits(other.a_ub, other.a_eq)
+        assert not layout.fits(form.a_ub, other.a_eq)
+        assert not layout.fits(form.a_ub.toarray(), form.a_eq)
+
+
 class TestBackendRegistry:
     def test_canonical_backend_resolves_aliases(self):
         from repro.lp.backends import canonical_backend
