@@ -28,6 +28,8 @@ zero-objective programs (the shape of every replanning probe LP):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import example, given, settings
@@ -200,12 +202,11 @@ class TestWarmMatchesCold:
 def rhs_only_sequence(draw):
     """A bounded ``c == 0`` program and a series of right-hand sides for it.
 
-    Some lower bounds are 1, so basic columns leave at non-zero bounds.
-
     Coefficients are small integers and right-hand sides multiples of 1/4,
     so an infeasible step misses by far more than any solver tolerance and
-    every backend must agree on each verdict.  Each step also draws whether
-    it is asked verdict-only.
+    every backend must agree on each verdict.  Some lower bounds are 1, so
+    columns enter and leave the basis at non-zero bounds.  Each step also
+    draws whether it is asked verdict-only.
     """
     num_vars = draw(st.integers(min_value=2, max_value=6))
     num_ub = draw(st.integers(min_value=1, max_value=4))
@@ -243,20 +244,6 @@ def _program(problem):
     return form, [(np.array(b_ub, dtype=float), verdict) for b_ub, verdict in steps]
 
 
-def _with_rhs(form: MatrixForm, b_ub: np.ndarray) -> MatrixForm:
-    """``form`` with new inequality right-hand sides, every block shared."""
-    return MatrixForm(
-        c=form.c,
-        objective_constant=form.objective_constant,
-        objective_sign=form.objective_sign,
-        a_ub=form.a_ub,
-        b_ub=b_ub,
-        a_eq=form.a_eq,
-        b_eq=form.b_eq,
-        bounds=form.bounds,
-    )
-
-
 def _resolve_sequence(form, steps, verdict_only):
     """Re-solve ``steps`` through one handle, the way a probe template does."""
     handle = ProgramHandle()
@@ -264,7 +251,7 @@ def _resolve_sequence(form, steps, verdict_only):
     results = []
     for b_ub, verdict in steps:
         result = solve_matrix_form_revised(
-            _with_rhs(form, b_ub),
+            replace(form, b_ub=b_ub),
             warm_basis=basis,
             handle=handle,
             verdict_only=verdict_only and verdict,
@@ -296,7 +283,7 @@ class TestRhsOnlyResolves:
         form, steps = _program(problem)
         results, _ = _resolve_sequence(form, steps, verdict_only=True)
         for (b_ub, _), result in zip(steps, results):
-            reference = scipy_solve_form(_with_rhs(form, b_ub))
+            reference = scipy_solve_form(replace(form, b_ub=b_ub))
             assert result.solution.status is reference.status
 
     @given(rhs_only_sequence())

@@ -12,6 +12,8 @@ without a scipy.sparse object on the solve path.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -273,16 +275,7 @@ class TestVerdictOnly:
 
     @staticmethod
     def _rhs(form: MatrixForm, scale: float) -> MatrixForm:
-        return MatrixForm(
-            c=form.c,
-            objective_constant=form.objective_constant,
-            objective_sign=form.objective_sign,
-            a_ub=form.a_ub,
-            b_ub=form.b_ub * scale,
-            a_eq=form.a_eq,
-            b_eq=form.b_eq,
-            bounds=form.bounds,
-        )
+        return replace(form, b_ub=form.b_ub * scale)
 
     def _run(self, verdict_first: bool):
         # 0.97 is near this program's feasibility threshold; 1.3 is feasible
@@ -342,16 +335,7 @@ class TestLayoutReuse:
     @staticmethod
     def _refreshed(form: MatrixForm, data: np.ndarray) -> MatrixForm:
         a_ub = sp.csr_matrix((data, form.a_ub.indices, form.a_ub.indptr), shape=form.a_ub.shape)
-        return MatrixForm(
-            c=form.c,
-            objective_constant=form.objective_constant,
-            objective_sign=form.objective_sign,
-            a_ub=a_ub,
-            b_ub=form.b_ub,
-            a_eq=form.a_eq,
-            b_eq=form.b_eq,
-            bounds=form.bounds,
-        )
+        return replace(form, a_ub=a_ub)
 
     def test_reused_layout_assembles_the_same_arrays(self):
         form = _feasibility_form(seed=1, jobs=6)
