@@ -17,7 +17,7 @@ preemptive optima are usually close, while one-shot heuristics lag behind.
 from __future__ import annotations
 
 from repro.analysis import format_table, geometric_mean
-from repro.core import minimize_max_weighted_flow, minimize_max_weighted_flow_preemptive
+from repro.core import minimize_max_weighted_flow
 from repro.heuristics import make_scheduler
 from repro.simulation import simulate
 from repro.workload import random_restricted_instance
@@ -30,7 +30,7 @@ def _run(num_instances: int, num_jobs: int):
             num_jobs, 4, seed=seed, num_databanks=3, replication=0.7, stretch_weights=True
         )
         divisible = minimize_max_weighted_flow(instance).objective
-        preemptive = minimize_max_weighted_flow_preemptive(instance).objective
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True).objective
         mct = simulate(instance, make_scheduler("mct")).max_weighted_flow
         records.append(
             {

@@ -107,8 +107,8 @@ def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
     full rows x cols array, ~10M entries here).
     """
     from repro.lp.revised_simplex import solve_matrix_form_revised
-    from repro.lp.simplex import solve_matrix_form_tableau
     from repro.lp.standard_form import MatrixForm
+    from tests.reference.lp import solve_matrix_form_tableau
 
     sparse_form = _largest_bench_lp(60, 6)
     assert (sparse_form.num_constraints, sparse_form.num_variables) == (774, 13225)

@@ -43,13 +43,13 @@ from repro.obs import (
     trace_stream_result,
 )
 from repro.simulation import StreamingSimulator
-from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import (
     StreamSpec,
     open_stream,
     random_unrelated_instance,
     replay_stream,
 )
+from tests.reference.stream_legacy import run_rebuild
 
 #: Disabled-mode overhead bound of ISSUE 8: NullRecorder throughput within
 #: 3 % of the uninstrumented baseline.

@@ -11,7 +11,7 @@ which is the quantitative backdrop for the paper's Section 5 motivation.
 from __future__ import annotations
 
 from repro.analysis import format_table, geometric_mean, summarize
-from repro.core import minimize_max_weighted_flow, minimize_max_weighted_flow_preemptive
+from repro.core import minimize_max_weighted_flow
 from repro.heuristics import make_scheduler
 from repro.simulation import simulate
 from repro.workload import random_restricted_instance, random_unrelated_instance
@@ -31,7 +31,7 @@ def _run(num_instances: int):
         divisible.schedule.validate()
         assert divisible.schedule.max_weighted_flow <= divisible.objective + 1e-4
 
-        preemptive = minimize_max_weighted_flow_preemptive(instance)
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True)
         preemptive_ratio.append(preemptive.objective / divisible.objective)
 
         for name in HEURISTICS:

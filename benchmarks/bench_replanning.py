@@ -28,6 +28,7 @@ dropping the tier-1 filter.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -113,18 +114,35 @@ def test_model_builds_drop_superlinearly_as_events_accumulate():
 
 @pytest.mark.bench
 def test_parametric_replanning_is_no_slower(bench_scale):
+    """Probe-backed replanning costs at most 1.10x the from-scratch rebuild.
+
+    Timing each side on its own fails whenever a slow phase of a shared
+    host lands on one side alone, so the timing is paired for drift
+    cancellation as in ``bench_obs_overhead.py``: ABBA blocks (from-scratch,
+    probe, probe, from-scratch) make a monotone load drift hit both arms
+    equally within a block, each block yields one paired ratio, and the
+    *median* over the blocks is asserted.
+    """
     num_jobs = 24 if bench_scale == "small" else 60
-    # Warm both paths once (imports, scipy setup), then time best-of-3.
+    blocks = 5
+    # Warm both paths once (imports, scipy setup) before measuring.
     _run(num_jobs, parametric=False)
     _run(num_jobs, parametric=True)
-    scratch_best = min(_run(num_jobs, parametric=False)[2] for _ in range(3))
-    probe_best = min(_run(num_jobs, parametric=True)[2] for _ in range(3))
+    block_ratios = []
+    for _ in range(blocks):
+        a1 = _run(num_jobs, parametric=False)[2]
+        b1 = _run(num_jobs, parametric=True)[2]
+        b2 = _run(num_jobs, parametric=True)[2]
+        a2 = _run(num_jobs, parametric=False)[2]
+        block_ratios.append((b1 + b2) / (a1 + a2))  # < 1: probe-backed faster
+    ratio = statistics.median(block_ratios)
     print(
-        f"[replanning] n={num_jobs}: from-scratch {scratch_best:.3f}s, "
-        f"probe-backed {probe_best:.3f}s ({scratch_best / max(probe_best, 1e-9):.2f}x)"
+        f"[replanning] n={num_jobs}: probe-backed / from-scratch time, median "
+        f"{ratio:.3f} over {blocks} ABBA blocks "
+        f"(spread {min(block_ratios):.3f}..{max(block_ratios):.3f}, bound 1.10)"
     )
     # Generous slack: the probe must never lose meaningful time.
-    assert probe_best <= scratch_best * 1.10
+    assert ratio <= 1.10, f"paired-median ratios: {sorted(block_ratios)}"
 
 
 @pytest.mark.bench

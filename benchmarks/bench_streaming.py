@@ -32,8 +32,8 @@ import pytest
 from repro.analysis import analyse_stream, run_stream_sweep
 from repro.heuristics import available_schedulers, make_scheduler
 from repro.simulation import StreamingSimulator
-from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import StreamSpec, open_stream, replay_stream
+from tests.reference.stream_legacy import run_rebuild
 
 #: Alternating (rebuild, view) pairs behind the speedup median.
 SPEEDUP_PAIRS = 3

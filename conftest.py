@@ -26,7 +26,16 @@ is a standing gate the way ``bench_engine_regression.py`` is for the
 kernel — and can be selected as a family with ``-m lint``.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# ``tests/`` and ``benchmarks/`` both import the frozen references as
+# ``tests.reference``, which resolves from the repository root.
+_ROOT = str(Path(__file__).resolve().parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def pytest_configure(config):

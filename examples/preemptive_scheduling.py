@@ -16,10 +16,7 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import (
-    minimize_max_weighted_flow,
-    minimize_max_weighted_flow_preemptive,
-)
+from repro.core import minimize_max_weighted_flow
 from repro.workload import random_restricted_instance
 
 
@@ -35,7 +32,7 @@ def main() -> None:
             stretch_weights=True,
         )
         divisible = minimize_max_weighted_flow(instance)
-        preemptive = minimize_max_weighted_flow_preemptive(instance)
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True)
         divisible.schedule.validate()
         preemptive.schedule.validate()
         rows.append(
@@ -66,7 +63,7 @@ def main() -> None:
     instance = random_restricted_instance(
         num_jobs=5, num_machines=3, seed=0, num_databanks=2, replication=0.8
     )
-    preemptive = minimize_max_weighted_flow_preemptive(instance)
+    preemptive = minimize_max_weighted_flow(instance, preemptive=True)
     print("One preemptive optimal schedule (Lawler-Labetoulle reconstruction):")
     print(preemptive.schedule.as_table())
     print()

@@ -23,7 +23,6 @@ from repro import (
     Platform,
     minimize_makespan,
     minimize_max_weighted_flow,
-    minimize_max_weighted_flow_preemptive,
 )
 from repro.analysis import format_key_values
 
@@ -68,7 +67,7 @@ def main() -> None:
     print()
 
     # --- Max weighted flow, preemptive (Section 4.4) ----------------------
-    preemptive = minimize_max_weighted_flow_preemptive(instance)
+    preemptive = minimize_max_weighted_flow(instance, preemptive=True)
     preemptive.schedule.validate()
     print(f"Optimal max weighted flow (preemptive): {preemptive.objective:.3f}")
     print("  (never better than the divisible optimum, as the theory predicts)")

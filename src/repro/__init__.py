@@ -10,9 +10,10 @@ Subpackages
 -----------
 ``repro.core``
     Instance model, LP formulations, milestone search, schedules (Sections 3–4).
+    The solvers take ``preemptive=True`` for Section 4.4's preemptive model.
 ``repro.lp``
-    Self-contained LP modelling layer with SciPy/HiGHS and pure-Python
-    simplex backends.
+    The LP matrix form and its two solvers: SciPy/HiGHS and an in-house
+    sparse revised simplex with warm re-solves.
 ``repro.gripps``
     Synthetic GriPPS application: protein databanks, motifs, scanning engine
     and the calibrated cost model behind Figure 1.
@@ -40,14 +41,10 @@ from .core import (
     Schedule,
     SchedulePiece,
     check_deadline_feasibility,
-    check_deadline_feasibility_preemptive,
     compute_milestones,
     minimize_makespan,
-    minimize_makespan_preemptive,
     minimize_max_stretch,
-    minimize_max_stretch_preemptive,
     minimize_max_weighted_flow,
-    minimize_max_weighted_flow_preemptive,
 )
 from .exceptions import (
     InfeasibleProblemError,
@@ -72,14 +69,10 @@ __all__ = [
     "Schedule",
     "SchedulePiece",
     "check_deadline_feasibility",
-    "check_deadline_feasibility_preemptive",
     "compute_milestones",
     "minimize_makespan",
-    "minimize_makespan_preemptive",
     "minimize_max_stretch",
-    "minimize_max_stretch_preemptive",
     "minimize_max_weighted_flow",
-    "minimize_max_weighted_flow_preemptive",
     "InfeasibleProblemError",
     "InvalidInstanceError",
     "InvalidScheduleError",

@@ -9,7 +9,7 @@ from .campaign import (
     run_scenario_campaign,
     stream_campaign,
 )
-from .fairness import FairnessReport, compare_fairness, fairness_report, jain_index
+from .fairness import FairnessReport, fairness_report, jain_index
 from .plots import ascii_scatter, ascii_series
 from .regression import (
     CellDelta,
@@ -29,9 +29,7 @@ from .reporting import (
 )
 from .stats import (
     SummaryStatistics,
-    confidence_interval,
     geometric_mean,
-    ratio_table,
     summarize,
 )
 from .steady_state import (
@@ -40,7 +38,6 @@ from .steady_state import (
     SteadyStateReport,
     analyse_stream,
     batch_means,
-    detect_saturation,
     saturation_scan,
 )
 from .stream_sweep import (
@@ -64,12 +61,10 @@ __all__ = [
     "StreamSweepStats",
     "analyse_stream",
     "batch_means",
-    "detect_saturation",
     "run_stream_sweep",
     "ComparisonRecord",
     "ExperimentReport",
     "FairnessReport",
-    "compare_fairness",
     "fairness_report",
     "jain_index",
     "WorkloadSpec",
@@ -88,11 +83,9 @@ __all__ = [
     "render_cross_run_diff",
     "ascii_scatter",
     "ascii_series",
-    "confidence_interval",
     "format_key_values",
     "format_table",
     "geometric_mean",
     "linear_regression",
-    "ratio_table",
     "summarize",
 ]

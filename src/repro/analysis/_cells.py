@@ -152,7 +152,7 @@ def execute_cells(
         dict the store run is sealed with.
     kind, run_labels, meta, config:
         Journal run kind, ``(store run label, journal run label)``, store
-        run meta and journal run config (the executor adds ``workers`` and
+        run meta and journal run config (the executor adds
         ``store_run_id``).
     timer, gauge:
         Histogram observing each computed cell's wall time, and the gauge
@@ -258,9 +258,8 @@ def execute_cells(
         if journal is not None:
             if not isinstance(journal, RunJournal):
                 journal = own_journal = RunJournal(journal)
-            config = dict(config, workers=workers)
             if totals.store_run_id is not None:
-                config["store_run_id"] = totals.store_run_id
+                config = dict(config, store_run_id=totals.store_run_id)
             journal.begin_run(kind, run_labels[1], config)
 
         if max_workers is None:

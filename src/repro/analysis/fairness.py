@@ -6,22 +6,20 @@ max-flow favours them.  This module quantifies that story for any schedule:
 
 * the per-job stretch / weighted-flow distribution,
 * Jain's fairness index over the stretches,
-* the starvation ratio (worst stretch over median stretch),
-* side-by-side comparison of several schedules for the same instance.
+* the starvation ratio (worst stretch over median stretch).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..core.schedule import Schedule
 from ..exceptions import WorkloadError
-from .tables import format_table
 
-__all__ = ["FairnessReport", "fairness_report", "compare_fairness", "jain_index"]
+__all__ = ["FairnessReport", "fairness_report", "jain_index"]
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -93,33 +91,3 @@ def fairness_report(schedule: Schedule) -> FairnessReport:
     )
 
 
-def compare_fairness(schedules: Dict[str, Schedule]) -> str:
-    """Render a comparison table of fairness metrics for several schedules.
-
-    Parameters
-    ----------
-    schedules:
-        Mapping from a label (policy name) to a complete schedule of the same
-        instance.
-    """
-    if not schedules:
-        raise WorkloadError("compare_fairness needs at least one schedule")
-    rows = []
-    for label, schedule in schedules.items():
-        report = fairness_report(schedule)
-        rows.append(
-            (
-                label,
-                report.max_stretch,
-                report.mean_stretch,
-                report.jain,
-                report.starvation_ratio,
-            )
-        )
-    rows.sort(key=lambda row: row[1])
-    return format_table(
-        ["schedule", "max stretch", "mean stretch", "Jain index", "starvation ratio"],
-        rows,
-        title="Fairness comparison (stretch distribution)",
-        float_format=".3f",
-    )

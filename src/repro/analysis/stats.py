@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..exceptions import WorkloadError
 
-__all__ = ["SummaryStatistics", "summarize", "confidence_interval", "geometric_mean", "ratio_table"]
+__all__ = ["SummaryStatistics", "summarize", "geometric_mean"]
 
 
 @dataclass(frozen=True)
@@ -52,19 +50,6 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
     )
 
 
-def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> Tuple[float, float]:
-    """Student-t confidence interval for the mean of a sample."""
-    array = np.asarray(list(values), dtype=float)
-    if array.size < 2:
-        raise WorkloadError("a confidence interval needs at least two observations")
-    if not 0.0 < confidence < 1.0:
-        raise WorkloadError(f"confidence must be in (0, 1), got {confidence}")
-    mean = float(array.mean())
-    sem = float(array.std(ddof=1) / math.sqrt(array.size))
-    quantile = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, array.size - 1))
-    return (mean - quantile * sem, mean + quantile * sem)
-
-
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean of strictly positive values (used for ratio aggregation)."""
     array = np.asarray(list(values), dtype=float)
@@ -75,10 +60,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     return float(np.exp(np.mean(np.log(array))))
 
 
-def ratio_table(reference: Dict[str, float], measured: Dict[str, float]) -> Dict[str, float]:
-    """Return ``measured / reference`` for every key present in both mappings."""
-    ratios: Dict[str, float] = {}
-    for key, ref_value in reference.items():
-        if key in measured and ref_value != 0:
-            ratios[key] = measured[key] / ref_value
-    return ratios

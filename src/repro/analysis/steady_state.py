@@ -46,7 +46,6 @@ __all__ = [
     "SteadyStateReport",
     "analyse_stream",
     "batch_means",
-    "detect_saturation",
     "saturation_scan",
 ]
 
@@ -199,16 +198,14 @@ def batch_means(
 class SaturationScan:
     """Full outcome of one MSER-5 saturation scan (verdict + evidence).
 
-    :func:`detect_saturation` historically returned only the boolean and
-    discarded the truncation point and the batch-means trajectory; this
-    carries them so reports (and ``repro-sched obs report``) can show *why*
-    a run was or wasn't flagged.  The verdict logic is byte-identical to
-    the boolean-only rule.
+    Besides the verdict it carries the truncation point and the batch-means
+    trajectory, so reports (and ``repro-sched obs report``) can show *why*
+    a run was or wasn't flagged.
 
     Attributes
     ----------
     saturated:
-        The verdict (exactly :func:`detect_saturation`'s return value).
+        The MSER-5 saturation verdict.
     truncation:
         MSER-5 optimal truncation point ``d*`` (batch index), or ``None``
         when the trajectory was too short to scan.
@@ -321,26 +318,6 @@ def saturation_scan(
         early_occupancy=early_occupancy,
         final_occupancy=final,
     )
-
-
-def detect_saturation(
-    queue_lengths: Sequence[float],
-    *,
-    batch_size: int = 5,
-    min_samples: int = 24,
-    occupancy_slack: float = 1.0,
-) -> bool:
-    """Boolean MSER-5 saturation verdict (see :func:`saturation_scan`).
-
-    Kept as the stable public predicate; :func:`saturation_scan` returns
-    the same verdict plus the evidence behind it.
-    """
-    return saturation_scan(
-        queue_lengths,
-        batch_size=batch_size,
-        min_samples=min_samples,
-        occupancy_slack=occupancy_slack,
-    ).saturated
 
 
 @dataclass(frozen=True)

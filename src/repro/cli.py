@@ -1369,9 +1369,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 2  # pragma: no cover - parser.error raises SystemExit
 
 
-def _script_entry() -> None:  # pragma: no cover - exercised via console script only
-    sys.exit(main())
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

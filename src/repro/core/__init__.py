@@ -8,8 +8,8 @@ This subpackage implements everything in Sections 3 and 4 of the paper:
 * makespan minimisation — Theorem 1 (:mod:`repro.core.makespan`),
 * deadline feasibility — Lemma 1 (:mod:`repro.core.deadline`),
 * max weighted flow, divisible — Theorem 2 (:mod:`repro.core.maxflow`),
-* max weighted flow, preemptive — Section 4.4 (:mod:`repro.core.preemptive`,
-  :mod:`repro.core.lawler_labetoulle`),
+* max weighted flow, preemptive — Section 4.4 (``preemptive=True`` on the
+  same entry points, plus :mod:`repro.core.lawler_labetoulle`),
 * schedule objects with metrics and validation (:mod:`repro.core.schedule`).
 """
 
@@ -19,13 +19,7 @@ from .gantt import render_gantt
 from .instance import Instance
 from .intervals import TimeInterval, build_affine_intervals, build_constant_intervals
 from .job import Job, sort_by_release_date
-from .lower_bounds import (
-    deadline_capacity_violated,
-    fluid_completion_bound,
-    machine_load_lower_bound,
-    makespan_lower_bound,
-    max_weighted_flow_lower_bound,
-)
+from .lower_bounds import max_weighted_flow_lower_bound
 from .machine import Machine, Platform
 from .makespan import MakespanResult, minimize_makespan
 from .maxflow import (
@@ -35,13 +29,7 @@ from .maxflow import (
     minimize_max_weighted_flow,
     minimize_max_weighted_flow_bisection,
 )
-from .milestones import compute_milestones, deadline_function, milestone_ranges
-from .preemptive import (
-    check_deadline_feasibility_preemptive,
-    minimize_makespan_preemptive,
-    minimize_max_stretch_preemptive,
-    minimize_max_weighted_flow_preemptive,
-)
+from .milestones import compute_milestones, deadline_function
 from .replanning import ReplanProbe, remaining_subinstance
 from .schedule import Schedule, ScheduleMetrics, SchedulePiece
 
@@ -63,22 +51,13 @@ __all__ = [
     "build_affine_intervals",
     "build_constant_intervals",
     "check_deadline_feasibility",
-    "check_deadline_feasibility_preemptive",
     "compute_milestones",
-    "deadline_capacity_violated",
     "deadline_function",
-    "fluid_completion_bound",
-    "machine_load_lower_bound",
-    "makespan_lower_bound",
     "max_weighted_flow_lower_bound",
-    "milestone_ranges",
     "minimize_makespan",
-    "minimize_makespan_preemptive",
     "minimize_max_stretch",
-    "minimize_max_stretch_preemptive",
     "minimize_max_weighted_flow",
     "minimize_max_weighted_flow_bisection",
-    "minimize_max_weighted_flow_preemptive",
     "remaining_subinstance",
     "render_gantt",
     "sort_by_release_date",

@@ -13,12 +13,12 @@ The skeleton is lowered straight to the CSR
 :class:`~repro.lp.standard_form.MatrixForm` both LP backends consume: one
 boolean mask of the allowed ``alpha[i, j, t]`` (:func:`allowed_mask`) fixes
 the column order and the row layout (:func:`inequality_layout`), and numpy
-scatters the coefficients — no :class:`~repro.lp.model.LinearProgram` and no
-per-variable Python objects.  The result is bit-identical to stating the
-same program through the :mod:`repro.lp` expression DSL and lowering it with
-:func:`~repro.lp.standard_form.to_matrix_form` (``sparse=True``); the test
-suite keeps that symbolic statement as the frozen reference and checks the
-equality across the scenario grid.
+scatters the coefficients — no modelling objects and no per-variable Python
+objects.  The result is bit-identical to stating the same program through
+the expression DSL of ``tests/reference/lp`` and lowering it with its
+``to_matrix_form`` (``sparse=True``); the test suite keeps that symbolic
+statement as the frozen reference and checks the equality across the
+scenario grid.
 
 The same module also converts LP solutions back into concrete
 :class:`~repro.core.schedule.Schedule` objects:

@@ -1,80 +1,23 @@
-"""Analytical lower bounds for the paper's objectives.
+"""A closed-form lower bound for the paper's objective.
 
-The LP solvers return exact optima, but cheap closed-form lower bounds are
-still valuable: they certify solver outputs in tests, provide starting points
-for objective-value searches, and give the on-line policies a yardstick that
-does not require solving any LP.
-
-All bounds are valid for the *divisible* model (and therefore also for the
-preemptive and non-divisible models, which are more constrained):
-
-* **fluid job bound** — even with the whole platform to itself, job ``j``
-  cannot finish before ``r_j + 1 / (sum_i 1/c_{i,j})``;
-* **aggregate load bound** — the total work released by time ``t`` that must
-  be finished by time ``d`` cannot exceed the platform capacity available in
-  ``[t, d]``; specialised here to the single-interval form used for makespan
-  and common-deadline checks;
-* **weighted-flow bound** — combining the fluid bound with the weights gives
-  a lower bound on the optimal maximum weighted flow.
+The LP solvers return exact optima, but a cheap closed-form lower bound is
+still valuable: :class:`~repro.core.maxflow.FeasibilityProbe` answers every
+probe below it as infeasible without solving an LP.  The bound is valid for the
+*divisible* model (and therefore also for the preemptive model, which is
+more constrained): even with the whole platform to itself, job ``j`` cannot
+finish before ``r_j + 1 / (sum_i 1/c_{i,j})``, so its weighted flow is at
+least ``w_j / (sum_i 1/c_{i,j})``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 from .instance import Instance
 
 __all__ = [
-    "deadline_capacity_violated",
-    "fluid_completion_bound",
-    "machine_load_lower_bound",
-    "makespan_lower_bound",
     "max_weighted_flow_lower_bound",
 ]
-
-
-def fluid_completion_bound(instance: Instance, job_index: int) -> float:
-    """Earliest conceivable completion time of one job (divisible model).
-
-    The job starts at its release date and is processed simultaneously by
-    every eligible machine at full speed.
-    """
-    job = instance.jobs[job_index]
-    return job.release_date + instance.lower_bound_flow(job_index)
-
-
-def machine_load_lower_bound(instance: Instance) -> float:
-    """A makespan lower bound from aggregate platform capacity.
-
-    All the work must be processed somewhere; assigning every job entirely to
-    the machine that processes it fastest and spreading that perfectly over
-    the whole platform cannot finish before
-    ``min_release + (sum_j min_i c_{i,j}) / m``... which is *not* valid on
-    unrelated machines (a slow machine cannot absorb arbitrary work at the
-    fast machine's rate).  The valid aggregate argument uses processing
-    *rates*: the total "fraction-work" is ``n`` jobs, and during one second
-    the platform completes at most ``sum_i max_j (1/c_{i,j})`` fractions.
-    This is a weak but always-valid bound; the per-job fluid bound usually
-    dominates it and :func:`makespan_lower_bound` takes the maximum of both.
-    """
-    rates = []
-    for i in range(instance.num_machines):
-        row = instance.costs[i, :]
-        finite = np.isfinite(row)
-        rates.append(float(np.max(1.0 / row[finite])) if finite.any() else 0.0)
-    total_rate = sum(rates)
-    if total_rate <= 0:
-        return float("inf")
-    first_release = min(instance.release_dates)
-    return first_release + instance.num_jobs / total_rate
-
-
-def makespan_lower_bound(instance: Instance) -> float:
-    """Best available closed-form lower bound on the optimal makespan."""
-    per_job = max(fluid_completion_bound(instance, j) for j in range(instance.num_jobs))
-    return max(per_job, min(instance.release_dates))
 
 
 def max_weighted_flow_lower_bound(instance: Instance) -> float:
@@ -88,18 +31,3 @@ def max_weighted_flow_lower_bound(instance: Instance) -> float:
     return max(bounds)
 
 
-def deadline_capacity_violated(
-    instance: Instance, deadlines: Sequence[float]
-) -> bool:
-    """Quick necessary-condition check for deadline feasibility.
-
-    Returns ``True`` when the instance is *certainly infeasible* because some
-    job's fluid completion bound already exceeds its deadline.  A ``False``
-    answer does not imply feasibility (the full LP of Lemma 1 decides that);
-    the check is used as a cheap early exit by callers that probe many
-    objective values.
-    """
-    for j, deadline in enumerate(deadlines):
-        if fluid_completion_bound(instance, j) > deadline + 1e-12:
-            return True
-    return False

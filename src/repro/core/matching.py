@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
 
-__all__ = ["hopcroft_karp", "maximum_matching", "is_perfect_matching"]
+__all__ = ["hopcroft_karp", "is_perfect_matching"]
 
 _INFINITY = float("inf")
 
@@ -91,11 +91,6 @@ def hopcroft_karp(adjacency: Mapping[Hashable, Iterable[Hashable]]) -> Dict[Hash
                 dfs(u)
 
     return {u: v for u, v in match_left.items() if v is not None}
-
-
-def maximum_matching(adjacency: Mapping[Hashable, Iterable[Hashable]]) -> Dict[Hashable, Hashable]:
-    """Alias of :func:`hopcroft_karp` with a more descriptive name."""
-    return hopcroft_karp(adjacency)
 
 
 def is_perfect_matching(

@@ -26,7 +26,7 @@ from .affine import Affine
 from .job import Job
 from .tolerances import ABS_TOL
 
-__all__ = ["compute_milestones", "deadline_function", "milestone_ranges"]
+__all__ = ["compute_milestones", "deadline_function"]
 
 
 def deadline_function(job: Job) -> Affine:
@@ -77,17 +77,3 @@ def compute_milestones(jobs: Sequence[Job], tol: float = ABS_TOL) -> List[float]
     return milestones
 
 
-def milestone_ranges(milestones: Sequence[float]) -> List[tuple]:
-    """Return the closed search ranges delimited by the milestones.
-
-    The ranges are ``[0, F_1], [F_1, F_2], …, [F_nq, None]`` where ``None``
-    stands for "+infinity".  With no milestones at all the single range
-    ``[0, None]`` is returned.
-    """
-    if not milestones:
-        return [(0.0, None)]
-    ranges: List[tuple] = [(0.0, milestones[0])]
-    for left, right in zip(milestones, milestones[1:]):
-        ranges.append((left, right))
-    ranges.append((milestones[-1], None))
-    return ranges

@@ -13,22 +13,12 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "ABS_TOL",
     "REL_TOL",
     "FEASIBILITY_TOL",
     "is_close",
-    "is_zero",
-    "leq",
-    "geq",
     "lt",
-    "gt",
-    "clamp",
-    "snap_nonnegative",
 ]
 
 #: Default absolute tolerance used by the comparison helpers.
@@ -43,44 +33,6 @@ REL_TOL: float = 1e-9
 FEASIBILITY_TOL: float = 1e-6
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """A bundle of tolerances that can be threaded through the solvers.
-
-    Attributes
-    ----------
-    abs_tol:
-        Absolute tolerance for scalar comparisons.
-    rel_tol:
-        Relative tolerance for scalar comparisons.
-    feasibility:
-        Tolerance for constraint-violation checks (LP residuals, schedule
-        validation).
-    """
-
-    abs_tol: float = ABS_TOL
-    rel_tol: float = REL_TOL
-    feasibility: float = FEASIBILITY_TOL
-
-    def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy of the tolerances scaled by ``factor``.
-
-        Useful when a caller knows its data spans several orders of magnitude
-        (e.g. processing times in seconds mixed with release dates in hours).
-        """
-        if factor <= 0:
-            raise ValueError(f"tolerance scaling factor must be positive, got {factor!r}")
-        return Tolerances(
-            abs_tol=self.abs_tol * factor,
-            rel_tol=self.rel_tol,
-            feasibility=self.feasibility * factor,
-        )
-
-
-#: Shared default instance used when callers do not supply their own.
-DEFAULT_TOLERANCES = Tolerances()
-
-
 def is_close(a: float, b: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
     """Return ``True`` when ``a`` and ``b`` are equal up to tolerance.
 
@@ -93,50 +45,8 @@ def is_close(a: float, b: float, *, abs_tol: float = ABS_TOL, rel_tol: float = R
     return diff <= rel_tol * max(abs(a), abs(b))
 
 
-def is_zero(x: float, *, abs_tol: float = ABS_TOL) -> bool:
-    """Return ``True`` when ``x`` is zero up to the absolute tolerance."""
-    return abs(x) <= abs_tol
-
-
-def leq(a: float, b: float, *, tol: float = ABS_TOL) -> bool:
-    """Tolerant ``a <= b``: true when ``a`` exceeds ``b`` by at most ``tol``."""
-    return a <= b + tol
-
-
-def geq(a: float, b: float, *, tol: float = ABS_TOL) -> bool:
-    """Tolerant ``a >= b``: true when ``a`` is below ``b`` by at most ``tol``."""
-    return a >= b - tol
-
-
 def lt(a: float, b: float, *, tol: float = ABS_TOL) -> bool:
     """Strict tolerant ``a < b``: true when ``a`` is below ``b`` by more than ``tol``."""
     return a < b - tol
 
 
-def gt(a: float, b: float, *, tol: float = ABS_TOL) -> bool:
-    """Strict tolerant ``a > b``: true when ``a`` exceeds ``b`` by more than ``tol``."""
-    return a > b + tol
-
-
-def clamp(x: float, lo: float, hi: float) -> float:
-    """Clamp ``x`` into the closed interval ``[lo, hi]``.
-
-    Raises
-    ------
-    ValueError
-        If ``lo > hi``.
-    """
-    if lo > hi:
-        raise ValueError(f"empty clamp interval [{lo}, {hi}]")
-    return lo if x < lo else hi if x > hi else x
-
-
-def snap_nonnegative(x: float, *, tol: float = ABS_TOL) -> float:
-    """Snap a slightly-negative float (an LP rounding artefact) to zero.
-
-    Values below ``-tol`` are returned unchanged — it is the caller's job to
-    decide whether a genuinely negative value is an error.
-    """
-    if -tol <= x < 0.0:
-        return 0.0
-    return x

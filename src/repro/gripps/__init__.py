@@ -24,7 +24,6 @@ from .application import (
     sequence_divisibility_experiment,
 )
 from .cost_model import REFERENCE_MODEL, GrippsCostModel
-from .fasta import format_fasta, parse_fasta, read_fasta, write_fasta
 from .matching import MotifMatch, ScanReport, scan_databank, scan_sequence
 from .motifs import Motif, MotifElement, MotifSet
 from .platform_gen import (
@@ -54,15 +53,11 @@ __all__ = [
     "SequenceDatabank",
     "SequenceRecord",
     "communication_study",
-    "format_fasta",
     "make_gripps_instance",
     "make_gripps_platform",
     "make_request_stream",
     "motif_divisibility_experiment",
-    "parse_fasta",
-    "read_fasta",
     "scan_databank",
     "scan_sequence",
     "sequence_divisibility_experiment",
-    "write_fasta",
 ]

@@ -40,7 +40,7 @@ slot of :func:`repro.store.record_digest`).
 
 from typing import List
 
-from .base import OnlineScheduler, cheapest_eligible_machine, exclusive_allocation
+from .base import OnlineScheduler, exclusive_allocation
 from .deadline_driven import DeadlineDrivenScheduler
 from .list_scheduling import FIFOScheduler, SPTScheduler
 from .mct import MCTScheduler
@@ -86,7 +86,6 @@ __all__ = [
     "SchedulingPolicy",
     "available_policies",
     "available_schedulers",
-    "cheapest_eligible_machine",
     "exclusive_allocation",
     "make_policy",
     "make_scheduler",

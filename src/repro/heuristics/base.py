@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..core.instance import Instance
 from ..simulation.state import AllocationDecision, SimulationState
@@ -29,7 +29,6 @@ __all__ = [
     "OnlineScheduler",
     "exclusive_allocation",
     "fastest_free_assignment",
-    "cheapest_eligible_machine",
 ]
 
 
@@ -137,21 +136,3 @@ def fastest_free_assignment(instance: Instance, ranked: Iterable[int]) -> Alloca
     return AllocationDecision(shares=shares, all_exclusive=True)
 
 
-def cheapest_eligible_machine(
-    instance: Instance, job_index: int, machines: Optional[Iterable[int]] = None
-) -> Optional[int]:
-    """Return the machine with the smallest ``c[i, j]`` among ``machines``.
-
-    ``None`` when no machine in the pool can process the job.
-    """
-    pool: List[int] = list(machines) if machines is not None else list(range(instance.num_machines))
-    best: Optional[int] = None
-    best_cost = math.inf
-    for machine_index in pool:
-        cost = instance.cost(machine_index, job_index)
-        if cost < best_cost:
-            best_cost = cost
-            best = machine_index
-    if best is not None and math.isinf(best_cost):
-        return None
-    return best

@@ -38,7 +38,6 @@ from .registry import (
     available_rules,
     register_rule,
     rule_spec,
-    unregister_rule,
 )
 from .sources import ModuleSource, ProjectContext, load_project
 from .typecheck import TypecheckResult, mypy_available, run_typecheck
@@ -76,5 +75,4 @@ __all__ = [
     "rule_spec",
     "run_lint",
     "run_typecheck",
-    "unregister_rule",
 ]

@@ -55,7 +55,7 @@ __all__ = [
 SEMANTIC_MANIFEST: Tuple[str, ...] = (
     "src/repro/simulation/*.py",  # event loop, engine, window, state
     "src/repro/heuristics/*.py",  # every policy + the registry's variant labels
-    "src/repro/lp/*.py",  # both LP backends and the lowering
+    "src/repro/lp/*.py",  # both LP backends and the matrix form
     "src/repro/core/*.py",  # probes, replanning, milestones, formulations
     "src/repro/workload/*.py",  # generators/scenarios/streams behind workload keys
     "src/repro/analysis/campaign.py",  # record normalisation
@@ -66,9 +66,6 @@ SEMANTIC_MANIFEST: Tuple[str, ...] = (
 #: Manifest exceptions: matched by the globs above but semantics-free.
 SEMANTIC_EXCLUDES: Tuple[str, ...] = (
     "src/repro/core/gantt.py",  # ASCII rendering only; never feeds a metric
-    # Frozen test-only references: no stored cell runs through them.
-    "src/repro/lp/_tableau_legacy.py",
-    "src/repro/simulation/_stream_legacy.py",
 )
 
 #: Where the epoch lives.

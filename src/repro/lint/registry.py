@@ -31,7 +31,6 @@ __all__ = [
     "available_rules",
     "register_rule",
     "rule_spec",
-    "unregister_rule",
 ]
 
 
@@ -114,11 +113,6 @@ def register_rule(spec: RuleSpec, *, replace: bool = False) -> RuleSpec:
         raise ValueError(f"rule {spec.name!r} is already registered (pass replace=True)")
     _RULES[spec.name] = spec
     return spec
-
-
-def unregister_rule(name: str) -> None:
-    """Remove a rule from the registry (no-op when absent)."""
-    _RULES.pop(name, None)
 
 
 def rule_spec(name: str) -> RuleSpec:

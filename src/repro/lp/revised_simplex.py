@@ -1,7 +1,7 @@
 """Revised simplex over the CSR blocks of a :class:`MatrixForm`.
 
-The tableau reference (frozen in :mod:`repro.lp._tableau_legacy`) densifies the
-whole constraint matrix and rewrites every entry on every pivot — O(rows ×
+The tableau reference (frozen in ``tests/reference/lp/tableau.py``) densifies
+the whole constraint matrix and rewrites every entry on every pivot — O(rows ×
 cols) per iteration and O(rows × cols) memory.  This module is the in-house
 fast path: a **revised** simplex that keeps the constraint matrix sparse and
 maintains only a dense ``m × m`` basis inverse.
@@ -100,7 +100,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-#: See the module docstring (and ``_tableau_legacy._COEFF_DROP``): keep the
+#: See the module docstring (and the frozen tableau's ``_COEFF_DROP``): keep the
 #: drop threshold byte-identical across the in-house backends.
 _COEFF_DROP = 1e-9
 #: Phase-1 infeasibility threshold, matching the legacy tableau.

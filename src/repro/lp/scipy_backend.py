@@ -1,15 +1,14 @@
-"""SciPy/HiGHS backend for the LP modelling layer.
+"""SciPy/HiGHS backend for the LP layer.
 
 This is the production backend.  :func:`solve_matrix_form` hands a lowered
 :class:`~repro.lp.standard_form.MatrixForm` to
 :func:`scipy.optimize.linprog`; ``method="highs"`` consumes the CSR
 ``A_ub``/``A_eq`` blocks directly, non-HiGHS methods fall back to a dense
 copy.  It is reached through :func:`repro.lp.backends.solve_form` (which
-:meth:`repro.lp.LinearProgram.solve` and the one-shot solves of
-:mod:`repro.core` use) and directly by the feasibility probes of
-:mod:`repro.core.maxflow` and :mod:`repro.core.replanning`, which build the
-matrix structure once and only swap right-hand sides / variable bounds
-between solves.
+the one-shot solves of :mod:`repro.core` use) and directly by the
+feasibility probes of :mod:`repro.core.maxflow` and
+:mod:`repro.core.replanning`, which build the matrix structure once and only
+swap right-hand sides / variable bounds between solves.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from ..exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
-from .expression import LinearExpression, Variable
 
 __all__ = ["LPStatus", "LPSolution", "require_optimal"]
 
@@ -28,7 +27,7 @@ class LPStatus(enum.Enum):
 
 @dataclass
 class LPSolution:
-    """Result of solving a :class:`~repro.lp.model.LinearProgram`.
+    """Result of solving a :class:`~repro.lp.standard_form.MatrixForm`.
 
     Attributes
     ----------
@@ -56,26 +55,6 @@ class LPSolution:
     iterations: Optional[int] = None
     message: str = ""
 
-    # -- convenience accessors ----------------------------------------------
-    def __getitem__(self, var: Variable) -> float:
-        """Return the optimal value of ``var`` (0.0 when absent)."""
-        return self.values.get(var.index, 0.0)
-
-    def value(self, item) -> float:
-        """Return the value of a variable or evaluate an expression.
-
-        Accepts a :class:`Variable`, a :class:`LinearExpression` or a plain
-        number; numbers are returned unchanged so callers can treat constants
-        and expressions uniformly.
-        """
-        if isinstance(item, Variable):
-            return self.values.get(item.index, 0.0)
-        if isinstance(item, LinearExpression):
-            return item.evaluate(self.values)
-        if isinstance(item, (int, float)):
-            return float(item)
-        raise TypeError(f"cannot evaluate object of type {type(item).__name__}")
-
     @property
     def is_optimal(self) -> bool:
         """Return ``True`` when the solve produced a proven optimum."""
@@ -85,14 +64,6 @@ class LPSolution:
     def is_infeasible(self) -> bool:
         """Return ``True`` when the problem was proven infeasible."""
         return self.status is LPStatus.INFEASIBLE
-
-    def as_dense(self, num_variables: int) -> list:
-        """Return the solution as a dense list of length ``num_variables``."""
-        return [self.values.get(i, 0.0) for i in range(num_variables)]
-
-    def restricted(self, predicate) -> Mapping[int, float]:
-        """Return the sub-mapping of values whose index satisfies ``predicate``."""
-        return {idx: val for idx, val in self.values.items() if predicate(idx)}
 
 
 def require_optimal(solution: LPSolution, name: str = "") -> LPSolution:

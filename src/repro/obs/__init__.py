@@ -12,10 +12,11 @@ Pillars, all zero-overhead when disabled:
 * :mod:`repro.obs.clock` / :mod:`repro.obs.profile` — the only sanctioned
   wall-clock accessors in ``src/repro`` (enforced by the ``wall-clock``
   lint rule) and the phase profiler built on them.
-* :mod:`repro.obs.journal` / :mod:`repro.obs.aggregate` — the flight
-  recorder (PR 10): a crash-tolerant JSONL run journal the drivers
-  write lifecycle events to, the fold behind ``repro-sched obs report
-  JOURNAL``, and deterministic cross-process snapshot merging.
+* :mod:`repro.obs.journal` — the flight recorder: a crash-tolerant
+  JSONL run journal the drivers write lifecycle events to, and the fold
+  behind ``repro-sched obs report JOURNAL``.  Workers' metrics snapshots
+  merge into the driver's recorder in emission order
+  (:meth:`~repro.obs.metrics.MetricsRecorder.merge_snapshot`).
 
 Metrics, traces and journals are reporting artefacts: they live
 *outside* record digests and fingerprints, so adding a counter or a
@@ -23,13 +24,6 @@ journal event never bumps ``CODE_EPOCH`` (ROADMAP, "Architecture: the
 observability layer" and "Architecture: the flight recorder").
 """
 
-from .aggregate import (
-    VOLATILE_METRICS,
-    deterministic_snapshot,
-    is_volatile_metric,
-    merge_snapshots,
-    snapshot_bytes,
-)
 from .clock import unix_time, utc_now, utc_timestamp, wall_clock
 from .journal import (
     FleetStatus,
@@ -68,11 +62,6 @@ __all__ = [
     "install_recorder",
     "collecting",
     "render_metrics",
-    "VOLATILE_METRICS",
-    "is_volatile_metric",
-    "merge_snapshots",
-    "deterministic_snapshot",
-    "snapshot_bytes",
     "RunJournal",
     "JournalView",
     "new_run_id",

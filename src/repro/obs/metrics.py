@@ -134,10 +134,10 @@ class MetricsRecorder:
     def merge_snapshot(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
         """Fold one :meth:`snapshot` payload into this recorder.
 
-        The merge semantics are the cross-process aggregation contract
-        (:mod:`repro.obs.aggregate`): counters sum, gauges keep the merge
-        order's last value and the running peak, histograms combine their
-        count/total/min/max summaries.  Folding worker snapshots in a
+        The merge semantics are the cross-process aggregation contract:
+        counters sum, gauges keep the merge order's last value and the
+        running peak, histograms combine their count/total/min/max
+        summaries.  Folding worker snapshots in a
         deterministic order therefore reproduces the recorder a single
         process would have built by observing the same events directly —
         up to float-addition grouping, which is why instrumented drivers

@@ -96,7 +96,7 @@ class SimulationState:
     remaining_vector:
         Optional numpy vector of per-job remaining fractions.  The event
         loop leaves it ``None``; the frozen rebuild reference
-        (:mod:`repro.simulation._stream_legacy`) binds it.
+        (``tests/reference/stream_legacy.py``) binds it.
     remaining_list:
         The event loop's per-slot remaining fractions as Python floats: the
         window's own list, updated in place at every advance, completion

@@ -54,7 +54,7 @@ The loop never materialises a window :class:`~repro.core.instance.Instance`:
 
 Two frozen references pin the loop's output.  Finite-instance runs match
 ``benchmarks/_seed_engine.py`` piece for piece; stream runs match the
-rebuild-per-arrival loop in :mod:`repro.simulation._stream_legacy`
+rebuild-per-arrival loop in ``tests/reference/stream_legacy.py``
 (``run_rebuild``) over the full :meth:`StreamResult.fingerprint`:
 completion series, counters (decisions included — batching removes
 overhead *around* decision points, it never skips one), end time and busy

@@ -2,20 +2,15 @@
 
 from .generators import (
     ArrivalProcess,
-    poisson_arrivals,
-    random_correlated_instance,
     random_restricted_instance,
     random_unrelated_instance,
-    uniform_arrivals,
 )
-from .perturbation import perturb_costs, perturb_release_dates, scale_load
 from .scenarios import (
     Scenario,
     ScenarioSpec,
     available_scenarios,
     make_scenario,
     scenario_grid,
-    scenario_sweep,
     spawn_scenario_seeds,
 )
 from .streams import (
@@ -54,18 +49,11 @@ __all__ = [
     "load_schedule",
     "make_scenario",
     "scenario_grid",
-    "scenario_sweep",
     "spawn_scenario_seeds",
-    "perturb_costs",
-    "perturb_release_dates",
-    "poisson_arrivals",
-    "random_correlated_instance",
     "random_restricted_instance",
     "random_unrelated_instance",
     "save_instance",
-    "scale_load",
     "save_schedule",
     "schedule_from_dict",
     "schedule_to_dict",
-    "uniform_arrivals",
 ]

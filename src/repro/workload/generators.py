@@ -1,14 +1,12 @@
 """Random scheduling-instance generators.
 
 The theoretical results of the paper hold for arbitrary unrelated machines;
-the benches and property tests therefore exercise the solvers on several
+the benches and property tests therefore exercise the solvers on two
 families of random instances:
 
 * **fully unrelated** — every ``c_{i,j}`` drawn independently;
 * **uniform with restricted availabilities** — machine speeds times job sizes,
-  with a random databank-style restriction mask (the GriPPS situation);
-* **correlated** — machine speeds and job sizes with mild noise, the common
-  "almost uniform" case.
+  with a random databank-style restriction mask (the GriPPS situation).
 
 All generators take a seed and produce deterministic output for a given seed,
 which the reproducibility of the benches relies on.
@@ -28,11 +26,8 @@ from ..exceptions import WorkloadError
 
 __all__ = [
     "ArrivalProcess",
-    "poisson_arrivals",
-    "uniform_arrivals",
     "random_unrelated_instance",
     "random_restricted_instance",
-    "random_correlated_instance",
 ]
 
 
@@ -71,18 +66,6 @@ class ArrivalProcess:
         if self.kind == "batch":
             return [0.0] * count
         raise WorkloadError(f"unknown arrival process kind {self.kind!r}")
-
-
-def poisson_arrivals(count: int, rate: float, seed: Optional[int] = None) -> List[float]:
-    """Convenience wrapper: Poisson release dates."""
-    rng = np.random.default_rng(seed)
-    return ArrivalProcess(kind="poisson", rate=rate).sample(count, rng)
-
-
-def uniform_arrivals(count: int, horizon: float, seed: Optional[int] = None) -> List[float]:
-    """Convenience wrapper: uniformly spread release dates."""
-    rng = np.random.default_rng(seed)
-    return ArrivalProcess(kind="uniform", horizon=horizon).sample(count, rng)
 
 
 def _make_jobs(
@@ -217,29 +200,3 @@ def random_restricted_instance(
     return Instance.from_platform(jobs, Platform(machines))
 
 
-def random_correlated_instance(
-    num_jobs: int,
-    num_machines: int,
-    *,
-    seed: Optional[int] = None,
-    arrivals: Optional[ArrivalProcess] = None,
-    size_range: tuple = (5.0, 50.0),
-    speed_range: tuple = (0.5, 2.0),
-    noise: float = 0.1,
-) -> Instance:
-    """Generate an "almost uniform" instance: ``c_{i,j} = W_j c_i (1 + noise)``."""
-    if noise < 0:
-        raise WorkloadError("noise must be non-negative")
-    rng = np.random.default_rng(seed)
-    arrivals = arrivals or ArrivalProcess(kind="poisson", rate=1.0)
-
-    release_dates = arrivals.sample(num_jobs, rng)
-    sizes = rng.uniform(size_range[0], size_range[1], size=num_jobs)
-    weights = rng.uniform(0.5, 2.0, size=num_jobs)
-    jobs = _make_jobs(release_dates, sizes, weights)
-
-    cycle_times = rng.uniform(speed_range[0], speed_range[1], size=num_machines)
-    jitter = 1.0 + noise * rng.standard_normal(size=(num_machines, num_jobs))
-    jitter = np.clip(jitter, 0.2, None)
-    costs = np.outer(cycle_times, sizes) * jitter
-    return Instance.from_costs(jobs, costs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "available_scenarios",
     "make_scenario",
     "scenario_grid",
-    "scenario_sweep",
     "spawn_scenario_seeds",
 ]
 
@@ -282,25 +281,3 @@ def scenario_grid(
     return specs
 
 
-def scenario_sweep(
-    names: Optional[Sequence[str]] = None,
-    seeds: Optional[Sequence[Optional[int]]] = None,
-    *,
-    base_seed: Optional[int] = None,
-    seeds_per_scenario: int = 1,
-) -> Tuple[List[str], List[Instance]]:
-    """Materialise a ``(labels, instances)`` sweep over scenarios and seeds.
-
-    The list format feeds straight into
-    :func:`repro.analysis.campaign.run_policy_campaign`.  For sweeps too
-    large to materialise up front, pass the lazy :func:`scenario_grid` specs
-    to :func:`repro.analysis.campaign.run_scenario_campaign` instead, which
-    builds each instance inside a worker.  Seeding is reproducible
-    independent of worker count and chunking: either list explicit ``seeds``
-    or let ``base_seed`` spawn per-scenario seeds
-    (see :func:`spawn_scenario_seeds`).
-    """
-    specs = scenario_grid(
-        names, seeds, base_seed=base_seed, seeds_per_scenario=seeds_per_scenario
-    )
-    return [spec.label for spec in specs], [spec.build() for spec in specs]

@@ -353,11 +353,6 @@ class WorkloadStream:
 # --------------------------------------------------------------------------- #
 # Stream constructors                                                          #
 # --------------------------------------------------------------------------- #
-def _job_costs(machines: Sequence[Machine], job: Job) -> np.ndarray:
-    """Per-machine cost column of one streamed job (``inf`` where forbidden)."""
-    return np.array([machine.processing_time(job) for machine in machines], dtype=float)
-
-
 def _bank_cost_columns(
     machines: Sequence[Machine], banks: Sequence[str]
 ) -> Dict[Optional[str], np.ndarray]:
@@ -478,7 +473,8 @@ def _generated_jobs(spec: StreamSpec, machines: Sequence[Machine]) -> Iterator[A
             size=size,
             databanks=frozenset({bank}) if bank is not None else frozenset(),
         )
-        # size * (cycle | inf) — byte-identical to _job_costs(machines, job).
+        # size * (cycle | inf) — byte-identical to machine.processing_time(job)
+        # on every machine.
         yield ArrivalEvent(
             index=index,
             job=job,

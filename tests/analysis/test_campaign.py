@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import run_policy_campaign, run_scenario_campaign
 from repro.exceptions import WorkloadError
-from repro.workload import random_restricted_instance, scenario_sweep
+from repro.workload import random_restricted_instance
 
 
 @pytest.fixture(scope="module")
@@ -161,21 +161,6 @@ class TestStreamingDispatcher:
 
 
 class TestScenarioCampaign:
-    def test_scenario_sweep_labels(self):
-        labels, instances = scenario_sweep(["unrelated-stress"], seeds=(1, 2))
-        assert labels == ["unrelated-stress#1", "unrelated-stress#2"]
-        assert len(instances) == 2
-        labels, instances = scenario_sweep(["unrelated-stress"])
-        assert labels == ["unrelated-stress"]
-
-    def test_scenario_sweep_validation(self):
-        with pytest.raises(WorkloadError):
-            scenario_sweep([])
-        with pytest.raises(WorkloadError):
-            scenario_sweep(["unrelated-stress"], seeds=())
-        with pytest.raises(WorkloadError):
-            scenario_sweep(["no-such-scenario"])
-
     def test_scenario_campaign_runs(self):
         result = run_scenario_campaign(
             ["unrelated-stress"], policies=("mct",), seeds=(7,)
@@ -288,6 +273,49 @@ class TestExplicitOfflinePolicy:
         assert result.stats.offline_solves == 1
 
 
+    def test_preemptive_offline_variant_solves_without_the_shared_probe(self):
+        instance = random_restricted_instance(5, 2, seed=3, num_databanks=2)
+        result = run_policy_campaign([instance], policies=("offline-optimal:preemptive=true",))
+        divisible, preemptive = result.records
+        assert divisible.policy == "offline-optimal"
+        assert preemptive.policy.startswith("offline-optimal")
+        # The preemptive optimum is a tighter model's optimum, never below
+        # the divisible one the shared probe holds.
+        assert preemptive.max_weighted_flow >= divisible.max_weighted_flow - 1e-6
+
+
+class TestSharedProbeCompatibility:
+    def _probe(self):
+        from repro.core import FeasibilityProbe
+
+        return FeasibilityProbe(random_restricted_instance(3, 2, seed=1))
+
+    def test_online_policies_get_the_shared_probe(self):
+        from repro.analysis.campaign import _compatible_probe
+        from repro.heuristics import make_policy
+
+        probe = self._probe()
+        assert _compatible_probe(probe, make_policy("mct")) is probe
+        assert _compatible_probe(None, make_policy("offline-optimal")) is None
+
+    def test_offline_variants_with_another_model_solve_standalone(self):
+        from repro.analysis.campaign import _compatible_probe
+        from repro.heuristics import make_policy
+
+        probe = self._probe()
+        assert _compatible_probe(probe, make_policy("offline-optimal")) is probe
+        assert _compatible_probe(probe, make_policy("offline-optimal:preemptive=true")) is None
+        assert _compatible_probe(probe, make_policy("offline-optimal:backend=revised")) is None
+
+    def test_an_unknown_policy_name_still_builds_the_probe(self):
+        from repro.analysis.campaign import WorkloadSpec, _CampaignItem, _item_needs_probe
+
+        spec = WorkloadSpec.from_instance("w", random_restricted_instance(3, 2, seed=1))
+        item = _CampaignItem(0, 0, spec, ("no-such-policy",), emit_offline=False)
+        assert _item_needs_probe(item)
+        assert not _item_needs_probe(_CampaignItem(0, 0, spec, ("mct",), emit_offline=False))
+
+
 class TestFlightRecorder:
     """ISSUE 10: run journaling and cross-process metrics aggregation."""
 
@@ -298,7 +326,8 @@ class TestFlightRecorder:
     def test_parallel_metrics_snapshot_is_byte_identical_to_sequential(self, workers):
         import json
 
-        from repro.obs import collecting, snapshot_bytes
+        from repro.obs import collecting
+        from tests.reference.snapshots import snapshot_bytes
 
         instances = self._instances()
         with collecting() as recorder:

@@ -56,3 +56,20 @@ def test_a_raising_sweep_cell_seals_an_aborted_run(tmp_path, max_workers):
             journal=journal,
         )
     _assert_aborted(store, journal)
+
+
+def test_run_started_config_carries_no_worker_count(tmp_path):
+    # Nothing reads a resolved pool size back from the journal: the
+    # run-started config is the driver's own config plus the store run id.
+    specs = [
+        WorkloadSpec.from_instance(f"w{seed}", random_restricted_instance(4, 2, seed=seed))
+        for seed in range(2)
+    ]
+    store, journal = tmp_path / "store.sqlite", tmp_path / "run.jsonl"
+    list(stream_campaign(specs, ("mct",), max_workers=2, store=store, journal=journal))
+    started = [event for event in read_journal(journal) if event["event"] == "run-started"]
+    assert len(started) == 1
+    config = started[0]["config"]
+    assert "workers" not in config
+    assert config["total_cells"] == 4
+    assert config["store_run_id"] == 1

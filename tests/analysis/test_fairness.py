@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import compare_fairness, fairness_report, jain_index
+from repro.analysis import fairness_report, jain_index
 from repro.core import Instance, Job, Schedule, minimize_max_stretch
 from repro.exceptions import WorkloadError
 from repro.heuristics import FIFOScheduler
@@ -69,20 +69,6 @@ class TestFairnessReport:
         assert optimal_report.max_stretch <= fifo_report.max_stretch + 1e-6
 
 
-class TestCompareFairness:
-    def test_comparison_table(self):
-        instance = random_restricted_instance(6, 3, seed=4, num_databanks=2,
-                                              stretch_weights=True)
-        optimal = minimize_max_stretch(instance).schedule
-        fifo = simulate(instance, FIFOScheduler()).schedule
-        table = compare_fairness({"optimal": optimal, "fifo": fifo})
-        assert "optimal" in table and "fifo" in table and "Jain" in table
-
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(WorkloadError):
-            compare_fairness({})
-
-
 class TestFairnessEdgeCases:
     def test_starvation_ratio_is_infinite_when_median_stretch_is_zero(self):
         # Jobs with zero-size work complete instantly: stretch 0 for the
@@ -117,14 +103,3 @@ class TestFairnessEdgeCases:
         assert report.weighted_flows == [pytest.approx(2.0), pytest.approx(12.0)]
         assert report.as_rows()[1] == (1, pytest.approx(2.0), pytest.approx(12.0))
 
-    def test_comparison_table_orders_by_max_stretch(self):
-        instance = random_restricted_instance(6, 3, seed=4, num_databanks=2,
-                                              stretch_weights=True)
-        from repro.core import minimize_max_stretch
-
-        optimal = minimize_max_stretch(instance).schedule
-        fifo = simulate(instance, FIFOScheduler()).schedule
-        table = compare_fairness({"fifo": fifo, "optimal": optimal})
-        # The stretch-optimal schedule has the smaller max stretch, so its
-        # row renders first regardless of insertion order.
-        assert table.index("optimal") < table.index("fifo")

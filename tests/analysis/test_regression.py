@@ -163,3 +163,25 @@ class TestCrossRunDiff:
             cross_run_diff(baseline, {"mct": self._metrics(9.0)})
         )
         assert "regression" in dirty and "regressed" in dirty
+
+
+class TestCellDelta:
+    def test_missing_sides_have_no_delta_and_flag_coverage(self):
+        from repro.analysis.regression import CellDelta
+
+        added = CellDelta("w", "k", "mct", baseline=None, current=2.0)
+        removed = CellDelta("w", "k", "mct", baseline=2.0, current=None)
+        for cell in (added, removed):
+            assert cell.delta is None and cell.relative_delta is None
+        assert (added.flag(), removed.flag()) == ("added", "removed")
+
+    def test_relative_delta_needs_a_non_zero_baseline(self):
+        from repro.analysis.regression import CellDelta
+
+        worse = CellDelta("w", "k", "mct", baseline=-4.0, current=-3.0)
+        assert worse.delta == 1.0
+        assert worse.relative_delta == 0.25
+        assert worse.flag() == "regressed"
+        zero = CellDelta("w", "k", "mct", baseline=0.0, current=1.0)
+        assert zero.delta == 1.0 and zero.relative_delta is None
+

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     analyse_stream,
     batch_means,
-    detect_saturation,
     saturation_scan,
 )
 from repro.analysis.steady_state import SteadyStateEstimate, SteadyStateReport
@@ -72,19 +71,19 @@ class TestBatchMeans:
 class TestSaturationDetection:
     def test_flat_queue_is_not_saturated(self):
         rng = np.random.default_rng(2)
-        assert not detect_saturation(rng.poisson(5.0, size=500))
+        assert not saturation_scan(rng.poisson(5.0, size=500)).saturated
 
     def test_growing_queue_is_saturated(self):
-        assert detect_saturation(np.linspace(0, 400, 500))
+        assert saturation_scan(np.linspace(0, 400, 500)).saturated
 
     def test_short_series_never_trigger(self):
-        assert not detect_saturation(np.linspace(0, 400, 10))
+        assert not saturation_scan(np.linspace(0, 400, 10)).saturated
 
     def test_empty_system_never_triggers(self):
         # Means 0 -> 0.4: relative growth is large but absolute occupancy is
         # trivial; the +1 slack must keep it quiet.
         lengths = np.concatenate([np.zeros(200), np.full(200, 0.4)])
-        assert not detect_saturation(lengths)
+        assert not saturation_scan(lengths).saturated
 
     def test_initial_transient_is_not_misreported(self):
         # A queue that rings up during warmup and then settles: MSER-5
@@ -94,7 +93,7 @@ class TestSaturationDetection:
         rng = np.random.default_rng(7)
         transient = np.linspace(0.0, 30.0, 120)
         tail = 30.0 + rng.normal(0.0, 1.0, size=600)
-        assert not detect_saturation(np.concatenate([transient, tail]))
+        assert not saturation_scan(np.concatenate([transient, tail])).saturated
 
     def test_noisy_ramp_is_still_flagged(self):
         # Sustained growth survives the noise: the MSER statistic keeps
@@ -102,7 +101,7 @@ class TestSaturationDetection:
         # truncation into the second half of the batch series.
         rng = np.random.default_rng(8)
         ramp = np.linspace(0.0, 200.0, 600) + rng.normal(0.0, 3.0, size=600)
-        assert detect_saturation(ramp)
+        assert saturation_scan(ramp).saturated
 
     def test_recovered_busy_period_is_not_saturation(self):
         # A near-critical queue that builds mid-run and then drains: the
@@ -116,39 +115,21 @@ class TestSaturationDetection:
                 np.full(50, 7.0),
             ]
         )
-        assert not detect_saturation(hump)
+        assert not saturation_scan(hump).saturated
 
     def test_occupancy_slack_guards_marginal_drift(self):
         # A late, sub-slack occupancy rise must stay quiet even when the
         # MSER cut lands late; raising the bar confirms the slack is the
         # deciding guard, not the truncation point.
         drift = np.concatenate([np.full(300, 5.0), np.full(100, 5.6)])
-        assert not detect_saturation(drift)
+        assert not saturation_scan(drift).saturated
         # Tightening the slack flips the verdict: the cut point was already
         # late, only the occupancy guard was holding it back.
-        assert detect_saturation(drift, occupancy_slack=0.1)
+        assert saturation_scan(drift, occupancy_slack=0.1).saturated
 
 
 class TestSaturationScan:
     """PR 8 satellite: the scan exposes the MSER-5 evidence behind the verdict."""
-
-    def test_scan_verdict_always_equals_detect_saturation(self):
-        # detect_saturation is now a projection of saturation_scan; sweep a
-        # seeded zoo of trajectories (flat, ramps, humps, noise) to pin the
-        # byte-identity of the verdict refactor.
-        rng = np.random.default_rng(2005)
-        series = [
-            rng.poisson(5.0, size=400),
-            np.linspace(0, 300, 400),
-            np.concatenate([np.linspace(0, 30, 100), np.full(300, 30.0)]),
-            np.concatenate([np.full(200, 4.0), np.linspace(4, 40, 200)]),
-            rng.normal(10.0, 2.0, size=400).clip(min=0.0),
-            np.zeros(400),
-            np.linspace(0, 400, 10),
-        ]
-        for lengths in series:
-            scan = saturation_scan(lengths)
-            assert scan.saturated == detect_saturation(lengths)
 
     def test_scan_carries_the_evidence(self):
         scan = saturation_scan(np.linspace(0, 400, 500))

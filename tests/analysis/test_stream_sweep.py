@@ -207,7 +207,8 @@ class TestFlightRecorder:
     def test_parallel_metrics_snapshot_is_byte_identical_to_sequential(self):
         import json
 
-        from repro.obs import collecting, snapshot_bytes
+        from repro.obs import collecting
+        from tests.reference.snapshots import snapshot_bytes
 
         with collecting() as recorder:
             sequential = _sweep()

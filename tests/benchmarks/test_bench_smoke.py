@@ -167,8 +167,8 @@ def test_revised_simplex_smoke(monkeypatch):
 
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
-    from repro.lp.simplex import solve_matrix_form_tableau
     from repro.lp.standard_form import MatrixForm
+    from tests.reference.lp import solve_matrix_form_tableau
 
     # (6, 3) lands on an infeasible milestone range, (12, 4) on a feasible
     # one: both verdicts must agree with scipy before any timing means much.

@@ -2,7 +2,7 @@
 
 ``build_allocation_model`` lowers the paper's allocation LPs straight to CSR.
 Every form it emits must equal, bit for bit, what the expression DSL statement
-of the same program (``_symbolic_allocation.py``) lowers to through
+of the same program (``tests/reference/symbolic_allocation.py``) lowers to through
 ``to_matrix_form(..., sparse=True)``: same column order, same row order, same
 explicit entries, same right-hand sides, bounds and objective.  The builds are
 captured from the production callers themselves — System (2) from
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from _symbolic_allocation import build_allocation_model as build_symbolic_model
 
 from repro.core import (
     Affine,
@@ -29,9 +28,10 @@ from repro.core import deadline, makespan, maxflow, replanning
 from repro.core.formulations import build_allocation_model
 from repro.core.intervals import build_constant_intervals
 from repro.core.replanning import ReplanProbe
-from repro.lp import LinearProgram, to_matrix_form
 from repro.lp.backends import solve_form
 from repro.workload import available_scenarios, make_scenario, random_unrelated_instance
+from tests.reference.lp import LinearProgram, to_matrix_form
+from tests.reference.symbolic_allocation import build_allocation_model as build_symbolic_model
 
 SCENARIOS = available_scenarios()
 

@@ -8,7 +8,6 @@ from repro.core import (
     Instance,
     Job,
     check_deadline_feasibility,
-    check_deadline_feasibility_preemptive,
     minimize_makespan,
 )
 from repro.exceptions import InvalidInstanceError
@@ -112,12 +111,12 @@ class TestPreemptiveDeadlines:
     def test_preemptive_is_harder_than_divisible(self, single_job_instance):
         # Divisible can finish the single job at 3; preemptive needs 4.
         assert check_deadline_feasibility(single_job_instance, [3.5]).feasible
-        assert not check_deadline_feasibility_preemptive(single_job_instance, [3.5]).feasible
-        assert check_deadline_feasibility_preemptive(single_job_instance, [4.0 + 1e-9]).feasible
+        assert not check_deadline_feasibility(single_job_instance, [3.5], preemptive=True).feasible
+        assert check_deadline_feasibility(single_job_instance, [4.0 + 1e-9], preemptive=True).feasible
 
     def test_preemptive_witness_schedule_is_valid(self, batch_instance):
         n = batch_instance.num_jobs
-        result = check_deadline_feasibility_preemptive(batch_instance, [30.0] * n)
+        result = check_deadline_feasibility(batch_instance, [30.0] * n, preemptive=True)
         assert result.feasible
         assert result.schedule.divisible is False
         result.schedule.validate()
@@ -125,8 +124,8 @@ class TestPreemptiveDeadlines:
     def test_divisible_feasible_whenever_preemptive_is(self, restricted_instance):
         n = restricted_instance.num_jobs
         for horizon in (10.0, 20.0, 50.0):
-            preemptive = check_deadline_feasibility_preemptive(
-                restricted_instance, [horizon] * n, build_schedule=False
+            preemptive = check_deadline_feasibility(
+                restricted_instance, [horizon] * n, preemptive=True, build_schedule=False
             ).feasible
             divisible = check_deadline_feasibility(
                 restricted_instance, [horizon] * n, build_schedule=False

@@ -1,45 +1,22 @@
-"""Unit tests for the analytical lower bounds."""
+"""Unit tests for the analytical lower bound on the max weighted flow."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    Instance,
-    Job,
-    deadline_capacity_violated,
-    fluid_completion_bound,
-    machine_load_lower_bound,
-    makespan_lower_bound,
-    max_weighted_flow_lower_bound,
-    minimize_makespan,
-    minimize_max_weighted_flow,
-)
-from repro.workload import random_restricted_instance, random_unrelated_instance
+from repro.core import Instance, Job, max_weighted_flow_lower_bound, minimize_max_weighted_flow
+from repro.workload import random_restricted_instance
 
 
 class TestFluidBound:
     def test_single_job_two_machines(self, single_job_instance):
-        # Costs 4 and 12: aggregate rate 1/3 per second -> completes at 3.
-        assert fluid_completion_bound(single_job_instance, 0) == pytest.approx(3.0)
+        # Costs 4 and 12: aggregate rate 1/3 per second -> flow at least 3.
+        assert single_job_instance.lower_bound_flow(0) == pytest.approx(3.0)
 
-    def test_release_date_is_included(self):
+    def test_release_date_is_not_part_of_the_flow(self):
         jobs = [Job("late", 10.0)]
         instance = Instance.from_costs(jobs, [[2.0]])
-        assert fluid_completion_bound(instance, 0) == pytest.approx(12.0)
-
-
-class TestMakespanBounds:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lower_bounds_never_exceed_optimum(self, seed):
-        instance = random_unrelated_instance(6, 3, seed=seed)
-        optimum = minimize_makespan(instance).makespan
-        assert makespan_lower_bound(instance) <= optimum + 1e-6
-        assert machine_load_lower_bound(instance) > 0
-
-    def test_single_job_bound_is_tight(self, single_job_instance):
-        optimum = minimize_makespan(single_job_instance).makespan
-        assert makespan_lower_bound(single_job_instance) == pytest.approx(optimum, abs=1e-6)
+        assert instance.lower_bound_flow(0) == pytest.approx(2.0)
 
 
 class TestMaxWeightedFlowBound:
@@ -58,20 +35,3 @@ class TestMaxWeightedFlowBound:
         assert max_weighted_flow_lower_bound(instance) == pytest.approx(optimum, abs=1e-6)
 
 
-class TestDeadlineCapacityCheck:
-    def test_certainly_infeasible_detected(self, single_job_instance):
-        assert deadline_capacity_violated(single_job_instance, [2.0])
-
-    def test_feasible_not_flagged(self, single_job_instance):
-        assert not deadline_capacity_violated(single_job_instance, [3.5])
-
-    def test_necessary_condition_only(self, tiny_instance):
-        # Passing the quick check does not guarantee feasibility, but failing
-        # it must imply LP infeasibility.
-        from repro.core import check_deadline_feasibility
-
-        deadlines = [2.5, 3.0, 4.0]
-        if deadline_capacity_violated(tiny_instance, deadlines):
-            assert not check_deadline_feasibility(
-                tiny_instance, deadlines, build_schedule=False
-            ).feasible

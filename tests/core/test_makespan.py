@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    Instance,
-    Job,
-    minimize_makespan,
-    minimize_makespan_preemptive,
-)
+from repro.core import Instance, Job, minimize_makespan
 
 
 class TestSingleIntervalCases:
@@ -93,18 +88,18 @@ class TestPreemptiveMakespan:
     def test_preemptive_single_job_cannot_be_split(self, single_job_instance):
         # Without divisibility a single job runs on one machine at a time; the
         # best possible makespan is the fastest machine's time, 4.
-        result = minimize_makespan_preemptive(single_job_instance)
+        result = minimize_makespan(single_job_instance, preemptive=True)
         result.schedule.validate()
         assert result.makespan == pytest.approx(4.0, abs=1e-5)
 
     def test_preemptive_at_least_divisible(self, tiny_instance, batch_instance):
         for instance in (tiny_instance, batch_instance):
             divisible = minimize_makespan(instance).makespan
-            preemptive = minimize_makespan_preemptive(instance).makespan
+            preemptive = minimize_makespan(instance, preemptive=True).makespan
             assert preemptive >= divisible - 1e-6
 
     def test_preemptive_schedule_respects_no_parallel_execution(self, batch_instance):
-        result = minimize_makespan_preemptive(batch_instance)
+        result = minimize_makespan(batch_instance, preemptive=True)
         assert result.schedule.divisible is False
         result.schedule.validate()
 

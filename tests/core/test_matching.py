@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.matching import hopcroft_karp, is_perfect_matching, maximum_matching
+from repro.core.matching import hopcroft_karp, is_perfect_matching
 
 
 def _networkx_matching_size(adjacency) -> int:
@@ -48,7 +48,7 @@ class TestSmallGraphs:
 
     def test_string_labels(self):
         adjacency = {"alpha": ["x", "y"], "beta": ["y"]}
-        matching = maximum_matching(adjacency)
+        matching = hopcroft_karp(adjacency)
         assert is_perfect_matching(adjacency, matching)
 
     def test_is_perfect_matching_rejects_foreign_edges(self):

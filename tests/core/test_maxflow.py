@@ -14,7 +14,6 @@ from repro.core import (
     minimize_max_stretch,
     minimize_max_weighted_flow,
     minimize_max_weighted_flow_bisection,
-    minimize_max_weighted_flow_preemptive,
 )
 
 
@@ -287,17 +286,17 @@ class TestPreemptiveMaxFlow:
     def test_preemptive_never_beats_divisible(self, random_instances):
         for instance in random_instances(count=3):
             divisible = minimize_max_weighted_flow(instance).objective
-            preemptive = minimize_max_weighted_flow_preemptive(instance).objective
+            preemptive = minimize_max_weighted_flow(instance, preemptive=True).objective
             assert preemptive >= divisible - 1e-6
 
     def test_preemptive_schedule_is_valid_and_achieves_objective(self, batch_instance):
-        result = minimize_max_weighted_flow_preemptive(batch_instance)
+        result = minimize_max_weighted_flow(batch_instance, preemptive=True)
         assert result.schedule.divisible is False
         result.schedule.validate()
         assert result.schedule.max_weighted_flow <= result.objective + 1e-5
 
     def test_single_job_preemptive_equals_fastest_machine(self, single_job_instance):
-        result = minimize_max_weighted_flow_preemptive(single_job_instance)
+        result = minimize_max_weighted_flow(single_job_instance, preemptive=True)
         assert result.objective == pytest.approx(4.0, abs=1e-5)
 
     def test_preemptive_equals_divisible_on_single_machine(self):
@@ -306,7 +305,7 @@ class TestPreemptiveMaxFlow:
         costs = [[2.0, 3.0, 1.0]]
         instance = Instance.from_costs(jobs, costs)
         divisible = minimize_max_weighted_flow(instance).objective
-        preemptive = minimize_max_weighted_flow_preemptive(instance).objective
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True).objective
         assert preemptive == pytest.approx(divisible, abs=1e-5)
 
     @pytest.mark.xfail(
@@ -334,7 +333,7 @@ class TestPreemptiveMaxFlow:
         jobs = [Job("a", 0.0), Job("b", 0.0), Job("c", 2.0**-24)]
         instance = Instance.from_costs(jobs, [[1.0] * 3, [1.0] * 3])
         divisible = minimize_max_weighted_flow(instance).objective
-        preemptive = minimize_max_weighted_flow_preemptive(instance).objective
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True).objective
         assert preemptive >= divisible - 1e-6
 
 

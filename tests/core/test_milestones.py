@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Job, compute_milestones, deadline_function, milestone_ranges
+from repro.core import Job, compute_milestones, deadline_function
 
 
 class TestDeadlineFunction:
@@ -53,10 +53,3 @@ class TestMilestones:
         assert compute_milestones(jobs) == []
 
 
-class TestMilestoneRanges:
-    def test_ranges_cover_the_axis(self):
-        ranges = milestone_ranges([1.0, 3.0])
-        assert ranges == [(0.0, 1.0), (1.0, 3.0), (3.0, None)]
-
-    def test_empty_milestones(self):
-        assert milestone_ranges([]) == [(0.0, None)]

@@ -52,6 +52,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 ROOT = Path(__file__).resolve().parents[2]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
+if str(ROOT) not in sys.path:  # for the ``tests.reference`` LP DSL
+    sys.path.append(str(ROOT))
 
 from repro.heuristics import available_schedulers, make_scheduler  # noqa: E402
 from repro.lint.epoch import semantic_modules  # noqa: E402
@@ -330,7 +332,7 @@ def warm_sequences() -> Entries:
 
 
 def lp_programs() -> Entries:
-    from repro.lp import LinearProgram
+    from tests.reference.lp import LinearProgram
 
     entries = warm_sequences()
     for name, (costs, rows, rhs) in LP_PROGRAMS.items():

@@ -81,3 +81,44 @@ class TestRevisedBackend:
         result = simulate(instance, make_scheduler("online-offline:backend=revised"))
         result.schedule.validate()
         assert len(result.completion_times) == instance.num_jobs
+
+
+class TestConfigurationAndBookkeeping:
+    def test_non_positive_period_is_rejected(self):
+        with pytest.raises(ValueError, match="period must be positive"):
+            OnlineOfflineAdaptationScheduler(period=0.0)
+
+    def test_from_scratch_path_counts_one_build_per_check(self, tiny_instance):
+        scheduler = OnlineOfflineAdaptationScheduler(parametric=False)
+        simulate(tiny_instance, scheduler)
+        assert scheduler.replan_probe is None
+        assert scheduler.replanning_feasibility_checks > 0
+        assert scheduler.replanning_feasibility_checks == scheduler.replanning_model_builds
+
+    def test_compaction_remaps_the_plan_and_keeps_it(self, tiny_instance):
+        scheduler = OnlineOfflineAdaptationScheduler()
+        scheduler._plan = [(0, 2, 0.0, 1.0), (1, 0, 0.0, 2.0)]
+        scheduler._plan_active = frozenset({0, 2})
+        scheduler.compact(tiny_instance, {0: 0, 2: 1})
+        assert scheduler._plan == [(0, 1, 0.0, 1.0), (1, 0, 0.0, 2.0)]
+        assert scheduler._plan_active == frozenset({0, 1})
+
+    def test_compaction_that_drops_a_planned_job_forces_a_replan(self, tiny_instance):
+        scheduler = OnlineOfflineAdaptationScheduler()
+        scheduler._plan = [(0, 1, 0.0, 1.0), (1, 2, 0.0, 2.0)]
+        scheduler._plan_active = frozenset({1, 2})
+        scheduler.compact(tiny_instance, {2: 0})
+        assert scheduler._plan == [(1, 0, 0.0, 2.0)]
+        assert scheduler._plan_active is None
+
+    def test_without_a_plan_it_falls_back_to_exclusive_first_fit(self, tiny_instance):
+        class NeverFeasible(OnlineOfflineAdaptationScheduler):
+            def _feasible(self, *args, **kwargs):
+                return None
+
+        result = simulate(tiny_instance, NeverFeasible())
+        result.schedule.validate()
+        assert len(result.completion_times) == tiny_instance.num_jobs
+        # Job 0 is alone at time 0 and takes the first machine it may use.
+        first = min(result.schedule.pieces, key=lambda piece: piece.start)
+        assert (first.job_index, first.machine_index, first.start) == (0, 0, 0.0)

@@ -15,7 +15,6 @@ from repro.heuristics import (
     SPTScheduler,
     SRPTScheduler,
     available_schedulers,
-    cheapest_eligible_machine,
     make_scheduler,
 )
 from repro.simulation import simulate
@@ -50,19 +49,6 @@ class TestRegistry:
         names = available_schedulers()
         for expected in ("fifo", "mct", "spt", "srpt", "round-robin", "online-offline"):
             assert expected in names
-
-
-class TestHelpers:
-    def test_cheapest_eligible_machine(self, hetero_instance):
-        assert cheapest_eligible_machine(hetero_instance, 0) == 0
-        assert cheapest_eligible_machine(hetero_instance, 1) == 1
-        assert cheapest_eligible_machine(hetero_instance, 0, machines=[1]) == 1
-
-    def test_cheapest_eligible_machine_none_when_all_forbidden(self):
-        jobs = [Job("A", 0.0), Job("B", 0.0)]
-        costs = [[1.0, float("inf")], [2.0, 3.0]]
-        instance = Instance.from_costs(jobs, costs)
-        assert cheapest_eligible_machine(instance, 1, machines=[0]) is None
 
 
 class TestListSchedulers:

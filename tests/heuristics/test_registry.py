@@ -218,6 +218,36 @@ class TestPolicyVariants:
         with pytest.raises(ValueError):
             count.coerce(2.5)
 
+    def test_non_string_values_are_type_checked(self):
+        flag = PolicyParam("p", bool, False)
+        assert flag.coerce(True) is True
+        with pytest.raises(ValueError, match="expects a boolean"):
+            flag.coerce(1)
+        with pytest.raises(ValueError, match="expects a boolean"):
+            flag.coerce("maybe")
+        count = PolicyParam("n", int, 1)
+        assert count.coerce(3) == 3
+        with pytest.raises(ValueError, match="expects an integer"):
+            count.coerce(True)
+        with pytest.raises(ValueError, match="expects int"):
+            count.coerce("seven")
+        label = PolicyParam("s", str, "a")
+        with pytest.raises(ValueError, match="expects str"):
+            label.coerce(3)
+
+    def test_float_params_widen_integers(self):
+        precision = PolicyParam("relative_precision", float, 1e-3)
+        value = precision.coerce(1)
+        assert value == 1.0 and isinstance(value, float)
+        with pytest.raises(ValueError, match="expects float"):
+            precision.coerce(True)
+
+    def test_token_parameters_skip_blanks_and_need_key_value_pairs(self):
+        variant = resolve_policy_variant("online-offline: period=0.5 ,,")
+        assert variant.label == "online-offline:period=0.5"
+        with pytest.raises(ValueError, match="expected key=value"):
+            resolve_policy_variant("online-offline:period")
+
     def test_none_is_only_legal_when_the_default_is_none(self):
         optional = PolicyParam("period", float, None)
         assert optional.coerce(None) is None

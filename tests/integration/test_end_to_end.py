@@ -14,7 +14,6 @@ from repro.core import (
     minimize_makespan,
     minimize_max_stretch,
     minimize_max_weighted_flow,
-    minimize_max_weighted_flow_preemptive,
 )
 from repro.gripps import (
     make_gripps_instance,
@@ -32,7 +31,7 @@ class TestOfflinePipeline:
         makespan = minimize_makespan(instance)
         flow = minimize_max_weighted_flow(instance)
         stretch = minimize_max_stretch(instance)
-        preemptive = minimize_max_weighted_flow_preemptive(instance)
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True)
 
         for result in (makespan, flow, preemptive, stretch):
             result.schedule.validate()

@@ -448,3 +448,36 @@ class TestEngineAndBaselineHygiene:
     def test_unknown_rule_name_is_rejected(self):
         with pytest.raises(KeyError, match="unknown rule"):
             rule_spec("no-such-rule")
+
+
+class TestBaselineFile:
+    def test_a_missing_file_is_an_empty_baseline(self, tmp_path):
+        from repro.lint.baseline import load_baseline
+
+        baseline = load_baseline(tmp_path / "absent.json")
+        assert baseline.entries == []
+        assert baseline.path == tmp_path / "absent.json"
+
+    def test_entries_load_with_optional_context_and_justification(self, tmp_path):
+        import json
+
+        from repro.lint.baseline import load_baseline
+
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"entries": [{"rule": "wall-clock", "path": "src/x.py"}]}))
+        (entry,) = load_baseline(path).entries
+        assert (entry.rule, entry.path, entry.context, entry.justification) == (
+            "wall-clock", "src/x.py", "", "",
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        ['["not", "an", "object"]', '{"version": 1}', '{"entries": [{"rule": "wall-clock"}]}'],
+    )
+    def test_malformed_files_are_rejected(self, tmp_path, payload):
+        from repro.lint.baseline import load_baseline
+
+        path = tmp_path / "baseline.json"
+        path.write_text(payload)
+        with pytest.raises(ValueError, match="malformed baseline"):
+            load_baseline(path)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lp import Constraint, LinearProgram
+from tests.reference.lp import Constraint, LinearProgram
 
 
 @pytest.fixture

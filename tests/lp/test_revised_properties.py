@@ -35,11 +35,11 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.lp import LinearProgram, LPStatus
+from repro.lp import LPStatus
 from repro.lp.revised_simplex import ProgramHandle, solve_matrix_form_revised
 from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
-from repro.lp.simplex import solve_matrix_form_tableau
-from repro.lp.standard_form import MatrixForm, to_matrix_form
+from repro.lp.standard_form import MatrixForm
+from tests.reference.lp import LinearProgram, solve_matrix_form_tableau, to_matrix_form
 
 #: Coefficients including exact zeros and the sub-drop-tolerance dirt class.
 rough_floats = st.one_of(

@@ -22,7 +22,7 @@ from scipy.sparse._compressed import _cs_matrix
 from repro.core import maxflow, minimize_max_weighted_flow, replanning
 from repro.core.replanning import ReplanProbe
 from repro.heuristics import OnlineOfflineAdaptationScheduler
-from repro.lp import LinearProgram, LPStatus
+from repro.lp import LPStatus
 from repro.lp.revised_simplex import (
     BasisState,
     ProgramHandle,
@@ -32,10 +32,11 @@ from repro.lp.revised_simplex import (
     solve_matrix_form,
     solve_matrix_form_revised,
 )
-from repro.lp.standard_form import MatrixForm, to_matrix_form
+from repro.lp.standard_form import MatrixForm
 from repro.obs.metrics import MetricsRecorder
 from repro.simulation import simulate
 from repro.workload import available_scenarios, make_scenario, random_unrelated_instance
+from tests.reference.lp import LinearProgram, to_matrix_form
 
 
 def _sample_lp() -> LinearProgram:
@@ -393,7 +394,7 @@ class TestBackendRegistry:
         # The frozen tableau stamps its own label; feeding it back as a
         # backend name must fail instead of silently switching solvers.
         from repro.lp.backends import canonical_backend
-        from repro.lp.simplex import solve_matrix_form_tableau
+        from tests.reference.lp import solve_matrix_form_tableau
 
         solution = solve_matrix_form_tableau(to_matrix_form(_sample_lp(), sparse=False))
         assert solution.backend == "tableau"

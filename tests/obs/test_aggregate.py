@@ -1,22 +1,30 @@
-"""Snapshot merging: the cross-process aggregation the parallel drivers use."""
+"""Snapshot merging (the cross-process aggregation the parallel drivers use)
+and the deterministic projection the ``parallel == sequential`` tests compare."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.aggregate import (
+from repro.obs.metrics import MetricsRecorder
+from tests.reference.snapshots import (
     VOLATILE_METRICS,
     deterministic_snapshot,
     is_volatile_metric,
-    merge_snapshots,
     snapshot_bytes,
 )
-from repro.obs.metrics import MetricsRecorder
 
 
 def _snapshot(build):
     recorder = MetricsRecorder()
     build(recorder)
+    return recorder.snapshot()
+
+
+def merge_snapshots(snapshots):
+    """Fold snapshot payloads, in order, the way the drivers fold their workers'."""
+    recorder = MetricsRecorder()
+    for snapshot in snapshots:
+        recorder.merge_snapshot(snapshot)
     return recorder.snapshot()
 
 

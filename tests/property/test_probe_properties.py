@@ -24,9 +24,9 @@ from repro.core import (
     minimize_max_weighted_flow,
     minimize_max_weighted_flow_bisection,
 )
-from repro.lp import LinearProgram, to_matrix_form
+from repro.lp.revised_simplex import solve_matrix_form as simplex_solve_form
 from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
-from repro.lp.simplex import solve_matrix_form as simplex_solve_form
+from tests.reference.lp import LinearProgram, to_matrix_form
 
 PRECISION = 1e-4
 

@@ -21,7 +21,6 @@ from repro.core import (
     check_deadline_feasibility,
     minimize_makespan,
     minimize_max_weighted_flow,
-    minimize_max_weighted_flow_preemptive,
 )
 
 job_weights = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
@@ -60,7 +59,7 @@ class TestSolverInvariants:
     @settings(max_examples=15, deadline=None)
     def test_divisible_optimum_lower_bounds_preemptive(self, instance):
         divisible = minimize_max_weighted_flow(instance).objective
-        preemptive = minimize_max_weighted_flow_preemptive(instance).objective
+        preemptive = minimize_max_weighted_flow(instance, preemptive=True).objective
         assert divisible <= preemptive + 1e-6
 
     @given(small_instance())

@@ -2,7 +2,7 @@
 
 A constraint is stored in the normalised form ``expression (<=|>=|==) 0`` with
 the right-hand side folded into the expression's constant term, which keeps
-the lowering to matrix form (see :mod:`repro.lp.standard_form`) trivial.
+the lowering to matrix form (see :mod:`tests.reference.lp.lowering`) trivial.
 """
 
 from __future__ import annotations

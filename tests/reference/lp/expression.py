@@ -18,7 +18,8 @@ on privately owned instances for performance when building large models.
 The scheduling modules of :mod:`repro.core` no longer go through this layer:
 they build their allocation LPs straight in matrix form
 (:mod:`repro.core.formulations`).  The test suite states the same programs
-with it as the reference those forms must equal.
+with it as the reference those forms must equal, which is why it lives in
+``tests/reference``.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-__all__ = ["Variable", "LinearExpression", "as_expression", "linear_sum"]
+from repro.lp.solution import LPSolution
+
+__all__ = ["Variable", "LinearExpression", "as_expression", "linear_sum", "solution_value"]
 
 Number = Union[int, float]
 
 
 @dataclass(frozen=True)
 class Variable:
-    """A decision variable of a :class:`~repro.lp.model.LinearProgram`.
+    """A decision variable of a :class:`~tests.reference.lp.model.LinearProgram`.
 
     Variables are created through :meth:`LinearProgram.add_variable`; user
     code never instantiates them directly.  They are hashable and compare by
@@ -276,3 +279,18 @@ def linear_sum(terms: Iterable[Union[Variable, LinearExpression, Number]]) -> Li
         else:
             raise TypeError(f"cannot sum term of type {type(term).__name__}")
     return acc
+
+
+def solution_value(solution: LPSolution, item: Union[Variable, LinearExpression, Number]) -> float:
+    """Value of a variable or expression in ``solution`` (a variable absent from it is 0.0).
+
+    Numbers are returned unchanged so callers can treat constants and
+    expressions uniformly.
+    """
+    if isinstance(item, Variable):
+        return solution.values.get(item.index, 0.0)
+    if isinstance(item, LinearExpression):
+        return item.evaluate(solution.values)
+    if isinstance(item, (int, float)):
+        return float(item)
+    raise TypeError(f"cannot evaluate object of type {type(item).__name__}")

@@ -1,10 +1,10 @@
 """The :class:`LinearProgram` modelling object.
 
-This is the modelling object of the expression DSL, the public way to state
+This is the modelling object of the expression DSL, the tests' way to state
 a linear program in code.  A model owns its variables and constraints, knows
 its optimisation sense, and delegates the actual solving to a pluggable
 backend: :meth:`LinearProgram.solve` lowers the model with
-:func:`~repro.lp.standard_form.to_matrix_form` and hands the form to
+:func:`~tests.reference.lp.lowering.to_matrix_form` and hands the form to
 :func:`repro.lp.backends.solve_form` (HiGHS by default, or the in-house
 revised simplex).  The scheduling modules of :mod:`repro.core` do not go
 through this class: they lower their allocation LPs straight to matrix form
@@ -12,7 +12,7 @@ through this class: they lower their allocation LPs straight to matrix form
 
 Example
 -------
->>> from repro.lp import LinearProgram
+>>> from tests.reference.lp import LinearProgram
 >>> lp = LinearProgram(name="toy", sense="min")
 >>> x = lp.add_variable("x", lower=0.0)
 >>> y = lp.add_variable("y", lower=0.0)
@@ -30,10 +30,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .backends import solve_form
+from repro.lp.backends import solve_form
+from repro.lp.solution import LPSolution, require_optimal
+
 from .constraint import Constraint
 from .expression import LinearExpression, Variable, as_expression
-from .solution import LPSolution, require_optimal
 
 __all__ = ["LinearProgram"]
 
@@ -209,7 +210,7 @@ class LinearProgram:
         kwargs:
             Passed through to the backend.
         """
-        from .standard_form import to_matrix_form  # standard_form imports this module
+        from .lowering import to_matrix_form  # lowering imports this module
 
         return solve_form(to_matrix_form(self, sparse=True), backend, **kwargs)
 

@@ -1,11 +1,13 @@
-"""FROZEN dense two-phase tableau simplex — the byte-identity reference.
+"""FROZEN dense two-phase tableau simplex — the cross-validation reference.
 
-This module is the pre-ISSUE-9 in-house backend, frozen verbatim (exactly
-like ``repro.streaming._stream_legacy`` and ``repro.engine._seed_engine``):
-the production in-house path now lives in :mod:`repro.lp.revised_simplex`,
-and this tableau stays behind the ``"tableau"`` backend name so the revised
-solver can always be cross-checked against the implementation every pre-9
-optimum was derived with.  Do not optimise or "fix" this file; semantic
+This is the in-house backend the revised simplex replaced, frozen verbatim
+(like :mod:`tests.reference.stream_legacy` and
+``benchmarks/_seed_engine.py``): the production in-house path lives in
+:mod:`repro.lp.revised_simplex`, and no backend name selects this tableau.
+Tests and ``benchmarks/bench_lp_backends.py`` call it directly
+(``solve_matrix_form_tableau`` in :mod:`tests.reference.lp`) so the revised
+solver can always be cross-checked against the implementation the earliest
+optima were derived with.  Do not optimise or "fix" this file; semantic
 changes belong in the revised solver (with a ``CODE_EPOCH`` bump).
 
 The original module docstring follows.
@@ -41,10 +43,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import get_recorder
+from repro.lp.solution import LPSolution, LPStatus
+from repro.lp.standard_form import MatrixForm, solve_constant_form
+from repro.obs.metrics import get_recorder
+
+from .lowering import to_matrix_form
 from .model import LinearProgram
-from .solution import LPSolution, LPStatus
-from .standard_form import MatrixForm, solve_constant_form, to_matrix_form
 
 __all__ = ["solve_with_simplex", "solve_matrix_form", "SimplexResult"]
 

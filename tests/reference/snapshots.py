@@ -1,38 +1,25 @@
-"""Cross-process metrics aggregation: deterministic snapshot merging.
+"""Deterministic projection of a metrics snapshot (test reference).
 
-Parallel campaign/sweep drivers run each cell under a scoped
-:class:`~repro.obs.metrics.MetricsRecorder` and ship the resulting
-``snapshot()`` payload back through the future plumbing.  The parent
-folds those snapshots **in deterministic emission order** (the same
-order the sequential driver processes cells), so the merged driver
-snapshot is structurally identical to the one a sequential run builds.
-
-Merge semantics (the contract ROADMAP's "flight recorder" section
-documents):
-
-* **counters** sum,
-* **gauges** keep the last value in merge order plus the running peak,
-* **histograms** combine their count/total/min/max summaries.
-
-Counter sums are exact for the integer-valued counters the runtime
+Parallel campaign/sweep drivers fold their workers' snapshots into the
+driver's :class:`~repro.obs.metrics.MetricsRecorder` in deterministic
+emission order (:meth:`~repro.obs.metrics.MetricsRecorder.merge_snapshot`),
+so the merged snapshot is structurally identical to the one a sequential run
+builds.  Counter sums are exact for the integer-valued counters the runtime
 emits, but wall-clock histograms (``*_seconds``) are inherently
-nondeterministic, and a handful of counters depend on process topology
-(how cells share a worker's caches).  :func:`deterministic_snapshot`
-projects those out, leaving the byte-comparable core that the
+nondeterministic, and a handful of counters depend on process topology (how
+cells share a worker's caches).  :func:`deterministic_snapshot` projects
+those out, leaving the byte-comparable core that the
 ``parallel == sequential`` tests assert on.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Mapping
-
-from .metrics import MetricsRecorder
+from typing import Dict, Mapping
 
 __all__ = [
     "VOLATILE_METRICS",
     "is_volatile_metric",
-    "merge_snapshots",
     "deterministic_snapshot",
     "snapshot_bytes",
 ]
@@ -60,16 +47,6 @@ def is_volatile_metric(name: str) -> bool:
         or name.endswith("_seconds")
         or ".time." in name
     )
-
-
-def merge_snapshots(
-    snapshots: Iterable[Mapping[str, Mapping[str, object]]],
-) -> Dict[str, Dict[str, object]]:
-    """Fold snapshot payloads, in order, into one merged snapshot."""
-    recorder = MetricsRecorder()
-    for snapshot in snapshots:
-        recorder.merge_snapshot(snapshot)
-    return recorder.snapshot()
 
 
 def deterministic_snapshot(

@@ -26,13 +26,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.instance import Instance
-from ..core.job import Job
-from ..exceptions import SimulationError
-from ..obs.clock import wall_clock
-from ..workload.streams import ArrivalEvent, WorkloadStream
-from .state import AllocationDecision, JobProgress, SimulationState
-from .stream import _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
+from repro.core.instance import Instance
+from repro.core.job import Job
+from repro.exceptions import SimulationError
+from repro.obs.clock import wall_clock
+from repro.simulation.state import AllocationDecision, JobProgress, SimulationState
+from repro.simulation.stream import _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
+from repro.workload.streams import ArrivalEvent, WorkloadStream
 
 __all__ = ["run_rebuild"]
 
@@ -148,7 +148,7 @@ def run_rebuild(
     :class:`~repro.simulation.stream.StreamResult` as the view path —
     byte-identical fingerprints included.
     """
-    from .stream import StreamResult, _TRAJECTORY_CAP
+    from repro.simulation.stream import StreamResult, _TRAJECTORY_CAP
 
     if max_arrivals is None and stream.length is None:
         raise SimulationError(

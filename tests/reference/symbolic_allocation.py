@@ -2,12 +2,12 @@
 
 This is the ``build_allocation_model`` the scheduling modules used before the
 skeleton was lowered straight to CSR: every ``alpha[i, j, t]`` is a
-:class:`~repro.lp.expression.Variable` of a :class:`~repro.lp.LinearProgram`
+:class:`~tests.reference.lp.Variable` of a :class:`~tests.reference.lp.LinearProgram`
 and every constraint is stated through the expression DSL, exactly as the
 paper writes it.  Lowering this model with
 ``to_matrix_form(model, sparse=True)`` must give the production
 :class:`~repro.core.formulations.AllocationModel` form bit for bit
-(``test_allocation_lowering.py``).  Kept verbatim; do not edit.
+(``tests/core/test_allocation_lowering.py``).  Kept verbatim; do not edit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from repro.core.affine import Affine
 from repro.core.instance import Instance
 from repro.core.intervals import TimeInterval
 from repro.core.tolerances import ABS_TOL
-from repro.lp import LinearProgram, LinearExpression, LPSolution, Variable, linear_sum
+from repro.lp import LPSolution
+
+from .lp import LinearExpression, LinearProgram, Variable, linear_sum, solution_value
 
 #: Allocation fractions below this threshold are dropped when building schedules.
 _FRACTION_DUST = 1e-10
@@ -33,7 +35,7 @@ class AllocationModel:
     Attributes
     ----------
     model:
-        The underlying :class:`~repro.lp.model.LinearProgram`.
+        The underlying :class:`~tests.reference.lp.LinearProgram`.
     instance:
         The scheduling instance.
     intervals:
@@ -59,7 +61,7 @@ class AllocationModel:
         """Extract the non-negligible allocation fractions from a solution."""
         values: Dict[Tuple[int, int, int], float] = {}
         for key, var in self.variables.items():
-            value = solution.value(var)
+            value = solution_value(solution, var)
             if value > _FRACTION_DUST:
                 values[key] = value
         return values

@@ -2,7 +2,7 @@
 
 The streaming simulator runs the zero-copy view path over the pooled
 kernel buffers; the frozen legacy rebuild-per-arrival loop
-(``repro.simulation._stream_legacy.run_rebuild``) is the byte-identity
+(``tests.reference.stream_legacy.run_rebuild``) is the byte-identity
 reference, called directly here.  These tests pin the core contract: **the
 fast core is a performance change, never a semantics change** — every
 registered policy, every compaction timing, every replayed trace and every
@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from repro.heuristics import available_schedulers, make_scheduler
 from repro.simulation import StreamingSimulator
-from repro.simulation._stream_legacy import run_rebuild
 from repro.workload import (
     StreamSpec,
     open_stream,
     random_unrelated_instance,
     replay_stream,
 )
+from tests.reference.stream_legacy import run_rebuild
 
 # The LP-backed policies solve an offline model per replanning event; they
 # get short streams so the full matrix stays tier-1 fast.

@@ -136,6 +136,35 @@ class TestRecordsAndRuns:
             assert info.num_records == 1
 
 
+    def test_latest_on_an_empty_store_is_an_error(self, tmp_path):
+        with ExperimentStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(StoreError, match="has no runs"):
+                store.resolve_run("latest")
+
+    def test_writer_batch_size_must_be_positive(self, tmp_path):
+        with ExperimentStore(tmp_path / "s.sqlite") as store:
+            run_id = store.begin_run("a", {})
+            with pytest.raises(StoreError, match="batch_size"):
+                store.writer(run_id, batch_size=0)
+
+    def test_writer_reports_inserts_reuse_and_skip_rate(self, tmp_path):
+        from repro.obs import collecting
+
+        with ExperimentStore(tmp_path / "s.sqlite") as store:
+            _fill_run(store, "first", [("w0", "mct", 1.5), ("w1", "mct", 1.5)])
+            with collecting() as recorder:
+                _fill_run(
+                    store, "second", [("w0", "mct", 1.5), ("w2", "mct", 1.5)], batch_size=1
+                )
+        counters = recorder.snapshot()["counters"]
+        assert counters["store.records_inserted"] == 1.0
+        assert counters["store.records_deduplicated"] == 1.0
+        assert counters["store.cells_added"] == 2.0
+        # Two full batches plus the (empty) final flush on close.
+        assert counters["store.batch_commits"] == 3.0
+        assert recorder.snapshot()["gauges"]["store.skip_rate"]["last"] == 0.5
+
+
 class TestHeadlineMetricsAndDiff:
     def test_headline_metrics_aggregate_per_policy(self, tmp_path):
         with ExperimentStore(tmp_path / "s.sqlite") as store:
@@ -170,6 +199,14 @@ class TestHeadlineMetricsAndDiff:
             open_run = store.begin_run("open", {})
             with pytest.raises(StoreError):
                 diff_runs(store, done, open_run)
+
+
+    def test_diff_against_an_unfinished_baseline_rejected(self, tmp_path):
+        with ExperimentStore(tmp_path / "s.sqlite") as store:
+            open_run = store.begin_run("open", {})
+            done = _fill_run(store, "done", [("w0", "mct", 2.0)])
+            with pytest.raises(StoreError, match=f"run #{open_run} has no headline metrics"):
+                diff_runs(store, open_run, done)
 
 
 def test_non_sqlite_file_is_a_clean_store_error(tmp_path):

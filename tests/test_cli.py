@@ -388,6 +388,19 @@ class TestStream:
         assert main(argv) == 1
         assert "start:stop:count" in capsys.readouterr().err
 
+    def test_a_one_point_rho_range_is_its_start(self, capsys):
+        argv = list(self._BASE)
+        argv[argv.index("0.4:0.8:2")] = "0.6:0.9:1"
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "0.60" in output and "0.90" not in output
+
+    def test_a_rho_range_needs_at_least_one_point(self, capsys):
+        argv = list(self._BASE)
+        argv[argv.index("0.4:0.8:2")] = "0.3:0.9:0"
+        assert main(argv) == 1
+        assert "at least 1" in capsys.readouterr().err
+
     def test_unknown_policy_is_a_clean_error(self, capsys):
         argv = list(self._BASE)
         argv[argv.index("srpt,mct")] = "srpt:no_such_param=1"

@@ -10,27 +10,24 @@ import pytest
 from repro.exceptions import WorkloadError
 from repro.workload import (
     ArrivalProcess,
-    poisson_arrivals,
-    random_correlated_instance,
     random_restricted_instance,
     random_unrelated_instance,
-    uniform_arrivals,
 )
 
 
 class TestArrivalProcesses:
     def test_poisson_arrivals_are_increasing(self):
-        arrivals = poisson_arrivals(50, rate=2.0, seed=1)
+        arrivals = ArrivalProcess(kind="poisson", rate=2.0).sample(50, np.random.default_rng(1))
         assert len(arrivals) == 50
         assert all(later >= earlier for earlier, later in zip(arrivals, arrivals[1:]))
 
     def test_poisson_mean_gap_matches_rate(self):
-        arrivals = poisson_arrivals(2000, rate=4.0, seed=2)
+        arrivals = ArrivalProcess(kind="poisson", rate=4.0).sample(2000, np.random.default_rng(2))
         gaps = np.diff([0.0] + arrivals)
         assert np.mean(gaps) == pytest.approx(0.25, rel=0.1)
 
     def test_uniform_arrivals_respect_horizon(self):
-        arrivals = uniform_arrivals(30, horizon=5.0, seed=3)
+        arrivals = ArrivalProcess(kind="uniform", horizon=5.0).sample(30, np.random.default_rng(3))
         assert all(0.0 <= value <= 5.0 for value in arrivals)
         assert arrivals == sorted(arrivals)
 
@@ -106,19 +103,3 @@ class TestRestrictedGenerator:
             random_restricted_instance(5, 2, replication=1.5)
 
 
-class TestCorrelatedGenerator:
-    def test_costs_roughly_proportional_to_size_times_speed(self):
-        instance = random_correlated_instance(10, 3, seed=7, noise=0.0)
-        # With zero noise the matrix is exactly the outer product.
-        sizes = np.array([job.size for job in instance.jobs])
-        ratios = instance.costs / sizes[None, :]
-        # Each row must be constant (the machine's cycle time).
-        assert np.allclose(ratios, ratios[:, :1])
-
-    def test_noise_perturbs_but_preserves_positivity(self):
-        instance = random_correlated_instance(10, 3, seed=8, noise=0.3)
-        assert (instance.costs > 0).all()
-
-    def test_invalid_noise(self):
-        with pytest.raises(WorkloadError):
-            random_correlated_instance(5, 2, noise=-0.1)

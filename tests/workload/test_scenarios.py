@@ -12,7 +12,6 @@ from repro.workload import (
     instance_to_dict,
     make_scenario,
     scenario_grid,
-    scenario_sweep,
     spawn_scenario_seeds,
 )
 from repro.workload.scenarios import ScenarioSpec
@@ -128,15 +127,3 @@ class TestScenarioGrid:
                 parallel = list(pool.map(_build_spec, specs, chunksize=chunksize))
             assert parallel == sequential
 
-    def test_sweep_accepts_base_seed(self):
-        labels, instances = scenario_sweep(
-            ["unrelated-stress"], base_seed=5, seeds_per_scenario=2
-        )
-        assert labels == ["unrelated-stress#0", "unrelated-stress#1"]
-        assert len(instances) == 2
-        relabels, reinstances = scenario_sweep(
-            ["unrelated-stress"], base_seed=5, seeds_per_scenario=2
-        )
-        assert [instance_to_dict(i) for i in instances] == [
-            instance_to_dict(i) for i in reinstances
-        ]

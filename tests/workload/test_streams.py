@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import WorkloadError
 from repro.workload import StreamSpec, make_scenario, open_stream, replay_stream
-from repro.workload.streams import spawn_stream_seeds
+from repro.workload.streams import WorkloadStream, spawn_stream_seeds
 
 
 def _take(stream, count):
@@ -69,6 +69,52 @@ class TestStreamSpec:
             spec.offered_load()
         with pytest.raises(WorkloadError):
             spec.with_utilisation(0.5)
+
+
+    def test_rejects_malformed_shape_parameters(self):
+        with pytest.raises(WorkloadError, match="pareto_shape"):
+            StreamSpec(label="s", pareto_shape=0.0)
+        with pytest.raises(WorkloadError, match="burst_factor"):
+            StreamSpec(label="s", burst_factor=0.5)
+        with pytest.raises(WorkloadError, match="mean_cycle_time"):
+            StreamSpec(label="s", mean_cycle_time=0.0)
+
+    def test_utilisation_must_be_positive(self):
+        with pytest.raises(WorkloadError, match="utilisation must be positive"):
+            StreamSpec(label="s", scenario="small-cluster").with_utilisation(0.0)
+
+    def test_pareto_mean_with_unit_tail_index(self):
+        # alpha == 1 takes the logarithmic closed form of the bounded Pareto mean.
+        spec = StreamSpec(label="s", seed=9, sizes="pareto", pareto_shape=1.0)
+        low, high = spec.size_range
+        assert spec.mean_size() == pytest.approx(low * np.log(high / low) / (1 - low / high))
+        drawn = [event.job.size for event in _take(open_stream(spec), 20000)]
+        assert np.mean(drawn) == pytest.approx(spec.mean_size(), rel=0.05)
+
+    @pytest.mark.parametrize("sizes", ["uniform", "pareto"])
+    def test_a_degenerate_size_range_draws_one_size(self, sizes):
+        spec = StreamSpec(label="s", seed=2, sizes=sizes, size_range=(3.0, 3.0))
+        assert spec.mean_size() == 3.0
+        events = _take(open_stream(spec), 20)
+        assert {event.job.size for event in events} == {3.0}
+        assert {event.job.weight for event in events} == {1.0 / 3.0}
+
+    def test_spawning_needs_at_least_one_seed(self):
+        with pytest.raises(WorkloadError, match="count >= 1"):
+            spawn_stream_seeds(1, "s", 0)
+
+
+class TestWorkloadStream:
+    def test_a_stream_needs_a_machine(self):
+        with pytest.raises(WorkloadError, match="at least one machine"):
+            WorkloadStream((), lambda machines: iter(()))
+
+    def test_capacity_is_the_aggregate_fluid_rate(self):
+        stream = open_stream(StreamSpec(label="s", scenario="small-cluster", seed=3))
+        assert stream.num_machines == len(stream.machines)
+        assert stream.capacity() == pytest.approx(
+            sum(1.0 / machine.cycle_time for machine in stream.machines)
+        )
 
 
 class TestDeterminism:
