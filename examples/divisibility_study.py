@@ -21,7 +21,6 @@ from repro.gripps import (
     SequenceDatabank,
     communication_study,
     motif_divisibility_experiment,
-    scan_databank,
     sequence_divisibility_experiment,
 )
 

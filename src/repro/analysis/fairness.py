@@ -62,13 +62,6 @@ class FairnessReport:
     jain: float
     starvation_ratio: float
 
-    def as_rows(self) -> List[tuple]:
-        """Rows (job index, stretch, weighted flow) for table rendering."""
-        return [
-            (index, stretch, weighted)
-            for index, (stretch, weighted) in enumerate(zip(self.stretches, self.weighted_flows))
-        ]
-
 
 def fairness_report(schedule: Schedule) -> FairnessReport:
     """Compute the fairness metrics of a complete schedule."""

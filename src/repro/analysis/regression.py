@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import WorkloadError
 
@@ -62,23 +61,6 @@ class LinearFit:
     def predict(self, x: float) -> float:
         """Evaluate the fitted line at ``x``."""
         return self.intercept + self.slope * x
-
-    def intercept_confidence_interval(self, confidence: float = 0.95) -> Tuple[float, float]:
-        """Two-sided confidence interval for the intercept (Student t)."""
-        return self._confidence_interval(self.intercept, self.intercept_stderr, confidence)
-
-    def slope_confidence_interval(self, confidence: float = 0.95) -> Tuple[float, float]:
-        """Two-sided confidence interval for the slope (Student t)."""
-        return self._confidence_interval(self.slope, self.slope_stderr, confidence)
-
-    def _confidence_interval(
-        self, value: float, stderr: float, confidence: float
-    ) -> Tuple[float, float]:
-        if not 0.0 < confidence < 1.0:
-            raise WorkloadError(f"confidence must be in (0, 1), got {confidence}")
-        dof = max(self.num_points - 2, 1)
-        quantile = float(stats.t.ppf(0.5 + confidence / 2.0, dof))
-        return (value - quantile * stderr, value + quantile * stderr)
 
     def summary(self) -> str:
         """One-line human readable summary."""
@@ -200,10 +182,6 @@ class CrossRunDiff:
     baseline_label: str
     current_label: str
     deltas: List[MetricDelta]
-
-    def for_policy(self, policy: str) -> List[MetricDelta]:
-        """The deltas of one policy."""
-        return [delta for delta in self.deltas if delta.policy == policy]
 
     def regressions(self, tolerance: float = 1e-6) -> List[MetricDelta]:
         """Deltas flagged ``regressed`` under ``tolerance``."""

@@ -50,13 +50,6 @@ class ComparisonRecord:
             return None
         return self.measured_value / self.paper_value
 
-    @property
-    def relative_error(self) -> Optional[float]:
-        """``|measured - paper| / |paper|`` when the paper value is non-zero."""
-        if self.paper_value == 0:
-            return None
-        return abs(self.measured_value - self.paper_value) / abs(self.paper_value)
-
 
 @dataclass
 class ExperimentReport:
@@ -96,11 +89,6 @@ class ExperimentReport:
             rows,
             title=f"[{self.experiment_id}] {self.description}",
         )
-
-    def max_relative_error(self) -> float:
-        """Largest relative error across records (0.0 when empty)."""
-        errors = [record.relative_error for record in self.records if record.relative_error is not None]
-        return max(errors, default=0.0)
 
 
 def render_cross_run_diff(diff: CrossRunDiff, *, tolerance: float = 1e-6) -> str:

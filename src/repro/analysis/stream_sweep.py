@@ -1,9 +1,10 @@
 """Steady-state load sweeps: utilisation ρ × policy over workload streams.
 
 This is the streaming counterpart of the batch campaign dispatcher: the
-sweep axis is the **offered load** ρ (arrival rate over the platform's
-fluid capacity — see :meth:`repro.workload.streams.StreamSpec.offered_load`)
-rather than a seed grid, and each cell is a *steady-state report*
+sweep axis is the **offered load** ρ (arrival rate × mean job size over
+the platform's fluid capacity ``sum_i 1 / c_i``, set through
+:meth:`repro.workload.streams.StreamSpec.with_utilisation`) rather than a
+seed grid, and each cell is a *steady-state report*
 (:class:`~repro.analysis.steady_state.SteadyStateReport`) rather than a
 single-schedule measurement.
 

@@ -76,10 +76,6 @@ class Affine:
     # ------------------------------------------------------------------ #
     # Structure                                                           #
     # ------------------------------------------------------------------ #
-    def is_constant(self, tol: float = ABS_TOL) -> bool:
-        """Return ``True`` when the slope is (numerically) zero."""
-        return abs(self.slope) <= tol
-
     def functionally_equal(self, other: "Affine", tol: float = ABS_TOL) -> bool:
         """Return ``True`` when the two functions coincide everywhere (up to tolerance)."""
         return is_close(self.constant, other.constant, abs_tol=tol) and is_close(

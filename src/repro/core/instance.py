@@ -188,14 +188,6 @@ class Instance:
                 return index
         raise KeyError(f"no machine named {name!r} in instance")
 
-    def eligible_machines(self, job_index: int) -> List[int]:
-        """Indices of the machines with finite cost for job ``job_index``."""
-        return [i for i in range(self.num_machines) if math.isfinite(self.costs[i, job_index])]
-
-    def eligible_jobs(self, machine_index: int) -> List[int]:
-        """Indices of the jobs with finite cost on machine ``machine_index``."""
-        return [j for j in range(self.num_jobs) if math.isfinite(self.costs[machine_index, j])]
-
     # ------------------------------------------------------------------ #
     # Derived quantities                                                  #
     # ------------------------------------------------------------------ #
@@ -256,25 +248,6 @@ class Instance:
             current_time = completion
             worst = max(worst, job.weighted_flow(completion))
         return worst
-
-    def with_stretch_weights(self) -> "Instance":
-        """Return a copy of the instance whose weights encode the max-stretch objective.
-
-        Every job must carry a size; the new weight is ``1 / W_j`` so that the
-        maximum weighted flow of the new instance is the maximum stretch of
-        the original one.
-        """
-        new_jobs = tuple(job.with_weight(job.stretch_weight()) for job in self.jobs)
-        return Instance(jobs=new_jobs, machines=self.machines, costs=self.costs.copy())
-
-    def restricted_to_jobs(self, job_indices: Sequence[int]) -> "Instance":
-        """Return the sub-instance containing only the given job indices."""
-        indices = list(job_indices)
-        if not indices:
-            raise InvalidInstanceError("cannot restrict an instance to zero jobs")
-        jobs = tuple(self.jobs[j] for j in indices)
-        costs = self.costs[:, indices].copy()
-        return Instance(jobs=jobs, machines=self.machines, costs=costs)
 
     def describe(self) -> str:
         """Return a short human-readable description (used by examples)."""

@@ -66,10 +66,6 @@ class TimeInterval:
         """Evaluate the duration at objective value ``objective``."""
         return self.upper(objective) - self.lower(objective)
 
-    def contains_time(self, time: float, objective: float = 0.0, tol: float = ABS_TOL) -> bool:
-        """Return ``True`` when ``time`` lies in ``[lower, upper)`` at ``objective``."""
-        return self.lower(objective) - tol <= time < self.upper(objective) - tol
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimeInterval(#{self.index}, [{self.lower!r}, {self.upper!r}))"
 

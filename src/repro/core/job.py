@@ -68,16 +68,6 @@ class Job:
             object.__setattr__(self, "databanks", frozenset(self.databanks))
 
     # ------------------------------------------------------------------ #
-    def deadline_for_flow(self, flow_objective: float) -> float:
-        """Return the deadline ``d_j(F) = r_j + F / w_j`` induced by objective ``F``.
-
-        This is the key transformation of Section 4.3.1: a schedule has
-        maximum weighted flow at most ``F`` iff every job meets this deadline.
-        """
-        if flow_objective < 0:
-            raise ValueError(f"flow objective must be >= 0, got {flow_objective!r}")
-        return self.release_date + flow_objective / self.weight
-
     def weighted_flow(self, completion_time: float) -> float:
         """Return ``w_j (C_j - r_j)`` for a given completion time."""
         return self.weight * (completion_time - self.release_date)
@@ -97,16 +87,6 @@ class Job:
             )
         return 1.0 / self.size
 
-    def with_release_date(self, release_date: float) -> "Job":
-        """Return a copy of the job with a different release date."""
-        return Job(
-            name=self.name,
-            release_date=release_date,
-            weight=self.weight,
-            size=self.size,
-            databanks=self.databanks,
-        )
-
     def with_weight(self, weight: float) -> "Job":
         """Return a copy of the job with a different weight."""
         return Job(
@@ -114,16 +94,6 @@ class Job:
             release_date=self.release_date,
             weight=weight,
             size=self.size,
-            databanks=self.databanks,
-        )
-
-    def with_size(self, size: float) -> "Job":
-        """Return a copy of the job with a different size."""
-        return Job(
-            name=self.name,
-            release_date=self.release_date,
-            weight=self.weight,
-            size=size,
             databanks=self.databanks,
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import FrozenSet, Iterable, List, Set
 
 from ..exceptions import InvalidInstanceError
 from .job import Job
@@ -70,10 +70,6 @@ class Machine:
             )
         return job.size * self.cycle_time
 
-    def speed(self) -> float:
-        """Return the machine speed in Mflop per second (``1 / cycle_time``)."""
-        return 1.0 / self.cycle_time
-
 
 @dataclass(frozen=True)
 class Platform:
@@ -122,35 +118,3 @@ class Platform:
         for machine in self.machines:
             banks |= machine.databanks
         return frozenset(banks)
-
-    def machines_hosting(self, databank: str) -> List[Machine]:
-        """Return the machines that host ``databank`` (possibly empty)."""
-        return [machine for machine in self.machines if databank in machine.databanks]
-
-    def eligible_machines(self, job: Job) -> List[Machine]:
-        """Return the machines on which ``job`` can run."""
-        return [machine for machine in self.machines if machine.can_run(job)]
-
-    def replication_degree(self) -> Dict[str, int]:
-        """Return, for each databank, the number of machines hosting it."""
-        degrees: Dict[str, int] = {}
-        for bank in self.databanks:
-            degrees[bank] = len(self.machines_hosting(bank))
-        return degrees
-
-    def total_speed(self) -> float:
-        """Aggregate platform speed in Mflop per second."""
-        return sum(machine.speed() for machine in self.machines)
-
-    def index_of(self, name: str) -> int:
-        """Return the index of the machine called ``name``.
-
-        Raises
-        ------
-        KeyError
-            If no machine has that name.
-        """
-        for index, machine in enumerate(self.machines):
-            if machine.name == name:
-                return index
-        raise KeyError(f"no machine named {name!r} in platform")

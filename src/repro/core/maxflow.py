@@ -43,8 +43,8 @@ every probed objective value, the probe exploits the milestone structure:
 * an LRU memo keyed by the exact probed value guarantees that the milestone
   search and the ε-bisection baseline never solve the same objective twice;
 * the per-range parametric models themselves sit in a size-capped LRU cache
-  (``max_cached_ranges``), so campaign-scale sweeps that keep many probes
-  alive at once stay in bounded memory.
+  (``_MAX_CACHED_RANGES`` entries), so campaign-scale sweeps that keep many
+  probes alive at once stay in bounded memory.
 
 The per-call counters (``probes``, ``lp_solves``, ``model_constructions``)
 feed the milestone-search bench, which asserts that the probe path performs
@@ -63,7 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -146,6 +146,12 @@ class MaxWeightedFlowResult:
 # --------------------------------------------------------------------------- #
 # Reusable feasibility probe                                                  #
 # --------------------------------------------------------------------------- #
+#: Probed objective values memoised per probe (LRU).
+_MEMO_SIZE = 256
+#: Parametric range models cached per probe (LRU).
+_MAX_CACHED_RANGES = 64
+
+
 @dataclass
 class _RangeModel:
     """Parametric allocation model of one milestone range ``(low, high]``.
@@ -182,8 +188,7 @@ class FeasibilityProbe:
         Number of probes that required an actual LP solve.
     model_constructions:
         Number of parametric range models built (each exactly once, unless
-        evicted from the size-capped LRU range cache and needed again — see
-        ``max_cached_ranges``).
+        evicted from the size-capped LRU range cache and needed again).
     """
 
     def __init__(
@@ -192,13 +197,9 @@ class FeasibilityProbe:
         *,
         preemptive: bool = False,
         backend: str = "scipy",
-        memo_size: int = 256,
-        max_cached_ranges: int = 64,
     ) -> None:
         if instance.num_jobs == 0:
             raise InvalidInstanceError("cannot probe an empty instance")
-        if max_cached_ranges < 1:
-            raise ValueError("max_cached_ranges must be at least 1")
         self.instance = instance
         self.preemptive = preemptive
         self.backend = backend
@@ -208,13 +209,11 @@ class FeasibilityProbe:
         #: range is unbounded above).
         self._boundaries: List[float] = [0.0] + self.milestones
         #: LRU cache of parametric range models, capped at
-        #: ``max_cached_ranges`` so that campaign-scale sweeps holding many
+        #: ``_MAX_CACHED_RANGES`` so that campaign-scale sweeps holding many
         #: probes alive stay in bounded memory (an evicted range is simply
         #: rebuilt — and counted — if a later probe needs it again).
         self._ranges: "OrderedDict[int, _RangeModel]" = OrderedDict()
-        self._max_cached_ranges = max_cached_ranges
         self._memo: "OrderedDict[float, bool]" = OrderedDict()
-        self._memo_size = memo_size
         # Monotone knowledge accumulated from parametric solves:
         #   every F >= _feasible_min is feasible,
         #   every F <= _infeasible_max is infeasible,
@@ -322,7 +321,7 @@ class FeasibilityProbe:
     def _remember(self, objective: float, feasible: bool) -> None:
         self._memo[objective] = feasible
         self._memo.move_to_end(objective)
-        while len(self._memo) > self._memo_size:
+        while len(self._memo) > _MEMO_SIZE:
             self._memo.popitem(last=False)
 
     # -- LP machinery -------------------------------------------------------
@@ -386,14 +385,9 @@ class FeasibilityProbe:
         self.model_constructions += 1
         range_model = _RangeModel(index=k, low=low, high=high, alloc=alloc)
         self._ranges[k] = range_model
-        while len(self._ranges) > self._max_cached_ranges:
+        while len(self._ranges) > _MAX_CACHED_RANGES:
             self._ranges.popitem(last=False)
         return range_model
-
-    @property
-    def cached_range_count(self) -> int:
-        """Number of parametric range models currently held in the LRU cache."""
-        return len(self._ranges)
 
     def _solve_form(self, form: MatrixForm, range_model: _RangeModel) -> LPSolution:
         if self._label == "scipy-highs":

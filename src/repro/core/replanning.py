@@ -135,6 +135,10 @@ def remaining_subinstance(
     return sub_instance, [job_index for job_index, _ in paired]
 
 
+#: Lowered System (2) skeletons cached per probe (LRU).
+_MAX_CACHED_MODELS = 64
+
+
 @dataclass
 class _ModelTemplate:
     """One cached System (2) skeleton: lowered model plus refresh positions."""
@@ -203,16 +207,12 @@ class ReplanProbe:
         *,
         preemptive: bool = False,
         backend: str = "scipy",
-        max_cached_models: int = 64,
         rank_keyed: bool = False,
         recorder: Optional[Recorder] = None,
     ) -> None:
-        if max_cached_models < 1:
-            raise ValueError("max_cached_models must be at least 1")
         self.preemptive = preemptive
         self.backend = backend
         self._label = canonical_backend(backend)  # raises on unknown
-        self._max_cached_models = max_cached_models
         self._rank_keyed = rank_keyed
         # Injected metrics sink (None resolves to the process default at
         # probe time; the obs-recorder-default lint rule forbids concrete
@@ -239,11 +239,6 @@ class ReplanProbe:
         self.event_refresh_reuses = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def cached_model_count(self) -> int:
-        """Number of LP skeletons currently held in the LRU cache."""
-        return len(self._templates)
-
     def check(
         self,
         instance: Instance,
@@ -513,7 +508,7 @@ class ReplanProbe:
         )
 
         self._templates[key] = template
-        while len(self._templates) > self._max_cached_models:
+        while len(self._templates) > _MAX_CACHED_MODELS:
             self._templates.popitem(last=False)
         return template
 

@@ -244,10 +244,6 @@ class Schedule:
             completion_times=completions,
         )
 
-    def machine_busy_time(self, machine_index: int) -> float:
-        """Total busy time of machine ``machine_index``."""
-        return sum(piece.duration for piece in self.pieces if piece.machine_index == machine_index)
-
     def pieces_of_job(self, job_index: int) -> List[SchedulePiece]:
         """Return the pieces of job ``job_index`` sorted by start time."""
         return sorted(

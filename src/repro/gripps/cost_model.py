@@ -116,20 +116,6 @@ class GrippsCostModel:
     # ------------------------------------------------------------------ #
     # Derived quantities                                                  #
     # ------------------------------------------------------------------ #
-    def sequence_partition_overhead(self, num_motifs: Optional[int] = None) -> float:
-        """Intercept of the time-vs-sequence-block-size regression (paper: 1.1 s)."""
-        nm = self.reference_motifs if num_motifs is None else num_motifs
-        return self.base_overhead + self.per_motif_overhead * nm
-
-    def motif_partition_overhead(self, num_sequences: Optional[int] = None) -> float:
-        """Intercept of the time-vs-motif-subset-size regression (paper: 10.5 s)."""
-        ns = self.reference_sequences if num_sequences is None else num_sequences
-        return self.base_overhead + self.per_sequence_overhead * ns
-
-    def full_request_time(self) -> float:
-        """Time of the paper's reference request (≈110 s)."""
-        return self.expected_time(self.reference_motifs, self.reference_sequences)
-
     def request_size_mflop(self, num_motifs: int, num_sequences: int, mflops: float = 1000.0) -> float:
         """Convert a request into an abstract job size ``W_j`` in Mflop.
 

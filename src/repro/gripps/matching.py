@@ -16,7 +16,7 @@ calibrated cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from .motifs import Motif, MotifSet
 from .sequences import SequenceDatabank, SequenceRecord
@@ -59,13 +59,6 @@ class ScanReport:
     def num_matches(self) -> int:
         """Number of motif occurrences found."""
         return len(self.matches)
-
-    def matches_by_motif(self) -> Dict[str, int]:
-        """Match counts keyed by motif identifier."""
-        counts: Dict[str, int] = {}
-        for match in self.matches:
-            counts[match.motif_id] = counts.get(match.motif_id, 0) + 1
-        return counts
 
     def merge(self, other: "ScanReport") -> "ScanReport":
         """Combine two reports obtained on disjoint blocks of the same request.

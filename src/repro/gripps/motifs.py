@@ -47,22 +47,6 @@ class MotifElement:
     max_repeat: int = 1
     negated: bool = False
 
-    def to_prosite(self) -> str:
-        """Render the element back to PROSITE-like text."""
-        if self.residues is None:
-            core = "x"
-        elif self.negated:
-            core = "{" + "".join(sorted(self.residues)) + "}"
-        elif len(self.residues) == 1:
-            core = next(iter(self.residues))
-        else:
-            core = "[" + "".join(sorted(self.residues)) + "]"
-        if (self.min_repeat, self.max_repeat) == (1, 1):
-            return core
-        if self.min_repeat == self.max_repeat:
-            return f"{core}({self.min_repeat})"
-        return f"{core}({self.min_repeat},{self.max_repeat})"
-
     def to_regex(self) -> str:
         """Render the element as a Python regular-expression fragment."""
         if self.residues is None:
@@ -90,10 +74,6 @@ class Motif:
             raise WorkloadError(f"motif {self.identifier!r} has no pattern elements")
 
     # ------------------------------------------------------------------ #
-    def to_prosite(self) -> str:
-        """PROSITE-like textual form (e.g. ``C-x(2,4)-[DE]-H``)."""
-        return "-".join(element.to_prosite() for element in self.elements)
-
     def to_regex(self) -> str:
         """Python regular expression matching the motif."""
         return "".join(element.to_regex() for element in self.elements)
@@ -101,45 +81,6 @@ class Motif:
     def compile(self) -> "re.Pattern[str]":
         """Compiled regular expression for the scanning engine."""
         return re.compile(self.to_regex())
-
-    @property
-    def min_span(self) -> int:
-        """Minimum number of residues a match can cover."""
-        return sum(element.min_repeat for element in self.elements)
-
-    @staticmethod
-    def from_prosite(identifier: str, pattern: str) -> "Motif":
-        """Parse a PROSITE-like pattern such as ``C-x(2)-[DE]-{P}-H``."""
-        elements: List[MotifElement] = []
-        for token in pattern.strip().split("-"):
-            token = token.strip()
-            if not token:
-                continue
-            repeat_match = re.search(r"\((\d+)(?:,(\d+))?\)$", token)
-            if repeat_match:
-                min_repeat = int(repeat_match.group(1))
-                max_repeat = int(repeat_match.group(2) or repeat_match.group(1))
-                core = token[: repeat_match.start()]
-            else:
-                min_repeat = max_repeat = 1
-                core = token
-            if core in ("x", "X"):
-                elements.append(MotifElement(None, min_repeat, max_repeat))
-            elif core.startswith("[") and core.endswith("]"):
-                elements.append(
-                    MotifElement(frozenset(core[1:-1].upper()), min_repeat, max_repeat)
-                )
-            elif core.startswith("{") and core.endswith("}"):
-                elements.append(
-                    MotifElement(
-                        frozenset(core[1:-1].upper()), min_repeat, max_repeat, negated=True
-                    )
-                )
-            elif len(core) == 1 and core.upper() in AMINO_ACIDS:
-                elements.append(MotifElement(frozenset(core.upper()), min_repeat, max_repeat))
-            else:
-                raise WorkloadError(f"cannot parse motif element {token!r} in {pattern!r}")
-        return Motif(identifier=identifier, elements=tuple(elements))
 
     @staticmethod
     def random(identifier: str, rng: np.random.Generator, mean_length: float = 8.0) -> "Motif":

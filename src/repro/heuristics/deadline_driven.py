@@ -186,8 +186,3 @@ class DeadlineDrivenScheduler(OnlineScheduler):
 
         ranked = sorted(active, key=lambda j: self._deadline(state, j))
         return fastest_free_assignment(instance, ranked)
-
-    @property
-    def current_target(self) -> float:
-        """The policy's current max-weighted-flow target (useful for inspection)."""
-        return self._target

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Set, Tuple
 
-from .findings import Finding, WARNING
+from .findings import Finding
 from .registry import Rule, RuleSpec, register_rule
 
 __all__ = [

@@ -17,7 +17,7 @@ from ..obs.clock import wall_clock
 from .baseline import DEFAULT_BASELINE_NAME, Baseline, load_baseline
 from .findings import ERROR, Finding, severity_rank
 from .registry import available_rules, rule_spec
-from .sources import ProjectContext, load_project
+from .sources import load_project
 
 __all__ = ["LintReport", "find_project_root", "run_lint"]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import inspect
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .findings import Finding
 from .registry import Rule, RuleSpec, register_rule

@@ -57,21 +57,19 @@ def canonical_backend(name: str) -> str:
         ) from None
 
 
-def solve_form(form: MatrixForm, backend: str = "scipy", **options) -> LPSolution:
+def solve_form(form: MatrixForm, backend: str = "scipy") -> LPSolution:
     """Solve a lowered :class:`~repro.lp.standard_form.MatrixForm` with ``backend``.
 
     ``backend`` is any name accepted by :func:`canonical_backend`: HiGHS
-    through :func:`repro.lp.scipy_backend.solve_matrix_form` (``options``
-    such as ``method`` are forwarded to ``linprog``), or a cold solve with
-    the in-house revised simplex
-    (:func:`repro.lp.revised_simplex.solve_matrix_form`, ``options`` such as
-    ``max_iterations``).
+    through :func:`repro.lp.scipy_backend.solve_matrix_form`, or a cold solve
+    with the in-house revised simplex
+    (:func:`repro.lp.revised_simplex.solve_matrix_form`).
     """
     if canonical_backend(backend) == "scipy-highs":
         from .scipy_backend import solve_matrix_form
     else:
         from .revised_simplex import solve_matrix_form
-    return solve_matrix_form(form, **options)
+    return solve_matrix_form(form)
 
 
 @dataclass(frozen=True)

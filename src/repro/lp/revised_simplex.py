@@ -1059,31 +1059,30 @@ def solve_matrix_form_revised(
         program = handle.program
         assert program is not None  # matches() guarantees it
         started = wall_clock() if rec.enabled else 0.0
-        outcome = "limit"
+        solution: Optional[LPSolution] = None
         try:
             program._rebind(form)
             outcome = program._dual()
+            dual_seconds = wall_clock() - started if rec.enabled else 0.0
+            if outcome == "infeasible":
+                solution = LPSolution(
+                    status=LPStatus.INFEASIBLE,
+                    backend=_BACKEND,
+                    iterations=program.iterations,
+                )
+            elif outcome != "limit":
+                # A witness read refactorises first; a singular basis there
+                # falls back like every other numerical failure.
+                solution = _optimum(program, form, verdict_only)
         except _Numerics:
-            outcome = "limit"
-        if outcome != "limit":
+            pass
+        if solution is not None:
             if rec.enabled:
                 rec.count("lp.solves")
                 rec.count("lp.warm_start_hits")
                 rec.observe("lp.iterations", float(program.iterations))
-                rec.observe("lp.time.revised.dual", wall_clock() - started)
-            if outcome == "infeasible":
-                return RevisedSolve(
-                    LPSolution(
-                        status=LPStatus.INFEASIBLE,
-                        backend=_BACKEND,
-                        iterations=program.iterations,
-                    ),
-                    program.snapshot(),
-                    warm_used=True,
-                )
-            return RevisedSolve(
-                _optimum(program, form, verdict_only), program.snapshot(), warm_used=True
-            )
+                rec.observe("lp.time.revised.dual", dual_seconds)
+            return RevisedSolve(solution, program.snapshot(), warm_used=True)
         # Poisoned kept-alive state: drop it and rebuild from scratch below.
         handle.program = None
         handle.blocks = None

@@ -13,8 +13,7 @@ The scheduling modules of :mod:`repro.core` build their forms directly
 The constraint blocks are dense (`numpy.ndarray`) or sparse
 (`scipy.sparse.csr_matrix`).  The allocation LPs have a few non-zeros per
 row but thousands of columns, so production forms are CSR, and both solvers
-consume CSR blocks directly: HiGHS via :mod:`repro.lp.scipy_backend` (HiGHS
-methods only — legacy scipy methods densify with a one-time warning) and
+consume CSR blocks directly: HiGHS via :mod:`repro.lp.scipy_backend` and
 the in-house revised simplex of :mod:`repro.lp.revised_simplex`, which
 works on the CSR/CSC blocks without ever materialising a dense tableau.
 :meth:`MatrixForm.densified` converts back to dense blocks.
@@ -99,12 +98,11 @@ class MatrixForm:
     def densified(self) -> "MatrixForm":
         """Return an equivalent form with dense constraint blocks.
 
-        Only scipy's legacy non-HiGHS methods (and the frozen tableau the
-        tests compare against) need this; the production
-        solvers (HiGHS, the in-house revised simplex) consume the CSR blocks
-        directly.  Returns ``self`` when the form is already dense; the
-        vectors and the bounds list are shared either way (they are never
-        mutated by the backends).
+        Only the frozen tableau the tests compare against and the dense side
+        of the lowering bench need this; the production solvers (HiGHS, the
+        in-house revised simplex) consume the CSR blocks directly.  Returns
+        ``self`` when the form is already dense; the vectors and the bounds
+        list are shared either way (they are never mutated by the backends).
         """
         if not self.is_sparse:
             return self

@@ -18,7 +18,7 @@ Design constraints (ISSUE 8):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
 
 __all__ = [

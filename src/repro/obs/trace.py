@@ -80,9 +80,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
-    def instant(self, name: str, time: float, *, track: str = "main", **args: object) -> None:
-        self.events.append(TraceEvent(name, "I", time, track=track, args=args))
-
     def complete(
         self,
         name: str,

@@ -65,10 +65,10 @@ class SimulationState:
     and must not retain the object (or its ``active``/``remaining_list``
     lists) across calls.
 
-    Policies read per-job dynamic state only through :meth:`active_jobs` and
-    the scalar accessors (:meth:`remaining_fraction` and the quantities
-    derived from it), or through ``remaining_list`` when it is bound.  The
-    accessors read whichever copy of the remaining work the state carries.
+    Policies read per-job dynamic state only through :meth:`active_jobs`,
+    :meth:`remaining_fraction` and :meth:`fastest_remaining_work`, or through
+    ``remaining_list`` when it is bound.  The two accessors read whichever
+    copy of the remaining work the state carries.
 
     Attributes
     ----------
@@ -134,20 +134,9 @@ class SimulationState:
             return float(self.remaining_vector[job_index])
         return self.jobs[job_index].remaining_fraction
 
-    def remaining_work(self, job_index: int, machine_index: int) -> float:
-        """Remaining processing time of job ``job_index`` if run only on ``machine_index``."""
-        return self.remaining_fraction(job_index) * self.instance.cost(
-            machine_index, job_index
-        )
-
     def fastest_remaining_work(self, job_index: int) -> float:
         """Remaining processing time of the job on its fastest machine."""
         return self.remaining_fraction(job_index) * self.instance.min_cost(job_index)
-
-    def current_weighted_flow(self, job_index: int) -> float:
-        """Weighted flow the job would have if it completed right now."""
-        job = self.instance.jobs[job_index]
-        return job.weight * (self.time - job.release_date)
 
 
 @dataclass

@@ -29,7 +29,6 @@ equal.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -124,14 +123,6 @@ class InstanceView:
                 return index
         raise KeyError(f"no machine named {name!r} in instance")
 
-    def eligible_machines(self, job_index: int) -> List[int]:
-        column = self._window.costs_base[:, job_index]
-        return [i for i in range(self.num_machines) if math.isfinite(column[i])]
-
-    def eligible_jobs(self, machine_index: int) -> List[int]:
-        row = self._window.costs_base[machine_index]
-        return [j for j in range(self.num_jobs) if math.isfinite(row[j])]
-
     # -- derived quantities ---------------------------------------------- #
     def aggregate_rate(self, job_index: int) -> float:
         column = self.costs[:, job_index]
@@ -164,12 +155,6 @@ class InstanceView:
             machines=self._window.machines,
             costs=self.costs.copy(),
         )
-
-    def with_stretch_weights(self) -> Instance:
-        return self.materialise().with_stretch_weights()
-
-    def restricted_to_jobs(self, job_indices: Sequence[int]) -> Instance:
-        return self.materialise().restricted_to_jobs(job_indices)
 
     def to_dict(self) -> Dict:
         return self.materialise().to_dict()

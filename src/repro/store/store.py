@@ -39,7 +39,7 @@ import math
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.campaign import CampaignRecord
 from ..analysis.regression import CellDiff, CrossRunDiff, cross_run_cell_diff, cross_run_diff
@@ -147,9 +147,9 @@ class GcReport:
 
     Attributes
     ----------
-    stale_records:
+    stale_by_epoch:
         Records whose ``code_epoch`` no longer matches (orphaned by an epoch
-        bump) — by epoch, plus the total.
+        bump), counted by epoch.
     incomplete_runs:
         Ids of killed/unfinished runs selected for vacuuming.
     membership_rows:
@@ -163,11 +163,6 @@ class GcReport:
     incomplete_runs: List[int]
     membership_rows: int
     dry_run: bool
-
-    @property
-    def stale_records(self) -> int:
-        """Total stale-epoch records selected."""
-        return sum(self.stale_by_epoch.values())
 
     @property
     def empty(self) -> bool:

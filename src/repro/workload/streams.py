@@ -40,11 +40,12 @@ one go), and two streams opened from equal specs produce identical jobs.
 Load calibration
 ----------------
 The paper's portal-load experiments sweep the arrival rate against the
-platform's capacity.  :meth:`StreamSpec.offered_load` computes the
-utilisation ``rho = rate * E[W] / sum_i(1 / c_i)`` — offered work over the
-platform's aggregate divisible-model capacity (the off-line fluid bound) —
-and :meth:`StreamSpec.with_utilisation` inverts it, so load sweeps are
-expressed directly in ``rho``.
+platform's capacity.  The utilisation is ``rho = rate * E[W] / sum_i(1 / c_i)``
+— offered work over the platform's aggregate divisible-model capacity (the
+off-line fluid bound); ``rho >= 1`` streams are super-critical and saturate
+every policy.  :meth:`StreamSpec.with_utilisation` sets the arrival rate
+that offers a given ``rho``, so load sweeps are expressed directly in
+``rho``.
 """
 
 from __future__ import annotations
@@ -266,21 +267,6 @@ class StreamSpec:
             * (low ** (1.0 - alpha) - high ** (1.0 - alpha))
         )
 
-    def offered_load(self, machines: Optional[Sequence[Machine]] = None) -> float:
-        """Utilisation ``rho``: offered work over the platform's fluid capacity.
-
-        The capacity is the divisible-model aggregate rate
-        ``sum_i 1 / cycle_time_i`` — the off-line bound an omniscient
-        scheduler could saturate; ``rho >= 1`` streams are super-critical
-        and will saturate every policy.
-        """
-        if self.arrivals == "trace":
-            raise WorkloadError("trace streams replay fixed release dates; no offered load")
-        if machines is None:
-            machines = self.platform_instance().machines
-        capacity = sum(1.0 / machine.cycle_time for machine in machines)
-        return self.rate * self.mean_size() / capacity
-
     def with_rate(self, rate: float) -> "StreamSpec":
         """Copy of the spec with a different mean arrival rate."""
         return replace(self, rate=float(rate))
@@ -288,8 +274,12 @@ class StreamSpec:
     def with_utilisation(
         self, rho: float, machines: Optional[Sequence[Machine]] = None
     ) -> "StreamSpec":
-        """Copy of the spec whose rate offers utilisation ``rho`` (see
-        :meth:`offered_load`)."""
+        """Copy of the spec whose rate offers utilisation ``rho``.
+
+        ``rho`` is the arrival rate times the mean job size over the fluid
+        capacity ``sum_i 1 / c_i`` of ``machines`` (by default the spec's
+        own platform), so the returned rate is ``rho * capacity / E[W]``.
+        """
         if rho <= 0:
             raise WorkloadError("utilisation must be positive")
         if self.arrivals == "trace":

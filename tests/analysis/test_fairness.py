@@ -50,7 +50,7 @@ class TestFairnessReport:
         assert report.max_stretch == pytest.approx(1.25)
         assert 0.9 < report.jain <= 1.0
         assert report.starvation_ratio >= 1.0
-        assert len(report.as_rows()) == 2
+        assert len(report.weighted_flows) == 2
 
     def test_incomplete_schedule_rejected(self, instance):
         schedule = Schedule(instance)
@@ -85,7 +85,7 @@ class TestFairnessEdgeCases:
             starvation_ratio=float("inf"),
         )
         assert report.starvation_ratio == float("inf")
-        assert len(report.as_rows()) == 3
+        assert len(report.weighted_flows) == 3
 
     def test_weighted_flows_follow_job_weights(self):
         from repro.core import Job, Instance
@@ -101,5 +101,8 @@ class TestFairnessEdgeCases:
         report = fairness_report(schedule)
         # heavy finishes at 4 with weight 3 -> weighted flow 12; light 2.
         assert report.weighted_flows == [pytest.approx(2.0), pytest.approx(12.0)]
-        assert report.as_rows()[1] == (1, pytest.approx(2.0), pytest.approx(12.0))
+        assert (report.stretches[1], report.weighted_flows[1]) == (
+            pytest.approx(2.0),
+            pytest.approx(12.0),
+        )
 

@@ -36,26 +36,19 @@ class TestExactFits:
 
 
 class TestStatistics:
-    def test_noisy_fit_confidence_interval_contains_truth(self):
+    def test_noisy_fit_recovers_the_truth_within_its_standard_errors(self):
         rng = np.random.default_rng(2)
         x = np.linspace(0, 50, 200)
         y = 5.0 + 2.0 * x + rng.normal(0, 1.0, size=200)
         fit = linear_regression(x, y)
-        low, high = fit.intercept_confidence_interval(0.99)
-        assert low <= 5.0 <= high
-        low, high = fit.slope_confidence_interval(0.99)
-        assert low <= 2.0 <= high
+        assert abs(fit.intercept - 5.0) <= 3.0 * fit.intercept_stderr
+        assert abs(fit.slope - 2.0) <= 3.0 * fit.slope_stderr
         assert 0.99 < fit.r_squared <= 1.0
 
     def test_summary_format(self):
         fit = linear_regression([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         text = fit.summary()
         assert "R^2" in text and "n = 3" in text
-
-    def test_invalid_confidence_rejected(self):
-        fit = linear_regression([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(WorkloadError):
-            fit.intercept_confidence_interval(1.5)
 
 
 class TestInputValidation:
@@ -143,15 +136,6 @@ class TestCrossRunDiff:
 
         with pytest.raises(WorkloadError):
             cross_run_diff({}, {})
-
-    def test_for_policy_selector(self):
-        from repro.analysis import cross_run_diff
-
-        diff = cross_run_diff(
-            {"mct": self._metrics(1.5), "fifo": self._metrics(2.0)},
-            {"mct": self._metrics(1.5), "fifo": self._metrics(2.0)},
-        )
-        assert {d.policy for d in diff.for_policy("mct")} == {"mct"}
 
     def test_render_cross_run_diff_table(self):
         from repro.analysis import cross_run_diff, render_cross_run_diff

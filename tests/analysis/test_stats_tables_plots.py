@@ -99,13 +99,10 @@ class TestExperimentReport:
         report.add("motif overhead [s]", 10.5, 10.4, note="regression intercept")
         text = report.render()
         assert "E3" in text and "sequence overhead [s]" in text
-        assert report.max_relative_error() == pytest.approx(0.05 / 1.1, rel=1e-6)
         record = report.records[0]
         assert record.ratio == pytest.approx(1.15 / 1.1)
-        assert record.relative_error == pytest.approx(0.05 / 1.1)
 
     def test_zero_paper_value_gives_none_ratio(self):
         report = ExperimentReport("X", "degenerate")
         report.add("something", 0.0, 1.0)
         assert report.records[0].ratio is None
-        assert report.max_relative_error() == 0.0

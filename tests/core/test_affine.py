@@ -11,7 +11,7 @@ class TestAffineArithmetic:
     def test_constant_constructor(self):
         fn = Affine.const(3.0)
         assert fn(0.0) == 3.0 and fn(100.0) == 3.0
-        assert fn.is_constant()
+        assert fn.slope == 0.0
 
     def test_evaluation(self):
         fn = Affine(2.0, 0.5)

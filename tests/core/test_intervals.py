@@ -40,13 +40,6 @@ class TestConstantIntervals:
         with pytest.raises(InvalidInstanceError):
             build_constant_intervals([])
 
-    def test_contains_time(self):
-        (interval,) = build_constant_intervals([1.0, 3.0])
-        assert interval.contains_time(1.0)
-        assert interval.contains_time(2.9999)
-        assert not interval.contains_time(3.0)
-        assert not interval.contains_time(0.5)
-
     def test_indices_are_consecutive(self):
         intervals = build_constant_intervals([0.0, 1.0, 2.0, 3.0])
         assert [interval.index for interval in intervals] == [0, 1, 2]

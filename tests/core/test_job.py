@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Job, sort_by_release_date
+from repro.core import Job, deadline_function, sort_by_release_date
 from repro.core.job import validate_jobs
 from repro.exceptions import InvalidInstanceError
 
@@ -47,15 +47,11 @@ class TestJobValidation:
 class TestJobDerivedQuantities:
     def test_deadline_for_flow(self):
         job = Job("J1", 3.0, weight=2.0)
-        assert job.deadline_for_flow(4.0) == pytest.approx(5.0)
+        assert deadline_function(job)(4.0) == pytest.approx(5.0)
 
     def test_deadline_for_zero_flow_is_release_date(self):
         job = Job("J1", 3.0, weight=2.0)
-        assert job.deadline_for_flow(0.0) == pytest.approx(3.0)
-
-    def test_deadline_rejects_negative_objective(self):
-        with pytest.raises(ValueError):
-            Job("J1", 3.0).deadline_for_flow(-1.0)
+        assert deadline_function(job)(0.0) == pytest.approx(3.0)
 
     def test_weighted_flow(self):
         job = Job("J1", 1.0, weight=3.0)
@@ -69,15 +65,11 @@ class TestJobDerivedQuantities:
         with pytest.raises(InvalidInstanceError):
             Job("J1", 0.0).stretch_weight()
 
-    def test_with_release_date_and_weight_and_size(self):
+    def test_with_weight(self):
         job = Job("J1", 1.0, weight=2.0, size=5.0, databanks=frozenset({"x"}))
-        moved = job.with_release_date(7.0)
-        assert moved.release_date == 7.0
-        assert moved.weight == job.weight and moved.databanks == job.databanks
         reweighted = job.with_weight(4.0)
         assert reweighted.weight == 4.0 and reweighted.release_date == job.release_date
-        resized = job.with_size(9.0)
-        assert resized.size == 9.0 and resized.name == job.name
+        assert reweighted.size == job.size and reweighted.databanks == job.databanks
 
 
 class TestJobCollections:

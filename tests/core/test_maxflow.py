@@ -11,10 +11,12 @@ from repro.core import (
     Instance,
     Job,
     check_deadline_feasibility,
+    deadline_function,
     minimize_max_stretch,
     minimize_max_weighted_flow,
     minimize_max_weighted_flow_bisection,
 )
+from repro.core import maxflow
 
 
 class TestKnownOptima:
@@ -58,10 +60,10 @@ class TestOptimalityCertificates:
         result = minimize_max_weighted_flow(tiny_instance)
         n = tiny_instance.num_jobs
         slightly_above = [
-            job.deadline_for_flow(result.objective * (1 + 1e-6)) for job in tiny_instance.jobs
+            deadline_function(job)(result.objective * (1 + 1e-6)) for job in tiny_instance.jobs
         ]
         slightly_below = [
-            job.deadline_for_flow(result.objective * (1 - 1e-3)) for job in tiny_instance.jobs
+            deadline_function(job)(result.objective * (1 - 1e-3)) for job in tiny_instance.jobs
         ]
         assert check_deadline_feasibility(tiny_instance, slightly_above, build_schedule=False).feasible
         assert not check_deadline_feasibility(
@@ -126,7 +128,7 @@ class TestFeasibilityProbe:
         exact = minimize_max_weighted_flow(tiny_instance).objective
         for factor in (0.5, 0.9, 1.1, 2.0, 10.0):
             objective = exact * factor
-            deadlines = [job.deadline_for_flow(objective) for job in tiny_instance.jobs]
+            deadlines = [deadline_function(job)(objective) for job in tiny_instance.jobs]
             direct = check_deadline_feasibility(
                 tiny_instance, deadlines, build_schedule=False
             ).feasible
@@ -211,42 +213,41 @@ class TestRangeCacheEviction:
             if bounds[k + 1] > low and bounds[k] < high
         ]
 
-    def test_cap_is_honoured_and_answers_are_unchanged(self):
+    def test_cap_is_honoured_and_answers_are_unchanged(self, monkeypatch):
         from repro.workload import random_unrelated_instance
 
         instance = random_unrelated_instance(8, 2, seed=7)
-        capped = FeasibilityProbe(instance, max_cached_ranges=2)
         uncapped = FeasibilityProbe(instance)
-        midpoints = self._window_midpoints(capped)
+        midpoints = self._window_midpoints(uncapped)
         assert len(midpoints) >= 4  # the fixture spans several ranges
+        answers = {objective: uncapped.probe(objective) for objective in reversed(midpoints)}
+        assert len(uncapped._ranges) == uncapped.model_constructions
 
+        monkeypatch.setattr(maxflow, "_MAX_CACHED_RANGES", 2)
+        capped = FeasibilityProbe(instance)
         # Descending probes keep hitting fresh ranges until the optimum's
         # range is solved, so several models are built under the cap.
         for objective in reversed(midpoints):
-            assert capped.probe(objective) == uncapped.probe(objective)
-            assert capped.cached_range_count <= 2
+            assert capped.probe(objective) == answers[objective]
+            assert len(capped._ranges) <= 2
         assert capped.model_constructions >= 3  # eviction actually happened
         assert capped.model_constructions == uncapped.model_constructions
-        assert uncapped.cached_range_count == uncapped.model_constructions
 
         # Evicted ranges do not corrupt later answers.
         for objective in midpoints:
-            assert capped.probe(objective) == uncapped.probe(objective)
-        assert capped.cached_range_count <= 2
+            assert capped.probe(objective) == answers[objective]
+        assert len(capped._ranges) <= 2
 
-    def test_capped_probe_still_finds_the_exact_optimum(self):
+    def test_capped_probe_still_finds_the_exact_optimum(self, monkeypatch):
         from repro.workload import random_unrelated_instance
 
         instance = random_unrelated_instance(8, 2, seed=7)
         reference = minimize_max_weighted_flow(instance)
-        capped = FeasibilityProbe(instance, max_cached_ranges=1)
+        monkeypatch.setattr(maxflow, "_MAX_CACHED_RANGES", 1)
+        capped = FeasibilityProbe(instance)
         result = minimize_max_weighted_flow(instance, probe=capped)
         assert result.objective == pytest.approx(reference.objective, abs=1e-9)
-        assert capped.cached_range_count <= 1
-
-    def test_invalid_cap_is_rejected(self, tiny_instance):
-        with pytest.raises(ValueError):
-            FeasibilityProbe(tiny_instance, max_cached_ranges=0)
+        assert len(capped._ranges) <= 1
 
 
 class TestWeightsAndStretch:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import Instance, Job, ReplanProbe, check_deadline_feasibility
+from repro.core import replanning
 from repro.core.replanning import remaining_subinstance
 from repro.exceptions import InvalidInstanceError
 from repro.workload import random_restricted_instance, random_unrelated_instance
@@ -91,16 +92,25 @@ class TestStructureCache:
         assert probe.model_constructions == 1
         assert probe.cache_hits == 2
 
-    def test_lru_cap_bounds_cached_models(self):
-        probe = ReplanProbe(max_cached_models=2)
+    def test_lru_cap_bounds_cached_models(self, monkeypatch):
+        monkeypatch.setattr(replanning, "_MAX_CACHED_MODELS", 2)
+        probe = ReplanProbe()
         instance = random_unrelated_instance(6, 2, seed=1)
-        # Different objectives cross milestone ranges => different structures.
-        for objective in (5.0, 20.0, 60.0, 150.0, 400.0):
+
+        def check(active):
             sub, deadlines = _sub_and_deadlines(
-                instance, 0.0, [0, 1, 2, 3], [1.0, 0.8, 0.6, 0.4], objective
+                instance, 0.0, active, [1.0] * len(active), 50.0
             )
             probe.check(sub, deadlines, build_schedule=False)
-        assert probe.cached_model_count <= 2
+
+        # Different active-job counts => different structures.
+        for active in ([0, 1, 2, 3], [0, 1, 2], [0, 1], [0]):
+            check(active)
+            assert len(probe._templates) <= 2
+        assert probe.model_constructions == 4
+        # The first structure was evicted, so asking it again rebuilds it.
+        check([0, 1, 2, 3])
+        assert probe.model_constructions == 5
 
     def test_counters_account_every_probe(self):
         probe = ReplanProbe()
@@ -129,8 +139,6 @@ class TestEdgeCases:
             probe.check(instance, [1.0])
 
     def test_bad_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            ReplanProbe(max_cached_models=0)
         with pytest.raises(ValueError):
             ReplanProbe(backend="no-such-backend")
 

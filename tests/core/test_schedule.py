@@ -65,11 +65,6 @@ class TestMetrics:
         assert metrics.max_stretch == pytest.approx(2.0)
         assert "makespan" in metrics.summary()
 
-    def test_machine_busy_time(self, instance):
-        schedule = self._full_schedule(instance)
-        assert schedule.machine_busy_time(0) == pytest.approx(6.0)
-        assert schedule.machine_busy_time(1) == 0.0
-
     def test_completion_time_of_absent_job_raises(self, instance):
         schedule = Schedule(instance)
         with pytest.raises(InvalidScheduleError):

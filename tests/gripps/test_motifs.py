@@ -10,60 +10,57 @@ from repro.gripps import Motif, MotifSet
 from repro.gripps.motifs import MotifElement
 
 
-class TestMotifParsing:
+def _residue(residues: str, min_repeat: int = 1, max_repeat: int = 1, negated: bool = False):
+    return MotifElement(frozenset(residues), min_repeat, max_repeat, negated)
+
+
+def _wildcard(min_repeat: int, max_repeat: int) -> MotifElement:
+    return MotifElement(None, min_repeat, max_repeat)
+
+
+class TestMotifPatterns:
     def test_simple_fixed_pattern(self):
-        motif = Motif.from_prosite("m1", "C-A-T")
-        assert motif.to_prosite() == "C-A-T"
+        motif = Motif("m1", (_residue("C"), _residue("A"), _residue("T")))
         assert motif.to_regex() == "[C][A][T]"
-        assert motif.min_span == 3
 
     def test_residue_class_and_wildcard(self):
-        motif = Motif.from_prosite("m2", "C-x(2)-[DE]-H")
-        assert motif.min_span == 5
+        motif = Motif("m2", (_residue("C"), _wildcard(2, 2), _residue("DE"), _residue("H")))
         assert motif.compile().search("AACQQDHAA") is not None
         assert motif.compile().search("AACQQAHAA") is None
 
     def test_variable_wildcard_range(self):
-        motif = Motif.from_prosite("m3", "A-x(1,3)-C")
+        motif = Motif("m3", (_residue("A"), _wildcard(1, 3), _residue("C")))
         pattern = motif.compile()
         assert pattern.search("AGC")
         assert pattern.search("AGGGC")
         assert not pattern.search("AGGGGC")
 
     def test_negated_class(self):
-        motif = Motif.from_prosite("m4", "A-{P}-C")
+        motif = Motif("m4", (_residue("A"), _residue("P", negated=True), _residue("C")))
         pattern = motif.compile()
         assert pattern.search("AGC")
         assert not pattern.search("APC")
-
-    def test_invalid_token_rejected(self):
-        with pytest.raises(WorkloadError):
-            Motif.from_prosite("bad", "A-??-C")
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(WorkloadError):
             Motif("empty", tuple())
 
-    def test_element_round_trip(self):
-        element = MotifElement(frozenset({"D", "E"}), 2, 4)
-        assert element.to_prosite() == "[DE](2,4)"
+    def test_element_regex(self):
+        element = _residue("DE", 2, 4)
         assert element.to_regex() == "[DE]{2,4}"
 
 
 class TestRandomMotifs:
-    def test_random_motif_is_parseable_and_compilable(self):
+    def test_random_motif_is_compilable(self):
         rng = np.random.default_rng(0)
         motif = Motif.random("rand", rng)
-        assert motif.min_span >= 4
+        assert sum(element.min_repeat for element in motif.elements) >= 4
         motif.compile()  # must not raise
-        # The textual form must round-trip through the parser.
-        rebuilt = Motif.from_prosite("rebuilt", motif.to_prosite())
-        assert rebuilt.to_regex() == motif.to_regex()
 
     def test_deterministic_generation(self):
         first = MotifSet.random("set", 10, seed=1)
         second = MotifSet.random("set", 10, seed=1)
-        assert [m.to_prosite() for m in first] == [m.to_prosite() for m in second]
+        assert [m.to_regex() for m in first] == [m.to_regex() for m in second]
 
 
 class TestMotifSet:

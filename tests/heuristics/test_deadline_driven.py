@@ -24,7 +24,7 @@ class TestDeadlineDriven:
     def test_target_grows_monotonically(self, tiny_instance):
         scheduler = DeadlineDrivenScheduler()
         simulate(tiny_instance, scheduler)
-        assert scheduler.current_target > 0
+        assert scheduler._target > 0
 
     def test_heavy_jobs_get_priority(self):
         # Same release/size, very different weights: the heavy job has the

@@ -22,7 +22,7 @@ from scipy.sparse._compressed import _cs_matrix
 from repro.core import maxflow, minimize_max_weighted_flow, replanning
 from repro.core.replanning import ReplanProbe
 from repro.heuristics import OnlineOfflineAdaptationScheduler
-from repro.lp import LPStatus
+from repro.lp import LPStatus, revised_simplex
 from repro.lp.revised_simplex import (
     BasisState,
     ProgramHandle,
@@ -328,6 +328,41 @@ class TestVerdictOnly:
             self._rhs(form, 0.2), warm_basis=cold.basis, verdict_only=True
         )
         assert tight.solution.status is LPStatus.INFEASIBLE
+
+
+def test_kept_program_with_a_singular_witness_refactorisation_falls_back(monkeypatch):
+    """A failed refactorisation before a handle re-solve's witness read answers cold."""
+    form = _feasibility_form()
+    handle = ProgramHandle()
+    solve_matrix_form_revised(TestVerdictOnly._rhs(form, 1.6), handle=handle)
+    kept = handle.program
+    assert kept is not None
+    resolve = TestVerdictOnly._rhs(form, 1.3 * 0.97)
+    assert handle.matches(resolve)
+
+    original_optimum = revised_simplex._optimum
+    failures = []
+
+    def singular(*args):
+        failures.append(True)
+        raise revised_simplex._Numerics("singular basis")
+
+    def optimum(program, form, verdict_only):
+        if program is kept:
+            assert program.updates_since  # the re-solve pivoted: the read refactorises
+            program._refactor = singular
+        return original_optimum(program, form, verdict_only)
+
+    monkeypatch.setattr(revised_simplex, "_optimum", optimum)
+    result = solve_matrix_form_revised(resolve, handle=handle)
+    cold = solve_matrix_form_revised(resolve)
+
+    assert failures == [True]
+    assert not result.warm_used
+    assert result.solution.status is cold.solution.status is LPStatus.OPTIMAL
+    assert result.solution.objective_value == cold.solution.objective_value
+    assert result.solution.values == cold.solution.values
+    assert handle.program is not kept
 
 
 class TestLayoutReuse:

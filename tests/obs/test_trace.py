@@ -34,7 +34,7 @@ class TestTraceEvent:
 class TestTracer:
     def test_event_builders_cover_the_phases(self):
         tracer = Tracer()
-        tracer.instant("arrive", 1.0, track="q", job=3)
+        tracer.annotate_wall_clock("arrive", 1.0, track="q")
         tracer.complete("run", 1.0, 4.0, track="q")
         tracer.counter("depth", 2.0, 7.0, track="q")
         assert len(tracer) == 3
@@ -43,7 +43,7 @@ class TestTracer:
 
     def test_jsonl_is_key_sorted_compact_with_trailing_newline(self):
         tracer = Tracer()
-        tracer.instant("b", 1.0, zeta=1, alpha=2)
+        tracer.complete("b", 1.0, 0.5, zeta=1, alpha=2)
         text = tracer.to_jsonl()
         assert text.endswith("\n")
         line = text.splitlines()[0]
@@ -60,9 +60,9 @@ class TestTracer:
 
     def test_chrome_assigns_tids_in_first_seen_order(self):
         tracer = Tracer()
-        tracer.instant("x", 0.5, track="beta")
+        tracer.counter("x", 0.5, 1.0, track="beta")
         tracer.complete("y", 0.0, 1.5, track="alpha")
-        tracer.instant("z", 1.0, track="beta")
+        tracer.counter("z", 1.0, 2.0, track="beta")
         payload = json.loads(tracer.to_chrome())
         events = payload["traceEvents"]
         metadata = [e for e in events if e["ph"] == "M"]
@@ -75,7 +75,7 @@ class TestTracer:
 
     def test_wall_clock_annotation_is_the_only_nondeterminism(self):
         tracer = Tracer()
-        tracer.instant("deterministic", 1.0)
+        tracer.complete("deterministic", 1.0, 0.5)
         plain = tracer.to_jsonl()
         tracer.annotate_wall_clock("mark", 2.0)
         annotated = tracer.to_jsonl()

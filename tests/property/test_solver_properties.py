@@ -19,6 +19,7 @@ from repro.core import (
     Instance,
     Job,
     check_deadline_feasibility,
+    deadline_function,
     minimize_makespan,
     minimize_max_weighted_flow,
 )
@@ -99,7 +100,7 @@ class TestSolverInvariants:
     @settings(max_examples=15, deadline=None)
     def test_deadline_feasibility_is_monotone(self, instance, slack):
         optimum = minimize_max_weighted_flow(instance).objective
-        tight = [job.deadline_for_flow(optimum * 0.8) for job in instance.jobs]
+        tight = [deadline_function(job)(optimum * 0.8) for job in instance.jobs]
         loose = [deadline + slack for deadline in tight]
         tight_feasible = check_deadline_feasibility(
             instance, tight, build_schedule=False

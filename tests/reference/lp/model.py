@@ -197,7 +197,7 @@ class LinearProgram:
     # ------------------------------------------------------------------ #
     # Solving                                                             #
     # ------------------------------------------------------------------ #
-    def solve(self, backend: str = "scipy", **kwargs) -> LPSolution:
+    def solve(self, backend: str = "scipy") -> LPSolution:
         """Solve the model and return an :class:`LPSolution`.
 
         Parameters
@@ -207,16 +207,14 @@ class LinearProgram:
             ``"scipy"`` (HiGHS through :func:`scipy.optimize.linprog`, the
             default) or ``"simplex"``/``"revised"`` (the in-house sparse
             revised simplex).
-        kwargs:
-            Passed through to the backend.
         """
         from .lowering import to_matrix_form  # lowering imports this module
 
-        return solve_form(to_matrix_form(self, sparse=True), backend, **kwargs)
+        return solve_form(to_matrix_form(self, sparse=True), backend)
 
-    def solve_or_raise(self, backend: str = "scipy", **kwargs) -> LPSolution:
+    def solve_or_raise(self, backend: str = "scipy") -> LPSolution:
         """Solve and raise a typed exception unless the result is optimal."""
-        return require_optimal(self.solve(backend=backend, **kwargs), self.name)
+        return require_optimal(self.solve(backend=backend), self.name)
 
     # ------------------------------------------------------------------ #
     # Debugging                                                           #

@@ -32,13 +32,7 @@ class TestSimulationState:
 
     def test_remaining_work(self, state):
         assert state.remaining_fraction(0) == 0.5
-        assert state.remaining_work(0, 0) == pytest.approx(2.0)
-        assert state.remaining_work(0, 1) == pytest.approx(4.0)
         assert state.fastest_remaining_work(0) == pytest.approx(2.0)
-
-    def test_current_weighted_flow(self, state):
-        # Job A released at 0, weight 2, time 5 -> weighted flow so far is 10.
-        assert state.current_weighted_flow(0) == pytest.approx(10.0)
 
 
 class TestAllocationDecision:

@@ -48,7 +48,7 @@ class TestGc:
             report = store.gc()  # dry-run default
             assert report.dry_run
             assert report.stale_by_epoch == {"1999.1": 1}
-            assert report.stale_records == 1
+            assert sum(report.stale_by_epoch.values()) == 1
             assert store.num_records() == 2  # nothing deleted
 
     def test_apply_prunes_stale_epochs_and_incomplete_runs(self, tmp_path):
@@ -59,7 +59,7 @@ class TestGc:
             keeper = _write_run(store, "current", [("w0", "mct", 12.0)])
             report = store.gc(dry_run=False)
             assert not report.dry_run
-            assert report.stale_records == 2
+            assert sum(report.stale_by_epoch.values()) == 2
             assert len(report.incomplete_runs) == 1
             # Stale-epoch records gone; the killed run row gone; the current
             # cell (computed by the killed run? no — by 'current') survives.
@@ -108,7 +108,7 @@ class TestGc:
             store.connection.execute("UPDATE records SET code_epoch = '1999.1'")
             store.connection.commit()
             report = store.gc(older_than_days=0.0, dry_run=False)
-            assert report.stale_records == 1
+            assert sum(report.stale_by_epoch.values()) == 1
             assert store.num_records() == 0
 
     def test_empty_report_on_clean_store(self, tmp_path):

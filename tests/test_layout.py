@@ -1,30 +1,39 @@
 """The package holds what the reproduction runs; test references live in ``tests/``.
 
-Two layout rules, checked on the source text:
+Three layout rules, checked on the source text:
 
 * no module under ``src/repro`` imports ``tests.reference`` (or anything
   else under ``tests``): the frozen references serve the tests and benches,
   never the package;
-* every public top-level function and class of ``src/repro`` is reached from
-  ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``.  A reference is
-  a name, attribute, imported name or identifier-like string constant
-  anywhere in those trees, except a module's ``__all__`` and the relative
-  re-exports of a package ``__init__``.  A reference made inside a top-level
-  definition only counts once that definition is itself reached, so a chain
-  of names that only tests call is caught whole.  Names are matched by their
-  spelling, like a whole-word search.
+* every public top-level function and class of ``src/repro``, and every
+  public member (method, property, classmethod or staticmethod) of its
+  top-level classes, is reached from ``src/``, ``examples/``,
+  ``benchmarks/`` or ``perfbench/``.  A reference is a name, attribute,
+  imported name or identifier-like string constant anywhere in those trees,
+  except a module's ``__all__`` and the relative re-exports of a package
+  ``__init__``.  A reference made inside a definition only counts once that
+  definition (and, for a member, its class) is itself reached, so a chain of
+  names that only tests call is caught whole.  Code in a private member
+  counts once its class is reached.  Names are matched by their spelling,
+  like a whole-word search, so a member is reached through any attribute of
+  the same name;
+* no module under ``src/repro`` or ``examples/`` imports a name it never
+  uses.  A use is any name in the module's code, including annotations
+  (quoted ones too), or an entry of its ``__all__``.  An import kept for its
+  side effect says so with a ``# noqa: F401`` comment on its line.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
+EXAMPLES = ROOT / "examples"
 USER_TREES = ("src", "examples", "benchmarks", "perfbench")
 
 #: Public names kept although only tests reach them, each with its reason.
@@ -58,12 +67,22 @@ def _package_modules() -> List[Path]:
     return sorted(PACKAGE.rglob("*.py"))
 
 
+#: The package definitions a reference sits in: ``()`` outside any, else the
+#: top-level definition's name, followed by the public member's name.
+Container = Tuple[str, ...]
+
+
 def _scan():
-    """``(definitions, sites)``: top-level defs of the package by name, and
-    for every referenced name the enclosing package definitions (``None``
-    for code outside any)."""
+    """``(definitions, sites)``: top-level defs and public class members of the
+    package by name, and for every referenced name the containers it is
+    referenced from."""
     definitions: Dict[str, List[str]] = {}
-    sites: Dict[str, List[Optional[str]]] = {}
+    sites: Dict[str, List[Container]] = {}
+
+    def record(node: ast.AST, container: Container) -> None:
+        for name in _references(node):
+            sites.setdefault(name, []).append(container)
+
     for tree_name in USER_TREES:
         for path in sorted((ROOT / tree_name).rglob("*.py")):
             relpath = path.relative_to(ROOT).as_posix()
@@ -79,14 +98,27 @@ def _scan():
                     and stmt.level > 0
                 ):
                     continue
-                container = None
-                if in_package and isinstance(
+                if not in_package or not isinstance(
                     stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
                 ):
-                    container = stmt.name
-                    definitions.setdefault(stmt.name, []).append(f"{relpath}:{stmt.lineno}")
-                for name in _references(stmt):
-                    sites.setdefault(name, []).append(container)
+                    record(stmt, ())
+                    continue
+                definitions.setdefault(stmt.name, []).append(f"{relpath}:{stmt.lineno}")
+                if not isinstance(stmt, ast.ClassDef):
+                    record(stmt, (stmt.name,))
+                    continue
+                for part in stmt.bases + stmt.keywords + stmt.decorator_list:
+                    record(part, (stmt.name,))
+                for member in stmt.body:
+                    if isinstance(
+                        member, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and not member.name.startswith("_"):
+                        definitions.setdefault(member.name, []).append(
+                            f"{relpath}:{member.lineno} {stmt.name}.{member.name}"
+                        )
+                        record(member, (stmt.name, member.name))
+                    else:
+                        record(member, (stmt.name,))
     return definitions, sites
 
 
@@ -100,7 +132,7 @@ def _unreached() -> Dict[str, List[str]]:
             if name in reached:
                 continue
             if any(
-                container is None or (container in reached and container != name)
+                name not in container and all(outer in reached for outer in container)
                 for container in sites.get(name, ())
             ):
                 reached.add(name)
@@ -110,6 +142,64 @@ def _unreached() -> Dict[str, List[str]]:
         for name, where in definitions.items()
         if name not in reached and not name.startswith("_")
     }
+
+
+def _annotation_strings(module: ast.Module) -> Iterator[str]:
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations = [node.returns] + [
+                argument.annotation
+                for argument in (
+                    arguments.posonlyargs
+                    + arguments.args
+                    + arguments.kwonlyargs
+                    + [arguments.vararg, arguments.kwarg]
+                )
+                if argument is not None
+            ]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+
+
+def _unused_imports(path: Path) -> List[str]:
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    module = ast.parse(text, str(path))
+    imported: Dict[str, int] = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        if "# noqa: F401" not in lines[node.lineno - 1]:
+            imported.update((name, node.lineno) for name in names)
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    for annotation in _annotation_strings(module):
+        try:
+            parsed = ast.parse(annotation, mode="eval")
+        except SyntaxError:
+            continue
+        used |= {node.id for node in ast.walk(parsed) if isinstance(node, ast.Name)}
+    for stmt in module.body:
+        if _is_all(stmt):
+            used |= {
+                node.value for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)
+            }
+    relpath = path.relative_to(ROOT).as_posix()
+    return [
+        f"{relpath}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
 
 
 def test_no_package_module_imports_the_test_tree():
@@ -139,11 +229,16 @@ def test_every_public_name_is_reached_outside_the_tests(unreached):
         name: where for name, where in unreached.items() if name not in ALLOWED_UNREACHED
     }
     assert unexplained == {}, (
-        "public names only tests reach: delete them, move test references to "
-        f"tests/reference, or justify them in ALLOWED_UNREACHED: {unexplained}"
+        "public names or class members only tests reach: delete them, move test "
+        f"references to tests/reference, or justify them in ALLOWED_UNREACHED: {unexplained}"
     )
 
 
 def test_every_allowlist_entry_is_still_needed_and_justified(unreached):
     assert sorted(name for name in ALLOWED_UNREACHED if name not in unreached) == []
     assert all(reason.strip() for reason in ALLOWED_UNREACHED.values())
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = _package_modules() + sorted(EXAMPLES.rglob("*.py"))
+    assert [finding for path in modules for finding in _unused_imports(path)] == []

@@ -53,9 +53,18 @@ class TestStreamSpec:
             StreamSpec(label="s", burst_fraction=1.5)
 
     def test_utilisation_round_trips_through_the_rate(self):
+        # rho = arrival rate * mean size / sum_i 1 / c_i, both as configured
+        # and as realised by the stream's arrivals.
         spec = StreamSpec(label="s", scenario="small-cluster", seed=4)
+        capacity = sum(1.0 / machine.cycle_time for machine in spec.platform_instance().machines)
         for rho in (0.25, 0.5, 1.0, 1.5):
-            assert spec.with_utilisation(rho).offered_load() == pytest.approx(rho)
+            loaded = spec.with_utilisation(rho)
+            assert loaded.rate * loaded.mean_size() / capacity == pytest.approx(rho)
+            events = _take(open_stream(loaded), 4000)
+            horizon = events[-1].job.release_date
+            assert len(events) / horizon == pytest.approx(loaded.rate, rel=0.05)
+            offered = sum(event.job.size for event in events) / horizon / capacity
+            assert offered == pytest.approx(rho, rel=0.05)
 
     def test_mean_size_matches_empirical_mean(self):
         for sizes in ("uniform", "pareto"):
@@ -65,8 +74,6 @@ class TestStreamSpec:
 
     def test_trace_specs_have_no_offered_load(self):
         spec = StreamSpec(label="s", arrivals="trace")
-        with pytest.raises(WorkloadError):
-            spec.offered_load()
         with pytest.raises(WorkloadError):
             spec.with_utilisation(0.5)
 
