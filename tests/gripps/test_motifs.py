@@ -18,7 +18,9 @@ def _wildcard(min_repeat: int, max_repeat: int) -> MotifElement:
     return MotifElement(None, min_repeat, max_repeat)
 
 
-class TestMotifPatterns:
+class TestMotifParsing:
+    """A motif's pattern elements translate to the regex it compiles to."""
+
     def test_simple_fixed_pattern(self):
         motif = Motif("m1", (_residue("C"), _residue("A"), _residue("T")))
         assert motif.to_regex() == "[C][A][T]"

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
 from repro.lp import LPSolution, LPStatus, MatrixForm
 from repro.lp.backends import solve_form
 from repro.lp.solution import require_optimal
+from repro.obs.metrics import collecting
 
 
 def _constant_form(b_ub, b_eq) -> MatrixForm:
@@ -24,7 +26,64 @@ def _constant_form(b_ub, b_eq) -> MatrixForm:
     )
 
 
-@pytest.mark.parametrize("backend", ["scipy", "revised"])
+def _two_variable_form(c, a_ub, b_ub, bounds, a_eq=(), b_eq=()) -> MatrixForm:
+    """Maximise ``-c @ x + 1`` (stored minimised, sign -1, constant 1)."""
+    return MatrixForm(
+        c=np.asarray(c, dtype=float),
+        objective_constant=1.0,
+        objective_sign=-1.0,
+        a_ub=sp.csr_matrix(np.asarray(a_ub, dtype=float).reshape(-1, 2)),
+        b_ub=np.asarray(b_ub, dtype=float),
+        a_eq=sp.csr_matrix(np.asarray(a_eq, dtype=float).reshape(-1, 2)),
+        b_eq=np.asarray(b_eq, dtype=float),
+        bounds=np.asarray(bounds, dtype=float),
+    )
+
+
+BACKENDS = ["scipy", "revised"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_optimal_form_restores_the_model_objective(backend):
+    # max x + 2y + 1 s.t. x + y <= 4, x - y == 2, 0 <= x <= 3, 0 <= y <= 1.
+    form = _two_variable_form(
+        [-1.0, -2.0], [[1.0, 1.0]], [4.0], [[0.0, 3.0], [0.0, 1.0]], [[1.0, -1.0]], [2.0]
+    )
+    solution = solve_form(form, backend)
+    assert solution.is_optimal
+    assert solution.values == pytest.approx({0: 3.0, 1: 1.0}, abs=1e-9)
+    assert solution.objective_value == pytest.approx(6.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_infeasible_form_reports_infeasible(backend):
+    form = _two_variable_form([-1.0, 0.0], [[1.0, 1.0]], [-1.0], [[0.0, np.inf]] * 2)
+    solution = solve_form(form, backend)
+    assert solution.status is LPStatus.INFEASIBLE
+    assert solution.values == {}
+    assert solution.objective_value is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_unbounded_form_reports_unbounded(backend):
+    # x has no upper bound and no row; only y is capped.
+    form = _two_variable_form([-1.0, 0.0], [[0.0, 1.0]], [1.0], [[0.0, np.inf]] * 2)
+    solution = solve_form(form, backend)
+    assert solution.status is LPStatus.UNBOUNDED
+    assert solution.objective_value is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_solve_records_itself_on_the_installed_recorder(backend):
+    form = _two_variable_form([-1.0, -1.0], [[1.0, 1.0]], [1.0], [[0.0, np.inf]] * 2)
+    with collecting() as recorder:
+        assert solve_form(form, backend).is_optimal
+    snapshot = recorder.snapshot()
+    assert snapshot["counters"]["lp.solves"] == 1.0
+    assert snapshot["histograms"]["lp.iterations"]["count"] == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_a_variable_free_form_is_decided_by_its_constant_rows(backend):
     feasible = solve_form(_constant_form([0.0, 1.0], [0.0]), backend)
     assert feasible.is_optimal

@@ -26,6 +26,7 @@ Three layout rules, checked on the source text:
 from __future__ import annotations
 
 import ast
+import textwrap
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -72,10 +73,11 @@ def _package_modules() -> List[Path]:
 Container = Tuple[str, ...]
 
 
-def _scan():
+def _scan(root: Path):
     """``(definitions, sites)``: top-level defs and public class members of the
-    package by name, and for every referenced name the containers it is
-    referenced from."""
+    package under ``root`` by name, and for every referenced name the
+    containers it is referenced from."""
+    package = root / "src" / "repro"
     definitions: Dict[str, List[str]] = {}
     sites: Dict[str, List[Container]] = {}
 
@@ -84,9 +86,9 @@ def _scan():
             sites.setdefault(name, []).append(container)
 
     for tree_name in USER_TREES:
-        for path in sorted((ROOT / tree_name).rglob("*.py")):
-            relpath = path.relative_to(ROOT).as_posix()
-            in_package = path.is_relative_to(PACKAGE)
+        for path in sorted((root / tree_name).rglob("*.py")):
+            relpath = path.relative_to(root).as_posix()
+            in_package = path.is_relative_to(package)
             module = ast.parse(path.read_text(encoding="utf-8"), relpath)
             for stmt in module.body:
                 if _is_all(stmt):
@@ -122,8 +124,8 @@ def _scan():
     return definitions, sites
 
 
-def _unreached() -> Dict[str, List[str]]:
-    definitions, sites = _scan()
+def _unreached(root: Path = ROOT) -> Dict[str, List[str]]:
+    definitions, sites = _scan(root)
     reached: Set[str] = set()
     changed = True
     while changed:
@@ -168,7 +170,7 @@ def _annotation_strings(module: ast.Module) -> Iterator[str]:
                     yield sub.value
 
 
-def _unused_imports(path: Path) -> List[str]:
+def _unused_imports(path: Path, root: Path = ROOT) -> List[str]:
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     module = ast.parse(text, str(path))
@@ -194,7 +196,7 @@ def _unused_imports(path: Path) -> List[str]:
             used |= {
                 node.value for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)
             }
-    relpath = path.relative_to(ROOT).as_posix()
+    relpath = path.relative_to(root).as_posix()
     return [
         f"{relpath}:{line}: {name}"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
@@ -242,3 +244,113 @@ def test_every_allowlist_entry_is_still_needed_and_justified(unreached):
 def test_no_module_imports_a_name_it_never_uses():
     modules = _package_modules() + sorted(EXAMPLES.rglob("*.py"))
     assert [finding for path in modules for finding in _unused_imports(path)] == []
+
+
+# -- the checker's own rules, on small synthetic trees --------------------------
+
+
+def _tree(root: Path, files: Dict[str, str]) -> Path:
+    for relpath, text in files.items():
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return root
+
+
+def test_checker_flags_a_function_only_tests_call(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/mod.py": """
+                def used(): pass
+                def by_string(): pass
+                def dead(): pass
+            """,
+            "examples/run.py": """
+                from repro.mod import used
+                used()
+                getattr(object, "by_string")
+            """,
+            "tests/test_mod.py": """
+                from repro.mod import dead
+                dead()
+            """,
+        },
+    )
+    assert set(_unreached(root)) == {"dead"}
+
+
+def test_checker_catches_a_chain_only_tests_reach_whole(tmp_path):
+    files = {
+        "src/repro/mod.py": """
+            def entry(): return helper()
+            def helper(): return 1
+        """,
+    }
+    assert set(_unreached(_tree(tmp_path, files))) == {"entry", "helper"}
+    _tree(tmp_path, {"benchmarks/bench.py": "from repro.mod import entry\nentry()\n"})
+    assert _unreached(tmp_path) == {}
+
+
+def test_checker_ignores_a_definition_that_only_names_itself(tmp_path):
+    root = _tree(
+        tmp_path,
+        {"src/repro/mod.py": "def walk(n):\n    return walk(n - 1) if n else 0\n"},
+    )
+    assert set(_unreached(root)) == {"walk"}
+
+
+def test_checker_does_not_count_all_or_package_reexports(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": """
+                from .mod import dead
+                __all__ = ["dead"]
+            """,
+            "src/repro/mod.py": """
+                __all__ = ["dead"]
+                def dead(): pass
+            """,
+        },
+    )
+    assert set(_unreached(root)) == {"dead"}
+
+
+def test_checker_reaches_members_through_their_class(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/mod.py": """
+                class Box:
+                    def open(self): return 1
+                    def close(self): return 2
+                    def spare(self): return 3
+                    def _flush(self): return self.close()
+
+                class Crate:
+                    def _flush(self): return self.pack()
+                    def pack(self): return 4
+            """,
+            "perfbench/run.py": "from repro.mod import Box\nBox().open()\n",
+        },
+    )
+    # ``close`` is reached through the private member of a reached class;
+    # ``pack`` only through code of ``Crate``, which nothing outside reaches.
+    assert set(_unreached(root)) == {"spare", "Crate", "pack"}
+
+
+@pytest.mark.parametrize(
+    ("source", "unused"),
+    [
+        ("import os\n", ["os"]),
+        ("import os  # noqa: F401\n", []),
+        ("from typing import List\n\ndef f(x: 'List[int]'): pass\n", []),
+        ("from .mod import thing\n\n__all__ = ['thing']\n", []),
+        ("from __future__ import annotations\n", []),
+    ],
+    ids=["unused", "side-effect", "quoted-annotation", "all-entry", "future"],
+)
+def test_checker_finds_imports_a_module_never_uses(tmp_path, source, unused):
+    path = _tree(tmp_path, {"src/repro/mod.py": source}) / "src" / "repro" / "mod.py"
+    assert _unused_imports(path, tmp_path) == [f"src/repro/mod.py:1: {name}" for name in unused]
