@@ -4,7 +4,7 @@ Section 2 of the paper estimates the fixed overheads of the GriPPS divisibility
 experiments by linear regression (1.1 s for sequence partitioning, 10.5 s for
 motif partitioning) and argues that the correlation is "nearly perfectly
 linear".  This module provides the corresponding analysis: slope, intercept,
-coefficient of determination, standard errors and confidence intervals.
+and coefficient of determination.
 
 It also hosts the *cross-run* regression analysis of the experiment store:
 :func:`cross_run_diff` compares the per-policy headline metrics of two
@@ -45,8 +45,6 @@ class LinearFit:
         Fitted coefficients.
     r_squared:
         Coefficient of determination.
-    slope_stderr, intercept_stderr:
-        Standard errors of the coefficients.
     num_points:
         Number of observations used.
     """
@@ -54,8 +52,6 @@ class LinearFit:
     slope: float
     intercept: float
     r_squared: float
-    slope_stderr: float
-    intercept_stderr: float
     num_points: int
 
     def predict(self, x: float) -> float:
@@ -103,19 +99,7 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     sse = float(np.sum(residuals**2))
     r_squared = 1.0 if syy == 0.0 else 1.0 - sse / syy
 
-    dof = max(n - 2, 1)
-    sigma2 = sse / dof
-    slope_stderr = float(np.sqrt(sigma2 / sxx))
-    intercept_stderr = float(np.sqrt(sigma2 * (1.0 / n + x_mean**2 / sxx)))
-
-    return LinearFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        slope_stderr=slope_stderr,
-        intercept_stderr=intercept_stderr,
-        num_points=n,
-    )
+    return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared, num_points=n)
 
 
 # --------------------------------------------------------------------------- #

@@ -214,6 +214,26 @@ class Instance:
             object.__setattr__(self, "_job_lists_cache", cache)
         return cache
 
+    @property
+    def machine_orders(self) -> List[List[int]]:
+        """Each job's machine preference order, in job order.
+
+        The machines able to run the job (finite cost), fastest first, the
+        lowest index first on equal costs (a stable sort).  Cached like
+        :attr:`job_lists`; the streaming
+        :class:`~repro.simulation.window.InstanceView` records the same
+        lists at admission.
+        """
+        cache = getattr(self, "_machine_orders_cache", None)
+        if cache is None:
+            machines = range(self.num_machines)
+            cache = [
+                [i for i in sorted(machines, key=column.__getitem__) if column[i] < math.inf]
+                for column in self.costs.T.tolist()
+            ]
+            object.__setattr__(self, "_machine_orders_cache", cache)
+        return cache
+
     def aggregate_rate(self, job_index: int) -> float:
         """Aggregate processing rate of job ``job_index`` over all machines.
 

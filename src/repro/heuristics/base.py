@@ -19,7 +19,6 @@ Policies fall into three families:
 from __future__ import annotations
 
 import abc
-import math
 from typing import Dict, Iterable, List
 
 from ..core.instance import Instance
@@ -106,33 +105,26 @@ def exclusive_allocation(assignments: Dict[int, int]) -> AllocationDecision:
 def fastest_free_assignment(instance: Instance, ranked: Iterable[int]) -> AllocationDecision:
     """Give each job, in ``ranked`` order, its fastest still-free machine.
 
-    An ascending machine scan with a strict ``<``: each job takes the
-    lowest-index free machine achieving its minimum cost, and a job no free
-    machine can run is skipped.  The costs are read per machine row: Python
-    floats on the streaming view (``costs_rows``), row views of the cost
-    array on a plain :class:`~repro.core.instance.Instance`.  The shares are
-    built in assignment order, exactly as :func:`exclusive_allocation` would
-    build them.
+    Each job takes the first free machine of its preference order
+    (``instance.machine_orders``: the machines able to run it, fastest
+    first, lowest index first on equal costs), so it gets the lowest-index
+    free machine achieving its minimum cost among the free ones; a job no
+    free machine can run is skipped, and the walk stops once every machine
+    is taken.  The work per job is the length of its order prefix up to its
+    machine, with no cost read.  The shares are built in assignment order,
+    exactly as :func:`exclusive_allocation` would build them.
     """
-    rows = getattr(instance, "costs_rows", None)
-    if rows is None:
-        rows = list(instance.costs)
-    free_machines = list(range(instance.num_machines))
+    orders = instance.machine_orders
+    free = [True] * instance.num_machines
+    unassigned = instance.num_machines
     shares: Dict[int, List] = {}
     for job_index in ranked:
-        if not free_machines:
+        for machine_index in orders[job_index]:
+            if free[machine_index]:
+                free[machine_index] = False
+                shares[machine_index] = [(job_index, 1.0)]
+                unassigned -= 1
+                break
+        if not unassigned:
             break
-        best_machine = -1
-        best_cost = math.inf
-        for machine_index in free_machines:
-            cost = rows[machine_index][job_index]
-            if cost < best_cost:
-                best_cost = cost
-                best_machine = machine_index
-        if best_machine < 0:
-            continue
-        shares[best_machine] = [(job_index, 1.0)]
-        free_machines.remove(best_machine)
     return AllocationDecision(shares=shares, all_exclusive=True)
-
-

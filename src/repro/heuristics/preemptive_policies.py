@@ -13,7 +13,11 @@ Section 4.4).
 Both rank the active jobs with one stable ``sorted`` over the instance's
 ``job_lists`` (fastest costs, weights, release dates as Python floats) and
 the event loop's ``remaining_list``, then hand each job its fastest free
-machine (:func:`~repro.heuristics.base.fastest_free_assignment`).
+machine (:func:`~repro.heuristics.base.fastest_free_assignment`), which
+walks the job's machine preference order (``machine_orders``, recorded
+when the job enters the window) instead of scanning the cost rows.  The
+full sort stays: ``heapq.nsmallest`` over only the prefix that fills the
+machines measured 2–3× slower than ``sorted`` at 8–80 active jobs.
 """
 
 from __future__ import annotations

@@ -34,9 +34,10 @@ The loop never materialises a window :class:`~repro.core.instance.Instance`:
 
 * The window lives in a :class:`~repro.simulation.window.StreamWindow`;
   policies see it through a zero-copy
-  :class:`~repro.simulation.window.InstanceView`.  Arrivals append into
-  preallocated slots (no construction, no revalidation) and compaction
-  remaps indices in place; the ``rebind``/``compact`` hooks tell the policy.
+  :class:`~repro.simulation.window.InstanceView`.  Arrivals append to the
+  window's per-slot lists (no construction, no revalidation) and compaction
+  gathers the survivors in place; the ``rebind``/``compact`` hooks tell the
+  policy.
 * Events are processed in batches between decision points: all due arrivals
   of an epoch are admitted as one batch, one
   :class:`~repro.simulation.state.SimulationState` is updated in place (no
@@ -620,24 +621,26 @@ class StreamingSimulator:
             # although the job is unfinished.
             if running:
                 if exclusive_only:
-                    assigned_now = {
-                        (machine_index, share_list[0][0])
-                        for machine_index, share_list in shares.items()
-                    }
+                    # One (job, 1.0) share per assigned machine: compare
+                    # the machine's share with its running job directly.
+                    stopped = []
+                    for machine_index, job_index in running.items():
+                        share_list = shares.get(machine_index)
+                        if share_list is None or share_list[0][0] != job_index:
+                            stopped.append((machine_index, job_index))
                 else:
                     assigned_now = {
                         (machine_index, job_index)
                         for machine_index, share_list in shares.items()
                         for job_index, _ in share_list
                     }
-                for machine_index in list(running):
-                    job_index = running[machine_index]
-                    if (machine_index, job_index) not in assigned_now:
-                        if remaining[job_index] > _COMPLETION_DUST:
-                            n_preemptions += 1
-                        del running[machine_index]
-                        if finite:
-                            log.flush(machine_index, job_index)
+                    stopped = [pair for pair in running.items() if pair not in assigned_now]
+                for machine_index, job_index in stopped:
+                    if remaining[job_index] > _COMPLETION_DUST:
+                        n_preemptions += 1
+                    del running[machine_index]
+                    if finite:
+                        log.flush(machine_index, job_index)
 
             if window_span > 0:
                 busy += window_span * total_share
@@ -675,48 +678,58 @@ class StreamingSimulator:
                                 value = 0.0
                             remaining[job_index] = value
                 time = horizon
-
-                # ---- completions: only progressed slots can cross the
-                # dust threshold; process them in ascending window index,
-                # exactly like a full-window scan.
-                completed_now = [
-                    job_index
-                    for job_index in touched
-                    if remaining[job_index] <= _COMPLETION_DUST
-                ]
-                if completed_now:
-                    if len(completed_now) > 1:
-                        completed_now = sorted(set(completed_now))
-                    for job_index in completed_now:
-                        remaining[job_index] = 0.0
-                        window.live[job_index] = False
-                        active.remove(job_index)
-                        freed = [m for m, j in running.items() if j == job_index]
-                        for machine_index in freed:
-                            del running[machine_index]
-                        if finite:
-                            for machine_index in sorted(freed):
-                                log.flush(machine_index, job_index)
-                            log.completion_times[job_index] = time
-                            log.events.append(
-                                EventRecord(time=time, kind="completion", job_index=job_index)
-                            )
-                        n_completions += 1
-                        progressed_this_event = True
-                        if record_jobs:
-                            job = window.jobs[job_index]
-                            flow = time - job.release_date
-                            flows.append(flow)
-                            weighted.append(job.weight * flow)
-                            stretches.append(flow / window.min_list[job_index])
-                            finished_ids.append(window.global_ids[job_index])
-                            releases.append(job.release_date)
             else:
-                # Degenerate zero-width window: every active job still has
-                # remaining work above the completion dust (completions are
-                # drained eagerly each event and admissions start at 1.0),
-                # so snap to the next real event.
-                time = next_arrival if next_arrival is not None else time + _MIN_STEP
+                # Degenerate zero-width window.  A job whose projected
+                # completion rounds to ``time`` has less work left than the
+                # clock resolves at ``time``: no window can ever progress
+                # it, so it completes now.  Otherwise every active job still
+                # has remaining work above the completion dust (completions
+                # are drained eagerly each event and admissions start at
+                # 1.0), so snap to the next real event.
+                unresolvable = False
+                for job_index in touched:
+                    job_rate = rate_list[job_index]
+                    if job_rate > 0.0 and time + remaining[job_index] / job_rate <= time:
+                        remaining[job_index] = 0.0
+                        unresolvable = True
+                if not unresolvable:
+                    time = next_arrival if next_arrival is not None else time + _MIN_STEP
+
+            # ---- completions: only allocated slots can cross the dust
+            # threshold; process them in ascending window index, exactly
+            # like a full-window scan.
+            completed_now = [
+                job_index
+                for job_index in touched
+                if remaining[job_index] <= _COMPLETION_DUST
+            ]
+            if completed_now:
+                if len(completed_now) > 1:
+                    completed_now = sorted(set(completed_now))
+                for job_index in completed_now:
+                    remaining[job_index] = 0.0
+                    window.live[job_index] = False
+                    active.remove(job_index)
+                    freed = [m for m, j in running.items() if j == job_index]
+                    for machine_index in freed:
+                        del running[machine_index]
+                    if finite:
+                        for machine_index in sorted(freed):
+                            log.flush(machine_index, job_index)
+                        log.completion_times[job_index] = time
+                        log.events.append(
+                            EventRecord(time=time, kind="completion", job_index=job_index)
+                        )
+                    n_completions += 1
+                    progressed_this_event = True
+                    if record_jobs:
+                        job = window.jobs[job_index]
+                        flow = time - job.release_date
+                        flows.append(flow)
+                        weighted.append(job.weight * flow)
+                        stretches.append(flow / window.min_list[job_index])
+                        finished_ids.append(window.global_ids[job_index])
+                        releases.append(job.release_date)
             if time > end_time:
                 end_time = time
 
@@ -724,7 +737,8 @@ class StreamingSimulator:
             dead = len(window.jobs) - len(active)
             if dead >= compact_min and dead >= len(active):
                 mapping = window.compact()
-                active[:] = sorted(mapping[idx] for idx in active)
+                # The survivors are the sorted live slots, renumbered from 0.
+                active[:] = range(len(active))
                 running = {
                     machine: mapping[idx]
                     for machine, idx in running.items()

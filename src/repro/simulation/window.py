@@ -1,23 +1,25 @@
-"""Zero-copy event-loop window: preallocated slots and the policy-facing view.
+"""Zero-copy event-loop window: per-slot lists and the policy-facing view.
 
 The :class:`~repro.simulation.stream.StreamingSimulator` event loop never
 hands a policy a freshly built :class:`~repro.core.instance.Instance`
 (construction and validation are O(m·w) per event).  Instead:
 
-* :class:`StreamWindow` owns the window's buffers — the cost block (a numpy
-  array and its Python-float rows), the per-slot ``remaining`` fractions and
-  per-slot metadata (job, global id, fastest cost, weight, release) — and
-  mutates them in place: arrivals append into preallocated cost columns and
-  the per-slot lists, compaction remaps the surviving slots.  Each per-slot
-  scalar (fastest cost, weight, release, remaining fraction) has exactly
-  one copy, a Python-float list.
+* :class:`StreamWindow` owns the window's storage — the per-machine cost
+  rows, each slot's machine preference order, the per-slot ``remaining``
+  fractions and per-slot metadata (job, global id, fastest cost, weight,
+  release) — and mutates it in place: arrivals append to every list,
+  compaction gathers the surviving slots.  Every per-slot quantity has
+  exactly one copy, a Python list (costs included: there is no numpy cost
+  block to keep in step).
 * :class:`InstanceView` is a **zero-copy stand-in** for ``Instance`` over
-  those buffers.  It satisfies the read surface the policies and the loop
-  consume (``jobs``, ``machines``, ``costs``, ``cost``, ``min_cost``,
-  ``num_jobs`` …) without ever constructing or re-validating anything: the
-  ``costs`` property is a numpy view of the live slot block, ``jobs`` is the
-  window's own slot list.  One view object persists for the whole run; the
-  ``rebind``/``compact`` policy hooks signal the mutations.
+  those lists.  It satisfies the read surface the policies and the loop
+  consume (``jobs``, ``machines``, ``cost``, ``min_cost``, ``job_lists``,
+  ``machine_orders``, ``num_jobs`` …) without constructing or re-validating
+  anything; ``jobs`` is the window's own slot list.  Only ``costs`` (the
+  numpy block, read by LP-backed policies and cold paths) is derived: it is
+  built from the rows on its first read after an admission or compaction.
+  One view object persists for the whole run; the ``rebind``/``compact``
+  policy hooks signal the mutations.
 
 Validation is *not* repeated per event — that is the point.  Arrivals are
 validated where they are made (``Job.__post_init__``, the stream generators,
@@ -29,7 +31,9 @@ equal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +46,7 @@ __all__ = ["InstanceView", "StreamWindow"]
 
 
 class InstanceView:
-    """Read-only ``Instance`` stand-in over a :class:`StreamWindow`'s buffers.
+    """Read-only ``Instance`` stand-in over a :class:`StreamWindow`'s lists.
 
     The view aliases the window's live storage: no copy is made on access,
     and window mutations (admissions, compactions) are visible immediately.
@@ -68,14 +72,19 @@ class InstanceView:
 
     @property
     def costs(self) -> np.ndarray:
-        """Zero-copy ``(m, width)`` view of the window's cost block."""
-        window = self._window
-        return window.costs_base[:, : len(window.jobs)]
+        """``(m, width)`` cost array of the window, built from the rows.
 
-    @property
-    def costs_rows(self) -> List[List[float]]:
-        """Per-machine cost rows as plain Python floats (scalar fast path)."""
-        return self._window.costs_rows
+        Built on the first read after an admission or a compaction and
+        reused until the next one; the hot decision path never reads it.
+        """
+        window = self._window
+        block = window.costs_block
+        if block is None:
+            block = np.array(window.costs_rows, dtype=float).reshape(
+                window.num_machines, len(window.jobs)
+            )
+            window.costs_block = block
+        return block
 
     @property
     def job_lists(self) -> Tuple[List[float], List[float], List[float]]:
@@ -87,6 +96,15 @@ class InstanceView:
         """
         window = self._window
         return (window.min_list, window.weight_list, window.release_list)
+
+    @property
+    def machine_orders(self) -> List[List[int]]:
+        """Per-slot machine preference orders (see :attr:`Instance.machine_orders`).
+
+        The window's own list, recorded at admission and gathered on
+        compaction.
+        """
+        return self._window.orders
 
     @property
     def num_jobs(self) -> int:
@@ -106,7 +124,7 @@ class InstanceView:
 
     # -- scalar accessors ------------------------------------------------ #
     def cost(self, machine_index: int, job_index: int) -> float:
-        return float(self._window.costs_base[machine_index, job_index])
+        return self._window.costs_rows[machine_index][job_index]
 
     def min_cost(self, job_index: int) -> float:
         return self._window.min_list[job_index]
@@ -163,35 +181,44 @@ class InstanceView:
         return f"InstanceView({self.num_jobs} jobs, {self.num_machines} machines)"
 
 
-class StreamWindow:
-    """The active window's storage: preallocated slots.
+def _gather(survivors: List[int]) -> Callable[[Sequence], Sequence]:
+    """A function picking ``survivors`` (ascending slots) out of a per-slot list."""
+    if len(survivors) > 1:
+        return itemgetter(*survivors)
+    return lambda values: [values[slot] for slot in survivors]
 
-    Arrivals append into the next slot (amortised O(m): one cost-column
-    write, a handful of list appends — no construction, no revalidation);
-    compaction drops dead slots by remapping the survivors in place, one
-    fancy-indexed copy for the cost block and one list rebuild per per-slot
-    list.  The cost block's capacity doubles on demand; the lists are only
-    ever mutated in place, so references to them survive growth and
-    compaction.
+
+class StreamWindow:
+    """The active window's storage: one Python list per per-slot quantity.
+
+    An arrival appends to every list (O(m): one cost per machine row plus
+    the slot's machine preference order — no construction, no
+    revalidation); compaction drops dead slots by gathering the survivors
+    of each list with one ``itemgetter``.  The lists are only ever mutated
+    in place (append / slice-assign), so references held across admissions
+    and compactions — the event loop binds ``costs_rows`` and ``remaining``
+    once per run — stay valid.
     """
 
     def __init__(self, machines: Sequence[Machine]) -> None:
         self.machines: Tuple[Machine, ...] = tuple(machines)
         self.num_machines = len(self.machines)
-        self.capacity = 0
         self.jobs: List[Job] = []  # window slot -> Job
         self.global_ids: List[int] = []  # window slot -> arrival index
         self.live: List[bool] = []
-        self.costs_base = np.empty((self.num_machines, 0))
-        #: Per-machine cost rows as plain Python floats (same bits as the
-        #: ndarray block).  Scalar-heavy consumers — the assignment scan of
-        #: the preemptive policies, the streaming advance arithmetic — read
-        #: these to skip float64-boxing on every element access.  The inner
-        #: lists are mutated in place (append / slice-assign) so references
-        #: held across admissions and compactions stay valid.
+        #: Per-machine cost rows as plain Python floats: the window's one
+        #: copy of the costs.  Scalar-heavy consumers — the streaming
+        #: advance arithmetic, ``InstanceView.cost`` — read them without
+        #: float64 boxing.
         self.costs_rows: List[List[float]] = [[] for _ in range(self.num_machines)]
+        #: The numpy cost array :attr:`InstanceView.costs` last built;
+        #: ``None`` once an admission or compaction made it stale.
+        self.costs_block: Optional[np.ndarray] = None
+        #: Per-slot machine preference orders: the machines able to run the
+        #: slot's job, fastest first, lowest index first on ties.
+        self.orders: List[List[int]] = []
         #: Per-slot metadata and remaining work as Python floats, maintained
-        #: the same way as ``costs_rows`` (appended on admit, remapped on
+        #: the same way as ``costs_rows`` (appended on admit, gathered on
         #: compact, mutated in place).  ``remaining`` is the event loop's
         #: one copy of each job's remaining fraction
         #: (``SimulationState.remaining_list``).
@@ -205,53 +232,52 @@ class StreamWindow:
     def __len__(self) -> int:
         return len(self.jobs)
 
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed <= self.capacity:
-            return
-        new_capacity = max(64, 2 * self.capacity, needed)
-        width = len(self.jobs)
-        grown = np.empty((self.num_machines, new_capacity))
-        grown[:, :width] = self.costs_base[:, :width]
-        self.costs_base = grown
-        self.capacity = new_capacity
-
     def admit_batch(self, events: Sequence[ArrivalEvent]) -> int:
         """Append a batch of arrivals; returns the first slot used.
 
-        The batch shares one capacity check — the admission half of batched
-        event processing.
+        The admission half of batched event processing.
         """
         first = len(self.jobs)
-        self._ensure_capacity(first + len(events))
-        for offset, event in enumerate(events):
-            self._fill_slot(first + offset, event)
+        machines = range(self.num_machines)
+        inf = math.inf
+        for event in events:
+            job = event.job
+            column = event.costs
+            self.jobs.append(job)
+            self.global_ids.append(event.index)
+            self.live.append(True)
+            for row, cost in zip(self.costs_rows, column):
+                row.append(cost)
+            # A stable sort: equal costs keep ascending machine order.
+            self.orders.append(
+                [i for i in sorted(machines, key=column.__getitem__) if column[i] < inf]
+            )
+            self.min_list.append(event.min_cost)
+            self.weight_list.append(job.weight)
+            self.release_list.append(job.release_date)
+            self.remaining.append(1.0)
+        self.costs_block = None
         return first
 
-    def _fill_slot(self, slot: int, event: ArrivalEvent) -> None:
-        job = event.job
-        self.jobs.append(job)
-        self.global_ids.append(event.index)
-        self.live.append(True)
-        self.costs_base[:, slot] = event.costs
-        column = event.costs.tolist()
-        for machine_index, row in enumerate(self.costs_rows):
-            row.append(column[machine_index])
-        self.min_list.append(event.min_cost)
-        self.weight_list.append(job.weight)
-        self.release_list.append(job.release_date)
-        self.remaining.append(1.0)
-
     def compact(self) -> Dict[int, int]:
-        """Drop dead slots in place; returns the old→new mapping of survivors."""
+        """Drop dead slots in place; returns the old→new mapping of survivors.
+
+        The survivors keep their relative order, so the live slots are
+        exactly ``0 … len(survivors) - 1`` afterwards.
+        """
         survivors = [slot for slot, alive in enumerate(self.live) if alive]
-        mapping = {old: new for new, old in enumerate(survivors)}
-        width = len(survivors)
-        self.costs_base[:, :width] = self.costs_base[:, survivors]
-        for row in self.costs_rows:
-            row[:] = [row[slot] for slot in survivors]
-        for values in (self.min_list, self.weight_list, self.release_list, self.remaining):
-            values[:] = [values[slot] for slot in survivors]
-        self.jobs = [self.jobs[slot] for slot in survivors]
-        self.global_ids = [self.global_ids[slot] for slot in survivors]
-        self.live = [True] * width
-        return mapping
+        gather = _gather(survivors)
+        for values in (
+            *self.costs_rows,
+            self.orders,
+            self.min_list,
+            self.weight_list,
+            self.release_list,
+            self.remaining,
+            self.jobs,
+            self.global_ids,
+        ):
+            values[:] = gather(values)
+        self.live = [True] * len(survivors)
+        self.costs_block = None
+        return {old: new for new, old in enumerate(survivors)}

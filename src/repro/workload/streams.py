@@ -88,13 +88,15 @@ class ArrivalEvent(NamedTuple):
     job:
         The job, with its release date set to the arrival time.
     costs:
-        Per-machine processing times (``numpy`` column, ``inf`` where the
-        job's databank is not hosted).
+        Per-machine processing times as Python floats (``inf`` where the
+        job's databank is not hosted), in machine order.  The streaming
+        window appends them to its cost rows as they are; it keeps no other
+        copy.
     """
 
     index: int
     job: Job
-    costs: np.ndarray
+    costs: List[float]
     fastest: Optional[float] = None
 
     @property
@@ -107,7 +109,7 @@ class ArrivalEvent(NamedTuple):
         """
         if self.fastest is not None:
             return self.fastest
-        return float(np.min(self.costs))
+        return min(self.costs)
 
 
 def spawn_stream_seeds(base_seed: int, name: str, count: int) -> List[np.random.SeedSequence]:
@@ -345,26 +347,23 @@ class WorkloadStream:
 # --------------------------------------------------------------------------- #
 def _bank_cost_columns(
     machines: Sequence[Machine], banks: Sequence[str]
-) -> Dict[Optional[str], np.ndarray]:
+) -> Dict[Optional[str], List[float]]:
     """Per-databank unit-size cost columns: ``cycle_time`` or ``inf``.
 
     A generated job needs exactly one databank (or none), so its cost column
-    is ``size * column[bank]`` — the same correctly-rounded float64 products
-    as calling :meth:`Machine.processing_time` per machine (``W_j * c_i``
-    where the bank is hosted, ``inf`` elsewhere), computed without the
-    per-arrival Python loop.
+    is ``[size * c for c in column[bank]]`` — the same correctly-rounded
+    float64 products as calling :meth:`Machine.processing_time` per machine
+    (``W_j * c_i`` where the bank is hosted, ``inf`` elsewhere) or as the
+    numpy product ``size * array(column)``.
     """
-    columns: Dict[Optional[str], np.ndarray] = {
-        None: np.array([machine.cycle_time for machine in machines], dtype=float)
+    columns: Dict[Optional[str], List[float]] = {
+        None: [float(machine.cycle_time) for machine in machines]
     }
     for bank in banks:
-        columns[bank] = np.array(
-            [
-                machine.cycle_time if bank in machine.databanks else math.inf
-                for machine in machines
-            ],
-            dtype=float,
-        )
+        columns[bank] = [
+            float(machine.cycle_time) if bank in machine.databanks else math.inf
+            for machine in machines
+        ]
     return columns
 
 
@@ -380,7 +379,7 @@ def _generated_jobs(spec: StreamSpec, machines: Sequence[Machine]) -> Iterator[A
     # size * min(column) == min(size * column) bit for bit (size > 0 and
     # IEEE-754 multiplication is monotone), so the per-arrival fastest cost
     # is one float product instead of an O(m) numpy reduction.
-    bank_fastest = {bank: float(np.min(column)) for bank, column in bank_columns.items()}
+    bank_fastest = {bank: min(column) for bank, column in bank_columns.items()}
     low, high = (float(v) for v in spec.size_range)
     alpha = float(spec.pareto_shape)
     pareto_sizes = spec.sizes == "pareto" and low < high
@@ -468,7 +467,7 @@ def _generated_jobs(spec: StreamSpec, machines: Sequence[Machine]) -> Iterator[A
         yield ArrivalEvent(
             index=index,
             job=job,
-            costs=size * bank_columns[bank],
+            costs=[size * cost for cost in bank_columns[bank]],
             fastest=size * bank_fastest[bank],
         )
         index += 1
@@ -505,7 +504,7 @@ def replay_stream(instance: Instance, *, spec: Optional[StreamSpec] = None) -> W
             yield ArrivalEvent(
                 index=index,
                 job=instance.jobs[index],
-                costs=np.asarray(instance.costs[:, index], dtype=float).copy(),
+                costs=instance.costs[:, index].tolist(),
             )
 
     return WorkloadStream(

@@ -11,6 +11,8 @@ asserts it).  It holds:
   bit for bit;
 * :mod:`tests.reference.stream_legacy` — the frozen rebuild-per-arrival
   streaming loop (``run_rebuild``);
+* :mod:`tests.reference.assignment` — the strict-``<`` machine scan
+  (``strict_scan_assignment``) that ``fastest_free_assignment`` replaced;
 * :mod:`tests.reference.snapshots` — the deterministic projection of a
   metrics snapshot that the ``parallel == sequential`` tests compare.
 

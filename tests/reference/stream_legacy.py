@@ -344,10 +344,18 @@ def run_rebuild(
                         if not array_mode:
                             window.mirrors[job_index].remaining_fraction = value
             time = horizon
-        elif not bool(np.any(remaining[active] <= _COMPLETION_DUST)):
-            # Degenerate zero-width window with nothing completing now:
-            # snap to the next real event (kernel semantics).
-            time = next_arrival if next_arrival is not None else time + _MIN_STEP
+        else:
+            # Degenerate zero-width window: a running job whose projected
+            # completion rounds to ``time`` has less work left than the
+            # clock resolves, so it completes now.
+            unresolvable = running_jobs[
+                time + remaining[running_jobs] / rate_view[running_jobs] <= time
+            ]
+            remaining[unresolvable] = 0.0
+            if not bool(np.any(remaining[active] <= _COMPLETION_DUST)):
+                # Nothing completing now: snap to the next real event
+                # (kernel semantics).
+                time = next_arrival if next_arrival is not None else time + _MIN_STEP
 
         # ---- completions (ascending window index) --------------------
         active_arr = np.asarray(active, dtype=np.intp)

@@ -209,3 +209,19 @@ class TestConstruction:
         result = StreamingSimulator().run(replay_stream(instance), Minimal())
         assert result.policy == "minimal"
         assert result.completions == instance.num_jobs
+
+
+@pytest.mark.parametrize("policy", FAST_POLICIES)
+def test_work_below_the_clock_resolution_completes_instead_of_stalling(policy):
+    """A 1e-8 s job released at t = 1 keeps 6.1e-9 of its work after its
+    first window; that work is below the clock's resolution at t = 1 + 1e-8,
+    so it can never progress and must complete there.  The loop used to spin
+    on zero-width windows forever (stream mode) or exhaust the event budget
+    (``simulate``)."""
+    from repro.core import Instance, Job
+
+    instance = Instance.from_costs([Job("tiny", 1.0)], [[1e-8]])
+    stream = StreamingSimulator().run(replay_stream(instance), make_scheduler(policy))
+    assert (stream.completions, stream.end_time) == (1, 1.0 + 1e-8)
+    batch = simulate(instance, make_scheduler(policy))
+    assert batch.completion_times[0] == 1.0 + 1e-8

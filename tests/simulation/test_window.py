@@ -3,7 +3,7 @@
 Policies read the active window through the instance protocol; these tests
 fill a :class:`StreamWindow` from a replayed instance and compare every
 accessor of its view with the same accessor of a real :class:`Instance`,
-before and after a compaction.
+before and after admissions and compactions.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from repro.core import Instance, Job
 from repro.simulation.window import StreamWindow
 from repro.workload import random_restricted_instance, replay_stream
+from repro.workload.streams import ArrivalEvent
 
 
 @pytest.fixture
@@ -35,6 +36,7 @@ def test_view_shape_metadata_and_costs_match_the_instance(instance):
     assert view.release_dates == list(instance.release_dates)
     assert view.weights == list(instance.weights)
     assert np.array_equal(view.costs, instance.costs)
+    assert view.machine_orders == instance.machine_orders
     assert view.describe() == instance.describe()
 
 
@@ -67,7 +69,10 @@ def test_materialised_view_is_a_copy():
     instance = Instance.from_costs([Job("a", 0.0), Job("b", 1.0)], [[2.0, 3.0]])
     window = _window(instance)
     snapshot = window.view.materialise()
-    window.costs_base[0, 0] = 99.0
+    # Slot 0 becomes a new job: admit it, then compact the two old slots out.
+    window.admit_batch([ArrivalEvent(index=2, job=Job("c", 2.0), costs=[99.0])])
+    window.live[0] = window.live[1] = False
+    window.compact()
     assert snapshot.costs[0, 0] == 2.0
     assert window.view.cost(0, 0) == 99.0
 
@@ -88,12 +93,29 @@ def test_compaction_keeps_the_view_equal_to_the_survivors(instance):
     assert window.costs_rows == survivors.costs.tolist()
     fastest, weights, releases = window.view.job_lists
     assert (fastest, weights, releases) == tuple(survivors.job_lists)
+    assert window.view.machine_orders == survivors.machine_orders
 
 
-def test_capacity_grows_past_the_initial_block():
+def test_view_costs_follow_seventy_single_admissions():
     instance = Instance.from_costs(
         [Job(f"J{k}", float(k)) for k in range(70)], [[1.0 + k for k in range(70)]]
     )
-    window = _window(instance)
-    assert window.capacity >= 70
+    window = StreamWindow(instance.machines)
+    for event in replay_stream(instance).jobs():
+        window.admit_batch([event])
+        assert window.view.costs.shape == (1, event.index + 1)
     assert np.array_equal(window.view.costs, instance.costs)
+
+
+def test_view_costs_are_rebuilt_after_an_admission_and_a_compaction(instance):
+    window = StreamWindow(instance.machines)
+    events = list(replay_stream(instance).jobs())
+    window.admit_batch(events[:3])
+    assert np.array_equal(window.view.costs, instance.costs[:, :3])
+    window.admit_batch(events[3:])
+    assert np.array_equal(window.view.costs, instance.costs)
+    window.live[0] = window.live[3] = False
+    window.compact()
+    kept = [1, 2, 4, 5]
+    assert np.array_equal(window.view.costs, instance.costs[:, kept])
+    assert window.view.machine_orders == [instance.machine_orders[j] for j in kept]
