@@ -29,7 +29,20 @@ from ..exceptions import InvalidInstanceError
 from .job import Job, sort_by_release_date, validate_jobs
 from .machine import Machine, Platform
 
-__all__ = ["Instance"]
+__all__ = ["Instance", "machine_order"]
+
+
+def machine_order(column: Sequence[float]) -> List[int]:
+    """The machine preference order of one job's cost ``column``.
+
+    The machines able to run the job (finite cost), fastest first, the
+    lowest index first on equal costs (a stable sort).  The first free
+    machine in this order is the one an ascending scan with a strict ``<``
+    from ``inf`` picks.
+    """
+    return [
+        i for i in sorted(range(len(column)), key=column.__getitem__) if column[i] < math.inf
+    ]
 
 
 @dataclass(frozen=True)
@@ -216,21 +229,15 @@ class Instance:
 
     @property
     def machine_orders(self) -> List[List[int]]:
-        """Each job's machine preference order, in job order.
+        """Each job's :func:`machine_order`, in job order.
 
-        The machines able to run the job (finite cost), fastest first, the
-        lowest index first on equal costs (a stable sort).  Cached like
-        :attr:`job_lists`; the streaming
+        Cached like :attr:`job_lists`; the streaming
         :class:`~repro.simulation.window.InstanceView` records the same
         lists at admission.
         """
         cache = getattr(self, "_machine_orders_cache", None)
         if cache is None:
-            machines = range(self.num_machines)
-            cache = [
-                [i for i in sorted(machines, key=column.__getitem__) if column[i] < math.inf]
-                for column in self.costs.T.tolist()
-            ]
+            cache = [machine_order(column) for column in self.costs.T.tolist()]
             object.__setattr__(self, "_machine_orders_cache", cache)
         return cache
 

@@ -16,10 +16,11 @@ hands a policy a freshly built :class:`~repro.core.instance.Instance`
   consume (``jobs``, ``machines``, ``cost``, ``min_cost``, ``job_lists``,
   ``machine_orders``, ``num_jobs`` …) without constructing or re-validating
   anything; ``jobs`` is the window's own slot list.  Only ``costs`` (the
-  numpy block, read by LP-backed policies and cold paths) is derived: it is
-  built from the rows on its first read after an admission or compaction.
-  One view object persists for the whole run; the ``rebind``/``compact``
-  policy hooks signal the mutations.
+  numpy block) is derived: it is built from the rows on each read.  Its
+  readers are cold — ``materialise``, ``describe``, ``aggregate_rate``; the
+  policies read ``cost()``, and the LP-backed ones build their
+  sub-instances through it.  One view object persists for the whole run;
+  the ``rebind``/``compact`` policy hooks signal the mutations.
 
 Validation is *not* repeated per event — that is the point.  Arrivals are
 validated where they are made (``Job.__post_init__``, the stream generators,
@@ -31,13 +32,12 @@ equal.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.instance import Instance
+from ..core.instance import Instance, machine_order
 from ..core.job import Job
 from ..core.machine import Machine
 from ..workload.streams import ArrivalEvent
@@ -74,17 +74,12 @@ class InstanceView:
     def costs(self) -> np.ndarray:
         """``(m, width)`` cost array of the window, built from the rows.
 
-        Built on the first read after an admission or a compaction and
-        reused until the next one; the hot decision path never reads it.
+        A fresh array on each read (O(m·w)); no decision path reads it.
         """
         window = self._window
-        block = window.costs_block
-        if block is None:
-            block = np.array(window.costs_rows, dtype=float).reshape(
-                window.num_machines, len(window.jobs)
-            )
-            window.costs_block = block
-        return block
+        return np.array(window.costs_rows, dtype=float).reshape(
+            window.num_machines, len(window.jobs)
+        )
 
     @property
     def job_lists(self) -> Tuple[List[float], List[float], List[float]]:
@@ -211,9 +206,6 @@ class StreamWindow:
         #: advance arithmetic, ``InstanceView.cost`` — read them without
         #: float64 boxing.
         self.costs_rows: List[List[float]] = [[] for _ in range(self.num_machines)]
-        #: The numpy cost array :attr:`InstanceView.costs` last built;
-        #: ``None`` once an admission or compaction made it stale.
-        self.costs_block: Optional[np.ndarray] = None
         #: Per-slot machine preference orders: the machines able to run the
         #: slot's job, fastest first, lowest index first on ties.
         self.orders: List[List[int]] = []
@@ -238,8 +230,6 @@ class StreamWindow:
         The admission half of batched event processing.
         """
         first = len(self.jobs)
-        machines = range(self.num_machines)
-        inf = math.inf
         for event in events:
             job = event.job
             column = event.costs
@@ -248,15 +238,11 @@ class StreamWindow:
             self.live.append(True)
             for row, cost in zip(self.costs_rows, column):
                 row.append(cost)
-            # A stable sort: equal costs keep ascending machine order.
-            self.orders.append(
-                [i for i in sorted(machines, key=column.__getitem__) if column[i] < inf]
-            )
+            self.orders.append(machine_order(column))
             self.min_list.append(event.min_cost)
             self.weight_list.append(job.weight)
             self.release_list.append(job.release_date)
             self.remaining.append(1.0)
-        self.costs_block = None
         return first
 
     def compact(self) -> Dict[int, int]:
@@ -279,5 +265,4 @@ class StreamWindow:
         ):
             values[:] = gather(values)
         self.live = [True] * len(survivors)
-        self.costs_block = None
         return {old: new for new, old in enumerate(survivors)}

@@ -5,6 +5,8 @@ both by :class:`StreamingSimulator` and by
 ``tests.reference.stream_legacy.run_rebuild``; the two must agree on the
 full :meth:`StreamResult.fingerprint` and on the queue trajectory, with
 compaction as early as possible (``compact_min=1``) and at the default.
+The same workload's ``simulate`` schedule must validate, which checks the
+loop against the model itself rather than against a second loop.
 The draws aim at the loop's edges:
 
 * simultaneous arrivals — equal release dates, and dates within the
@@ -25,7 +27,7 @@ from repro.core import Instance, Job
 from repro.core.machine import Machine, Platform
 from repro.core.tolerances import ABS_TOL
 from repro.heuristics import make_scheduler
-from repro.simulation import StreamingSimulator
+from repro.simulation import StreamingSimulator, simulate
 from repro.simulation.stream import _COMPACT_MIN
 from repro.workload import replay_stream
 from tests.reference.stream_legacy import run_rebuild
@@ -89,3 +91,4 @@ def test_replayed_edge_workloads_match_the_rebuild_loop(instance, policy, compac
     assert view.fingerprint() == rebuild.fingerprint()
     assert view.queue_times.tobytes() == rebuild.queue_times.tobytes()
     assert view.queue_lengths.tobytes() == rebuild.queue_lengths.tobytes()
+    simulate(instance, make_scheduler(policy)).schedule.validate()

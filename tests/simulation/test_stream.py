@@ -217,7 +217,8 @@ def test_work_below_the_clock_resolution_completes_instead_of_stalling(policy):
     first window; that work is below the clock's resolution at t = 1 + 1e-8,
     so it can never progress and must complete there.  The loop used to spin
     on zero-width windows forever (stream mode) or exhaust the event budget
-    (``simulate``)."""
+    (``simulate``).  The work dropped at completion is below the schedule's
+    completion tolerance, so the logged schedule stays valid."""
     from repro.core import Instance, Job
 
     instance = Instance.from_costs([Job("tiny", 1.0)], [[1e-8]])
@@ -225,3 +226,4 @@ def test_work_below_the_clock_resolution_completes_instead_of_stalling(policy):
     assert (stream.completions, stream.end_time) == (1, 1.0 + 1e-8)
     batch = simulate(instance, make_scheduler(policy))
     assert batch.completion_times[0] == 1.0 + 1e-8
+    batch.schedule.validate()
