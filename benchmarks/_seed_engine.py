@@ -1,9 +1,10 @@
 """Frozen copy of the seed discrete-event engine (pre-array-backed kernel).
 
 This module is a reference implementation kept **only** for
-``bench_engine_regression.py``: the array-backed kernel in
-``repro.simulation.kernel`` must stay byte-for-byte compatible with — and at
-least as fast as — this engine.  Do not import it from library code.
+``bench_engine_regression.py`` and its tier-1 smoke twin:
+:func:`repro.simulation.simulate` (the event loop's finite-instance mode)
+must stay byte-for-byte compatible with — and at least as fast as — this
+engine.  Do not import it from library code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.exceptions import SimulationError
 from repro.simulation.result import EventRecord, SimulationResult
-from repro.simulation.state import AllocationDecision, JobProgress, SimulationState
+from repro.simulation.state import AllocationDecision, SimulationState
 
 __all__ = ["simulate"]
 
@@ -29,14 +30,11 @@ _MIN_STEP = 1e-12
 _EXCLUSIVE_SHARE = 1.0 - 1e-9
 
 
-def simulate(
-    instance: Instance,
-    scheduler,
-    *,
-    validate_decisions: bool = True,
-    max_events: Optional[int] = None,
-) -> SimulationResult:
+def simulate(instance: Instance, scheduler) -> SimulationResult:
     """Simulate ``scheduler`` on ``instance`` and return the executed schedule.
+
+    Every allocation returned by the policy is validated before it is
+    applied, and the run may take at most ``50 * n + 1000`` events.
 
     Parameters
     ----------
@@ -45,13 +43,6 @@ def simulate(
     scheduler:
         An object implementing the :class:`repro.heuristics.base.OnlineScheduler`
         protocol (``name``, ``divisible`` and ``decide(state)``).
-    validate_decisions:
-        When ``True`` (default) every allocation returned by the policy is
-        checked before being applied; disable only in benchmarks where the
-        policy is already trusted.
-    max_events:
-        Safety cap on the number of processed events; defaults to
-        ``50 * n + 1000``.
 
     Raises
     ------
@@ -60,10 +51,13 @@ def simulate(
         not terminate within the event budget.
     """
     n = instance.num_jobs
-    if max_events is None:
-        max_events = 50 * n + 1000
+    max_events = 50 * n + 1000
 
-    jobs = [JobProgress(job_index=j) for j in range(n)]
+    # Per-job dynamic state; ``remaining`` is updated in place and bound to
+    # every state as its ``remaining_list``.
+    remaining = [1.0] * n
+    arrived = [False] * n
+    completion_times: List[Optional[float]] = [None] * n
     arrivals: List[Tuple[float, int]] = sorted(
         (job.release_date, j) for j, job in enumerate(instance.jobs)
     )
@@ -109,16 +103,20 @@ def simulate(
         # Mark arrivals at the current time.
         while next_arrival_pos < len(arrivals) and arrivals[next_arrival_pos][0] <= time + 1e-12:
             _, job_index = arrivals[next_arrival_pos]
-            jobs[job_index].arrived = True
+            arrived[job_index] = True
             events.append(EventRecord(time=time, kind="arrival", job_index=job_index))
             next_arrival_pos += 1
 
         next_arrival = arrivals[next_arrival_pos][0] if next_arrival_pos < len(arrivals) else None
 
+        active = [j for j in range(n) if arrived[j] and completion_times[j] is None]
         state = SimulationState(
-            instance=instance, time=time, jobs=jobs, next_arrival=next_arrival
+            instance=instance,
+            time=time,
+            next_arrival=next_arrival,
+            active=active,
+            remaining_list=remaining,
         )
-        active = state.active_jobs()
 
         if not active:
             if next_arrival is None:
@@ -128,8 +126,7 @@ def simulate(
 
         decision: AllocationDecision = scheduler.decide(state)
         num_calls += 1
-        if validate_decisions:
-            decision.validate(state)
+        decision.validate(state)
 
         rates = decision.job_rates(state)
 
@@ -141,7 +138,7 @@ def simulate(
             horizon = min(horizon, max(decision.wake_up_at, time + _MIN_STEP))
         for job_index, rate in rates.items():
             if rate > 0:
-                horizon = min(horizon, time + jobs[job_index].remaining_fraction / rate)
+                horizon = min(horizon, time + remaining[job_index] / rate)
 
         if math.isinf(horizon):
             raise SimulationError(
@@ -160,7 +157,7 @@ def simulate(
         }
         for machine_index, job_index in list(open_pieces.keys()):
             if (machine_index, job_index) not in assigned_now:
-                still_unfinished = jobs[job_index].remaining_fraction > _COMPLETION_DUST
+                still_unfinished = remaining[job_index] > _COMPLETION_DUST
                 flush_piece(machine_index, job_index)
                 if still_unfinished:
                     num_preemptions += 1
@@ -179,9 +176,7 @@ def simulate(
                         open_pieces[key] = (start, fraction + progressed)
                     else:
                         open_pieces[key] = (time, progressed)
-                    jobs[job_index].remaining_fraction = max(
-                        0.0, jobs[job_index].remaining_fraction - progressed
-                    )
+                    remaining[job_index] = max(0.0, remaining[job_index] - progressed)
                 else:
                     # Time-shared window: realise the shares sequentially.
                     flush_machine(machine_index)
@@ -195,9 +190,7 @@ def simulate(
                             job_index, machine_index, cursor, cursor + duration, progressed
                         )
                         cursor += duration
-                        jobs[job_index].remaining_fraction = max(
-                            0.0, jobs[job_index].remaining_fraction - progressed
-                        )
+                        remaining[job_index] = max(0.0, remaining[job_index] - progressed)
 
         if window > 0:
             # Snap exactly to the event time.  Advancing by `time + window`
@@ -205,7 +198,7 @@ def simulate(
             # by one ulp per event, so completion times and event records no
             # longer coincide with the release dates that caused them.
             time = horizon
-        elif all(jobs[j].remaining_fraction > _COMPLETION_DUST for j in active):
+        elif all(remaining[j] > _COMPLETION_DUST for j in active):
             # Degenerate zero-width window with nothing completing right now:
             # snap to the next real event instead of accumulating _MIN_STEP
             # dust.  (When a completion is pending it fires below at the
@@ -214,10 +207,9 @@ def simulate(
 
         # Completions.
         for job_index in active:
-            progress = jobs[job_index]
-            if not progress.finished and progress.remaining_fraction <= _COMPLETION_DUST:
-                progress.remaining_fraction = 0.0
-                progress.completion_time = time
+            if completion_times[job_index] is None and remaining[job_index] <= _COMPLETION_DUST:
+                remaining[job_index] = 0.0
+                completion_times[job_index] = time
                 events.append(EventRecord(time=time, kind="completion", job_index=job_index))
                 for machine_index in range(instance.num_machines):
                     flush_piece(machine_index, job_index)
@@ -226,7 +218,7 @@ def simulate(
     for machine_index, job_index in list(open_pieces.keys()):
         flush_piece(machine_index, job_index)
 
-    unfinished = [j for j in range(n) if jobs[j].completion_time is None]
+    unfinished = [j for j in range(n) if completion_times[j] is None]
     if unfinished:
         raise SimulationError(
             f"simulation ended with unfinished jobs: {[instance.jobs[j].name for j in unfinished]}"
@@ -238,5 +230,5 @@ def simulate(
         events=events,
         num_scheduler_calls=num_calls,
         num_preemptions=num_preemptions,
-        completion_times={j: jobs[j].completion_time for j in range(n)},
+        completion_times={j: completion_times[j] for j in range(n)},
     )

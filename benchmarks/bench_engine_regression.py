@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 
 from repro.heuristics import available_schedulers, make_scheduler
-from repro.simulation import simulate, simulate_many
+from repro.simulation import simulate
 from repro.workload import make_scenario, random_unrelated_instance
 
 import _seed_engine
@@ -63,10 +63,9 @@ def test_event_loop_is_no_slower_than_seed_on_a_single_simulation(bench_scale):
     assert loop_seconds <= seed_seconds * 1.10
 
 
-def test_simulate_many_matches_seed_engine_across_seeds():
-    instances = [random_unrelated_instance(60, 5, seed=s) for s in range(8)]
-    results = simulate_many(instances, lambda: make_scheduler("mct"))
-    assert len(results) == 8
-    for instance, result in zip(instances, results):
+def test_seed_sweep_matches_seed_engine():
+    for seed in range(8):
+        instance = random_unrelated_instance(60, 5, seed=seed)
+        result = simulate(instance, make_scheduler("mct"))
         reference = _seed_engine.simulate(instance, make_scheduler("mct"))
         assert result.schedule.pieces == reference.schedule.pieces

@@ -34,7 +34,7 @@ import time
 import pytest
 
 from repro.heuristics import OnlineOfflineAdaptationScheduler
-from repro.simulation import simulate, simulate_many
+from repro.simulation import simulate
 from repro.workload import random_unrelated_instance
 
 
@@ -98,8 +98,9 @@ def test_model_builds_drop_superlinearly_as_events_accumulate():
     ratios = []
     for batch in range(3):
         seeds = range(batch * 4, batch * 4 + 4)
-        instances = [_staggered_instance(10, seed=s) for s in seeds]
-        simulate_many(instances, scheduler)
+        for seed in seeds:
+            # One scheduler across runs: its probe amortises over them.
+            simulate(_staggered_instance(10, seed=seed), scheduler)
         ratios.append(probe.probes / probe.model_constructions)
         print(
             f"[replanning] after {(batch + 1) * 4} runs: checks={probe.probes} "
@@ -227,7 +228,7 @@ def test_rank_keyed_probe_lifts_lp_targets_hit_rate():
     results = {}
     for label, rank_keyed in (("raw", False), ("rank-keyed", True)):
         scheduler = DeadlineDrivenScheduler(lp_targets=True, rank_keyed_probe=rank_keyed)
-        results[label] = simulate_many(instances, scheduler)
+        results[label] = [simulate(instance, scheduler) for instance in instances]
         schedulers[label] = scheduler
 
     for raw_result, ranked_result in zip(results["raw"], results["rank-keyed"]):
@@ -262,8 +263,8 @@ def test_event_scoped_refresh_skips_coefficient_rewrites():
     by the identity bench above).
     """
     scheduler = OnlineOfflineAdaptationScheduler()
-    instances = [_staggered_instance(12, seed=seed) for seed in range(4)]
-    simulate_many(instances, scheduler)
+    for seed in range(4):
+        simulate(_staggered_instance(12, seed=seed), scheduler)
     probe = scheduler.replan_probe
     assert probe.event_refresh_reuses > 0
     assert probe.coefficient_refreshes + probe.event_refresh_reuses == probe.lp_solves

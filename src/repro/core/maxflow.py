@@ -39,9 +39,8 @@ every probed objective value, the probe exploits the milestone structure:
   answered by comparing against ``F*`` without touching a solver;
 * an *infeasible* solve proves every ``F`` at or below the probed value
   infeasible, again by monotonicity; both facts are recorded as monotone
-  bounds and consulted before any LP work;
-* an LRU memo keyed by the exact probed value guarantees that the milestone
-  search and the ε-bisection baseline never solve the same objective twice;
+  bounds and consulted before any LP work, so a repeated objective is
+  answered without a solve;
 * the per-range parametric models themselves sit in a size-capped LRU cache
   (``_MAX_CACHED_RANGES`` entries), so campaign-scale sweeps that keep many
   probes alive at once stay in bounded memory.
@@ -54,8 +53,8 @@ The module also provides a naive ε-precision binary search
 (:func:`minimize_max_weighted_flow_bisection`), which the paper discusses and
 rejects because it only reaches the optimum approximately; it is kept as a
 baseline for the milestone-search ablation bench.  It accepts the same
-``probe`` object so the two searches can share cached structures and memoised
-answers.
+``probe`` object so the two searches can share cached structures and the
+monotone bounds.
 """
 
 from __future__ import annotations
@@ -146,8 +145,6 @@ class MaxWeightedFlowResult:
 # --------------------------------------------------------------------------- #
 # Reusable feasibility probe                                                  #
 # --------------------------------------------------------------------------- #
-#: Probed objective values memoised per probe (LRU).
-_MEMO_SIZE = 256
 #: Parametric range models cached per probe (LRU).
 _MAX_CACHED_RANGES = 64
 
@@ -213,7 +210,6 @@ class FeasibilityProbe:
         #: probes alive stay in bounded memory (an evicted range is simply
         #: rebuilt — and counted — if a later probe needs it again).
         self._ranges: "OrderedDict[int, _RangeModel]" = OrderedDict()
-        self._memo: "OrderedDict[float, bool]" = OrderedDict()
         # Monotone knowledge accumulated from parametric solves:
         #   every F >= _feasible_min is feasible,
         #   every F <= _infeasible_max is infeasible,
@@ -307,9 +303,6 @@ class FeasibilityProbe:
         if objective <= 0.0:
             # Positive work cannot complete by the release date itself.
             return False
-        if objective in self._memo:
-            self._memo.move_to_end(objective)
-            return self._memo[objective]
         if objective >= self._feasible_min:
             return True
         if objective < self._strict_below:
@@ -317,12 +310,6 @@ class FeasibilityProbe:
         if objective <= self._infeasible_max:
             return False
         return None
-
-    def _remember(self, objective: float, feasible: bool) -> None:
-        self._memo[objective] = feasible
-        self._memo.move_to_end(objective)
-        while len(self._memo) > _MEMO_SIZE:
-            self._memo.popitem(last=False)
 
     # -- LP machinery -------------------------------------------------------
     def _probe_lp(self, objective: float) -> bool:
@@ -341,13 +328,11 @@ class FeasibilityProbe:
                 # infeasible.
                 self._strict_below = max(self._strict_below, threshold)
                 self._pinned = (range_model, solution, threshold)
-            self._remember(objective, True)
             return True
         if solution.is_infeasible:
             # No feasible F at or below the probed value exists in this range;
             # by monotonicity none exists globally either.
             self._infeasible_max = max(self._infeasible_max, objective)
-            self._remember(objective, False)
             return False
         raise SolverError(
             f"feasibility probe at F={objective!r} failed: "
@@ -460,7 +445,7 @@ def minimize_max_weighted_flow(
         Optional pre-warmed :class:`FeasibilityProbe` for ``instance`` (must
         match ``preemptive`` and ``backend``); pass the same probe to
         :func:`minimize_max_weighted_flow_bisection` to share cached range
-        structures and memoised probe answers between the two searches.
+        structures and the monotone bounds between the two searches.
     """
     if instance.num_jobs == 0:
         raise InvalidInstanceError("cannot optimise an empty instance")

@@ -46,8 +46,9 @@ class OnlineScheduler(abc.ABC):
 
     Every policy has one decision path, :meth:`decide`.  It reads per-job
     dynamic state through ``active_jobs()``, ``remaining_fraction()`` (and
-    the accessors derived from it) or ``remaining_list``; the event loop
-    passes ``jobs=None`` (see :class:`~repro.simulation.state.SimulationState`).
+    the accessors derived from it) or the state's ``active`` and
+    ``remaining_list`` lists, which the event loop updates in place (see
+    :class:`~repro.simulation.state.SimulationState`).
     """
 
     name: str = "scheduler"

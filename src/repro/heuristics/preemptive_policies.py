@@ -12,11 +12,11 @@ Section 4.4).
 
 Both rank the active jobs with one stable ``sorted`` over the instance's
 ``job_lists`` (fastest costs, weights, release dates as Python floats) and
-the event loop's ``remaining_list``, then hand each job its fastest free
-machine (:func:`~repro.heuristics.base.fastest_free_assignment`), which
-walks the job's machine preference order (``machine_orders``, recorded
-when the job enters the window) instead of scanning the cost rows.  The
-full sort stays: ``heapq.nsmallest`` over only the prefix that fills the
+the state's ``remaining_list``, the one copy of the remaining work.  They
+then hand each job its fastest free machine
+(:func:`~repro.heuristics.base.fastest_free_assignment`), which walks the
+job's machine preference order (``machine_orders``, recorded when the job
+enters the window) instead of scanning the cost rows.  The full sort stays: ``heapq.nsmallest`` over only the prefix that fills the
 machines measured 2–3× slower than ``sorted`` at 8–80 active jobs.
 """
 
@@ -48,12 +48,7 @@ class _PriorityPreemptiveScheduler(OnlineScheduler):
         return None
 
     def _rank(self, state: SimulationState, active: List[int], job_lists: JobLists) -> List[int]:
-        """``active`` in priority order (a stable sort over ascending indices).
-
-        Reads the event loop's ``remaining_list`` when it is bound and
-        :meth:`~repro.simulation.state.SimulationState.remaining_fraction`
-        otherwise; both give the same doubles.
-        """
+        """``active`` in priority order (a stable sort over ascending indices)."""
         raise NotImplementedError
 
     def decide(self, state: SimulationState) -> AllocationDecision:
@@ -70,9 +65,6 @@ class SRPTScheduler(_PriorityPreemptiveScheduler):
     def _rank(self, state: SimulationState, active: List[int], job_lists: JobLists) -> List[int]:
         mins = job_lists[0]
         remaining = state.remaining_list
-        if remaining is None:
-            fraction = state.remaining_fraction
-            return sorted(active, key=lambda j: fraction(j) * mins[j])
         return sorted(active, key=lambda j: remaining[j] * mins[j])
 
 
@@ -92,12 +84,6 @@ class GreedyWeightedFlowScheduler(_PriorityPreemptiveScheduler):
         mins, weights, releases = job_lists
         time = state.time
         remaining = state.remaining_list
-        if remaining is None:
-            fraction = state.remaining_fraction
-            return sorted(
-                active,
-                key=lambda j: (-weights[j]) * ((time - releases[j]) + fraction(j) * mins[j]),
-            )
         return sorted(
             active,
             key=lambda j: (-weights[j]) * ((time - releases[j]) + remaining[j] * mins[j]),

@@ -10,9 +10,9 @@ One event loop serves both: :class:`StreamingSimulator`.
 
 Public API
 ----------
-:func:`simulate`, :func:`simulate_many`
-    Replay a finite instance (or many) through the event loop and obtain a
-    validated schedule (see :mod:`repro.simulation.engine`).
+:func:`simulate`
+    Replay a finite instance through the event loop and obtain a validated
+    schedule (see :mod:`repro.simulation.engine`).
 :class:`SimulationResult`, :class:`EventRecord`
     Executed schedule, events, preemption counts and metrics.
 :class:`SimulationState`, :class:`AllocationDecision`
@@ -25,9 +25,9 @@ Public API
     policies see (see :mod:`repro.simulation.window`).
 """
 
-from .engine import simulate, simulate_many
+from .engine import simulate
 from .result import EventRecord, SimulationResult
-from .state import AllocationDecision, JobProgress, MachineShare, SimulationState
+from .state import AllocationDecision, MachineShare, SimulationState
 from .stream import StreamingSimulator, StreamResult
 from .window import InstanceView, StreamWindow
 
@@ -35,7 +35,6 @@ __all__ = [
     "AllocationDecision",
     "EventRecord",
     "InstanceView",
-    "JobProgress",
     "MachineShare",
     "SimulationResult",
     "SimulationState",
@@ -43,5 +42,4 @@ __all__ = [
     "StreamWindow",
     "StreamingSimulator",
     "simulate",
-    "simulate_many",
 ]

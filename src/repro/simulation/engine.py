@@ -18,6 +18,12 @@ in its finite-instance mode:
    advances every allocated job's remaining fraction to that time and
    records the completions.
 
+The loop works out the mode's settings from the
+:class:`~repro.simulation.stream.ScheduleLog` it is handed: every decision
+is validated, the window never compacts or saturates (slots stay instance
+indices) and the run may take at most ``50 n + 1000`` events.  So
+:func:`simulate` takes no options.
+
 Executed work is recorded as regular :class:`~repro.core.schedule.SchedulePiece`
 objects so simulation results validate and measure exactly like off-line
 optima (see :class:`~repro.simulation.stream.ScheduleLog`):
@@ -37,7 +43,6 @@ and the tier-1 smoke twin pin it for every registered policy).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Optional, Union
 
 from ..core.instance import Instance
 from ..obs.metrics import NULL_RECORDER, get_recorder
@@ -45,17 +50,16 @@ from ..workload.streams import replay_stream
 from .result import SimulationResult
 from .stream import ScheduleLog, StreamingSimulator
 
-__all__ = ["simulate", "simulate_many"]
+__all__ = ["simulate"]
 
 
-def simulate(
-    instance: Instance,
-    scheduler,
-    *,
-    validate_decisions: bool = True,
-    max_events: Optional[int] = None,
-) -> SimulationResult:
+def simulate(instance: Instance, scheduler) -> SimulationResult:
     """Simulate ``scheduler`` on ``instance`` and return the executed schedule.
+
+    Every decision is validated, and the run may take at most
+    ``50 * n + 1000`` events (``n`` jobs).  To run one policy over many
+    instances, loop: a scheduler object may be reused, since its ``reset``
+    hook is invoked before every run.
 
     Parameters
     ----------
@@ -64,13 +68,6 @@ def simulate(
     scheduler:
         An object implementing the :class:`repro.heuristics.base.OnlineScheduler`
         protocol (``name``, ``divisible`` and ``decide(state)``).
-    validate_decisions:
-        When ``True`` (default) every allocation returned by the policy is
-        checked before being applied; disable only in benchmarks where the
-        policy is already trusted.
-    max_events:
-        Safety cap on the number of processed events; defaults to
-        ``50 * n + 1000``.
 
     Raises
     ------
@@ -79,23 +76,11 @@ def simulate(
         not terminate within the event budget.
     """
     num_jobs = instance.num_jobs
-    if max_events is None:
-        max_events = 50 * num_jobs + 1000
     log = ScheduleLog(instance, divisible=getattr(scheduler, "divisible", True))
     if hasattr(scheduler, "reset"):
         scheduler.reset(instance)
-    # Never saturate, never compact: window slots stay instance indices.
-    simulator = StreamingSimulator(
-        max_active=math.inf, validate_decisions=validate_decisions, compact_min=math.inf
-    )
-    run = simulator._simulate(
-        replay_stream(instance),
-        scheduler,
-        budget=math.inf,
-        record_jobs=False,
-        recorder=NULL_RECORDER,
-        log=log,
-        max_events=max_events,
+    run = StreamingSimulator()._simulate(
+        replay_stream(instance), scheduler, budget=math.inf, recorder=NULL_RECORDER, log=log
     )
 
     # Aggregate instrumentation after the loop: O(1) recorder calls per run.
@@ -114,29 +99,3 @@ def simulate(
         num_preemptions=run.preemptions,
         completion_times={j: log.completion_times[j] for j in range(num_jobs)},
     )
-
-
-def simulate_many(
-    instances: Iterable[Instance],
-    scheduler: Union[object, Callable[[], object]],
-    *,
-    validate_decisions: bool = True,
-    max_events: Optional[int] = None,
-) -> List[SimulationResult]:
-    """Simulate one policy over many instances (e.g. one scenario over seeds).
-
-    ``scheduler`` is either a scheduler object (its ``reset`` hook is invoked
-    before every run) or a zero-argument factory returning a fresh scheduler
-    per instance (anything callable without a ``decide`` attribute).
-    ``validate_decisions`` and ``max_events`` are forwarded to every run.
-    """
-    is_factory = callable(scheduler) and not hasattr(scheduler, "decide")
-    return [
-        simulate(
-            instance,
-            scheduler() if is_factory else scheduler,
-            validate_decisions=validate_decisions,
-            max_events=max_events,
-        )
-        for instance in instances
-    ]

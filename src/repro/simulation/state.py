@@ -17,43 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.instance import Instance
 from ..exceptions import SimulationError
 
-__all__ = ["JobProgress", "SimulationState", "AllocationDecision", "MachineShare"]
+__all__ = ["SimulationState", "AllocationDecision", "MachineShare"]
 
 #: A machine's allocation: list of ``(job_index, share)`` pairs, shares summing to at most 1.
 MachineShare = List[Tuple[int, float]]
-
-
-@dataclass
-class JobProgress:
-    """Dynamic state of one job during the simulation.
-
-    Attributes
-    ----------
-    job_index:
-        Index of the job in the instance.
-    remaining_fraction:
-        Fraction of the job still to be processed (1.0 at arrival, 0.0 when
-        done).
-    arrived:
-        Whether the job's release date has passed.
-    completion_time:
-        Set when the job finishes.
-    """
-
-    job_index: int
-    remaining_fraction: float = 1.0
-    arrived: bool = False
-    completion_time: Optional[float] = None
-
-    @property
-    def finished(self) -> bool:
-        """Return ``True`` once the job has been fully processed."""
-        return self.completion_time is not None
 
 
 @dataclass
@@ -65,10 +35,9 @@ class SimulationState:
     and must not retain the object (or its ``active``/``remaining_list``
     lists) across calls.
 
-    Policies read per-job dynamic state only through :meth:`active_jobs`,
-    :meth:`remaining_fraction` and :meth:`fastest_remaining_work`, or through
-    ``remaining_list`` when it is bound.  The two accessors read whichever
-    copy of the remaining work the state carries.
+    Policies read per-job dynamic state through :meth:`active_jobs`,
+    :meth:`remaining_fraction` and :meth:`fastest_remaining_work`, or
+    through ``remaining_list`` directly.
 
     Attributes
     ----------
@@ -78,61 +47,35 @@ class SimulationState:
         so far (costs, weights, release dates).
     time:
         Current simulation time.
-    jobs:
-        Per-job :class:`JobProgress` objects, indexed like ``instance.jobs``,
-        for states built by hand and by the frozen reference engines.  The
-        event loop passes ``None``: its one copy of the remaining work is
-        ``remaining_list``.
     next_arrival:
         Release date of the next not-yet-arrived job (``None`` when all jobs
         have arrived).  On-line policies are allowed to *peek* at this value
         only to bound their planning horizon; clairvoyant policies that
         exploit it further should say so in their documentation.
     active:
-        Optional precomputed sorted list of active job indices.  The engine
-        maintains this incrementally and passes it in so that
-        :meth:`active_jobs` does not rescan every job at every event; states
-        built by hand may leave it ``None``.
-    remaining_vector:
-        Optional numpy vector of per-job remaining fractions.  The event
-        loop leaves it ``None``; the frozen rebuild reference
-        (``tests/reference/stream_legacy.py``) binds it.
+        Sorted list of active job indices: jobs that have arrived and are
+        not finished.  The event loop maintains it incrementally.
     remaining_list:
-        The event loop's per-slot remaining fractions as Python floats: the
-        window's own list, updated in place at every advance, completion
-        and compaction.  States built by hand leave it ``None``.
+        Per-job remaining fractions, indexed like ``instance.jobs`` (1.0 at
+        arrival, 0.0 once done).  The event loop binds the window's own
+        list of Python floats and updates it in place at every advance,
+        completion and compaction: the one copy of the remaining work.
     """
 
     instance: Instance
     time: float
-    jobs: Optional[List[JobProgress]]
     next_arrival: Optional[float]
-    active: Optional[List[int]] = None
-    remaining_vector: Optional[np.ndarray] = None
-    remaining_list: Optional[List[float]] = None
+    active: List[int]
+    remaining_list: List[float]
 
     # ------------------------------------------------------------------ #
     def active_jobs(self) -> List[int]:
         """Indices of jobs that have arrived and are not finished."""
-        if self.active is not None:
-            return list(self.active)
-        return [
-            progress.job_index
-            for progress in self.jobs
-            if progress.arrived and not progress.finished
-        ]
+        return list(self.active)
 
     def remaining_fraction(self, job_index: int) -> float:
-        """Remaining fraction of job ``job_index``.
-
-        Reads ``remaining_list``, else ``remaining_vector``, else the
-        ``jobs`` objects: the first copy the state carries.
-        """
-        if self.remaining_list is not None:
-            return self.remaining_list[job_index]
-        if self.remaining_vector is not None:
-            return float(self.remaining_vector[job_index])
-        return self.jobs[job_index].remaining_fraction
+        """Remaining fraction of job ``job_index``."""
+        return self.remaining_list[job_index]
 
     def fastest_remaining_work(self, job_index: int) -> float:
         """Remaining processing time of the job on its fastest machine."""

@@ -18,7 +18,8 @@ two modes, chosen by the entry point:
   is flagged *saturated* once the live-job count exceeds ``max_active``
   (:mod:`repro.analysis.steady_state` also detects sub-critical saturation
   from the queue-length trajectory).  A stall guard stops a policy that
-  makes no progress.
+  makes no progress: one that goes too many events without an admission,
+  a completion or a window that reduces some job's remaining work.
 * **Finite-instance mode** (:func:`repro.simulation.simulate`).  The loop
   replays a concrete :class:`~repro.core.instance.Instance` through
   :func:`~repro.workload.streams.replay_stream` and records the executed
@@ -26,7 +27,11 @@ two modes, chosen by the entry point:
   and preemptions (see :class:`ScheduleLog`).  The scheduler is reset with
   the full instance before the loop; the window is never compacted (slots
   stay instance indices), the run never saturates, every decision is
-  validated by default and an event budget replaces the stall guard.
+  validated, no per-job metric series is recorded and an event budget of
+  ``50 n + 1000`` events replaces the stall guard.
+
+The mode is the only switch: :meth:`StreamingSimulator._simulate` works out
+every per-mode setting from whether it is handed a :class:`ScheduleLog`.
 
 The zero-copy core
 ------------------
@@ -50,8 +55,7 @@ The loop never materialises a window :class:`~repro.core.instance.Instance`:
   a vector would do, without per-element boxing.  Every policy has one
   decision path, :meth:`~repro.heuristics.base.OnlineScheduler.decide`,
   and reads the remaining work through that list or the state's
-  accessors; there are no per-job ``JobProgress`` objects (``jobs`` is
-  ``None``).
+  accessors.
 
 Two frozen references pin the loop's output.  Finite-instance runs match
 ``benchmarks/_seed_engine.py`` piece for piece; stream runs match the
@@ -297,17 +301,14 @@ class StreamingSimulator:
     """The event loop: drives an on-line policy over a workload stream.
 
     :meth:`run` is stream mode; :func:`repro.simulation.simulate` drives the
-    same loop in finite-instance mode (see the module docstring).
+    same loop in finite-instance mode (see the module docstring).  The
+    parameters configure stream mode only.
 
     Parameters
     ----------
     max_active:
         Saturation cap: the run stops (flagged ``saturated``) once more than
         this many jobs are live at once.
-    validate_decisions:
-        Validate every allocation against the window state (off by default:
-        it costs O(window) Python work per event; finite-instance runs
-        through :func:`repro.simulation.simulate` validate every policy).
     compact_min:
         Minimum number of dead slots before a compaction fires (the window
         compacts when dead slots reach ``max(compact_min, live slots)``, so
@@ -322,7 +323,6 @@ class StreamingSimulator:
         self,
         *,
         max_active: int = 10_000,
-        validate_decisions: bool = False,
         compact_min: int = _COMPACT_MIN,
         recorder: Optional[Recorder] = None,
     ) -> None:
@@ -331,7 +331,6 @@ class StreamingSimulator:
         if compact_min < 1:
             raise SimulationError("compact_min must be at least 1")
         self.max_active = max_active
-        self.validate_decisions = validate_decisions
         self.compact_min = compact_min
         # Metrics are injected (or resolved from the process default at run
         # time); instrumented code never constructs a concrete recorder —
@@ -345,7 +344,6 @@ class StreamingSimulator:
         scheduler,
         *,
         max_arrivals: Optional[int] = None,
-        record_jobs: bool = True,
     ) -> StreamResult:
         """Drive ``scheduler`` over ``stream`` and collect streaming metrics.
 
@@ -359,9 +357,9 @@ class StreamingSimulator:
         max_arrivals:
             Stop admitting after this many arrivals and drain the queue.
             Required for streams without a finite :attr:`WorkloadStream.length`.
-        record_jobs:
-            Record the per-completion metric series (flows, stretches);
-            disable to shed even that O(completions) output buffer.
+
+        Decisions are not validated (that costs O(window) Python work per
+        event; finite-instance runs validate every decision).
         """
         if max_arrivals is None and stream.length is None:
             raise SimulationError(
@@ -372,7 +370,6 @@ class StreamingSimulator:
             stream,
             scheduler,
             budget=max_arrivals if max_arrivals is not None else math.inf,
-            record_jobs=record_jobs,
             recorder=recorder,
         )
         self._record_result(recorder, result)
@@ -384,18 +381,18 @@ class StreamingSimulator:
         scheduler,
         *,
         budget: float,
-        record_jobs: bool,
         recorder: Recorder,
         log: Optional[ScheduleLog] = None,
-        max_events: float = math.inf,
     ) -> StreamResult:
         """The event loop.  ``log`` selects finite-instance mode.
 
         In that mode the caller has already reset ``scheduler`` with the full
-        instance (so the first admission is a ``rebind``), ``log`` records
-        the schedule and events, the ``max_events`` budget replaces the stall
-        guard, and the caller configures ``max_active``/``compact_min`` so
-        the window never saturates or compacts.
+        instance (so the first admission is a ``rebind``) and ``log``
+        records the schedule and events; the loop validates every decision,
+        never compacts or saturates, records no per-job series and raises
+        once it exceeds ``50 n + 1000`` events.  Stream mode takes
+        ``max_active`` and ``compact_min`` from the simulator, records the
+        per-completion series and has the stall guard instead.
         """
         label = stream.spec.label if stream.spec is not None else "trace"
         result = StreamResult(
@@ -442,7 +439,6 @@ class StreamingSimulator:
         state = SimulationState(
             instance=view,  # type: ignore[arg-type] — duck-typed zero-copy view
             time=time,
-            jobs=None,
             next_arrival=None,
             active=active,
             remaining_list=remaining,
@@ -470,9 +466,13 @@ class StreamingSimulator:
         n_compactions = 0
         busy = 0.0
         saturated = False
-        max_active_cap = self.max_active
-        compact_min = self.compact_min
-        validate = self.validate_decisions
+        if finite:
+            max_active_cap = compact_min = math.inf
+            max_events = 50 * log.instance.num_jobs + 1000
+        else:
+            max_active_cap = self.max_active
+            compact_min = self.compact_min
+            max_events = math.inf
         # Hoisted once: under the NullRecorder default the loop pays one
         # dead boolean test per admission batch — the zero-overhead
         # contract benchmarks/bench_obs_overhead.py asserts.
@@ -480,13 +480,12 @@ class StreamingSimulator:
 
         while True:
             n_events += 1
-            if finite and n_events > max_events:
+            if n_events > max_events:
                 raise SimulationError(
                     f"simulation exceeded the event budget ({max_events}); "
                     f"policy {result.policy!r} may be cycling"
                 )
             progressed_this_event = False
-            time_before = time
 
             # ---- admit due arrivals (batched) ----------------------------
             window_changed = False
@@ -562,7 +561,7 @@ class StreamingSimulator:
             state.next_arrival = next_arrival
             decision: AllocationDecision = decide(state)
             n_decisions += 1
-            if validate:
+            if finite:
                 decision.validate(state)
 
             shares = decision.shares
@@ -646,26 +645,25 @@ class StreamingSimulator:
                 busy += window_span * total_share
                 if finite:
                     log.advance(shares, time, window_span, running, rows)
+                # ``value`` is below ``before`` exactly when the window
+                # reduced the job's work (``before`` is never negative, so
+                # the clamp only applies then).
                 if exclusive_only:
                     for machine_index, share_list in shares.items():
                         job_index = share_list[0][0]
                         running[machine_index] = job_index
-                        value = remaining[job_index] - window_span / rows[
-                            machine_index
-                        ][job_index]
-                        if value < 0.0:
-                            value = 0.0
+                        before = remaining[job_index]
+                        value = before - window_span / rows[machine_index][job_index]
+                        if value < before:
+                            progressed_this_event = True
+                            if value < 0.0:
+                                value = 0.0
                         remaining[job_index] = value
                 else:
                     for machine_index, job_index, share, exclusive in flat:
                         if exclusive:
                             running[machine_index] = job_index
-                            value = remaining[job_index] - window_span / rows[
-                                machine_index
-                            ][job_index]
-                            if value < 0.0:
-                                value = 0.0
-                            remaining[job_index] = value
+                            progressed = window_span / rows[machine_index][job_index]
                         else:
                             running.pop(machine_index, None)
                             progressed = (
@@ -673,10 +671,13 @@ class StreamingSimulator:
                             )
                             if progressed <= 0:
                                 continue
-                            value = remaining[job_index] - progressed
+                        before = remaining[job_index]
+                        value = before - progressed
+                        if value < before:
+                            progressed_this_event = True
                             if value < 0.0:
                                 value = 0.0
-                            remaining[job_index] = value
+                        remaining[job_index] = value
                 time = horizon
             else:
                 # Degenerate zero-width window.  A job whose projected
@@ -704,6 +705,7 @@ class StreamingSimulator:
                 if remaining[job_index] <= _COMPLETION_DUST
             ]
             if completed_now:
+                progressed_this_event = True
                 if len(completed_now) > 1:
                     completed_now = sorted(set(completed_now))
                 for job_index in completed_now:
@@ -713,6 +715,7 @@ class StreamingSimulator:
                     freed = [m for m, j in running.items() if j == job_index]
                     for machine_index in freed:
                         del running[machine_index]
+                    n_completions += 1
                     if finite:
                         for machine_index in sorted(freed):
                             log.flush(machine_index, job_index)
@@ -720,9 +723,7 @@ class StreamingSimulator:
                         log.events.append(
                             EventRecord(time=time, kind="completion", job_index=job_index)
                         )
-                    n_completions += 1
-                    progressed_this_event = True
-                    if record_jobs:
+                    else:
                         job = window.jobs[job_index]
                         flow = time - job.release_date
                         flows.append(flow)
@@ -757,12 +758,15 @@ class StreamingSimulator:
                     pending_compact = True
                 n_compactions += 1
 
-            # ---- cycling guard (finite runs have the event budget) -------
-            if progressed_this_event or time > time_before:
+            # ---- stall guard (finite runs have the event budget) ---------
+            # Progress is an admission, a completion or a window that
+            # reduced some job's remaining work; the clock advancing alone
+            # is not.
+            if progressed_this_event:
                 stall_events = 0
-            else:
+            elif not finite:
                 stall_events += 1
-                if not finite and stall_events > 50 * (len(window.jobs) + 10):
+                if stall_events > 50 * (len(window.jobs) + 10):
                     raise SimulationError(
                         f"policy {result.policy!r} made no progress for "
                         f"{stall_events} events; it may be cycling"
@@ -783,7 +787,7 @@ class StreamingSimulator:
         result.peak_active = peak_active
         result.peak_window = peak_window
         result.elapsed_seconds = wall_clock() - started
-        if record_jobs:
+        if not finite:
             result.completed_jobs = np.asarray(finished_ids, dtype=np.int64)
             result.flows = np.asarray(flows)
             result.weighted_flows = np.asarray(weighted)

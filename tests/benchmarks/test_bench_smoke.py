@@ -136,7 +136,7 @@ def test_streaming_runtime_smoke():
 def test_rank_keyed_probe_smoke():
     """bench_replanning rank-keyed assertion: hit rate rises, schedules equal."""
     from repro.heuristics import DeadlineDrivenScheduler
-    from repro.simulation import simulate_many
+    from repro.simulation import simulate
     from repro.workload import random_unrelated_instance
 
     instances = [
@@ -144,8 +144,8 @@ def test_rank_keyed_probe_smoke():
     ]
     plain_sched = DeadlineDrivenScheduler(lp_targets=True, rank_keyed_probe=False)
     ranked_sched = DeadlineDrivenScheduler(lp_targets=True, rank_keyed_probe=True)
-    plain = simulate_many(instances, plain_sched)
-    ranked = simulate_many(instances, ranked_sched)
+    plain = [simulate(instance, plain_sched) for instance in instances]
+    ranked = [simulate(instance, ranked_sched) for instance in instances]
     for a, b in zip(plain, ranked):
         assert a.schedule.pieces == b.schedule.pieces
     assert (

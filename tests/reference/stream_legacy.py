@@ -30,7 +30,7 @@ from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.exceptions import SimulationError
 from repro.obs.clock import wall_clock
-from repro.simulation.state import AllocationDecision, JobProgress, SimulationState
+from repro.simulation.state import AllocationDecision, SimulationState
 from repro.simulation.stream import _COMPLETION_DUST, _EXCLUSIVE_SHARE, _MIN_STEP
 from repro.workload.streams import ArrivalEvent, WorkloadStream
 
@@ -51,7 +51,6 @@ class _Window:
         self.costs = np.empty((self.num_machines, 0))
         self.remaining: Optional[np.ndarray] = None
         self.rate: Optional[np.ndarray] = None
-        self.mirrors: List = []
         self.instance: Optional[Instance] = None
 
     # ------------------------------------------------------------------ #
@@ -66,7 +65,6 @@ class _Window:
         saved_remaining = self.remaining[:width].copy() if self.remaining is not None else None
         remaining = np.ones(new_capacity)
         rate = np.zeros(new_capacity)
-        mirrors = [JobProgress(job_index=slot) for slot in range(new_capacity)]
         grown = np.empty((self.num_machines, new_capacity))
         grown[:, :width] = self.costs[:, :width]
         self.costs = grown
@@ -74,13 +72,6 @@ class _Window:
             remaining[:width] = saved_remaining
         self.remaining = remaining
         self.rate = rate
-        self.mirrors = mirrors
-        # The mirrors are fresh; restore the live window's state.
-        for slot in range(width):
-            mirror = mirrors[slot]
-            mirror.arrived = True
-            mirror.remaining_fraction = float(remaining[slot])
-            mirror.completion_time = None if self.live[slot] else 0.0
         self.capacity = new_capacity
 
     def admit(self, event: ArrivalEvent) -> int:
@@ -94,10 +85,6 @@ class _Window:
         self.costs[:, slot] = event.costs
         self.remaining[slot] = 1.0
         self.rate[slot] = 0.0
-        mirror = self.mirrors[slot]
-        mirror.arrived = True
-        mirror.remaining_fraction = 1.0
-        mirror.completion_time = None
         return slot
 
     def rebuild_instance(self) -> Instance:
@@ -125,11 +112,6 @@ class _Window:
         self.global_ids = [self.global_ids[slot] for slot in survivors]
         self.min_costs = [self.min_costs[slot] for slot in survivors]
         self.live = [True] * width
-        for new in range(width):
-            mirror = self.mirrors[new]
-            mirror.arrived = True
-            mirror.remaining_fraction = float(self.remaining[new])
-            mirror.completion_time = None
         return mapping
 
 
@@ -139,12 +121,11 @@ def run_rebuild(
     scheduler,
     *,
     max_arrivals: Optional[int] = None,
-    record_jobs: bool = True,
 ):
     """Drive ``scheduler`` over ``stream`` with the legacy rebuild loop.
 
     ``simulator`` supplies the configuration (``max_active``,
-    ``validate_decisions``, ``compact_min``) and the loop returns the same
+    ``compact_min``) and the loop returns the same
     :class:`~repro.simulation.stream.StreamResult` as the view path —
     byte-identical fingerprints included.
     """
@@ -170,9 +151,6 @@ def run_rebuild(
         return result
     budget = max_arrivals if max_arrivals is not None else math.inf
 
-    array_mode = bool(getattr(scheduler, "array_aware", False))
-    decide_fn = scheduler.decide_arrays if array_mode else scheduler.decide
-
     active: List[int] = []  # sorted live window indices
     running: Dict[int, int] = {}  # machine -> exclusively running window slot
     time = pending.job.release_date
@@ -194,14 +172,13 @@ def run_rebuild(
     stall_events = 0
 
     def bind_state() -> SimulationState:
-        width = len(window)
+        # ``remaining_list`` is refreshed before every decision.
         return SimulationState(
             instance=window.instance,
             time=time,
-            jobs=window.mirrors[:width],
             next_arrival=None,
             active=active,
-            remaining_vector=window.remaining[:width],
+            remaining_list=[],
         )
 
     while True:
@@ -264,10 +241,11 @@ def run_rebuild(
         # ---- one decision window (kernel semantics) ------------------
         state.time = time
         state.next_arrival = next_arrival
-        decision: AllocationDecision = decide_fn(state)
+        # Python floats, as the event loop binds them (numpy scalars sort
+        # and multiply slower); a copy, since the loop advances the vector.
+        state.remaining_list = window.remaining[: len(window)].tolist()
+        decision: AllocationDecision = scheduler.decide(state)
         result.decisions += 1
-        if simulator.validate_decisions:
-            decision.validate(state)
 
         remaining = window.remaining
         rate = window.rate
@@ -329,8 +307,6 @@ def run_rebuild(
                     progressed = window_span / window.costs[machine_index, job_index]
                     value = max(0.0, remaining[job_index] - progressed)
                     remaining[job_index] = value
-                    if not array_mode:
-                        window.mirrors[job_index].remaining_fraction = value
                 else:
                     running.pop(machine_index, None)
                     for job_index, share in share_list:
@@ -341,8 +317,6 @@ def run_rebuild(
                             continue
                         value = max(0.0, remaining[job_index] - progressed)
                         remaining[job_index] = value
-                        if not array_mode:
-                            window.mirrors[job_index].remaining_fraction = value
             time = horizon
         else:
             # Degenerate zero-width window: a running job whose projected
@@ -363,9 +337,6 @@ def run_rebuild(
         for job_index in completed_now:
             job_index = int(job_index)
             remaining[job_index] = 0.0
-            mirror = window.mirrors[job_index]
-            mirror.remaining_fraction = 0.0
-            mirror.completion_time = time
             window.live[job_index] = False
             active.remove(job_index)
             for machine_index in [
@@ -374,14 +345,13 @@ def run_rebuild(
                 del running[machine_index]
             result.completions += 1
             progressed_this_event = True
-            if record_jobs:
-                job = window.jobs[job_index]
-                flow = time - job.release_date
-                flows.append(flow)
-                weighted.append(job.weight * flow)
-                stretches.append(flow / window.min_costs[job_index])
-                finished_ids.append(window.global_ids[job_index])
-                releases.append(job.release_date)
+            job = window.jobs[job_index]
+            flow = time - job.release_date
+            flows.append(flow)
+            weighted.append(job.weight * flow)
+            stretches.append(flow / window.min_costs[job_index])
+            finished_ids.append(window.global_ids[job_index])
+            releases.append(job.release_date)
         result.end_time = max(result.end_time, time)
 
         # ---- compaction ----------------------------------------------
@@ -417,12 +387,11 @@ def run_rebuild(
                 )
 
     result.elapsed_seconds = wall_clock() - started
-    if record_jobs:
-        result.completed_jobs = np.asarray(finished_ids, dtype=np.int64)
-        result.flows = np.asarray(flows)
-        result.weighted_flows = np.asarray(weighted)
-        result.stretches = np.asarray(stretches)
-        result.release_dates = np.asarray(releases)
+    result.completed_jobs = np.asarray(finished_ids, dtype=np.int64)
+    result.flows = np.asarray(flows)
+    result.weighted_flows = np.asarray(weighted)
+    result.stretches = np.asarray(stretches)
+    result.release_dates = np.asarray(releases)
     result.queue_times = np.asarray(queue_times)
     result.queue_lengths = np.asarray(queue_lengths, dtype=np.int64)
     return result

@@ -106,8 +106,9 @@ class TestEngineErrorHandling:
                     wake_up_at=state.time + 1e-9,
                 )
 
-        with pytest.raises(SimulationError):
-            simulate(two_job_instance, DitheringScheduler(), max_events=20)
+        # Two jobs: the budget is 50 * 2 + 1000 events.
+        with pytest.raises(SimulationError, match=r"event budget \(1100\)"):
+            simulate(two_job_instance, DitheringScheduler())
 
 
 class TestClockExactness:

@@ -1,41 +1,31 @@
-"""Unit tests for finite-instance runs: simulate_many and the policy-facing state."""
+"""Unit tests for finite-instance runs and the policy-facing state."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.heuristics import make_scheduler
-from repro.simulation import simulate, simulate_many
+from repro.simulation import simulate
 from repro.workload import make_scenario, random_unrelated_instance
 
 
-class TestSimulateMany:
-    def test_matches_individual_simulations(self):
-        instances = [random_unrelated_instance(8, 3, seed=s) for s in range(4)]
-        batched = simulate_many(instances, lambda: make_scheduler("mct"))
-        for instance, result in zip(instances, batched):
-            single = simulate(instance, make_scheduler("mct"))
-            assert result.schedule.pieces == single.schedule.pieces
-            assert result.completion_times == single.completion_times
+class TestManyInstances:
+    """One policy over many instances is a loop over ``simulate``."""
 
     def test_scheduler_object_is_reset_between_instances(self):
         # MCT keeps per-run queues; reusing one object must behave like
         # building a fresh scheduler per instance (reset() wipes the state).
         instances = [random_unrelated_instance(8, 3, seed=s) for s in range(3)]
-        shared = simulate_many(instances, make_scheduler("mct"))
-        fresh = simulate_many(instances, lambda: make_scheduler("mct"))
-        for a, b in zip(shared, fresh):
-            assert a.schedule.pieces == b.schedule.pieces
+        shared = make_scheduler("mct")
+        for instance in instances:
+            reused = simulate(instance, shared)
+            fresh = simulate(instance, make_scheduler("mct"))
+            assert reused.schedule.pieces == fresh.schedule.pieces
 
     def test_scenario_seed_sweep(self):
-        instances = [make_scenario("unrelated-stress", seed=s) for s in (1, 2, 3)]
-        results = simulate_many(instances, lambda: make_scheduler("greedy-weighted-flow"))
-        assert len(results) == 3
-        for result in results:
-            result.schedule.validate()
-
-    def test_empty_iterable(self):
-        assert simulate_many([], lambda: make_scheduler("fifo")) == []
+        for seed in (1, 2, 3):
+            instance = make_scenario("unrelated-stress", seed=seed)
+            simulate(instance, make_scheduler("greedy-weighted-flow")).schedule.validate()
 
 
 class TestStateViewIntegrity:
@@ -135,8 +125,7 @@ class TestRemainingWorkAccess:
                 observed.append(
                     (
                         self.name,
-                        state.jobs is None,
-                        state.remaining_list is not None,
+                        type(state.remaining_list) is list,
                         [state.remaining_fraction(j) for j in state.active_jobs()],
                     )
                 )
@@ -147,27 +136,27 @@ class TestRemainingWorkAccess:
         for name in policies:
             simulate(instance, Watching(make_scheduler(name))).schedule.validate()
         assert {name for name, *_ in observed} >= {make_scheduler(n).name for n in policies}
-        assert all(no_jobs and bound for _, no_jobs, bound, _ in observed)
+        assert all(bound for _, bound, _ in observed)
         seen = [value for *_, values in observed for value in values]
         assert seen and max(seen) <= 1.0 and min(seen) > 0.0
 
-    def test_scalar_accessors_prefer_the_bound_vector(self):
-        # remaining_fraction reads the list, else the vector, else the jobs.
-        import numpy as np
-
-        from repro.simulation.state import JobProgress, SimulationState
+    def test_scalar_accessors_read_the_bound_list(self):
+        # remaining_fraction reads the one list, and sees in-place updates.
+        from repro.simulation.state import SimulationState
 
         instance = random_unrelated_instance(3, 2, seed=0)
-        jobs = [JobProgress(job_index=j, remaining_fraction=0.5) for j in range(3)]
+        remaining = [0.125, 0.375, 1.0]
         state = SimulationState(
-            instance=instance, time=0.0, jobs=jobs, next_arrival=None
+            instance=instance,
+            time=0.0,
+            next_arrival=None,
+            active=[0, 1, 2],
+            remaining_list=remaining,
         )
-        assert state.remaining_fraction(1) == 0.5  # jobs fallback
-        state.remaining_vector = np.array([0.25, 0.75, 1.0])
-        assert state.remaining_fraction(1) == 0.75  # vector over jobs
-        state.remaining_list = [0.125, 0.375, 1.0]
-        assert state.remaining_fraction(1) == 0.375  # list over vector
+        assert state.remaining_fraction(1) == 0.375
         assert state.fastest_remaining_work(1) == 0.375 * instance.min_cost(1)
+        remaining[1] = 0.25
+        assert state.remaining_fraction(1) == 0.25
 
 
 class TestFiniteInstanceMode:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Instance, Job
 from repro.exceptions import SimulationError
-from repro.simulation import AllocationDecision, JobProgress, SimulationState
+from repro.simulation import AllocationDecision, SimulationState
 
 
 @pytest.fixture
@@ -18,21 +18,34 @@ def instance() -> Instance:
 
 @pytest.fixture
 def state(instance) -> SimulationState:
-    jobs = [JobProgress(0, remaining_fraction=0.5, arrived=True), JobProgress(1, arrived=True)]
-    return SimulationState(instance=instance, time=5.0, jobs=jobs, next_arrival=None)
+    return SimulationState(
+        instance=instance, time=5.0, next_arrival=None, active=[0, 1], remaining_list=[0.5, 1.0]
+    )
 
 
 class TestSimulationState:
     def test_active_jobs(self, state):
         assert state.active_jobs() == [0, 1]
-        state.jobs[0].completion_time = 4.0
+        state.active.remove(0)  # the event loop updates the list in place
         assert state.active_jobs() == [1]
-        state.jobs[1].arrived = False
+        state.active.clear()
         assert state.active_jobs() == []
+
+    def test_active_jobs_is_a_copy(self, state):
+        # A policy may edit what it gets without touching the loop's list.
+        state.active_jobs().clear()
+        assert state.active == [0, 1]
 
     def test_remaining_work(self, state):
         assert state.remaining_fraction(0) == 0.5
         assert state.fastest_remaining_work(0) == pytest.approx(2.0)
+        state.remaining_list[0] = 0.25  # in-place advance
+        assert state.remaining_fraction(0) == 0.25
+        assert state.fastest_remaining_work(0) == pytest.approx(1.0)
+
+    def test_active_and_remaining_are_required(self, instance):
+        with pytest.raises(TypeError):
+            SimulationState(instance=instance, time=0.0, next_arrival=None)  # type: ignore[call-arg]
 
 
 class TestAllocationDecision:
@@ -53,7 +66,7 @@ class TestAllocationDecision:
             AllocationDecision(shares={0: [(7, 1.0)]}).validate(state)
 
     def test_inactive_job_rejected(self, state):
-        state.jobs[1].completion_time = 4.9
+        state.active.remove(1)
         with pytest.raises(SimulationError):
             AllocationDecision(shares={0: [(1, 1.0)]}).validate(state)
 

@@ -152,14 +152,6 @@ class TestResultAccounting:
         assert 0.0 < result.utilisation <= 1.0
         assert result.end_time > result.start_time
 
-    def test_record_jobs_false_skips_the_series(self):
-        spec = StreamSpec(label="m", scenario="small-cluster", seed=4).with_utilisation(0.5)
-        result = StreamingSimulator().run(
-            open_stream(spec), make_scheduler("srpt"), max_arrivals=200, record_jobs=False
-        )
-        assert result.completions == 200
-        assert result.stretches.size == 0
-
     def test_queue_trajectory_is_recorded_and_bounded(self):
         spec = StreamSpec(label="m", scenario="small-cluster", seed=4).with_utilisation(0.55)
         result = StreamingSimulator().run(
@@ -227,3 +219,53 @@ def test_work_below_the_clock_resolution_completes_instead_of_stalling(policy):
     batch = simulate(instance, make_scheduler(policy))
     assert batch.completion_times[0] == 1.0 + 1e-8
     batch.schedule.validate()
+
+
+class TestStallGuard:
+    """Stream mode stops a policy once it goes ``50 * (window + 10)``
+    events without an admission, a completion or a window that reduced
+    some job's remaining work; the clock advancing alone is no progress."""
+
+    @staticmethod
+    def _one_job(cost):
+        from repro.core import Instance, Job
+
+        return Instance.from_costs([Job("only", 1.0)], [[cost]])
+
+    @staticmethod
+    def _waking(shares_for, step):
+        from repro.simulation import AllocationDecision
+
+        class Waking:
+            name = "waking"
+            divisible = False
+
+            def decide(self, state):
+                return AllocationDecision(
+                    shares=shares_for(state), wake_up_at=state.time + step
+                )
+
+            def compact(self, view, mapping):
+                pass
+
+        return Waking()
+
+    def test_idle_policy_that_keeps_waking_up_is_stopped(self):
+        policy = self._waking(lambda state: {}, 1.0)
+        with pytest.raises(SimulationError, match="made no progress"):
+            StreamingSimulator().run(replay_stream(self._one_job(2.0)), policy)
+
+    def test_windows_below_the_work_resolution_are_stopped(self):
+        # 1e-12 s on a 1e6 s job moves its remaining fraction by 1e-18,
+        # below half an ulp of 1.0: the clock advances, the work does not.
+        policy = self._waking(lambda state: {0: [(0, 1.0)]}, 1e-12)
+        with pytest.raises(SimulationError, match="made no progress"):
+            StreamingSimulator().run(replay_stream(self._one_job(1e6)), policy)
+
+    def test_windows_that_reduce_work_are_progress(self):
+        # 1000 wake-up windows with no admission or completion between
+        # them, far past the 550-event stall threshold of a one-job window.
+        policy = self._waking(lambda state: {0: [(0, 1.0)]}, 0.01)
+        result = StreamingSimulator().run(replay_stream(self._one_job(10.0)), policy)
+        assert result.completions == 1
+        assert result.decisions > 550
