@@ -44,7 +44,7 @@ from .instance import Instance
 from .intervals import TimeInterval
 from .lawler_labetoulle import build_preemptive_pieces
 from .schedule import Schedule
-from .tolerances import ABS_TOL
+from .tolerances import ABS_TOL, FEASIBILITY_TOL
 
 __all__ = [
     "AllocationModel",
@@ -378,11 +378,13 @@ def preemptive_schedule_from_solution(
 
         # LP rounding can leave row/column sums a hair above the window
         # length; rescale the whole matrix by the (tiny) excess so that the
-        # Lawler-Labetoulle preconditions hold exactly.
+        # Lawler-Labetoulle preconditions hold exactly.  The excess is judged
+        # relatively and absolutely: on a sliver window (two epochal times
+        # 2**-24 apart) one solver tolerance is many times the window itself.
         max_load = max(times.sum(axis=1).max(), times.sum(axis=0).max())
         if max_load > window_length:
-            relative_excess = (max_load - window_length) / max(window_length, 1e-30)
-            if relative_excess > 1e-4:
+            excess = max_load - window_length
+            if excess > FEASIBILITY_TOL and excess > 1e-4 * window_length:
                 raise ValueError(
                     "allocation exceeds the interval length by more than the LP tolerance "
                     f"({max_load:.9g} > {window_length:.9g})"

@@ -280,8 +280,16 @@ class FeasibilityProbe:
             low,
             high if high is not None else np.inf,
         )
-        solution = self._solve_form(range_model.alloc.form.with_bounds(bounds), range_model)
+        form = range_model.alloc.form.with_bounds(bounds)
+        solution = self._solve_form(form, range_model)
         self.lp_solves += 1
+        if solution.is_infeasible and self._label == "scipy-highs":
+            # The upper boundary passed a feasibility probe, so the range is
+            # feasible: HiGHS presolve misreports it when two epochal times
+            # lie closer than its feasibility tolerance (release dates 2**-24
+            # apart, say).  Solve once more without presolve.
+            solution = _scipy_solve_form(form, presolve=False)
+            self.lp_solves += 1
         if not solution.is_optimal:
             if solution.is_infeasible:
                 raise InfeasibleProblemError(

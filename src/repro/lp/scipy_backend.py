@@ -33,10 +33,13 @@ _SCIPY_STATUS = {
 }
 
 
-def solve_matrix_form(form: MatrixForm) -> LPSolution:
+def solve_matrix_form(form: MatrixForm, *, presolve: bool = True) -> LPSolution:
     """Solve a lowered :class:`MatrixForm` with HiGHS through :func:`scipy.optimize.linprog`.
 
     ``form`` may hold dense or CSR constraint blocks; HiGHS consumes either.
+    ``presolve=False`` switches HiGHS presolve off, which can misreport a
+    feasible program as infeasible when its row bounds are of the order of
+    the primal feasibility tolerance (``1e-7``).
     """
     if form.num_variables == 0:
         # linprog rejects an empty cost vector; a variable-free program is
@@ -51,6 +54,7 @@ def solve_matrix_form(form: MatrixForm) -> LPSolution:
         b_eq=form.b_eq if form.num_equalities else None,
         bounds=form.bounds,
         method="highs",
+        options=None if presolve else {"presolve": False},
     )
 
     status = _SCIPY_STATUS.get(result.status, LPStatus.ERROR)
