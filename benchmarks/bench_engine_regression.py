@@ -11,6 +11,7 @@ Two guarantees are protected here:
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.heuristics import available_schedulers, make_scheduler
@@ -20,13 +21,10 @@ from repro.workload import make_scenario, random_unrelated_instance
 import _seed_engine
 
 
-def _best_of(callable_, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _seconds(callable_) -> float:
+    start = time.perf_counter()
+    callable_()
+    return time.perf_counter() - start
 
 
 def test_kernel_matches_seed_engine_byte_for_byte():
@@ -44,23 +42,44 @@ def test_kernel_matches_seed_engine_byte_for_byte():
 
 
 def test_event_loop_is_no_slower_than_seed_on_a_single_simulation(bench_scale):
+    """The event loop costs at most 1.10x the seed engine, as a paired median.
+
+    A best-of-N per side lets a slow phase of a shared host that lands on
+    one side alone decide the verdict, so the timing is paired as in
+    ``bench_replanning.py``: ABBA blocks (seed, loop, loop, seed) make a
+    monotone load drift hit both arms equally within a block, each block
+    yields one paired ratio, and the *median* over the blocks is asserted.
+    """
     num_jobs = 300 if bench_scale == "full" else 150
     instance = random_unrelated_instance(num_jobs, 6, seed=3)
-    repeats = 5
+    blocks = 7
 
-    seed_seconds = _best_of(
-        lambda: _seed_engine.simulate(instance, make_scheduler("fifo")), repeats
-    )
-    loop_seconds = _best_of(lambda: simulate(instance, make_scheduler("fifo")), repeats)
+    def seed():
+        _seed_engine.simulate(instance, make_scheduler("fifo"))
+
+    def loop():
+        simulate(instance, make_scheduler("fifo"))
+
+    # Warm both engines once (imports, first-call setup) before measuring.
+    seed()
+    loop()
+    block_ratios = []
+    for _ in range(blocks):
+        a1 = _seconds(seed)
+        b1 = _seconds(loop)
+        b2 = _seconds(loop)
+        a2 = _seconds(seed)
+        block_ratios.append((b1 + b2) / (a1 + a2))  # < 1: the event loop is faster
+    ratio = statistics.median(block_ratios)
 
     print()
     print(
-        f"single simulation, n={num_jobs}: seed {seed_seconds * 1e3:.2f} ms, "
-        f"event loop {loop_seconds * 1e3:.2f} ms "
-        f"({seed_seconds / loop_seconds:.2f}x)"
+        f"single simulation, n={num_jobs}: event loop / seed time, median "
+        f"{ratio:.3f} over {blocks} ABBA blocks "
+        f"(spread {min(block_ratios):.3f}..{max(block_ratios):.3f}, bound 1.10)"
     )
     # "No slower", with a 10% cushion against timer noise.
-    assert loop_seconds <= seed_seconds * 1.10
+    assert ratio <= 1.10, f"paired-median ratios: {sorted(block_ratios)}"
 
 
 def test_seed_sweep_matches_seed_engine():

@@ -1,9 +1,14 @@
-"""E7 — Ablation: LP backend (SciPy/HiGHS vs the in-house simplex).
+"""LP solver benches on the System (3) programs of the milestone search.
 
-Any exact LP solver yields the same scheduling optima; this bench verifies it
-on the actual System (3) programs and records the performance gap between the
-production backend and the from-scratch simplex (which exists for
-self-containedness and cross-validation, not speed).
+The off-line searches solve every objective LP with HiGHS, so no bench here
+compares the two backends on a whole search any more; the solver-level
+comparisons live in ``tests/lp/test_revised_properties.py`` and
+``tests/property/test_lp_properties.py``.
+
+The first bench pits the in-house revised simplex against the frozen dense
+tableau on a large mid-milestone System (3) program: the revised solve must
+consume the sparse lowering without densifying it, agree with HiGHS and
+finish before the tableau clears 25 pivots.
 
 The second bench measures the matrix *lowering* itself: building the CSR
 form of the largest System (3) program the bench builds must be at least
@@ -17,7 +22,6 @@ from __future__ import annotations
 import time
 
 from repro.analysis import format_table
-from repro.core import minimize_max_weighted_flow
 from repro.core.affine import Affine
 from repro.core.formulations import build_allocation_model
 from repro.core.intervals import build_affine_intervals
@@ -25,51 +29,6 @@ from repro.core.milestones import compute_milestones, deadline_function
 from repro.core.tolerances import ABS_TOL
 from repro.lp.scipy_backend import solve_matrix_form
 from repro.workload import random_unrelated_instance
-
-
-def _solve_with(backend: str, instances):
-    values = []
-    for instance in instances:
-        values.append(minimize_max_weighted_flow(instance, backend=backend).objective)
-    return values
-
-
-def test_lp_backend_equivalence(benchmark, bench_scale):
-    num_instances = 4 if bench_scale == "full" else 2
-    num_jobs = 7 if bench_scale == "full" else 5
-    instances = [
-        random_unrelated_instance(num_jobs, 3, seed=seed) for seed in range(num_instances)
-    ]
-
-    start = time.perf_counter()
-    simplex_values = _solve_with("simplex", instances)
-    simplex_seconds = time.perf_counter() - start
-
-    scipy_values = benchmark.pedantic(
-        _solve_with, args=("scipy", instances), rounds=1, iterations=1
-    )
-    start = time.perf_counter()
-    _solve_with("scipy", instances)
-    scipy_seconds = time.perf_counter() - start
-
-    rows = [
-        (seed, scipy_value, simplex_value, abs(scipy_value - simplex_value))
-        for seed, (scipy_value, simplex_value) in enumerate(zip(scipy_values, simplex_values))
-    ]
-    print()
-    print(
-        format_table(
-            ["seed", "HiGHS optimum", "simplex optimum", "abs difference"],
-            rows,
-            title="E7: the two LP backends find the same scheduling optima",
-            float_format=".6g",
-        )
-    )
-    print(f"wall-clock: HiGHS {scipy_seconds:.2f}s vs in-house simplex {simplex_seconds:.2f}s "
-          f"({simplex_seconds / max(scipy_seconds, 1e-9):.1f}x slower)")
-
-    for scipy_value, simplex_value in zip(scipy_values, simplex_values):
-        assert abs(scipy_value - simplex_value) <= 1e-5 * (1.0 + abs(scipy_value))
 
 
 def _largest_bench_inputs(num_jobs: int, num_machines: int) -> dict:

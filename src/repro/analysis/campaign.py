@@ -441,8 +441,6 @@ def _compatible_probe(
         return probe
     if getattr(policy, "preemptive", False) != probe.preemptive:
         return None
-    if getattr(policy, "backend", probe.backend) != probe.backend:
-        return None
     return probe
 
 

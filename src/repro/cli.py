@@ -89,7 +89,6 @@ from .heuristics import (
     policy_spec,
     resolve_policy_variant,
 )
-from .lp.backends import BACKEND_LABELS
 from .simulation import simulate
 from .workload import (
     available_scenarios,
@@ -200,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preemptive",
         action="store_true",
         help="use the preemptive (non-divisible) model of Section 4.4",
-    )
-    solve.add_argument(
-        "--backend",
-        choices=sorted(BACKEND_LABELS),
-        default="scipy",
-        help="LP backend (see 'info --lp-backends'); default: scipy",
     )
     solve.add_argument("--output", help="write the optimal schedule to this JSON file")
     solve.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
@@ -524,7 +517,10 @@ def _cmd_info_lp_backends() -> int:
     rows = backend_inventory()
     label_w = max(len(info.label) for info in rows)
     alias_w = max(len(", ".join(info.aliases)) for info in rows)
-    print("LP backends (request any alias via --backend / backend= policy params):")
+    print(
+        "LP backends for the backend= parameter of online-offline and "
+        "deadline-driven (off-line searches always use scipy-highs):"
+    )
     for info in rows:
         warm = "warm-start" if info.warm_start else "cold only"
         aliases = ", ".join(info.aliases)
@@ -560,17 +556,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(instance.describe())
 
     if args.objective == "makespan":
-        result = minimize_makespan(instance, preemptive=args.preemptive, backend=args.backend)
+        result = minimize_makespan(instance, preemptive=args.preemptive)
         schedule = result.schedule
         print(f"optimal makespan: {result.makespan:.6g}")
     elif args.objective == "max-stretch":
-        result = minimize_max_stretch(instance, preemptive=args.preemptive, backend=args.backend)
+        result = minimize_max_stretch(instance, preemptive=args.preemptive)
         schedule = result.schedule
         print(f"optimal max stretch: {result.objective:.6g}")
     else:
-        result = minimize_max_weighted_flow(
-            instance, preemptive=args.preemptive, backend=args.backend
-        )
+        result = minimize_max_weighted_flow(instance, preemptive=args.preemptive)
         schedule = result.schedule
         print(f"optimal max weighted flow: {result.objective:.6g}")
 

@@ -6,8 +6,9 @@ The final interval is unbounded, so its usable length ``Delta_n`` is itself a
 decision variable and the makespan equals ``r_n + Delta_n`` (no processing of
 the last-released job can start before ``r_n``).
 
-Any feasible optimal solution converts into an explicit schedule by laying
-out, inside every interval, each machine's fractions one after the other.
+LP (1) is solved with HiGHS.  Any feasible optimal solution converts into an
+explicit schedule by laying out, inside every interval, each machine's
+fractions one after the other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidInstanceError
-from ..lp.backends import solve_form
+from ..lp.scipy_backend import solve_matrix_form
 from ..lp.solution import require_optimal
 from .affine import Affine
 from .formulations import (
@@ -46,8 +47,6 @@ class MakespanResult:
         Number of time intervals used by the LP.
     lp_variables, lp_constraints:
         Size of the linear program, recorded for the scaling benches.
-    backend:
-        LP backend that produced the optimum.
     """
 
     makespan: float
@@ -56,14 +55,12 @@ class MakespanResult:
     num_intervals: int
     lp_variables: int
     lp_constraints: int
-    backend: str
 
 
 def minimize_makespan(
     instance: Instance,
     *,
     preemptive: bool = False,
-    backend: str = "scipy",
 ) -> MakespanResult:
     """Compute an optimal-makespan schedule for a divisible-load instance.
 
@@ -78,8 +75,6 @@ def minimize_makespan(
         and the schedule is rebuilt with the Lawler–Labetoulle construction,
         yielding an optimal *preemptive* makespan (an extension of the paper,
         in the spirit of Lawler & Labetoulle's original result).
-    backend:
-        LP backend (``"scipy"`` or ``"simplex"``).
 
     Returns
     -------
@@ -125,7 +120,7 @@ def minimize_makespan(
         sample_objective=1.0,
         preemptive=preemptive,
     )
-    solution = require_optimal(solve_form(alloc.form, backend), "makespan-LP1")
+    solution = require_optimal(solve_matrix_form(alloc.form), "makespan-LP1")
     delta = float(solution.values.get(alloc.objective_column, 0.0))
 
     if preemptive:
@@ -140,5 +135,4 @@ def minimize_makespan(
         num_intervals=len(intervals),
         lp_variables=alloc.form.num_variables,
         lp_constraints=alloc.form.num_constraints,
-        backend=solution.backend,
     )

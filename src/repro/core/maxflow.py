@@ -18,6 +18,12 @@ This is the paper's headline result.  The algorithm:
    which is converted into a schedule (sequential layout for the divisible
    model, Lawler–Labetoulle reconstruction for the preemptive model).
 
+Every LP of both steps minimises ``F`` and is solved cold by HiGHS
+(:mod:`repro.lp.scipy_backend`), which wins these programs by an order of
+magnitude.  The in-house revised simplex keeps the zero-objective
+feasibility programs of :mod:`repro.core.replanning` and
+:mod:`repro.core.deadline`, where its warm dual re-solves win instead.
+
 Probe reuse
 -----------
 Feasibility probes go through a :class:`FeasibilityProbe`, the hot-path
@@ -67,9 +73,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError, InvalidInstanceError, SolverError
-from ..lp import LPSolution, MatrixForm
-from ..lp.backends import canonical_backend
-from ..lp.revised_simplex import BasisState, solve_matrix_form_revised
+from ..lp import LPSolution
+# Unused here, but perfbench/tracing.py patches both solver names on this module.
+from ..lp.revised_simplex import solve_matrix_form_revised  # noqa: F401
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
 from .affine import Affine
 from .formulations import (
@@ -117,8 +123,6 @@ class MaxWeightedFlowResult:
         Size of the final System (3)/(5) LP.
     preemptive:
         Whether the preemptive (non-divisible) model was used.
-    backend:
-        LP backend used.
     model_constructions:
         Number of allocation models built while optimising (parametric range
         structures, including the final range solve when it could not reuse
@@ -137,7 +141,6 @@ class MaxWeightedFlowResult:
     lp_variables: int
     lp_constraints: int
     preemptive: bool
-    backend: str
     model_constructions: int = 0
     lp_solves: int = 0
 
@@ -153,18 +156,15 @@ _MAX_CACHED_RANGES = 64
 class _RangeModel:
     """Parametric allocation model of one milestone range ``(low, high]``.
 
-    ``basis`` (in-house revised backend) carries the persistent solver state
-    of the previous solve of this range: every re-probe only moves the
-    objective variable's bounds, which preserves dual feasibility, so the
-    next solve warm-starts from the last basis instead of starting from
-    scratch (ISSUE 9).
+    Every probe in the range re-solves ``alloc.form`` with HiGHS after moving
+    only the objective column's bounds; nothing else about the model changes
+    between solves.
     """
 
     index: int
     low: float
     high: Optional[float]
     alloc: AllocationModel
-    basis: Optional[BasisState] = None
 
 
 class FeasibilityProbe:
@@ -175,7 +175,7 @@ class FeasibilityProbe:
     :func:`repro.core.deadline.check_deadline_feasibility` on the deadlines
     ``d_j(F)``, but amortises the model-building work across probes (see the
     module docstring for the reuse strategy).  Instances are single-purpose:
-    one probe per (instance, preemptive-flag, backend) triple.
+    one probe per (instance, preemptive-flag) pair.
 
     Attributes
     ----------
@@ -193,14 +193,11 @@ class FeasibilityProbe:
         instance: Instance,
         *,
         preemptive: bool = False,
-        backend: str = "scipy",
     ) -> None:
         if instance.num_jobs == 0:
             raise InvalidInstanceError("cannot probe an empty instance")
         self.instance = instance
         self.preemptive = preemptive
-        self.backend = backend
-        self._label = canonical_backend(backend)
         self.milestones: List[float] = compute_milestones(instance.jobs)
         #: Range ``k`` spans ``(boundaries[k], boundaries[k + 1]]`` (the last
         #: range is unbounded above).
@@ -281,9 +278,9 @@ class FeasibilityProbe:
             high if high is not None else np.inf,
         )
         form = range_model.alloc.form.with_bounds(bounds)
-        solution = self._solve_form(form, range_model)
+        solution = _scipy_solve_form(form)
         self.lp_solves += 1
-        if solution.is_infeasible and self._label == "scipy-highs":
+        if solution.is_infeasible:
             # The upper boundary passed a feasibility probe, so the range is
             # feasible: HiGHS presolve misreports it when two epochal times
             # lie closer than its feasibility tolerance (release dates 2**-24
@@ -324,7 +321,7 @@ class FeasibilityProbe:
         range_model = self._range_for(objective)
         bounds = range_model.alloc.form.bounds.copy()
         bounds[range_model.alloc.objective_column] = (range_model.low, objective)
-        solution = self._solve_form(range_model.alloc.form.with_bounds(bounds), range_model)
+        solution = _scipy_solve_form(range_model.alloc.form.with_bounds(bounds))
         self.lp_solves += 1
 
         if solution.is_optimal:
@@ -382,20 +379,9 @@ class FeasibilityProbe:
             self._ranges.popitem(last=False)
         return range_model
 
-    def _solve_form(self, form: MatrixForm, range_model: _RangeModel) -> LPSolution:
-        if self._label == "scipy-highs":
-            return _scipy_solve_form(form)
-        # In-house revised simplex: warm-start from (and refresh) the range's
-        # persistent basis.  The re-solve sequence is deterministic per
-        # probe, so the warm-started vertices are reproducible run to run.
-        result = solve_matrix_form_revised(form, warm_basis=range_model.basis)
-        if result.basis is not None:
-            range_model.basis = result.basis
-        return result.solution
-
 
 def _check_probe_matches(
-    probe: FeasibilityProbe, instance: Instance, preemptive: bool, backend: str
+    probe: FeasibilityProbe, instance: Instance, preemptive: bool
 ) -> None:
     """Reject a caller-supplied probe built for different search parameters.
 
@@ -409,11 +395,6 @@ def _check_probe_matches(
         raise ValueError(
             f"the supplied FeasibilityProbe uses preemptive={probe.preemptive}, "
             f"but the search requested preemptive={preemptive}"
-        )
-    if canonical_backend(probe.backend) != canonical_backend(backend):
-        raise ValueError(
-            f"the supplied FeasibilityProbe uses backend {probe.backend!r}, "
-            f"but the search requested {backend!r}"
         )
 
 
@@ -434,7 +415,6 @@ def minimize_max_weighted_flow(
     instance: Instance,
     *,
     preemptive: bool = False,
-    backend: str = "scipy",
     probe: Optional[FeasibilityProbe] = None,
 ) -> MaxWeightedFlowResult:
     """Compute the optimal maximum weighted flow and an optimal schedule.
@@ -447,11 +427,9 @@ def minimize_max_weighted_flow(
         ``False`` (default): divisible-load model (Section 4.3).
         ``True``: preemption allowed but no simultaneous execution of a job
         on two machines (Section 4.4).
-    backend:
-        LP backend (``"scipy"`` or ``"simplex"``).
     probe:
         Optional pre-warmed :class:`FeasibilityProbe` for ``instance`` (must
-        match ``preemptive`` and ``backend``); pass the same probe to
+        match ``preemptive``); pass the same probe to
         :func:`minimize_max_weighted_flow_bisection` to share cached range
         structures and the monotone bounds between the two searches.
     """
@@ -459,9 +437,9 @@ def minimize_max_weighted_flow(
         raise InvalidInstanceError("cannot optimise an empty instance")
 
     if probe is None:
-        probe = FeasibilityProbe(instance, preemptive=preemptive, backend=backend)
+        probe = FeasibilityProbe(instance, preemptive=preemptive)
     else:
-        _check_probe_matches(probe, instance, preemptive, backend)
+        _check_probe_matches(probe, instance, preemptive)
     probes_before = probe.probes
     solves_before = probe.lp_solves
     constructions_before = probe.model_constructions
@@ -519,7 +497,6 @@ def minimize_max_weighted_flow(
         lp_variables=alloc.form.num_variables,
         lp_constraints=alloc.form.num_constraints,
         preemptive=preemptive,
-        backend=solution.backend,
         model_constructions=probe.model_constructions - constructions_before,
         lp_solves=probe.lp_solves - solves_before,
     )
@@ -547,7 +524,6 @@ def minimize_max_stretch(
     instance: Instance,
     *,
     preemptive: bool = False,
-    backend: str = "scipy",
 ) -> MaxWeightedFlowResult:
     """Minimise the maximum stretch (flow divided by processing demand).
 
@@ -567,9 +543,7 @@ def minimize_max_stretch(
     stretch_instance = Instance(
         jobs=tuple(new_jobs), machines=instance.machines, costs=instance.costs.copy()
     )
-    return minimize_max_weighted_flow(
-        stretch_instance, preemptive=preemptive, backend=backend
-    )
+    return minimize_max_weighted_flow(stretch_instance, preemptive=preemptive)
 
 
 def minimize_max_weighted_flow_bisection(
@@ -577,7 +551,6 @@ def minimize_max_weighted_flow_bisection(
     *,
     precision: float = 1e-4,
     preemptive: bool = False,
-    backend: str = "scipy",
     max_iterations: int = 200,
     probe: Optional[FeasibilityProbe] = None,
 ) -> Tuple[float, int]:
@@ -598,9 +571,9 @@ def minimize_max_weighted_flow_bisection(
     (objective_upper_bound, feasibility_checks)
     """
     if probe is None:
-        probe = FeasibilityProbe(instance, preemptive=preemptive, backend=backend)
+        probe = FeasibilityProbe(instance, preemptive=preemptive)
     else:
-        _check_probe_matches(probe, instance, preemptive, backend)
+        _check_probe_matches(probe, instance, preemptive)
     probes_before = probe.probes
 
     low = 0.0

@@ -104,18 +104,17 @@ _ONLINE_OFFLINE_PARAMS = (
     PolicyParam("max_bisection_steps", int, 40, "bisection-step cap per replanning"),
     PolicyParam("period", float, None, "forced replanning period (None: event-driven)"),
     PolicyParam("preemptive", bool, False, "plan in the preemptive model"),
-    PolicyParam("backend", str, "scipy", "LP backend for the feasibility probes"),
+    PolicyParam("backend", str, "scipy", "LP backend of the zero-objective feasibility probes"),
     PolicyParam("parametric", bool, True, "share one ReplanProbe across events"),
 )
 _DEADLINE_DRIVEN_PARAMS = (
     PolicyParam("initial_target", float, None, "starting max-weighted-flow target"),
     PolicyParam("growth_factor", float, 1.5, "multiplicative target growth"),
     PolicyParam("lp_targets", bool, False, "relocate violated targets with LP probes"),
-    PolicyParam("backend", str, "scipy", "LP backend for lp_targets probes"),
+    PolicyParam("backend", str, "scipy", "LP backend of the zero-objective lp_targets probes"),
 )
 _OFFLINE_OPTIMAL_PARAMS = (
     PolicyParam("preemptive", bool, False, "optimise the preemptive model"),
-    PolicyParam("backend", str, "scipy", "LP backend for the milestone search"),
 )
 
 #: Built-in on-line schedulers, registered below.

@@ -171,9 +171,8 @@ class OfflineOptimalPolicy(SchedulingPolicy):
     kind = "offline"
     name = OFFLINE_OPTIMAL
 
-    def __init__(self, preemptive: bool = False, backend: str = "scipy") -> None:
+    def __init__(self, preemptive: bool = False) -> None:
         self.preemptive = preemptive
-        self.backend = backend
 
     def run(
         self,
@@ -181,9 +180,7 @@ class OfflineOptimalPolicy(SchedulingPolicy):
         *,
         probe: Optional[FeasibilityProbe] = None,
     ) -> PolicyOutcome:
-        result = minimize_max_weighted_flow(
-            instance, preemptive=self.preemptive, backend=self.backend, probe=probe
-        )
+        result = minimize_max_weighted_flow(instance, preemptive=self.preemptive, probe=probe)
         metrics = result.schedule.metrics()
         return PolicyOutcome(
             policy=self.name,

@@ -7,9 +7,10 @@ scheduling modules of :mod:`repro.core` build them straight in matrix form
 (:mod:`repro.lp.backends` maps the accepted names onto them and
 :func:`repro.lp.backends.solve_form` dispatches a form to one):
 
-* :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production default);
+* :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production default,
+  and the only solver of the off-line searches' objective LPs);
 * :mod:`repro.lp.revised_simplex` — the in-house sparse revised simplex, with
-  warm re-solves for the replanning probes.
+  warm re-solves for the zero-objective replanning probes.
 
 The expression DSL the tests state reference programs in, and the frozen
 dense tableau they cross-check the revised simplex against, live in

@@ -1,16 +1,22 @@
 """LP backend registry: canonical names, aliases, dispatch and warm-start support.
 
 Two backends solve production LPs: scipy's HiGHS wrapper and the in-house
-sparse revised simplex.  This module is the single place that knows which
-requested names map to which solver.  :func:`solve_form` is the one
-dispatch from a name to a solver for a lowered
-:class:`~repro.lp.standard_form.MatrixForm`: the one-shot solves of
-:mod:`repro.core.deadline` and :mod:`repro.core.makespan` call it.  The
-probes in :mod:`repro.core` (which keep warm-start state per backend) and the
-CLI resolve names through :func:`canonical_backend`; ``repro-sched info
---lp-backends`` renders :func:`backend_inventory`.  The frozen dense tableau
-the tests cross-check against is not a backend: it lives in
-``tests/reference/lp``.
+sparse revised simplex.  A backend is chosen by name only for the
+zero-objective feasibility programs: :class:`repro.core.replanning.ReplanProbe`,
+:func:`repro.core.deadline.check_deadline_feasibility` and the ``backend=``
+parameter of the ``online-offline`` and ``deadline-driven`` policies.  The
+programs that minimise an objective (the milestone search of
+:mod:`repro.core.maxflow`, the makespan LP of :mod:`repro.core.makespan`)
+always go to HiGHS and take no name.
+
+This module is the single place that knows which requested names map to
+which solver.  :func:`solve_form` is the one dispatch from a name to a
+solver for a lowered :class:`~repro.lp.standard_form.MatrixForm`: the
+one-shot solves of :mod:`repro.core.deadline` call it.  ``ReplanProbe``
+(which keeps warm-start state per backend) resolves names through
+:func:`canonical_backend`; ``repro-sched info --lp-backends`` renders
+:func:`backend_inventory`.  The frozen dense tableau the tests cross-check
+against is not a backend: it lives in ``tests/reference/lp``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ This is the production backend.  :func:`solve_matrix_form` hands a lowered
 :class:`~repro.lp.standard_form.MatrixForm` to
 :func:`scipy.optimize.linprog` with ``method="highs"``, which consumes the
 CSR ``A_ub``/``A_eq`` blocks directly.  It is reached through
-:func:`repro.lp.backends.solve_form` (which the one-shot solves of
-:mod:`repro.core` use) and directly by the
-feasibility probes of :mod:`repro.core.maxflow` and
-:mod:`repro.core.replanning`, which build the matrix structure once and only
-swap right-hand sides / variable bounds between solves.
+:func:`repro.lp.backends.solve_form` (which the one-shot feasibility solves
+of :mod:`repro.core.deadline` use), directly by the makespan LP of
+:mod:`repro.core.makespan`, and directly by the probes of
+:mod:`repro.core.maxflow` and :mod:`repro.core.replanning`, which build the
+matrix structure once and only swap right-hand sides / variable bounds
+between solves.
 """
 
 from __future__ import annotations

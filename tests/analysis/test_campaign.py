@@ -305,7 +305,6 @@ class TestSharedProbeCompatibility:
         probe = self._probe()
         assert _compatible_probe(probe, make_policy("offline-optimal")) is probe
         assert _compatible_probe(probe, make_policy("offline-optimal:preemptive=true")) is None
-        assert _compatible_probe(probe, make_policy("offline-optimal:backend=revised")) is None
 
     def test_an_unknown_policy_name_still_builds_the_probe(self):
         from repro.analysis.campaign import WorkloadSpec, _CampaignItem, _item_needs_probe

@@ -154,10 +154,10 @@ def test_production_paths_never_state_a_symbolic_model(monkeypatch):
     instance = random_unrelated_instance(8, 3, seed=3)
     deadlines = _loose_deadlines(instance)
     for preemptive in (False, True):
+        minimize_max_weighted_flow(instance, preemptive=preemptive)
+        minimize_makespan(instance, preemptive=preemptive)
         for backend in ("scipy", "revised"):
-            minimize_max_weighted_flow(instance, preemptive=preemptive, backend=backend)
             ReplanProbe(preemptive=preemptive, backend=backend).check(instance, deadlines)
             check_deadline_feasibility(
                 instance, deadlines, preemptive=preemptive, backend=backend
             )
-            minimize_makespan(instance, preemptive=preemptive, backend=backend)

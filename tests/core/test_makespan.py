@@ -78,11 +78,6 @@ class TestAgainstHeuristicUpperBounds:
             cursor = max(cursor, job.release_date) + instance.min_cost(j)
         assert result.makespan <= cursor + 1e-6
 
-    def test_simplex_backend_agrees_with_scipy(self, tiny_instance):
-        scipy_result = minimize_makespan(tiny_instance, backend="scipy")
-        simplex_result = minimize_makespan(tiny_instance, backend="simplex")
-        assert simplex_result.makespan == pytest.approx(scipy_result.makespan, abs=1e-6)
-
 
 class TestPreemptiveMakespan:
     def test_preemptive_single_job_cannot_be_split(self, single_job_instance):
@@ -108,4 +103,3 @@ class TestPreemptiveMakespan:
         assert result.lp_variables > 0
         assert result.lp_constraints > 0
         assert result.num_intervals == 3
-        assert result.backend == "scipy-highs"

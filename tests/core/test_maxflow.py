@@ -16,7 +16,8 @@ from repro.core import (
     minimize_max_weighted_flow,
     minimize_max_weighted_flow_bisection,
 )
-from repro.core import maxflow
+from repro.core import makespan, maxflow
+from repro.exceptions import InfeasibleProblemError
 
 
 class TestKnownOptima:
@@ -77,11 +78,6 @@ class TestOptimalityCertificates:
             approx, _checks = minimize_max_weighted_flow_bisection(instance, precision=1e-5)
             assert approx >= exact - 1e-5
             assert approx <= exact + max(1e-4, 1e-3 * exact)
-
-    def test_simplex_backend_agrees(self, tiny_instance):
-        scipy_result = minimize_max_weighted_flow(tiny_instance, backend="scipy")
-        simplex_result = minimize_max_weighted_flow(tiny_instance, backend="simplex")
-        assert simplex_result.objective == pytest.approx(scipy_result.objective, abs=1e-6)
 
     def test_search_metadata_is_consistent(self, tiny_instance):
         result = minimize_max_weighted_flow(tiny_instance)
@@ -183,18 +179,64 @@ class TestFeasibilityProbe:
             minimize_max_weighted_flow(single_job_instance, probe=probe)
         with pytest.raises(ValueError, match="preemptive"):
             minimize_max_weighted_flow(tiny_instance, preemptive=True, probe=probe)
-        with pytest.raises(ValueError, match="backend"):
-            minimize_max_weighted_flow_bisection(
-                tiny_instance, backend="simplex", probe=probe
-            )
-        # Backend aliases are not a mismatch.
-        minimize_max_weighted_flow(tiny_instance, backend="highs", probe=probe)
+        with pytest.raises(ValueError, match="preemptive"):
+            minimize_max_weighted_flow_bisection(tiny_instance, preemptive=True, probe=probe)
 
-    def test_probe_with_simplex_backend(self, tiny_instance):
-        probe = FeasibilityProbe(tiny_instance, backend="simplex")
-        exact = minimize_max_weighted_flow(tiny_instance).objective
-        assert probe.probe(exact * 1.5)
-        assert not probe.probe(exact * 0.5)
+    def test_objective_searches_select_no_solver(self, tiny_instance):
+        # Every objective LP goes to HiGHS: no entry point takes a backend.
+        from repro.core import minimize_makespan
+        from repro.heuristics import make_policy
+
+        for entry in (
+            FeasibilityProbe,
+            minimize_max_weighted_flow,
+            minimize_max_stretch,
+            minimize_max_weighted_flow_bisection,
+            minimize_makespan,
+        ):
+            with pytest.raises(TypeError, match="backend"):
+                entry(tiny_instance, backend="revised")
+        with pytest.raises(KeyError, match="no parameter 'backend'"):
+            make_policy("offline-optimal:backend=revised")
+
+
+_OBJECTIVE_SEARCHES = {
+    "max-weighted-flow": lambda instance: minimize_max_weighted_flow(instance),
+    "max-weighted-flow-preemptive": lambda instance: minimize_max_weighted_flow(
+        instance, preemptive=True
+    ),
+    "max-stretch": lambda instance: minimize_max_stretch(instance),
+    "bisection": lambda instance: minimize_max_weighted_flow_bisection(instance),
+    "makespan": lambda instance: makespan.minimize_makespan(instance),
+    "makespan-preemptive": lambda instance: makespan.minimize_makespan(
+        instance, preemptive=True
+    ),
+}
+
+
+@pytest.mark.parametrize("search", sorted(_OBJECTIVE_SEARCHES))
+def test_objective_lps_go_to_highs_only(search, tiny_instance, monkeypatch):
+    """Every LP of the off-line searches minimises an objective, on HiGHS."""
+    from repro.lp.revised_simplex import _Program
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("an off-line search reached the revised simplex")
+
+    monkeypatch.setattr(_Program, "__init__", poisoned)
+    forms = []
+
+    def recording(solve):
+        def solve_and_record(form, **options):
+            forms.append(form)
+            return solve(form, **options)
+
+        return solve_and_record
+
+    monkeypatch.setattr(maxflow, "_scipy_solve_form", recording(maxflow._scipy_solve_form))
+    monkeypatch.setattr(makespan, "solve_matrix_form", recording(makespan.solve_matrix_form))
+    _OBJECTIVE_SEARCHES[search](tiny_instance)
+    assert forms
+    assert all(form.c.any() for form in forms)
 
 
 class TestRangeCacheEviction:
@@ -311,17 +353,39 @@ class TestPreemptiveMaxFlow:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="known revised-simplex defect: a System (5) range LP cold-solves to an "
-        "'optimal' vertex that breaks its bounds and rows (ValueError: allocation "
-        "exceeds the interval length); see ROADMAP item 4",
+        reason="known revised-simplex defect: it cold-solves this System (5) range LP "
+        "to an 'optimal' vertex with F = 0.1507 and a variable 6.5 past its bound, "
+        "where HiGHS gives F = 1.2163; see ROADMAP item 2",
     )
-    def test_revised_backend_matches_scipy_on_replicated_portal(self):
+    def test_revised_simplex_matches_highs_on_a_replicated_portal_range_lp(
+        self, monkeypatch
+    ):
+        from repro.exceptions import SolverError
+        from repro.lp.revised_simplex import solve_matrix_form_revised
         from repro.workload import make_scenario
 
-        instance = make_scenario("replicated-portal", 1)
-        reference = minimize_max_weighted_flow(instance, preemptive=True).objective
-        revised = minimize_max_weighted_flow(instance, preemptive=True, backend="revised")
-        assert revised.objective == pytest.approx(reference, rel=1e-6)
+        probe = FeasibilityProbe(make_scenario("replicated-portal", 1), preemptive=True)
+        low = probe.milestones[-1]
+        # The search's first probe fails, so its range LP is the unbounded
+        # last range; capture that program as the search hands it to HiGHS.
+        assert not probe.probe(low)
+        forms = []
+        highs = maxflow._scipy_solve_form
+
+        def recording(form, **options):
+            forms.append(form)
+            return highs(form, **options)
+
+        monkeypatch.setattr(maxflow, "_scipy_solve_form", recording)
+        reference, _alloc, _solution = probe.solve_range(low, None)
+        (form,) = forms
+        assert (form.num_constraints, form.num_variables) == (732, 3201)
+        try:
+            revised = solve_matrix_form_revised(form).solution
+        except SolverError:
+            return
+        assert revised.is_optimal
+        assert revised.objective_value == pytest.approx(reference, rel=1e-6)
 
     def test_preemptive_optimum_with_a_sliver_interval(self):
         # A release 2**-24 after two others leaves a window one solver
@@ -362,6 +426,33 @@ class TestEdgeCases:
         result = minimize_max_weighted_flow(instance, preemptive=preemptive)
         result.schedule.validate()
         assert result.objective == pytest.approx(2.0 - 2.0**-24, abs=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InfeasibleProblemError,
+        reason="known HiGHS tolerance defect: the probe at F = 4 accepts F = 4 - 2**-23, "
+        "2**-24 of work short, and the range LP below it is then called infeasible; "
+        "see ROADMAP item 2",
+    )
+    @pytest.mark.parametrize("preemptive", [False, True])
+    def test_optimum_on_a_milestone_just_above_a_2_pow_minus_24_shortfall(self, preemptive):
+        # One machine must do 4 units of work from t = 1, so the last job
+        # ends at 5 or later with weighted flow at least 4: F* = 4.  At the
+        # milestone F = 4 - 2**-23 the deadlines leave 2**-24 less time than
+        # the work needs, inside HiGHS's primal feasibility tolerance: the
+        # probe at F = 4 returns that milestone as its range minimum, the
+        # search ends on the range (2, 4 - 2**-23], and HiGHS calls its range
+        # LP infeasible with presolve and without, although the same program
+        # with F fixed at 4 - 2**-23 solves.
+        jobs = [
+            Job("a", 1.0, weight=1.0),
+            Job("b", 1.0 + 2.0**-24, weight=2.0),
+            Job("c", 3.0, weight=2.0),
+        ]
+        instance = Instance.from_costs(jobs, [[2.0, 1.0, 1.0]])
+        result = minimize_max_weighted_flow(instance, preemptive=preemptive)
+        result.schedule.validate()
+        assert result.objective == pytest.approx(4.0, abs=1e-6)
 
     def test_restricted_availability_instance(self, restricted_instance):
         result = minimize_max_weighted_flow(restricted_instance)

@@ -197,7 +197,6 @@ def optima() -> Entries:
                 result = minimize_max_weighted_flow(
                     make_scenario(scenario, seed),
                     preemptive=kind == "preemptive",
-                    backend="scipy",
                 )
                 entries[f"optimum/{kind}/{scenario}/{seed}"] = repr(result.objective)
     return entries

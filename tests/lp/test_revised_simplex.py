@@ -458,7 +458,7 @@ class TestBackendRegistry:
 
     @pytest.mark.parametrize("removed", ["tableau", "highspy"])
     def test_removed_backend_names_are_rejected(self, removed):
-        from repro.core.maxflow import FeasibilityProbe
+        from repro.core import check_deadline_feasibility
         from repro.core.replanning import ReplanProbe
         from repro.workload import random_unrelated_instance
 
@@ -466,7 +466,9 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match=message):
             _sample_lp().solve(backend=removed)
         with pytest.raises(ValueError, match=message):
-            FeasibilityProbe(random_unrelated_instance(3, 2, seed=1), backend=removed)
+            check_deadline_feasibility(
+                random_unrelated_instance(3, 2, seed=1), [10.0] * 3, backend=removed
+            )
         with pytest.raises(ValueError, match=message):
             ReplanProbe(backend=removed)
 

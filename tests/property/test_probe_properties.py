@@ -3,9 +3,9 @@
 Two cross-validation invariants guard the performance subsystem:
 
 * the exact milestone search and the naive ε-bisection must agree (within the
-  bisection's precision) on random instances, for both LP backends — the two
-  searches share no code path beyond the :class:`FeasibilityProbe`, so
-  agreement certifies the probe's parametric range solves;
+  bisection's precision) on random instances — the two searches share no
+  code path beyond the :class:`FeasibilityProbe`, so agreement certifies the
+  probe's parametric range solves;
 * the sparse (CSR) and dense lowerings of random LPs must solve to the same
   optimum — the two lowerings share the triplet extraction but materialise
   and solve through different code paths.
@@ -99,33 +99,12 @@ def _build_lp(costs, rows, rhs, senses) -> LinearProgram:
 class TestSearchAgreement:
     @given(small_instance())
     @settings(max_examples=12, deadline=None)
-    def test_bisection_agrees_with_milestone_search_scipy(self, instance):
-        exact = minimize_max_weighted_flow(instance, backend="scipy")
-        approx, checks = minimize_max_weighted_flow_bisection(
-            instance, precision=PRECISION, backend="scipy"
-        )
+    def test_bisection_agrees_with_milestone_search(self, instance):
+        exact = minimize_max_weighted_flow(instance)
+        approx, checks = minimize_max_weighted_flow_bisection(instance, precision=PRECISION)
         assert checks >= 1
         assert approx >= exact.objective - PRECISION
         assert approx <= exact.objective + max(10 * PRECISION, 1e-3 * exact.objective)
-
-    @given(small_instance())
-    @settings(max_examples=6, deadline=None)
-    def test_bisection_agrees_with_milestone_search_simplex(self, instance):
-        exact = minimize_max_weighted_flow(instance, backend="simplex")
-        approx, _checks = minimize_max_weighted_flow_bisection(
-            instance, precision=PRECISION, backend="simplex"
-        )
-        assert approx >= exact.objective - PRECISION
-        assert approx <= exact.objective + max(10 * PRECISION, 1e-3 * exact.objective)
-
-    @given(small_instance())
-    @settings(max_examples=8, deadline=None)
-    def test_backends_agree_on_the_exact_optimum(self, instance):
-        scipy_result = minimize_max_weighted_flow(instance, backend="scipy")
-        simplex_result = minimize_max_weighted_flow(instance, backend="simplex")
-        assert simplex_result.objective == pytest.approx(
-            scipy_result.objective, abs=1e-5 * (1.0 + abs(scipy_result.objective))
-        )
 
 
 class TestLoweringAgreement:

@@ -89,24 +89,35 @@ class TestSolve:
                      "--preemptive"]) == 0
         assert "optimal max stretch" in capsys.readouterr().out
 
-    def test_every_advertised_backend_name_solves(self, tmp_path, capsys):
+    def test_every_advertised_backend_name_drives_online_offline(self, tmp_path, capsys):
         # Each label and alias that 'info --lp-backends' prints must be an
-        # accepted --backend value that reaches the same optimum.
+        # accepted backend= value of online-offline, and every name of one
+        # backend must replay the instance identically.
         assert main(["info", "--lp-backends"]) == 0
-        names = []
+        groups = []
         for line in capsys.readouterr().out.splitlines()[1:]:
             label, aliases = line.split("[", 1)
-            names.append(label.strip())
-            names.extend(alias.strip() for alias in aliases.split("]", 1)[0].split(","))
-        assert {"highs", "pure-python", "scipy-highs", "simplex-revised"} <= set(names)
+            names = [alias.strip() for alias in aliases.split("]", 1)[0].split(",")]
+            groups.append([label.strip(), *names])
+        assert {"highs", "pure-python", "scipy-highs", "simplex-revised"} <= {
+            name for names in groups for name in names
+        }
         path = tmp_path / "tiny.json"
         save_instance(random_unrelated_instance(4, 2, seed=5), path)
-        optima = set()
-        for name in names:
-            assert main(["solve", str(path), "--backend", name]) == 0, name
-            text = capsys.readouterr().out
-            optima.add(next(line for line in text.splitlines() if "optimal" in line))
-        assert len(optima) == 1, optima
+        for names in groups:
+            rows = set()
+            for name in names:
+                policy = f"online-offline:backend={name}"
+                assert main(["simulate", str(path), "--policy", policy]) == 0, name
+                label, *figures = capsys.readouterr().out.splitlines()[-1].split()
+                assert label.startswith("online-offline")
+                rows.add(tuple(figures))
+            assert len(rows) == 1, (names, rows)
+
+    def test_solve_takes_no_backend(self, instance_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", str(instance_file), "--backend", "revised"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_missing_instance_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
