@@ -6,9 +6,11 @@ comparisons live in ``tests/lp/test_revised_properties.py`` and
 ``tests/property/test_lp_properties.py``.
 
 The first bench pits the in-house revised simplex against the frozen dense
-tableau on a large mid-milestone System (3) program: the revised solve must
-consume the sparse lowering without densifying it, agree with HiGHS and
-finish before the tableau clears 25 pivots.
+tableau on the zero-objective twin of a large mid-milestone System (3)
+program (``c`` zeroed, ``F`` pinned at the range's upper milestone: the
+revised simplex decides feasibility programs only).  The revised solve must
+consume the sparse lowering without densifying it, reach HiGHS's verdict
+with a valid witness and finish before the tableau clears 25 pivots.
 
 The second bench measures the matrix *lowering* itself: building the CSR
 form of the largest System (3) program the bench builds must be at least
@@ -20,6 +22,9 @@ identical objectives.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
+
+import numpy as np
 
 from repro.analysis import format_table
 from repro.core.affine import Affine
@@ -49,27 +54,48 @@ def _largest_bench_inputs(num_jobs: int, num_machines: int) -> dict:
     )
 
 
-def _largest_bench_lp(num_jobs: int, num_machines: int):
-    """The CSR form of the parametric System (3) LP of a mid-search milestone range."""
-    return build_allocation_model(**_largest_bench_inputs(num_jobs, num_machines)).form
+def _largest_bench_feasibility_lp(num_jobs: int, num_machines: int):
+    """The zero-objective twin of a mid-search System (3) LP, in CSR form.
+
+    The parametric program of a mid-search milestone range with ``c``
+    zeroed and ``F`` pinned at the range's upper milestone.
+    """
+    inputs = _largest_bench_inputs(num_jobs, num_machines)
+    alloc = build_allocation_model(**inputs)
+    high = inputs["objective_bounds"][1]
+    bounds = alloc.form.bounds.copy()
+    bounds[alloc.objective_column] = (high, high)
+    return replace(alloc.form, c=np.zeros_like(alloc.form.c)).with_bounds(bounds)
+
+
+def _violation(form, values: dict) -> float:
+    """The largest row or bound violation of ``values`` in ``form``."""
+    x = np.array([values[j] for j in range(form.num_variables)])
+    return max(
+        float(np.max(form.a_ub @ x - form.b_ub, initial=0.0)),
+        float(np.max(np.abs(form.a_eq @ x - form.b_eq), initial=0.0)),
+        float(np.max(form.bounds[:, 0] - x)),
+        float(np.max(x - form.bounds[:, 1])),
+    )
 
 
 def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
-    """ISSUE 9 acceptance: the revised simplex wins on the big lowering LP.
+    """The revised simplex wins on the big lowering LP.
 
-    The 774x13225 mid-milestone System (3) program (num_jobs=60,
-    num_machines=6).  The revised simplex must consume the sparse lowering
-    directly — ``MatrixForm.densified`` is poisoned for the duration — agree
-    with HiGHS on the objective, and beat the frozen dense tableau so
-    decisively that a full revised solve (~1100 pivots) finishes before the
-    tableau clears even 25 of its own pivots (each tableau pivot rewrites the
-    full rows x cols array, ~10M entries here).
+    The zero-objective twin of the 774x13225 mid-milestone System (3)
+    program (num_jobs=60, num_machines=6).  The revised simplex must consume
+    the sparse lowering directly — ``MatrixForm.densified`` is poisoned for
+    the duration — reach HiGHS's verdict with a valid witness, and beat the
+    frozen dense tableau so decisively that a full revised solve (~1100
+    pivots) finishes before the tableau clears even 25 of its own pivots
+    (each tableau pivot rewrites the full rows x cols array, ~10M entries
+    here).
     """
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.standard_form import MatrixForm
     from tests.reference.lp import solve_matrix_form_tableau
 
-    sparse_form = _largest_bench_lp(60, 6)
+    sparse_form = _largest_bench_feasibility_lp(60, 6)
     assert (sparse_form.num_constraints, sparse_form.num_variables) == (774, 13225)
     dense_form = sparse_form.densified()
     reference = solve_matrix_form(sparse_form)
@@ -96,7 +122,7 @@ def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
             ["solver", "seconds", "outcome"],
             [
                 ("revised (full solve)", revised_seconds,
-                 f"optimal, {revised.solution.iterations} pivots"),
+                 f"{revised.solution.status}, {revised.solution.iterations} pivots"),
                 ("tableau (25 pivots)", tableau_25_pivots_seconds,
                  str(partial.status)),
             ],
@@ -105,10 +131,8 @@ def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
         )
     )
 
-    assert revised.solution.is_optimal
-    assert abs(revised.solution.objective_value - reference.objective_value) <= 1e-6 * (
-        1.0 + abs(reference.objective_value)
-    )
+    assert revised.solution.is_optimal and reference.is_optimal
+    assert _violation(sparse_form, revised.solution.values) <= 1e-9
     assert not partial.is_optimal  # 25 pivots are nowhere near enough
     assert revised_seconds < tableau_25_pivots_seconds, (
         f"revised full solve {revised_seconds:.2f}s vs tableau 25-pivot "

@@ -1,8 +1,9 @@
 """LP backend registry: canonical names, aliases, dispatch and warm-start support.
 
 Two backends solve production LPs: scipy's HiGHS wrapper and the in-house
-sparse revised simplex.  A backend is chosen by name only for the
-zero-objective feasibility programs: :class:`repro.core.replanning.ReplanProbe`,
+sparse revised simplex.  The revised simplex decides zero-objective
+(feasibility) programs only and raises ``ValueError`` on a nonzero cost, so a
+backend is chosen by name only for those: :class:`repro.core.replanning.ReplanProbe`,
 :func:`repro.core.deadline.check_deadline_feasibility` and the ``backend=``
 parameter of the ``online-offline`` and ``deadline-driven`` policies.  The
 programs that minimise an objective (the milestone search of
@@ -69,7 +70,8 @@ def solve_form(form: MatrixForm, backend: str = "scipy") -> LPSolution:
     ``backend`` is any name accepted by :func:`canonical_backend`: HiGHS
     through :func:`repro.lp.scipy_backend.solve_matrix_form`, or a cold solve
     with the in-house revised simplex
-    (:func:`repro.lp.revised_simplex.solve_matrix_form`).
+    (:func:`repro.lp.revised_simplex.solve_matrix_form`), which raises
+    ``ValueError`` when ``form.c`` has a nonzero entry.
     """
     if canonical_backend(backend) == "scipy-highs":
         from .scipy_backend import solve_matrix_form
@@ -107,6 +109,7 @@ def backend_inventory() -> List[BackendInfo]:
             label="simplex-revised",
             aliases=_aliases("simplex-revised"),
             warm_start=True,
-            description="in-house sparse revised simplex (warm dual re-solves)",
+            description="in-house sparse revised simplex, zero-objective programs only "
+            "(warm dual re-solves)",
         ),
     ]

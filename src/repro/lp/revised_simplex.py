@@ -1,4 +1,11 @@
-"""Revised simplex over the CSR blocks of a :class:`MatrixForm`.
+"""Revised simplex for zero-objective (feasibility) programs over a :class:`MatrixForm`.
+
+Every program this solver takes has ``c == 0``: the System (2) feasibility
+tests of Lemma 1 that the replanning probes re-solve thousands of times.
+:func:`solve_matrix_form_revised` raises ``ValueError`` on a form with a
+nonzero cost; programs that minimise an objective (the System (3)/(5) range
+LP, the makespan LP) go to HiGHS (:mod:`repro.lp.scipy_backend`).  An
+optimal answer is a feasible point; its objective is the form's constant.
 
 The tableau reference (frozen in ``tests/reference/lp/tableau.py``) densifies
 the whole constraint matrix and rewrites every entry on every pivot — O(rows ×
@@ -17,32 +24,31 @@ equals scipy's ``A @ v``/``A.T @ y`` bit for bit.  A refactorisation
 scatters the basis columns into the dense ``m × m`` array straight from
 those arrays.
 
-Differences from the legacy tableau (this is a *semantic* change — the
-optimal vertex reported for degenerate programs may differ — shipped with the
-``CODE_EPOCH`` 2005.5 → 2005.6 bump):
+How a solve runs (the vertex reported for degenerate programs may differ
+from the legacy tableau's — shipped with the ``CODE_EPOCH`` 2005.5 → 2005.6
+bump):
 
 * **Bounded variables are native.**  General ``lo <= x <= hi`` bounds are
   handled by nonbasic-at-lower/at-upper statuses instead of the legacy
   shift/reflect/split rewriting, so box bounds never become rows.
-* **Phase 1 only pays for what is infeasible.**  Artificials are introduced
-  only for equality rows and for inequality rows whose slack starts out of
-  bounds; in the replanning LPs (all capacity rows, non-negative lengths)
-  the slack basis is immediately feasible and phase 1 is skipped entirely.
-* **Deterministic Dantzig/Bland pivoting.**  Entering variables are picked
-  by most-negative reduced cost with ties broken towards the smallest
-  column index; after a long degenerate stall the rule permanently drops to
-  Bland's (smallest eligible index), which guarantees termination.
+* **Crash basis, then dual simplex.**  With a zero objective every basis is
+  dual feasible, so a cold solve takes the slack of every inequality row and
+  one structural column per equality row, and runs dual simplex iterations
+  to primal feasibility.
+* **Phase-1 fallback.**  When no crash basis exists, or the dual reaches
+  its pivot cap or meets numerical trouble, the solve restarts from the slack basis plus
+  artificials (only for equality rows and for inequality rows whose slack
+  starts out of bounds) and runs the primal simplex on their sum: most
+  negative reduced cost first, ties to the smallest column index, dropping
+  permanently to Bland's rule after a long degenerate stall.
 * **Warm re-solves.**  :func:`solve_matrix_form_revised` accepts the
   :class:`BasisState` of a previous solve of the *same skeleton* (possibly
   with new bounds, right-hand sides or refreshed coefficient values) and
-  runs **dual simplex** iterations from that basis.  The probe LPs this is
-  built for stay dual feasible by construction — the System (2) feasibility
-  programs have a zero objective (any basis is dual feasible) and the
-  System (3) re-solves only move the objective variable's bounds — so a
-  refresh typically needs a handful of pivots instead of a full solve.
-  Anything that invalidates the warm start (singular refactorisation, dual
-  infeasibility, stalling) falls back to the cold path; the answer never
-  depends on whether the fast path was available.
+  runs dual simplex iterations from that basis, which stays dual feasible
+  because the objective is zero, so a refresh typically needs a handful of
+  pivots instead of a full solve.  Anything that invalidates the warm start
+  (singular refactorisation, stalling) falls back to the cold path; the
+  answer never depends on whether the fast path was available.
 
 The replanning probes re-solve each skeleton thousands of times, mostly to
 read a verdict, so the re-solve path pays only for what the caller reads:
@@ -60,22 +66,22 @@ read a verdict, so the re-solve path pays only for what the caller reads:
   skeleton — same index arrays, same equality block, refreshed values —
   scatters its values into a copy instead of re-sorting, and falls back to
   full assembly when a value falls below :data:`_COEFF_DROP`.
-* **A lean dual pivot.**  On ``c == 0`` programs the entering test is one
-  product with a ±1/0 sign vector kept in step with the statuses, and the
-  basic bounds and values are updated in place rather than gathered per
-  pivot.  No reduction changes order, so pivots are unchanged.
+* **A lean dual pivot.**  Every reduced cost is zero, so the entering test
+  is one product with a ±1/0 sign vector kept in step with the statuses,
+  and the basic bounds and values are updated in place rather than gathered
+  per pivot.  No reduction changes order, so pivots are unchanged.
 
 Like the tableau, constraint coefficients below :data:`_COEFF_DROP` are
 dropped before the solve (the PR 5 near-zero-pivot regression class), so the
-two in-house backends and HiGHS agree on which coefficients exist at all.
+two in-house solvers and HiGHS agree on which coefficients exist at all.
 
 Witness discipline: warm-started vertices depend on the *history* of bases,
 so a warm witness is a deterministic function of the caller's solve sequence
 rather than of each LP in isolation.  That is part of the CODE_EPOCH 2005.6
 semantics: within a run the sequence is deterministic, so schedules and
 digests reproduce exactly, but byte-identity against a history-free reference
-holds only for the verdict and objective, not the vertex.  Callers that need
-a history-free vertex must solve cold (omit ``warm_basis``).
+holds only for the verdict, not the vertex.  Callers that need a
+history-free vertex must solve cold (omit ``warm_basis``).
 """
 
 from __future__ import annotations
@@ -110,6 +116,8 @@ _FEAS_TOL = 1e-7
 _PIVOT_TOL = 1e-11
 #: Pivots between full refactorisations of the basis inverse.
 _REFACTOR_EVERY = 100
+#: Pivot budget of one primal or dual simplex run.
+_MAX_ITERATIONS = 20000
 
 _BACKEND = "simplex-revised"
 
@@ -148,8 +156,8 @@ class RevisedSolve:
 class ProgramHandle:
     """Opaque kept-alive solver state for repeated re-solves of one program.
 
-    When the caller presents a form whose matrix blocks, costs and bounds are
-    the *same objects* the cached program was assembled from — the
+    When the caller presents a form whose matrix blocks and bounds are the
+    *same objects* the cached program was assembled from — the
     :class:`~repro.core.replanning.ReplanProbe` event cache guarantees exactly
     that within one replanning event — only the right-hand sides can have
     changed, so the previous factorisation is still exact: the re-solve skips
@@ -159,7 +167,7 @@ class ProgramHandle:
     """
 
     program: Optional["_Program"] = None
-    blocks: Optional[Tuple[object, object, object, object]] = None
+    blocks: Optional[Tuple[object, object, object]] = None
     #: The CSC layout of the last assembled program, reused by the next
     #: program of the same skeleton (see :class:`_Layout`).
     layout: Optional["_Layout"] = None
@@ -171,8 +179,7 @@ class ProgramHandle:
             and blocks is not None
             and form.a_ub is blocks[0]
             and form.a_eq is blocks[1]
-            and form.c is blocks[2]
-            and form.bounds is blocks[3]
+            and form.bounds is blocks[2]
         )
 
     def stash(self, program: "_Program", form: MatrixForm) -> None:
@@ -191,7 +198,7 @@ class ProgramHandle:
             and bool((program.basis < program.n_total).all())
         ):
             self.program = program
-            self.blocks = (form.a_ub, form.a_eq, form.c, form.bounds)
+            self.blocks = (form.a_ub, form.a_eq, form.bounds)
         else:
             self.program = None
             self.blocks = None
@@ -285,7 +292,7 @@ class _Layout:
 
 
 class _Program:
-    """The bounded standard form ``min c.x  s.t.  A x = b, lo <= x <= hi``.
+    """The bounded standard form ``A x = b, lo <= x <= hi`` (zero objective).
 
     ``A`` is the combined ``[[A_ub, I], [A_eq, 0]]`` system, held as four
     numpy arrays: CSC ``indptr``/``indices``/``data`` (column access drives
@@ -297,9 +304,7 @@ class _Program:
     cold and warm solves share one matrix.
     """
 
-    def __init__(
-        self, form: MatrixForm, max_iterations: int, layout: Optional[_Layout] = None
-    ) -> None:
+    def __init__(self, form: MatrixForm, layout: Optional[_Layout] = None) -> None:
         n = form.num_variables
         if layout is not None and layout.fits(form.a_ub, form.a_eq):
             a_ub, a_eq = form.a_ub, form.a_eq
@@ -325,11 +330,9 @@ class _Program:
         self.n_total = n + m_ub
         self.b = np.concatenate([np.asarray(form.b_ub, dtype=float),
                                  np.asarray(form.b_eq, dtype=float)])
-        self.c = np.concatenate([np.asarray(form.c, dtype=float), np.zeros(m_ub)])
         bounds = np.asarray(form.bounds, dtype=float)
         self.lo = np.concatenate([bounds[:, 0], np.zeros(m_ub)])
         self.hi = np.concatenate([bounds[:, 1], np.full(m_ub, np.inf)])
-        self.max_iterations = max_iterations
 
         # Artificial columns (cold solves only): column n_total + k is
         # sign[k] * e_{row[k]}.
@@ -469,7 +472,7 @@ class _Program:
     def _rebind(self, form: MatrixForm) -> None:
         """Install new right-hand sides, keeping the current factorisation.
 
-        Only valid when every matrix block, cost and bound of ``form`` is the
+        Only valid when every matrix block and the bounds of ``form`` are the
         very object this program was assembled from (see
         :class:`ProgramHandle`) — then the basis inverse stays exact and only
         the basic values need recomputing.  A refactorisation a verdict-only
@@ -487,10 +490,10 @@ class _Program:
             self.x[self.basis] = self.b_inv @ (self.b - self._matvec(self._nonbasic_values()))
 
     # ------------------------------------------------------------------ #
-    # Primal simplex (cold phases)                                       #
+    # Primal simplex (phase 1 of the cold fallback)                      #
     # ------------------------------------------------------------------ #
     def _primal(self, costs: np.ndarray, allow_enter: np.ndarray) -> str:
-        """Iterate to primal optimality.  Returns ``optimal``/``unbounded``/``limit``."""
+        """Minimise the phase-1 ``costs``.  ``optimal``/``unbounded``/``limit``."""
         m = self.m
         bland = False
         stall = 0
@@ -498,7 +501,7 @@ class _Program:
         since_refactor = 0
         iters = 0
         lo, hi = self.lo_ext, self.hi_ext
-        while iters < self.max_iterations:
+        while iters < _MAX_ITERATIONS:
             c_b = costs[self.basis]
             y = self.b_inv.T @ c_b
             d = costs - self._row_prices(y)
@@ -587,7 +590,7 @@ class _Program:
         return "limit"
 
     # ------------------------------------------------------------------ #
-    # Cold start: slack basis + artificials, phase 1 / phase 2           #
+    # Cold start: slack basis + artificials, phase 1                     #
     # ------------------------------------------------------------------ #
     def _cold_start(self) -> Optional[LPStatus]:
         n_total, m = self.n_total, self.m
@@ -674,10 +677,10 @@ class _Program:
             self.iterations += 1
 
     def _crash_start(self) -> bool:
-        """Deterministic slack/crash basis for zero-objective programs.
+        """Deterministic slack/crash basis.
 
         With an all-zero objective every basis is dual feasible, so a
-        feasibility program never needs phase 1: take the slack of every
+        program never needs phase 1: take the slack of every
         inequality row and, for each equality row, the smallest-index
         structural column with a usable coefficient (unused by other rows),
         then run the dual simplex.  Returns ``False`` when no full crash
@@ -723,8 +726,8 @@ class _Program:
         """Install ``state`` for this (possibly refreshed) program.
 
         Returns ``False`` when the state cannot seed a dual solve (shape
-        mismatch, singular refactorisation, dual infeasibility) — the caller
-        then falls back to the cold path.
+        mismatch, singular refactorisation) — the caller then falls back to
+        the cold path.  With a zero objective every basis is dual feasible.
         """
         basis = np.asarray(state.basis, dtype=np.intp)
         vstatus = np.asarray(state.vstatus, dtype=np.int8)
@@ -740,19 +743,14 @@ class _Program:
             self._refactor()
         except _Numerics:
             return False
-        y = self.b_inv.T @ self.c[self.basis]
-        d = self.c - self._row_prices(y)
-        lower_ok = (self.vstatus != _AT_LOWER) | (d >= -_FEAS_TOL)
-        upper_ok = (self.vstatus != _AT_UPPER) | (d <= _FEAS_TOL)
-        free_ok = (self.vstatus != _FREE) | (np.abs(d) <= _FEAS_TOL)
-        return bool((lower_ok & upper_ok & free_ok).all())
+        return True
 
     def _dual(self) -> str:
         """Dual simplex to primal feasibility.  ``optimal``/``infeasible``/``limit``."""
         m = self.m
         iters = 0
         since_refactor = 0
-        cap = min(self.max_iterations, 3 * m + 200)
+        cap = min(_MAX_ITERATIONS, 3 * m + 200)
         basis = self.basis
         row_prices = self._row_prices if self.art_rows.size else self._rmatvec
         # Bounds and values of the basic columns, kept in step with the
@@ -762,20 +760,17 @@ class _Program:
         x_b = self.x[basis]
         lo_b = self.lo[basis]
         hi_b = self.hi[basis]
-        # The System (2) feasibility programs have an all-zero objective:
-        # every reduced cost is exactly zero, so the dual ratio test
-        # degenerates to "first eligible column" — skip the pricing solve.
-        zero_costs = not self.c.any()
-        if zero_costs:
-            # -1 at lower, +1 at upper, 0 basic or free: a column at lower
-            # is eligible when its pivot-row entry is below -_EPS, one at
-            # upper when it is above _EPS, so ``sign * a2 > _EPS`` is the
-            # whole eligibility test and ``sign * a2`` its |pivot|.
-            status = self.vstatus
-            sign = np.zeros(status.size)
-            sign[status == _AT_LOWER] = -1.0
-            sign[status == _AT_UPPER] = 1.0
-            free = np.flatnonzero(status == _FREE)
+        # With an all-zero objective every reduced cost is exactly zero, so
+        # the dual ratio test needs no pricing solve.  The sign vector is -1
+        # at lower, +1 at upper, 0 basic or free: a column at lower is
+        # eligible when its pivot-row entry is below -_EPS, one at upper when
+        # it is above _EPS, so ``sign * a2 > _EPS`` is the whole eligibility
+        # test and ``sign * a2`` its |pivot|.
+        status = self.vstatus
+        sign = np.zeros(status.size)
+        sign[status == _AT_LOWER] = -1.0
+        sign[status == _AT_UPPER] = 1.0
+        free = np.flatnonzero(status == _FREE)
         while iters < cap:
             below = lo_b - x_b
             above = x_b - hi_b
@@ -789,38 +784,20 @@ class _Program:
 
             rho = self.b_inv[r, :]
             alpha = row_prices(rho)
-            if zero_costs:
-                # Any entering column keeps dual feasibility when c == 0, so
-                # the choice is free: take the largest |pivot| (first index on
-                # ties).  First-eligible would be Bland's rule, which stalls
-                # for ~m near-degenerate pivots on these programs.
-                score = sign * alpha
-                if not is_below:
-                    np.negative(score, out=score)
-                if free.size:
-                    score[free] = np.abs(alpha[free])
-                enter = int(score.argmax())
-                if not score[enter] > _EPS:
-                    self.x[basis] = x_b
-                    self.iterations += iters
-                    return "infeasible"
-            else:
-                a2 = alpha if is_below else -alpha
-                status = self.vstatus
-                y = self.b_inv.T @ self.c[basis]
-                d = self.c - row_prices(y)
-                ratios = np.full(self.n_total, np.inf)
-                sel = (status == _AT_LOWER) & (a2 < -_EPS)
-                ratios[sel] = np.maximum(d[sel], 0.0) / (-a2[sel])
-                sel = (status == _AT_UPPER) & (a2 > _EPS)
-                ratios[sel] = np.maximum(-d[sel], 0.0) / a2[sel]
-                sel = (status == _FREE) & (np.abs(a2) > _EPS)
-                ratios[sel] = np.abs(d[sel]) / np.abs(a2[sel])
-                enter = int(ratios.argmin())
-                if not np.isfinite(ratios[enter]):
-                    self.x[basis] = x_b
-                    self.iterations += iters
-                    return "infeasible"
+            # Any entering column keeps dual feasibility when c == 0, so the
+            # choice is free: take the largest |pivot| (first index on ties).
+            # First-eligible would be Bland's rule, which stalls for ~m
+            # near-degenerate pivots on these programs.
+            score = sign * alpha
+            if not is_below:
+                np.negative(score, out=score)
+            if free.size:
+                score[free] = np.abs(alpha[free])
+            enter = int(score.argmax())
+            if not score[enter] > _EPS:
+                self.x[basis] = x_b
+                self.iterations += iters
+                return "infeasible"
 
             target = lo_b[r] if is_below else hi_b[r]
             t = (x_b[r] - target) / alpha[enter]
@@ -833,11 +810,10 @@ class _Program:
             self.x[leaving] = target
             self.vstatus[leaving] = _AT_LOWER if is_below else _AT_UPPER
             self._update_inverse(r, w)
-            if zero_costs:
-                sign[leaving] = -1.0 if is_below else 1.0
-                sign[enter] = 0.0
-                if self.vstatus[enter] == _FREE:
-                    free = free[free != enter]
+            sign[leaving] = -1.0 if is_below else 1.0
+            sign[enter] = 0.0
+            if self.vstatus[enter] == _FREE:
+                free = free[free != enter]
             basis[r] = enter
             self.vstatus[enter] = _BASIC
             x_b[r] = self.x[enter]
@@ -866,30 +842,15 @@ class _Program:
 
 
 def _solve_boxed(form: MatrixForm) -> LPSolution:
-    """The constraint-free case: minimise ``c.x`` over the box alone."""
-    c = np.asarray(form.c, dtype=float)
+    """The constraint-free case: any point of the box, each column at a finite bound."""
     bounds = np.asarray(form.bounds, dtype=float)
-    x = np.zeros(c.shape[0])
-    for j, cost in enumerate(c):
-        lo, hi = bounds[j]
-        if cost > _EPS:
-            if not np.isfinite(lo):
-                return LPSolution(status=LPStatus.UNBOUNDED, backend=_BACKEND)
-            x[j] = lo
-        elif cost < -_EPS:
-            if not np.isfinite(hi):
-                return LPSolution(status=LPStatus.UNBOUNDED, backend=_BACKEND)
-            x[j] = hi
-        elif np.isfinite(lo):
-            x[j] = lo
-        elif np.isfinite(hi):
-            x[j] = hi
     if (bounds[:, 0] > bounds[:, 1] + _EPS).any():
         return LPSolution(status=LPStatus.INFEASIBLE, backend=_BACKEND)
-    minimised = float(c @ x)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     return LPSolution(
         status=LPStatus.OPTIMAL,
-        objective_value=form.restore_objective(minimised),
+        objective_value=form.restore_objective(0.0),
         values={j: float(v) for j, v in enumerate(x)},
         backend=_BACKEND,
         iterations=0,
@@ -918,10 +879,9 @@ def _optimum(program: _Program, form: MatrixForm, verdict_only: bool) -> LPSolut
 
 def _extract(program: _Program, form: MatrixForm) -> LPSolution:
     x = program.x[: program.n]
-    minimised = float(np.asarray(form.c, dtype=float) @ x)
     return LPSolution(
         status=LPStatus.OPTIMAL,
-        objective_value=form.restore_objective(minimised),
+        objective_value=form.restore_objective(0.0),
         values={j: float(v) for j, v in enumerate(x)},
         backend=_BACKEND,
         iterations=program.iterations,
@@ -931,40 +891,38 @@ def _extract(program: _Program, form: MatrixForm) -> LPSolution:
 def _cold_solve(
     program: _Program, form: MatrixForm, recorder: Recorder, verdict_only: bool
 ) -> Tuple[LPSolution, Optional[BasisState]]:
-    if not program.c.any():
-        # Zero-objective (pure feasibility) program: any basis is dual
-        # feasible, so crash a deterministic slack basis and dual-solve —
-        # no artificials, no phase 1.  Anything unusable about the crash
-        # (no candidate columns, singular basis, dual stall) falls through
-        # to the classic two-phase path below.
-        started = wall_clock() if recorder.enabled else 0.0
+    # Any basis is dual feasible, so crash a deterministic slack basis and
+    # dual-solve — no artificials, no phase 1.  Anything unusable about the
+    # crash (no candidate columns, singular basis, dual stall) falls through
+    # to the two-phase path below.
+    started = wall_clock() if recorder.enabled else 0.0
+    outcome = "limit"
+    try:
+        if program._crash_start():
+            outcome = program._dual()
+    except _Numerics:
         outcome = "limit"
+    if recorder.enabled:
+        recorder.observe("lp.time.revised.crash", wall_clock() - started)
+    if outcome == "infeasible":
+        return (
+            LPSolution(
+                status=LPStatus.INFEASIBLE,
+                backend=_BACKEND,
+                iterations=program.iterations,
+            ),
+            program.snapshot(),
+        )
+    if outcome == "optimal":
         try:
-            if program._crash_start():
-                outcome = program._dual()
+            # With no pivot since the crash refactorisation, another one
+            # would rebuild the same inverse and values.
+            return _optimum(program, form, verdict_only), program.snapshot()
         except _Numerics:
-            outcome = "limit"
-        if recorder.enabled:
-            recorder.observe("lp.time.revised.crash", wall_clock() - started)
-        if outcome == "infeasible":
-            return (
-                LPSolution(
-                    status=LPStatus.INFEASIBLE,
-                    backend=_BACKEND,
-                    iterations=program.iterations,
-                ),
-                program.snapshot(),
-            )
-        if outcome == "optimal":
-            try:
-                # With no pivot since the crash refactorisation, another
-                # one would rebuild the same inverse and values.
-                return _optimum(program, form, verdict_only), program.snapshot()
-            except _Numerics:
-                pass
-        # "limit"/numerics: _cold_start rebuilds every piece of state, so the
-        # two-phase fallback below starts pristine.
-        program.iterations = 0
+            pass
+    # "limit"/numerics: _cold_start rebuilds every piece of state, so the
+    # two-phase fallback starts pristine.
+    program.iterations = 0
 
     started = wall_clock() if recorder.enabled else 0.0
     status = program._cold_start()
@@ -989,55 +947,31 @@ def _cold_solve(
             ),
             program.snapshot(),
         )
-
-    started = wall_clock() if recorder.enabled else 0.0
-    costs = np.concatenate([program.c, np.zeros(program.art_rows.size)])
-    allow = np.ones(costs.shape[0], dtype=bool)
-    allow[program.n_total:] = False
-    outcome = program._primal(costs, allow)
-    if recorder.enabled:
-        recorder.observe("lp.time.revised.phase2", wall_clock() - started)
-    if outcome == "limit":
-        return (
-            LPSolution(
-                status=LPStatus.ERROR,
-                backend=_BACKEND,
-                iterations=program.iterations,
-                message="phase-2 iteration limit",
-            ),
-            None,
-        )
-    if outcome == "unbounded":
-        return (
-            LPSolution(
-                status=LPStatus.UNBOUNDED,
-                backend=_BACKEND,
-                iterations=program.iterations,
-            ),
-            None,
-        )
-    # Flush accumulated update dirt before reading x.  Verdict-only solves
-    # run it too: a singular basis here turns the verdict into an error.
+    # A feasible phase-1 vertex is the answer.  Flush accumulated update dirt
+    # before reading x; verdict-only solves run it too: a singular basis here
+    # turns the verdict into an error.
     program._refactor()
     return _optimum(program, form, verdict_only), program.snapshot()
 
 
 def solve_matrix_form_revised(
     form: MatrixForm,
-    max_iterations: int = 20000,
     *,
     warm_basis: Optional[BasisState] = None,
     handle: Optional[ProgramHandle] = None,
     recorder: Optional[Recorder] = None,
     verdict_only: bool = False,
 ) -> RevisedSolve:
-    """Solve a lowered :class:`MatrixForm`, optionally warm-starting.
+    """Decide a zero-objective :class:`MatrixForm`, optionally warm-starting.
+
+    Raises ``ValueError`` when ``form.c`` has a nonzero entry: objective
+    programs go to HiGHS (:func:`repro.lp.scipy_backend.solve_matrix_form`).
 
     With ``warm_basis`` (the :class:`RevisedSolve.basis` of a previous solve
     of the same skeleton) the solver refactorises that basis against the
     current coefficients and runs dual-simplex iterations; when anything
     about the warm start is unusable it silently falls back to the cold
-    two-phase solve, so the verdict never depends on the fast path.
+    solve, so the verdict never depends on the fast path.
 
     With ``handle`` the assembled program itself is kept alive between calls:
     when the presented form shares every matrix block with the cached program
@@ -1052,10 +986,15 @@ def solve_matrix_form_revised(
     (basis, statuses, and the basis inverse every later re-solve starts
     from) is the one a full solve leaves.
     """
+    if np.asarray(form.c).any():
+        raise ValueError(
+            "the revised simplex solves zero-objective programs only; solve a "
+            "program with a nonzero cost with HiGHS (repro.lp.scipy_backend)"
+        )
     rec = recorder if recorder is not None else get_recorder()
     if handle is not None and handle.matches(form):
-        # The kept-alive program was assembled from these very blocks, costs
-        # and bounds, so they already passed the entry checks below.
+        # The kept-alive program was assembled from these very blocks and
+        # bounds, so they already passed the entry checks below.
         program = handle.program
         assert program is not None  # matches() guarantees it
         started = wall_clock() if rec.enabled else 0.0
@@ -1095,7 +1034,7 @@ def solve_matrix_form_revised(
         )
 
     layout = handle.layout if handle is not None else None
-    program = _Program(form, max_iterations, layout)
+    program = _Program(form, layout)
     if handle is not None:
         handle.layout = program.layout
     if program.m == 0:
@@ -1133,7 +1072,7 @@ def solve_matrix_form_revised(
         except _Numerics:
             pass
         # Fall through: rebuild untouched state for the cold solve.
-        program = _Program(form, max_iterations, layout)
+        program = _Program(form, layout)
 
     try:
         solution, basis = _cold_solve(program, form, rec, verdict_only)
@@ -1155,6 +1094,6 @@ def solve_matrix_form_revised(
     return RevisedSolve(solution, basis, warm_used=warm_used)
 
 
-def solve_matrix_form(form: MatrixForm, max_iterations: int = 20000) -> LPSolution:
-    """Cold revised-simplex solve of ``form`` (the in-house fast path)."""
-    return solve_matrix_form_revised(form, max_iterations).solution
+def solve_matrix_form(form: MatrixForm) -> LPSolution:
+    """Cold revised-simplex solve of the zero-objective ``form``."""
+    return solve_matrix_form_revised(form).solution

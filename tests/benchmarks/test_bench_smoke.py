@@ -158,27 +158,31 @@ def test_revised_simplex_smoke(monkeypatch):
     """bench_lp_backends: the revised-simplex assertion path at toy size.
 
     The tier-2 bench asserts the revised solver beats the dense tableau on
-    the big lowering LP; tier-1 never times anything, so this twin pins the
-    structural claims that speed rests on: the revised solve consumes the
-    sparse System (3) lowering *without densifying it* and agrees with both
-    scipy and the frozen tableau on the objective.
+    the zero-objective twin of the big lowering LP; tier-1 never times
+    anything, so this twin pins the structural claims that speed rests on:
+    the revised solve consumes the sparse lowering *without densifying it*,
+    reaches the verdict of both scipy and the frozen tableau, and returns a
+    valid witness.
     """
-    from bench_lp_backends import _largest_bench_lp
+    from bench_lp_backends import _largest_bench_feasibility_lp, _violation
 
+    from repro.lp import LPStatus
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
     from repro.lp.standard_form import MatrixForm
     from tests.reference.lp import solve_matrix_form_tableau
 
-    # (6, 3) lands on an infeasible milestone range, (12, 4) on a feasible
-    # one: both verdicts must agree with scipy before any timing means much.
-    infeasible_form = _largest_bench_lp(6, 3)
+    # (6, 3) pins F where its milestone range is infeasible, (12, 4) where
+    # it is feasible: both verdicts must agree with scipy before any timing
+    # means much.
+    infeasible_form = _largest_bench_feasibility_lp(6, 3)
     assert (
         solve_matrix_form_revised(infeasible_form).solution.status
         is scipy_solve(infeasible_form).status
+        is LPStatus.INFEASIBLE
     )
 
-    sparse_form = _largest_bench_lp(12, 4)
+    sparse_form = _largest_bench_feasibility_lp(12, 4)
     assert sparse_form.is_sparse
     tableau = solve_matrix_form_tableau(sparse_form.densified())
     reference = scipy_solve(sparse_form)
@@ -191,11 +195,9 @@ def test_revised_simplex_smoke(monkeypatch):
         ),
     )
     revised = solve_matrix_form_revised(sparse_form)
-    assert revised.solution.is_optimal
-    for other in (tableau, reference):
-        assert abs(
-            revised.solution.objective_value - other.objective_value
-        ) <= 1e-6 * (1.0 + abs(other.objective_value))
+    monkeypatch.undo()
+    assert revised.solution.is_optimal and tableau.is_optimal and reference.is_optimal
+    assert _violation(sparse_form, revised.solution.values) <= 1e-9
 
 
 def test_lp_warm_start_smoke():

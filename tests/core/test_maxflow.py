@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-
+import functools
 import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from repro.core import (
     FeasibilityProbe,
@@ -351,41 +354,35 @@ class TestPreemptiveMaxFlow:
         preemptive = minimize_max_weighted_flow(instance, preemptive=True).objective
         assert preemptive == pytest.approx(divisible, abs=1e-5)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known revised-simplex defect: it cold-solves this System (5) range LP "
-        "to an 'optimal' vertex with F = 0.1507 and a variable 6.5 past its bound, "
-        "where HiGHS gives F = 1.2163; see ROADMAP item 2",
+    @pytest.mark.tier2
+    @pytest.mark.parametrize(
+        "objective, feasible", [(1.2151, False), (1.2163, False), (1.2164, True)]
     )
-    def test_revised_simplex_matches_highs_on_a_replicated_portal_range_lp(
-        self, monkeypatch
+    def test_revised_simplex_decides_the_zero_objective_twin_of_a_replicated_portal_range_lp(
+        self, objective, feasible
     ):
-        from repro.exceptions import SolverError
+        # The 732 x 3,201 System (5) range program of replicated-portal seed 1
+        # (HiGHS: F* = 1.216344) with c zeroed and F pinned below and just
+        # above the optimum.
         from repro.lp.revised_simplex import solve_matrix_form_revised
-        from repro.workload import make_scenario
+        from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
 
-        probe = FeasibilityProbe(make_scenario("replicated-portal", 1), preemptive=True)
-        low = probe.milestones[-1]
-        # The search's first probe fails, so its range LP is the unbounded
-        # last range; capture that program as the search hands it to HiGHS.
-        assert not probe.probe(low)
-        forms = []
-        highs = maxflow._scipy_solve_form
-
-        def recording(form, **options):
-            forms.append(form)
-            return highs(form, **options)
-
-        monkeypatch.setattr(maxflow, "_scipy_solve_form", recording)
-        reference, _alloc, _solution = probe.solve_range(low, None)
-        (form,) = forms
+        form = _replicated_portal_range_form()
         assert (form.num_constraints, form.num_variables) == (732, 3201)
-        try:
-            revised = solve_matrix_form_revised(form).solution
-        except SolverError:
-            return
-        assert revised.is_optimal
-        assert revised.objective_value == pytest.approx(reference, rel=1e-6)
+        bounds = form.bounds.copy()
+        bounds[0] = (objective, objective)  # F is column 0
+        twin = replace(form, c=np.zeros_like(form.c)).with_bounds(bounds)
+
+        reference = scipy_solve_form(twin)
+        revised = solve_matrix_form_revised(twin).solution
+        assert reference.is_optimal is feasible
+        assert revised.status is reference.status
+        if feasible:
+            x = np.array([revised.values[j] for j in range(twin.num_variables)])
+            assert (twin.a_ub @ x - twin.b_ub).max() <= 1e-9
+            assert np.abs(twin.a_eq @ x - twin.b_eq).max() <= 1e-9
+            assert (twin.bounds[:, 0] - x).max() <= 1e-9
+            assert (x - twin.bounds[:, 1]).max() <= 1e-9
 
     def test_preemptive_optimum_with_a_sliver_interval(self):
         # A release 2**-24 after two others leaves a window one solver
@@ -398,6 +395,30 @@ class TestPreemptiveMaxFlow:
         result = minimize_max_weighted_flow(instance, preemptive=True)
         result.schedule.validate()
         assert result.objective >= divisible - 1e-6
+
+
+@functools.lru_cache(maxsize=1)
+def _replicated_portal_range_form():
+    """The range LP the search of ``replicated-portal`` seed 1 hands HiGHS."""
+    from repro.workload import make_scenario
+
+    probe = FeasibilityProbe(make_scenario("replicated-portal", 1), preemptive=True)
+    low = probe.milestones[-1]
+    # The search's first probe fails, so its range LP is the unbounded last
+    # range; capture that program as the search hands it to HiGHS.
+    assert not probe.probe(low)
+    forms = []
+    highs = maxflow._scipy_solve_form
+
+    def recording(form, **options):
+        forms.append(form)
+        return highs(form, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maxflow, "_scipy_solve_form", recording)
+        probe.solve_range(low, None)
+    (form,) = forms
+    return form
 
 
 class TestEdgeCases:

@@ -17,8 +17,8 @@ rests on, stamped with the epoch that produced them.  It records
 * ``campaign/...`` and ``stream-sweep/...``: the records a tiny
   ``stream_campaign`` and a tiny ``run_stream_sweep`` persist, less the
   sweep report's wall-clock throughput;
-* ``lp/<program>/<backend>``: verdict, objective and ``x`` (hex) of two
-  fixed programs on both LP backends;
+* ``lp/<program>/scipy``: verdict, objective and ``x`` (hex) of two fixed
+  objective programs on HiGHS;
 * ``lp/warm-sequence/<program>/<step>``: one fixed series of warm re-solves
   of three degenerate System (2) feasibility programs through one
   ``ProgramHandle`` on the revised backend: each step's verdict, warm use
@@ -232,16 +232,19 @@ def stream_sweep() -> Entries:
     return entries
 
 
-#: Fixed programs: (costs, <= rows, rhs), every variable in [0, 10].
+#: Fixed objective programs, solved with HiGHS (the revised simplex takes
+#: zero-objective programs only): (costs, <= rows, rhs), every variable in
+#: [0, 10].
 LP_PROGRAMS = {
-    # The hypothesis-found 1e-10 coefficient (tests/lp/test_simplex.py).
+    # A hypothesis-found 1e-10 coefficient.
     "tiny-coefficient": (
         [0.0, -1.0, 0.0, -1.0],
         [[1.0, 0.0, -1.0, -1.5], [1.0, 1e-10, 0.0625, 0.0]],
         [0.0, 0.0],
     ),
     # A hypothesis draw with a 1e-8 coefficient: HiGHS's feasibility
-    # tolerance admits x0 = 10 (objective -10), the revised simplex does not.
+    # tolerance admits x0 = 10 (objective -10), although the exact optimum
+    # is 0.
     "tolerance-draw": ([-1.0, 0.0, 1e-300], [[0.0, 0.0, 1.0], [1e-8, 0.0, 1.0]], [0.0, 0.0]),
 }
 
@@ -340,14 +343,13 @@ def lp_programs() -> Entries:
         for row, bound in zip(rows, rhs):
             lp.add_constraint(sum(c * v for c, v in zip(row, variables)) <= bound)
         lp.set_objective(sum(c * v for c, v in zip(costs, variables)))
-        for backend in ("scipy", "revised"):
-            solution = lp.solve(backend=backend)
-            objective = solution.objective_value
-            x = ",".join(float(solution.values[k]).hex() for k in sorted(solution.values))
-            entries[f"lp/{name}/{backend}"] = (
-                f"{solution.status.value};"
-                f"objective={'-' if objective is None else float(objective).hex()};x={x}"
-            )
+        solution = lp.solve(backend="scipy")
+        objective = solution.objective_value
+        x = ",".join(float(solution.values[k]).hex() for k in sorted(solution.values))
+        entries[f"lp/{name}/scipy"] = (
+            f"{solution.status.value};"
+            f"objective={'-' if objective is None else float(objective).hex()};x={x}"
+        )
     return entries
 
 

@@ -1,19 +1,19 @@
 """Property-based tests of the revised-simplex fast path (hypothesis).
 
-Two contracts from ISSUE 9:
+The revised simplex decides zero-objective (feasibility) programs, so every
+program drawn here has ``c == 0``.  Two contracts:
 
-* **Revised vs tableau agreement** — over random LPs skewed towards the
+* **Revised vs tableau agreement** — over random programs skewed towards the
   degenerate and near-singular corners (zero right-hand sides, duplicated
-  rows, sub-tolerance coefficients à la the PR 5 ``1e-10`` regression), the
-  revised simplex and the frozen tableau reference must agree on the
-  feasibility verdict and the optimal objective, and every reported witness
-  must satisfy the model.  The *vertex* may legitimately differ on
-  degenerate programs (that is the CODE_EPOCH 2005.6 bump), so values are
-  checked for validity, not equality.
+  rows, sub-tolerance coefficients à la the ``1e-10`` regression), the
+  revised simplex, the frozen tableau reference and HiGHS must agree on the
+  feasibility verdict, and every reported witness must satisfy the model.
+  The *vertex* may legitimately differ on degenerate programs (that is the
+  CODE_EPOCH 2005.6 bump), so values are checked for validity, not equality.
 * **Warm vs cold identity** — along a probe-style refresh sequence (same
   skeleton, drifting bounds and right-hand sides), re-solving from the
-  previous optimal basis must return the same verdict and objective as a
-  from-scratch solve at every step.
+  previous basis must return the same verdict as a from-scratch solve at
+  every step, with a valid witness.
 
 And two contracts of the kept-alive re-solve path, over random bounded
 zero-objective programs (the shape of every replanning probe LP):
@@ -24,6 +24,10 @@ zero-objective programs (the shape of every replanning probe LP):
   mixes them reaches the same verdicts, pivot counts, witnesses and final
   solver state (basis, statuses, values, basis inverse) as the same
   sequence with full extraction throughout.
+
+Coefficients are small integers (plus sub-tolerance dirt) and right-hand
+sides multiples of 1/4, so an infeasible program misses by far more than any
+solver tolerance and every solver must agree on each verdict.
 """
 
 from __future__ import annotations
@@ -41,111 +45,94 @@ from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
 from repro.lp.standard_form import MatrixForm
 from tests.reference.lp import LinearProgram, solve_matrix_form_tableau, to_matrix_form
 
-#: Coefficients including exact zeros and the sub-drop-tolerance dirt class.
-rough_floats = st.one_of(
-    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False),
-    st.just(0.0),
-    st.just(1e-10),
-    st.just(-1e-10),
+#: Small integer coefficients, and now and then an exact zero or an entry of
+#: the sub-drop-tolerance dirt class.
+rough_coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=4).map(float),
+    st.integers(min_value=-3, max_value=4).map(float),
+    st.sampled_from([0.0, 1e-10, -1e-10]),
 )
+#: Right-hand sides on a 1/4 lattice, a third of them negative.
+quarter_rhs = st.integers(min_value=-16, max_value=32).map(lambda k: k / 4)
 
 
 @st.composite
 def degenerate_lp(draw):
-    """A bounded-feasible LP biased towards degeneracy.
+    """A box-bounded ``<=`` program biased towards degeneracy.
 
-    The feasible region always contains the origin (rhs >= 0, box bounds
-    [0, 10]), so the program is feasible and bounded for every backend.
+    Negative right-hand sides cut off the origin, so both verdicts occur.
     Degeneracy is injected through exact-zero right-hand sides and optional
     row duplication (parallel faces meeting at the same vertex).
     """
     num_vars = draw(st.integers(min_value=1, max_value=4))
     num_cons = draw(st.integers(min_value=0, max_value=4))
-    costs = draw(st.lists(rough_floats, min_size=num_vars, max_size=num_vars))
     rows = draw(
         st.lists(
-            st.lists(rough_floats, min_size=num_vars, max_size=num_vars),
+            st.lists(rough_coefficients, min_size=num_vars, max_size=num_vars),
             min_size=num_cons,
             max_size=num_cons,
         )
     )
     rhs = draw(
         st.lists(
-            st.one_of(
-                st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
-                st.just(0.0),
-            ),
-            min_size=num_cons,
-            max_size=num_cons,
+            st.one_of(quarter_rhs, st.just(0.0)), min_size=num_cons, max_size=num_cons
         )
     )
     if rows and draw(st.booleans()):
         rows.append(list(rows[0]))
         rhs.append(rhs[0])
-    return costs, rows, rhs
+    return num_vars, rows, rhs
 
 
-def _build(costs, rows, rhs) -> LinearProgram:
+def _build(num_vars, rows, rhs) -> LinearProgram:
     lp = LinearProgram(sense="min")
-    variables = lp.add_variables(len(costs), prefix="x", upper=10.0)
+    variables = lp.add_variables(num_vars, prefix="x", upper=10.0)
     for row, bound in zip(rows, rhs):
         expr = sum(coefficient * var for coefficient, var in zip(row, variables))
         lp.add_constraint(expr <= bound)
-    lp.set_objective(sum(c * v for c, v in zip(costs, variables)))
     return lp
 
 
 class TestRevisedAgreesWithTableau:
     @given(degenerate_lp())
     @settings(max_examples=60, deadline=None)
-    def test_verdict_objective_and_witness_validity(self, problem):
-        costs, rows, rhs = problem
-        lp = _build(costs, rows, rhs)
+    def test_verdict_and_witness_validity(self, problem):
+        lp = _build(*problem)
         tableau = solve_matrix_form_tableau(to_matrix_form(lp, sparse=False))
         revised = solve_matrix_form_revised(to_matrix_form(lp, sparse=True)).solution
         assert revised.status is tableau.status
-        assert tableau.status is LPStatus.OPTIMAL
-        assert abs(revised.objective_value - tableau.objective_value) <= 1e-5 * (
-            1.0 + abs(tableau.objective_value)
-        )
-        # Vertices may differ on degenerate programs; both must be feasible.
-        assert lp.check_solution(revised.values, tol=1e-6) == []
-        assert lp.check_solution(tableau.values, tol=1e-6) == []
+        assert tableau.status in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE)
+        if tableau.is_optimal:
+            # Vertices may differ on degenerate programs; both must be feasible.
+            assert lp.check_solution(revised.values, tol=1e-6) == []
+            assert lp.check_solution(tableau.values, tol=1e-6) == []
 
     @given(degenerate_lp())
     @settings(max_examples=40, deadline=None)
     def test_revised_agrees_with_scipy(self, problem):
-        costs, rows, rhs = problem
-        lp = _build(costs, rows, rhs)
+        lp = _build(*problem)
         reference = lp.solve(backend="scipy")
         revised = lp.solve(backend="revised")
-        assert revised.status is reference.status is LPStatus.OPTIMAL
-        assert abs(revised.objective_value - reference.objective_value) <= 1e-5 * (
-            1.0 + abs(reference.objective_value)
-        )
+        assert revised.status is reference.status
+        if revised.is_optimal:
+            assert lp.check_solution(revised.values, tol=1e-6) == []
 
 
 @st.composite
 def refresh_sequence(draw):
     """A feasibility-probe-style skeleton plus a sequence of refreshes.
 
-    Each refresh tightens/loosens the variable upper bounds and scales the
-    right-hand sides — exactly the bound/rhs drift the replanning probes
-    produce between events — while the constraint skeleton stays fixed.
+    Each refresh moves the variable bounds and scales the right-hand sides —
+    the bound/rhs drift the replanning probes produce between events — while
+    the constraint skeleton stays fixed.  Lower bounds push the rows past
+    their right-hand sides, so some steps pivot and some are infeasible.
     """
     num_vars = draw(st.integers(min_value=2, max_value=4))
     num_cons = draw(st.integers(min_value=1, max_value=3))
-    costs = draw(
-        st.lists(
-            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-            min_size=num_vars,
-            max_size=num_vars,
-        )
-    )
     rows = draw(
         st.lists(
             st.lists(
-                st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+                st.integers(min_value=-2, max_value=4).map(float),
                 min_size=num_vars,
                 max_size=num_vars,
             ),
@@ -155,7 +142,7 @@ def refresh_sequence(draw):
     )
     base_rhs = draw(
         st.lists(
-            st.floats(min_value=1.0, max_value=20.0, allow_nan=False),
+            st.integers(min_value=1, max_value=20).map(float),
             min_size=num_cons,
             max_size=num_cons,
         )
@@ -163,39 +150,40 @@ def refresh_sequence(draw):
     steps = draw(
         st.lists(
             st.tuples(
-                st.floats(min_value=0.3, max_value=3.0, allow_nan=False),  # rhs scale
-                st.floats(min_value=0.5, max_value=10.0, allow_nan=False),  # upper bound
+                st.integers(min_value=1, max_value=12).map(lambda k: k / 4),  # rhs scale
+                st.integers(min_value=1, max_value=10).map(float),  # upper bound
+                st.sampled_from([0.0, 0.0, 1.0, 2.0]),  # lower bound (capped at upper)
             ),
             min_size=2,
             max_size=5,
         )
     )
-    return costs, rows, base_rhs, steps
+    return rows, base_rhs, steps
 
 
 class TestWarmMatchesCold:
     @given(refresh_sequence())
     @settings(max_examples=40, deadline=None)
     def test_warm_resolves_equal_cold_along_refresh_sequences(self, problem):
-        costs, rows, base_rhs, steps = problem
+        rows, base_rhs, steps = problem
         basis = None
-        for rhs_scale, upper in steps:
+        for rhs_scale, upper, lower in steps:
             lp = LinearProgram(sense="min")
-            variables = lp.add_variables(len(costs), prefix="x", upper=upper)
+            variables = lp.add_variables(
+                len(rows[0]), prefix="x", lower=min(lower, upper), upper=upper
+            )
             for row, bound in zip(rows, base_rhs):
                 expr = sum(c * v for c, v in zip(row, variables))
                 lp.add_constraint(expr <= bound * rhs_scale)
-            lp.set_objective(sum(c * v for c, v in zip(costs, variables)))
             form = to_matrix_form(lp, sparse=True)
             warm = solve_matrix_form_revised(form, warm_basis=basis)
             cold = solve_matrix_form_revised(form)
             assert warm.solution.status is cold.solution.status
-            assert cold.solution.status is LPStatus.OPTIMAL
-            assert abs(
-                warm.solution.objective_value - cold.solution.objective_value
-            ) <= 1e-6 * (1.0 + abs(cold.solution.objective_value))
-            assert lp.check_solution(warm.solution.values, tol=1e-6) == []
-            basis = warm.basis
+            assert cold.solution.status is scipy_solve_form(form).status
+            if warm.solution.is_optimal:
+                assert lp.check_solution(warm.solution.values, tol=1e-6) == []
+            if warm.basis is not None:
+                basis = warm.basis
 
 
 @st.composite

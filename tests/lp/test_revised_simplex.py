@@ -1,13 +1,14 @@
-"""Unit tests for the sparse revised simplex (ISSUE 9 fast path).
+"""Unit tests for the sparse revised simplex, the zero-objective fast path.
 
 The cross-validation against scipy and the frozen tableau lives in the
-hypothesis suite (``tests/lp/test_lp_properties.py``); what this module pins
-down is the solver's own contract: the ``simplex-revised`` backend label,
-basis snapshots and warm re-solves, the no-densify guarantee, status
-detection on the degenerate corners (infeasible / unbounded / variable-free /
-constraint-free), the injected ``lp.*`` metrics, and the raw CSC arrays the
-solver runs on: assembled and multiplied bit for bit as scipy.sparse would,
-without a scipy.sparse object on the solve path.
+hypothesis suite (``tests/lp/test_revised_properties.py``); what this module
+pins down is the solver's own contract: zero-objective programs only (a
+nonzero cost is rejected), the ``simplex-revised`` backend label, basis
+snapshots and warm re-solves, the no-densify guarantee, status detection on
+the degenerate corners (infeasible / variable-free / constraint-free), the
+injected ``lp.*`` metrics, and the raw CSC arrays the solver runs on:
+assembled and multiplied bit for bit as scipy.sparse would, without a
+scipy.sparse object on the solve path.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core import maxflow, minimize_max_weighted_flow, replanning
 from repro.core.replanning import ReplanProbe
 from repro.heuristics import OnlineOfflineAdaptationScheduler
 from repro.lp import LPStatus, revised_simplex
+from repro.lp.backends import BACKEND_LABELS, solve_form
 from repro.lp.revised_simplex import (
     BasisState,
     ProgramHandle,
@@ -40,13 +42,59 @@ from tests.reference.lp import LinearProgram, to_matrix_form
 
 
 def _sample_lp() -> LinearProgram:
+    """Two ``>=`` rows that cut off the origin; the crash basis dual-solves it."""
     lp = LinearProgram(sense="min")
     x = lp.add_variable("x")
     y = lp.add_variable("y")
     lp.add_constraint(x + 2 * y >= 4)
     lp.add_constraint(3 * x + y >= 6)
-    lp.set_objective(x + y)
     return lp
+
+
+def _two_phase_lp() -> LinearProgram:
+    """Two equality rows whose only usable crash column is the same ``x``.
+
+    No crash basis exists, so a cold solve runs phase 1 with an artificial
+    per row and then drives them out of the basis.
+    """
+    lp = LinearProgram(sense="min")
+    x = lp.add_variable("x")
+    y = lp.add_variable("y")
+    z = lp.add_variable("z")
+    lp.add_constraint(x + y + z == 6)
+    lp.add_constraint(x == 1)
+    return lp
+
+
+def _objective_form() -> MatrixForm:
+    lp = _sample_lp()
+    lp.set_objective(lp.variables[0] + lp.variables[1])
+    return to_matrix_form(lp, sparse=True)
+
+
+class TestZeroObjectiveContract:
+    def test_revised_entry_point_rejects_a_nonzero_cost(self):
+        with pytest.raises(ValueError, match=r"zero-objective.*HiGHS"):
+            solve_matrix_form_revised(_objective_form())
+        with pytest.raises(ValueError, match=r"zero-objective.*HiGHS"):
+            solve_matrix_form(_objective_form())
+
+    @pytest.mark.parametrize(
+        "backend", [name for name, label in BACKEND_LABELS.items() if label == "simplex-revised"]
+    )
+    def test_every_revised_alias_rejects_a_nonzero_cost(self, backend):
+        with pytest.raises(ValueError, match=r"zero-objective.*HiGHS"):
+            solve_form(_objective_form(), backend)
+
+    def test_a_kept_program_does_not_bypass_the_check(self):
+        form = to_matrix_form(_sample_lp(), sparse=True)
+        handle = ProgramHandle()
+        assert solve_matrix_form_revised(form, handle=handle).solution.is_optimal
+        assert handle.matches(form)
+        costly = replace(form, c=np.ones_like(form.c))
+        assert handle.matches(costly)  # the handle matches blocks and bounds only
+        with pytest.raises(ValueError, match="zero-objective"):
+            solve_matrix_form_revised(costly, handle=handle)
 
 
 class TestColdSolve:
@@ -54,11 +102,9 @@ class TestColdSolve:
         lp = _sample_lp()
         reference = lp.solve(backend="scipy")
         solution = solve_matrix_form(to_matrix_form(lp, sparse=True))
-        assert solution.is_optimal
+        assert solution.status is reference.status is LPStatus.OPTIMAL
         assert solution.backend == "simplex-revised"
-        assert solution.objective_value == pytest.approx(
-            reference.objective_value, abs=1e-7
-        )
+        assert solution.objective_value == 0.0
         assert lp.check_solution(solution.values, tol=1e-6) == []
 
     def test_never_densifies_the_lowered_form(self, monkeypatch):
@@ -79,21 +125,14 @@ class TestColdSolve:
         lp = _sample_lp()
         sparse = solve_matrix_form(to_matrix_form(lp, sparse=True))
         dense = solve_matrix_form(to_matrix_form(lp, sparse=False))
-        assert dense.objective_value == pytest.approx(sparse.objective_value)
+        assert dense.status is sparse.status is LPStatus.OPTIMAL
+        assert lp.check_solution(dense.values, tol=1e-6) == []
 
     def test_equality_rows_drive_out_artificials(self):
-        lp = LinearProgram(sense="min")
-        x = lp.add_variable("x")
-        y = lp.add_variable("y")
-        z = lp.add_variable("z")
-        lp.add_constraint(x + y + z == 6)
-        lp.add_constraint(x - y == 1)
-        lp.set_objective(2 * x + y + 3 * z)
+        lp = _two_phase_lp()
         result = solve_matrix_form_revised(to_matrix_form(lp, sparse=True))
         assert result.solution.is_optimal
-        assert result.solution.objective_value == pytest.approx(
-            lp.solve(backend="scipy").objective_value, abs=1e-7
-        )
+        assert lp.check_solution(result.solution.values, tol=1e-9) == []
         # No artificial stayed basic, so the basis is reusable.
         assert result.basis is not None
 
@@ -101,30 +140,22 @@ class TestColdSolve:
         lp = LinearProgram()
         x = lp.add_variable("x", upper=1.0)
         lp.add_constraint(x >= 3)
-        lp.set_objective(x)
         assert (
             solve_matrix_form(to_matrix_form(lp, sparse=True)).status
             is LPStatus.INFEASIBLE
         )
 
-    def test_unbounded_detected(self):
-        lp = LinearProgram(sense="max")
-        x = lp.add_variable("x")
-        lp.add_constraint(x >= 1)
-        lp.set_objective(x)
-        assert (
-            solve_matrix_form(to_matrix_form(lp, sparse=True)).status
-            is LPStatus.UNBOUNDED
-        )
-
     def test_constraint_free_program_solved_on_the_box(self):
+        # Each column sits at a finite bound, lower first, else at zero.
         lp = LinearProgram(sense="max")
-        x = lp.add_variable("x", upper=3.0)
-        y = lp.add_variable("y", upper=4.0)
-        lp.set_objective(x + 2 * y)
+        lp.add_variable("x", lower=1.0, upper=3.0)
+        lp.add_variable("y", lower=float("-inf"), upper=4.0)
+        lp.add_variable("z", lower=float("-inf"))
+        lp.set_objective(2.5)
         solution = solve_matrix_form(to_matrix_form(lp, sparse=True))
         assert solution.is_optimal
-        assert solution.objective_value == pytest.approx(11.0)
+        assert solution.values == {0: 1.0, 1: 4.0, 2: 0.0}
+        assert solution.objective_value == 2.5
 
     def test_crossed_bounds_are_infeasible(self):
         # The modelling layer rejects crossed bounds at construction; probe
@@ -132,48 +163,51 @@ class TestColdSolve:
         lp = LinearProgram()
         x = lp.add_variable("x", upper=5.0)
         lp.add_constraint(x <= 5)
-        lp.set_objective(x)
         form = to_matrix_form(lp, sparse=True)
         crossed = form.with_bounds(np.asarray([[2.0, 1.0]]))
         assert solve_matrix_form(crossed).status is LPStatus.INFEASIBLE
+        boxed = replace(crossed, a_ub=sp.csr_matrix((0, 1)), b_ub=np.zeros(0))
+        assert solve_matrix_form(boxed).status is LPStatus.INFEASIBLE
 
     def test_near_zero_coefficients_are_dropped(self):
-        # The PR 5 regression class: a 1e-10 entry must not survive into a
-        # pivot (both in-house backends share the 1e-9 drop threshold).
+        # A 1e-10 entry must not survive into a pivot (both in-house solvers
+        # share the 1e-9 drop threshold).
         lp = LinearProgram(sense="min")
         variables = lp.add_variables(4, prefix="x", upper=10.0)
         rows = [[1.0, 0.0, -1.0, -1.5], [1.0, 1e-10, 0.0625, 0.0]]
-        for row in rows:
-            lp.add_constraint(sum(c * v for c, v in zip(row, variables)) <= 0.0)
-        lp.set_objective(-variables[1] - variables[3])
+        for row, bound in zip(rows, [-3.0, 0.0]):
+            lp.add_constraint(sum(c * v for c, v in zip(row, variables)) <= bound)
         solution = solve_matrix_form(to_matrix_form(lp, sparse=True))
         assert solution.is_optimal
         assert lp.check_solution(solution.values, tol=1e-6) == []
 
 
 class TestWarmStart:
-    def _form_with_bound(self, upper: float) -> MatrixForm:
+    def _lp_with_bound(self, upper: float) -> LinearProgram:
         lp = LinearProgram(sense="min")
         x = lp.add_variable("x", upper=upper)
         y = lp.add_variable("y", upper=upper)
         lp.add_constraint(x + 2 * y >= 4)
         lp.add_constraint(3 * x + y >= 6)
-        lp.set_objective(x + y)
-        return to_matrix_form(lp, sparse=True)
+        return lp
+
+    def _form_with_bound(self, upper: float) -> MatrixForm:
+        return to_matrix_form(self._lp_with_bound(upper), sparse=True)
 
     def test_warm_resolve_matches_cold(self):
         cold = solve_matrix_form_revised(self._form_with_bound(10.0))
         assert cold.basis is not None
         assert not cold.warm_used
-        for upper in (8.0, 5.0, 3.0):
-            refreshed = self._form_with_bound(upper)
+        for upper in (8.0, 5.0, 3.0, 1.0):
+            lp = self._lp_with_bound(upper)
+            refreshed = to_matrix_form(lp, sparse=True)
             warm = solve_matrix_form_revised(refreshed, warm_basis=cold.basis)
             reference = solve_matrix_form_revised(refreshed)
+            assert warm.warm_used
             assert warm.solution.status is reference.solution.status
+            assert reference.solution.status is lp.solve(backend="scipy").status
             if reference.solution.is_optimal:
-                assert warm.solution.objective_value == pytest.approx(
-                    reference.solution.objective_value, abs=1e-7
-                )
+                assert lp.check_solution(warm.solution.values, tol=1e-9) == []
 
     def test_warm_resolve_detects_infeasibility(self):
         cold = solve_matrix_form_revised(self._form_with_bound(10.0))
@@ -190,9 +224,7 @@ class TestWarmStart:
         result = solve_matrix_form_revised(form, warm_basis=bogus)
         assert result.solution.is_optimal
         assert not result.warm_used
-        assert result.solution.objective_value == pytest.approx(
-            solve_matrix_form_revised(form).solution.objective_value
-        )
+        assert result.solution.values == solve_matrix_form_revised(form).solution.values
 
     def test_out_of_range_basis_falls_back_to_cold(self):
         form = self._form_with_bound(10.0)
@@ -204,12 +236,14 @@ class TestWarmStart:
         result = solve_matrix_form_revised(form, warm_basis=bogus)
         assert result.solution.is_optimal
         assert not result.warm_used
+        assert result.solution.values == cold.solution.values
 
     def test_two_phase_program_is_not_kept_for_rhs_only_resolves(self):
-        # The >= rows start infeasible at the slack basis, so the cold solve
-        # runs phase 1 with artificial columns.  A kept-alive program would
-        # price those columns on the next rhs-only re-solve.
-        form = self._form_with_bound(10.0)
+        # No crash basis exists, so the cold solve runs phase 1 with
+        # artificial columns.  A kept-alive program would price those
+        # columns on the next rhs-only re-solve.
+        lp = _two_phase_lp()
+        form = to_matrix_form(lp, sparse=True)
         handle = ProgramHandle()
         cold = solve_matrix_form_revised(form, handle=handle)
         assert cold.solution.is_optimal and cold.basis is not None
@@ -217,9 +251,7 @@ class TestWarmStart:
 
         warm = solve_matrix_form_revised(form, warm_basis=cold.basis, handle=handle)
         assert warm.warm_used
-        assert warm.solution.objective_value == pytest.approx(
-            cold.solution.objective_value, abs=1e-9
-        )
+        assert lp.check_solution(warm.solution.values, tol=1e-9) == []
         assert handle.matches(form)  # the warm-started program has no artificials
 
     def test_crash_started_program_is_kept(self):
@@ -228,7 +260,7 @@ class TestWarmStart:
         y = lp.add_variable("y", upper=1.0)
         lp.add_constraint(x + y == 1.0)
         lp.add_constraint(2 * x + y <= 1.5)
-        form = to_matrix_form(lp, sparse=True)  # zero objective: no phase 1
+        form = to_matrix_form(lp, sparse=True)  # a crash basis: no phase 1
         handle = ProgramHandle()
         result = solve_matrix_form_revised(form, handle=handle)
         assert result.solution.is_optimal
@@ -248,7 +280,7 @@ class TestWarmStart:
         assert snapshot["counters"]["lp.warm_start_hits"] == 1.0
         histograms = snapshot["histograms"]
         assert "lp.iterations" in histograms
-        assert "lp.time.revised.phase2" in histograms
+        assert "lp.time.revised.crash" in histograms
         assert "lp.time.revised.dual" in histograms
 
 
@@ -375,31 +407,31 @@ class TestLayoutReuse:
 
     def test_reused_layout_assembles_the_same_arrays(self):
         form = _feasibility_form(seed=1, jobs=6)
-        first = _Program(form, 1)
+        first = _Program(form)
         assert first.layout is not None
         refreshed = self._refreshed(form, form.a_ub.data * 1.7)
-        reused = _Program(refreshed, 1, first.layout)
+        reused = _Program(refreshed, first.layout)
         assert reused.layout is first.layout
-        fresh = _Program(refreshed, 1)
+        fresh = _Program(refreshed)
         for name in ("indptr", "indices", "data", "cols"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
             assert getattr(reused, name).dtype == getattr(fresh, name).dtype, name
 
     def test_sub_drop_refresh_falls_back_to_full_assembly(self):
         form = _feasibility_form(seed=1, jobs=6)
-        layout = _Program(form, 1).layout
+        layout = _Program(form).layout
         data = form.a_ub.data * 1.7
         data[3] = _COEFF_DROP / 10
         refreshed = self._refreshed(form, data)
         assert not layout.fits(refreshed.a_ub, refreshed.a_eq)
-        program = _Program(refreshed, 1, layout)
+        program = _Program(refreshed, layout)
         assert program.layout is None  # an entry was dropped
-        assert program.data.size == _Program(form, 1).data.size - 1
+        assert program.data.size == _Program(form).data.size - 1
         assert_raw_arrays_match_scipy(refreshed)
 
     def test_other_structures_do_not_fit(self):
         form = _feasibility_form(seed=1, jobs=6)
-        layout = _Program(form, 1).layout
+        layout = _Program(form).layout
         other = _feasibility_form(seed=1, jobs=5)
         assert not layout.fits(other.a_ub, other.a_eq)
         assert not layout.fits(form.a_ub, other.a_eq)
@@ -417,7 +449,7 @@ class TestBackendRegistry:
             canonical_backend("no-such-solver")
 
     def test_inventory_reports_both_backends(self):
-        from repro.lp.backends import BACKEND_LABELS, backend_inventory
+        from repro.lp.backends import backend_inventory
 
         rows = {info.label: info for info in backend_inventory()}
         assert set(rows) == {"scipy-highs", "simplex-revised"}
@@ -437,24 +469,21 @@ class TestBackendRegistry:
             canonical_backend(solution.backend)
 
     def test_model_solve_dispatches_every_alias(self):
-        from repro.lp.backends import BACKEND_LABELS
-
         lp = _sample_lp()
-        reference = lp.solve(backend="scipy").objective_value
         for backend, label in BACKEND_LABELS.items():
             solution = lp.solve(backend=backend)
             assert solution.backend == label
-            assert solution.objective_value == pytest.approx(reference, abs=1e-7)
+            assert solution.is_optimal
+            assert lp.check_solution(solution.values, tol=1e-6) == []
 
     def test_solve_form_dispatches_every_alias(self):
-        from repro.lp.backends import BACKEND_LABELS, solve_form
-
-        form = to_matrix_form(_sample_lp(), sparse=True)
-        reference = solve_form(form).objective_value
+        lp = _sample_lp()
+        form = to_matrix_form(lp, sparse=True)
         for backend, label in BACKEND_LABELS.items():
             solution = solve_form(form, backend)
             assert solution.backend == label
-            assert solution.objective_value == pytest.approx(reference, abs=1e-7)
+            assert solution.is_optimal
+            assert lp.check_solution(solution.values, tol=1e-6) == []
 
     @pytest.mark.parametrize("removed", ["tableau", "highspy"])
     def test_removed_backend_names_are_rejected(self, removed):
@@ -510,7 +539,7 @@ def _scipy_system(form: MatrixForm) -> sp.csc_matrix:
 
 
 def assert_raw_arrays_match_scipy(form: MatrixForm, seed: int = 0) -> None:
-    program = _Program(form, 1)
+    program = _Program(form)
     reference = _scipy_system(form)
     assert reference.shape == (program.m, program.n_total)
     for part in ("indptr", "indices"):
@@ -562,7 +591,7 @@ class TestRawArrays:
         dense[4, 7] = -_COEFF_DROP / 100
         form = _form(sp.csr_matrix(dense[:4]), sp.csr_matrix(dense[4:]))
         assert_raw_arrays_match_scipy(form)
-        program = _Program(form, 1)
+        program = _Program(form)
         assert np.abs(program.data).min() >= _COEFF_DROP
 
     @pytest.mark.parametrize("empty", ["a_ub", "a_eq"])
@@ -590,7 +619,7 @@ def test_solve_path_builds_no_scipy_sparse_objects(monkeypatch):
     assert len(result.completion_times) == instance.num_jobs
 
     recorder = MetricsRecorder()
-    form = to_matrix_form(_sample_lp(), sparse=True)  # >= rows: phase 1 runs
+    form = to_matrix_form(_two_phase_lp(), sparse=True)  # no crash basis: phase 1 runs
     cold = solve_matrix_form_revised(form, recorder=recorder)
     assert cold.solution.is_optimal
     assert "lp.time.revised.phase1" in recorder.snapshot()["histograms"]
