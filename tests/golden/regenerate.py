@@ -22,7 +22,12 @@ rests on, stamped with the epoch that produced them.  It records
 * ``lp/warm-sequence/<program>/<step>``: one fixed series of warm re-solves
   of three degenerate System (2) feasibility programs through one
   ``ProgramHandle`` on the revised backend: each step's verdict, warm use
-  and pivot count, plus a sha256 over ``x`` (hex) on witness steps.
+  and pivot count, plus a sha256 over ``x`` (hex) on witness steps;
+* ``lowering/<program>/<model>/<case>``: a sha256 over the bytes (signed
+  zeros included), dtypes and shapes of every ``MatrixForm`` array, and over
+  the variable map, of each ``build_allocation_model`` call System (2), the
+  milestone search and Linear Program (1) make on one instance per scenario,
+  plus two corner cases.
 
 Usage (from the repository root)::
 
@@ -353,6 +358,117 @@ def lp_programs() -> Entries:
     return entries
 
 
+def _form_digest(digest, alloc) -> None:
+    """Feed one :class:`AllocationModel` build into ``digest``, bit for bit."""
+    form = alloc.form
+
+    def array(name, values) -> None:
+        digest.update(f"{name}:{values.dtype.str}:{values.shape};".encode())
+        digest.update(values.tobytes())  # signed zeros count
+
+    for block in ("a_ub", "a_eq"):
+        matrix = getattr(form, block)
+        digest.update(f"{block}:{matrix.shape};".encode())
+        for part in ("indptr", "indices", "data"):
+            array(f"{block}.{part}", getattr(matrix, part))
+    for vector in ("c", "b_ub", "b_eq", "bounds"):
+        array(vector, getattr(form, vector))
+    digest.update(
+        f"constant={float(form.objective_constant).hex()};"
+        f"sign={float(form.objective_sign).hex()};"
+        f"variables={list(alloc.variables.items())!r};"
+        f"objective_column={alloc.objective_column!r};".encode()
+    )
+
+
+def lowerings() -> Entries:
+    """sha256 over every allocation LP build the production paths make.
+
+    ``build_allocation_model`` is captured on the four modules that call it,
+    on System (2) (deadline check and replanning probe, seed 0), the
+    milestone search (seed 1) and Linear Program (1) (seed 2) of every
+    scenario in both models, plus two hand-built corner cases.
+    """
+    from repro.core import (
+        Affine,
+        Instance,
+        Job,
+        check_deadline_feasibility,
+        deadline,
+        makespan,
+        maxflow,
+        minimize_makespan,
+        minimize_max_weighted_flow,
+        replanning,
+    )
+    from repro.core.formulations import build_allocation_model
+    from repro.core.intervals import build_constant_intervals
+
+    modules = (deadline, makespan, maxflow, replanning)
+    builds: List = []
+
+    def captured(*args, **kwargs):
+        alloc = build_allocation_model(*args, **kwargs)
+        builds.append(alloc)
+        return alloc
+
+    def system_2(instance, preemptive):
+        deadlines = [
+            job.release_date + (2.0 + j % 3) * instance.min_cost(j)
+            for j, job in enumerate(instance.jobs)
+        ]
+        check_deadline_feasibility(instance, deadlines, preemptive=preemptive)
+        replanning.ReplanProbe(preemptive=preemptive).check(instance, deadlines)
+
+    programs = {
+        "system-2": (0, system_2),
+        "system-3": (1, lambda instance, preemptive: minimize_max_weighted_flow(
+            instance, preemptive=preemptive)),
+        "lp-1": (2, lambda instance, preemptive: minimize_makespan(
+            instance, preemptive=preemptive)),
+    }
+    entries = {}
+    for module in modules:
+        module.build_allocation_model = captured
+    try:
+        for program, (seed, run) in programs.items():
+            for kind in ("divisible", "preemptive"):
+                for scenario in SCENARIOS:
+                    builds.clear()
+                    run(make_scenario(scenario, seed), kind == "preemptive")
+                    digest = hashlib.sha256()
+                    for alloc in builds:
+                        _form_digest(digest, alloc)
+                    entries[f"lowering/{program}/{kind}/{scenario}"] = digest.hexdigest()
+    finally:
+        for module in modules:
+            module.build_allocation_model = build_allocation_model
+
+    # Machine 1 cannot process job B.  In the first case job C's deadline
+    # equals its release date, so its completion row is ``0 == -1``.
+    jobs = [Job("A", 0.0, weight=1.0), Job("B", 1.0, weight=2.0), Job("C", 1.0)]
+    instance = Instance.from_costs(jobs, [[4.0, 2.0, 3.0], [8.0, float("inf"), 1.0]])
+    corners = {
+        "no-allowed-interval": (
+            [0.0, 1.0, 1.0, 6.0, 9.0, 1.0],
+            [Affine.const(d) for d in (6.0, 9.0, 1.0)],
+        ),
+        "infinite-cost": ([0.0, 1.0, 10.0], None),
+    }
+    for name, (times, deadlines) in corners.items():
+        for kind in ("divisible", "preemptive"):
+            alloc = build_allocation_model(
+                instance,
+                build_constant_intervals(times),
+                deadlines=deadlines,
+                preemptive=kind == "preemptive",
+            )
+            digest = hashlib.sha256()
+            _form_digest(digest, alloc)
+            entries[f"lowering/corner/{kind}/{name}"] = digest.hexdigest()
+    return entries
+
+
 #: Slice name → {key prefix: producer}.  ``fast`` runs in tier-1, ``slow``
 #: in tier-2; within a slice every producer owns one key prefix.
 SLICES: Dict[str, Dict[str, Callable[[], Entries]]] = {
@@ -364,6 +480,7 @@ SLICES: Dict[str, Dict[str, Callable[[], Entries]]] = {
         "campaign/": campaign,
         "stream-sweep/": stream_sweep,
         "lp/": lp_programs,
+        "lowering/": lowerings,
     },
     "slow": {"simulate/": lp_simulations},
 }
