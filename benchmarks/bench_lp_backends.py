@@ -93,7 +93,7 @@ def test_revised_simplex_beats_dense_tableau_without_densifying(monkeypatch):
     """
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.standard_form import MatrixForm
-    from tests.reference.lp import solve_matrix_form_tableau
+    from tests.reference.tableau import solve_matrix_form as solve_matrix_form_tableau
 
     sparse_form = _largest_bench_feasibility_lp(60, 6)
     assert (sparse_form.num_constraints, sparse_form.num_variables) == (774, 13225)

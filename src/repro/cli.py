@@ -511,21 +511,20 @@ def _cmd_info(args: Optional[argparse.Namespace] = None) -> int:
 
 
 def _cmd_info_lp_backends() -> int:
-    """Render the LP backend inventory: canonical labels and their aliases."""
+    """Render the LP backend inventory: accepted names and solution labels."""
     from .lp.backends import backend_inventory
 
     rows = backend_inventory()
+    name_w = max(len(info.name) for info in rows)
     label_w = max(len(info.label) for info in rows)
-    alias_w = max(len(", ".join(info.aliases)) for info in rows)
     print(
         "LP backends for the backend= parameter of online-offline and "
         "deadline-driven (off-line searches always use scipy-highs):"
     )
     for info in rows:
         warm = "warm-start" if info.warm_start else "cold only"
-        aliases = ", ".join(info.aliases)
         print(
-            f"  {info.label:<{label_w}}  [{aliases:<{alias_w}}]  "
+            f"  {info.name:<{name_w}}  {info.label:<{label_w}}  "
             f"{warm:<10}  {info.description}"
         )
     return 0

@@ -14,11 +14,9 @@ The skeleton is lowered straight to the CSR
 boolean mask of the allowed ``alpha[i, j, t]`` (:func:`allowed_mask`) fixes
 the column order and the row layout (:func:`inequality_layout`), and numpy
 scatters the coefficients — no modelling objects and no per-variable Python
-objects.  The result is bit-identical to stating the same program through
-the expression DSL of ``tests/reference/lp`` and lowering it with its
-``to_matrix_form`` (``sparse=True``); the test suite keeps that symbolic
-statement as the frozen reference and checks the equality across the
-scenario grid.
+objects.  The golden corpus's ``lowering/*`` entries pin the bytes of every
+form the production paths build across the scenario grid, signed zeros
+included.
 
 The same module also converts LP solutions back into concrete
 :class:`~repro.core.schedule.Schedule` objects:
@@ -261,9 +259,9 @@ def build_allocation_model(
     indices = np.empty(indptr[-1], dtype=np.intp)
     data = np.empty(indptr[-1])
     is_alpha = np.ones(indptr[-1], dtype=bool)
-    # The float operations below are the ones the expression DSL performs
-    # when it states ``usage <= constant + slope * F`` and moves everything to
-    # the left-hand side, so even signed zeros match the symbolic lowering.
+    # The float operations below fix every entry's bits, signed zeros included
+    # (``0.0 - slope`` is +0.0 where ``-slope`` is -0.0); the golden corpus's
+    # ``lowering/*`` entries pin them.
     if has_objective:
         heads = indptr[:-1]
         is_alpha[heads] = False

@@ -13,9 +13,9 @@ scheduling modules of :mod:`repro.core` build them straight in matrix form
   zero-objective (feasibility) programs only, with warm re-solves for the
   replanning probes.
 
-The expression DSL the tests state reference programs in, and the frozen
-dense tableau they cross-check the revised simplex against, live in
-``tests/reference/lp``.
+The tests state their programs as :class:`MatrixForm` objects directly
+(``tests/reference/forms.py``) and cross-check the revised simplex against
+a frozen dense tableau (``tests/reference/tableau.py``).
 
 Public API
 ----------

@@ -1,4 +1,4 @@
-"""LP backend registry: canonical names, aliases, dispatch and warm-start support.
+"""LP backend registry: accepted names, dispatch and warm-start support.
 
 Two backends solve production LPs: scipy's HiGHS wrapper and the in-house
 sparse revised simplex.  The revised simplex decides zero-objective
@@ -10,20 +10,21 @@ programs that minimise an objective (the milestone search of
 :mod:`repro.core.maxflow`, the makespan LP of :mod:`repro.core.makespan`)
 always go to HiGHS and take no name.
 
-This module is the single place that knows which requested names map to
-which solver.  :func:`solve_form` is the one dispatch from a name to a
+This module is the single place that knows which name selects which solver:
+``"scipy"`` or ``"revised"``, one per solver, so equivalent policy specs
+share one store cell.  :func:`solve_form` is the one dispatch from a name to a
 solver for a lowered :class:`~repro.lp.standard_form.MatrixForm`: the
 one-shot solves of :mod:`repro.core.deadline` call it.  ``ReplanProbe``
 (which keeps warm-start state per backend) resolves names through
 :func:`canonical_backend`; ``repro-sched info --lp-backends`` renders
 :func:`backend_inventory`.  The frozen dense tableau the tests cross-check
-against is not a backend: it lives in ``tests/reference/lp``.
+against is not a backend: it lives in ``tests/reference/tableau.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .solution import LPSolution
 from .standard_form import MatrixForm
@@ -36,22 +37,18 @@ __all__ = [
     "solve_form",
 ]
 
-#: Requested-name → canonical solution-backend label.  The label is what a
-#: solve through that backend stamps on :class:`repro.lp.LPSolution.backend`
-#: (and what records produced without reaching a solver must match).
+#: Accepted name → solution-backend label.  The label is what a solve
+#: through that backend stamps on :class:`repro.lp.LPSolution.backend` (and
+#: what records produced without reaching a solver must match); it is not
+#: itself an accepted name.
 BACKEND_LABELS = {
     "scipy": "scipy-highs",
-    "highs": "scipy-highs",
-    "scipy-highs": "scipy-highs",
-    "simplex": "simplex-revised",
     "revised": "simplex-revised",
-    "pure-python": "simplex-revised",
-    "simplex-revised": "simplex-revised",
 }
 
 
 def canonical_backend(name: str) -> str:
-    """Resolve a requested backend name/alias to its canonical label.
+    """Resolve an accepted backend name to its solution label.
 
     Raises ``ValueError`` for unknown names, listing what is accepted.
     """
@@ -67,7 +64,7 @@ def canonical_backend(name: str) -> str:
 def solve_form(form: MatrixForm, backend: str = "scipy") -> LPSolution:
     """Solve a lowered :class:`~repro.lp.standard_form.MatrixForm` with ``backend``.
 
-    ``backend`` is any name accepted by :func:`canonical_backend`: HiGHS
+    ``backend`` is a name accepted by :func:`canonical_backend`: HiGHS
     through :func:`repro.lp.scipy_backend.solve_matrix_form`, or a cold solve
     with the in-house revised simplex
     (:func:`repro.lp.revised_simplex.solve_matrix_form`), which raises
@@ -84,30 +81,24 @@ def solve_form(form: MatrixForm, backend: str = "scipy") -> LPSolution:
 class BackendInfo:
     """One row of the ``info --lp-backends`` inventory."""
 
+    name: str
     label: str
-    aliases: Tuple[str, ...]
     warm_start: bool
     description: str
 
 
-def _aliases(label: str) -> Tuple[str, ...]:
-    return tuple(
-        name for name, target in BACKEND_LABELS.items() if target == label and name != label
-    )
-
-
 def backend_inventory() -> List[BackendInfo]:
-    """Every backend with its accepted aliases."""
+    """Every backend with its accepted name and solution label."""
     return [
         BackendInfo(
+            name="scipy",
             label="scipy-highs",
-            aliases=_aliases("scipy-highs"),
             warm_start=False,
             description="HiGHS via scipy.optimize.linprog (production default)",
         ),
         BackendInfo(
+            name="revised",
             label="simplex-revised",
-            aliases=_aliases("simplex-revised"),
             warm_start=True,
             description="in-house sparse revised simplex, zero-objective programs only "
             "(warm dual re-solves)",

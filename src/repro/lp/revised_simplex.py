@@ -7,7 +7,7 @@ nonzero cost; programs that minimise an objective (the System (3)/(5) range
 LP, the makespan LP) go to HiGHS (:mod:`repro.lp.scipy_backend`).  An
 optimal answer is a feasible point; its objective is the form's constant.
 
-The tableau reference (frozen in ``tests/reference/lp/tableau.py``) densifies
+The tableau reference (frozen in ``tests/reference/tableau.py``) densifies
 the whole constraint matrix and rewrites every entry on every pivot — O(rows ×
 cols) per iteration and O(rows × cols) memory.  This module is the in-house
 fast path: a **revised** simplex that keeps the constraint matrix sparse and

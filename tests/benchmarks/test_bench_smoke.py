@@ -170,7 +170,7 @@ def test_revised_simplex_smoke(monkeypatch):
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
     from repro.lp.standard_form import MatrixForm
-    from tests.reference.lp import solve_matrix_form_tableau
+    from tests.reference.tableau import solve_matrix_form as solve_matrix_form_tableau
 
     # (6, 3) pins F where its milestone range is infeasible, (12, 4) where
     # it is feasible: both verdicts must agree with scipy before any timing

@@ -53,10 +53,10 @@ class TestIdentityWithFromScratch:
                         assert answer.schedule.pieces == scratch.schedule.pieces
 
     def test_simplex_backend_matches_its_from_scratch_path(self):
-        probe = ReplanProbe(backend="simplex")
+        probe = ReplanProbe(backend="revised")
         instance = random_unrelated_instance(4, 2, seed=3)
         sub, deadlines = _sub_and_deadlines(instance, 0.0, [0, 1, 2], [1.0, 0.5, 0.8], 25.0)
-        scratch = check_deadline_feasibility(sub, deadlines, backend="simplex")
+        scratch = check_deadline_feasibility(sub, deadlines, backend="revised")
         answer = probe.check(sub, deadlines)
         assert answer.feasible == scratch.feasible
         assert answer.backend == scratch.backend == "simplex-revised"

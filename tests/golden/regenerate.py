@@ -57,8 +57,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 ROOT = Path(__file__).resolve().parents[2]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT) not in sys.path:  # for the ``tests.reference`` LP DSL
-    sys.path.append(str(ROOT))
 
 from repro.heuristics import available_schedulers, make_scheduler  # noqa: E402
 from repro.lint.epoch import semantic_modules  # noqa: E402
@@ -339,16 +337,26 @@ def warm_sequences() -> Entries:
 
 
 def lp_programs() -> Entries:
-    from tests.reference.lp import LinearProgram
+    import numpy as np
+    import scipy.sparse as sp
+
+    from repro.lp.scipy_backend import solve_matrix_form
+    from repro.lp.standard_form import MatrixForm
 
     entries = warm_sequences()
     for name, (costs, rows, rhs) in LP_PROGRAMS.items():
-        lp = LinearProgram(sense="min")
-        variables = lp.add_variables(len(costs), prefix="x", upper=10.0)
-        for row, bound in zip(rows, rhs):
-            lp.add_constraint(sum(c * v for c, v in zip(row, variables)) <= bound)
-        lp.set_objective(sum(c * v for c, v in zip(costs, variables)))
-        solution = lp.solve(backend="scipy")
+        solution = solve_matrix_form(
+            MatrixForm(
+                c=np.array(costs),
+                objective_constant=0.0,
+                objective_sign=1.0,
+                a_ub=sp.csr_matrix(np.array(rows)),
+                b_ub=np.array(rhs),
+                a_eq=sp.csr_matrix((0, len(costs))),
+                b_eq=np.zeros(0),
+                bounds=np.tile([0.0, 10.0], (len(costs), 1)),
+            )
+        )
         objective = solution.objective_value
         x = ",".join(float(solution.values[k]).hex() for k in sorted(solution.values))
         entries[f"lp/{name}/scipy"] = (

@@ -7,7 +7,8 @@ program drawn here has ``c == 0``.  Two contracts:
   degenerate and near-singular corners (zero right-hand sides, duplicated
   rows, sub-tolerance coefficients à la the ``1e-10`` regression), the
   revised simplex, the frozen tableau reference and HiGHS must agree on the
-  feasibility verdict, and every reported witness must satisfy the model.
+  feasibility verdict, and every reported witness (HiGHS's included) must
+  satisfy the program.
   The *vertex* may legitimately differ on degenerate programs (that is the
   CODE_EPOCH 2005.6 bump), so values are checked for validity, not equality.
 * **Warm vs cold identity** — along a probe-style refresh sequence (same
@@ -43,7 +44,8 @@ from repro.lp import LPStatus
 from repro.lp.revised_simplex import ProgramHandle, solve_matrix_form_revised
 from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
 from repro.lp.standard_form import MatrixForm
-from tests.reference.lp import LinearProgram, solve_matrix_form_tableau, to_matrix_form
+from tests.reference.forms import matrix_form, violations
+from tests.reference.tableau import solve_matrix_form as solve_matrix_form_tableau
 
 #: Small integer coefficients, and now and then an exact zero or an entry of
 #: the sub-drop-tolerance dirt class.
@@ -84,38 +86,40 @@ def degenerate_lp(draw):
     return num_vars, rows, rhs
 
 
-def _build(num_vars, rows, rhs) -> LinearProgram:
-    lp = LinearProgram(sense="min")
-    variables = lp.add_variables(num_vars, prefix="x", upper=10.0)
-    for row, bound in zip(rows, rhs):
-        expr = sum(coefficient * var for coefficient, var in zip(row, variables))
-        lp.add_constraint(expr <= bound)
-    return lp
+def _build(num_vars, rows, rhs, sparse=True) -> MatrixForm:
+    return matrix_form(
+        [(row, "<=", bound) for row, bound in zip(rows, rhs)],
+        num_vars=num_vars,
+        bounds=(0.0, 10.0),
+        sparse=sparse,
+    )
 
 
 class TestRevisedAgreesWithTableau:
     @given(degenerate_lp())
     @settings(max_examples=60, deadline=None)
     def test_verdict_and_witness_validity(self, problem):
-        lp = _build(*problem)
-        tableau = solve_matrix_form_tableau(to_matrix_form(lp, sparse=False))
-        revised = solve_matrix_form_revised(to_matrix_form(lp, sparse=True)).solution
+        form = _build(*problem)
+        tableau = solve_matrix_form_tableau(_build(*problem, sparse=False))
+        revised = solve_matrix_form_revised(form).solution
         assert revised.status is tableau.status
         assert tableau.status in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE)
         if tableau.is_optimal:
             # Vertices may differ on degenerate programs; both must be feasible.
-            assert lp.check_solution(revised.values, tol=1e-6) == []
-            assert lp.check_solution(tableau.values, tol=1e-6) == []
+            assert violations(form, revised.values) == []
+            assert violations(form, tableau.values) == []
 
     @given(degenerate_lp())
     @settings(max_examples=40, deadline=None)
     def test_revised_agrees_with_scipy(self, problem):
-        lp = _build(*problem)
-        reference = lp.solve(backend="scipy")
-        revised = lp.solve(backend="revised")
+        form = _build(*problem)
+        reference = scipy_solve_form(form)
+        revised = solve_matrix_form_revised(form).solution
         assert revised.status is reference.status
+        assert reference.status in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE)
         if revised.is_optimal:
-            assert lp.check_solution(revised.values, tol=1e-6) == []
+            assert violations(form, revised.values) == []
+            assert violations(form, reference.values) == []
 
 
 @st.composite
@@ -168,20 +172,16 @@ class TestWarmMatchesCold:
         rows, base_rhs, steps = problem
         basis = None
         for rhs_scale, upper, lower in steps:
-            lp = LinearProgram(sense="min")
-            variables = lp.add_variables(
-                len(rows[0]), prefix="x", lower=min(lower, upper), upper=upper
+            form = matrix_form(
+                [(row, "<=", bound * rhs_scale) for row, bound in zip(rows, base_rhs)],
+                bounds=(min(lower, upper), upper),
             )
-            for row, bound in zip(rows, base_rhs):
-                expr = sum(c * v for c, v in zip(row, variables))
-                lp.add_constraint(expr <= bound * rhs_scale)
-            form = to_matrix_form(lp, sparse=True)
             warm = solve_matrix_form_revised(form, warm_basis=basis)
             cold = solve_matrix_form_revised(form)
             assert warm.solution.status is cold.solution.status
             assert cold.solution.status is scipy_solve_form(form).status
             if warm.solution.is_optimal:
-                assert lp.check_solution(warm.solution.values, tol=1e-6) == []
+                assert violations(form, warm.solution.values) == []
             if warm.basis is not None:
                 basis = warm.basis
 

@@ -38,38 +38,30 @@ from repro.lp.standard_form import MatrixForm
 from repro.obs.metrics import MetricsRecorder
 from repro.simulation import simulate
 from repro.workload import available_scenarios, make_scenario, random_unrelated_instance
-from tests.reference.lp import LinearProgram, to_matrix_form
+from tests.reference.forms import matrix_form, violations
+from tests.reference.tableau import solve_matrix_form as solve_matrix_form_tableau
+
+INF = float("inf")
 
 
-def _sample_lp() -> LinearProgram:
+def _sample_form(upper: float = INF, sparse: bool = True) -> MatrixForm:
     """Two ``>=`` rows that cut off the origin; the crash basis dual-solves it."""
-    lp = LinearProgram(sense="min")
-    x = lp.add_variable("x")
-    y = lp.add_variable("y")
-    lp.add_constraint(x + 2 * y >= 4)
-    lp.add_constraint(3 * x + y >= 6)
-    return lp
+    return matrix_form(
+        [([1, 2], ">=", 4), ([3, 1], ">=", 6)], bounds=(0.0, upper), sparse=sparse
+    )
 
 
-def _two_phase_lp() -> LinearProgram:
+def _two_phase_form() -> MatrixForm:
     """Two equality rows whose only usable crash column is the same ``x``.
 
     No crash basis exists, so a cold solve runs phase 1 with an artificial
     per row and then drives them out of the basis.
     """
-    lp = LinearProgram(sense="min")
-    x = lp.add_variable("x")
-    y = lp.add_variable("y")
-    z = lp.add_variable("z")
-    lp.add_constraint(x + y + z == 6)
-    lp.add_constraint(x == 1)
-    return lp
+    return matrix_form([([1, 1, 1], "==", 6), ([1, 0, 0], "==", 1)])
 
 
 def _objective_form() -> MatrixForm:
-    lp = _sample_lp()
-    lp.set_objective(lp.variables[0] + lp.variables[1])
-    return to_matrix_form(lp, sparse=True)
+    return replace(_sample_form(), c=np.ones(2))
 
 
 class TestZeroObjectiveContract:
@@ -79,15 +71,12 @@ class TestZeroObjectiveContract:
         with pytest.raises(ValueError, match=r"zero-objective.*HiGHS"):
             solve_matrix_form(_objective_form())
 
-    @pytest.mark.parametrize(
-        "backend", [name for name, label in BACKEND_LABELS.items() if label == "simplex-revised"]
-    )
-    def test_every_revised_alias_rejects_a_nonzero_cost(self, backend):
+    def test_the_revised_name_rejects_a_nonzero_cost(self):
         with pytest.raises(ValueError, match=r"zero-objective.*HiGHS"):
-            solve_form(_objective_form(), backend)
+            solve_form(_objective_form(), "revised")
 
     def test_a_kept_program_does_not_bypass_the_check(self):
-        form = to_matrix_form(_sample_lp(), sparse=True)
+        form = _sample_form()
         handle = ProgramHandle()
         assert solve_matrix_form_revised(form, handle=handle).solution.is_optimal
         assert handle.matches(form)
@@ -99,17 +88,16 @@ class TestZeroObjectiveContract:
 
 class TestColdSolve:
     def test_matches_scipy_and_reports_canonical_label(self):
-        lp = _sample_lp()
-        reference = lp.solve(backend="scipy")
-        solution = solve_matrix_form(to_matrix_form(lp, sparse=True))
+        form = _sample_form()
+        reference = solve_form(form, "scipy")
+        solution = solve_matrix_form(form)
         assert solution.status is reference.status is LPStatus.OPTIMAL
         assert solution.backend == "simplex-revised"
         assert solution.objective_value == 0.0
-        assert lp.check_solution(solution.values, tol=1e-6) == []
+        assert violations(form, solution.values) == []
 
     def test_never_densifies_the_lowered_form(self, monkeypatch):
-        lp = _sample_lp()
-        form = to_matrix_form(lp, sparse=True)
+        form = _sample_form()
         assert form.is_sparse
 
         def _boom(self):
@@ -122,48 +110,35 @@ class TestColdSolve:
 
     def test_dense_lowering_is_also_accepted(self):
         # The solver promises CSR-native operation, not CSR-only input.
-        lp = _sample_lp()
-        sparse = solve_matrix_form(to_matrix_form(lp, sparse=True))
-        dense = solve_matrix_form(to_matrix_form(lp, sparse=False))
+        sparse = solve_matrix_form(_sample_form())
+        dense = solve_matrix_form(_sample_form(sparse=False))
         assert dense.status is sparse.status is LPStatus.OPTIMAL
-        assert lp.check_solution(dense.values, tol=1e-6) == []
+        assert violations(_sample_form(), dense.values) == []
 
     def test_equality_rows_drive_out_artificials(self):
-        lp = _two_phase_lp()
-        result = solve_matrix_form_revised(to_matrix_form(lp, sparse=True))
+        form = _two_phase_form()
+        result = solve_matrix_form_revised(form)
         assert result.solution.is_optimal
-        assert lp.check_solution(result.solution.values, tol=1e-9) == []
+        assert violations(form, result.solution.values, tol=1e-9) == []
         # No artificial stayed basic, so the basis is reusable.
         assert result.basis is not None
 
     def test_infeasible_detected(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x", upper=1.0)
-        lp.add_constraint(x >= 3)
-        assert (
-            solve_matrix_form(to_matrix_form(lp, sparse=True)).status
-            is LPStatus.INFEASIBLE
-        )
+        form = matrix_form([([1], ">=", 3)], bounds=(0.0, 1.0))
+        assert solve_matrix_form(form).status is LPStatus.INFEASIBLE
 
     def test_constraint_free_program_solved_on_the_box(self):
         # Each column sits at a finite bound, lower first, else at zero.
-        lp = LinearProgram(sense="max")
-        lp.add_variable("x", lower=1.0, upper=3.0)
-        lp.add_variable("y", lower=float("-inf"), upper=4.0)
-        lp.add_variable("z", lower=float("-inf"))
-        lp.set_objective(2.5)
-        solution = solve_matrix_form(to_matrix_form(lp, sparse=True))
+        form = matrix_form(num_vars=3, bounds=[(1.0, 3.0), (-INF, 4.0), (-INF, INF)])
+        solution = solve_matrix_form(replace(form, objective_constant=2.5))
         assert solution.is_optimal
         assert solution.values == {0: 1.0, 1: 4.0, 2: 0.0}
         assert solution.objective_value == 2.5
 
     def test_crossed_bounds_are_infeasible(self):
-        # The modelling layer rejects crossed bounds at construction; probe
-        # refreshes can still produce them through MatrixForm.with_bounds.
-        lp = LinearProgram()
-        x = lp.add_variable("x", upper=5.0)
-        lp.add_constraint(x <= 5)
-        form = to_matrix_form(lp, sparse=True)
+        # Probe refreshes can produce crossed bounds through
+        # MatrixForm.with_bounds.
+        form = matrix_form([([1], "<=", 5)], bounds=(0.0, 5.0))
         crossed = form.with_bounds(np.asarray([[2.0, 1.0]]))
         assert solve_matrix_form(crossed).status is LPStatus.INFEASIBLE
         boxed = replace(crossed, a_ub=sp.csr_matrix((0, 1)), b_ub=np.zeros(0))
@@ -172,51 +147,38 @@ class TestColdSolve:
     def test_near_zero_coefficients_are_dropped(self):
         # A 1e-10 entry must not survive into a pivot (both in-house solvers
         # share the 1e-9 drop threshold).
-        lp = LinearProgram(sense="min")
-        variables = lp.add_variables(4, prefix="x", upper=10.0)
-        rows = [[1.0, 0.0, -1.0, -1.5], [1.0, 1e-10, 0.0625, 0.0]]
-        for row, bound in zip(rows, [-3.0, 0.0]):
-            lp.add_constraint(sum(c * v for c, v in zip(row, variables)) <= bound)
-        solution = solve_matrix_form(to_matrix_form(lp, sparse=True))
+        form = matrix_form(
+            [([1.0, 0.0, -1.0, -1.5], "<=", -3.0), ([1.0, 1e-10, 0.0625, 0.0], "<=", 0.0)],
+            bounds=(0.0, 10.0),
+        )
+        solution = solve_matrix_form(form)
         assert solution.is_optimal
-        assert lp.check_solution(solution.values, tol=1e-6) == []
+        assert violations(form, solution.values) == []
 
 
 class TestWarmStart:
-    def _lp_with_bound(self, upper: float) -> LinearProgram:
-        lp = LinearProgram(sense="min")
-        x = lp.add_variable("x", upper=upper)
-        y = lp.add_variable("y", upper=upper)
-        lp.add_constraint(x + 2 * y >= 4)
-        lp.add_constraint(3 * x + y >= 6)
-        return lp
-
-    def _form_with_bound(self, upper: float) -> MatrixForm:
-        return to_matrix_form(self._lp_with_bound(upper), sparse=True)
-
     def test_warm_resolve_matches_cold(self):
-        cold = solve_matrix_form_revised(self._form_with_bound(10.0))
+        cold = solve_matrix_form_revised(_sample_form(10.0))
         assert cold.basis is not None
         assert not cold.warm_used
         for upper in (8.0, 5.0, 3.0, 1.0):
-            lp = self._lp_with_bound(upper)
-            refreshed = to_matrix_form(lp, sparse=True)
+            refreshed = _sample_form(upper)
             warm = solve_matrix_form_revised(refreshed, warm_basis=cold.basis)
             reference = solve_matrix_form_revised(refreshed)
             assert warm.warm_used
             assert warm.solution.status is reference.solution.status
-            assert reference.solution.status is lp.solve(backend="scipy").status
+            assert reference.solution.status is solve_form(refreshed, "scipy").status
             if reference.solution.is_optimal:
-                assert lp.check_solution(warm.solution.values, tol=1e-9) == []
+                assert violations(refreshed, warm.solution.values, tol=1e-9) == []
 
     def test_warm_resolve_detects_infeasibility(self):
-        cold = solve_matrix_form_revised(self._form_with_bound(10.0))
-        tight = self._form_with_bound(0.5)  # x + 2y >= 4 is impossible
+        cold = solve_matrix_form_revised(_sample_form(10.0))
+        tight = _sample_form(0.5)  # x + 2y >= 4 is impossible
         warm = solve_matrix_form_revised(tight, warm_basis=cold.basis)
         assert warm.solution.status is LPStatus.INFEASIBLE
 
     def test_mismatched_basis_falls_back_to_cold(self):
-        form = self._form_with_bound(10.0)
+        form = _sample_form(10.0)
         bogus = BasisState(
             basis=np.asarray([0], dtype=np.intp),
             vstatus=np.zeros(1, dtype=np.int8),
@@ -227,7 +189,7 @@ class TestWarmStart:
         assert result.solution.values == solve_matrix_form_revised(form).solution.values
 
     def test_out_of_range_basis_falls_back_to_cold(self):
-        form = self._form_with_bound(10.0)
+        form = _sample_form(10.0)
         cold = solve_matrix_form_revised(form)
         bogus = BasisState(
             basis=np.asarray([999, 1000], dtype=np.intp),
@@ -242,8 +204,7 @@ class TestWarmStart:
         # No crash basis exists, so the cold solve runs phase 1 with
         # artificial columns.  A kept-alive program would price those
         # columns on the next rhs-only re-solve.
-        lp = _two_phase_lp()
-        form = to_matrix_form(lp, sparse=True)
+        form = _two_phase_form()
         handle = ProgramHandle()
         cold = solve_matrix_form_revised(form, handle=handle)
         assert cold.solution.is_optimal and cold.basis is not None
@@ -251,16 +212,12 @@ class TestWarmStart:
 
         warm = solve_matrix_form_revised(form, warm_basis=cold.basis, handle=handle)
         assert warm.warm_used
-        assert lp.check_solution(warm.solution.values, tol=1e-9) == []
+        assert violations(form, warm.solution.values, tol=1e-9) == []
         assert handle.matches(form)  # the warm-started program has no artificials
 
     def test_crash_started_program_is_kept(self):
-        lp = LinearProgram(sense="min")
-        x = lp.add_variable("x", upper=1.0)
-        y = lp.add_variable("y", upper=1.0)
-        lp.add_constraint(x + y == 1.0)
-        lp.add_constraint(2 * x + y <= 1.5)
-        form = to_matrix_form(lp, sparse=True)  # a crash basis: no phase 1
+        # A crash basis: no phase 1.
+        form = matrix_form([([1, 1], "==", 1.0), ([2, 1], "<=", 1.5)], bounds=(0.0, 1.0))
         handle = ProgramHandle()
         result = solve_matrix_form_revised(form, handle=handle)
         assert result.solution.is_optimal
@@ -268,10 +225,10 @@ class TestWarmStart:
 
     def test_metrics_injected_via_recorder(self):
         recorder = MetricsRecorder()
-        form = self._form_with_bound(10.0)
+        form = _sample_form(10.0)
         cold = solve_matrix_form_revised(form, recorder=recorder)
         warm = solve_matrix_form_revised(
-            self._form_with_bound(6.0), warm_basis=cold.basis, recorder=recorder
+            _sample_form(6.0), warm_basis=cold.basis, recorder=recorder
         )
         assert warm.warm_used
         snapshot = recorder.snapshot()
@@ -439,51 +396,48 @@ class TestLayoutReuse:
 
 
 class TestBackendRegistry:
-    def test_canonical_backend_resolves_aliases(self):
+    def test_canonical_backend_accepts_one_name_per_solver(self):
         from repro.lp.backends import canonical_backend
 
-        assert canonical_backend("simplex") == "simplex-revised"
+        assert BACKEND_LABELS == {"scipy": "scipy-highs", "revised": "simplex-revised"}
         assert canonical_backend("revised") == "simplex-revised"
         assert canonical_backend("scipy") == "scipy-highs"
         with pytest.raises(ValueError, match="unknown LP backend"):
             canonical_backend("no-such-solver")
 
+    @pytest.mark.parametrize("alias", ["highs", "scipy-highs", "simplex", "simplex-revised"])
+    def test_former_aliases_are_rejected_naming_the_two_names(self, alias):
+        # One name per solver keeps equivalent policy specs in one store cell.
+        message = r"unknown LP backend .*; accepted: revised, scipy$"
+        with pytest.raises(ValueError, match=message):
+            solve_form(_sample_form(), alias)
+        with pytest.raises(ValueError, match=message):
+            OnlineOfflineAdaptationScheduler(backend=alias)
+
     def test_inventory_reports_both_backends(self):
         from repro.lp.backends import backend_inventory
 
-        rows = {info.label: info for info in backend_inventory()}
-        assert set(rows) == {"scipy-highs", "simplex-revised"}
-        assert rows["simplex-revised"].warm_start
-        listed = {name for info in rows.values() for name in (info.label, *info.aliases)}
-        assert listed == set(BACKEND_LABELS)
+        rows = {info.name: info for info in backend_inventory()}
+        assert {name: info.label for name, info in rows.items()} == BACKEND_LABELS
+        assert rows["revised"].warm_start
 
-    def test_tableau_reference_label_is_not_an_alias(self):
+    def test_tableau_reference_label_is_not_a_backend_name(self):
         # The frozen tableau stamps its own label; feeding it back as a
         # backend name must fail instead of silently switching solvers.
         from repro.lp.backends import canonical_backend
-        from tests.reference.lp import solve_matrix_form_tableau
 
-        solution = solve_matrix_form_tableau(to_matrix_form(_sample_lp(), sparse=False))
+        solution = solve_matrix_form_tableau(_sample_form(sparse=False))
         assert solution.backend == "tableau"
         with pytest.raises(ValueError, match="unknown LP backend"):
             canonical_backend(solution.backend)
 
-    def test_model_solve_dispatches_every_alias(self):
-        lp = _sample_lp()
-        for backend, label in BACKEND_LABELS.items():
-            solution = lp.solve(backend=backend)
-            assert solution.backend == label
-            assert solution.is_optimal
-            assert lp.check_solution(solution.values, tol=1e-6) == []
-
-    def test_solve_form_dispatches_every_alias(self):
-        lp = _sample_lp()
-        form = to_matrix_form(lp, sparse=True)
+    def test_solve_form_dispatches_every_name(self):
+        form = _sample_form()
         for backend, label in BACKEND_LABELS.items():
             solution = solve_form(form, backend)
             assert solution.backend == label
             assert solution.is_optimal
-            assert lp.check_solution(solution.values, tol=1e-6) == []
+            assert violations(form, solution.values) == []
 
     @pytest.mark.parametrize("removed", ["tableau", "highspy"])
     def test_removed_backend_names_are_rejected(self, removed):
@@ -493,7 +447,7 @@ class TestBackendRegistry:
 
         message = r"unknown LP backend .*; accepted: "
         with pytest.raises(ValueError, match=message):
-            _sample_lp().solve(backend=removed)
+            solve_form(_sample_form(), removed)
         with pytest.raises(ValueError, match=message):
             check_deadline_feasibility(
                 random_unrelated_instance(3, 2, seed=1), [10.0] * 3, backend=removed
@@ -619,7 +573,7 @@ def test_solve_path_builds_no_scipy_sparse_objects(monkeypatch):
     assert len(result.completion_times) == instance.num_jobs
 
     recorder = MetricsRecorder()
-    form = to_matrix_form(_two_phase_lp(), sparse=True)  # no crash basis: phase 1 runs
+    form = _two_phase_form()  # no crash basis: phase 1 runs
     cold = solve_matrix_form_revised(form, recorder=recorder)
     assert cold.solution.is_optimal
     assert "lp.time.revised.phase1" in recorder.snapshot()["histograms"]

@@ -6,15 +6,13 @@ Two cross-validation invariants guard the performance subsystem:
   bisection's precision) on random instances — the two searches share no
   code path beyond the :class:`FeasibilityProbe`, so agreement certifies the
   probe's parametric range solves;
-* the sparse (CSR) and dense lowerings of random LPs must solve to the same
-  optimum — the two lowerings share the triplet extraction but materialise
-  and solve through different code paths.
+* the CSR and dense forms of random LPs must solve to the same optimum, and
+  the revised simplex must reach HiGHS's verdict on their zero-objective
+  twins.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +24,7 @@ from repro.core import (
 )
 from repro.lp.revised_simplex import solve_matrix_form as simplex_solve_form
 from repro.lp.scipy_backend import solve_matrix_form as scipy_solve_form
-from tests.reference.lp import LinearProgram, to_matrix_form
+from tests.reference.forms import matrix_form, violations
 
 PRECISION = 1e-4
 
@@ -81,19 +79,17 @@ def small_lp(draw):
     return costs, rows, rhs, senses
 
 
-def _build_lp(costs, rows, rhs, senses) -> LinearProgram:
-    lp = LinearProgram(sense="min")
-    variables = lp.add_variables(len(costs), prefix="x", upper=10.0)
-    for row, bound, sense in zip(rows, rhs, senses):
-        expr = sum(coeff * var for coeff, var in zip(row, variables))
-        if sense == "<=":
-            lp.add_constraint(expr <= bound)
-        else:
-            # Keep equality rows trivially satisfiable: x_k == 0 is feasible
-            # for every row through the origin.
-            lp.add_constraint(expr == 0.0)
-    lp.set_objective(sum(c * var for c, var in zip(costs, variables)))
-    return lp
+def _build_form(costs, rows, rhs, senses, sparse=True):
+    # Equality rows go through the origin, so x == 0 satisfies each of them.
+    return matrix_form(
+        [
+            (row, sense, bound if sense == "<=" else 0.0)
+            for row, bound, sense in zip(rows, rhs, senses)
+        ],
+        c=costs,
+        bounds=(0.0, 10.0),
+        sparse=sparse,
+    )
 
 
 class TestSearchAgreement:
@@ -107,13 +103,12 @@ class TestSearchAgreement:
         assert approx <= exact.objective + max(10 * PRECISION, 1e-3 * exact.objective)
 
 
-class TestLoweringAgreement:
+class TestFormAgreement:
     @given(small_lp())
     @settings(max_examples=25, deadline=None)
-    def test_sparse_and_dense_lowerings_solve_identically(self, program):
-        lp = _build_lp(*program)
-        dense = scipy_solve_form(to_matrix_form(lp, sparse=False))
-        sparse = scipy_solve_form(to_matrix_form(lp, sparse=True))
+    def test_csr_and_dense_forms_solve_identically(self, program):
+        dense = scipy_solve_form(_build_form(*program, sparse=False))
+        sparse = scipy_solve_form(_build_form(*program))
         assert dense.status == sparse.status
         if dense.is_optimal:
             assert abs(dense.objective_value - sparse.objective_value) <= 1e-7 * (
@@ -129,21 +124,9 @@ class TestLoweringAgreement:
         costs, rows, rhs, senses = program
         rows = [[round(4 * c) / 4 for c in row] for row in rows]
         rhs = [round(4 * b) / 4 - 5.0 for b in rhs]
-        lp = _build_lp([0.0] * len(costs), rows, rhs, senses)
-        sparse_form = to_matrix_form(lp, sparse=True)
+        sparse_form = _build_form([0.0] * len(costs), rows, rhs, senses)
         via_simplex = simplex_solve_form(sparse_form)
         via_scipy = scipy_solve_form(sparse_form)
         assert via_simplex.status == via_scipy.status
         if via_simplex.is_optimal:
-            assert lp.check_solution(via_simplex.values, tol=1e-6) == []
-
-    @given(small_lp())
-    @settings(max_examples=25, deadline=None)
-    def test_lowered_matrices_match(self, program):
-        lp = _build_lp(*program)
-        dense = to_matrix_form(lp, sparse=False)
-        sparse = to_matrix_form(lp, sparse=True)
-        np.testing.assert_allclose(sparse.a_ub.toarray(), dense.a_ub)
-        np.testing.assert_allclose(sparse.a_eq.toarray(), dense.a_eq)
-        np.testing.assert_allclose(sparse.b_ub, dense.b_ub)
-        np.testing.assert_allclose(sparse.b_eq, dense.b_eq)
+            assert violations(sparse_form, via_simplex.values) == []

@@ -1,14 +1,13 @@
 """Frozen references the tests and benches compare the package against.
 
-Nothing under ``src/repro`` imports this package (``tests/test_layout.py``
-asserts it).  It holds:
+Nothing under ``src/repro`` imports this package, and every module in it has
+an importer in ``tests/`` or ``benchmarks/`` (``tests/test_layout.py``
+asserts both).  It holds:
 
-* :mod:`tests.reference.lp` — the LP expression DSL (``LinearProgram`` and
-  its building blocks, lowered by ``to_matrix_form``) and the frozen dense
-  tableau simplex;
-* :mod:`tests.reference.symbolic_allocation` — the allocation LP skeleton
-  stated through the DSL, which ``repro.core.formulations`` must lower to
-  bit for bit;
+* :mod:`tests.reference.tableau` — the frozen dense tableau simplex, the
+  revised simplex's third opinion;
+* :mod:`tests.reference.forms` — small LPs stated as a ``MatrixForm`` from
+  dense rows, and a witness check of a solver's point against them;
 * :mod:`tests.reference.stream_legacy` — the frozen rebuild-per-arrival
   streaming loop (``run_rebuild``);
 * :mod:`tests.reference.assignment` — the strict-``<`` machine scan

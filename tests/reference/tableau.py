@@ -4,11 +4,11 @@ This is the in-house backend the revised simplex replaced, frozen verbatim
 (like :mod:`tests.reference.stream_legacy` and
 ``benchmarks/_seed_engine.py``): the production in-house path lives in
 :mod:`repro.lp.revised_simplex`, and no backend name selects this tableau.
-Tests and ``benchmarks/bench_lp_backends.py`` call it directly
-(``solve_matrix_form_tableau`` in :mod:`tests.reference.lp`) so the revised
-solver can always be cross-checked against the implementation the earliest
-optima were derived with.  Do not optimise or "fix" this file; semantic
-changes belong in the revised solver (with a ``CODE_EPOCH`` bump).
+Tests and ``benchmarks/bench_lp_backends.py`` call :func:`solve_matrix_form`
+directly on a :class:`MatrixForm` so the revised solver can always be
+cross-checked against the implementation the earliest optima were derived
+with.  Do not optimise or "fix" this file; semantic changes belong in the
+revised solver (with a ``CODE_EPOCH`` bump).
 
 The original module docstring follows.
 
@@ -47,10 +47,7 @@ from repro.lp.solution import LPSolution, LPStatus
 from repro.lp.standard_form import MatrixForm, solve_constant_form
 from repro.obs.metrics import get_recorder
 
-from .lowering import to_matrix_form
-from .model import LinearProgram
-
-__all__ = ["solve_with_simplex", "solve_matrix_form", "SimplexResult"]
+__all__ = ["solve_matrix_form", "SimplexResult"]
 
 _EPS = 1e-9
 
@@ -349,23 +346,8 @@ def _solve_nonnegative(
 
 
 # --------------------------------------------------------------------------- #
-# Public entry points                                                         #
+# Public entry point                                                          #
 # --------------------------------------------------------------------------- #
-def solve_with_simplex(model: LinearProgram, max_iterations: int = 20000) -> LPSolution:
-    """Solve ``model`` with the in-house dense two-phase simplex.
-
-    Parameters
-    ----------
-    model:
-        The linear program to solve.
-    max_iterations:
-        Safety cap on simplex pivots (per phase).
-    """
-    # Zero-variable models are legal and handled by solve_matrix_form via
-    # solve_constant_form.
-    return solve_matrix_form(to_matrix_form(model), max_iterations=max_iterations)
-
-
 def solve_matrix_form(form: MatrixForm, max_iterations: int = 20000) -> LPSolution:
     """Solve an already-lowered :class:`MatrixForm` with the tableau simplex.
 

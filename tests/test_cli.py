@@ -90,29 +90,16 @@ class TestSolve:
         assert "optimal max stretch" in capsys.readouterr().out
 
     def test_every_advertised_backend_name_drives_online_offline(self, tmp_path, capsys):
-        # Each label and alias that 'info --lp-backends' prints must be an
-        # accepted backend= value of online-offline, and every name of one
-        # backend must replay the instance identically.
+        # 'info --lp-backends' prints one accepted name per backend, and each
+        # must be an accepted backend= value of online-offline.
         assert main(["info", "--lp-backends"]) == 0
-        groups = []
-        for line in capsys.readouterr().out.splitlines()[1:]:
-            label, aliases = line.split("[", 1)
-            names = [alias.strip() for alias in aliases.split("]", 1)[0].split(",")]
-            groups.append([label.strip(), *names])
-        assert {"highs", "pure-python", "scipy-highs", "simplex-revised"} <= {
-            name for names in groups for name in names
-        }
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert names == ["scipy", "revised"]
         path = tmp_path / "tiny.json"
         save_instance(random_unrelated_instance(4, 2, seed=5), path)
-        for names in groups:
-            rows = set()
-            for name in names:
-                policy = f"online-offline:backend={name}"
-                assert main(["simulate", str(path), "--policy", policy]) == 0, name
-                label, *figures = capsys.readouterr().out.splitlines()[-1].split()
-                assert label.startswith("online-offline")
-                rows.add(tuple(figures))
-            assert len(rows) == 1, (names, rows)
+        for name in names:
+            assert main(["simulate", str(path), "--policy", f"online-offline:backend={name}"]) == 0
+            assert capsys.readouterr().out.splitlines()[-1].startswith("online-offline")
 
     def test_solve_takes_no_backend(self, instance_file, capsys):
         with pytest.raises(SystemExit):

@@ -1,10 +1,13 @@
 """The package holds what the reproduction runs; test references live in ``tests/``.
 
-Three layout rules, checked on the source text:
+Four layout rules, checked on the source text:
 
 * no module under ``src/repro`` imports ``tests.reference`` (or anything
   else under ``tests``): the frozen references serve the tests and benches,
   never the package;
+* every module under ``tests/reference`` is imported from ``tests/`` or
+  ``benchmarks/`` outside ``tests/reference``: a reference nothing uses is
+  dead code;
 * every public top-level function and class of ``src/repro``, and every
   public member (method, property, classmethod or staticmethod) of its
   top-level classes, is reached from ``src/``, ``examples/``,
@@ -204,6 +207,28 @@ def _unused_imports(path: Path, root: Path = ROOT) -> List[str]:
     ]
 
 
+def _orphaned_references(root: Path = ROOT) -> List[str]:
+    """Modules under ``tests/reference`` that no test or bench imports."""
+    reference = root / "tests" / "reference"
+    modules = {
+        ".".join(path.relative_to(root).with_suffix("").parts)
+        for path in reference.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    imported: Set[str] = set()
+    for tree_name in ("tests", "benchmarks"):
+        for path in (root / tree_name).rglob("*.py"):
+            if path.is_relative_to(reference):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                    imported.add(node.module)
+                    imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted(modules - imported)
+
+
 def test_no_package_module_imports_the_test_tree():
     offenders = []
     for path in _package_modules():
@@ -219,6 +244,10 @@ def test_no_package_module_imports_the_test_tree():
                 if name == "tests" or name.startswith("tests."):
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_every_reference_module_has_an_importer():
+    assert _orphaned_references() == []
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +284,22 @@ def _tree(root: Path, files: Dict[str, str]) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text), encoding="utf-8")
     return root
+
+
+def test_checker_flags_a_reference_module_nothing_imports(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "tests/reference/__init__.py": "",
+            "tests/reference/used.py": "",
+            "tests/reference/by_package.py": "",
+            "tests/reference/dead.py": "from tests.reference.self_only import x\n",
+            "tests/reference/self_only.py": "from tests.reference.dead import y\n",
+            "tests/test_a.py": "from tests.reference.used import thing\n",
+            "benchmarks/bench_b.py": "from tests.reference import by_package\n",
+        },
+    )
+    assert _orphaned_references(root) == ["tests.reference.dead", "tests.reference.self_only"]
 
 
 def test_checker_flags_a_function_only_tests_call(tmp_path):
