@@ -207,7 +207,7 @@ def test_warm_revised_probes_reach_2x_replanning_speedup(bench_scale):
 
 
 @pytest.mark.bench
-def test_rank_keyed_probe_lifts_lp_targets_hit_rate():
+def test_rank_keyed_probe_lifts_lp_targets_hit_rate(monkeypatch):
     """PR 5 satellite: rank-pattern keying for ``deadline-driven:lp_targets``.
 
     The LP-targeted deadline policy asks roughly one feasibility question per
@@ -218,7 +218,8 @@ def test_rank_keyed_probe_lifts_lp_targets_hit_rate():
     ``online-offline`` level (~0.8 on this sweep) and the executed schedules
     must stay byte-identical to the raw-structure path.
     """
-    from repro.heuristics import DeadlineDrivenScheduler
+    from repro.core.replanning import ReplanProbe
+    from repro.heuristics import DeadlineDrivenScheduler, deadline_driven
     from repro.workload import random_unrelated_instance as _unrelated
 
     instances = [
@@ -227,7 +228,16 @@ def test_rank_keyed_probe_lifts_lp_targets_hit_rate():
     schedulers = {}
     results = {}
     for label, rank_keyed in (("raw", False), ("rank-keyed", True)):
-        scheduler = DeadlineDrivenScheduler(lp_targets=True, rank_keyed_probe=rank_keyed)
+        with monkeypatch.context() as patch:
+            if not rank_keyed:
+                # The raw-structure reference: the policy's probe without
+                # rank keying.
+                patch.setattr(
+                    deadline_driven,
+                    "ReplanProbe",
+                    lambda **kwargs: ReplanProbe(**{**kwargs, "rank_keyed": False}),
+                )
+            scheduler = DeadlineDrivenScheduler(lp_targets=True)
         results[label] = [simulate(instance, scheduler) for instance in instances]
         schedulers[label] = scheduler
 

@@ -71,7 +71,7 @@ from ..heuristics.registry import (
     OFFLINE_OPTIMAL,
     SchedulingPolicy,
     policy_spec,
-    resolve_policy_variant,
+    resolve_policies,
 )
 from ..workload.scenarios import ScenarioSpec, make_scenario, scenario_grid
 from ._cells import Cell, CellResult, RunTotals, execute_cells
@@ -667,19 +667,17 @@ def stream_campaign(
     # so the dependency must not be circular at import time.
     from ..store.digest import record_digest
 
+    # Build every token once before the first cell (fail fast on bad values).
+    tokens = (OFFLINE_OPTIMAL, *policies)
+    variants = dict(zip(tokens, resolve_policies(tokens)))
     digester = None
     if store is not None:
         # Cell identity is (base policy, non-default params): parameterised
         # variants digest distinct cells while bare names keep their
         # historical digests.
-        identities: Dict[str, Tuple[str, Dict]] = {}
-
         def digester(key: str, token: str) -> str:
-            identity = identities.get(token)
-            if identity is None:
-                variant = resolve_policy_variant(token)
-                identity = identities[token] = (variant.base, dict(variant.params))
-            return record_digest(key, identity[0], params=identity[1])
+            variant = variants[token]
+            return record_digest(key, variant.base, params=variant.params)
 
     recorder = get_recorder()
 

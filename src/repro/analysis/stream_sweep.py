@@ -32,7 +32,7 @@ from ..heuristics import make_scheduler
 from ..obs.journal import RunJournal
 from ..obs.metrics import get_recorder
 from ..obs.trace import Tracer, trace_stream_result
-from ..heuristics.registry import resolve_policy_variant
+from ..heuristics.registry import policy_spec, resolve_policies
 from ..simulation.stream import StreamingSimulator
 from ..workload.streams import StreamSpec, open_stream
 from ._cells import Cell, CellResult, RunTotals, execute_cells
@@ -395,8 +395,13 @@ def run_stream_sweep(
     # Deferred import: repro.store depends on repro.analysis.campaign.
     from ..store.digest import record_digest
 
-    # Resolve every policy token up front (fail fast, canonical identities).
-    variants = [resolve_policy_variant(token) for token in policies]
+    # Build every policy token once up front (fail fast, canonical identities).
+    variants = resolve_policies(policies)
+    offline = [v.label for v in variants if policy_spec(v.base).scheduler_factory is None]
+    if offline:
+        raise WorkloadError(
+            f"a stream sweep runs on-line policies only, not {', '.join(offline)}"
+        )
     machines = spec.platform_instance().machines  # one platform build per sweep
 
     def cells() -> Iterator[Cell]:

@@ -87,7 +87,7 @@ from .heuristics import (
     available_schedulers,
     make_scheduler,
     policy_spec,
-    resolve_policy_variant,
+    resolve_policies,
 )
 from .simulation import simulate
 from .workload import (
@@ -580,13 +580,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    policy_names = available_schedulers() if args.all_policies else [args.policy]
+    if not _check_policies(policy_names):
+        return 1
     instance = _load_instance_argument(args.instance, args.seed)
     print(instance.describe())
     offline = minimize_max_weighted_flow(instance).objective
     print(f"off-line optimal max weighted flow: {offline:.6g}")
     print()
 
-    policy_names = available_schedulers() if args.all_policies else [args.policy]
     rows = []
     for name in policy_names:
         scheduler = make_scheduler(name)
@@ -618,7 +620,7 @@ def _split_policy_tokens(text: str) -> list:
     A comma normally separates policies, but inside a variant token it
     separates parameters: a ``key=value`` segment without a ``:`` of its own
     continues the previous token (policy names never contain ``=``), so
-    ``"online-offline:period=2,relative_precision=1e-2,mct"`` yields the
+    ``"online-offline:period=2,preemptive=true,mct"`` yields the
     variant and ``mct``.
     """
     tokens: list = []
@@ -630,14 +632,24 @@ def _split_policy_tokens(text: str) -> list:
     return tokens
 
 
+def _check_policies(policies: Sequence[str]) -> bool:
+    """Build every policy token once: a bad value is an ``error:`` line.
+
+    Unknown policies and parameters raise ``KeyError``, which :func:`main`
+    reports the same way.
+    """
+    try:
+        resolve_policies(policies)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return False
+    return True
+
+
 def _check_run_args(args: argparse.Namespace, policies: Sequence[str]) -> bool:
-    """Fail fast on unknown policies/parameters and a store-less --resume."""
-    for name in policies:
-        try:
-            resolve_policy_variant(name)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return False
+    """Fail fast on bad policy tokens and a store-less --resume."""
+    if not _check_policies(policies):
+        return False
     if args.resume and not args.store:
         print("error: --resume needs --store PATH to resume from", file=sys.stderr)
         return False

@@ -26,11 +26,12 @@ implementing :class:`SchedulingPolicy`).
 
 Parameterised variants
 ----------------------
-Policies with a typed parameter schema (``PolicySpec.params``) resolve
-variant tokens everywhere a name is accepted — ``make_policy``,
-``make_scheduler``, campaigns, the CLI::
+A policy's sweepable parameters are its constructor's keywords with
+defaults (``PolicySpec.params`` is derived from the signature at
+registration).  Variant tokens resolve everywhere a name is accepted —
+``make_policy``, ``make_scheduler``, campaigns, the CLI::
 
-    make_policy("online-offline:period=2,relative_precision=1e-2")
+    make_policy("online-offline:period=2,preemptive=true")
     repro-sched campaign --policies online-offline:period=2,deadline-driven
 
 Values equal to the registered default are dropped, so equivalent specs
@@ -61,6 +62,7 @@ from .registry import (
     policy_spec,
     register_online_scheduler,
     register_policy,
+    resolve_policies,
     resolve_policy_variant,
     unregister_policy,
 )
@@ -92,63 +94,34 @@ __all__ = [
     "policy_spec",
     "register_online_scheduler",
     "register_policy",
+    "resolve_policies",
     "resolve_policy_variant",
     "unregister_policy",
 ]
 
-#: Sweepable-parameter schemas of the parameterised built-ins.  The defaults
-#: MUST mirror the constructor defaults: resolve_policy_variant drops
-#: explicit defaults so equivalent variant specs share one cell digest.
-_ONLINE_OFFLINE_PARAMS = (
-    PolicyParam("relative_precision", float, 1e-3, "bisection/probe tolerance on F"),
-    PolicyParam("max_bisection_steps", int, 40, "bisection-step cap per replanning"),
-    PolicyParam("period", float, None, "forced replanning period (None: event-driven)"),
-    PolicyParam("preemptive", bool, False, "plan in the preemptive model"),
-    PolicyParam("backend", str, "scipy", "LP backend of the zero-objective feasibility probes"),
-    PolicyParam("parametric", bool, True, "share one ReplanProbe across events"),
-)
-_DEADLINE_DRIVEN_PARAMS = (
-    PolicyParam("initial_target", float, None, "starting max-weighted-flow target"),
-    PolicyParam("growth_factor", float, 1.5, "multiplicative target growth"),
-    PolicyParam("lp_targets", bool, False, "relocate violated targets with LP probes"),
-    PolicyParam("backend", str, "scipy", "LP backend of the zero-objective lp_targets probes"),
-)
-_OFFLINE_OPTIMAL_PARAMS = (
-    PolicyParam("preemptive", bool, False, "optimise the preemptive model"),
-)
-
 #: Built-in on-line schedulers, registered below.
 _BUILTIN_SCHEDULERS = (
-    ("fifo", FIFOScheduler, "first-in first-out list scheduling", ()),
-    ("spt", SPTScheduler, "shortest processing time first", ()),
-    ("mct", MCTScheduler, "minimum completion time (the paper's baseline)", ()),
-    ("srpt", SRPTScheduler, "shortest remaining processing time (preemptive)", ()),
+    ("fifo", FIFOScheduler, "first-in first-out list scheduling"),
+    ("spt", SPTScheduler, "shortest processing time first"),
+    ("mct", MCTScheduler, "minimum completion time (the paper's baseline)"),
+    ("srpt", SRPTScheduler, "shortest remaining processing time (preemptive)"),
     (
         "greedy-weighted-flow",
         GreedyWeightedFlowScheduler,
         "largest weighted flow first (preemptive)",
-        (),
     ),
-    ("round-robin", RoundRobinScheduler, "equal processor sharing (divisible)", ()),
-    (
-        "deadline-driven",
-        DeadlineDrivenScheduler,
-        "earliest-deadline-driven (preemptive)",
-        _DEADLINE_DRIVEN_PARAMS,
-    ),
+    ("round-robin", RoundRobinScheduler, "equal processor sharing (divisible)"),
+    ("deadline-driven", DeadlineDrivenScheduler, "earliest-deadline-driven (preemptive)"),
     (
         "online-offline",
         OnlineOfflineAdaptationScheduler,
         "on-line adaptation of the off-line LP algorithm (Section 5)",
-        _ONLINE_OFFLINE_PARAMS,
     ),
 )
 
-for _name, _factory, _description, _params in _BUILTIN_SCHEDULERS:
+for _name, _factory, _description in _BUILTIN_SCHEDULERS:
     if _name not in available_policies():
-        register_online_scheduler(
-            _name, _factory, description=_description, params=_params
-        )
+        register_online_scheduler(_name, _factory, description=_description)
 
 if OFFLINE_OPTIMAL not in available_policies():
     register_policy(
@@ -157,7 +130,6 @@ if OFFLINE_OPTIMAL not in available_policies():
             kind="offline",
             factory=OfflineOptimalPolicy,
             description="off-line LP optimum (Theorem 2 milestone search)",
-            params=_OFFLINE_OPTIMAL_PARAMS,
         )
     )
 

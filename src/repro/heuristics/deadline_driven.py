@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 from ..core.instance import Instance
 from ..core.replanning import ReplanProbe, remaining_subinstance
+from ..lp.backends import canonical_backend
 from ..simulation.state import AllocationDecision, SimulationState
 from .base import OnlineScheduler, fastest_free_assignment
 
@@ -40,58 +41,49 @@ __all__ = ["DeadlineDrivenScheduler"]
 #: EDF only needs the deadline *order* — so a coarse location suffices).
 _LP_TARGET_STEPS = 12
 
+#: Multiplicative increase of the target whenever some active job can no
+#: longer meet its induced deadline (without ``lp_targets``).
+_GROWTH_FACTOR = 1.5
+
 
 class DeadlineDrivenScheduler(OnlineScheduler):
     """Earliest-deadline-first on the deadlines induced by a weighted-flow target.
 
+    The target starts from the fluid lower bound of the first jobs the
+    policy sees and grows by ``_GROWTH_FACTOR`` whenever some active job can
+    no longer meet its induced deadline.
+
     Parameters
     ----------
-    initial_target:
-        Initial max-weighted-flow target ``F``.  When ``None`` the policy
-        starts from the fluid lower bound of the first jobs it sees.
-    growth_factor:
-        Multiplicative increase applied to the target whenever some active
-        job can no longer meet its induced deadline.
     lp_targets:
         When ``True``, a violated target is re-located with feasibility
         probes through a shared :class:`~repro.core.replanning.ReplanProbe`
-        instead of multiplicative doubling (see the module docstring).
+        instead of multiplicative growth (see the module docstring).
     backend:
-        LP backend for the ``lp_targets`` probes (unused otherwise).
+        LP backend for the ``lp_targets`` probes; checked even when
+        ``lp_targets`` is off, so a mistyped name never gets a cell of its
+        own.
     """
 
     name = "deadline-driven"
     divisible = False
 
-    def __init__(
-        self,
-        initial_target: float | None = None,
-        growth_factor: float = 1.5,
-        lp_targets: bool = False,
-        backend: str = "scipy",
-        rank_keyed_probe: bool = True,
-    ) -> None:
-        if growth_factor <= 1.0:
-            raise ValueError("growth_factor must be greater than 1")
-        self.initial_target = initial_target
-        self.growth_factor = growth_factor
+    def __init__(self, lp_targets: bool = False, backend: str = "scipy") -> None:
+        canonical_backend(backend)  # raises on unknown names
         self.lp_targets = lp_targets
         self.backend = backend
-        self._target = initial_target or 0.0
+        self._target = 0.0
         # The target search only asks yes/no questions (build_schedule=False),
-        # so the probe may canonicalise each sub-instance by deadline rank:
+        # so the probe canonicalises each sub-instance by deadline rank:
         # probes from different events share one LP skeleton per rank
         # pattern, which is what lifts the cache hit rate to the
         # ``online-offline`` level (bench_replanning.py asserts it).
-        # ``rank_keyed_probe=False`` keeps the raw-structure reference path.
         self._probe: Optional[ReplanProbe] = (
-            ReplanProbe(backend=backend, rank_keyed=rank_keyed_probe)
-            if lp_targets
-            else None
+            ReplanProbe(backend=backend, rank_keyed=True) if lp_targets else None
         )
 
     def reset(self, instance: Instance) -> None:
-        self._target = self.initial_target or 0.0
+        self._target = 0.0
 
     def rebind(self, instance: Instance) -> None:
         # The running target is index-free and deliberately survives window
@@ -129,7 +121,7 @@ class DeadlineDrivenScheduler(OnlineScheduler):
                 self._target = self._probed_target(state, active, max(needed, 1e-9))
             else:
                 while self._target < needed:
-                    self._target *= self.growth_factor
+                    self._target *= _GROWTH_FACTOR
 
     def _probed_target(
         self, state: SimulationState, active: List[int], lower: float

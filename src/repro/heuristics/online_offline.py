@@ -42,28 +42,35 @@ from ..core.deadline import check_deadline_feasibility
 from ..core.instance import Instance
 from ..core.replanning import ReplanProbe, remaining_subinstance
 from ..core.schedule import Schedule
+from ..lp.backends import canonical_backend
 from ..simulation.state import AllocationDecision, SimulationState
 from .base import OnlineScheduler
 
 __all__ = ["OnlineOfflineAdaptationScheduler"]
 
+#: Relative precision of the re-planning bisection on the objective value
+#: (the probe tolerance of the replanning runtime).
+_RELATIVE_PRECISION = 1e-3
+
+#: Hard cap on bisection steps per re-planning.
+_MAX_BISECTION_STEPS = 40
+
 
 class OnlineOfflineAdaptationScheduler(OnlineScheduler):
     """Plan-following on-line adaptation of the off-line LP algorithm.
 
+    Each re-planning bisects the objective value to a relative precision of
+    ``_RELATIVE_PRECISION`` in at most ``_MAX_BISECTION_STEPS`` steps.
+
     Parameters
     ----------
-    relative_precision:
-        Relative precision of the bisection on the objective value (the
-        probe tolerance of the replanning runtime).
-    max_bisection_steps:
-        Hard cap on bisection iterations per re-planning.
     preemptive:
         When ``True`` the plan is built in the preemptive (non-divisible)
         model; the default ``False`` uses the divisible model, matching the
         paper's framework.
     backend:
-        LP backend used for the feasibility probes.
+        LP backend used for the feasibility probes (checked on both the
+        parametric and the from-scratch path).
     period:
         Optional replanning period.  ``None`` (default) replans only when the
         active set changes, as the paper describes; a positive value
@@ -87,8 +94,6 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
 
     def __init__(
         self,
-        relative_precision: float = 1e-3,
-        max_bisection_steps: int = 40,
         preemptive: bool = False,
         backend: str = "scipy",
         period: Optional[float] = None,
@@ -96,8 +101,7 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
     ) -> None:
         if period is not None and period <= 0:
             raise ValueError("period must be positive (or None for event-driven replanning)")
-        self.relative_precision = relative_precision
-        self.max_bisection_steps = max_bisection_steps
+        canonical_backend(backend)  # raises on unknown names
         self.preemptive = preemptive
         self.backend = backend
         self.period = period
@@ -244,7 +248,7 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
             original = instance.jobs[job_index]
             cursor += sub_instance.min_cost(position)
             upper = max(upper, original.weight * (cursor - original.release_date))
-        upper = max(upper, lower * (1.0 + self.relative_precision) + 1e-9)
+        upper = max(upper, lower * (1.0 + _RELATIVE_PRECISION) + 1e-9)
 
         # Verdict-only bisection: no witness schedule is materialised while
         # narrowing the objective (on warm-start-capable backends these
@@ -258,8 +262,8 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         low, high = lower, upper
         while (
             best is not None
-            and high - low > self.relative_precision * max(1.0, high)
-            and steps < self.max_bisection_steps
+            and high - low > _RELATIVE_PRECISION * max(1.0, high)
+            and steps < _MAX_BISECTION_STEPS
         ):
             mid = 0.5 * (low + high)
             probe = self._feasible(sub_instance, active, state, mid, build_schedule=False)

@@ -25,8 +25,11 @@ time, so ``available_policies()`` always includes them.
 from __future__ import annotations
 
 import abc
+import inspect
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.instance import Instance
 from ..core.maxflow import FeasibilityProbe, minimize_max_weighted_flow
@@ -49,6 +52,7 @@ __all__ = [
     "policy_spec",
     "register_online_scheduler",
     "register_policy",
+    "resolve_policies",
     "resolve_policy_variant",
     "unregister_policy",
 ]
@@ -200,17 +204,16 @@ class OfflineOptimalPolicy(SchedulingPolicy):
 class PolicyParam:
     """One typed, sweepable parameter of a registered policy.
 
-    The parameter name must match a keyword argument of the policy's factory
-    (and its ``default`` must equal the factory's default for that argument:
-    :func:`make_policy` drops explicitly-passed defaults so that
-    ``"name:param=default"`` and plain ``"name"`` resolve — and digest — to
-    the same cell).
+    Derived from the policy factory's signature (see :class:`PolicySpec`):
+    the name and ``default`` of a keyword with a default, and its annotated
+    type with ``Optional`` unwrapped.  :func:`make_policy` drops explicitly
+    passed defaults, so ``"name:param=default"`` and plain ``"name"``
+    resolve — and digest — to the same cell.
     """
 
     name: str
     type: type = float
     default: Any = None
-    help: str = ""
 
     def coerce(self, raw: Any) -> Any:
         """Parse/validate a raw value (possibly a CLI string) to the typed value."""
@@ -340,6 +343,30 @@ def resolve_policy_variant(
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
+def _keyword_params(factory: Callable[..., Any]) -> Tuple[PolicyParam, ...]:
+    """The schema of ``factory``: one :class:`PolicyParam` per keyword with a default.
+
+    Parameters without a default (and ``*args``/``**kwargs``) are not
+    sweepable.  A sweepable keyword must be annotated; ``Optional[X]`` (or
+    ``X | None``) is swept as ``X`` with ``None`` as its "unset" default.
+    """
+    params = []
+    for name, parameter in inspect.signature(factory, eval_str=True).parameters.items():
+        if parameter.default is inspect.Parameter.empty:
+            continue
+        annotation = parameter.annotation
+        if annotation is inspect.Parameter.empty:
+            raise TypeError(
+                f"policy keyword {name!r} of {factory!r} needs a type annotation"
+            )
+        if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+            (annotation,) = (
+                arg for arg in typing.get_args(annotation) if arg is not type(None)
+            )
+        params.append(PolicyParam(name, annotation, parameter.default))
+    return tuple(params)
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """One registered policy.
@@ -352,7 +379,7 @@ class PolicySpec:
         ``"online"`` or ``"offline"``.
     factory:
         Callable returning a ready-to-run :class:`SchedulingPolicy`
-        (keyword arguments are forwarded from :func:`make_policy`).
+        (a variant's parameters are forwarded as keyword arguments).
     description:
         One line for ``repro-sched info`` and the docs.
     scheduler_factory:
@@ -360,9 +387,11 @@ class PolicySpec:
         :class:`~repro.heuristics.base.OnlineScheduler` (what
         :func:`make_scheduler` returns); ``None`` for off-line policies.
     params:
-        Typed schema of the policy's sweepable parameters: campaigns resolve
-        ``"name:key=value"`` variant tokens against it and the values flow
-        into the store's cell digests (see :func:`resolve_policy_variant`).
+        Typed schema of the policy's sweepable parameters, derived from the
+        keywords with defaults of ``scheduler_factory`` (or ``factory``):
+        campaigns resolve ``"name:key=value"`` variant tokens against it and
+        the values flow into the store's cell digests (see
+        :func:`resolve_policy_variant`).
     """
 
     name: str
@@ -370,7 +399,11 @@ class PolicySpec:
     factory: Callable[..., SchedulingPolicy]
     description: str = ""
     scheduler_factory: Optional[Callable[..., OnlineScheduler]] = None
-    params: Tuple[PolicyParam, ...] = ()
+    params: Tuple[PolicyParam, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        params = _keyword_params(self.scheduler_factory or self.factory)
+        object.__setattr__(self, "params", params)
 
 
 _POLICIES: Dict[str, PolicySpec] = {}
@@ -392,9 +425,12 @@ def register_online_scheduler(
     *,
     description: str = "",
     replace: bool = False,
-    params: Tuple[PolicyParam, ...] = (),
 ) -> PolicySpec:
-    """Register an on-line scheduler class/factory as a named policy."""
+    """Register an on-line scheduler class/factory as a named policy.
+
+    Its keyword parameters with defaults become the policy's sweepable
+    parameters.
+    """
 
     def factory(**kwargs) -> SchedulingPolicy:
         return OnlinePolicy(scheduler_factory(**kwargs))
@@ -406,7 +442,6 @@ def register_online_scheduler(
             factory=factory,
             description=description,
             scheduler_factory=scheduler_factory,
-            params=params,
         ),
         replace=replace,
     )
@@ -435,7 +470,7 @@ def available_policies(kind: Optional[str] = None) -> List[str]:
 
 
 def make_policy(
-    name: str, *, params: Optional[Mapping[str, Any]] = None, **kwargs
+    name: str, *, params: Optional[Mapping[str, Any]] = None
 ) -> SchedulingPolicy:
     """Resolve a policy name — or a parameterised variant — to a policy object.
 
@@ -443,52 +478,54 @@ def make_policy(
     (``"online-offline:period=2"``); ``params`` supplies the same parameters
     programmatically.  Parameterised variants carry their canonical variant
     label as ``policy.name``, so campaign records and store cells distinguish
-    them.  Extra keyword arguments are forwarded to the factory unchecked
-    (they are construction details, not swept parameters).
+    them.
     """
-    if params or ":" in name:
-        variant = resolve_policy_variant(name, params)
-        policy = policy_spec(variant.base).factory(**dict(variant.params), **kwargs)
-        if variant.is_variant:
-            _rename_policy(policy, variant.label)
-        return policy
-    return policy_spec(name).factory(**kwargs)
+    variant = resolve_policy_variant(name, params)
+    policy = policy_spec(variant.base).factory(**variant.params)
+    if variant.is_variant:
+        policy.name = variant.label
+        scheduler = getattr(policy, "scheduler", None)
+        if scheduler is not None:
+            scheduler.name = variant.label
+    return policy
 
 
-def _rename_policy(policy: SchedulingPolicy, label: str) -> None:
-    """Stamp a variant label on a policy (and its wrapped scheduler, if any)."""
-    policy.name = label
-    scheduler = getattr(policy, "scheduler", None)
-    if scheduler is not None:
-        scheduler.name = label
+def resolve_policies(tokens: Iterable[str]) -> List[PolicyVariant]:
+    """Resolve and build every policy token once; return the variants in order.
+
+    Campaigns, stream sweeps and the CLI call this in the parent before
+    dispatching any cell, so an unknown name or parameter (``KeyError``) or
+    a value the policy's constructor rejects (``ValueError``) fails the run
+    up front instead of in the middle of it.
+    """
+    variants = []
+    for token in tokens:
+        variant = resolve_policy_variant(token)
+        policy_spec(variant.base).factory(**variant.params)
+        variants.append(variant)
+    return variants
 
 
-def make_scheduler(name: str, **kwargs) -> OnlineScheduler:
+def make_scheduler(name: str) -> OnlineScheduler:
     """Instantiate the raw on-line scheduler registered under ``name``.
 
     ``name`` accepts the same ``"name:key=value"`` variant tokens as
     :func:`make_policy`.  Off-line policies have no scheduler object;
     resolving one raises a ``KeyError`` pointing at :func:`make_policy`.
     """
-    token = name
-    variant: Optional[PolicyVariant] = None
-    if ":" in name:
-        variant = resolve_policy_variant(name)
-        name = variant.base
-        kwargs = {**dict(variant.params), **kwargs}
-    try:
-        spec = _POLICIES[name]
-    except KeyError:
+    spec = _POLICIES.get(name.partition(":")[0])
+    if spec is None:
         raise KeyError(
             f"unknown scheduler {name!r}; available: "
             f"{', '.join(available_policies(kind='online'))}"
-        ) from None
+        )
     if spec.scheduler_factory is None:
         raise KeyError(
-            f"policy {token!r} is off-line and has no on-line scheduler; "
+            f"policy {name!r} is off-line and has no on-line scheduler; "
             "resolve it with make_policy() instead"
         )
-    scheduler = spec.scheduler_factory(**kwargs)
-    if variant is not None and variant.is_variant:
+    variant = resolve_policy_variant(name)
+    scheduler = spec.scheduler_factory(**variant.params)
+    if variant.is_variant:
         scheduler.name = variant.label
     return scheduler

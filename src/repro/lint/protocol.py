@@ -1,25 +1,20 @@
 """Policy-protocol conformance: cross-file invariants of the policy runtime.
 
 The simulation event loop calls optional hooks on every registered policy
-(``rebind``/``compact`` when the window grows or compacts) and campaigns
-sweep parameters through each policy's
-:class:`~repro.heuristics.registry.PolicyParam` schema.  All of these contracts span files — a policy lives in
-one module, its registration in another, the caller in a third — so a
-violation used to surface only when a simulation happened to exercise the
-hook, if at all.
+(``rebind``/``compact`` when the window grows or compacts).  That contract
+spans files — a policy lives in one module, its registration in another,
+the caller in a third — so a violation used to surface only when a
+simulation happened to exercise the hook, if at all.
 
-These rules check the contracts *statically*: they introspect the registered
-policy classes' definitions (no simulation runs) and anchor every finding to
-the class's own source line.
+The rule checks the contract *statically*: it introspects the registered
+policy classes' definitions (no simulation runs) and anchors every finding
+to the class's own source line.
 
 * ``policy-explicit-hooks`` — every registered on-line scheduler class must
   *define* ``rebind`` and ``compact`` somewhere in its own MRO (above the
   abstract :class:`~repro.heuristics.base.OnlineScheduler` defaults).  The
   base defaults are safe but implicit; the streaming runtime's byte-identity
   guarantees rest on each policy having made the choice deliberately.
-* ``policy-param-schema`` — every :class:`PolicyParam` name must be a
-  keyword the policy's constructor accepts, else variant resolution builds
-  kwargs the factory rejects at sweep time.
 """
 
 from __future__ import annotations
@@ -31,10 +26,7 @@ from typing import Iterable, Optional, Tuple
 from .findings import Finding
 from .registry import Rule, RuleSpec, register_rule
 
-__all__ = [
-    "PolicyExplicitHooksRule",
-    "PolicyParamSchemaRule",
-]
+__all__ = ["PolicyExplicitHooksRule"]
 
 
 def _registered_specs():
@@ -77,8 +69,8 @@ def _defines(cls: type, method: str, *, above: type) -> bool:
     return False
 
 
-class _RegistryRule(Rule):
-    """Shared plumbing: iterate registered policy classes.
+class PolicyExplicitHooksRule(Rule):
+    """Every registered on-line scheduler defines ``rebind`` and ``compact``.
 
     ``specs`` injects a fixed (name, spec) list for tests; the default reads
     the live registry at check time.
@@ -87,23 +79,13 @@ class _RegistryRule(Rule):
     def __init__(self, specs=None) -> None:
         self._specs = specs
 
-    def _policy_classes(self):
-        specs = self._specs if self._specs is not None else _registered_specs()
+    def check_project(self, project) -> Iterable[Finding]:
         from ..heuristics.base import OnlineScheduler
 
+        specs = self._specs if self._specs is not None else _registered_specs()
         for name, spec in specs:
             cls = _policy_class(spec)
-            if cls is None:
-                continue
-            yield name, spec, cls, OnlineScheduler
-
-
-class PolicyExplicitHooksRule(_RegistryRule):
-    """Every registered on-line scheduler defines ``rebind`` and ``compact``."""
-
-    def check_project(self, project) -> Iterable[Finding]:
-        for name, spec, cls, base in self._policy_classes():
-            if not (isinstance(cls, type) and issubclass(cls, base)):
+            if not (isinstance(cls, type) and issubclass(cls, OnlineScheduler)):
                 continue
             for hook, consequence in (
                 (
@@ -119,7 +101,7 @@ class PolicyExplicitHooksRule(_RegistryRule):
                     "streamed behaviour depend on when compaction happens",
                 ),
             ):
-                if not _defines(cls, hook, above=base):
+                if not _defines(cls, hook, above=OnlineScheduler):
                     path, line = _anchor(cls, project)
                     yield self.finding(
                         path,
@@ -131,48 +113,6 @@ class PolicyExplicitHooksRule(_RegistryRule):
                     )
 
 
-class PolicyParamSchemaRule(_RegistryRule):
-    """Every ``PolicyParam`` name is a constructor keyword of its policy."""
-
-    def check_project(self, project) -> Iterable[Finding]:
-        for name, spec, cls, base in self._policy_classes():
-            if not spec.params:
-                continue
-            try:
-                signature = inspect.signature(cls.__init__)
-            except (TypeError, ValueError):
-                continue
-            parameters = signature.parameters
-            if any(
-                parameter.kind is inspect.Parameter.VAR_KEYWORD
-                for parameter in parameters.values()
-            ):
-                continue
-            accepted = {
-                key
-                for key, parameter in parameters.items()
-                if key != "self"
-                and parameter.kind
-                in (
-                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                    inspect.Parameter.KEYWORD_ONLY,
-                )
-            }
-            for param in spec.params:
-                if param.name not in accepted:
-                    path, line = _anchor(cls, project)
-                    yield self.finding(
-                        path,
-                        line,
-                        f"policy {name!r} declares sweepable parameter "
-                        f"{param.name!r} but {cls.__name__}.__init__ accepts "
-                        f"only ({', '.join(sorted(accepted)) or 'nothing'}): "
-                        "variant resolution would build kwargs the factory "
-                        "rejects at sweep time",
-                        context=f"class {cls.__name__}",
-                    )
-
-
 register_rule(
     RuleSpec(
         name="policy-explicit-hooks",
@@ -180,14 +120,5 @@ register_rule(
         factory=PolicyExplicitHooksRule,
         severity="error",
         description="registered schedulers define rebind() and compact() explicitly",
-    )
-)
-register_rule(
-    RuleSpec(
-        name="policy-param-schema",
-        scope="project",
-        factory=PolicyParamSchemaRule,
-        severity="error",
-        description="PolicyParam schema names match the policy constructor's kwargs",
     )
 )

@@ -40,11 +40,26 @@ class TestSweep:
     def test_variant_tokens_resolve_and_label_cells(self):
         result = run_stream_sweep(
             SPEC,
-            ["deadline-driven:growth_factor=2.0"],
+            ["deadline-driven:lp_targets=true"],
             rhos=[0.4],
             max_arrivals=150,
         )
-        assert result.records[0].policy == "deadline-driven:growth_factor=2.0"
+        assert result.records[0].policy == "deadline-driven:lp_targets=true"
+
+    @pytest.mark.parametrize(
+        "token, error, message",
+        [
+            ("deadline-driven:backend=highs", ValueError, "unknown LP backend"),
+            ("offline-optimal", WorkloadError, "on-line policies only"),
+        ],
+    )
+    def test_rejected_token_fails_before_any_cell_is_stored(
+        self, tmp_path, token, error, message
+    ):
+        path = tmp_path / "rejected.sqlite"
+        with pytest.raises(error, match=message):
+            run_stream_sweep(SPEC, ["srpt", token], rhos=[0.4], store=path)
+        assert not path.exists()
 
     def test_parameter_validation(self):
         with pytest.raises(WorkloadError):

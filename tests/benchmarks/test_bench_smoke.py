@@ -133,17 +133,25 @@ def test_streaming_runtime_smoke():
     assert first.fingerprint() == second.fingerprint()
 
 
-def test_rank_keyed_probe_smoke():
+def test_rank_keyed_probe_smoke(monkeypatch):
     """bench_replanning rank-keyed assertion: hit rate rises, schedules equal."""
-    from repro.heuristics import DeadlineDrivenScheduler
+    from repro.core.replanning import ReplanProbe
+    from repro.heuristics import DeadlineDrivenScheduler, deadline_driven
     from repro.simulation import simulate
     from repro.workload import random_unrelated_instance
 
     instances = [
         random_unrelated_instance(8, 3, forbidden_probability=0.0, seed=s) for s in range(3)
     ]
-    plain_sched = DeadlineDrivenScheduler(lp_targets=True, rank_keyed_probe=False)
-    ranked_sched = DeadlineDrivenScheduler(lp_targets=True, rank_keyed_probe=True)
+    with monkeypatch.context() as patch:
+        # The raw-structure reference: the policy's probe without rank keying.
+        patch.setattr(
+            deadline_driven,
+            "ReplanProbe",
+            lambda **kwargs: ReplanProbe(**{**kwargs, "rank_keyed": False}),
+        )
+        plain_sched = DeadlineDrivenScheduler(lp_targets=True)
+    ranked_sched = DeadlineDrivenScheduler(lp_targets=True)
     plain = [simulate(instance, plain_sched) for instance in instances]
     ranked = [simulate(instance, ranked_sched) for instance in instances]
     for a, b in zip(plain, ranked):

@@ -11,9 +11,9 @@ from repro.workload import random_restricted_instance
 
 
 class TestDeadlineDriven:
-    def test_invalid_growth_factor(self):
-        with pytest.raises(ValueError):
-            DeadlineDrivenScheduler(growth_factor=1.0)
+    def test_unknown_backend_is_rejected_without_lp_targets(self):
+        with pytest.raises(ValueError, match="unknown LP backend 'highs'"):
+            DeadlineDrivenScheduler(backend="highs")
 
     def test_completes_all_jobs_with_valid_schedule(self):
         instance = random_restricted_instance(10, 3, seed=3, num_databanks=3)

@@ -88,6 +88,10 @@ class TestConfigurationAndBookkeeping:
         with pytest.raises(ValueError, match="period must be positive"):
             OnlineOfflineAdaptationScheduler(period=0.0)
 
+    def test_unknown_backend_is_rejected_on_the_from_scratch_path(self):
+        with pytest.raises(ValueError, match="unknown LP backend 'highs'"):
+            OnlineOfflineAdaptationScheduler(backend="highs", parametric=False)
+
     def test_from_scratch_path_counts_one_build_per_check(self, tiny_instance):
         scheduler = OnlineOfflineAdaptationScheduler(parametric=False)
         simulate(tiny_instance, scheduler)

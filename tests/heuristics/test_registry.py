@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
 from repro.core import Instance, Job
@@ -19,6 +21,7 @@ from repro.heuristics import (
     policy_spec,
     register_online_scheduler,
     register_policy,
+    resolve_policies,
     resolve_policy_variant,
     unregister_policy,
 )
@@ -164,13 +167,13 @@ class TestPolicyVariants:
         assert not variant.is_variant
 
     def test_variant_tokens_coerce_and_canonicalise(self):
-        variant = resolve_policy_variant("online-offline:period=2,max_bisection_steps=12")
+        variant = resolve_policy_variant("online-offline:period=2,preemptive=yes")
         assert variant.base == "online-offline"
-        assert variant.params == {"period": 2.0, "max_bisection_steps": 12}
-        assert variant.label == "online-offline:max_bisection_steps=12,period=2.0"
+        assert variant.params == {"period": 2.0, "preemptive": True}
+        assert variant.label == "online-offline:period=2.0,preemptive=true"
 
     def test_explicit_defaults_collapse_to_the_bare_name(self):
-        variant = resolve_policy_variant("online-offline:relative_precision=1e-3")
+        variant = resolve_policy_variant("online-offline:backend=scipy,parametric=1")
         assert variant.params == {}
         assert variant.label == "online-offline"
 
@@ -197,9 +200,9 @@ class TestPolicyVariants:
         outcome.schedule.validate()
 
     def test_make_scheduler_accepts_variant_tokens(self):
-        scheduler = make_scheduler("deadline-driven:growth_factor=2.0,lp_targets=true")
-        assert scheduler.name == "deadline-driven:growth_factor=2.0,lp_targets=true"
-        assert scheduler.growth_factor == 2.0
+        scheduler = make_scheduler("deadline-driven:backend=revised,lp_targets=true")
+        assert scheduler.name == "deadline-driven:backend=revised,lp_targets=true"
+        assert scheduler.backend == "revised"
         assert scheduler.lp_targets is True
 
     def test_offline_variant_resolves_through_make_policy(self, tiny):
@@ -236,7 +239,7 @@ class TestPolicyVariants:
             label.coerce(3)
 
     def test_float_params_widen_integers(self):
-        precision = PolicyParam("relative_precision", float, 1e-3)
+        precision = PolicyParam("precision", float, 1e-3)
         value = precision.coerce(1)
         assert value == 1.0 and isinstance(value, float)
         with pytest.raises(ValueError, match="expects float"):
@@ -251,9 +254,107 @@ class TestPolicyVariants:
     def test_none_is_only_legal_when_the_default_is_none(self):
         optional = PolicyParam("period", float, None)
         assert optional.coerce(None) is None
-        required = PolicyParam("relative_precision", float, 1e-3)
+        required = PolicyParam("precision", float, 1e-3)
         with pytest.raises(ValueError, match="got None"):
             required.coerce(None)
         with pytest.raises(ValueError, match="got None"):
-            resolve_policy_variant("online-offline", {"relative_precision": None})
+            resolve_policy_variant("online-offline", {"preemptive": None})
 
+
+
+
+class _KnobbedScheduler(_EagerScheduler):
+    """Test double whose constructor keywords are its sweepable parameters."""
+
+    name = "knobbed-test"
+
+    def __init__(
+        self,
+        size,
+        *,
+        horizon: Optional[float] = None,
+        greedy: bool = False,
+        rounds: int = 3,
+        mode: str = "fast",
+    ) -> None:
+        self.size = size
+        self.horizon = horizon
+        self.greedy = greedy
+        self.rounds = rounds
+        self.mode = mode
+
+
+class TestDerivedSchema:
+    @pytest.fixture
+    def knobbed(self):
+        spec = register_online_scheduler("knobbed-test", _KnobbedScheduler)
+        yield spec
+        unregister_policy("knobbed-test")
+
+    def test_keywords_with_defaults_become_typed_params(self, knobbed):
+        assert [(p.name, p.type, p.default) for p in knobbed.params] == [
+            ("horizon", float, None),
+            ("greedy", bool, False),
+            ("rounds", int, 3),
+            ("mode", str, "fast"),
+        ]
+
+    def test_parameters_without_a_default_are_not_sweepable(self, knobbed):
+        assert "size" not in {param.name for param in knobbed.params}
+        with pytest.raises(KeyError, match="sweepable: greedy, horizon, mode, rounds"):
+            resolve_policy_variant("knobbed-test:size=4")
+
+    def test_derived_params_coerce_every_type(self, knobbed):
+        variant = resolve_policy_variant(
+            "knobbed-test:horizon=2,greedy=on,rounds=5,mode=slow"
+        )
+        assert variant.params == {
+            "horizon": 2.0, "greedy": True, "rounds": 5, "mode": "slow"
+        }
+        with pytest.raises(ValueError, match="expects int"):
+            resolve_policy_variant("knobbed-test:rounds=2.5")
+
+    def test_unannotated_keywords_are_rejected_at_registration(self):
+        class _Unannotated(_EagerScheduler):
+            def __init__(self, horizon=1.0) -> None:
+                self.horizon = horizon
+
+        with pytest.raises(TypeError, match="annotation"):
+            register_online_scheduler("unannotated-test", _Unannotated)
+        assert "unannotated-test" not in available_policies()
+
+    def test_builtin_knob_surface_is_pinned(self):
+        # A new constructor keyword is a new sweepable option (and a new
+        # store cell axis): this pin makes adding one a deliberate change.
+        surface = {
+            name: sorted(param.name for param in policy_spec(name).params)
+            for name in available_policies()
+            if policy_spec(name).params
+        }
+        assert surface == {
+            "deadline-driven": ["backend", "lp_targets"],
+            "offline-optimal": ["preemptive"],
+            "online-offline": ["backend", "parametric", "period", "preemptive"],
+        }
+
+
+class TestResolvePolicies:
+    def test_returns_the_canonical_variants_in_order(self):
+        variants = resolve_policies(["mct", "online-offline:period=2"])
+        assert [variant.label for variant in variants] == [
+            "mct",
+            "online-offline:period=2.0",
+        ]
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "online-offline:period=-1",
+            "online-offline:backend=highs",
+            "online-offline:backend=highs,parametric=false",
+            "deadline-driven:backend=highs",
+        ],
+    )
+    def test_constructor_rejections_surface_before_any_run(self, token):
+        with pytest.raises(ValueError):
+            resolve_policies(["mct", token])

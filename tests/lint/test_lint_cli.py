@@ -34,8 +34,9 @@ def test_lint_json_format_is_parseable(capsys):
 def test_lint_list_prints_the_rule_registry(capsys):
     assert main(["lint", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in ("wall-clock", "epoch-guard", "policy-param-schema"):
+    for name in ("wall-clock", "epoch-guard", "policy-explicit-hooks"):
         assert name in out
+    assert "policy-param-schema" not in out
 
 
 def test_lint_rule_subset_and_unknown_rule(capsys):

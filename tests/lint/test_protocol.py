@@ -1,6 +1,6 @@
 """Policy-protocol conformance tests against deliberately broken specs.
 
-The rules accept an injected ``specs`` list, so most cases run against
+The rule accepts an injected ``specs`` list, so most cases run against
 in-test :class:`PolicySpec` doubles; one test registers a hook-less
 scheduler in the live registry and asserts the full analyzer flags it.
 """
@@ -13,13 +13,12 @@ import pytest
 
 from repro.heuristics import (
     OnlineScheduler,
-    PolicyParam,
     PolicySpec,
     register_online_scheduler,
     unregister_policy,
 )
 from repro.lint import Baseline, ProjectContext, run_lint
-from repro.lint.protocol import PolicyExplicitHooksRule, PolicyParamSchemaRule
+from repro.lint.protocol import PolicyExplicitHooksRule
 from repro.lint.registry import rule_spec
 from repro.simulation import AllocationDecision
 
@@ -45,18 +44,12 @@ class _ExplicitHooks(_ImplicitHooks):
         pass
 
 
-class _Parametrised(_ExplicitHooks):
-    def __init__(self, period: float = 1.0) -> None:
-        self.period = period
-
-
-def _spec(cls, *, params=()):
+def _spec(cls):
     return PolicySpec(
         name=cls.name,
         kind="online",
         factory=lambda **kwargs: None,
         scheduler_factory=cls,
-        params=tuple(params),
     )
 
 
@@ -89,31 +82,6 @@ class TestExplicitHooksRule:
             [("explicit", _spec(_ExplicitHooks))],
         )
         assert findings == []
-
-
-class TestParamSchemaRule:
-    def test_flags_param_not_accepted_by_constructor(self):
-        spec = _spec(_Parametrised, params=[PolicyParam("horizon", float, 2.0)])
-        findings = _run_rule(PolicyParamSchemaRule, "policy-param-schema", [("p", spec)])
-        assert len(findings) == 1
-        assert "'horizon'" in findings[0].message
-        assert "period" in findings[0].message
-
-    def test_matching_schema_conforms(self):
-        spec = _spec(_Parametrised, params=[PolicyParam("period", float, 1.0)])
-        assert (
-            _run_rule(PolicyParamSchemaRule, "policy-param-schema", [("p", spec)]) == []
-        )
-
-    def test_var_keyword_constructors_are_not_second_guessed(self):
-        class _Kwargs(_ExplicitHooks):
-            def __init__(self, **kwargs) -> None:
-                pass
-
-        spec = _spec(_Kwargs, params=[PolicyParam("anything", float, 0.0)])
-        assert (
-            _run_rule(PolicyParamSchemaRule, "policy-param-schema", [("k", spec)]) == []
-        )
 
 
 def test_live_registry_registration_is_flagged_by_full_run():

@@ -441,7 +441,6 @@ class TestEngineAndBaselineHygiene:
             "epoch-guard",
             "obs-recorder-default",
             "policy-explicit-hooks",
-            "policy-param-schema",
         ):
             assert expected in names
 

@@ -24,8 +24,6 @@ from repro.workload import available_scenarios, make_scenario
 VARIANTS = (
     "online-offline",
     "online-offline:period=2.0",
-    "online-offline:relative_precision=1e-2",
-    "online-offline:max_bisection_steps=12",
 )
 
 #: Two structurally different small-timescale scenarios keep the grid ×

@@ -266,7 +266,7 @@ class TestBatchedResumePlanning:
 class TestParameterisedVariantResume:
     """PR 4 acceptance: variant cells digest distinctly and resume fully."""
 
-    VARIANTS = ("deadline-driven", "deadline-driven:growth_factor=2.0")
+    VARIANTS = ("deadline-driven", "deadline-driven:lp_targets=true")
 
     def test_variant_sweep_stores_distinct_cells_and_resumes_fully(self, tmp_path):
         path = tmp_path / "variants.sqlite"
@@ -279,7 +279,7 @@ class TestParameterisedVariantResume:
         assert {record.policy for record in cold} == {
             "offline-optimal",
             "deadline-driven",
-            "deadline-driven:growth_factor=2.0",
+            "deadline-driven:lp_targets=true",
         }
         with ExperimentStore(path) as store:
             digests = [record.digest for record in store.run_records("cold")]
@@ -308,7 +308,7 @@ class TestParameterisedVariantResume:
         resumed = list(
             stream_campaign(
                 _specs(1),
-                ("deadline-driven:growth_factor=1.5",),  # == the default
+                ("deadline-driven:lp_targets=false",),  # == the default
                 store=path,
                 resume=True,
                 stats=stats,
@@ -320,6 +320,12 @@ class TestParameterisedVariantResume:
             "offline-optimal",
             "deadline-driven",
         }
+
+    def test_rejected_value_fails_before_any_cell_is_stored(self, tmp_path):
+        path = tmp_path / "rejected.sqlite"
+        with pytest.raises(ValueError, match="period must be positive"):
+            list(stream_campaign(_specs(1), ("mct", "online-offline:period=-1"), store=path))
+        assert not path.exists()
 
 
 class TestResumeRelabelling:

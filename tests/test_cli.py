@@ -281,12 +281,12 @@ class TestPolicyVariantsCLI:
         path = tmp_path / "variants.sqlite"
         argv = ["campaign", "--scenarios", "unrelated-stress", "--seeds", "1",
                 "--policies",
-                "mct,deadline-driven:growth_factor=2,online-offline:period=2,relative_precision=1e-2",
+                "mct,deadline-driven:lp_targets=1,online-offline:period=2,backend=revised",
                 "--store", str(path)]
         assert main(argv) == 0
         output = capsys.readouterr().out
-        assert "deadline-driven:growth_factor=2.0" in output
-        assert "online-offline:period=2.0,relative_precision=0.01" in output
+        assert "deadline-driven:lp_targets=true" in output
+        assert "online-offline:backend=revised,period=2.0" in output
         # The same sweep resumes fully: variant digests are stable.
         assert main(argv + ["--resume"]) == 0
         assert "skip rate 100%" in capsys.readouterr().out
@@ -301,10 +301,34 @@ class TestPolicyVariantsCLI:
                      "--policies", "online-offline:period=fast"]) == 1
         assert "expects float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("online-offline:backend=highs", "unknown LP backend 'highs'"),
+            ("online-offline:period=-1", "period must be positive"),
+        ],
+    )
+    def test_campaign_rejected_value_fails_before_any_cell(
+        self, tmp_path, capsys, token, message
+    ):
+        path = tmp_path / "s.sqlite"
+        assert main(["campaign", "--scenarios", "small-cluster",
+                     "--policies", f"mct,{token}", "--base-seed", "1",
+                     "--num-seeds", "1", "--max-workers", "0",
+                     "--store", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert not path.exists()  # no store opened, no cell stored
+
+    def test_simulate_rejected_value_is_a_clean_error(self, capsys):
+        assert main(["simulate", "unrelated-stress", "--seed", "1",
+                     "--policy", "deadline-driven:backend=highs"]) == 1
+        assert "error: unknown LP backend 'highs'" in capsys.readouterr().err
+
     def test_simulate_accepts_a_variant_token(self, capsys):
         assert main(["simulate", "unrelated-stress", "--seed", "1",
-                     "--policy", "deadline-driven:growth_factor=2"]) == 0
-        assert "deadline-driven:growth_factor=2.0" in capsys.readouterr().out
+                     "--policy", "deadline-driven:lp_targets=1"]) == 0
+        assert "deadline-driven:lp_targets=true" in capsys.readouterr().out
 
     def test_info_lists_sweepable_parameters(self, capsys):
         assert main(["info"]) == 0
@@ -312,6 +336,13 @@ class TestPolicyVariantsCLI:
         assert "sweepable parameters" in output
         assert "online-offline: " in output
         assert "period=None (float)" in output
+        knobs = [line for line in output.splitlines() if line.startswith("  ")]
+        assert knobs == [
+            "  deadline-driven: lp_targets=False (bool), backend='scipy' (str)",
+            "  offline-optimal: preemptive=False (bool)",
+            "  online-offline: preemptive=False (bool), backend='scipy' (str), "
+            "period=None (float), parametric=True (bool)",
+        ]
 
 
 class TestDivisibility:
