@@ -359,13 +359,7 @@ _CONTEXT_LOCK = threading.Lock()
 
 def _item_needs_probe(item: _CampaignItem) -> bool:
     """Whether any of the item's policies is off-line (wants a shared probe)."""
-    for name in item.policies:
-        try:
-            if policy_spec(name.partition(":")[0]).kind == "offline":
-                return True
-        except KeyError:
-            return True  # unknown name: build the probe, let make_policy raise
-    return False
+    return any(policy_spec(name.partition(":")[0]).kind == "offline" for name in item.policies)
 
 
 def _workload_context(

@@ -7,7 +7,8 @@ scheduling modules of :mod:`repro.core` build them straight in matrix form
 (:mod:`repro.lp.backends` maps the accepted names onto them and
 :func:`repro.lp.backends.solve_form` dispatches a form to one):
 
-* :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production default,
+* :mod:`repro.lp.scipy_backend` — HiGHS through the bindings scipy bundles
+  (production default,
   and the only solver of the off-line searches' objective LPs);
 * :mod:`repro.lp.revised_simplex` — the in-house sparse revised simplex for
   zero-objective (feasibility) programs only, with warm re-solves for the

@@ -1,9 +1,10 @@
 """LP backend registry: accepted names, dispatch and warm-start support.
 
-Two backends solve production LPs: scipy's HiGHS wrapper and the in-house
-sparse revised simplex.  The revised simplex decides zero-objective
-(feasibility) programs only and raises ``ValueError`` on a nonzero cost, so a
-backend is chosen by name only for those: :class:`repro.core.replanning.ReplanProbe`,
+Two backends solve production LPs: HiGHS, called through the bindings scipy
+bundles, and the in-house sparse revised simplex.  The revised simplex
+decides zero-objective (feasibility) programs only and raises ``ValueError``
+on a nonzero cost, so a backend is chosen by name only for those:
+:class:`repro.core.replanning.ReplanProbe`,
 :func:`repro.core.deadline.check_deadline_feasibility` and the ``backend=``
 parameter of the ``online-offline`` and ``deadline-driven`` policies.  The
 programs that minimise an objective (the milestone search of
@@ -94,7 +95,8 @@ def backend_inventory() -> List[BackendInfo]:
             name="scipy",
             label="scipy-highs",
             warm_start=False,
-            description="HiGHS via scipy.optimize.linprog (production default)",
+            description="HiGHS via the bindings scipy bundles, as linprog calls it "
+            "(production default)",
         ),
         BackendInfo(
             name="revised",

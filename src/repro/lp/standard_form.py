@@ -57,8 +57,8 @@ class MatrixForm:
         Equality block, possibly empty, same flavour as ``a_ub``.
     bounds:
         ``(num_variables, 2)`` float array of ``(lower, upper)`` pairs, with
-        ``±inf`` for infinite bounds (consumed as-is by
-        :func:`scipy.optimize.linprog`).
+        ``±inf`` for infinite bounds (consumed as-is by HiGHS, whose
+        infinity is IEEE infinity).
     """
 
     c: np.ndarray

@@ -306,13 +306,19 @@ class TestSharedProbeCompatibility:
         assert _compatible_probe(probe, make_policy("offline-optimal")) is probe
         assert _compatible_probe(probe, make_policy("offline-optimal:preemptive=true")) is None
 
-    def test_an_unknown_policy_name_still_builds_the_probe(self):
-        from repro.analysis.campaign import WorkloadSpec, _CampaignItem, _item_needs_probe
+    def test_an_unknown_policy_name_is_rejected_before_any_cell_runs(self):
+        from repro.analysis import CampaignStats, WorkloadSpec, stream_campaign
 
-        spec = WorkloadSpec.from_instance("w", random_restricted_instance(3, 2, seed=1))
-        item = _CampaignItem(0, 0, spec, ("no-such-policy",), emit_offline=False)
-        assert _item_needs_probe(item)
-        assert not _item_needs_probe(_CampaignItem(0, 0, spec, ("mct",), emit_offline=False))
+        drawn = []
+
+        def specs():
+            drawn.append("w")
+            yield WorkloadSpec.from_instance("w", random_restricted_instance(3, 2, seed=1))
+
+        stats = CampaignStats()
+        with pytest.raises(KeyError, match="no-such-policy"):
+            next(stream_campaign(specs(), ("mct", "no-such-policy"), stats=stats))
+        assert drawn == [] and stats.items == 0
 
 
 class TestFlightRecorder:

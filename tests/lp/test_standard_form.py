@@ -86,7 +86,7 @@ class TestMatrixForm:
 
     def test_zero_variable_forms_solve_cleanly(self):
         # The form-level entry points must handle variable-free programs
-        # (linprog rejects an empty cost vector).
+        # (HiGHS is never handed a model without columns).
         from repro.lp.revised_simplex import solve_matrix_form as simplex_solve
 
         form = replace(matrix_form(), objective_constant=4.0)

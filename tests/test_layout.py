@@ -1,6 +1,6 @@
 """The package holds what the reproduction runs; test references live in ``tests/``.
 
-Four layout rules, checked on the source text:
+Five layout rules, checked on the source text:
 
 * no module under ``src/repro`` imports ``tests.reference`` (or anything
   else under ``tests``): the frozen references serve the tests and benches,
@@ -23,7 +23,12 @@ Four layout rules, checked on the source text:
 * no module under ``src/repro`` or ``examples/`` imports a name it never
   uses.  A use is any name in the module's code, including annotations
   (quoted ones too), or an entry of its ``__all__``.  An import kept for its
-  side effect says so with a ``# noqa: F401`` comment on its line.
+  side effect says so with a ``# noqa: F401`` comment on its line;
+* HiGHS has one entry point: no module under ``src/repro`` but
+  ``lp/scipy_backend.py`` imports ``scipy.optimize.linprog``,
+  ``scipy.optimize.milp`` or ``scipy.optimize._highspy`` (or anything under
+  it), nor reaches them as attributes (``scipy.optimize.linprog(...)``), so
+  every LP solved with HiGHS gets that module's options and checks.
 """
 
 from __future__ import annotations
@@ -207,6 +212,37 @@ def _unused_imports(path: Path, root: Path = ROOT) -> List[str]:
     ]
 
 
+#: The one package module allowed to import HiGHS, and what counts as doing so.
+HIGHS_ENTRY_POINT = "src/repro/lp/scipy_backend.py"
+HIGHS_IMPORTS = ("scipy.optimize.linprog", "scipy.optimize.milp", "scipy.optimize._highspy")
+
+
+def _highs_imports(root: Path = ROOT) -> List[str]:
+    """Package modules other than the entry point that import HiGHS."""
+    offenders = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        relpath = path.relative_to(root).as_posix()
+        if relpath == HIGHS_ENTRY_POINT:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                # ``scipy.optimize.linprog(...)`` after ``import scipy.optimize``:
+                # any attribute spelt like a banned name counts.
+                names = [f"scipy.optimize.{node.attr}"]
+            else:
+                continue
+            offenders += [
+                f"{relpath}:{node.lineno}: {name}"
+                for name in names
+                if any(name == banned or name.startswith(banned + ".") for banned in HIGHS_IMPORTS)
+            ]
+    return offenders
+
+
 def _orphaned_references(root: Path = ROOT) -> List[str]:
     """Modules under ``tests/reference`` that no test or bench imports."""
     reference = root / "tests" / "reference"
@@ -244,6 +280,10 @@ def test_no_package_module_imports_the_test_tree():
                 if name == "tests" or name.startswith("tests."):
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_only_the_scipy_backend_imports_highs():
+    assert _highs_imports() == []
 
 
 def test_every_reference_module_has_an_importer():
@@ -399,3 +439,25 @@ def test_checker_reaches_members_through_their_class(tmp_path):
 def test_checker_finds_imports_a_module_never_uses(tmp_path, source, unused):
     path = _tree(tmp_path, {"src/repro/mod.py": source}) / "src" / "repro" / "mod.py"
     assert _unused_imports(path, tmp_path) == [f"src/repro/mod.py:1: {name}" for name in unused]
+
+
+def test_checker_finds_highs_imports_outside_the_entry_point(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/lp/scipy_backend.py": "from scipy.optimize._highspy import _core\n",
+            "src/repro/a.py": "from scipy.optimize import linprog\n",
+            "src/repro/b.py": "from scipy.optimize import OptimizeResult, milp as solve\n",
+            "src/repro/c.py": "import scipy.optimize._highspy._core as highs\n",
+            "src/repro/d.py": "from scipy.optimize._highspy._core import HighsLp\n",
+            "src/repro/e.py": "import scipy.optimize\nfrom scipy.sparse import linalg\n",
+            "src/repro/f.py": "import scipy.optimize\n\nscipy.optimize.linprog([1.0])\n",
+        },
+    )
+    assert _highs_imports(root) == [
+        "src/repro/a.py:1: scipy.optimize.linprog",
+        "src/repro/b.py:1: scipy.optimize.milp",
+        "src/repro/c.py:1: scipy.optimize._highspy._core",
+        "src/repro/d.py:1: scipy.optimize._highspy._core.HighsLp",
+        "src/repro/f.py:3: scipy.optimize.linprog",
+    ]
