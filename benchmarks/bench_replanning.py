@@ -1,26 +1,27 @@
-"""Acceptance bench for the parametric replanning runtime (PR 4 tentpole).
+"""Acceptance bench for the parametric replanning runtime and the milestone search.
 
-Protects the three headline properties of the probe-backed on-line policies:
+Protects the headline properties of the probe-backed on-line policies:
 
 1. **Byte-identical schedules** — the ``online-offline`` policy backed by the
    shared :class:`~repro.core.replanning.ReplanProbe` (``parametric=True``,
    the default) executes exactly the same schedule, event trace and
-   completion times as the pre-refactor from-scratch rebuild
-   (``parametric=False``).
-2. **Model-build economy** — the from-scratch path builds one feasibility LP
-   per check, O(events × bisection steps) per simulation; the probe path
-   builds one per *distinct active-set structure*.  Per simulation that is a
-   ≥ 3× reduction, and as events accumulate across runs (the campaign case:
-   one scheduler, many seeds) the cumulative checks-per-build ratio *grows*
-   — builds are sublinear in events while from-scratch builds stay linear,
-   i.e. the build count drops superlinearly with the event count.
-3. **No slower** — the probe-backed simulation must not lose wall-clock time
-   to its bookkeeping (it should win: the symbolic build and lowering it
-   skips dominate small LP solves).
-4. **The LP fast path** (PR 9) — the ``backend="revised"`` configuration
-   (kept-alive programs, warm-started dual re-solves) must be ≥ 2× the
-   from-scratch reference end to end, at an objective-tolerance identity
-   (byte-identity is the scipy path's contract; see CODE_EPOCH 2005.6).
+   completion times as the from-scratch rebuild (``parametric=False``).
+2. **Logarithmic probes** — each replanning event binary-searches the ``k``
+   milestones of its remaining work, so it makes at most
+   ``ceil(log2(k + 1))`` verdict probes, the same number on both paths.
+3. **Model-build economy** — the probe builds one model per *distinct
+   active-set structure*.  As events accumulate across runs (the campaign
+   case: one scheduler, many seeds) the cumulative checks-per-build ratio
+   *grows*: builds are sublinear in events while from-scratch builds stay
+   linear.
+4. **No slower** — the probe-backed simulation must not lose wall-clock time
+   to its bookkeeping.
+5. **Few LPs** — the milestone search (verdict probes plus one range LP per
+   event) solves at most a fifth of the LPs the ε-bisection it replaced
+   solved on the same simulation, and plans no worse.
+6. **The LP-targeted deadline policy** — ``deadline-driven:lp_targets=true``
+   still bisects through the probe: rank keying lifts its cache hit rate,
+   and its bisection steps share the event's refreshed matrices.
 
 Marked ``bench`` (hence tier-2): run with ``-m bench``/``-m tier2`` or by
 dropping the tier-1 filter.
@@ -28,6 +29,7 @@ dropping the tier-1 filter.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 
@@ -54,11 +56,35 @@ def _run(num_jobs: int, parametric: bool):
     return result, scheduler, elapsed
 
 
+class _EventLog(OnlineOfflineAdaptationScheduler):
+    """Records ``[milestones, verdict probes]`` for every replanning event."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.events = []
+
+    def _boundaries(self, *args):
+        boundaries = super()._boundaries(*args)
+        self.events.append([len(boundaries) - 2, 0])
+        return boundaries
+
+    def _feasible(self, *args):
+        self.events[-1][1] += 1
+        return super()._feasible(*args)
+
+
 @pytest.mark.bench
-def test_parametric_replanning_is_byte_identical_with_fewer_builds():
+def test_parametric_replanning_is_byte_identical_with_logarithmic_probes():
     for num_jobs in (8, 16, 24):
-        scratch_result, scratch, scratch_seconds = _run(num_jobs, parametric=False)
-        probe_result, probed, probe_seconds = _run(num_jobs, parametric=True)
+        instance = _staggered_instance(num_jobs)
+        scratch = _EventLog(parametric=False)
+        probed = _EventLog(parametric=True)
+        start = time.perf_counter()
+        scratch_result = simulate(instance, scratch)
+        scratch_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        probe_result = simulate(instance, probed)
+        probe_seconds = time.perf_counter() - start
 
         # 1. Byte-identical output.
         assert probe_result.schedule.pieces == scratch_result.schedule.pieces
@@ -66,21 +92,22 @@ def test_parametric_replanning_is_byte_identical_with_fewer_builds():
         assert probe_result.completion_times == scratch_result.completion_times
         assert probe_result.num_preemptions == scratch_result.num_preemptions
 
-        # 2. Build economy: one build per feasibility check from scratch, one
-        # per distinct structure through the probe — at least 3x fewer.
-        checks = probed.replanning_feasibility_checks
-        builds = probed.replanning_model_builds
+        # 2. Per event, a binary search over its k milestones: at most
+        # ceil(log2(k + 1)) probes, the same on both paths.
+        assert probed.events == scratch.events
+        for milestones, probes in probed.events:
+            assert probes <= math.ceil(math.log2(milestones + 1)), (num_jobs, milestones, probes)
         assert scratch.replanning_model_builds == scratch.replanning_feasibility_checks
-        assert checks == scratch.replanning_feasibility_checks
-        assert probed.replanning_count == scratch.replanning_count
-        assert builds * 3 <= checks, (num_jobs, builds, checks)
+        assert probed.replanning_feasibility_checks == scratch.replanning_feasibility_checks
+        assert probed.replanning_count == scratch.replanning_count == len(probed.events)
 
         print(
             f"[replanning] n={num_jobs}: events={probed.replanning_count} "
-            f"checks={checks} builds={builds} "
+            f"milestones={sum(event[0] for event in probed.events)} "
+            f"checks={probed.replanning_feasibility_checks} "
+            f"builds={probed.replanning_model_builds} "
             f"(from-scratch {scratch.replanning_model_builds}) "
-            f"time {scratch_seconds:.2f}s -> {probe_seconds:.2f}s "
-            f"({scratch_seconds / max(probe_seconds, 1e-9):.1f}x)"
+            f"time {scratch_seconds:.2f}s -> {probe_seconds:.2f}s"
         )
 
 
@@ -146,61 +173,48 @@ def test_parametric_replanning_is_no_slower(bench_scale):
     assert ratio <= 1.10, f"paired-median ratios: {sorted(block_ratios)}"
 
 
-@pytest.mark.bench
-def test_warm_revised_probes_reach_2x_replanning_speedup(bench_scale):
-    """ISSUE 9 acceptance: the LP fast path is >= 2x the from-scratch reference.
+#: LP solves of the revised fast path at n = 16, seed 7 under the ε-bisection
+#: the milestone search replaced (relative precision 1e-3, CODE_EPOCH 2005.6).
+_BISECTION_LP_SOLVES = 402
 
-    The fast configuration — parametric probe, in-house revised simplex with
-    kept-alive programs and warm-started dual re-solves — against the
-    pre-refactor reference (from-scratch scipy rebuild per feasibility
-    check).  The revised backend picks different optimal vertices on these
-    massively degenerate feasibility programs (the CODE_EPOCH 2005.6 bump),
-    so schedules are *not* byte-identical; the recorded identity check is on
-    the objective: with ``relative_precision=1e-3`` bisections compounding
-    over ~50 replanning events, the fast path's final max stretch must not be
-    worse than the reference's by more than 2% (it is frequently better —
-    degenerate vertex choices cascade into different, equally valid
-    trajectories).
+
+@pytest.mark.bench
+def test_milestone_search_solves_a_fifth_of_the_bisection_lps(monkeypatch):
+    """The revised fast path solves <= 1/5 of the bisection's LPs, and plans no worse.
+
+    The count is every LP of the simulation: the verdict probes the
+    ``ReplanProbe`` solves plus the HiGHS range LPs (with their presolve-off
+    retries) that ``repro.core.maxflow`` solves to plan each event.
     """
     from repro.analysis import fairness_report
+    from repro.core import maxflow
 
-    num_jobs = 16 if bench_scale == "small" else 32
+    range_solves = []
+    solve = maxflow._scipy_solve_form
 
-    def run_config(parametric: bool, backend: str):
-        scheduler = OnlineOfflineAdaptationScheduler(parametric=parametric, backend=backend)
-        instance = _staggered_instance(num_jobs)
-        start = time.perf_counter()
-        result = simulate(instance, scheduler)
-        return result, time.perf_counter() - start
+    def counted(*args, **kwargs):
+        range_solves.append(args[0])
+        return solve(*args, **kwargs)
 
-    run_config(False, "scipy")  # warm both paths (imports, scipy setup)
-    run_config(True, "revised")
-    scratch_best = float("inf")
-    fast_best = float("inf")
-    scratch_result = fast_result = None
-    for _ in range(3):
-        result, elapsed = run_config(False, "scipy")
-        if elapsed < scratch_best:
-            scratch_best, scratch_result = elapsed, result
-        result, elapsed = run_config(True, "revised")
-        if elapsed < fast_best:
-            fast_best, fast_result = elapsed, result
+    monkeypatch.setattr(maxflow, "_scipy_solve_form", counted)
+    instance = _staggered_instance(16)
+    fast = OnlineOfflineAdaptationScheduler(backend="revised")
+    fast_result = simulate(instance, fast)
+    probe_solves = fast.replan_probe.lp_solves
+    range_lps = len(range_solves)
+    solves = probe_solves + range_lps
+    reference_result = simulate(instance, OnlineOfflineAdaptationScheduler(parametric=False))
 
-    speedup = scratch_best / max(fast_best, 1e-9)
-    reference_stretch = fairness_report(scratch_result.schedule).max_stretch
+    reference_stretch = fairness_report(reference_result.schedule).max_stretch
     fast_stretch = fairness_report(fast_result.schedule).max_stretch
     print(
-        f"[replanning] n={num_jobs}: from-scratch scipy {scratch_best:.3f}s, "
-        f"warm revised {fast_best:.3f}s ({speedup:.2f}x); max stretch "
-        f"{reference_stretch:.6f} -> {fast_stretch:.6f} "
-        f"({(fast_stretch - reference_stretch) / reference_stretch:+.3%})"
+        f"[replanning] n=16: {fast.replanning_count} events, {probe_solves} verdict "
+        f"probes + {range_lps} range LPs = {solves} LP solves "
+        f"(bisection: {_BISECTION_LP_SOLVES}); max stretch {reference_stretch:.6f} "
+        f"(from-scratch scipy) vs {fast_stretch:.6f} (revised)"
     )
-    assert speedup >= 2.0, (
-        f"warm revised fast path expected >= 2x the from-scratch reference, "
-        f"got {speedup:.2f}x"
-    )
-    # Objective-tolerance identity (the epoch-bumped replacement for byte
-    # identity): never meaningfully worse than the reference.
+    assert solves * 5 <= _BISECTION_LP_SOLVES, solves
+    # Never meaningfully worse than the from-scratch reference.
     assert fast_stretch <= reference_stretch * 1.02, (
         f"fast-path max stretch {fast_stretch} vs reference {reference_stretch}"
     )
@@ -266,20 +280,20 @@ def test_rank_keyed_probe_lifts_lp_targets_hit_rate(monkeypatch):
 def test_event_scoped_refresh_skips_coefficient_rewrites():
     """PR 5 satellite: within one replanning event coefficients are constant.
 
-    Every bisection step of ``online-offline`` used to rewrite the template's
-    coefficient arrays; the event-scoped cache reuses them, so constraint
-    rewrites are one per (event, structure) instead of one per check — while
-    the answers stay byte-identical (asserted against the from-scratch path
-    by the identity bench above).
+    Every bisection step of ``deadline-driven:lp_targets=true`` would rewrite
+    the template's coefficient arrays; the event-scoped cache reuses them, so
+    a step that meets a (structure, permutation) pair its event already
+    refreshed rewrites nothing — while the answers stay byte-identical
+    (asserted against the raw-structure path by the rank-keying bench above).
     """
-    scheduler = OnlineOfflineAdaptationScheduler()
+    from repro.heuristics import make_scheduler
+
+    scheduler = make_scheduler("deadline-driven:lp_targets=true")
     for seed in range(4):
         simulate(_staggered_instance(12, seed=seed), scheduler)
     probe = scheduler.replan_probe
     assert probe.event_refresh_reuses > 0
     assert probe.coefficient_refreshes + probe.event_refresh_reuses == probe.lp_solves
-    # The economy: most checks in a bisection share the event's matrices.
-    assert probe.event_refresh_reuses >= probe.coefficient_refreshes
     print(
         f"[replanning] event-scoped refresh: {probe.lp_solves} solves -> "
         f"{probe.coefficient_refreshes} coefficient rewrites "

@@ -68,7 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,8 @@ from .tolerances import ABS_TOL
 __all__ = [
     "FeasibilityProbe",
     "MaxWeightedFlowResult",
+    "build_range_model",
+    "minimize_over_range",
     "minimize_max_weighted_flow",
     "minimize_max_stretch",
     "minimize_max_weighted_flow_bisection",
@@ -272,31 +274,8 @@ class FeasibilityProbe:
             range_model = self._build_range(k)
         else:
             self._ranges.move_to_end(k)
-        bounds = range_model.alloc.form.bounds.copy()
-        bounds[range_model.alloc.objective_column] = (
-            low,
-            high if high is not None else np.inf,
-        )
-        form = range_model.alloc.form.with_bounds(bounds)
-        solution = _scipy_solve_form(form)
-        self.lp_solves += 1
-        if solution.is_infeasible:
-            # The upper boundary passed a feasibility probe, so the range is
-            # feasible: HiGHS presolve misreports it when two epochal times
-            # lie closer than its feasibility tolerance (release dates 2**-24
-            # apart, say).  Solve once more without presolve.
-            solution = _scipy_solve_form(form, presolve=False)
-            self.lp_solves += 1
-        if not solution.is_optimal:
-            if solution.is_infeasible:
-                raise InfeasibleProblemError(
-                    f"milestone range ({low}, {high}] is infeasible"
-                )
-            raise SolverError(
-                f"range solve on ({low}, {high}] failed: "
-                f"{solution.message or solution.status}"
-            )
-        threshold = solution.values.get(range_model.alloc.objective_column, low)
+        threshold, solution, solves = minimize_over_range(range_model.alloc, low, high)
+        self.lp_solves += solves
         self._feasible_min = min(self._feasible_min, threshold)
         if threshold > low + ABS_TOL:
             self._strict_below = max(self._strict_below, threshold)
@@ -360,18 +339,7 @@ class FeasibilityProbe:
     def _build_range(self, k: int) -> _RangeModel:
         low = self._boundaries[k]
         high = self._boundaries[k + 1] if k + 1 < len(self._boundaries) else None
-        sample = _range_sample(low, high)
-        deadlines = [deadline_function(job) for job in self.instance.jobs]
-        epochal = deadlines + [Affine.const(job.release_date) for job in self.instance.jobs]
-        intervals = build_affine_intervals(epochal, sample)
-        alloc = build_allocation_model(
-            self.instance,
-            intervals,
-            deadlines=deadlines,
-            objective_bounds=(low, high),
-            sample_objective=sample,
-            preemptive=self.preemptive,
-        )
+        alloc = build_range_model(self.instance, low, high, preemptive=self.preemptive)
         self.model_constructions += 1
         range_model = _RangeModel(index=k, low=low, high=high, alloc=alloc)
         self._ranges[k] = range_model
@@ -396,6 +364,75 @@ def _check_probe_matches(
             f"the supplied FeasibilityProbe uses preemptive={probe.preemptive}, "
             f"but the search requested preemptive={preemptive}"
         )
+
+
+def build_range_model(
+    instance: Instance,
+    low: float,
+    high: Optional[float],
+    *,
+    preemptive: bool = False,
+    origins: Optional[Sequence[float]] = None,
+) -> AllocationModel:
+    """System (3)/(5) over the milestone range ``(low, high]``, ``F`` bounded to it.
+
+    The epochal times are the release dates and the affine deadlines
+    ``d_j(F) = o_j + F / w_j``, ordered at an objective value strictly inside
+    the range.  The origins ``o_j`` are the release dates unless ``origins``
+    gives them (see :mod:`repro.core.milestones`).  ``high`` is ``None`` for
+    the unbounded last range.
+    """
+    if origins is None:
+        origins = [job.release_date for job in instance.jobs]
+    sample = _range_sample(low, high)
+    deadlines = [deadline_function(job, origin) for job, origin in zip(instance.jobs, origins)]
+    epochal = deadlines + [Affine.const(job.release_date) for job in instance.jobs]
+    intervals = build_affine_intervals(epochal, sample)
+    return build_allocation_model(
+        instance,
+        intervals,
+        deadlines=deadlines,
+        objective_bounds=(low, high),
+        sample_objective=sample,
+        preemptive=preemptive,
+    )
+
+
+def minimize_over_range(
+    alloc: AllocationModel, low: float, high: Optional[float]
+) -> Tuple[float, LPSolution, int]:
+    """Minimise ``F`` over ``[low, high]`` on a range model, cold, with HiGHS.
+
+    The caller knows the range to be feasible (its upper end passed a
+    feasibility probe, or is met by construction).  Returns the least ``F``,
+    the optimal solution (an optimal allocation) and the number of LPs
+    solved.
+
+    Raises
+    ------
+    InfeasibleProblemError
+        When the range LP is infeasible even without presolve.
+    SolverError
+        When HiGHS fails otherwise.
+    """
+    bounds = alloc.form.bounds.copy()
+    bounds[alloc.objective_column] = (low, high if high is not None else np.inf)
+    form = alloc.form.with_bounds(bounds)
+    solution = _scipy_solve_form(form)
+    solves = 1
+    if solution.is_infeasible:
+        # The range is feasible: HiGHS presolve misreports it when two
+        # epochal times lie closer than its feasibility tolerance (release
+        # dates 2**-24 apart, say).  Solve once more without presolve.
+        solution = _scipy_solve_form(form, presolve=False)
+        solves += 1
+    if not solution.is_optimal:
+        if solution.is_infeasible:
+            raise InfeasibleProblemError(f"milestone range ({low}, {high}] is infeasible")
+        raise SolverError(
+            f"range solve on ({low}, {high}] failed: {solution.message or solution.status}"
+        )
+    return solution.values.get(alloc.objective_column, low), solution, solves
 
 
 def _range_sample(low: float, high: Optional[float]) -> float:

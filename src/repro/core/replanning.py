@@ -1,13 +1,13 @@
 """Parametric deadline-feasibility probes for on-line replanning.
 
-The on-line adaptation of the off-line algorithm re-optimises the remaining
-work at every replanning event: a bounded-precision bisection on the objective
-``F``, each step of which is one deadline-feasibility test
+The on-line policies re-optimise the remaining work at every replanning
+event through a search on the objective ``F``: ``online-offline`` binary-
+searches the milestones of the remaining work, ``deadline-driven`` with LP
+targets bisects ``F``.  Each step is one deadline-feasibility test
 (:func:`repro.core.deadline.check_deadline_feasibility`) over the
-sub-instance of remaining work.  Before this module existed, every one of
-those tests rebuilt its allocation LP from scratch — the symbolic model and
-its matrix lowering dominated the cost of a replanning event, and a
-simulation with ``E`` events performed ``E × bisection-steps`` builds.
+sub-instance of remaining work, and from scratch every one of those tests
+rebuilds its allocation LP: a simulation with ``E`` events performs
+``E × search-steps`` builds.
 
 :class:`ReplanProbe` amortises that work.  The observation is the same one
 behind the milestone machinery of :mod:`repro.core.maxflow`: the *structure*
@@ -39,10 +39,10 @@ have produced.  The property suite asserts this across the scenario grid.
 
 Replanning events with the same number of active jobs and the same relative
 deadline order share a signature, so a simulation builds O(distinct active
-job-set structures) models instead of O(events × bisection steps) — the
+job-set structures) models instead of O(events × search steps) — the
 economy asserted by ``benchmarks/bench_replanning.py``.
 
-Most checks are verdict-only bisection steps, so a cache hit touches no
+Most checks are verdict-only search steps, so a cache hit touches no
 model object at all:
 
 * the signature is computed from floats — the interval cuts are
@@ -52,7 +52,7 @@ model object at all:
   objects are built only on a template miss (which asserts the float mask
   equals ``allowed_mask``) or for a witness;
 * each replanning event keeps its rank-permuted ``Instance`` (and its
-  finite-cost mask) per deadline order, so a bisection validates each
+  finite-cost mask) per deadline order, so a search validates each
   relabelling once;
 * verdict-only checks ask the revised backend for the verdict alone
   (``verdict_only=True``), which skips value extraction and leaves the
@@ -222,7 +222,7 @@ class ReplanProbe:
         # Event-scoped refresh cache: coefficients are constant while the
         # same (sub-)instance object is probed repeatedly (one replanning
         # event), so the refreshed constraint matrix can be reused across a
-        # whole bisection.  Keyed by (template key, job permutation); the
+        # whole search.  Keyed by (template key, job permutation); the
         # strong reference to the instance keeps identity checks sound.
         self._event_instance: Optional[Instance] = None
         self._event_forms: Dict[Tuple, object] = {}
@@ -281,7 +281,7 @@ class ReplanProbe:
                 )
 
         # Event scope: consecutive checks on the same instance object (one
-        # replanning event's bisection) share refreshed coefficient arrays.
+        # replanning event's search) share refreshed coefficient arrays.
         if instance is not self._event_instance:
             self._event_instance = instance
             self._event_forms.clear()
@@ -420,7 +420,7 @@ class ReplanProbe:
     ) -> Tuple[Instance, np.ndarray]:
         """The event instance relabelled by ``order``, and its finite-cost mask.
 
-        Built once per permutation and event: a bisection asks the same
+        Built once per permutation and event: a search asks the same
         sub-instance in a handful of deadline orders, and each order's
         validated ``Instance`` is the same object every time.
         """

@@ -12,26 +12,40 @@ This module implements that adaptation:
   dates are used, so the weighted flow already accumulated while waiting is
   accounted for — given that no processing can happen before the current
   time;
-* the witness schedule of the best feasible ``F`` becomes the current *plan*;
+* an optimal allocation of the least such ``F`` becomes the current *plan*;
 * between events the policy simply follows the plan, asking the engine to
   wake it up at the plan's next assignment boundary.
 
-Feasibility of an objective value is decided with the paper's Lemma 1 applied
-to the sub-instance of remaining work.  The objective value itself is located
-with a bounded-precision bisection: unlike the off-line solver we do not need
-the exact optimum here — the plan is re-built at the next event anyway — and
-the paper describes the adaptation as deliberately simple.
+Each re-planning runs the off-line algorithm of :mod:`repro.core.maxflow`
+(Sections 4.3–4.4) on the remaining work, and finds the exact optimum:
 
-Parametric replanning
----------------------
-Feasibility probes are answered by a shared
+1. bounds: ``F`` is at least the weighted flow already accumulated plus the
+   fluid bound on the remaining work, and at most the weighted flow of the
+   sequential schedule (each job on its fastest machine, one after the
+   other), which meets that bound by construction and so needs no probe;
+2. milestones: above the lower bound every deadline lies past the current
+   time, so the epochal order only changes where two deadlines cross
+   (:func:`~repro.core.milestones.compute_milestones` with the original
+   release dates as deadline origins);
+3. a binary search over those milestones, each probe one verdict-only
+   Lemma 1 feasibility test of the remaining work: at most
+   ``ceil(log2(k + 1))`` probes for ``k`` milestones;
+4. one System (3)/(5) LP over the located range, with ``F`` bounded to it
+   (:func:`~repro.core.maxflow.build_range_model` and
+   :func:`~repro.core.maxflow.minimize_over_range`, the off-line search's
+   own), solved cold by HiGHS; its optimal allocation is the plan.
+
+Feasibility probes
+------------------
+Verdicts are answered by a shared
 :class:`~repro.core.replanning.ReplanProbe` (the default, ``parametric=True``)
 which caches one lowered LP skeleton per active-set structure and re-solves
-with refreshed remaining-work coefficients and interval lengths only; the
-answers — and the witness schedules, hence the executed output — are byte
-for byte identical to the from-scratch rebuild (``parametric=False``), which
-is kept as the reference path for the identity property tests.  The
-``replanning_model_builds`` counter exposes the economy either way.
+with refreshed remaining-work coefficients and interval lengths only, or by a
+from-scratch :func:`~repro.core.deadline.check_deadline_feasibility` per
+probe (``parametric=False``).  ``backend`` picks the solver of those
+verdicts.  The plan itself always comes from the HiGHS range LP, so every
+configuration that reaches the same verdicts executes the same schedule.
+The ``replanning_model_builds`` counter exposes the probe economy.
 """
 
 from __future__ import annotations
@@ -39,28 +53,28 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.deadline import check_deadline_feasibility
+from ..core.formulations import (
+    divisible_schedule_from_solution,
+    preemptive_schedule_from_solution,
+)
 from ..core.instance import Instance
+from ..core.maxflow import build_range_model, minimize_over_range
+from ..core.milestones import compute_milestones
 from ..core.replanning import ReplanProbe, remaining_subinstance
 from ..core.schedule import Schedule
+from ..exceptions import InfeasibleProblemError, SolverError
 from ..lp.backends import canonical_backend
 from ..simulation.state import AllocationDecision, SimulationState
 from .base import OnlineScheduler
 
 __all__ = ["OnlineOfflineAdaptationScheduler"]
 
-#: Relative precision of the re-planning bisection on the objective value
-#: (the probe tolerance of the replanning runtime).
-_RELATIVE_PRECISION = 1e-3
-
-#: Hard cap on bisection steps per re-planning.
-_MAX_BISECTION_STEPS = 40
-
 
 class OnlineOfflineAdaptationScheduler(OnlineScheduler):
     """Plan-following on-line adaptation of the off-line LP algorithm.
 
-    Each re-planning bisects the objective value to a relative precision of
-    ``_RELATIVE_PRECISION`` in at most ``_MAX_BISECTION_STEPS`` steps.
+    Each re-planning finds the exact optimum of the remaining work by the
+    paper's milestone search (see the module docstring).
 
     Parameters
     ----------
@@ -69,8 +83,9 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         model; the default ``False`` uses the divisible model, matching the
         paper's framework.
     backend:
-        LP backend used for the feasibility probes (checked on both the
-        parametric and the from-scratch path).
+        LP backend of the verdict-only feasibility probes (checked on both
+        the parametric and the from-scratch path).  The range LP that
+        yields the plan is always solved by HiGHS.
     period:
         Optional replanning period.  ``None`` (default) replans only when the
         active set changes, as the paper describes; a positive value
@@ -86,8 +101,8 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
     parametric:
         ``True`` (default) answers feasibility probes through a shared
         :class:`~repro.core.replanning.ReplanProbe`; ``False`` rebuilds every
-        feasibility LP from scratch (the pre-refactor reference path).  Both
-        paths produce byte-identical schedules.
+        feasibility LP from scratch (the reference path).  Both paths reach
+        the same verdicts, hence byte-identical schedules.
     """
 
     divisible = True
@@ -108,10 +123,10 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         self.parametric = parametric
         self.name = "online-offline" + ("-preemptive" if preemptive else "")
         self.divisible = not preemptive
-        # Rank-keyed: the verdict-only bisection probes collapse onto shared
+        # Rank-keyed: the verdict-only milestone probes collapse onto shared
         # skeletons across events (same deadline-rank pattern), so the
         # template's persisted basis warm-starts re-solves event-to-event,
-        # not just within one bisection.
+        # not just within one search.
         self._probe: Optional[ReplanProbe] = (
             ReplanProbe(preemptive=preemptive, backend=backend, rank_keyed=True)
             if parametric
@@ -198,90 +213,92 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         remaining = [state.remaining_fraction(job_index) for job_index in active]
         return remaining_subinstance(state.instance, state.time, active, remaining)
 
-    def _feasible(
-        self,
-        sub_instance: Instance,
-        active: List[int],
-        state: SimulationState,
-        objective: float,
-        build_schedule: bool = True,
-    ):
-        """Deadline-feasibility probe at objective value ``objective``."""
-        instance = state.instance
-        deadlines = []
-        for job_index in active:
-            original = instance.jobs[job_index]
-            deadlines.append(original.release_date + objective / original.weight)
-        if any(deadline < state.time for deadline in deadlines):
-            return None
+    def _feasible(self, sub_instance: Instance, deadlines: List[float]) -> bool:
+        """Verdict-only Lemma 1 probe of the remaining work against ``deadlines``."""
         if self._probe is not None:
-            return self._probe.check(sub_instance, deadlines, build_schedule=build_schedule)
-        self._scratch_builds += 1
-        return check_deadline_feasibility(
-            sub_instance,
-            deadlines,
-            preemptive=self.preemptive,
-            build_schedule=build_schedule,
-            backend=self.backend,
-        )
+            verdict = self._probe.check(sub_instance, deadlines, build_schedule=False)
+        else:
+            self._scratch_builds += 1
+            verdict = check_deadline_feasibility(
+                sub_instance,
+                deadlines,
+                preemptive=self.preemptive,
+                build_schedule=False,
+                backend=self.backend,
+            )
+        return verdict.feasible
 
-    def _replan(self, state: SimulationState) -> None:
-        """Recompute the plan for the current active set."""
-        self.replanning_count += 1
-        instance = state.instance
-        sub_instance, active = self._build_sub_instance(state)
+    @staticmethod
+    def _boundaries(
+        sub_instance: Instance, origins: List[float], weights: List[float], now: float
+    ) -> List[float]:
+        """The search's range boundaries: ``[lower, milestones..., upper]``.
 
+        ``upper`` is feasible by construction; the milestones are those
+        strictly inside ``(lower, upper)``.
+        """
         # Lower bound: even instantaneous completion cannot beat the weighted
         # flow already accumulated (plus the fluid lower bound on remaining work).
         lower = 0.0
-        for position, job_index in enumerate(active):
-            original = instance.jobs[job_index]
-            already = state.time - original.release_date
+        for position, origin in enumerate(origins):
             fluid = sub_instance.lower_bound_flow(position)
-            lower = max(lower, original.weight * (already + fluid))
+            lower = max(lower, weights[position] * (now - origin + fluid))
 
         # Upper bound: process the remaining work sequentially, each job on its
-        # fastest machine, in active order.
-        cursor = state.time
+        # fastest machine, in active order.  That schedule meets the bound.
+        cursor = now
         upper = lower
-        for position, job_index in enumerate(active):
-            original = instance.jobs[job_index]
+        for position, origin in enumerate(origins):
             cursor += sub_instance.min_cost(position)
-            upper = max(upper, original.weight * (cursor - original.release_date))
-        upper = max(upper, lower * (1.0 + _RELATIVE_PRECISION) + 1e-9)
+            upper = max(upper, weights[position] * (cursor - origin))
 
-        # Verdict-only bisection: no witness schedule is materialised while
-        # narrowing the objective (on warm-start-capable backends these
-        # re-solves run a few dual-simplex pivots from the previous basis).
-        # One final solve at the accepted objective rebuilds the witness —
-        # the identical LP the last feasible probe answered, so the executed
-        # schedule is byte-identical to solving with witnesses throughout.
-        best = self._feasible(sub_instance, active, state, upper, build_schedule=False)
-        best_objective = upper
-        steps = 0
-        low, high = lower, upper
-        while (
-            best is not None
-            and high - low > _RELATIVE_PRECISION * max(1.0, high)
-            and steps < _MAX_BISECTION_STEPS
-        ):
-            mid = 0.5 * (low + high)
-            probe = self._feasible(sub_instance, active, state, mid, build_schedule=False)
-            if probe is not None and probe.feasible:
-                high = mid
-                best = probe
-                best_objective = mid
+        # Above ``lower`` every deadline lies past ``now``, so the epochal
+        # order in ``(lower, upper)`` only changes where two deadlines cross.
+        milestones = compute_milestones(sub_instance.jobs, origins=origins)
+        return [lower] + [value for value in milestones if lower < value < upper] + [upper]
+
+    def _replan(self, state: SimulationState) -> None:
+        """Recompute the plan for the current active set (milestone search)."""
+        self.replanning_count += 1
+        instance = state.instance
+        sub_instance, active = self._build_sub_instance(state)
+        origins = [instance.jobs[job_index].release_date for job_index in active]
+        weights = [instance.jobs[job_index].weight for job_index in active]
+        boundaries = self._boundaries(sub_instance, origins, weights, state.time)
+
+        # Binary search for the least feasible milestone; the last boundary
+        # is feasible without a probe.
+        low, high = 1, len(boundaries) - 1
+        while low < high:
+            middle = (low + high) // 2
+            objective = boundaries[middle]
+            deadlines = [origin + objective / weight for origin, weight in zip(origins, weights)]
+            if self._feasible(sub_instance, deadlines):
+                high = middle
             else:
-                low = mid
-            steps += 1
+                low = middle + 1
 
+        # One System (3)/(5) LP over the located range gives the least
+        # feasible F and an optimal allocation, which becomes the plan.
+        range_low, range_high = boundaries[high - 1], boundaries[high]
+        alloc = build_range_model(
+            sub_instance, range_low, range_high, preemptive=self.preemptive, origins=origins
+        )
         plan: List[Tuple[int, int, float, float]] = []
-        if best is not None and best.feasible:
-            witness = self._feasible(
-                sub_instance, active, state, best_objective, build_schedule=True
-            )
-            if witness is not None and witness.feasible and witness.schedule is not None:
-                plan = self._plan_from_schedule(witness.schedule, active)
+        try:
+            objective, solution, _ = minimize_over_range(alloc, range_low, range_high)
+        except (InfeasibleProblemError, SolverError):
+            pass  # decide() falls back to first fit
+        else:
+            if self.preemptive:
+                schedule = preemptive_schedule_from_solution(
+                    alloc, solution, objective_value=objective
+                )
+            else:
+                schedule = divisible_schedule_from_solution(
+                    alloc, solution, objective_value=objective
+                )
+            plan = self._plan_from_schedule(schedule, active)
         self._plan = plan
         self._plan_active = frozenset(active)
         self._plan_time = state.time

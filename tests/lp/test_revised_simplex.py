@@ -558,20 +558,38 @@ class TestRawArrays:
 
 
 def test_solve_path_builds_no_scipy_sparse_objects(monkeypatch):
-    """With scipy's stacking, products and indexing poisoned, the solves still run."""
+    """With scipy's stacking, products and indexing poisoned, the solves still run.
+
+    The poison covers every revised solve of an ``online-offline`` simulation
+    on the revised backend.  The HiGHS range LP that plans each event stacks
+    its blocks with ``sp.vstack`` and runs between those solves, unpoisoned.
+    """
 
     def poisoned(*args, **kwargs):
         raise AssertionError("the revised simplex went through scipy.sparse")
 
-    monkeypatch.setattr(sp, "vstack", poisoned)
-    monkeypatch.setattr(_cs_matrix, "_matmul_vector", poisoned)
-    monkeypatch.setattr(_cs_matrix, "__getitem__", poisoned)
+    def poison(patch):
+        patch.setattr(sp, "vstack", poisoned)
+        patch.setattr(_cs_matrix, "_matmul_vector", poisoned)
+        patch.setattr(_cs_matrix, "__getitem__", poisoned)
 
+    solve = replanning.solve_matrix_form_revised
+    revised_solves = []
+
+    def poisoned_solve(*args, **kwargs):
+        revised_solves.append(args[0])
+        with pytest.MonkeyPatch.context() as patch:
+            poison(patch)
+            return solve(*args, **kwargs)
+
+    monkeypatch.setattr(replanning, "solve_matrix_form_revised", poisoned_solve)
     instance = random_unrelated_instance(8, 3, seed=4, cost_range=(2, 12))
     result = simulate(instance, OnlineOfflineAdaptationScheduler(backend="revised"))
     result.schedule.validate()
     assert len(result.completion_times) == instance.num_jobs
+    assert revised_solves
 
+    poison(monkeypatch)
     recorder = MetricsRecorder()
     form = _two_phase_form()  # no crash basis: phase 1 runs
     cold = solve_matrix_form_revised(form, recorder=recorder)

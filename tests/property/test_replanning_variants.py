@@ -17,7 +17,7 @@ import pytest
 
 from repro.heuristics import make_policy, make_scheduler
 from repro.simulation import simulate
-from repro.workload import available_scenarios, make_scenario
+from repro.workload import available_scenarios, make_scenario, random_unrelated_instance
 
 #: The swept variant tokens (campaign syntax).  Bare name first: the default
 #: configuration must itself be identical to its from-scratch rebuild.
@@ -76,16 +76,20 @@ def test_tiny_periods_are_floored_to_the_instance_timescale():
 
 
 def test_probe_economy_builds_strictly_fewer_models_than_checks():
+    # One scheduler across a dozen runs (the campaign shape): the milestone
+    # search probes about once per event, and structures repeat across runs.
     scheduler = make_scheduler("online-offline")
-    instance = make_scenario("unrelated-stress")
-    simulate(instance, scheduler)
+    for seed in range(12):
+        instance = random_unrelated_instance(
+            10, 3, cost_range=(2.0, 12.0), forbidden_probability=0.0, seed=seed
+        )
+        simulate(instance, scheduler)
     probe = scheduler.replan_probe
     assert probe is not None
     assert scheduler.replanning_count > 1
     assert probe.probes > probe.model_constructions
     assert probe.cache_hits == probe.probes - probe.model_constructions
-    # Each replanning bisection shares structures: the economy is large.
-    assert probe.model_constructions * 2 <= probe.probes
+    assert probe.model_constructions * 5 <= probe.probes
 
 
 def test_lp_targets_deadline_variant_is_valid_and_probes_feasibility():
