@@ -5,7 +5,7 @@ fingerprints (and exact ``repr`` values) of everything a stored cell's value
 rests on, stamped with the epoch that produced them.  It records
 
 * ``simulate/<policy>/<workload>/<seed>``: :func:`simulation_fingerprint` of
-  every registered on-line policy plus three LP variants over the five
+  every registered on-line policy plus four LP variants over the five
   scenarios × seeds 0–2 and three unrelated 8-job × 3-machine instances
   (``unrelated-8x3``);
 * ``stream/<policy>/<compact_min>``: :meth:`StreamResult.fingerprint` of the
@@ -84,6 +84,7 @@ LP_POLICIES = (
     "online-offline",
     "online-offline:period=0.5",
     "online-offline:backend=revised",
+    "online-offline:preemptive=true",
 )
 LP_TARGETS = "deadline-driven:lp_targets=true"
 SCENARIOS = ("bursty-batch", "hotspot", "replicated-portal", "small-cluster", "unrelated-stress")
