@@ -1,27 +1,28 @@
-"""Acceptance bench for the parametric replanning runtime and the milestone search.
+"""Acceptance bench for the replanning runtimes: ``ReplanProbe`` and the milestone search.
 
-Protects the headline properties of the probe-backed on-line policies:
+Protects the headline properties of the LP-backed on-line policies:
 
-1. **Byte-identical schedules** — the ``online-offline`` policy backed by the
-   shared :class:`~repro.core.replanning.ReplanProbe` (``parametric=True``,
-   the default) executes exactly the same schedule, event trace and
-   completion times as the from-scratch rebuild (``parametric=False``).
-2. **Logarithmic probes** — each replanning event binary-searches the ``k``
-   milestones of its remaining work, so it makes at most
-   ``ceil(log2(k + 1))`` verdict probes, the same number on both paths.
-3. **Model-build economy** — the probe builds one model per *distinct
+1. **Byte-identical schedules** — ``deadline-driven:lp_targets=true``, whose
+   target bisection asks the shared
+   :class:`~repro.core.replanning.ReplanProbe`, executes exactly the same
+   schedule, event trace and completion times as with a from-scratch
+   :func:`~repro.core.deadline.check_deadline_feasibility` per check, and
+   answers the same number of checks.
+2. **Model-build economy** — the probe builds one model per *distinct
    active-set structure*.  As events accumulate across runs (the campaign
    case: one scheduler, many seeds) the cumulative checks-per-build ratio
    *grows*: builds are sublinear in events while from-scratch builds stay
    linear.
-4. **No slower** — the probe-backed simulation must not lose wall-clock time
+3. **No slower** — the probe-backed simulation must not lose wall-clock time
    to its bookkeeping.
-5. **Few LPs** — the milestone search (verdict probes plus one range LP per
-   event) solves at most a fifth of the LPs the ε-bisection it replaced
-   solved on the same simulation, and plans no worse.
-6. **The LP-targeted deadline policy** — ``deadline-driven:lp_targets=true``
-   still bisects through the probe: rank keying lifts its cache hit rate,
-   and its bisection steps share the event's refreshed matrices.
+4. **Few LPs** — ``online-offline``'s milestone search, whose every probe
+   is the range LP of the range it tops, solves fewer LPs than the search it
+   replaced (verdict probes, then one range LP per event) on the same
+   simulation, and plans no worse.  Its per-event bound,
+   ``ceil(log2(k + 1)) + 1`` LPs for ``k`` milestones, is a tier-1 test
+   (``tests/heuristics/test_online_offline.py::TestSearchEconomy``).
+5. **The LP-targeted deadline policy** — rank keying lifts its cache hit
+   rate, and its bisection steps share the event's refreshed matrices.
 
 Marked ``bench`` (hence tier-2): run with ``-m bench``/``-m tier2`` or by
 dropping the tier-1 filter.
@@ -29,13 +30,17 @@ dropping the tier-1 filter.
 
 from __future__ import annotations
 
-import math
 import statistics
 import time
 
 import pytest
 
-from repro.heuristics import OnlineOfflineAdaptationScheduler
+from repro.core.deadline import check_deadline_feasibility
+from repro.heuristics import (
+    DeadlineDrivenScheduler,
+    OnlineOfflineAdaptationScheduler,
+    deadline_driven,
+)
 from repro.simulation import simulate
 from repro.workload import random_unrelated_instance
 
@@ -47,8 +52,41 @@ def _staggered_instance(num_jobs: int, seed: int = 7):
     )
 
 
-def _run(num_jobs: int, parametric: bool):
-    scheduler = OnlineOfflineAdaptationScheduler(parametric=parametric)
+class FromScratchProbe:
+    """``ReplanProbe``'s interface, one :func:`check_deadline_feasibility` per check.
+
+    The reference the probe's caches are measured against: every check
+    builds its model from scratch.
+    """
+
+    def __init__(self, *, preemptive: bool = False, backend: str = "scipy", **_ignored):
+        self.preemptive = preemptive
+        self.backend = backend
+        self.probes = 0
+        self.model_constructions = 0
+
+    def check(self, instance, deadlines, *, build_schedule: bool = True):
+        self.probes += 1
+        self.model_constructions += 1
+        return check_deadline_feasibility(
+            instance,
+            deadlines,
+            preemptive=self.preemptive,
+            build_schedule=build_schedule,
+            backend=self.backend,
+        )
+
+
+def lp_targets_scheduler(monkeypatch, from_scratch: bool) -> DeadlineDrivenScheduler:
+    """``deadline-driven:lp_targets=true``, optionally on :class:`FromScratchProbe`."""
+    with monkeypatch.context() as patch:
+        if from_scratch:
+            patch.setattr(deadline_driven, "ReplanProbe", FromScratchProbe)
+        return DeadlineDrivenScheduler(lp_targets=True)
+
+
+def _run(monkeypatch, num_jobs: int, from_scratch: bool):
+    scheduler = lp_targets_scheduler(monkeypatch, from_scratch)
     instance = _staggered_instance(num_jobs)
     start = time.perf_counter()
     result = simulate(instance, scheduler)
@@ -56,57 +94,23 @@ def _run(num_jobs: int, parametric: bool):
     return result, scheduler, elapsed
 
 
-class _EventLog(OnlineOfflineAdaptationScheduler):
-    """Records ``[milestones, verdict probes]`` for every replanning event."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.events = []
-
-    def _boundaries(self, *args):
-        boundaries = super()._boundaries(*args)
-        self.events.append([len(boundaries) - 2, 0])
-        return boundaries
-
-    def _feasible(self, *args):
-        self.events[-1][1] += 1
-        return super()._feasible(*args)
-
-
 @pytest.mark.bench
-def test_parametric_replanning_is_byte_identical_with_logarithmic_probes():
+def test_probe_backed_lp_targets_are_byte_identical_to_from_scratch(monkeypatch):
     for num_jobs in (8, 16, 24):
-        instance = _staggered_instance(num_jobs)
-        scratch = _EventLog(parametric=False)
-        probed = _EventLog(parametric=True)
-        start = time.perf_counter()
-        scratch_result = simulate(instance, scratch)
-        scratch_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        probe_result = simulate(instance, probed)
-        probe_seconds = time.perf_counter() - start
+        scratch_result, scratch, scratch_seconds = _run(monkeypatch, num_jobs, True)
+        probe_result, probed, probe_seconds = _run(monkeypatch, num_jobs, False)
 
-        # 1. Byte-identical output.
+        # 1. Byte-identical output, from the same checks.
         assert probe_result.schedule.pieces == scratch_result.schedule.pieces
         assert probe_result.events == scratch_result.events
         assert probe_result.completion_times == scratch_result.completion_times
         assert probe_result.num_preemptions == scratch_result.num_preemptions
-
-        # 2. Per event, a binary search over its k milestones: at most
-        # ceil(log2(k + 1)) probes, the same on both paths.
-        assert probed.events == scratch.events
-        for milestones, probes in probed.events:
-            assert probes <= math.ceil(math.log2(milestones + 1)), (num_jobs, milestones, probes)
-        assert scratch.replanning_model_builds == scratch.replanning_feasibility_checks
-        assert probed.replanning_feasibility_checks == scratch.replanning_feasibility_checks
-        assert probed.replanning_count == scratch.replanning_count == len(probed.events)
+        assert probed.replan_probe.probes == scratch.replan_probe.probes > 0
 
         print(
-            f"[replanning] n={num_jobs}: events={probed.replanning_count} "
-            f"milestones={sum(event[0] for event in probed.events)} "
-            f"checks={probed.replanning_feasibility_checks} "
-            f"builds={probed.replanning_model_builds} "
-            f"(from-scratch {scratch.replanning_model_builds}) "
+            f"[replanning] lp_targets n={num_jobs}: checks={probed.replan_probe.probes} "
+            f"builds={probed.replan_probe.model_constructions} "
+            f"(from-scratch {scratch.replan_probe.model_constructions}) "
             f"time {scratch_seconds:.2f}s -> {probe_seconds:.2f}s"
         )
 
@@ -120,7 +124,7 @@ def test_model_builds_drop_superlinearly_as_events_accumulate():
     checks, but active-set structures repeat across runs, so the cumulative
     build count falls ever further behind the from-scratch O(checks) line.
     """
-    scheduler = OnlineOfflineAdaptationScheduler()
+    scheduler = DeadlineDrivenScheduler(lp_targets=True)
     probe = scheduler.replan_probe
     ratios = []
     for batch in range(3):
@@ -141,8 +145,8 @@ def test_model_builds_drop_superlinearly_as_events_accumulate():
 
 
 @pytest.mark.bench
-def test_parametric_replanning_is_no_slower(bench_scale):
-    """Probe-backed replanning costs at most 1.10x the from-scratch rebuild.
+def test_probe_backed_lp_targets_are_no_slower(monkeypatch, bench_scale):
+    """Probe-backed target searches cost at most 1.10x the from-scratch checks.
 
     Timing each side on its own fails whenever a slow phase of a shared
     host lands on one side alone, so the timing is paired for drift
@@ -154,18 +158,18 @@ def test_parametric_replanning_is_no_slower(bench_scale):
     num_jobs = 24 if bench_scale == "small" else 60
     blocks = 5
     # Warm both paths once (imports, scipy setup) before measuring.
-    _run(num_jobs, parametric=False)
-    _run(num_jobs, parametric=True)
+    _run(monkeypatch, num_jobs, from_scratch=True)
+    _run(monkeypatch, num_jobs, from_scratch=False)
     block_ratios = []
     for _ in range(blocks):
-        a1 = _run(num_jobs, parametric=False)[2]
-        b1 = _run(num_jobs, parametric=True)[2]
-        b2 = _run(num_jobs, parametric=True)[2]
-        a2 = _run(num_jobs, parametric=False)[2]
+        a1 = _run(monkeypatch, num_jobs, from_scratch=True)[2]
+        b1 = _run(monkeypatch, num_jobs, from_scratch=False)[2]
+        b2 = _run(monkeypatch, num_jobs, from_scratch=False)[2]
+        a2 = _run(monkeypatch, num_jobs, from_scratch=True)[2]
         block_ratios.append((b1 + b2) / (a1 + a2))  # < 1: probe-backed faster
     ratio = statistics.median(block_ratios)
     print(
-        f"[replanning] n={num_jobs}: probe-backed / from-scratch time, median "
+        f"[replanning] lp_targets n={num_jobs}: probe-backed / from-scratch time, median "
         f"{ratio:.3f} over {blocks} ABBA blocks "
         f"(spread {min(block_ratios):.3f}..{max(block_ratios):.3f}, bound 1.10)"
     )
@@ -173,51 +177,42 @@ def test_parametric_replanning_is_no_slower(bench_scale):
     assert ratio <= 1.10, f"paired-median ratios: {sorted(block_ratios)}"
 
 
-#: LP solves of the revised fast path at n = 16, seed 7 under the ε-bisection
-#: the milestone search replaced (relative precision 1e-3, CODE_EPOCH 2005.6).
-_BISECTION_LP_SOLVES = 402
+#: The search the milestone probes replaced at n = 16, seed 7 (CODE_EPOCH
+#: 2005.7): 27 verdict probes plus 31 range LPs, and this max stretch.
+_VERDICT_SEARCH_LP_SOLVES = 58
+_VERDICT_SEARCH_MAX_STRETCH = 5.479420764823408
 
 
 @pytest.mark.bench
-def test_milestone_search_solves_a_fifth_of_the_bisection_lps(monkeypatch):
-    """The revised fast path solves <= 1/5 of the bisection's LPs, and plans no worse.
+def test_milestone_search_solves_fewer_lps_than_the_verdict_search(monkeypatch):
+    """Fewer than the verdict search's 58 LPs at n = 16, and a plan no worse.
 
-    The count is every LP of the simulation: the verdict probes the
-    ``ReplanProbe`` solves plus the HiGHS range LPs (with their presolve-off
-    retries) that ``repro.core.maxflow`` solves to plan each event.
+    The count is every LP of the simulation: the range-LP probes and the
+    final range LPs (with their presolve-off retries), all solved through
+    ``repro.core.maxflow``.
     """
     from repro.analysis import fairness_report
     from repro.core import maxflow
 
-    range_solves = []
+    solves = []
     solve = maxflow._scipy_solve_form
 
     def counted(*args, **kwargs):
-        range_solves.append(args[0])
+        solves.append(args[0])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(maxflow, "_scipy_solve_form", counted)
-    instance = _staggered_instance(16)
-    fast = OnlineOfflineAdaptationScheduler(backend="revised")
-    fast_result = simulate(instance, fast)
-    probe_solves = fast.replan_probe.lp_solves
-    range_lps = len(range_solves)
-    solves = probe_solves + range_lps
-    reference_result = simulate(instance, OnlineOfflineAdaptationScheduler(parametric=False))
-
-    reference_stretch = fairness_report(reference_result.schedule).max_stretch
-    fast_stretch = fairness_report(fast_result.schedule).max_stretch
+    scheduler = OnlineOfflineAdaptationScheduler()
+    result = simulate(_staggered_instance(16), scheduler)
+    stretch = fairness_report(result.schedule).max_stretch
     print(
-        f"[replanning] n=16: {fast.replanning_count} events, {probe_solves} verdict "
-        f"probes + {range_lps} range LPs = {solves} LP solves "
-        f"(bisection: {_BISECTION_LP_SOLVES}); max stretch {reference_stretch:.6f} "
-        f"(from-scratch scipy) vs {fast_stretch:.6f} (revised)"
+        f"[replanning] n=16: {scheduler.replanning_count} events, {len(solves)} LP solves "
+        f"(verdict search: {_VERDICT_SEARCH_LP_SOLVES}); max stretch {stretch:.6f} "
+        f"(verdict search {_VERDICT_SEARCH_MAX_STRETCH:.6f})"
     )
-    assert solves * 5 <= _BISECTION_LP_SOLVES, solves
-    # Never meaningfully worse than the from-scratch reference.
-    assert fast_stretch <= reference_stretch * 1.02, (
-        f"fast-path max stretch {fast_stretch} vs reference {reference_stretch}"
-    )
+    assert len(solves) < _VERDICT_SEARCH_LP_SOLVES
+    # Never meaningfully worse than the verdict search's plan.
+    assert stretch <= _VERDICT_SEARCH_MAX_STRETCH * 1.02, stretch
 
 
 @pytest.mark.bench
@@ -233,7 +228,6 @@ def test_rank_keyed_probe_lifts_lp_targets_hit_rate(monkeypatch):
     must stay byte-identical to the raw-structure path.
     """
     from repro.core.replanning import ReplanProbe
-    from repro.heuristics import DeadlineDrivenScheduler, deadline_driven
     from repro.workload import random_unrelated_instance as _unrelated
 
     instances = [

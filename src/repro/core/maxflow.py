@@ -38,11 +38,13 @@ every probed objective value, the probe exploits the milestone structure:
   model) — and answers every probe in that range by re-solving with updated
   ``F`` bounds only;
 * a probe at ``F`` is answered by minimising ``F`` over the range restricted
-  to ``[range_low, F]``.  A *feasible* solve therefore yields the least
-  feasible objective of the whole range, not just a yes/no answer.  When that
-  minimum lies strictly inside the range it equals the global optimum ``F*``
-  (feasibility is monotone in ``F``), after which **every** further probe is
-  answered by comparing against ``F*`` without touching a solver;
+  to ``[range_low, F]`` (:func:`probe_range`, which the ``online-offline``
+  re-planner's milestone search shares).  A *feasible* solve therefore
+  yields the least feasible objective of the whole range, not just a yes/no
+  answer.  When that minimum lies strictly inside the range it equals the
+  global optimum ``F*`` (feasibility is monotone in ``F``), after which
+  **every** further probe is answered by comparing against ``F*`` without
+  touching a solver;
 * an *infeasible* solve proves every ``F`` at or below the probed value
   infeasible, again by monotonicity; both facts are recorded as monotone
   bounds and consulted before any LP work, so a repeated objective is
@@ -68,7 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,7 +96,9 @@ from .tolerances import ABS_TOL
 __all__ = [
     "FeasibilityProbe",
     "MaxWeightedFlowResult",
+    "RangeProbe",
     "build_range_model",
+    "probe_range",
     "minimize_over_range",
     "minimize_max_weighted_flow",
     "minimize_max_stretch",
@@ -298,30 +302,19 @@ class FeasibilityProbe:
     # -- LP machinery -------------------------------------------------------
     def _probe_lp(self, objective: float) -> bool:
         range_model = self._range_for(objective)
-        bounds = range_model.alloc.form.bounds.copy()
-        bounds[range_model.alloc.objective_column] = (range_model.low, objective)
-        solution = _scipy_solve_form(range_model.alloc.form.with_bounds(bounds))
+        outcome = probe_range(range_model.alloc, range_model.low, objective)
         self.lp_solves += 1
-
-        if solution.is_optimal:
-            threshold = solution.values.get(range_model.alloc.objective_column, objective)
-            self._feasible_min = min(self._feasible_min, threshold)
-            if threshold > range_model.low + ABS_TOL:
-                # The minimum lies strictly inside the range: by monotonicity
-                # it is the global optimum F*, and everything below it is
-                # infeasible.
-                self._strict_below = max(self._strict_below, threshold)
-                self._pinned = (range_model, solution, threshold)
-            return True
-        if solution.is_infeasible:
+        if not outcome.feasible:
             # No feasible F at or below the probed value exists in this range;
             # by monotonicity none exists globally either.
             self._infeasible_max = max(self._infeasible_max, objective)
             return False
-        raise SolverError(
-            f"feasibility probe at F={objective!r} failed: "
-            f"{solution.message or solution.status}"
-        )
+        self._feasible_min = min(self._feasible_min, outcome.threshold)
+        if outcome.pinned:
+            # Everything below the pinned optimum F* is infeasible.
+            self._strict_below = max(self._strict_below, outcome.threshold)
+            self._pinned = (range_model, outcome.solution, outcome.threshold)
+        return True
 
     def _range_for(self, objective: float) -> _RangeModel:
         k = bisect_left(self.milestones, objective)
@@ -395,6 +388,49 @@ def build_range_model(
         objective_bounds=(low, high),
         sample_objective=sample,
         preemptive=preemptive,
+    )
+
+
+class RangeProbe(NamedTuple):
+    """Outcome of :func:`probe_range`.
+
+    ``feasible`` is ``False`` when no ``F`` in ``[low, objective]`` is
+    feasible.  Otherwise ``threshold`` is the least feasible ``F`` of that
+    interval and ``solution`` an optimal allocation there; ``pinned`` says
+    the threshold lies strictly above ``low``, so it is the global optimum
+    ``F*`` (feasibility is monotone in ``F``).  An unpinned feasible probe
+    only proves ``low`` itself feasible.
+    """
+
+    feasible: bool
+    pinned: bool
+    threshold: float
+    solution: LPSolution
+
+
+def probe_range(alloc: AllocationModel, low: float, objective: float) -> RangeProbe:
+    """Minimise ``F`` over ``[low, objective]`` on a range model, cold, with HiGHS.
+
+    ``low`` is the lower end of the model's milestone range and
+    ``objective`` a value in it: the probe answers "is ``objective``
+    feasible?" and, when the minimum lies strictly inside the range, pins
+    the optimum too.
+
+    Raises
+    ------
+    SolverError
+        When HiGHS reports neither an optimum nor infeasibility.
+    """
+    bounds = alloc.form.bounds.copy()
+    bounds[alloc.objective_column] = (low, objective)
+    solution = _scipy_solve_form(alloc.form.with_bounds(bounds))
+    if solution.is_optimal:
+        threshold = solution.values.get(alloc.objective_column, objective)
+        return RangeProbe(True, threshold > low + ABS_TOL, threshold, solution)
+    if solution.is_infeasible:
+        return RangeProbe(False, False, objective, solution)
+    raise SolverError(
+        f"feasibility probe at F={objective!r} failed: {solution.message or solution.status}"
     )
 
 

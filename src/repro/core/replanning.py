@@ -1,9 +1,9 @@
 """Parametric deadline-feasibility probes for on-line replanning.
 
-The on-line policies re-optimise the remaining work at every replanning
-event through a search on the objective ``F``: ``online-offline`` binary-
-searches the milestones of the remaining work, ``deadline-driven`` with LP
-targets bisects ``F``.  Each step is one deadline-feasibility test
+An on-line policy can re-locate its objective at every replanning event
+through a search on ``F``: ``deadline-driven`` with LP targets bisects ``F``
+(``online-offline`` probes its milestones with the range LPs of
+:mod:`repro.core.maxflow` instead).  Each step is one deadline-feasibility test
 (:func:`repro.core.deadline.check_deadline_feasibility`) over the
 sub-instance of remaining work, and from scratch every one of those tests
 rebuilds its allocation LP: a simulation with ``E`` events performs

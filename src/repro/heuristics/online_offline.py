@@ -27,42 +27,42 @@ Each re-planning runs the off-line algorithm of :mod:`repro.core.maxflow`
    time, so the epochal order only changes where two deadlines cross
    (:func:`~repro.core.milestones.compute_milestones` with the original
    release dates as deadline origins);
-3. a binary search over those milestones, each probe one verdict-only
-   Lemma 1 feasibility test of the remaining work: at most
-   ``ceil(log2(k + 1))`` probes for ``k`` milestones;
-4. one System (3)/(5) LP over the located range, with ``F`` bounded to it
-   (:func:`~repro.core.maxflow.build_range_model` and
-   :func:`~repro.core.maxflow.minimize_over_range`, the off-line search's
-   own), solved cold by HiGHS; its optimal allocation is the plan.
+3. a binary search over those milestones, each probe the System (3)/(5)
+   LP of the range its milestone tops, ``F`` minimised over
+   ``[m_{k-1}, m_k]`` (:func:`~repro.core.maxflow.build_range_model` and
+   :func:`~repro.core.maxflow.probe_range`, the off-line search's own): at
+   most ``ceil(log2(k + 1))`` probes for ``k`` milestones.  An infeasible
+   probe moves the search up; a minimum strictly above ``m_{k-1}`` is the
+   least feasible ``F`` and ends the search, its optimal allocation being
+   the plan; a minimum at ``m_{k-1}`` moves the search down;
+4. the plan is the optimal allocation of the last feasible probe, whose
+   range the search ends in.  Only when no probe was feasible does one more
+   range LP over the top range, feasible by construction, run
+   (:func:`~repro.core.maxflow.minimize_over_range`).
 
-Feasibility probes
-------------------
-Verdicts are answered by a shared
-:class:`~repro.core.replanning.ReplanProbe` (the default, ``parametric=True``)
-which caches one lowered LP skeleton per active-set structure and re-solves
-with refreshed remaining-work coefficients and interval lengths only, or by a
-from-scratch :func:`~repro.core.deadline.check_deadline_feasibility` per
-probe (``parametric=False``).  ``backend`` picks the solver of those
-verdicts.  The plan itself always comes from the HiGHS range LP, so every
-configuration that reaches the same verdicts executes the same schedule.
-The ``replanning_model_builds`` counter exposes the probe economy.
+Every LP is solved cold by HiGHS, so ``k`` milestones cost at most
+``ceil(log2(k + 1)) + 1`` LPs per replanning, and a replanning whose probe
+pins ``F*`` or finds a feasible range costs no final LP.  The ``backend``
+and ``parametric`` parameters are accepted for compatibility and change
+nothing: no verdict-only feasibility probe is made.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.deadline import check_deadline_feasibility
 from ..core.formulations import (
+    AllocationModel,
     divisible_schedule_from_solution,
     preemptive_schedule_from_solution,
 )
 from ..core.instance import Instance
-from ..core.maxflow import build_range_model, minimize_over_range
+from ..core.maxflow import build_range_model, minimize_over_range, probe_range
 from ..core.milestones import compute_milestones
-from ..core.replanning import ReplanProbe, remaining_subinstance
+from ..core.replanning import remaining_subinstance
 from ..core.schedule import Schedule
 from ..exceptions import InfeasibleProblemError, SolverError
+from ..lp import LPSolution
 from ..lp.backends import canonical_backend
 from ..simulation.state import AllocationDecision, SimulationState
 from .base import OnlineScheduler
@@ -83,9 +83,8 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         model; the default ``False`` uses the divisible model, matching the
         paper's framework.
     backend:
-        LP backend of the verdict-only feasibility probes (checked on both
-        the parametric and the from-scratch path).  The range LP that
-        yields the plan is always solved by HiGHS.
+        Validated (an unknown name raises ``ValueError``), then unused:
+        every LP of the search is a HiGHS range LP.
     period:
         Optional replanning period.  ``None`` (default) replans only when the
         active set changes, as the paper describes; a positive value
@@ -99,10 +98,8 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         wake events and trip the engine's cycling budget instead of ever
         finishing.
     parametric:
-        ``True`` (default) answers feasibility probes through a shared
-        :class:`~repro.core.replanning.ReplanProbe`; ``False`` rebuilds every
-        feasibility LP from scratch (the reference path).  Both paths reach
-        the same verdicts, hence byte-identical schedules.
+        Unused: kept so that existing ``parametric=`` variants still
+        construct; every value plans the same schedule.
     """
 
     divisible = True
@@ -123,21 +120,11 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         self.parametric = parametric
         self.name = "online-offline" + ("-preemptive" if preemptive else "")
         self.divisible = not preemptive
-        # Rank-keyed: the verdict-only milestone probes collapse onto shared
-        # skeletons across events (same deadline-rank pattern), so the
-        # template's persisted basis warm-starts re-solves event-to-event,
-        # not just within one search.
-        self._probe: Optional[ReplanProbe] = (
-            ReplanProbe(preemptive=preemptive, backend=backend, rank_keyed=True)
-            if parametric
-            else None
-        )
         self._plan: Optional[List[Tuple[int, int, float, float]]] = None
         self._plan_active: Optional[frozenset] = None
         self._plan_time: float = 0.0
         self._effective_period: Optional[float] = None
         self.replanning_count = 0
-        self._scratch_builds = 0
 
     # ------------------------------------------------------------------ #
     def reset(self, instance: Instance) -> None:
@@ -185,25 +172,6 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
                 # suppress it).
                 self._plan_active = None
 
-    @property
-    def replan_probe(self) -> Optional[ReplanProbe]:
-        """The shared parametric probe (``None`` on the from-scratch path)."""
-        return self._probe
-
-    @property
-    def replanning_model_builds(self) -> int:
-        """Cumulative feasibility-LP constructions (both probe paths)."""
-        if self._probe is not None:
-            return self._probe.model_constructions
-        return self._scratch_builds
-
-    @property
-    def replanning_feasibility_checks(self) -> int:
-        """Cumulative feasibility probes answered."""
-        if self._probe is not None:
-            return self._probe.probes
-        return self._scratch_builds
-
     # ------------------------------------------------------------------ #
     # Re-planning                                                          #
     # ------------------------------------------------------------------ #
@@ -212,21 +180,6 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         active = sorted(state.active_jobs())
         remaining = [state.remaining_fraction(job_index) for job_index in active]
         return remaining_subinstance(state.instance, state.time, active, remaining)
-
-    def _feasible(self, sub_instance: Instance, deadlines: List[float]) -> bool:
-        """Verdict-only Lemma 1 probe of the remaining work against ``deadlines``."""
-        if self._probe is not None:
-            verdict = self._probe.check(sub_instance, deadlines, build_schedule=False)
-        else:
-            self._scratch_builds += 1
-            verdict = check_deadline_feasibility(
-                sub_instance,
-                deadlines,
-                preemptive=self.preemptive,
-                build_schedule=False,
-                backend=self.backend,
-            )
-        return verdict.feasible
 
     @staticmethod
     def _boundaries(
@@ -267,29 +220,40 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         boundaries = self._boundaries(sub_instance, origins, weights, state.time)
 
         # Binary search for the least feasible milestone; the last boundary
-        # is feasible without a probe.
+        # is feasible without a probe.  Each probe minimises F over the range
+        # its milestone tops, so a feasible probe leaves that range's optimal
+        # allocation behind: it is the plan if the search ends in its range
+        # (every later feasible probe replaces it), and the search stops at
+        # once when its minimum pins F* strictly inside the range.
+        found: Optional[Tuple[AllocationModel, float, LPSolution]] = None
         low, high = 1, len(boundaries) - 1
         while low < high:
             middle = (low + high) // 2
-            objective = boundaries[middle]
-            deadlines = [origin + objective / weight for origin, weight in zip(origins, weights)]
-            if self._feasible(sub_instance, deadlines):
-                high = middle
-            else:
+            alloc = self._range_model(sub_instance, boundaries, middle, origins)
+            probe = probe_range(alloc, boundaries[middle - 1], boundaries[middle])
+            if not probe.feasible:
                 low = middle + 1
+                continue
+            found = (alloc, probe.threshold, probe.solution)
+            if probe.pinned:
+                break
+            high = middle
 
-        # One System (3)/(5) LP over the located range gives the least
-        # feasible F and an optimal allocation, which becomes the plan.
-        range_low, range_high = boundaries[high - 1], boundaries[high]
-        alloc = build_range_model(
-            sub_instance, range_low, range_high, preemptive=self.preemptive, origins=origins
-        )
+        if found is None:
+            # Only the top range, feasible by construction, is left: one
+            # System (3)/(5) LP over it gives the least feasible F.
+            alloc = self._range_model(sub_instance, boundaries, high, origins)
+            try:
+                objective, solution, _ = minimize_over_range(
+                    alloc, boundaries[high - 1], boundaries[high]
+                )
+            except (InfeasibleProblemError, SolverError):
+                pass  # decide() falls back to first fit
+            else:
+                found = (alloc, objective, solution)
         plan: List[Tuple[int, int, float, float]] = []
-        try:
-            objective, solution, _ = minimize_over_range(alloc, range_low, range_high)
-        except (InfeasibleProblemError, SolverError):
-            pass  # decide() falls back to first fit
-        else:
+        if found is not None:
+            alloc, objective, solution = found
             if self.preemptive:
                 schedule = preemptive_schedule_from_solution(
                     alloc, solution, objective_value=objective
@@ -302,6 +266,22 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         self._plan = plan
         self._plan_active = frozenset(active)
         self._plan_time = state.time
+
+    def _range_model(
+        self,
+        sub_instance: Instance,
+        boundaries: List[float],
+        index: int,
+        origins: List[float],
+    ) -> AllocationModel:
+        """System (3)/(5) of the range ``(boundaries[index - 1], boundaries[index]]``."""
+        return build_range_model(
+            sub_instance,
+            boundaries[index - 1],
+            boundaries[index],
+            preemptive=self.preemptive,
+            origins=origins,
+        )
 
     @staticmethod
     def _plan_from_schedule(

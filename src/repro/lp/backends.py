@@ -6,9 +6,10 @@ decides zero-objective (feasibility) programs only and raises ``ValueError``
 on a nonzero cost, so a backend is chosen by name only for those:
 :class:`repro.core.replanning.ReplanProbe`,
 :func:`repro.core.deadline.check_deadline_feasibility` and the ``backend=``
-parameter of the ``online-offline`` and ``deadline-driven`` policies.  The
-programs that minimise an objective (the milestone search of
-:mod:`repro.core.maxflow`, the makespan LP of :mod:`repro.core.makespan`)
+parameter of the ``deadline-driven`` policy (``online-offline`` validates
+its ``backend=`` but solves no feasibility program).  The programs that
+minimise an objective (the milestone searches of :mod:`repro.core.maxflow`
+and ``online-offline``, the makespan LP of :mod:`repro.core.makespan`)
 always go to HiGHS and take no name.
 
 This module is the single place that knows which name selects which solver:

@@ -37,7 +37,7 @@ class _DigestableInstance(Protocol):
 #: cell rests on is pinned by the golden corpus in ``tests/golden/``, stamped
 #: with this value: a change that alters a corpus entry needs a bump and a
 #: regenerated corpus, which the ``epoch-guard`` lint rule enforces.
-CODE_EPOCH = "2005.7"  # online-offline plans from the exact milestone search's range LP
+CODE_EPOCH = "2005.8"  # online-offline probes with range LPs (replanning/* pivot totals moved)
 
 
 def canonical_digest(payload: Mapping[str, Any]) -> str:

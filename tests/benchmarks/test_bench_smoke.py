@@ -61,18 +61,20 @@ def test_engine_regression_smoke():
         assert result.num_scheduler_calls == seed_result.num_scheduler_calls, policy
 
 
-def test_replanning_probe_smoke():
+def test_replanning_probe_smoke(monkeypatch):
     """bench_replanning: probe path is byte-identical and builds fewer models.
 
-    One milestone search makes few probes per event, so the probe's economy
-    shows across runs: one scheduler serves four simulations.
+    ``deadline-driven:lp_targets=true`` drives the shared ``ReplanProbe``;
+    its economy shows across runs, so one scheduler per path serves four
+    simulations.
     """
-    from repro.heuristics import OnlineOfflineAdaptationScheduler
+    from bench_replanning import lp_targets_scheduler
+
     from repro.simulation import simulate
     from repro.workload import random_unrelated_instance
 
-    scratch_sched = OnlineOfflineAdaptationScheduler(parametric=False)
-    probe_sched = OnlineOfflineAdaptationScheduler(parametric=True)
+    scratch_sched = lp_targets_scheduler(monkeypatch, from_scratch=True)
+    probe_sched = lp_targets_scheduler(monkeypatch, from_scratch=False)
     for seed in range(4):
         instance = random_unrelated_instance(
             8, 3, cost_range=(2.0, 12.0), forbidden_probability=0.0, seed=seed
@@ -81,8 +83,11 @@ def test_replanning_probe_smoke():
         probed = simulate(instance, probe_sched)
         assert probed.schedule.pieces == scratch.schedule.pieces
         assert probed.events == scratch.events
-    assert probe_sched.replanning_feasibility_checks == scratch_sched.replanning_feasibility_checks
-    assert probe_sched.replanning_model_builds < scratch_sched.replanning_model_builds
+    assert probe_sched.replan_probe.probes == scratch_sched.replan_probe.probes
+    assert (
+        probe_sched.replan_probe.model_constructions
+        < scratch_sched.replan_probe.model_constructions
+    )
 
 
 def test_campaign_dispatcher_smoke():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core import Instance, Job, minimize_max_weighted_flow
+from repro.core import Instance, Job, maxflow, minimize_max_weighted_flow
 from repro.exceptions import InfeasibleProblemError
 from repro.heuristics import MCTScheduler, OnlineOfflineAdaptationScheduler, online_offline
 from repro.simulation import simulate
@@ -69,6 +71,79 @@ class TestAgainstMCT:
         assert online.max_weighted_flow >= offline - 1e-6
 
 
+class TestSearchEconomy:
+    """Every LP of a replanning is a range LP; a probe that finds one ends the search."""
+
+    @staticmethod
+    def _replans(instance, preemptive):
+        """Per replanning: (milestones, LP solves, probes, pinned probes, final LPs)."""
+        events = []
+        boundaries = OnlineOfflineAdaptationScheduler._boundaries
+        solve = maxflow._scipy_solve_form
+        probe = online_offline.probe_range
+        search = online_offline.minimize_over_range
+
+        def recorded_boundaries(*args):
+            values = boundaries(*args)
+            events.append({"k": len(values) - 2, "solves": 0, "probes": [], "final": 0})
+            return values
+
+        def counted_solve(*args, **kwargs):
+            events[-1]["solves"] += 1
+            return solve(*args, **kwargs)
+
+        def recorded_probe(*args):
+            outcome = probe(*args)
+            events[-1]["probes"].append(outcome)
+            return outcome
+
+        def recorded_search(*args):
+            events[-1]["final"] += 1
+            return search(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                OnlineOfflineAdaptationScheduler, "_boundaries", staticmethod(recorded_boundaries)
+            )
+            patch.setattr(maxflow, "_scipy_solve_form", counted_solve)
+            patch.setattr(online_offline, "probe_range", recorded_probe)
+            patch.setattr(online_offline, "minimize_over_range", recorded_search)
+            result = simulate(instance, OnlineOfflineAdaptationScheduler(preemptive=preemptive))
+        result.schedule.validate()
+        return events, result
+
+    @pytest.mark.parametrize("preemptive", [False, True], ids=["divisible", "preemptive"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_each_replanning_solves_at_most_log_k_plus_one_lps(self, seed, preemptive):
+        instance = random_unrelated_instance(
+            16, 3, cost_range=(2.0, 12.0), forbidden_probability=0.0, seed=seed
+        )
+        events, _ = self._replans(instance, preemptive)
+        assert any(event["probes"] for event in events)
+        assert any(probe.pinned for event in events for probe in event["probes"])
+        for event in events:
+            probes = event["probes"]
+            assert len(probes) <= math.ceil(math.log2(event["k"] + 1)), event
+            assert event["solves"] <= math.ceil(math.log2(event["k"] + 1)) + 1, event
+            if any(probe.feasible for probe in probes):
+                # A pinned probe, or the last feasible one, is the plan.
+                assert event["final"] == 0, event
+            else:
+                assert event["final"] == 1, event
+            assert not any(probe.pinned for probe in probes[:-1]), event
+
+    def test_fewer_lps_than_the_verdict_search_and_the_same_stretch(self):
+        # At n = 16, seed 7 the search it replaced (verdict probes, then one
+        # range LP per replanning) solved 27 + 31 = 58 LPs and planned a max
+        # stretch of 5.479420764823408.
+        instance = random_unrelated_instance(
+            16, 3, cost_range=(2.0, 12.0), forbidden_probability=0.0, seed=7
+        )
+        events, result = self._replans(instance, preemptive=False)
+        assert sum(event["solves"] for event in events) < 58
+        assert result.max_stretch == 5.479420764823408
+
+
 class TestRevisedBackend:
     def test_replicated_portal_seed_2_completes(self):
         # This run re-solves programs that went through the revised simplex's
@@ -92,16 +167,6 @@ class TestConfigurationAndBookkeeping:
     def test_unknown_backend_is_rejected_on_the_from_scratch_path(self):
         with pytest.raises(ValueError, match="unknown LP backend 'highs'"):
             OnlineOfflineAdaptationScheduler(backend="highs", parametric=False)
-
-    def test_from_scratch_path_counts_one_build_per_check(self):
-        # Seed 0 has deadline crossings inside the search brackets, so the
-        # milestone search probes (tiny_instance has none and needs no probe).
-        instance = random_unrelated_instance(6, 3, seed=0)
-        scheduler = OnlineOfflineAdaptationScheduler(parametric=False)
-        simulate(instance, scheduler)
-        assert scheduler.replan_probe is None
-        assert scheduler.replanning_feasibility_checks > 0
-        assert scheduler.replanning_feasibility_checks == scheduler.replanning_model_builds
 
     def test_compaction_remaps_the_plan_and_keeps_it(self, tiny_instance):
         scheduler = OnlineOfflineAdaptationScheduler()

@@ -22,7 +22,7 @@ from scipy.sparse._compressed import _cs_matrix
 
 from repro.core import maxflow, minimize_max_weighted_flow, replanning
 from repro.core.replanning import ReplanProbe
-from repro.heuristics import OnlineOfflineAdaptationScheduler
+from repro.heuristics import DeadlineDrivenScheduler, OnlineOfflineAdaptationScheduler
 from repro.lp import LPStatus, revised_simplex
 from repro.lp.backends import BACKEND_LABELS, solve_form
 from repro.lp.revised_simplex import (
@@ -560,9 +560,10 @@ class TestRawArrays:
 def test_solve_path_builds_no_scipy_sparse_objects(monkeypatch):
     """With scipy's stacking, products and indexing poisoned, the solves still run.
 
-    The poison covers every revised solve of an ``online-offline`` simulation
-    on the revised backend.  The HiGHS range LP that plans each event stacks
-    its blocks with ``sp.vstack`` and runs between those solves, unpoisoned.
+    The poison covers every revised solve of a
+    ``deadline-driven:lp_targets=true`` simulation on the revised backend
+    (33 target-search probes on this instance) and one cold two-phase
+    solve.
     """
 
     def poisoned(*args, **kwargs):
@@ -583,11 +584,11 @@ def test_solve_path_builds_no_scipy_sparse_objects(monkeypatch):
             return solve(*args, **kwargs)
 
     monkeypatch.setattr(replanning, "solve_matrix_form_revised", poisoned_solve)
-    instance = random_unrelated_instance(8, 3, seed=4, cost_range=(2, 12))
-    result = simulate(instance, OnlineOfflineAdaptationScheduler(backend="revised"))
+    instance = random_unrelated_instance(10, 3, seed=3, cost_range=(2, 12))
+    result = simulate(instance, DeadlineDrivenScheduler(lp_targets=True, backend="revised"))
     result.schedule.validate()
     assert len(result.completion_times) == instance.num_jobs
-    assert revised_solves
+    assert len(revised_solves) >= 10
 
     poison(monkeypatch)
     recorder = MetricsRecorder()

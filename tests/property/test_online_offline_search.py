@@ -10,9 +10,9 @@ off-line algorithm"):
    ``minimize_max_weighted_flow`` cannot be the oracle: the deadlines of the
    remaining work count from each job's original release date, not from the
    common release date ``t`` of the sub-instance.)
-2. **Identity** — ``backend`` and ``parametric`` only choose how verdicts
-   are decided; the plan comes from one HiGHS range LP, so every
-   configuration executes the same schedule.
+2. **Identity** — ``backend`` and ``parametric`` change nothing: every LP
+   of the search is a HiGHS range LP, so every configuration executes the
+   same schedule.
 3. **Scale** — release dates and costs scaled by ``2**k`` scale the max
    weighted flow by ``2**k``: the search has no absolute stop rule.
 """
@@ -35,7 +35,7 @@ from repro.workload import available_scenarios, make_scenario, random_unrelated_
 #: HiGHS's primal feasibility tolerance (1e-7) with room for the verdicts'.
 LP_TOLERANCE = 1e-6
 
-#: The four ways of deciding verdicts; the plan must not depend on them.
+#: The four constructor configurations; the plan must not depend on them.
 VERDICT_CONFIGURATIONS = (
     {"backend": "scipy", "parametric": True},
     {"backend": "scipy", "parametric": False},
@@ -67,23 +67,29 @@ def small_instance(draw):
 def _planned_searches(instance: Instance, **params) -> Tuple[List[Tuple], object]:
     """Run the policy; return each event's (remaining work, origins, planned F)."""
     events: List[list] = []
-    build = online_offline.build_range_model
-    search = online_offline.minimize_over_range
+    boundaries = OnlineOfflineAdaptationScheduler._boundaries
 
-    def recorded_build(sub_instance, low, high, *, preemptive, origins):
+    def recorded_boundaries(sub_instance, origins, weights, now):
         events.append([sub_instance, list(origins)])
-        return build(sub_instance, low, high, preemptive=preemptive, origins=origins)
+        return boundaries(sub_instance, origins, weights, now)
 
-    def recorded_search(alloc, low, high):
-        objective, solution, solves = search(alloc, low, high)
-        events[-1].append(objective)
-        return objective, solution, solves
+    def recorded(build_schedule):
+        def build(alloc, solution, *, objective_value):
+            events[-1].append(objective_value)
+            return build_schedule(alloc, solution, objective_value=objective_value)
+
+        return build
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(online_offline, "build_range_model", recorded_build)
-        patch.setattr(online_offline, "minimize_over_range", recorded_search)
+        patch.setattr(
+            OnlineOfflineAdaptationScheduler, "_boundaries", staticmethod(recorded_boundaries)
+        )
+        for name in ("divisible_schedule_from_solution", "preemptive_schedule_from_solution"):
+            patch.setattr(online_offline, name, recorded(getattr(online_offline, name)))
         result = simulate(instance, OnlineOfflineAdaptationScheduler(**params))
     result.schedule.validate()
+    # Every event planned exactly one F.
+    assert all(len(event) == 3 for event in events), events
     return [tuple(event) for event in events], result
 
 
@@ -139,7 +145,7 @@ def test_every_plan_is_the_least_feasible_objective(preemptive, instance):
 @pytest.mark.parametrize("model", ["false", "true"], ids=["divisible", "preemptive"])
 @pytest.mark.parametrize("scenario", available_scenarios())
 def test_the_revised_backend_plans_the_default_schedule(scenario, model):
-    """Verdicts decide nothing but the range: both backends plan alike."""
+    """``backend`` changes nothing: both values plan alike."""
     for seed in range(3):
         instance = make_scenario(scenario, seed=seed)
         default = simulate(instance, make_scheduler(f"online-offline:preemptive={model}"))
