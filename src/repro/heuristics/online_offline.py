@@ -219,6 +219,16 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         weights = [instance.jobs[job_index].weight for job_index in active]
         boundaries = self._boundaries(sub_instance, origins, weights, state.time)
 
+        def range_model(index: int) -> AllocationModel:
+            """System (3)/(5) over ``(boundaries[index - 1], boundaries[index]]``."""
+            return build_range_model(
+                sub_instance,
+                boundaries[index - 1],
+                boundaries[index],
+                preemptive=self.preemptive,
+                origins=origins,
+            )
+
         # Binary search for the least feasible milestone; the last boundary
         # is feasible without a probe.  Each probe minimises F over the range
         # its milestone tops, so a feasible probe leaves that range's optimal
@@ -229,7 +239,7 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         low, high = 1, len(boundaries) - 1
         while low < high:
             middle = (low + high) // 2
-            alloc = self._range_model(sub_instance, boundaries, middle, origins)
+            alloc = range_model(middle)
             probe = probe_range(alloc, boundaries[middle - 1], boundaries[middle])
             if not probe.feasible:
                 low = middle + 1
@@ -242,7 +252,7 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         if found is None:
             # Only the top range, feasible by construction, is left: one
             # System (3)/(5) LP over it gives the least feasible F.
-            alloc = self._range_model(sub_instance, boundaries, high, origins)
+            alloc = range_model(high)
             try:
                 objective, solution, _ = minimize_over_range(
                     alloc, boundaries[high - 1], boundaries[high]
@@ -266,22 +276,6 @@ class OnlineOfflineAdaptationScheduler(OnlineScheduler):
         self._plan = plan
         self._plan_active = frozenset(active)
         self._plan_time = state.time
-
-    def _range_model(
-        self,
-        sub_instance: Instance,
-        boundaries: List[float],
-        index: int,
-        origins: List[float],
-    ) -> AllocationModel:
-        """System (3)/(5) of the range ``(boundaries[index - 1], boundaries[index]]``."""
-        return build_range_model(
-            sub_instance,
-            boundaries[index - 1],
-            boundaries[index],
-            preemptive=self.preemptive,
-            origins=origins,
-        )
 
     @staticmethod
     def _plan_from_schedule(
