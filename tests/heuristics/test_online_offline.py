@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core import Instance, Job, maxflow, minimize_max_weighted_flow
+from repro.core import maxflow, minimize_max_weighted_flow
 from repro.exceptions import InfeasibleProblemError
 from repro.heuristics import MCTScheduler, OnlineOfflineAdaptationScheduler, online_offline
 from repro.simulation import simulate
@@ -76,7 +76,8 @@ class TestSearchEconomy:
 
     @staticmethod
     def _replans(instance, preemptive):
-        """Per replanning: (milestones, LP solves, probes, pinned probes, final LPs)."""
+        """Each replanning's milestone count ``k``, LP solves, probe outcomes and
+        final range LPs, and the simulation result."""
         events = []
         boundaries = OnlineOfflineAdaptationScheduler._boundaries
         solve = maxflow._scipy_solve_form
