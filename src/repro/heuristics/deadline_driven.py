@@ -76,8 +76,8 @@ class DeadlineDrivenScheduler(OnlineScheduler):
         # The target search only asks yes/no questions (build_schedule=False),
         # so the probe canonicalises each sub-instance by deadline rank:
         # probes from different events share one LP skeleton per rank
-        # pattern, which is what lifts the cache hit rate to the
-        # ``online-offline`` level (bench_replanning.py asserts it).
+        # pattern, which is what lifts the cache hit rate to ~0.8
+        # (bench_replanning.py asserts at least 0.75).
         self._probe: Optional[ReplanProbe] = (
             ReplanProbe(backend=backend, rank_keyed=True) if lp_targets else None
         )
